@@ -17,7 +17,7 @@ import sys
 from importlib import resources
 from pathlib import Path
 
-from .errors import EngineError
+from .errors import EngineError, UnreadableScenario
 from .market import Money
 from .realization import Regime
 from .scenario import (
@@ -65,7 +65,13 @@ def _load_scenario(target: str) -> Scenario:
     path = Path(target)
     if not path.exists():
         raise EngineError(f"no such file or built-in scenario: {target}")
-    return parse_scenario(path.read_text(encoding="utf-8"), name=path.stem)
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as err:
+        raise UnreadableScenario(f"{target}: not UTF-8 text (bad byte at offset {err.start})") from None
+    except OSError as err:
+        raise UnreadableScenario(f"{target}: {err.strerror or err}") from None
+    return parse_scenario(text, name=path.stem)
 
 
 def _render_run_table(report: RunReport) -> str:

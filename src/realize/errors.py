@@ -58,12 +58,25 @@ class ReservationMismatch(EngineError):
     """
 
 
+class InvariantViolation(EngineError):
+    """An internal consistency check failed.
+
+    Raised for values the engine itself never produces, such as hand-built
+    effects or states, and for a golden-table figure that disagrees with the
+    engine.  Unlike ``assert``, these checks stay active under ``python -O``.
+    """
+
+
 class UnknownScenario(EngineError):
     """Requested built-in scenario name does not exist."""
 
     def __init__(self, name: str, known: tuple[str, ...]) -> None:
         self.name = name
         super().__init__(f"unknown scenario {name!r}; built-ins: {', '.join(known)}")
+
+
+class UnreadableScenario(EngineError):
+    """A scenario path exists but is not a readable UTF-8 text file."""
 
 
 class ParseError(EngineError):

@@ -1,4 +1,4 @@
-"""Event-sourced portfolio state: owned lots, borrow positions, cash.
+"""Event-sourced portfolio: owned lots, borrow positions, cash.
 
 The ledger applies transaction events in scenario order and reports exactly
 what moved through a ``LedgerEffects`` record: lots consumed with their bases,
@@ -6,6 +6,14 @@ borrow positions opened or covered, market prices used, and the cash delta.
 Tax treatment lives entirely downstream; the ledger knows nothing about
 realization regimes, which is what makes cash flow regime-invariant by
 construction.
+
+A run keeps its portfolio in a ``Ledger``: mutable, private to that run, and
+organised per security as a first-in first-out queue of lots and a list of
+borrow positions.  An event reads and changes only its own security, and lot
+matching stops at the last lot it needs, so the cost of an event does not
+grow with the rest of the portfolio.  ``PortfolioState`` is the frozen
+snapshot of a ledger; ``apply_event``, ``step_up`` and ``match_lots`` accept
+either, and never change a snapshot.
 
 Two inventories are kept deliberately separate.  Owned lots carry purchase or
 inheritance basis.  Borrowed shares, although title passes to the borrower the
@@ -25,13 +33,18 @@ raises ``OverCover``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from collections import deque
+from collections.abc import Callable, ValuesView
+from dataclasses import dataclass, field
 from enum import Enum
+from itertools import chain
+from operator import attrgetter
 from typing import Union
 
 from .errors import (
     InsufficientOwnedShares,
     InvalidQuantity,
+    InvariantViolation,
     NoOpenBorrow,
     OverCover,
     UnknownLotId,
@@ -169,14 +182,6 @@ class Fifo:
 
     caps: tuple[tuple[int, int], ...] | None = None  # (lot id, max take)
 
-    def cap_for(self, lot: Lot) -> int:
-        if self.caps is None:
-            return lot.qty
-        for lot_id, cap in self.caps:
-            if lot_id == lot.id:
-                return min(cap, lot.qty)
-        return lot.qty
-
 
 @dataclass(frozen=True)
 class SpecificId:
@@ -235,9 +240,25 @@ class LedgerEffects:
     owned_lots: tuple[Lot, ...] = ()  # snapshot at a short sale, for the trigger check
 
 
+class _Holdings:
+    """Per-security share counts, read through ``lots_of`` and ``borrows_of``."""
+
+    def owned_qty(self, sec: SecurityId) -> int:
+        return sum(lot.qty for lot in self.lots_of(sec))
+
+    def borrowed_unsold_qty(self, sec: SecurityId) -> int:
+        return sum(p.qty_unsold for p in self.borrows_of(sec))
+
+    def sold_uncovered_qty(self, sec: SecurityId) -> int:
+        return sum(p.qty_sold_uncovered for p in self.borrows_of(sec))
+
+    def outstanding_qty(self, sec: SecurityId) -> int:
+        return sum(p.qty_outstanding for p in self.borrows_of(sec))
+
+
 @dataclass(frozen=True)
-class PortfolioState:
-    """Immutable portfolio value; every applied event returns a new state."""
+class PortfolioState(_Holdings):
+    """Frozen portfolio snapshot: lots in lot-id order, borrows grouped by security."""
 
     lots: tuple[Lot, ...] = ()
     borrows: tuple[BorrowPosition, ...] = ()
@@ -249,21 +270,291 @@ class PortfolioState:
     def lots_of(self, sec: SecurityId) -> tuple[Lot, ...]:
         return tuple(lot for lot in self.lots if lot.sec == sec)
 
-    def owned_qty(self, sec: SecurityId) -> int:
-        return sum(lot.qty for lot in self.lots if lot.sec == sec)
+    def borrows_of(self, sec: SecurityId) -> tuple[BorrowPosition, ...]:
+        return tuple(p for p in self.borrows if p.sec == sec)
 
-    def borrowed_unsold_qty(self, sec: SecurityId) -> int:
-        return sum(p.qty_unsold for p in self.borrows if p.sec == sec)
 
-    def sold_uncovered_qty(self, sec: SecurityId) -> int:
-        return sum(p.qty_sold_uncovered for p in self.borrows if p.sec == sec)
+def _slice(lot: Lot, qty: int, qty_before: int) -> LotSlice:
+    return LotSlice(lot.id, qty, lot.basis_per_share, lot.acquired_at, lot.method, qty_before)
 
-    def outstanding_qty(self, sec: SecurityId) -> int:
-        return sum(p.qty_outstanding for p in self.borrows if p.sec == sec)
+
+def _fill(
+    positions: list[BorrowPosition], qty: int, available: Callable[[BorrowPosition], int]
+) -> tuple[list[tuple[int, int]], int]:
+    """(index, amount) pairs taking up to ``qty`` from the first positions, and the total."""
+    plan = []
+    remaining = qty
+    for i, pos in enumerate(positions):
+        amount = min(remaining, available(pos))
+        if amount > 0:
+            plan.append((i, amount))
+            remaining -= amount
+            if remaining == 0:
+                break
+    return plan, qty - remaining
+
+
+class Ledger(_Holdings):
+    """The mutable portfolio of one run, kept per security.
+
+    Each security has a first-in first-out queue of lots and a list of borrow
+    positions in cover order, so an event touches only its own security.  An
+    index of every open lot by id, in lot-id order, serves ``lots`` and
+    lot-id matching.  ``lots_of`` and ``borrows_of`` return the live
+    containers: read them, never change them.
+    """
+
+    def __init__(self, state: PortfolioState | None = None) -> None:
+        state = state or PortfolioState()
+        self._by_id: dict[int, Lot] = {}
+        self._lots: dict[SecurityId, deque[Lot]] = {}
+        self._borrows: dict[SecurityId, list[BorrowPosition]] = {}
+        for lot in state.lots:
+            self._add_lot(lot)
+        for pos in state.borrows:
+            self._borrows.setdefault(pos.sec, []).append(pos)
+        self.cash = state.cash
+        self.owner_generation = state.owner_generation
+        self.next_lot_id = state.next_lot_id
+        self.next_borrow_id = state.next_borrow_id
+
+    @property
+    def lots(self) -> ValuesView[Lot]:
+        """Every open lot in lot-id order; its length costs nothing."""
+        return self._by_id.values()
+
+    @property
+    def borrows(self) -> tuple[BorrowPosition, ...]:
+        return tuple(chain.from_iterable(self._borrows.values()))
+
+    def lots_of(self, sec: SecurityId) -> deque[Lot] | tuple[()]:
+        return self._lots.get(sec, ())
+
+    def borrows_of(self, sec: SecurityId) -> list[BorrowPosition] | tuple[()]:
+        return self._borrows.get(sec, ())
+
+    def securities(self) -> set[SecurityId]:
+        return self._lots.keys() | self._borrows.keys()
+
+    def snapshot(self) -> PortfolioState:
+        return PortfolioState(
+            tuple(self._by_id.values()), self.borrows, self.cash,
+            self.owner_generation, self.next_lot_id, self.next_borrow_id,
+        )
+
+    def _add_lot(self, lot: Lot) -> None:
+        self._by_id[lot.id] = lot
+        self._lots.setdefault(lot.sec, deque()).append(lot)
+
+    def _owned(self, lot_id: int, sec: SecurityId) -> Lot:
+        lot = self._by_id.get(lot_id)
+        if lot is None or lot.sec != sec:
+            raise UnknownLotId(f"no owned lot {lot_id} of {sec}")
+        return lot
+
+    def match(self, sec: SecurityId, qty: int, policy: LotPolicy = Fifo()) -> list[LotSlice]:
+        """Owned-lot slices totalling ``qty``; walks no further than it takes."""
+        if qty <= 0:
+            raise InvalidQuantity(f"quantity must be positive, got {qty}")
+        slices: list[LotSlice] = []
+        remaining = qty
+        if isinstance(policy, Fifo):
+            caps = dict(policy.caps or ())
+            for lot in self.lots_of(sec):
+                amount = min(remaining, caps.get(lot.id, lot.qty), lot.qty)
+                if amount > 0:
+                    slices.append(_slice(lot, amount, lot.qty))
+                    remaining -= amount
+                    if remaining == 0:
+                        break
+        elif isinstance(policy, SpecificId):
+            for lot_id in policy.ids:
+                lot = self._owned(lot_id, sec)
+                amount = min(remaining, lot.qty)
+                if amount > 0:
+                    slices.append(_slice(lot, amount, lot.qty))
+                    remaining -= amount
+        elif isinstance(policy, Plan):
+            taken: dict[int, int] = {}
+            for lot_id, amount in policy.slices:
+                if amount <= 0:
+                    raise InvalidQuantity(f"plan slice quantity must be positive, got {amount}")
+                lot = self._owned(lot_id, sec)
+                already = taken.get(lot_id, 0)
+                if already + amount > lot.qty:
+                    raise InsufficientOwnedShares(
+                        f"plan takes {already + amount} shares from lot {lot_id} holding {lot.qty}"
+                    )
+                slices.append(_slice(lot, amount, lot.qty - already))
+                taken[lot_id] = already + amount
+                remaining -= amount
+            if remaining != 0:
+                raise InvalidQuantity(
+                    f"plan covers {qty - remaining} shares but {qty} were requested"
+                )
+        else:  # pragma: no cover - exhaustive over LotPolicy
+            raise TypeError(f"unknown lot policy {policy!r}")
+
+        if remaining > 0:
+            raise InsufficientOwnedShares(
+                f"need {qty} shares of {sec}, only {qty - remaining} available under {type(policy).__name__}"
+            )
+        return slices
+
+    def _consume(self, sec: SecurityId, slices: list[LotSlice]) -> None:
+        """Take matched shares, popping lots only up to the last one touched."""
+        taken: dict[int, int] = {}
+        for s in slices:
+            taken[s.lot_id] = taken.get(s.lot_id, 0) + s.qty
+        queue = self._lots[sec]
+        kept: list[Lot] = []
+        while taken:
+            lot = queue.popleft()
+            left = lot.qty - taken.pop(lot.id, 0)
+            if left == lot.qty:
+                kept.append(lot)
+            elif left > 0:
+                lot = Lot(lot.id, lot.sec, left, lot.basis_per_share, lot.acquired_at, lot.method)
+                kept.append(lot)
+                self._by_id[lot.id] = lot
+            else:
+                del self._by_id[lot.id]
+        queue.extendleft(reversed(kept))
+
+    def step_up(self, at: Tick, path: PricePath) -> None:
+        lots = [
+            Lot(lot.id, lot.sec, lot.qty, path.price_at(lot.sec, at), at, AcquisitionMethod.INHERITANCE)
+            for lot in self._by_id.values()
+        ]
+        self._by_id, self._lots = {}, {}
+        for lot in lots:
+            self._add_lot(lot)
+        self.owner_generation += 1
+
+    def apply(
+        self, ev: TransactionEvent, path: PricePath, lot_policy: LotPolicy | None = None
+    ) -> LedgerEffects:
+        """Apply one event in place.  Every check runs before anything changes."""
+        if isinstance(ev, Buy):
+            price = path.price_at(ev.sec, ev.at)
+            lot = Lot(self.next_lot_id, ev.sec, ev.qty, price, ev.at)
+            self.next_lot_id += 1
+            self._add_lot(lot)
+            cash_delta = -(price * ev.qty)
+            self.cash += cash_delta
+            return LedgerEffects(
+                event=ev, at=ev.at, sec=ev.sec, qty=ev.qty, price=price,
+                cash_delta=cash_delta, lot_created=lot,
+            )
+
+        if isinstance(ev, Borrow):
+            pos = BorrowPosition(self.next_borrow_id, ev.sec, ev.qty, ev.at)
+            self.next_borrow_id += 1
+            self._borrows.setdefault(ev.sec, []).append(pos)
+            return LedgerEffects(
+                event=ev, at=ev.at, sec=ev.sec, qty=ev.qty, price=None,
+                cash_delta=Money.zero(), borrow_opened=pos,
+            )
+
+        if isinstance(ev, ShortSell):
+            price = path.price_at(ev.sec, ev.at)
+            positions = self._borrows.get(ev.sec, [])
+            plan, unsold = _fill(positions, ev.qty, attrgetter("qty_unsold"))
+            if unsold < ev.qty:
+                raise NoOpenBorrow(
+                    f"short sale of {ev.qty} {ev.sec} exceeds borrowed-unsold {unsold}"
+                )
+            slices: list[ShortSlice] = []
+            shift = 0
+            for i, amount in plan:
+                pos = positions[i + shift]
+                positions[i + shift] = BorrowPosition(
+                    pos.id, pos.sec, amount, pos.borrowed_at, amount, price, ev.at, pos.qty_covered
+                )
+                if amount < pos.qty_borrowed:
+                    # Split so every sold position carries exactly one proceeds price.
+                    shift += 1
+                    positions.insert(i + shift, BorrowPosition(
+                        self.next_borrow_id, pos.sec, pos.qty_borrowed - amount, pos.borrowed_at
+                    ))
+                    self.next_borrow_id += 1
+                slices.append(ShortSlice(pos.id, amount, price, ev.at))
+            cash_delta = price * ev.qty
+            self.cash += cash_delta
+            return LedgerEffects(
+                event=ev, at=ev.at, sec=ev.sec, qty=ev.qty, price=price,
+                cash_delta=cash_delta, shorts_sold=tuple(slices),
+                owned_lots=tuple(self.lots_of(ev.sec)),
+            )
+
+        if isinstance(ev, SellOwned):
+            price = path.price_at(ev.sec, ev.at)
+            slices = self.match(ev.sec, ev.qty, lot_policy or Fifo())
+            self._consume(ev.sec, slices)
+            cash_delta = price * ev.qty
+            self.cash += cash_delta
+            return LedgerEffects(
+                event=ev, at=ev.at, sec=ev.sec, qty=ev.qty, price=price,
+                cash_delta=cash_delta, lots_consumed=tuple(slices),
+            )
+
+        if isinstance(ev, (CoverByPurchase, CoverByOwnedLot)):
+            price = path.price_at(ev.sec, ev.at)
+            positions = self._borrows.get(ev.sec, [])
+            plan, coverable = _fill(positions, ev.qty, attrgetter("qty_sold_uncovered"))
+            if coverable < ev.qty:
+                raise OverCover(
+                    f"cover of {ev.qty} {ev.sec} exceeds open sold-short quantity {coverable}"
+                )
+            covered: list[ShortSlice] = []
+            for i, amount in plan:
+                pos = positions[i]
+                if pos.short_proceeds_per_share is None or pos.sold_at is None:
+                    raise InvariantViolation(f"borrow position {pos.id} is sold short without a price")
+                covered.append(ShortSlice(pos.id, amount, pos.short_proceeds_per_share, pos.sold_at))
+            by_purchase = isinstance(ev, CoverByPurchase)
+            slices = [] if by_purchase else self.match(ev.sec, ev.qty, lot_policy or Fifo())
+            for i, amount in reversed(plan):  # back to front keeps the earlier indices valid
+                pos = positions[i]
+                if amount < pos.qty_outstanding:
+                    positions[i] = BorrowPosition(
+                        pos.id, pos.sec, pos.qty_borrowed, pos.borrowed_at, pos.qty_sold_short,
+                        pos.short_proceeds_per_share, pos.sold_at, pos.qty_covered + amount,
+                    )
+                else:
+                    del positions[i]
+            if by_purchase:
+                cash_delta = -(price * ev.qty)
+                self.cash += cash_delta
+                return LedgerEffects(
+                    event=ev, at=ev.at, sec=ev.sec, qty=ev.qty, price=price,
+                    cash_delta=cash_delta, shorts_covered=tuple(covered),
+                )
+            self._consume(ev.sec, slices)
+            return LedgerEffects(
+                event=ev, at=ev.at, sec=ev.sec, qty=ev.qty, price=price,
+                cash_delta=Money.zero(),
+                lots_consumed=tuple(slices), shorts_covered=tuple(covered),
+            )
+
+        if isinstance(ev, Death):
+            self.step_up(ev.at, path)
+            return LedgerEffects(
+                event=ev, at=ev.at, sec=None, qty=0, price=None, cash_delta=Money.zero(),
+            )
+
+        raise TypeError(f"unknown transaction event {ev!r}")  # pragma: no cover
+
+
+Portfolio = Union[PortfolioState, Ledger]
+
+
+def _private(state: Portfolio) -> Ledger:
+    return state if isinstance(state, Ledger) else Ledger(state)
 
 
 def match_lots(
-    state: PortfolioState,
+    state: Portfolio,
     sec: SecurityId,
     qty: int,
     policy: LotPolicy = Fifo(),
@@ -273,272 +564,33 @@ def match_lots(
     Pure query: the returned slices describe what a disposal would consume;
     ``apply_event`` performs the actual consumption.
     """
-    if qty <= 0:
-        raise InvalidQuantity(f"quantity must be positive, got {qty}")
-
-    by_id = {lot.id: lot for lot in state.lots if lot.sec == sec}
-    slices: list[LotSlice] = []
-    remaining = qty
-
-    def take(lot: Lot, amount: int, already_taken: int) -> None:
-        slices.append(
-            LotSlice(
-                lot_id=lot.id,
-                qty=amount,
-                basis_per_share=lot.basis_per_share,
-                acquired_at=lot.acquired_at,
-                method=lot.method,
-                qty_before=lot.qty - already_taken,
-            )
-        )
-
-    if isinstance(policy, Fifo):
-        for lot in state.lots:
-            if lot.sec != sec or remaining == 0:
-                continue
-            available = policy.cap_for(lot)
-            amount = min(remaining, available)
-            if amount > 0:
-                take(lot, amount, 0)
-                remaining -= amount
-    elif isinstance(policy, SpecificId):
-        for lot_id in policy.ids:
-            if lot_id not in by_id:
-                raise UnknownLotId(f"no owned lot {lot_id} of {sec}")
-            if remaining == 0:
-                continue
-            lot = by_id[lot_id]
-            amount = min(remaining, lot.qty)
-            if amount > 0:
-                take(lot, amount, 0)
-                remaining -= amount
-    elif isinstance(policy, Plan):
-        taken: dict[int, int] = {}
-        for lot_id, amount in policy.slices:
-            if amount <= 0:
-                raise InvalidQuantity(f"plan slice quantity must be positive, got {amount}")
-            if lot_id not in by_id:
-                raise UnknownLotId(f"no owned lot {lot_id} of {sec}")
-            lot = by_id[lot_id]
-            already = taken.get(lot_id, 0)
-            if already + amount > lot.qty:
-                raise InsufficientOwnedShares(
-                    f"plan takes {already + amount} shares from lot {lot_id} holding {lot.qty}"
-                )
-            take(lot, amount, already)
-            taken[lot_id] = already + amount
-            remaining -= amount
-        if remaining != 0:
-            raise InvalidQuantity(
-                f"plan covers {qty - remaining} shares but {qty} were requested"
-            )
-    else:  # pragma: no cover - exhaustive over LotPolicy
-        raise TypeError(f"unknown lot policy {policy!r}")
-
-    if remaining > 0:
-        raise InsufficientOwnedShares(
-            f"need {qty} shares of {sec}, only {qty - remaining} available under {type(policy).__name__}"
-        )
-    return slices
+    return _private(state).match(sec, qty, policy)
 
 
-def _consume_lots(lots: tuple[Lot, ...], slices: list[LotSlice]) -> tuple[Lot, ...]:
-    taken: dict[int, int] = {}
-    for s in slices:
-        taken[s.lot_id] = taken.get(s.lot_id, 0) + s.qty
-    out: list[Lot] = []
-    for lot in lots:
-        t = taken.get(lot.id, 0)
-        if t == 0:
-            out.append(lot)
-        elif t < lot.qty:
-            out.append(replace(lot, qty=lot.qty - t))
-        # fully consumed lots drop out
-    return tuple(out)
-
-
-def step_up(state: PortfolioState, at: Tick, path: PricePath) -> PortfolioState:
+def step_up(state: Portfolio, at: Tick, path: PricePath) -> Portfolio:
     """Transmit the portfolio to the heir with basis stepped up to the death-date price.
 
     Every owned lot is re-based to fair market value at the death tick and is
     thereafter an inherited holding; open borrow positions transmit unchanged,
     since the heir inherits the contractual obligation to return the shares.
     """
-    stepped = tuple(
-        replace(
-            lot,
-            basis_per_share=path.price_at(lot.sec, at),
-            acquired_at=at,
-            method=AcquisitionMethod.INHERITANCE,
-        )
-        for lot in state.lots
-    )
-    return replace(state, lots=stepped, owner_generation=state.owner_generation + 1)
+    ledger = _private(state)
+    ledger.step_up(at, path)
+    return ledger if ledger is state else ledger.snapshot()
 
 
 def apply_event(
-    state: PortfolioState,
+    state: Portfolio,
     ev: TransactionEvent,
     path: PricePath,
     lot_policy: LotPolicy | None = None,
-) -> tuple[PortfolioState, LedgerEffects]:
-    """Apply one transaction event, returning the new state and its effects."""
-    if isinstance(ev, Buy):
-        price = path.price_at(ev.sec, ev.at)
-        lot = Lot(
-            id=state.next_lot_id,
-            sec=ev.sec,
-            qty=ev.qty,
-            basis_per_share=price,
-            acquired_at=ev.at,
-        )
-        cash_delta = -(price * ev.qty)
-        new = replace(
-            state,
-            lots=state.lots + (lot,),
-            cash=state.cash + cash_delta,
-            next_lot_id=state.next_lot_id + 1,
-        )
-        return new, LedgerEffects(
-            event=ev, at=ev.at, sec=ev.sec, qty=ev.qty, price=price,
-            cash_delta=cash_delta, lot_created=lot,
-        )
+) -> tuple[Portfolio, LedgerEffects]:
+    """Apply one transaction event, returning the portfolio after it and its effects.
 
-    if isinstance(ev, Borrow):
-        pos = BorrowPosition(
-            id=state.next_borrow_id, sec=ev.sec, qty_borrowed=ev.qty, borrowed_at=ev.at,
-        )
-        new = replace(
-            state,
-            borrows=state.borrows + (pos,),
-            next_borrow_id=state.next_borrow_id + 1,
-        )
-        return new, LedgerEffects(
-            event=ev, at=ev.at, sec=ev.sec, qty=ev.qty, price=None,
-            cash_delta=Money.zero(), borrow_opened=pos,
-        )
-
-    if isinstance(ev, ShortSell):
-        price = path.price_at(ev.sec, ev.at)
-        if state.borrowed_unsold_qty(ev.sec) < ev.qty:
-            raise NoOpenBorrow(
-                f"short sale of {ev.qty} {ev.sec} exceeds borrowed-unsold "
-                f"{state.borrowed_unsold_qty(ev.sec)}"
-            )
-        remaining = ev.qty
-        next_borrow_id = state.next_borrow_id
-        new_borrows: list[BorrowPosition] = []
-        slices: list[ShortSlice] = []
-        for pos in state.borrows:
-            if pos.sec != ev.sec or pos.qty_unsold == 0 or remaining == 0:
-                new_borrows.append(pos)
-                continue
-            amount = min(remaining, pos.qty_unsold)
-            if amount == pos.qty_borrowed:
-                sold = replace(
-                    pos,
-                    qty_sold_short=amount,
-                    short_proceeds_per_share=price,
-                    sold_at=ev.at,
-                )
-                new_borrows.append(sold)
-            else:
-                # Split so every sold position carries exactly one proceeds price.
-                sold = replace(
-                    pos,
-                    qty_borrowed=amount,
-                    qty_sold_short=amount,
-                    short_proceeds_per_share=price,
-                    sold_at=ev.at,
-                )
-                rest = BorrowPosition(
-                    id=next_borrow_id,
-                    sec=pos.sec,
-                    qty_borrowed=pos.qty_borrowed - amount,
-                    borrowed_at=pos.borrowed_at,
-                )
-                next_borrow_id += 1
-                new_borrows.extend([sold, rest])
-            slices.append(ShortSlice(pos.id, amount, price, ev.at))
-            remaining -= amount
-        cash_delta = price * ev.qty
-        new = replace(
-            state,
-            borrows=tuple(new_borrows),
-            cash=state.cash + cash_delta,
-            next_borrow_id=next_borrow_id,
-        )
-        return new, LedgerEffects(
-            event=ev, at=ev.at, sec=ev.sec, qty=ev.qty, price=price,
-            cash_delta=cash_delta, shorts_sold=tuple(slices),
-            owned_lots=state.lots_of(ev.sec),
-        )
-
-    if isinstance(ev, SellOwned):
-        price = path.price_at(ev.sec, ev.at)
-        slices = match_lots(state, ev.sec, ev.qty, lot_policy or Fifo())
-        cash_delta = price * ev.qty
-        new = replace(
-            state,
-            lots=_consume_lots(state.lots, slices),
-            cash=state.cash + cash_delta,
-        )
-        return new, LedgerEffects(
-            event=ev, at=ev.at, sec=ev.sec, qty=ev.qty, price=price,
-            cash_delta=cash_delta, lots_consumed=tuple(slices),
-        )
-
-    if isinstance(ev, (CoverByPurchase, CoverByOwnedLot)):
-        price = path.price_at(ev.sec, ev.at)
-        coverable = state.sold_uncovered_qty(ev.sec)
-        if coverable < ev.qty:
-            raise OverCover(
-                f"cover of {ev.qty} {ev.sec} exceeds open sold-short quantity {coverable}"
-            )
-        remaining = ev.qty
-        new_borrows = []
-        covered: list[ShortSlice] = []
-        for pos in state.borrows:
-            if pos.sec != ev.sec or pos.qty_sold_uncovered == 0 or remaining == 0:
-                if pos.qty_outstanding > 0:
-                    new_borrows.append(pos)
-                continue
-            amount = min(remaining, pos.qty_sold_uncovered)
-            assert pos.short_proceeds_per_share is not None and pos.sold_at is not None
-            covered.append(ShortSlice(pos.id, amount, pos.short_proceeds_per_share, pos.sold_at))
-            after = replace(pos, qty_covered=pos.qty_covered + amount)
-            if after.qty_outstanding > 0:
-                new_borrows.append(after)
-            remaining -= amount
-
-        if isinstance(ev, CoverByPurchase):
-            cash_delta = -(price * ev.qty)
-            new = replace(
-                state,
-                borrows=tuple(new_borrows),
-                cash=state.cash + cash_delta,
-            )
-            return new, LedgerEffects(
-                event=ev, at=ev.at, sec=ev.sec, qty=ev.qty, price=price,
-                cash_delta=cash_delta, shorts_covered=tuple(covered),
-            )
-
-        slices = match_lots(state, ev.sec, ev.qty, lot_policy or Fifo())
-        new = replace(
-            state,
-            lots=_consume_lots(state.lots, slices),
-            borrows=tuple(new_borrows),
-        )
-        return new, LedgerEffects(
-            event=ev, at=ev.at, sec=ev.sec, qty=ev.qty, price=price,
-            cash_delta=Money.zero(),
-            lots_consumed=tuple(slices), shorts_covered=tuple(covered),
-        )
-
-    if isinstance(ev, Death):
-        new = step_up(state, ev.at, path)
-        return new, LedgerEffects(
-            event=ev, at=ev.at, sec=None, qty=0, price=None, cash_delta=Money.zero(),
-        )
-
-    raise TypeError(f"unknown transaction event {ev!r}")  # pragma: no cover
+    A run's own ``Ledger`` changes in place and comes back; a
+    ``PortfolioState`` is never changed, even when the event raises, and a new
+    snapshot comes back.
+    """
+    ledger = _private(state)
+    effects = ledger.apply(ev, path, lot_policy)
+    return (ledger if ledger is state else ledger.snapshot()), effects

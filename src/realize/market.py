@@ -18,7 +18,7 @@ SecurityId = str
 
 CENTAVOS_PER_PESO = 100
 
-_MONEY_RE = re.compile(r"(-?)(\d+)(?:\.(\d{1,2}))?")
+_MONEY_RE = re.compile(r"(-?)(\d+)(?:\.(\d{1,2}))?", re.ASCII)
 
 
 @dataclass(frozen=True, order=True)

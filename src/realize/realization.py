@@ -33,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from enum import Enum
 
-from .errors import InsufficientOwnedShares, ReservationMismatch
+from .errors import InsufficientOwnedShares, InvariantViolation, ReservationMismatch
 from .ledger import (
     Borrow,
     Buy,
@@ -44,7 +44,7 @@ from .ledger import (
     LedgerEffects,
     LotPolicy,
     Plan,
-    PortfolioState,
+    Portfolio,
     SellOwned,
     ShortSell,
 )
@@ -108,10 +108,12 @@ class ReservationBook:
     constructive: tuple[tuple[int, int], ...] = ()  # (borrow position id, qty)
     covered: tuple[tuple[int, int], ...] = ()  # (borrow position id, qty covered)
 
-    def reserved_by_lot(self) -> dict[int, int]:
+    def reserved_by_lot(self, sec: SecurityId) -> dict[int, int]:
+        """Reserved share count per lot id, for the lots of ``sec`` only."""
         out: dict[int, int] = {}
         for e in self.entries:
-            out[e.lot_id] = out.get(e.lot_id, 0) + e.qty
+            if e.sec == sec:
+                out[e.lot_id] = out.get(e.lot_id, 0) + e.qty
         return out
 
     def constructive_map(self) -> dict[int, int]:
@@ -121,31 +123,31 @@ class ReservationBook:
         return dict(self.covered)
 
 
-def trigger_check(state: PortfolioState, book: ReservationBook, sec: SecurityId) -> int:
+def trigger_check(state: Portfolio, book: ReservationBook, sec: SecurityId) -> int:
     """Owned, unreserved share count of ``sec`` usable for constructive matching."""
-    reserved = book.reserved_by_lot()
-    total = 0
-    for lot in state.lots:
-        if lot.sec == sec:
-            total += max(lot.qty - reserved.get(lot.id, 0), 0)
-    return total
+    reserved = book.reserved_by_lot(sec)
+    return sum(max(lot.qty - reserved.get(lot.id, 0), 0) for lot in state.lots_of(sec))
 
 
-def sell_policy(state: PortfolioState, book: ReservationBook, sec: SecurityId) -> LotPolicy:
-    """Proposed-regime matching for an outright sale: skip reserved shares."""
-    reserved = book.reserved_by_lot()
+def sell_policy(state: Portfolio, book: ReservationBook, sec: SecurityId) -> LotPolicy:
+    """Proposed-regime matching for an outright sale: skip reserved shares.
+
+    Only reserved lots get a cap, so the walk ends at the last of them.
+    """
+    reserved = book.reserved_by_lot(sec)
     if not reserved:
         return Fifo()
-    caps = tuple(
-        (lot.id, max(lot.qty - reserved.get(lot.id, 0), 0))
-        for lot in state.lots
-        if lot.sec == sec
-    )
-    return Fifo(caps=caps)
+    caps = []
+    for lot in state.lots_of(sec):
+        if lot.id in reserved:
+            caps.append((lot.id, max(lot.qty - reserved.pop(lot.id), 0)))
+            if not reserved:
+                break
+    return Fifo(caps=tuple(caps))
 
 
 def _constructive_cover_split(
-    state: PortfolioState, book: ReservationBook, sec: SecurityId, qty: int
+    state: Portfolio, book: ReservationBook, sec: SecurityId, qty: int
 ) -> int:
     """How many of the next ``qty`` covered shares were constructively sold.
 
@@ -155,19 +157,21 @@ def _constructive_cover_split(
     covered = book.covered_map()
     remaining = qty
     total = 0
-    for pos in state.borrows:
-        if pos.sec != sec or pos.qty_sold_uncovered == 0 or remaining == 0:
+    for pos in state.borrows_of(sec):
+        if pos.qty_sold_uncovered == 0:
             continue
         amount = min(remaining, pos.qty_sold_uncovered)
         v = covered.get(pos.id, 0)
         c = constructive.get(pos.id, 0)
         total += max(0, min(c, v + amount) - v)
         remaining -= amount
+        if remaining == 0:
+            break
     return total
 
 
 def cover_policy(
-    state: PortfolioState, book: ReservationBook, sec: SecurityId, qty: int
+    state: Portfolio, book: ReservationBook, sec: SecurityId, qty: int
 ) -> LotPolicy:
     """Proposed-regime matching for a cover-by-owned-lot.
 
@@ -191,11 +195,11 @@ def cover_policy(
             f"constructive cover of {constructive_qty} {sec} exceeds reserved shares"
         )
 
-    reserved = book.reserved_by_lot()
+    reserved = book.reserved_by_lot(sec)
     remaining_open = qty - constructive_qty
-    for lot in state.lots:
-        if lot.sec != sec or remaining_open == 0:
-            continue
+    for lot in state.lots_of(sec):
+        if remaining_open == 0:
+            break
         available = max(lot.qty - reserved.get(lot.id, 0), 0)
         amount = min(remaining_open, available)
         if amount > 0:
@@ -251,6 +255,15 @@ def _release_entries(book: ReservationBook, sec: SecurityId, qty: int) -> Reserv
     return replace(book, entries=tuple(new_entries))
 
 
+def _priced(effects: LedgerEffects) -> tuple[Money, SecurityId]:
+    """The price and security of a sale or cover; hand-built effects may lack them."""
+    if effects.price is None or effects.sec is None:
+        raise InvariantViolation(
+            f"{type(effects.event).__name__} effects carry no price or security"
+        )
+    return effects.price, effects.sec
+
+
 def realize(
     effects: LedgerEffects,
     regime: Regime,
@@ -267,8 +280,9 @@ def realize(
         return [], book
 
     if isinstance(ev, SellOwned):
+        price, sec = _priced(effects)
         if regime is Regime.PROPOSED:
-            reserved = book.reserved_by_lot()
+            reserved = book.reserved_by_lot(sec)
             for s in effects.lots_consumed:
                 if s.qty > s.qty_before - reserved.get(s.lot_id, 0):
                     raise InsufficientOwnedShares(
@@ -276,14 +290,13 @@ def realize(
                         f"{reserved.get(s.lot_id, 0)} of {s.qty_before} are "
                         "reserved by a constructive sale"
                     )
-        assert effects.price is not None
         events = [
             RealizationEvent(
                 at=effects.at,
                 kind=RealizationKind.ORDINARY_SALE,
-                sec=effects.sec or "",
+                sec=sec,
                 qty=s.qty,
-                amount_realized_per_share=effects.price,
+                amount_realized_per_share=price,
                 basis_per_share=s.basis_per_share,
             )
             for s in effects.lots_consumed
@@ -294,8 +307,8 @@ def realize(
         if regime is Regime.CURRENT:
             # Receipt of the proceeds without realization.
             return [], book
-        assert effects.price is not None and effects.sec is not None
-        reserved = book.reserved_by_lot()
+        price, sec = _priced(effects)
+        reserved = book.reserved_by_lot(sec)
         remaining = effects.qty
         events = []
         new_entries = list(book.entries)
@@ -312,13 +325,13 @@ def realize(
                 RealizationEvent(
                     at=effects.at,
                     kind=RealizationKind.CONSTRUCTIVE_SALE,
-                    sec=effects.sec,
+                    sec=sec,
                     qty=amount,
-                    amount_realized_per_share=effects.price,
+                    amount_realized_per_share=price,
                     basis_per_share=lot.basis_per_share,
                 )
             )
-            new_entries.append(ConstructiveReservation(lot.id, amount, effects.at, effects.sec))
+            new_entries.append(ConstructiveReservation(lot.id, amount, effects.at, sec))
             reserved_total += amount
             remaining -= amount
         # Tag the first reserved_total sold shares as the constructive side,
@@ -338,15 +351,15 @@ def realize(
         return events, new_book
 
     if isinstance(ev, CoverByPurchase):
-        assert effects.price is not None and effects.sec is not None
+        price, sec = _priced(effects)
         events = [
             RealizationEvent(
                 at=effects.at,
                 kind=RealizationKind.SHORT_COVER,
-                sec=effects.sec,
+                sec=sec,
                 qty=s.qty,
                 amount_realized_per_share=s.proceeds_per_share,
-                basis_per_share=effects.price,
+                basis_per_share=price,
             )
             for s in effects.shorts_covered
         ]
@@ -355,19 +368,19 @@ def realize(
             # constructive portion of the shorts just covered.
             book, constructive_qty = _advance_cover_book(book, effects)
             if constructive_qty > 0:
-                book = _release_entries(book, effects.sec, constructive_qty)
+                book = _release_entries(book, sec, constructive_qty)
         return events, book
 
     if isinstance(ev, CoverByOwnedLot):
-        assert effects.price is not None and effects.sec is not None
+        price, sec = _priced(effects)
         events = [
             RealizationEvent(
                 at=effects.at,
                 kind=RealizationKind.SHORT_COVER,
-                sec=effects.sec,
+                sec=sec,
                 qty=s.qty,
                 amount_realized_per_share=s.proceeds_per_share,
-                basis_per_share=effects.price,
+                basis_per_share=price,
             )
             for s in effects.shorts_covered
         ]
@@ -378,9 +391,9 @@ def realize(
                 RealizationEvent(
                     at=effects.at,
                     kind=RealizationKind.OWNED_DISPOSAL_AT_COVER,
-                    sec=effects.sec,
+                    sec=sec,
                     qty=s.qty,
-                    amount_realized_per_share=effects.price,
+                    amount_realized_per_share=price,
                     basis_per_share=s.basis_per_share,
                 )
                 for s in effects.lots_consumed
@@ -398,7 +411,7 @@ def realize(
         offset = 0
         disposals = []
         for entry in book.entries:
-            if remaining_reserved == 0 or entry.sec != effects.sec:
+            if remaining_reserved == 0 or entry.sec != sec:
                 new_entries.append(entry)
                 continue
             need = min(entry.qty, remaining_reserved)
@@ -435,9 +448,9 @@ def realize(
                     RealizationEvent(
                         at=effects.at,
                         kind=RealizationKind.OWNED_DISPOSAL_AT_COVER,
-                        sec=effects.sec,
+                        sec=sec,
                         qty=qty_left,
-                        amount_realized_per_share=effects.price,
+                        amount_realized_per_share=price,
                         basis_per_share=current.basis_per_share,
                     )
                 )

@@ -11,8 +11,9 @@ whitespace-separated tokens):
     at <tick> cover <SYM> <qty> (by-purchase | with-owned)
     at <tick> death [heir <LABEL>]
 
-Event ticks must be non-decreasing and every event's (security, tick) must
-carry a price directive.  Parse failures raise errors with line and column.
+Ticks, quantities and prices are written in ASCII digits.  Event ticks must
+be non-decreasing and every event's (security, tick) must carry a price
+directive.  Parse failures raise errors with line and column.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from .ledger import (
     CoverByOwnedLot,
     CoverByPurchase,
     Death,
-    PortfolioState,
+    Ledger,
     SellOwned,
     ShortSell,
     TransactionEvent,
@@ -100,10 +101,12 @@ def _tokenize(line: str) -> list[tuple[str, int]]:
 
 
 def _parse_int(token: str, what: str, line_no: int, col: int) -> int:
-    try:
-        return int(token)
-    except ValueError:
-        raise ParseError(f"expected {what}, got {token!r}", line_no, col) from None
+    if token.isascii():  # int() would also take other scripts' digits
+        try:
+            return int(token)
+        except ValueError:
+            pass
+    raise ParseError(f"expected {what}, got {token!r}", line_no, col)
 
 
 def _parse_qty(token: str, line_no: int, col: int) -> int:
@@ -423,7 +426,7 @@ def run(
     Ledger and market errors propagate annotated with the offending event
     index (``event_index`` attribute).
     """
-    state = PortfolioState()
+    ledger = Ledger()
     book = ReservationBook()
     realized: list[RealizationEvent] = []
     cash_deltas: dict[Tick, Money] = {}
@@ -433,10 +436,10 @@ def run(
             policy = None
             if regime is Regime.PROPOSED:
                 if isinstance(ev, SellOwned):
-                    policy = sell_policy(state, book, ev.sec)
+                    policy = sell_policy(ledger, book, ev.sec)
                 elif isinstance(ev, CoverByOwnedLot):
-                    policy = cover_policy(state, book, ev.sec, ev.qty)
-            state, effects = apply_event(state, ev, scenario.prices, policy)
+                    policy = cover_policy(ledger, book, ev.sec, ev.qty)
+            ledger, effects = apply_event(ledger, ev, scenario.prices, policy)
             events, book = realize(effects, regime, book)
         except EngineError as err:
             raise _annotate(err, index)
@@ -451,13 +454,7 @@ def run(
         timeline.append(CashPoint(at=t, delta=cash_deltas[t], cumulative=cumulative))
 
     lines = tax_timeline(realized, window, schedule)
-    owned: dict[SecurityId, int] = {}
-    for lot in state.lots:
-        owned[lot.sec] = owned.get(lot.sec, 0) + lot.qty
-    outstanding: dict[SecurityId, int] = {}
-    for pos in state.borrows:
-        outstanding[pos.sec] = outstanding.get(pos.sec, 0) + pos.qty_outstanding
-
+    securities = sorted(ledger.securities())
     return RunReport(
         scenario=scenario.name,
         regime=regime,
@@ -467,11 +464,13 @@ def run(
         tax_lines=tuple(lines),
         cash_timeline=tuple(timeline),
         total_tax=total_tax(lines),
-        final_cash=state.cash,
+        final_cash=ledger.cash,
         inventory=InventorySummary(
-            owned=tuple(sorted(owned.items())),
-            borrowed_outstanding=tuple(sorted(outstanding.items())),
-            owner_generation=state.owner_generation,
+            owned=tuple((s, ledger.owned_qty(s)) for s in securities if ledger.lots_of(s)),
+            borrowed_outstanding=tuple(
+                (s, ledger.outstanding_qty(s)) for s in securities if ledger.borrows_of(s)
+            ),
+            owner_generation=ledger.owner_generation,
         ),
     )
 

@@ -8,6 +8,7 @@ why they intentionally differ table to table.
 
 from __future__ import annotations
 
+from .errors import InvariantViolation
 from .ledger import Borrow, Buy, CoverByPurchase, SellOwned, ShortSell
 from .market import Money, PricePath, Rate, apply_rate
 from .realization import RealizationKind, Regime
@@ -22,6 +23,12 @@ from .scenario import (
 )
 
 RATE_CELL = str(Rate.percent(10))
+
+
+def _agrees(table: str, shown: Money, engine: Money) -> None:
+    """A table figure must equal the engine's own tax line."""
+    if shown != engine:
+        raise InvariantViolation(f"{table}: table shows {shown} but the engine computed {engine}")
 
 
 def _pesos(m: Money, decimals: bool = True, parens: bool = False) -> str:
@@ -138,7 +145,7 @@ def short_sale_gain_table() -> list[str]:
         _rate_row(),
         _row("Capital Gains Tax", apply_rate(cover.gain_per_share, Rate.percent(10)), qty, decimals=False),
     ]
-    assert (cover.gain_per_share * qty) == line.net_capital_gain
+    _agrees("short-sale gain", cover.gain_per_share * qty, line.net_capital_gain)
     return _layout(["SHORT SALE OF STOCK (SELL AT TIME 2, REPLACE AT TIME 3)"], rows)
 
 
@@ -236,7 +243,7 @@ def strategy1_table() -> list[str]:
         _rate_row(),
         _row("Capital Gains Tax (time 2)", apply_rate(sale.gain_per_share, Rate.percent(10)), qty),
     ]
-    assert line.tax_due == apply_rate(sale.gain_per_share, Rate.percent(10)) * qty
+    _agrees("strategy 1", apply_rate(sale.gain_per_share, Rate.percent(10)) * qty, line.tax_due)
     return _layout(["STRATEGY 1 (SELL AT TIME 2, THE CURRENT DATE)"], rows)
 
 
@@ -271,7 +278,7 @@ def strategy3_table() -> list[str]:
     p3 = prices.price_at("ABC", 3)
     qty = disposal.qty
     net_per_share = cover.gain_per_share + disposal.gain_per_share
-    assert net_per_share * qty == line.net_capital_gain
+    _agrees("strategy 3", net_per_share * qty, line.net_capital_gain)
 
     owned_rows = [
         _row("Original Purchase Price (time 1)", p1, qty),
@@ -313,7 +320,7 @@ def proposed_time2_table() -> list[str]:
         ("Multiply by: CGT rate", RATE_CELL, RATE_CELL),
         _row("Capital Gains Tax (time 2)", apply_rate(constructive.gain_per_share, Rate.percent(10)), qty, decimals=False),
     ]
-    assert line.tax_due == apply_rate(constructive.gain_per_share, Rate.percent(10)) * qty
+    _agrees("proposed time 2", apply_rate(constructive.gain_per_share, Rate.percent(10)) * qty, line.tax_due)
     return _layout(["PROPOSED RULE, FIRST REALIZATION EVENT (TIME 2)"], rows)
 
 
@@ -329,7 +336,7 @@ def proposed_time3_table() -> list[str]:
         ("Multiply by: CGT rate", RATE_CELL, RATE_CELL),
         _row("Capital Gains Tax (time 3)", apply_rate(cover.gain_per_share, Rate.percent(10)), qty, decimals=False),
     ]
-    assert line.tax_due == apply_rate(cover.gain_per_share, Rate.percent(10)) * qty
+    _agrees("proposed time 3", apply_rate(cover.gain_per_share, Rate.percent(10)) * qty, line.tax_due)
     return _layout(["PROPOSED RULE, SECOND REALIZATION EVENT (TIME 3)"], rows)
 
 
@@ -345,8 +352,8 @@ def death_table() -> list[str]:
     p3 = prices.price_at("ABC", 3)
     qty = disposal.qty
     net_per_share = cover.gain_per_share + disposal.gain_per_share
-    assert net_per_share * qty == line.net_capital_gain
-    assert line.tax_due == Money.zero()
+    _agrees("death", net_per_share * qty, line.net_capital_gain)
+    _agrees("death", Money.zero(), line.tax_due)
 
     owned_rows = [
         _row("Original Purchase Price (time 1)", p1, qty),

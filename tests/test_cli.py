@@ -33,6 +33,20 @@ class TestRun:
         assert code == 2
         assert "no such file" in err
 
+    def test_directory_exits_2_with_one_line(self, capsys, tmp_path):
+        code, _, err = invoke(capsys, "run", str(tmp_path))
+        assert code == 2
+        assert err.count("\n") == 1
+        assert "Is a directory" in err and "Traceback" not in err
+
+    def test_non_utf8_file_exits_2_with_one_line(self, capsys, tmp_path):
+        path = tmp_path / "latin1.scn"
+        path.write_bytes("price ABC 1 50\n# caf\u00e9\n".encode("latin-1"))
+        code, _, err = invoke(capsys, "run", str(path))
+        assert code == 2
+        assert err.count("\n") == 1
+        assert "not UTF-8" in err and "offset 20" in err
+
     def test_scenario_file(self, capsys, tmp_path):
         path = tmp_path / "own.scn"
         path.write_text("price ZZZ 1 10\nprice ZZZ 2 25\nat 1 buy ZZZ 100\nat 2 sell ZZZ 100\n")

@@ -21,9 +21,12 @@ from realize import (
     match_lots,
     step_up,
 )
+from realize.ledger import BorrowPosition, Ledger
 from realize.errors import (
+    EngineError,
     InsufficientOwnedShares,
     InvalidQuantity,
+    InvariantViolation,
     MissingPrice,
     NoOpenBorrow,
     OverCover,
@@ -268,3 +271,85 @@ class TestStepUp:
         after, eff = apply_event(state, Death(3, heir="Y"), self.DEATH_PRICES)
         assert after.owner_generation == 1
         assert eff.cash_delta == Money.zero()
+
+
+THREE_PRICES = PricePath.from_table(
+    {sec: {t: Money.from_pesos(10 * t) for t in (1, 2, 3)} for sec in ("AAA", "BBB", "CCC")}
+)
+
+
+class TestPerSecurityLedger:
+    def test_snapshot_is_never_changed(self):
+        state, _ = apply_all([Buy(1, "ABC", 10), Borrow(1, "ABC", 100), ShortSell(1, "ABC", 100)])
+        before = PortfolioState(
+            state.lots, state.borrows, state.cash, state.owner_generation,
+            state.next_lot_id, state.next_borrow_id,
+        )
+        for ev in (Buy(2, "ABC", 5), SellOwned(2, "ABC", 10), CoverByPurchase(2, "ABC", 60),
+                   CoverByOwnedLot(2, "ABC", 10), Death(2)):
+            after, _ = apply_event(state, ev, ABC_PRICES)
+            assert isinstance(after, PortfolioState) and after != state
+            assert state == before
+        for bad in (SellOwned(2, "ABC", 11), ShortSell(2, "ABC", 1), Buy(9, "ABC", 1),
+                    CoverByPurchase(2, "ABC", 101), CoverByOwnedLot(2, "ABC", 50)):
+            with pytest.raises(EngineError):
+                apply_event(state, bad, ABC_PRICES)
+            assert state == before
+
+    def test_ledger_is_unchanged_by_an_event_that_raises(self):
+        # The cover finds its short positions, then runs out of owned lots.
+        ledger, _ = apply_all(
+            [Buy(1, "ABC", 10), Borrow(1, "ABC", 100), ShortSell(1, "ABC", 100)], state=Ledger()
+        )
+        before = ledger.snapshot()
+        with pytest.raises(InsufficientOwnedShares):
+            apply_event(ledger, CoverByOwnedLot(2, "ABC", 50), ABC_PRICES)
+        assert ledger.snapshot() == before
+
+    def test_ledger_changes_in_place(self):
+        ledger = Ledger()
+        after, _ = apply_event(ledger, Buy(1, "ABC", 10), ABC_PRICES)
+        assert after is ledger
+        assert len(ledger.lots) == 1
+
+    def test_snapshot_orders_lots_by_id_and_borrows_per_security(self):
+        state, _ = apply_all(
+            [
+                Buy(1, "AAA", 100),  # lot 0
+                Buy(1, "BBB", 100),  # lot 1
+                Buy(1, "AAA", 100),  # lot 2
+                SellOwned(2, "AAA", 150),  # empties lot 0, halves lot 2
+                Borrow(2, "BBB", 100),  # position 0
+                Borrow(2, "AAA", 100),  # position 1
+                Borrow(2, "BBB", 50),  # position 2
+                ShortSell(2, "BBB", 60),  # sells 60 of position 0; its rest is position 3
+            ],
+            path=THREE_PRICES,
+        )
+        assert [(lot.id, lot.qty) for lot in state.lots] == [(1, 100), (2, 50)]
+        assert [p.id for p in state.borrows_of("BBB")] == [0, 3, 2]
+        assert [p.id for p in state.borrows_of("AAA")] == [1]
+        assert sorted(p.id for p in state.borrows) == [0, 1, 2, 3]
+
+    def test_sales_and_covers_touch_only_their_own_security(self):
+        events = [Buy(t, sec, 100) for t in (1, 2, 3) for sec in ("AAA", "BBB", "CCC")]
+        events += [
+            Borrow(2, "BBB", 100),
+            ShortSell(2, "BBB", 100),
+            SellOwned(3, "AAA", 150),
+            CoverByOwnedLot(3, "BBB", 100),
+        ]
+        for start in (PortfolioState(), Ledger()):
+            state, effects = apply_all(events, path=THREE_PRICES, state=start)
+            sale, cover = effects[-2:]
+            assert [(s.lot_id, s.qty) for s in sale.lots_consumed] == [(0, 100), (3, 50)]
+            assert [(s.lot_id, s.qty) for s in cover.lots_consumed] == [(1, 100)]
+            assert [(lot.id, lot.qty) for lot in state.lots_of("AAA")] == [(3, 50), (6, 100)]
+            assert [(lot.id, lot.qty) for lot in state.lots_of("BBB")] == [(4, 100), (7, 100)]
+            assert [(lot.id, lot.qty) for lot in state.lots_of("CCC")] == [(2, 100), (5, 100), (8, 100)]
+            assert not state.borrows_of("BBB")
+
+    def test_sold_position_without_price_is_an_engine_error(self):
+        state = PortfolioState(borrows=(BorrowPosition(0, "ABC", 100, 1, qty_sold_short=100),))
+        with pytest.raises(InvariantViolation):
+            apply_event(state, CoverByPurchase(2, "ABC", 100), ABC_PRICES)

@@ -15,19 +15,24 @@ from realize import (
     CoverByOwnedLot,
     CoverByPurchase,
     Money,
+    PortfolioState,
     PricePath,
     RateSchedule,
     RealizationKind,
     Regime,
+    ReservationBook,
     Scenario,
     SellOwned,
     ShortSell,
+    apply_event,
     builtin,
     compare,
     format_scenario,
     parse_scenario,
+    realize,
     run,
 )
+from realize.realization import cover_policy, sell_policy
 from scenario_gen import random_scenario
 
 peso_price = st.integers(min_value=1, max_value=1000)
@@ -200,3 +205,43 @@ class TestBuiltinInvariants:
         report = compare(scenario)
         if p3 <= p2:  # the short cycle ends in a gain
             assert report.proposed.total_tax >= report.current.total_tax
+
+
+def fold(scenario, regime):
+    """Thread the events through the public snapshot API, one event at a time."""
+    state = PortfolioState()
+    book = ReservationBook()
+    events = []
+    for ev in scenario.events:
+        policy = None
+        if regime is Regime.PROPOSED:
+            if isinstance(ev, SellOwned):
+                policy = sell_policy(state, book, ev.sec)
+            elif isinstance(ev, CoverByOwnedLot):
+                policy = cover_policy(state, book, ev.sec, ev.qty)
+        state, effects = apply_event(state, ev, scenario.prices, policy)
+        out, book = realize(effects, regime, book)
+        events.extend(out)
+    return events, state
+
+
+class TestRunEqualsPublicFold:
+    def test_run_equals_folding_apply_event_and_realize(self):
+        rng = random.Random(0xF01D)
+        for _ in range(150):
+            scenario = random_scenario(rng).scenario
+            for regime in Regime:
+                report = run(scenario, regime=regime)
+                events, state = fold(scenario, regime)
+                assert report.events == tuple(events)
+                assert report.final_cash == state.cash
+                assert [lot.id for lot in state.lots] == sorted(lot.id for lot in state.lots)
+                owned, outstanding = {}, {}
+                for lot in state.lots:
+                    owned[lot.sec] = owned.get(lot.sec, 0) + lot.qty
+                for pos in state.borrows:
+                    outstanding[pos.sec] = outstanding.get(pos.sec, 0) + pos.qty_outstanding
+                inventory = report.inventory
+                assert inventory.owned == tuple(sorted(owned.items()))
+                assert inventory.borrowed_outstanding == tuple(sorted(outstanding.items()))
+                assert inventory.owner_generation == state.owner_generation

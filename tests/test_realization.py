@@ -8,6 +8,7 @@ from realize import (
     CoverByOwnedLot,
     CoverByPurchase,
     Death,
+    LedgerEffects,
     Money,
     PortfolioState,
     PricePath,
@@ -21,7 +22,7 @@ from realize import (
     realize,
     trigger_check,
 )
-from realize.errors import InsufficientOwnedShares, ReservationMismatch
+from realize.errors import EngineError, InsufficientOwnedShares, ReservationMismatch
 from realize.realization import cover_policy, sell_policy
 
 ABC_PRICES = PricePath.from_table(
@@ -333,6 +334,17 @@ class TestProposedRegime:
         )
         with pytest.raises(ReservationMismatch):
             realize(effects, Regime.PROPOSED, book)
+
+
+class TestHandBuiltEffects:
+    def test_sale_effects_without_price_raise_an_engine_error(self):
+        effects = LedgerEffects(
+            event=SellOwned(2, "ABC", 100), at=2, sec="ABC", qty=100, price=None,
+            cash_delta=Money.zero(),
+        )
+        for regime in Regime:
+            with pytest.raises(EngineError):
+                realize(effects, regime, ReservationBook())
 
 
 class TestTriggerCheck:

@@ -87,6 +87,23 @@ class TestParser:
         with pytest.raises(ParseError):
             parse_scenario("price ABC 1 1.234\n")
 
+    @pytest.mark.parametrize(
+        "text, col",
+        [
+            ("price ABC \uff11 50\n", 11),  # full-width digits
+            ("price ABC 1 \uff15\uff10\n", 13),
+            ("price ABC 1 5\u0660\n", 13),
+            ("price ABC 1 50\nat \uff11 buy ABC 100\n", 4),
+            ("price ABC 1 50\nat 1 buy ABC \uff11\uff10\uff10\n", 14),
+        ],
+        ids=["tick", "price", "arabic-indic-price", "event-tick", "quantity"],
+    )
+    def test_non_ascii_digits_rejected_with_position(self, text, col):
+        with pytest.raises(ParseError) as exc:
+            parse_scenario(text)
+        assert exc.value.line == text.count("\n")
+        assert exc.value.col == col
+
     def test_bad_cover_mode(self):
         with pytest.raises(ParseError) as exc:
             parse_scenario("price ABC 1 50\nat 1 cover ABC 5 somehow\n")
