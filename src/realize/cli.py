@@ -18,7 +18,6 @@ from importlib import resources
 from pathlib import Path
 
 from .errors import EngineError, UnreadableScenario
-from .market import Money
 from .realization import Regime
 from .scenario import (
     BUILTIN_NAMES,
@@ -53,10 +52,16 @@ def _default_format() -> str:
     return os.environ.get("REALIZE_FORMAT", "table")
 
 
-def _peso(m: Money) -> str:
-    sign = "-" if m.centavos < 0 else ""
-    a = abs(m.centavos)
+def _peso(centavos: int) -> str:
+    sign = "-" if centavos < 0 else ""
+    a = abs(centavos)
     return f"{sign}₱{a // 100:,}.{a % 100:02d}"
+
+
+def _layout(rows: list[tuple[str, ...]]) -> list[str]:
+    """Right-align every column to its widest cell, two spaces apart."""
+    widths = [max(map(len, column)) for column in zip(*rows)]
+    return ["  ".join(c.rjust(w) for c, w in zip(r, widths)).rstrip() for r in rows]
 
 
 def _load_scenario(target: str) -> Scenario:
@@ -84,21 +89,20 @@ def _render_run_table(report: RunReport) -> str:
     if report.events:
         rows = [("tick", "kind", "security", "qty", "amount/sh", "basis/sh", "gain/sh", "gain total")]
         for e in report.events:
+            gain_per_share, gain_total = e.gain_centavos
             rows.append(
                 (
                     str(e.at),
                     e.kind.value,
                     e.sec,
                     f"{e.qty:,}",
-                    _peso(e.amount_realized_per_share),
-                    _peso(e.basis_per_share),
-                    _peso(e.gain_per_share),
-                    _peso(e.gain_total),
+                    _peso(e.amount_realized_per_share.centavos),
+                    _peso(e.basis_per_share.centavos),
+                    _peso(gain_per_share),
+                    _peso(gain_total),
                 )
             )
-        widths = [max(len(r[i]) for r in rows) for i in range(len(rows[0]))]
-        for r in rows:
-            lines.append("  ".join(c.rjust(w) for c, w in zip(r, widths)).rstrip())
+        lines += _layout(rows)
     else:
         lines.append("  (none)")
 
@@ -106,10 +110,8 @@ def _render_run_table(report: RunReport) -> str:
     if report.tax_lines:
         rows = [("tick", "net capital gain", "tax due")]
         for t in report.tax_lines:
-            rows.append((str(t.period), _peso(t.net_capital_gain), _peso(t.tax_due)))
-        widths = [max(len(r[i]) for r in rows) for i in range(3)]
-        for r in rows:
-            lines.append("  ".join(c.rjust(w) for c, w in zip(r, widths)).rstrip())
+            rows.append((str(t.period), _peso(t.net_capital_gain.centavos), _peso(t.tax_due.centavos)))
+        lines += _layout(rows)
     else:
         lines.append("  (no realization, no tax)")
 
@@ -117,10 +119,8 @@ def _render_run_table(report: RunReport) -> str:
     if report.cash_timeline:
         rows = [("tick", "delta", "cumulative")]
         for p in report.cash_timeline:
-            rows.append((str(p.at), _peso(p.delta), _peso(p.cumulative)))
-        widths = [max(len(r[i]) for r in rows) for i in range(3)]
-        for r in rows:
-            lines.append("  ".join(c.rjust(w) for c, w in zip(r, widths)).rstrip())
+            rows.append((str(p.at), _peso(p.delta.centavos), _peso(p.cumulative.centavos)))
+        lines += _layout(rows)
     else:
         lines.append("  (no cash movement)")
 
@@ -130,8 +130,8 @@ def _render_run_table(report: RunReport) -> str:
     lines += [
         "",
         "TOTALS",
-        f"  total tax:      {_peso(report.total_tax)}",
-        f"  final cash:     {_peso(report.final_cash)}",
+        f"  total tax:      {_peso(report.total_tax.centavos)}",
+        f"  final cash:     {_peso(report.final_cash.centavos)}",
         f"  owned shares:   {owned}",
         f"  open borrows:   {borrowed}",
         f"  owner generation: {inv.owner_generation}",
@@ -154,7 +154,7 @@ def _render_run_csv(report: RunReport) -> str:
             [
                 "event", e.at, e.kind.value, e.sec, e.qty,
                 e.amount_realized_per_share.centavos, e.basis_per_share.centavos,
-                e.gain_per_share.centavos, e.gain_total.centavos, "", "", "", "",
+                *e.gain_centavos, "", "", "", "",
             ]
         )
     for t in report.tax_lines:
@@ -183,19 +183,21 @@ def _render_compare_table(report: ComparisonReport) -> str:
     ]
     rows = [("tick", "current tax", "proposed tax", "delta")]
     for d in report.tax_deltas:
-        rows.append((str(d.at), _peso(d.current_tax), _peso(d.proposed_tax), _peso(d.delta)))
+        rows.append(
+            (str(d.at), _peso(d.current_tax.centavos), _peso(d.proposed_tax.centavos), _peso(d.delta.centavos))
+        )
+    current, proposed = report.current, report.proposed
     rows.append(
-        ("total", _peso(report.current.total_tax), _peso(report.proposed.total_tax), _peso(report.total_delta))
+        ("total", _peso(current.total_tax.centavos), _peso(proposed.total_tax.centavos),
+         _peso(report.total_delta.centavos))
     )
-    widths = [max(len(r[i]) for r in rows) for i in range(4)]
-    for r in rows:
-        lines.append("  ".join(c.rjust(w) for c, w in zip(r, widths)).rstrip())
+    lines += _layout(rows)
     lines += [
         "",
-        f"current regime:  total tax {_peso(report.current.total_tax)}, "
-        f"final cash {_peso(report.current.final_cash)}",
-        f"proposed regime: total tax {_peso(report.proposed.total_tax)}, "
-        f"final cash {_peso(report.proposed.final_cash)}",
+        f"current regime:  total tax {_peso(current.total_tax.centavos)}, "
+        f"final cash {_peso(current.final_cash.centavos)}",
+        f"proposed regime: total tax {_peso(proposed.total_tax.centavos)}, "
+        f"final cash {_peso(proposed.final_cash.centavos)}",
     ]
     return "\n".join(lines) + "\n"
 

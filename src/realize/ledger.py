@@ -57,7 +57,7 @@ class AcquisitionMethod(Enum):
     INHERITANCE = "inheritance"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Lot:
     """An owned parcel of identical shares with a single per-share basis."""
 
@@ -69,7 +69,7 @@ class Lot:
     method: AcquisitionMethod = AcquisitionMethod.PURCHASE
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BorrowPosition:
     """An open securities-borrowing obligation.
 
@@ -100,69 +100,41 @@ class BorrowPosition:
         return self.qty_sold_short - self.qty_covered
 
 
-def _positive_qty(qty: int) -> None:
-    if qty <= 0:
-        raise InvalidQuantity(f"quantity must be positive, got {qty}")
+@dataclass(frozen=True, slots=True)
+class _Trade:
+    """A dated trade of ``qty`` shares of one security; the quantity must be positive."""
 
-
-@dataclass(frozen=True)
-class Buy:
     at: Tick
     sec: SecurityId
     qty: int
 
     def __post_init__(self) -> None:
-        _positive_qty(self.qty)
+        if self.qty <= 0:
+            raise InvalidQuantity(f"quantity must be positive, got {self.qty}")
 
 
-@dataclass(frozen=True)
-class Borrow:
-    at: Tick
-    sec: SecurityId
-    qty: int
-
-    def __post_init__(self) -> None:
-        _positive_qty(self.qty)
+class Buy(_Trade):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class ShortSell:
-    at: Tick
-    sec: SecurityId
-    qty: int
-
-    def __post_init__(self) -> None:
-        _positive_qty(self.qty)
+class Borrow(_Trade):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class SellOwned:
-    at: Tick
-    sec: SecurityId
-    qty: int
-
-    def __post_init__(self) -> None:
-        _positive_qty(self.qty)
+class ShortSell(_Trade):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class CoverByPurchase:
-    at: Tick
-    sec: SecurityId
-    qty: int
-
-    def __post_init__(self) -> None:
-        _positive_qty(self.qty)
+class SellOwned(_Trade):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class CoverByOwnedLot:
-    at: Tick
-    sec: SecurityId
-    qty: int
+class CoverByPurchase(_Trade):
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        _positive_qty(self.qty)
+
+class CoverByOwnedLot(_Trade):
+    __slots__ = ()
 
 
 @dataclass(frozen=True)
@@ -200,7 +172,7 @@ class Plan:
 LotPolicy = Union[Fifo, SpecificId, Plan]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LotSlice:
     """A quantity taken from one lot, with the basis it carried."""
 
@@ -212,7 +184,7 @@ class LotSlice:
     qty_before: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ShortSlice:
     """A quantity of one borrow position sold short or covered."""
 
@@ -222,7 +194,7 @@ class ShortSlice:
     sold_at: Tick
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LedgerEffects:
     """What one applied event moved.  The realization module consumes this."""
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Mapping
 
 from .errors import MissingPrice, NegativeBase
 
@@ -21,9 +21,13 @@ CENTAVOS_PER_PESO = 100
 _MONEY_RE = re.compile(r"(-?)(\d+)(?:\.(\d{1,2}))?", re.ASCII)
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class Money:
-    """A signed peso amount stored as exact integer centavos."""
+    """A signed peso amount stored as exact integer centavos.
+
+    Arithmetic takes only ``Money`` operands (and ``int`` share counts for
+    ``*``); anything else is ``NotImplemented`` and ends in ``TypeError``.
+    """
 
     centavos: int
 
@@ -33,7 +37,7 @@ class Money:
 
     @classmethod
     def zero(cls) -> Money:
-        return cls(0)
+        return _money(0)
 
     @classmethod
     def from_pesos(cls, pesos: int) -> Money:
@@ -51,21 +55,25 @@ class Money:
             raise ValueError(f"not a peso amount: {text!r}")
         sign, whole, frac = m.groups()
         centavos = int(whole) * 100 + int((frac or "").ljust(2, "0"))
-        return cls(-centavos if sign else centavos)
+        return _money(-centavos if sign else centavos)
 
     def __add__(self, other: Money) -> Money:
-        return Money(self.centavos + other.centavos)
+        if not isinstance(other, Money):
+            return NotImplemented
+        return _money(self.centavos + other.centavos)
 
     def __sub__(self, other: Money) -> Money:
-        return Money(self.centavos - other.centavos)
+        if not isinstance(other, Money):
+            return NotImplemented
+        return _money(self.centavos - other.centavos)
 
     def __neg__(self) -> Money:
-        return Money(-self.centavos)
+        return _money(-self.centavos)
 
     def __mul__(self, qty: int) -> Money:
         if not isinstance(qty, int):
             return NotImplemented
-        return Money(self.centavos * qty)
+        return _money(self.centavos * qty)
 
     __rmul__ = __mul__
 
@@ -82,11 +90,15 @@ class Money:
         return f"{sign}{a // 100:,}.{a % 100:02d}"
 
 
-def sum_money(amounts: Iterable[Money]) -> Money:
-    total = 0
-    for a in amounts:
-        total += a.centavos
-    return Money(total)
+_new = object.__new__
+_set_centavos = Money.centavos.__set__  # the slot itself, past the frozen __setattr__
+
+
+def _money(centavos: int) -> Money:
+    """Trusted constructor: only for ints, such as int +, - and * results."""
+    m = _new(Money)
+    _set_centavos(m, centavos)
+    return m
 
 
 @dataclass(frozen=True)
@@ -125,7 +137,7 @@ def apply_rate(amount: Money, rate: Rate) -> Money:
     twice = 2 * r
     if twice > rate.denominator or (twice == rate.denominator and q % 2 == 1):
         q += 1
-    return Money(q)
+    return _money(q)
 
 
 @dataclass(frozen=True)

@@ -48,7 +48,7 @@ from .ledger import (
     SellOwned,
     ShortSell,
 )
-from .market import Money, SecurityId, Tick
+from .market import Money, SecurityId, Tick, _money
 
 
 class Regime(Enum):
@@ -63,7 +63,7 @@ class RealizationKind(Enum):
     CONSTRUCTIVE_SALE = "constructive_sale"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RealizationEvent:
     """A dated (amount realized, basis, gain or loss) record."""
 
@@ -75,12 +75,18 @@ class RealizationEvent:
     basis_per_share: Money
 
     @property
+    def gain_centavos(self) -> tuple[int, int]:
+        """(gain per share, gain total) in centavos, signed: the one gain formula."""
+        per_share = self.amount_realized_per_share.centavos - self.basis_per_share.centavos
+        return per_share, per_share * self.qty
+
+    @property
     def gain_per_share(self) -> Money:
-        return self.amount_realized_per_share - self.basis_per_share
+        return _money(self.gain_centavos[0])
 
     @property
     def gain_total(self) -> Money:
-        return self.gain_per_share * self.qty
+        return _money(self.gain_centavos[1])
 
 
 @dataclass(frozen=True)

@@ -42,7 +42,7 @@ from .ledger import (
     TransactionEvent,
     apply_event,
 )
-from .market import Money, PricePath, SecurityId, Tick
+from .market import Money, PricePath, SecurityId, Tick, _money
 from .realization import (
     RealizationEvent,
     Regime,
@@ -130,12 +130,61 @@ def _expect(tokens: list[tuple[str, int]], index: int, what: str, line_no: int) 
     return tokens[index]
 
 
+_TRADES = {"buy": Buy, "borrow": Borrow, "short-sell": ShortSell, "sell": SellOwned}
+_COVERS = {"by-purchase": CoverByPurchase, "with-owned": CoverByOwnedLot}
+
+
+def _ascii_digits(token: str) -> bool:
+    return token.isdigit() and token.isascii()
+
+
+def _parse_plain(
+    line: str,
+    quotes: dict[tuple[SecurityId, Tick], Money],
+    raw_events: list[tuple[TransactionEvent, int, int]],
+    line_no: int,
+) -> bool:
+    """Take a well-formed ``price`` or trade line by ``str.split()``.
+
+    Returns False, having changed nothing, for any line it cannot prove
+    well-formed (comments, deaths, errors of every kind); the column-tracking
+    parser then reads that line and reports any error.
+    """
+    if "#" in line:
+        return False
+    tokens = line.split()
+    n = len(tokens)
+    if n == 4 and tokens[0] == "price":
+        _, sym, tick, price = tokens
+        whole, dot, frac = price.partition(".")
+        if not (_ascii_digits(tick) and _ascii_digits(whole)):
+            return False
+        if dot and not (len(frac) <= 2 and _ascii_digits(frac)):
+            return False
+        key = (sym, int(tick))
+        if key in quotes:
+            return False
+        quotes[key] = _money(int(whole) * 100 + (int(frac.ljust(2, "0")) if dot else 0))
+        return True
+    if n < 5 or n > 6 or tokens[0] != "at":
+        return False
+    tick, verb, sym, qty = tokens[1:5]
+    trade = _TRADES.get(verb) if n == 5 else _COVERS.get(tokens[5]) if verb == "cover" else None
+    if trade is None or not (_ascii_digits(tick) and _ascii_digits(qty)) or int(qty) == 0:
+        return False
+    col = len(line) - len(line.lstrip()) + 1
+    raw_events.append((trade(int(tick), sym, int(qty)), line_no, col))
+    return True
+
+
 def parse_scenario(text: str, name: str = "scenario") -> Scenario:
     """Parse DSL text into a validated scenario."""
     quotes: dict[tuple[SecurityId, Tick], Money] = {}
     raw_events: list[tuple[TransactionEvent, int, int]] = []
 
     for line_no, line in enumerate(text.splitlines(), start=1):
+        if _parse_plain(line, quotes, raw_events, line_no):
+            continue
         tokens = _tokenize(line)
         if not tokens:
             continue
@@ -182,14 +231,13 @@ def parse_scenario(text: str, name: str = "scenario") -> Scenario:
             raw_events.append((Death(at=t, heir=heir), line_no, head_col))
             continue
 
-        simple = {"buy": Buy, "borrow": Borrow, "short-sell": ShortSell, "sell": SellOwned}
-        if verb in simple:
+        if verb in _TRADES:
             sym, _ = _expect(tokens, 3, "security symbol", line_no)
             qty_tok, qty_col = _expect(tokens, 4, "share quantity", line_no)
             if len(tokens) > 5:
                 raise ParseError("unexpected trailing tokens", line_no, tokens[5][1])
             qty = _parse_qty(qty_tok, line_no, qty_col)
-            raw_events.append((simple[verb](at=t, sec=sym, qty=qty), line_no, head_col))
+            raw_events.append((_TRADES[verb](at=t, sec=sym, qty=qty), line_no, head_col))
             continue
 
         if verb == "cover":
@@ -199,14 +247,11 @@ def parse_scenario(text: str, name: str = "scenario") -> Scenario:
             if len(tokens) > 6:
                 raise ParseError("unexpected trailing tokens", line_no, tokens[6][1])
             qty = _parse_qty(qty_tok, line_no, qty_col)
-            if mode == "by-purchase":
-                raw_events.append((CoverByPurchase(at=t, sec=sym, qty=qty), line_no, head_col))
-            elif mode == "with-owned":
-                raw_events.append((CoverByOwnedLot(at=t, sec=sym, qty=qty), line_no, head_col))
-            else:
+            if mode not in _COVERS:
                 raise ParseError(
                     f"expected 'by-purchase' or 'with-owned', got {mode!r}", line_no, mode_col
                 )
+            raw_events.append((_COVERS[mode](at=t, sec=sym, qty=qty), line_no, head_col))
             continue
 
         raise UnknownDirective(f"unknown event verb {verb!r}", line_no, verb_col)
@@ -335,7 +380,7 @@ def builtin(name: str) -> Scenario:
         raise UnknownScenario(name, BUILTIN_NAMES) from None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CashPoint:
     at: Tick
     delta: Money
@@ -365,24 +410,25 @@ class RunReport:
     inventory: InventorySummary
 
     def to_dict(self) -> dict:
+        events = []
+        for e in self.events:
+            gain_per_share, gain_total = e.gain_centavos
+            events.append({
+                "tick": e.at,
+                "kind": e.kind.value,
+                "security": e.sec,
+                "qty": e.qty,
+                "amount_realized_per_share": e.amount_realized_per_share.centavos,
+                "basis_per_share": e.basis_per_share.centavos,
+                "gain_per_share": gain_per_share,
+                "gain_total": gain_total,
+            })
         return {
             "scenario": self.scenario,
             "regime": self.regime.value,
             "schedule": self.schedule.value,
             "window": self.window.value,
-            "events": [
-                {
-                    "tick": e.at,
-                    "kind": e.kind.value,
-                    "security": e.sec,
-                    "qty": e.qty,
-                    "amount_realized_per_share": e.amount_realized_per_share.centavos,
-                    "basis_per_share": e.basis_per_share.centavos,
-                    "gain_per_share": e.gain_per_share.centavos,
-                    "gain_total": e.gain_total.centavos,
-                }
-                for e in self.events
-            ],
+            "events": events,
             "tax": [
                 {
                     "tick": line.period,
@@ -429,7 +475,7 @@ def run(
     ledger = Ledger()
     book = ReservationBook()
     realized: list[RealizationEvent] = []
-    cash_deltas: dict[Tick, Money] = {}
+    cash_deltas: dict[Tick, int] = {}
 
     for index, ev in enumerate(scenario.events):
         try:
@@ -444,14 +490,15 @@ def run(
         except EngineError as err:
             raise _annotate(err, index)
         realized.extend(events)
-        if effects.cash_delta:
-            cash_deltas[ev.at] = cash_deltas.get(ev.at, Money.zero()) + effects.cash_delta
+        delta = effects.cash_delta.centavos
+        if delta:
+            cash_deltas[ev.at] = cash_deltas.get(ev.at, 0) + delta
 
     timeline: list[CashPoint] = []
-    cumulative = Money.zero()
+    cumulative = 0
     for t in sorted(cash_deltas):
         cumulative += cash_deltas[t]
-        timeline.append(CashPoint(at=t, delta=cash_deltas[t], cumulative=cumulative))
+        timeline.append(CashPoint(t, _money(cash_deltas[t]), _money(cumulative)))
 
     lines = tax_timeline(realized, window, schedule)
     securities = sorted(ledger.securities())

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Sequence
 
-from .market import Money, Rate, Tick, apply_rate
+from .market import Money, Rate, Tick, _money, apply_rate
 from .realization import RealizationEvent
 
 STATUTORY_TIER_LIMIT = Money.from_pesos(100_000)
@@ -35,7 +35,7 @@ class NettingWindow(Enum):
     WHOLE_RUN = "whole-run"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TaxLine:
     period: Tick
     net_capital_gain: Money  # signed
@@ -50,19 +50,14 @@ def net_by_period(
     Under ``WHOLE_RUN`` everything nets into a single line dated at the last
     realization tick.
     """
-    if not events:
+    totals: dict[Tick, int] = {}
+    for e in events:
+        totals[e.at] = totals.get(e.at, 0) + e.gain_centavos[1]
+    if not totals:
         return []
     if window is NettingWindow.WHOLE_RUN:
-        total = Money.zero()
-        last = events[0].at
-        for e in events:
-            total += e.gain_total
-            last = max(last, e.at)
-        return [(last, total)]
-    totals: dict[Tick, Money] = {}
-    for e in events:
-        totals[e.at] = totals.get(e.at, Money.zero()) + e.gain_total
-    return sorted(totals.items())
+        return [(max(totals), _money(sum(totals.values())))]
+    return [(t, _money(totals[t])) for t in sorted(totals)]
 
 
 def tax_due(net_gain: Money, schedule: RateSchedule = RateSchedule.PAPER_FLAT) -> Money:
@@ -92,7 +87,4 @@ def tax_timeline(
 
 
 def total_tax(lines: Iterable[TaxLine]) -> Money:
-    total = Money.zero()
-    for line in lines:
-        total += line.tax_due
-    return total
+    return _money(sum(line.tax_due.centavos for line in lines))

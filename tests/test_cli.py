@@ -3,7 +3,12 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import realize
 from realize import cli
 
 
@@ -210,3 +215,38 @@ class TestCheck:
         code, _, err = invoke(capsys, "check")
         assert code == 1
         assert "do not match" in err
+
+
+HAND_BUILT_EFFECTS = """
+import sys
+from realize import LedgerEffects, Money, Regime, ReservationBook, SellOwned, realize
+if sys.flags.optimize != 1:
+    sys.exit(3)
+effects = LedgerEffects(
+    event=SellOwned(2, "ABC", 100), at=2, sec="ABC", qty=100, price=None, cash_delta=Money.zero()
+)
+realize(effects, Regime.CURRENT, ReservationBook())
+"""
+
+
+class TestOptimizedInterpreter:
+    """Runtime checks are not ``assert``s, so ``python -O`` keeps every one."""
+
+    @staticmethod
+    def python_o(*argv):
+        src = str(Path(realize.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        env.pop("REALIZE_FORMAT", None)
+        return subprocess.run(
+            [sys.executable, "-O", *argv], env=env, capture_output=True, text=True, timeout=120
+        )
+
+    def test_check_passes(self):
+        done = self.python_o("-m", "realize", "check")
+        assert done.returncode == 0, done.stderr
+        assert "match the checked-in fixture" in done.stdout
+
+    def test_hand_built_effects_raise_invariant_violation(self):
+        done = self.python_o("-c", HAND_BUILT_EFFECTS)
+        assert done.returncode == 1, done.stderr
+        assert done.stderr.strip().splitlines()[-1].startswith("realize.errors.InvariantViolation:")

@@ -1,5 +1,7 @@
 """Portfolio state machine: applying events, lot matching, step-up."""
 
+import dataclasses
+
 import pytest
 
 from realize import (
@@ -45,6 +47,47 @@ def apply_all(events, path=ABC_PRICES, state=None):
         state, eff = apply_event(state, ev, path)
         effects.append(eff)
     return state, effects
+
+
+TRADES = (Buy, Borrow, ShortSell, SellOwned, CoverByPurchase, CoverByOwnedLot)
+
+
+class TestTradeEvents:
+    """The six trade events share one base but stay distinct value types."""
+
+    @pytest.mark.parametrize("kind", TRADES, ids=lambda k: k.__name__)
+    def test_repr_names_the_kind(self, kind):
+        assert repr(kind(at=1, sec="A", qty=1)) == f"{kind.__name__}(at=1, sec='A', qty=1)"
+
+    def test_kinds_with_equal_fields_are_unequal(self):
+        events = [kind(1, "A", 1) for kind in TRADES]
+        for i, a in enumerate(events):
+            for j, b in enumerate(events):
+                assert (a == b) is (i == j)
+        assert len(set(events)) == len(TRADES)
+        assert Buy(1, "A", 1) == Buy(1, "A", 1)
+
+    @pytest.mark.parametrize("kind", TRADES, ids=lambda k: k.__name__)
+    def test_dataclass_tools_keep_the_kind(self, kind):
+        ev = kind(1, "A", 5)
+        assert [f.name for f in dataclasses.fields(kind)] == ["at", "sec", "qty"]
+        changed = dataclasses.replace(ev, qty=7)
+        assert type(changed) is kind and changed == kind(1, "A", 7)
+        with pytest.raises(InvalidQuantity):
+            dataclasses.replace(ev, qty=0)
+
+    @pytest.mark.parametrize("kind", TRADES, ids=lambda k: k.__name__)
+    @pytest.mark.parametrize("qty", [0, -1])
+    def test_non_positive_quantity_rejected(self, kind, qty):
+        with pytest.raises(InvalidQuantity):
+            kind(1, "A", qty)
+
+    @pytest.mark.parametrize("kind", TRADES, ids=lambda k: k.__name__)
+    def test_frozen_and_slotted(self, kind):
+        ev = kind(1, "A", 1)
+        assert not hasattr(ev, "__dict__")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            ev.qty = 2
 
 
 class TestBuyAndSell:

@@ -43,6 +43,41 @@ class TestMoney:
         with pytest.raises(TypeError):
             Money(1.5)
 
+    @pytest.mark.parametrize("bad", [True, False, "1", None])
+    def test_rejects_bools_and_other_types(self, bad):
+        with pytest.raises(TypeError):
+            Money(bad)
+
+    @pytest.mark.parametrize("other", [1, 1.5, "1", None])
+    def test_non_money_operand_is_a_type_error(self, other):
+        m = Money(100)
+        for op in (lambda: m + other, lambda: other + m, lambda: m - other, lambda: other - m):
+            with pytest.raises(TypeError):
+                op()
+
+    @pytest.mark.parametrize("factor", [1.5, "2", Money(2)])
+    def test_non_int_factor_is_a_type_error(self, factor):
+        with pytest.raises(TypeError):
+            Money(100) * factor
+        with pytest.raises(TypeError):
+            factor * Money(100)
+
+    def test_int_and_bool_factors_keep_exact_ints(self):
+        products = {
+            Money(5) * True: 5, True * Money(5): 5, Money(5) * False: 0,
+            Money(5) * 2: 10, 2 * Money(5): 10, Money(-7) * 3: -21,
+        }
+        for product, centavos in products.items():
+            assert type(product) is Money and type(product.centavos) is int
+            assert product.centavos == centavos
+
+    def test_is_a_slotted_frozen_value(self):
+        m = Money(5)
+        assert not hasattr(m, "__dict__")
+        with pytest.raises(AttributeError):
+            m.centavos = 6
+        assert hash(m) == hash(Money(2) + Money(3)) and m == Money(2) + Money(3)
+
     def test_ordering(self):
         assert Money(-1) < Money(0) < Money(1)
 

@@ -1,6 +1,9 @@
 """DSL parsing, built-ins, and the scenario runner."""
 
+import copy
 import json
+import pickle
+import random
 
 import pytest
 
@@ -10,9 +13,12 @@ from realize import (
     CoverByOwnedLot,
     Death,
     Money,
+    PortfolioState,
+    RateSchedule,
     Regime,
     SellOwned,
     ShortSell,
+    apply_event,
     builtin,
     compare,
     format_scenario,
@@ -20,6 +26,7 @@ from realize import (
     run,
 )
 from realize.errors import (
+    EngineError,
     InsufficientOwnedShares,
     InvalidQuantity,
     NonMonotonicTick,
@@ -29,6 +36,7 @@ from realize.errors import (
     UnknownScenario,
 )
 from realize.scenario import BUILTIN_NAMES
+from scenario_gen import random_scenario
 
 STRATEGY3_SCRIPT = """\
 price ABC 1 50
@@ -136,6 +144,138 @@ class TestParser:
     def test_death_bad_keyword(self):
         with pytest.raises(ParseError):
             parse_scenario("price ABC 1 50\nat 2 death inherit Y\n")
+
+
+def with_comments(text):
+    """Every line with a trailing comment, which sends it down the column-tracking parser."""
+    return "".join(f"{line} # x\n" for line in text.splitlines())
+
+
+PARSE_ERROR_CASES = {
+    "zero-qty": "price ABC 2 100\nat 2 buy ABC 0\n",
+    "negative-qty": "price ABC 2 100\nat 2 buy ABC -5\n",
+    "full-width-qty": "price ABC 1 50\nat 1 buy ABC \uff11\uff10\n",
+    "zero-cover": "price ABC 1 50\nat 1 cover ABC 0 by-purchase\n",
+    "bad-cover-mode": "price ABC 1 50\nat 1 cover ABC 5 somehow\n",
+    "missing-cover-mode": "price ABC 1 50\nat 1 cover ABC 5\n",
+    "trade-trailing": "price ABC 1 50\nat 1 buy ABC 5 extra\n",
+    "cover-trailing": "price ABC 1 50\nat 1 cover ABC 5 with-owned extra\n",
+    "unknown-verb": "price ABC 1 50\nat 1 shortsell ABC 5\n",
+    "negative-event-tick": "price ABC 1 50\nat -1 buy ABC 5\n",
+    "full-width-event-tick": "price ABC 1 50\nat \uff11 buy ABC 5\n",
+    "negative-price": "price ABC 1 -5\n",
+    "plus-price": "price ABC 1 +5\n",
+    "underscore-price": "price ABC 1 1_000\n",
+    "three-decimals": "price ABC 1 1.234\n",
+    "bare-point": "price ABC 1 5.\n",
+    "leading-point": "price ABC 1 .5\n",
+    "arabic-indic-price": "price ABC 1 5\u0660\n",
+    "superscript-price": "price ABC 1 \u00b2\n",
+    "full-width-tick": "price ABC \uff11 50\n",
+    "duplicate-price": "price ABC 1 50\nprice ABC 1 60\n",
+    "price-trailing": "price ABC 1 50 extra\n",
+    "price-missing": "price ABC 1\n",
+    "unknown-directive": "quote ABC 1 50\n",
+    "non-monotonic": "price ABC 1 50\nprice ABC 2 100\nat 2 buy ABC 5\n  at 1 buy ABC 5\n",
+    "undefined-price": "price ABC 1 50\n\tat 1 buy XYZ 5\n",
+}
+
+
+# Ticks and quantities go through int(), which also takes a sign and
+# underscores; the full parser accepts these, so both paths must too.
+INT_SPELLINGS = {
+    "plus-qty": "price ABC 2 100\nat 2 buy ABC +5\n",
+    "underscore-qty": "price ABC 2 100\nat 2 buy ABC 1_000\n",
+    "plus-event-tick": "price ABC 1 50\nat +1 buy ABC 5\n",
+    "plus-tick": "price ABC +1 50\nat 1 sell ABC 5\n",
+    "zero-padded": "price ABC 0001 50\nat 01 cover ABC 005 with-owned\n",
+}
+
+
+def parse_failure(text):
+    with pytest.raises(EngineError) as exc:
+        parse_scenario(text)
+    err = exc.value
+    return type(err), str(err), err.line, err.col
+
+
+class TestPlainLineParser:
+    """Well-formed lines take a ``str.split()`` path; a comment forces the full parser."""
+
+    def test_generated_scenarios_parse_equal_on_both_paths(self):
+        rng = random.Random(0x5EED)
+        for _ in range(150):
+            s = random_scenario(rng).scenario
+            text = format_scenario(s)
+            assert parse_scenario(text, name=s.name) == s
+            assert parse_scenario(with_comments(text), name=s.name) == s
+
+    def test_fractional_prices_and_indentation_parse_equal_on_both_paths(self):
+        text = (
+            "price ABC 1 50.25\nprice ABC 2 0.5\n  price ABC 3 007\nprice ABC 4 0.05\n"
+            "at 1 buy ABC 5\n\tat 2 borrow ABC 3\nat 2 short-sell ABC 3\n"
+            "at 3 cover ABC 2 by-purchase\nat 3 sell ABC 1\nat 4 cover ABC 1 with-owned\n"
+        )
+        plain = parse_scenario(text)
+        assert plain == parse_scenario(with_comments(text))
+        assert [plain.prices.price_at("ABC", t).centavos for t in (1, 2, 3, 4)] == [5025, 50, 700, 5]
+        assert [type(ev) for ev in plain.events][-2:] == [SellOwned, CoverByOwnedLot]
+
+    @pytest.mark.parametrize("text", INT_SPELLINGS.values(), ids=INT_SPELLINGS.keys())
+    def test_int_spellings_parse_equal_on_both_paths(self, text):
+        assert parse_scenario(text) == parse_scenario(with_comments(text))
+
+    @pytest.mark.parametrize("text", PARSE_ERROR_CASES.values(), ids=PARSE_ERROR_CASES.keys())
+    def test_errors_match_on_both_paths(self, text):
+        assert parse_failure(text) == parse_failure(with_comments(text))
+
+    def test_error_positions_are_those_of_the_full_parser(self):
+        assert parse_failure(PARSE_ERROR_CASES["zero-qty"])[1:] == (
+            "line 2, col 14: quantity must be positive, got 0", 2, 14,
+        )
+        assert parse_failure(PARSE_ERROR_CASES["non-monotonic"])[2:] == (4, 3)
+        assert parse_failure(PARSE_ERROR_CASES["undefined-price"])[2:] == (2, 2)
+        assert parse_failure(PARSE_ERROR_CASES["duplicate-price"])[2:] == (2, 1)
+
+
+class TestValueRoundTrip:
+    """Slotted records have no ``__dict__``; pickling and copying still give equal values."""
+
+    @staticmethod
+    def open_state():
+        s = builtin("strategy3")
+        state = PortfolioState()
+        for ev in (Buy(1, "ABC", 100), Borrow(2, "ABC", 60), ShortSell(2, "ABC", 40), Death(3, "Y")):
+            state, effects = apply_event(state, ev, s.prices)
+        return state, effects
+
+    def values(self):
+        state, effects = self.open_state()
+        return [
+            run(builtin("strategy3"), Regime.PROPOSED),
+            compare(builtin("death_avoidance"), RateSchedule.STATUTORY),
+            state,
+            effects,
+        ]
+
+    def test_pickle_and_deepcopy_give_equal_objects(self):
+        for value in self.values():
+            assert pickle.loads(pickle.dumps(value)) == value
+            assert copy.deepcopy(value) == value
+
+    def test_per_event_records_have_no_dict(self):
+        report = run(builtin("strategy3"))
+        state, _ = self.open_state()
+        prices = builtin("strategy3").prices
+        _, short = apply_event(state, ShortSell(3, "ABC", 20), prices)
+        _, sale = apply_event(state, SellOwned(3, "ABC", 10), prices)
+        records = [
+            report.events[0], report.tax_lines[0], report.cash_timeline[0], report.total_tax,
+            state.lots[0], state.borrows[0], short, short.shorts_sold[0], sale.lots_consumed[0],
+            builtin("strategy3").events[0],
+        ]
+        for record in records:
+            assert not hasattr(record, "__dict__"), type(record).__name__
 
 
 class TestRoundTrip:
