@@ -369,7 +369,7 @@ class Ledger(_Holdings):
 
         if remaining > 0:
             raise InsufficientOwnedShares(
-                f"need {qty} shares of {sec}, only {qty - remaining} available under {type(policy).__name__}"
+                f"need {qty} shares of {sec}, only {qty - remaining} available"
             )
         return slices
 

@@ -26,12 +26,20 @@ whole point of comparing them.
 Events are emitted one per homogeneous slice (one lot, one borrow position,
 one price); single-lot scenarios therefore produce exactly one event per rule
 application.
+
+The proposed regime's state lives in a ``ReservationBook``: mutable, private
+to one run like the ledger, and kept per security, so a short sale or cover
+reads and changes only its own security's reservations.  ``realize`` updates
+the book in place after all its checks pass; the lot policies
+(``sell_policy``, ``cover_policy``) and ``trigger_check`` only read it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from collections import deque
+from dataclasses import dataclass
 from enum import Enum
+from itertools import chain
 
 from .errors import InsufficientOwnedShares, InvariantViolation, ReservationMismatch
 from .ledger import (
@@ -47,6 +55,7 @@ from .ledger import (
     Portfolio,
     SellOwned,
     ShortSell,
+    ShortSlice,
 )
 from .market import Money, SecurityId, Tick, _money
 
@@ -89,7 +98,7 @@ class RealizationEvent:
         return _money(self.gain_centavos[1])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ConstructiveReservation:
     """Shares of one lot deemed disposed by a constructive sale."""
 
@@ -99,34 +108,97 @@ class ConstructiveReservation:
     sec: SecurityId
 
 
-@dataclass(frozen=True)
 class ReservationBook:
-    """Constructive-sale bookkeeping threaded through one scenario run.
+    """Constructive-sale bookkeeping of one run: mutable, and private to that run.
 
-    ``entries`` are the reserved lot slices, oldest first.  The two pair
-    tuples track, per borrow position, how many of its sold shares were the
-    constructive side of a trigger and how many have been covered so far;
-    constructive shares of a position are treated as covered before its
-    non-constructive shares.
+    Per security the book keeps a queue of reserved lot slices, oldest first,
+    and the reserved share count per lot id; releases and deliveries take
+    from the head of the queue.  One map gives, per borrow position, how many
+    of its sold shares were the constructive side of a trigger and are not
+    yet covered; a position's constructive shares count as covered before
+    its other shares.  ``realize`` changes the book in place, and only after
+    every check has passed, so a call that raises leaves it as it was.
     """
 
-    entries: tuple[ConstructiveReservation, ...] = ()
-    constructive: tuple[tuple[int, int], ...] = ()  # (borrow position id, qty)
-    covered: tuple[tuple[int, int], ...] = ()  # (borrow position id, qty covered)
+    __slots__ = ("_queues", "_reserved", "_constructive")
+
+    def __init__(self) -> None:
+        self._queues: dict[SecurityId, deque[ConstructiveReservation]] = {}
+        self._reserved: dict[SecurityId, dict[int, int]] = {}
+        self._constructive: dict[int, int] = {}  # borrow position id -> qty not yet covered
+
+    @property
+    def entries(self) -> tuple[ConstructiveReservation, ...]:
+        """Every reserved slice, oldest first within a security."""
+        return tuple(chain.from_iterable(self._queues.values()))
 
     def reserved_by_lot(self, sec: SecurityId) -> dict[int, int]:
-        """Reserved share count per lot id, for the lots of ``sec`` only."""
-        out: dict[int, int] = {}
-        for e in self.entries:
-            if e.sec == sec:
-                out[e.lot_id] = out.get(e.lot_id, 0) + e.qty
-        return out
+        """Reserved share count per lot id of ``sec``: the live dict, read it, never change it."""
+        return self._reserved.get(sec, {})
 
-    def constructive_map(self) -> dict[int, int]:
-        return dict(self.constructive)
+    def _of(self, sec: SecurityId) -> tuple[deque[ConstructiveReservation], dict[int, int]]:
+        """The reservation queue and per-lot counts of ``sec``, made on first use."""
+        queue = self._queues.get(sec)
+        if queue is None:
+            queue = self._queues[sec] = deque()
+            self._reserved[sec] = {}
+        return queue, self._reserved[sec]
 
-    def covered_map(self) -> dict[int, int]:
-        return dict(self.covered)
+    def _oldest(self, sec: SecurityId, qty: int) -> tuple[list[tuple[int, int]], int]:
+        """(lot id, qty) takes of the oldest ``qty`` reserved shares of ``sec``; the shortfall."""
+        takes = []
+        for entry in self._queues.get(sec, ()):
+            if qty == 0:
+                break
+            take = entry.qty if entry.qty < qty else qty
+            takes.append((entry.lot_id, take))
+            qty -= take
+        return takes, qty
+
+    def _plan_cover(
+        self, sec: SecurityId, shorts: tuple[ShortSlice, ...]
+    ) -> tuple[list[tuple[int, int]], int, list[tuple[int, int]], int]:
+        """What covering ``shorts`` takes from the book, changing nothing.
+
+        Returns the (position id, qty) constructive shares covered, their
+        total, the (lot id, qty) takes of the oldest reserved shares that
+        total needs, and the part of it the reservations cannot supply.
+        Constructive shares of a position are covered before its others.
+        """
+        constructive = self._constructive
+        covered = []
+        total = 0
+        for s in shorts:
+            c = constructive.get(s.position_id)
+            if c:
+                qty = c if c < s.qty else s.qty
+                covered.append((s.position_id, qty))
+                total += qty
+        return (covered, total, *self._oldest(sec, total))
+
+    def _settle(
+        self, sec: SecurityId, covered: list[tuple[int, int]], takes: list[tuple[int, int]]
+    ) -> None:
+        """Apply a cover planned by ``_plan_cover``."""
+        constructive = self._constructive
+        for pos_id, qty in covered:
+            left = constructive[pos_id] - qty
+            if left:
+                constructive[pos_id] = left
+            else:
+                del constructive[pos_id]
+        queue, reserved = self._queues[sec], self._reserved[sec]
+        for lot_id, take in takes:
+            head = queue[0]
+            if take == head.qty:
+                queue.popleft()
+            else:
+                queue[0] = ConstructiveReservation(lot_id, head.qty - take, head.reserved_at, sec)
+            left = reserved[lot_id] - take
+            if left:
+                reserved[lot_id] = left
+            else:
+                del reserved[lot_id]
 
 
 def trigger_check(state: Portfolio, book: ReservationBook, sec: SecurityId) -> int:
@@ -146,8 +218,8 @@ def sell_policy(state: Portfolio, book: ReservationBook, sec: SecurityId) -> Lot
     caps = []
     for lot in state.lots_of(sec):
         if lot.id in reserved:
-            caps.append((lot.id, max(lot.qty - reserved.pop(lot.id), 0)))
-            if not reserved:
+            caps.append((lot.id, max(lot.qty - reserved[lot.id], 0)))
+            if len(caps) == len(reserved):
                 break
     return Fifo(caps=tuple(caps))
 
@@ -159,17 +231,17 @@ def _constructive_cover_split(
 
     Mirrors the ledger's first-in first-out cover order over sold positions.
     """
-    constructive = book.constructive_map()
-    covered = book.covered_map()
+    constructive = book._constructive
+    if not constructive:
+        return 0
     remaining = qty
     total = 0
     for pos in state.borrows_of(sec):
-        if pos.qty_sold_uncovered == 0:
+        uncovered = pos.qty_sold_uncovered
+        if uncovered == 0:
             continue
-        amount = min(remaining, pos.qty_sold_uncovered)
-        v = covered.get(pos.id, 0)
-        c = constructive.get(pos.id, 0)
-        total += max(0, min(c, v + amount) - v)
+        amount = min(remaining, uncovered)
+        total += min(constructive.get(pos.id, 0), amount)
         remaining -= amount
         if remaining == 0:
             break
@@ -186,17 +258,8 @@ def cover_policy(
     remainder comes from unreserved shares matched first-in first-out.
     """
     constructive_qty = _constructive_cover_split(state, book, sec, qty)
-    plan: list[tuple[int, int]] = []
-    remaining_reserved = constructive_qty
-    for entry in book.entries:
-        if remaining_reserved == 0:
-            break
-        if entry.sec != sec:
-            continue
-        amount = min(entry.qty, remaining_reserved)
-        plan.append((entry.lot_id, amount))
-        remaining_reserved -= amount
-    if remaining_reserved > 0:
+    plan, short = book._oldest(sec, constructive_qty)
+    if short:
         raise ReservationMismatch(
             f"constructive cover of {constructive_qty} {sec} exceeds reserved shares"
         )
@@ -219,48 +282,6 @@ def cover_policy(
     return Plan(tuple(plan))
 
 
-def _advance_cover_book(
-    book: ReservationBook, effects: LedgerEffects
-) -> tuple[ReservationBook, int]:
-    """Record covered short slices, returning the constructive quantity covered."""
-    constructive = book.constructive_map()
-    covered = book.covered_map()
-    total_constructive = 0
-    for s in effects.shorts_covered:
-        v = covered.get(s.position_id, 0)
-        c = constructive.get(s.position_id, 0)
-        total_constructive += max(0, min(c, v + s.qty) - v)
-        covered[s.position_id] = v + s.qty
-    # Drop exhausted pairs so the book does not grow without bound.
-    for pos_id in list(constructive):
-        if covered.get(pos_id, 0) >= constructive[pos_id]:
-            del constructive[pos_id]
-            covered.pop(pos_id, None)
-    new_book = replace(
-        book,
-        constructive=tuple(sorted(constructive.items())),
-        covered=tuple(sorted((k, v) for k, v in covered.items() if k in constructive)),
-    )
-    return new_book, total_constructive
-
-
-def _release_entries(book: ReservationBook, sec: SecurityId, qty: int) -> ReservationBook:
-    """Remove ``qty`` reserved shares of ``sec``, oldest entries first."""
-    remaining = qty
-    new_entries: list[ConstructiveReservation] = []
-    for entry in book.entries:
-        if remaining == 0 or entry.sec != sec:
-            new_entries.append(entry)
-            continue
-        take = min(entry.qty, remaining)
-        remaining -= take
-        if entry.qty - take > 0:
-            new_entries.append(replace(entry, qty=entry.qty - take))
-    if remaining > 0:
-        raise ReservationMismatch(f"attempted to release {qty} reserved shares; book is short")
-    return replace(book, entries=tuple(new_entries))
-
-
 def _priced(effects: LedgerEffects) -> tuple[Money, SecurityId]:
     """The price and security of a sale or cover; hand-built effects may lack them."""
     if effects.price is None or effects.sec is None:
@@ -270,6 +291,45 @@ def _priced(effects: LedgerEffects) -> tuple[Money, SecurityId]:
     return effects.price, effects.sec
 
 
+def _owned_disposals(
+    effects: LedgerEffects, price: Money, sec: SecurityId, takes: list[tuple[int, int]]
+) -> list[RealizationEvent]:
+    """Owned-side events of a cover-by-owned-lot whose first delivered shares fill ``takes``.
+
+    The reserved shares must be delivered first, oldest reservation first.
+    Their disposal already happened at the short-sale tick, so only the rest
+    of the delivered slices, never reserved, follows the current rule.
+    """
+    slices = effects.lots_consumed
+    i = offset = 0
+    for lot_id, need in takes:
+        while need:
+            if i == len(slices):
+                raise ReservationMismatch(
+                    "cover delivered fewer shares than the constructive portion"
+                )
+            s = slices[i]
+            if s.lot_id != lot_id:
+                raise ReservationMismatch(
+                    f"cover delivered shares of lot {s.lot_id} against a "
+                    f"reservation on lot {lot_id}"
+                )
+            chunk = min(need, s.qty - offset)
+            need -= chunk
+            offset += chunk
+            if offset == s.qty:
+                i += 1
+                offset = 0
+    disposals = []
+    for s in slices[i:]:
+        disposals.append(RealizationEvent(
+            effects.at, RealizationKind.OWNED_DISPOSAL_AT_COVER, sec,
+            s.qty - offset, price, s.basis_per_share,
+        ))
+        offset = 0
+    return disposals
+
+
 def realize(
     effects: LedgerEffects,
     regime: Regime,
@@ -277,8 +337,10 @@ def realize(
 ) -> tuple[list[RealizationEvent], ReservationBook]:
     """Produce the realization events for one applied transaction event.
 
-    Returns the events in deterministic order together with the updated
-    constructive-sale book (unchanged under the current regime).
+    Returns the events in deterministic order together with ``book``, which
+    a short sale or cover under the proposed regime updates in place.  Every
+    check runs before the book changes, so a call that raises leaves it as
+    it was.
     """
     ev = effects.event
 
@@ -298,12 +360,7 @@ def realize(
                     )
         events = [
             RealizationEvent(
-                at=effects.at,
-                kind=RealizationKind.ORDINARY_SALE,
-                sec=sec,
-                qty=s.qty,
-                amount_realized_per_share=price,
-                basis_per_share=s.basis_per_share,
+                effects.at, RealizationKind.ORDINARY_SALE, sec, s.qty, price, s.basis_per_share
             )
             for s in effects.lots_consumed
         ]
@@ -314,155 +371,64 @@ def realize(
             # Receipt of the proceeds without realization.
             return [], book
         price, sec = _priced(effects)
-        reserved = book.reserved_by_lot(sec)
+        at = effects.at
+        queue, reserved = book._of(sec)
         remaining = effects.qty
         events = []
-        new_entries = list(book.entries)
-        constructive = book.constructive_map()
-        reserved_total = 0
         for lot in effects.owned_lots:
-            if remaining == 0:
-                break
-            available = max(lot.qty - reserved.get(lot.id, 0), 0)
-            amount = min(remaining, available)
-            if amount == 0:
-                continue
-            events.append(
-                RealizationEvent(
-                    at=effects.at,
-                    kind=RealizationKind.CONSTRUCTIVE_SALE,
-                    sec=sec,
-                    qty=amount,
-                    amount_realized_per_share=price,
-                    basis_per_share=lot.basis_per_share,
-                )
-            )
-            new_entries.append(ConstructiveReservation(lot.id, amount, effects.at, sec))
-            reserved_total += amount
-            remaining -= amount
-        # Tag the first reserved_total sold shares as the constructive side,
+            amount = lot.qty - reserved.get(lot.id, 0)
+            if amount > remaining:
+                amount = remaining
+            if amount > 0:
+                events.append(RealizationEvent(
+                    at, RealizationKind.CONSTRUCTIVE_SALE, sec, amount, price, lot.basis_per_share
+                ))
+                queue.append(ConstructiveReservation(lot.id, amount, at, sec))
+                reserved[lot.id] = reserved.get(lot.id, 0) + amount
+                remaining -= amount
+                if remaining == 0:
+                    break
+        # Tag the first reserved shares sold as the constructive side,
         # walking the sold slices in ledger order.
-        to_tag = reserved_total
+        to_tag = effects.qty - remaining
+        constructive = book._constructive
         for s in effects.shorts_sold:
             if to_tag == 0:
                 break
-            tag = min(to_tag, s.qty)
+            tag = to_tag if to_tag < s.qty else s.qty
             constructive[s.position_id] = constructive.get(s.position_id, 0) + tag
             to_tag -= tag
-        new_book = replace(
-            book,
-            entries=tuple(new_entries),
-            constructive=tuple(sorted(constructive.items())),
-        )
-        return events, new_book
-
-    if isinstance(ev, CoverByPurchase):
-        price, sec = _priced(effects)
-        events = [
-            RealizationEvent(
-                at=effects.at,
-                kind=RealizationKind.SHORT_COVER,
-                sec=sec,
-                qty=s.qty,
-                amount_realized_per_share=s.proceeds_per_share,
-                basis_per_share=price,
-            )
-            for s in effects.shorts_covered
-        ]
-        if regime is Regime.PROPOSED:
-            # The owned lot stays; release its deemed-disposed status for the
-            # constructive portion of the shorts just covered.
-            book, constructive_qty = _advance_cover_book(book, effects)
-            if constructive_qty > 0:
-                book = _release_entries(book, sec, constructive_qty)
         return events, book
 
-    if isinstance(ev, CoverByOwnedLot):
+    if isinstance(ev, (CoverByPurchase, CoverByOwnedLot)):
         price, sec = _priced(effects)
-        events = [
+        covered, constructive_qty, takes, short = (
+            book._plan_cover(sec, effects.shorts_covered) if regime is Regime.PROPOSED
+            else ([], 0, [], 0)
+        )
+        if isinstance(ev, CoverByPurchase):
+            # The owned lot stays; its deemed-disposed status is released
+            # for the constructive portion of the shorts just covered.
+            if short:
+                raise ReservationMismatch(
+                    f"attempted to release {constructive_qty} reserved shares; book is short"
+                )
+            disposals = []
+        else:
+            # Under the current rule (no takes) every delivered share is
+            # deemed sold at the price of replacing the borrowed shares.
+            disposals = _owned_disposals(effects, price, sec, takes)
+            if short:
+                raise ReservationMismatch(
+                    f"constructive cover of {constructive_qty} shares exceeds reserved entries"
+                )
+        if covered:
+            book._settle(sec, covered, takes)
+        return disposals + [
             RealizationEvent(
-                at=effects.at,
-                kind=RealizationKind.SHORT_COVER,
-                sec=sec,
-                qty=s.qty,
-                amount_realized_per_share=s.proceeds_per_share,
-                basis_per_share=price,
+                effects.at, RealizationKind.SHORT_COVER, sec, s.qty, s.proceeds_per_share, price
             )
             for s in effects.shorts_covered
-        ]
-        if regime is Regime.CURRENT:
-            # Two realization events: the owned shares are deemed sold at the
-            # price it would cost to replace the borrowed shares.
-            disposals = [
-                RealizationEvent(
-                    at=effects.at,
-                    kind=RealizationKind.OWNED_DISPOSAL_AT_COVER,
-                    sec=sec,
-                    qty=s.qty,
-                    amount_realized_per_share=price,
-                    basis_per_share=s.basis_per_share,
-                )
-                for s in effects.lots_consumed
-            ]
-            return disposals + events, book
-
-        book, constructive_qty = _advance_cover_book(book, effects)
-        # The first constructive_qty delivered shares must be the reserved
-        # ones, oldest reservation first; their disposal already happened at
-        # the short-sale tick, so no owned-side event is emitted for them.
-        remaining_reserved = constructive_qty
-        new_entries: list[ConstructiveReservation] = []
-        slice_iter = iter(effects.lots_consumed)
-        current = next(slice_iter, None)
-        offset = 0
-        disposals = []
-        for entry in book.entries:
-            if remaining_reserved == 0 or entry.sec != sec:
-                new_entries.append(entry)
-                continue
-            need = min(entry.qty, remaining_reserved)
-            while need > 0:
-                if current is None:
-                    raise ReservationMismatch(
-                        "cover delivered fewer shares than the constructive portion"
-                    )
-                chunk = min(need, current.qty - offset)
-                if current.lot_id != entry.lot_id:
-                    raise ReservationMismatch(
-                        f"cover delivered shares of lot {current.lot_id} against a "
-                        f"reservation on lot {entry.lot_id}"
-                    )
-                need -= chunk
-                remaining_reserved -= chunk
-                entry = replace(entry, qty=entry.qty - chunk)
-                offset += chunk
-                if offset == current.qty:
-                    current = next(slice_iter, None)
-                    offset = 0
-            if entry.qty > 0:
-                new_entries.append(entry)
-        if remaining_reserved > 0:
-            raise ReservationMismatch(
-                f"constructive cover of {constructive_qty} shares exceeds reserved entries"
-            )
-        # Whatever remains of the delivered slices was never reserved and
-        # follows the current rule for the owned side.
-        while current is not None:
-            qty_left = current.qty - offset
-            if qty_left > 0:
-                disposals.append(
-                    RealizationEvent(
-                        at=effects.at,
-                        kind=RealizationKind.OWNED_DISPOSAL_AT_COVER,
-                        sec=sec,
-                        qty=qty_left,
-                        amount_realized_per_share=price,
-                        basis_per_share=current.basis_per_share,
-                    )
-                )
-            current = next(slice_iter, None)
-            offset = 0
-        book = replace(book, entries=tuple(new_entries))
-        return disposals + events, book
+        ], book
 
     raise TypeError(f"unknown transaction event {ev!r}")  # pragma: no cover

@@ -100,12 +100,13 @@ def _tokenize(line: str) -> list[tuple[str, int]]:
     return [(m.group(), m.start() + 1) for m in _TOKEN_RE.finditer(line)]
 
 
+_INT_RE = re.compile(r"-?[0-9]+")
+
+
 def _parse_int(token: str, what: str, line_no: int, col: int) -> int:
-    if token.isascii():  # int() would also take other scripts' digits
-        try:
-            return int(token)
-        except ValueError:
-            pass
+    # Exactly this spelling: int() would also take '+', '_' and other scripts' digits.
+    if _INT_RE.fullmatch(token):
+        return int(token)
     raise ParseError(f"expected {what}, got {token!r}", line_no, col)
 
 
@@ -369,13 +370,14 @@ def _builtin_scenarios() -> dict[str, Scenario]:
     }
 
 
-BUILTIN_NAMES = tuple(sorted(_builtin_scenarios()))
+_BUILTINS = _builtin_scenarios()
+BUILTIN_NAMES = tuple(sorted(_BUILTINS))
 
 
 def builtin(name: str) -> Scenario:
-    scenarios = _builtin_scenarios()
+    """The named built-in scenario: built once, the same frozen object on every call."""
     try:
-        return scenarios[name]
+        return _BUILTINS[name]
     except KeyError:
         raise UnknownScenario(name, BUILTIN_NAMES) from None
 

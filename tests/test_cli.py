@@ -75,6 +75,18 @@ class TestRun:
         assert code == 2
         assert "(event 0)" in err
 
+    def test_selling_reserved_shares_names_no_internal_class(self, capsys, tmp_path):
+        path = tmp_path / "reserved.scn"
+        path.write_text(
+            "price ABC 1 50\nprice ABC 2 100\nprice ABC 3 90\nat 1 buy ABC 100\n"
+            "at 2 borrow ABC 100\nat 2 short-sell ABC 100\nat 3 sell ABC 1\n"
+        )
+        code, out, err = invoke(capsys, "run", str(path), "--regime", "proposed")
+        assert (code, out) == (2, "")
+        assert err == "realize: error (event 3): need 1 shares of ABC, only 0 available\n"
+        for name in ("Fifo", "SpecificId", "Plan", "LotPolicy", "ReservationBook"):
+            assert name not in err
+
     def test_statutory_rates_flag(self, capsys):
         code, out, _ = invoke(capsys, "run", "strategy1", "--rates", "statutory", "--format", "json")
         assert code == 0

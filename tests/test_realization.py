@@ -8,10 +8,12 @@ from realize import (
     CoverByOwnedLot,
     CoverByPurchase,
     Death,
+    Fifo,
     LedgerEffects,
     Money,
     PortfolioState,
     PricePath,
+    RealizationEvent,
     RealizationKind,
     Regime,
     ReservationBook,
@@ -30,10 +32,10 @@ ABC_PRICES = PricePath.from_table(
 )
 
 
-def run_events(events, regime, path=ABC_PRICES):
+def run_events(events, regime, path=ABC_PRICES, state=None, book=None):
     """Thread events through ledger and realization, like the runner does."""
-    state = PortfolioState()
-    book = ReservationBook()
+    state = PortfolioState() if state is None else state
+    book = ReservationBook() if book is None else book
     out = []
     for ev in events:
         policy = None
@@ -334,6 +336,79 @@ class TestProposedRegime:
         )
         with pytest.raises(ReservationMismatch):
             realize(effects, Regime.PROPOSED, book)
+
+
+class TestReservationOrder:
+    def test_delivery_follows_reservation_order_not_lot_id_order(self):
+        # Lot 0's first reservation is released at tick 5 and made again at
+        # tick 6, after lot 1's; the tick-7 delivery takes lot 1, the older
+        # reservation, so lot 0 (basis 10) is the lot that stays and is sold.
+        prices = (10, 20, 30, 40, 35, 45, 50, 55, 60)
+        path = PricePath.from_table(
+            {"ABC": {t: Money.from_pesos(p) for t, p in enumerate(prices, start=1)}}
+        )
+        events, state, book = run_events(
+            [
+                Buy(1, "ABC", 100),
+                Buy(2, "ABC", 100),
+                Borrow(3, "ABC", 100),
+                ShortSell(3, "ABC", 100),
+                Borrow(4, "ABC", 100),
+                ShortSell(4, "ABC", 100),
+                CoverByPurchase(5, "ABC", 100),
+                Borrow(6, "ABC", 100),
+                ShortSell(6, "ABC", 100),
+                CoverByOwnedLot(7, "ABC", 100),
+                CoverByPurchase(8, "ABC", 100),
+                SellOwned(9, "ABC", 100),
+            ],
+            Regime.PROPOSED,
+            path=path,
+        )
+        K = RealizationKind
+        assert events == [
+            RealizationEvent(at, kind, "ABC", 100, Money.from_pesos(sold), Money.from_pesos(basis))
+            for at, kind, sold, basis in (
+                (3, K.CONSTRUCTIVE_SALE, 30, 10),
+                (4, K.CONSTRUCTIVE_SALE, 40, 20),
+                (5, K.SHORT_COVER, 30, 35),
+                (6, K.CONSTRUCTIVE_SALE, 45, 10),
+                (7, K.SHORT_COVER, 40, 50),
+                (8, K.SHORT_COVER, 45, 55),
+                (9, K.ORDINARY_SALE, 60, 10),
+            )
+        ]
+        assert book.entries == ()
+        assert state.lots == () and state.borrows == ()
+
+
+class TestRaisingRealizeLeavesBookUnchanged:
+    OPENING = [Buy(1, "ABC", 100), Borrow(2, "ABC", 100), ShortSell(2, "ABC", 100)]
+
+    def assert_unchanged_by(self, opening, event, policy, error, rest):
+        _, state, book = run_events(opening, Regime.PROPOSED)
+        _, effects = apply_event(state, event, ABC_PRICES, policy)
+        entries, unreserved = book.entries, trigger_check(state, book, "ABC")
+        with pytest.raises(error):
+            realize(effects, Regime.PROPOSED, book)
+        assert book.entries == entries
+        assert trigger_check(state, book, "ABC") == unreserved
+        # The book goes on exactly like one that never saw the failed call.
+        resumed, _, _ = run_events(rest, Regime.PROPOSED, state=state, book=book)
+        opened, _, _ = run_events(opening, Regime.PROPOSED)
+        assert run_events(opening + rest, Regime.PROPOSED)[0] == opened + resumed
+
+    def test_wrong_lot_delivered_under_specific_id(self):
+        self.assert_unchanged_by(
+            self.OPENING + [Buy(3, "ABC", 100)], CoverByOwnedLot(3, "ABC", 100),
+            SpecificId((1,)), ReservationMismatch, [CoverByOwnedLot(3, "ABC", 100)],
+        )
+
+    def test_reserved_shares_sold_through_plain_fifo(self):
+        self.assert_unchanged_by(
+            self.OPENING, SellOwned(3, "ABC", 1), Fifo(), InsufficientOwnedShares,
+            [CoverByPurchase(3, "ABC", 60), SellOwned(3, "ABC", 60)],
+        )
 
 
 class TestHandBuiltEffects:

@@ -178,16 +178,16 @@ PARSE_ERROR_CASES = {
     "unknown-directive": "quote ABC 1 50\n",
     "non-monotonic": "price ABC 1 50\nprice ABC 2 100\nat 2 buy ABC 5\n  at 1 buy ABC 5\n",
     "undefined-price": "price ABC 1 50\n\tat 1 buy XYZ 5\n",
-}
-
-
-# Ticks and quantities go through int(), which also takes a sign and
-# underscores; the full parser accepts these, so both paths must too.
-INT_SPELLINGS = {
     "plus-qty": "price ABC 2 100\nat 2 buy ABC +5\n",
     "underscore-qty": "price ABC 2 100\nat 2 buy ABC 1_000\n",
     "plus-event-tick": "price ABC 1 50\nat +1 buy ABC 5\n",
     "plus-tick": "price ABC +1 50\nat 1 sell ABC 5\n",
+}
+
+
+# Ticks and quantities are spelled -?[0-9]+ in ASCII, as prices are; leading
+# zeros are accepted on both paths.
+INT_SPELLINGS = {
     "zero-padded": "price ABC 0001 50\nat 01 cover ABC 005 with-owned\n",
 }
 
@@ -236,6 +236,24 @@ class TestPlainLineParser:
         assert parse_failure(PARSE_ERROR_CASES["non-monotonic"])[2:] == (4, 3)
         assert parse_failure(PARSE_ERROR_CASES["undefined-price"])[2:] == (2, 2)
         assert parse_failure(PARSE_ERROR_CASES["duplicate-price"])[2:] == (2, 1)
+
+    def test_signs_and_underscores_are_rejected_as_in_prices(self):
+        assert parse_failure(PARSE_ERROR_CASES["plus-qty"])[:2] == (
+            ParseError, "line 2, col 14: expected share quantity, got '+5'",
+        )
+        assert parse_failure(PARSE_ERROR_CASES["underscore-qty"])[1] == (
+            "line 2, col 14: expected share quantity, got '1_000'"
+        )
+        assert parse_failure(PARSE_ERROR_CASES["plus-tick"])[1] == (
+            "line 1, col 11: expected tick, got '+1'"
+        )
+        # A minus sign still reaches the range checks and their messages.
+        assert parse_failure(PARSE_ERROR_CASES["negative-qty"])[1] == (
+            "line 2, col 14: quantity must be positive, got -5"
+        )
+        assert parse_failure(PARSE_ERROR_CASES["negative-event-tick"])[1] == (
+            "line 2, col 4: tick must be non-negative, got -1"
+        )
 
 
 class TestValueRoundTrip:
@@ -307,6 +325,10 @@ class TestBuiltins:
     def test_unknown_name(self):
         with pytest.raises(UnknownScenario):
             builtin("nope")
+
+    @pytest.mark.parametrize("name", BUILTIN_NAMES)
+    def test_built_once(self, name):
+        assert builtin(name) is builtin(name)
 
     def test_proposed_demo_reuses_strategy3_events(self):
         assert builtin("proposed_demo").events == builtin("strategy3").events
