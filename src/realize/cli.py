@@ -9,9 +9,7 @@ The REALIZE_FORMAT environment variable overrides the default output format.
 from __future__ import annotations
 
 import argparse
-import csv
 import io
-import json
 import os
 import sys
 from importlib import resources
@@ -140,6 +138,8 @@ def _render_run_table(report: RunReport) -> str:
 
 
 def _render_run_csv(report: RunReport) -> str:
+    import csv
+
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(
@@ -203,6 +203,8 @@ def _render_compare_table(report: ComparisonReport) -> str:
 
 
 def _render_compare_csv(report: ComparisonReport) -> str:
+    import csv
+
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["tick", "current_tax", "proposed_tax", "delta"])
@@ -222,6 +224,8 @@ def _render_grid_table() -> str:
 
 
 def _render_grid_csv() -> str:
+    import csv
+
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(
@@ -271,6 +275,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
     )
     fmt = _check_format(args.format)
     if fmt == "json":
+        import json
+
         print(json.dumps(report.to_dict(), indent=2))
     elif fmt == "csv":
         sys.stdout.write(_render_run_csv(report))
@@ -286,6 +292,8 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     )
     fmt = _check_format(args.format)
     if fmt == "json":
+        import json
+
         print(json.dumps(report.to_dict(), indent=2))
     elif fmt == "csv":
         sys.stdout.write(_render_compare_csv(report))
@@ -302,6 +310,8 @@ def _cmd_paper_tables(_args: argparse.Namespace) -> int:
 def _cmd_grid(args: argparse.Namespace) -> int:
     fmt = _check_format(args.format)
     if fmt == "json":
+        import json
+
         print(json.dumps(_grid_dict(), indent=2))
     elif fmt == "csv":
         sys.stdout.write(_render_grid_csv())

@@ -49,7 +49,7 @@ from .errors import (
     OverCover,
     UnknownLotId,
 )
-from .market import Money, PricePath, SecurityId, Tick
+from .market import _ZERO, Money, PricePath, SecurityId, Tick, record
 
 
 class AcquisitionMethod(Enum):
@@ -57,7 +57,7 @@ class AcquisitionMethod(Enum):
     INHERITANCE = "inheritance"
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class Lot:
     """An owned parcel of identical shares with a single per-share basis."""
 
@@ -69,7 +69,7 @@ class Lot:
     method: AcquisitionMethod = AcquisitionMethod.PURCHASE
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class BorrowPosition:
     """An open securities-borrowing obligation.
 
@@ -100,7 +100,7 @@ class BorrowPosition:
         return self.qty_sold_short - self.qty_covered
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class _Trade:
     """A dated trade of ``qty`` shares of one security; the quantity must be positive."""
 
@@ -171,8 +171,10 @@ class Plan:
 
 LotPolicy = Union[Fifo, SpecificId, Plan]
 
+_FIFO = Fifo()  # frozen, so one instance serves every plain first-in first-out match
 
-@dataclass(frozen=True, slots=True)
+
+@record
 class LotSlice:
     """A quantity taken from one lot, with the basis it carried."""
 
@@ -184,7 +186,7 @@ class LotSlice:
     qty_before: int
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class ShortSlice:
     """A quantity of one borrow position sold short or covered."""
 
@@ -194,7 +196,7 @@ class ShortSlice:
     sold_at: Tick
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class LedgerEffects:
     """What one applied event moved.  The realization module consumes this."""
 
@@ -324,16 +326,18 @@ class Ledger(_Holdings):
             raise UnknownLotId(f"no owned lot {lot_id} of {sec}")
         return lot
 
-    def match(self, sec: SecurityId, qty: int, policy: LotPolicy = Fifo()) -> list[LotSlice]:
+    def match(self, sec: SecurityId, qty: int, policy: LotPolicy = _FIFO) -> list[LotSlice]:
         """Owned-lot slices totalling ``qty``; walks no further than it takes."""
         if qty <= 0:
             raise InvalidQuantity(f"quantity must be positive, got {qty}")
         slices: list[LotSlice] = []
         remaining = qty
         if isinstance(policy, Fifo):
-            caps = dict(policy.caps or ())
+            caps = policy.caps and dict(policy.caps)
             for lot in self.lots_of(sec):
-                amount = min(remaining, caps.get(lot.id, lot.qty), lot.qty)
+                amount = lot.qty if lot.qty < remaining else remaining
+                if caps:
+                    amount = min(amount, caps.get(lot.id, amount))
                 if amount > 0:
                     slices.append(_slice(lot, amount, lot.qty))
                     remaining -= amount
@@ -425,7 +429,7 @@ class Ledger(_Holdings):
             self._borrows.setdefault(ev.sec, []).append(pos)
             return LedgerEffects(
                 event=ev, at=ev.at, sec=ev.sec, qty=ev.qty, price=None,
-                cash_delta=Money.zero(), borrow_opened=pos,
+                cash_delta=_ZERO, borrow_opened=pos,
             )
 
         if isinstance(ev, ShortSell):
@@ -461,7 +465,7 @@ class Ledger(_Holdings):
 
         if isinstance(ev, SellOwned):
             price = path.price_at(ev.sec, ev.at)
-            slices = self.match(ev.sec, ev.qty, lot_policy or Fifo())
+            slices = self.match(ev.sec, ev.qty, lot_policy or _FIFO)
             self._consume(ev.sec, slices)
             cash_delta = price * ev.qty
             self.cash += cash_delta
@@ -485,7 +489,7 @@ class Ledger(_Holdings):
                     raise InvariantViolation(f"borrow position {pos.id} is sold short without a price")
                 covered.append(ShortSlice(pos.id, amount, pos.short_proceeds_per_share, pos.sold_at))
             by_purchase = isinstance(ev, CoverByPurchase)
-            slices = [] if by_purchase else self.match(ev.sec, ev.qty, lot_policy or Fifo())
+            slices = [] if by_purchase else self.match(ev.sec, ev.qty, lot_policy or _FIFO)
             for i, amount in reversed(plan):  # back to front keeps the earlier indices valid
                 pos = positions[i]
                 if amount < pos.qty_outstanding:
@@ -505,14 +509,14 @@ class Ledger(_Holdings):
             self._consume(ev.sec, slices)
             return LedgerEffects(
                 event=ev, at=ev.at, sec=ev.sec, qty=ev.qty, price=price,
-                cash_delta=Money.zero(),
+                cash_delta=_ZERO,
                 lots_consumed=tuple(slices), shorts_covered=tuple(covered),
             )
 
         if isinstance(ev, Death):
             self.step_up(ev.at, path)
             return LedgerEffects(
-                event=ev, at=ev.at, sec=None, qty=0, price=None, cash_delta=Money.zero(),
+                event=ev, at=ev.at, sec=None, qty=0, price=None, cash_delta=_ZERO,
             )
 
         raise TypeError(f"unknown transaction event {ev!r}")  # pragma: no cover
@@ -529,7 +533,7 @@ def match_lots(
     state: Portfolio,
     sec: SecurityId,
     qty: int,
-    policy: LotPolicy = Fifo(),
+    policy: LotPolicy = _FIFO,
 ) -> list[LotSlice]:
     """Select owned-lot slices totalling ``qty`` under the matching policy.
 

@@ -3,13 +3,20 @@
 Every amount in the engine is an integer count of centavos.  Floating point
 never enters any computation; the single place rounding can occur is
 ``apply_rate``, which rounds half-to-even at the centavo.
+
+Values the engine builds by the thousand are constructed the trusted way:
+their slots are written through the class's own slot descriptors, past the
+frozen ``__setattr__``.  ``_money`` does this for arithmetic results, and the
+``record`` decorator gives every engine record (lots, slices, effects,
+realization events, tax lines, cash points) an ``__init__`` that does it.
 """
 
 from __future__ import annotations
 
+import inspect
 import re
-from dataclasses import dataclass
-from typing import Mapping
+from dataclasses import MISSING, dataclass, fields
+from typing import Mapping, TypeVar
 
 from .errors import MissingPrice, NegativeBase
 
@@ -37,7 +44,7 @@ class Money:
 
     @classmethod
     def zero(cls) -> Money:
-        return _money(0)
+        return _ZERO
 
     @classmethod
     def from_pesos(cls, pesos: int) -> Money:
@@ -90,8 +97,11 @@ class Money:
         return f"{sign}{a // 100:,}.{a % 100:02d}"
 
 
+# Trusted construction: a slot's member descriptor sets the slot itself,
+# past the frozen __setattr__.  ``_money`` uses it for Money results, and
+# ``record`` for the ``__init__`` of every engine record.
 _new = object.__new__
-_set_centavos = Money.centavos.__set__  # the slot itself, past the frozen __setattr__
+_set_centavos = Money.centavos.__set__
 
 
 def _money(centavos: int) -> Money:
@@ -99,6 +109,49 @@ def _money(centavos: int) -> Money:
     m = _new(Money)
     _set_centavos(m, centavos)
     return m
+
+
+_ZERO = _money(0)  # frozen, so one instance serves every zero amount
+
+_R = TypeVar("_R")
+
+
+def record(cls: type[_R]) -> type[_R]:
+    """``@dataclass(frozen=True, slots=True)`` with an ``__init__`` that writes the slots.
+
+    The class is the same frozen, slotted dataclass: fields, ``replace``,
+    eq/hash/repr, ``__match_args__``, pickling and ``inspect.signature`` are
+    unchanged.  Only ``__init__`` differs: generated once per class, it sets
+    each slot through its member descriptor instead of ``object.__setattr__``,
+    then calls ``__post_init__`` when the class has one.  Fields may have
+    plain defaults, not default factories.
+    """
+    doc = cls.__doc__
+    cls.__doc__ = doc or cls.__name__  # else dataclass signs it, slowly, from object.__init__
+    cls = dataclass(frozen=True, slots=True, init=False)(cls)
+    cls.__dataclass_params__.init = True  # it has a field-by-field __init__, below
+    env = {"__name__": cls.__module__}
+    params, body = ["self"], []
+    for f in fields(cls):
+        if f.default_factory is not MISSING:
+            raise TypeError(f"record field {cls.__name__}.{f.name} has a default factory")
+        env[f"_set_{f.name}"] = getattr(cls, f.name).__set__
+        if f.default is MISSING:
+            params.append(f.name)
+        else:
+            env[f"_dflt_{f.name}"] = f.default
+            params.append(f"{f.name}=_dflt_{f.name}")
+        body.append(f"    _set_{f.name}(self, {f.name})")
+    if hasattr(cls, "__post_init__"):
+        body.append("    self.__post_init__()")
+    exec(f"def __init__({', '.join(params)}):\n" + "\n".join(body), env)
+    init = env["__init__"]
+    init.__qualname__ = f"{cls.__qualname__}.__init__"
+    init.__annotations__ = {f.name: f.type for f in fields(cls)} | {"return": None}
+    cls.__init__ = init
+    if not doc:  # as dataclass writes it, from the signature
+        cls.__doc__ = cls.__name__ + str(inspect.signature(cls)).replace(" -> None", "")
+    return cls
 
 
 @dataclass(frozen=True)

@@ -37,12 +37,12 @@ the book in place after all its checks pass; the lot policies
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from enum import Enum
 from itertools import chain
 
 from .errors import InsufficientOwnedShares, InvariantViolation, ReservationMismatch
 from .ledger import (
+    _FIFO,
     Borrow,
     Buy,
     CoverByOwnedLot,
@@ -57,7 +57,7 @@ from .ledger import (
     ShortSell,
     ShortSlice,
 )
-from .market import Money, SecurityId, Tick, _money
+from .market import Money, SecurityId, Tick, _money, record
 
 
 class Regime(Enum):
@@ -72,7 +72,7 @@ class RealizationKind(Enum):
     CONSTRUCTIVE_SALE = "constructive_sale"
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class RealizationEvent:
     """A dated (amount realized, basis, gain or loss) record."""
 
@@ -98,7 +98,7 @@ class RealizationEvent:
         return _money(self.gain_centavos[1])
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class ConstructiveReservation:
     """Shares of one lot deemed disposed by a constructive sale."""
 
@@ -214,7 +214,7 @@ def sell_policy(state: Portfolio, book: ReservationBook, sec: SecurityId) -> Lot
     """
     reserved = book.reserved_by_lot(sec)
     if not reserved:
-        return Fifo()
+        return _FIFO
     caps = []
     for lot in state.lots_of(sec):
         if lot.id in reserved:

@@ -42,7 +42,7 @@ from .ledger import (
     TransactionEvent,
     apply_event,
 )
-from .market import Money, PricePath, SecurityId, Tick, _money
+from .market import Money, PricePath, SecurityId, Tick, _money, record
 from .realization import (
     RealizationEvent,
     Regime,
@@ -382,7 +382,7 @@ def builtin(name: str) -> Scenario:
         raise UnknownScenario(name, BUILTIN_NAMES) from None
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class CashPoint:
     at: Tick
     delta: Money

@@ -12,11 +12,10 @@ P100,000 of net gain and 10% on the excess.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Sequence
 
-from .market import Money, Rate, Tick, _money, apply_rate
+from .market import Money, Rate, Tick, _money, apply_rate, record
 from .realization import RealizationEvent
 
 STATUTORY_TIER_LIMIT = Money.from_pesos(100_000)
@@ -35,7 +34,7 @@ class NettingWindow(Enum):
     WHOLE_RUN = "whole-run"
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class TaxLine:
     period: Tick
     net_capital_gain: Money  # signed

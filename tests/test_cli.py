@@ -262,3 +262,28 @@ class TestOptimizedInterpreter:
         done = self.python_o("-c", HAND_BUILT_EFFECTS)
         assert done.returncode == 1, done.stderr
         assert done.stderr.strip().splitlines()[-1].startswith("realize.errors.InvariantViolation:")
+
+
+TABLE_COMMANDS_LOAD = """
+import contextlib, io, sys
+sys.path.insert(0, sys.argv[1])
+import realize.cli
+loaded = [m for m in ("csv", "json") if m in sys.modules]
+with contextlib.redirect_stdout(io.StringIO()):
+    for argv in (["check"], ["compare", "strategy3"]):
+        assert realize.cli.main(argv) == 0, argv
+loaded += [m for m in ("csv", "json") if m in sys.modules]
+print(" ".join(loaded))
+"""
+
+
+class TestColdStart:
+    def test_table_commands_import_neither_csv_nor_json(self):
+        # -I -S: no site hooks, so only realize's own imports count.
+        src = str(Path(realize.__file__).resolve().parents[1])
+        done = subprocess.run(
+            [sys.executable, "-I", "-S", "-c", TABLE_COMMANDS_LOAD, src],
+            capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == ""
