@@ -14,27 +14,16 @@ from .ledger import (
     CoverByOwnedLot,
     CoverByPurchase,
     Death,
-    Fifo,
+    Ledger,
     LedgerEffects,
     Lot,
     PortfolioState,
     SellOwned,
     ShortSell,
-    SpecificId,
     apply_event,
-    match_lots,
-    step_up,
 )
-from .market import Money, PricePath, Rate, apply_rate, price_at
-from .realization import (
-    ConstructiveReservation,
-    RealizationEvent,
-    RealizationKind,
-    Regime,
-    ReservationBook,
-    realize,
-    trigger_check,
-)
+from .market import Money, PricePath, Rate, apply_rate
+from .realization import RealizationEvent, RealizationKind, Regime, realize
 from .scenario import (
     BUILTIN_NAMES,
     ComparisonReport,
@@ -59,12 +48,11 @@ __all__ = [
     "BorrowPosition",
     "Buy",
     "ComparisonReport",
-    "ConstructiveReservation",
     "CoverByOwnedLot",
     "CoverByPurchase",
     "Death",
-    "Fifo",
     "GridRow",
+    "Ledger",
     "LedgerEffects",
     "Lot",
     "Money",
@@ -76,12 +64,10 @@ __all__ = [
     "RealizationEvent",
     "RealizationKind",
     "Regime",
-    "ReservationBook",
     "RunReport",
     "Scenario",
     "SellOwned",
     "ShortSell",
-    "SpecificId",
     "TaxLine",
     "apply_event",
     "apply_rate",
@@ -89,15 +75,11 @@ __all__ = [
     "compare",
     "errors",
     "format_scenario",
-    "match_lots",
     "net_by_period",
     "offset_grid_rows",
     "parse_scenario",
-    "price_at",
     "realize",
     "run",
-    "step_up",
     "tax_due",
     "tax_timeline",
-    "trigger_check",
 ]

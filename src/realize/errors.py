@@ -46,18 +46,6 @@ class InvalidQuantity(EngineError):
         super().__init__(message)
 
 
-class UnknownLotId(EngineError):
-    """A specific-identification match named a lot id that does not exist."""
-
-
-class ReservationMismatch(EngineError):
-    """Internal consistency guard for the constructive-sale bookkeeping.
-
-    Raised when a proposed-regime cover delivers owned shares that do not
-    line up with the shares deemed disposed at the short-sale tick.
-    """
-
-
 class InvariantViolation(EngineError):
     """An internal consistency check failed.
 

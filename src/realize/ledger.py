@@ -1,4 +1,4 @@
-"""Event-sourced portfolio: owned lots, borrow positions, cash.
+"""Event-sourced portfolio: owned lots, borrow positions, reservations, cash.
 
 The ledger applies transaction events in scenario order and reports exactly
 what moved through a ``LedgerEffects`` record: lots consumed with their bases,
@@ -12,8 +12,17 @@ organised per security as a first-in first-out queue of lots and a list of
 borrow positions.  An event reads and changes only its own security, and lot
 matching stops at the last lot it needs, so the cost of an event does not
 grow with the rest of the portfolio.  ``PortfolioState`` is the frozen
-snapshot of a ledger; ``apply_event``, ``step_up`` and ``match_lots`` accept
-either, and never change a snapshot.
+snapshot of a ledger, and can seed a new one.
+
+The ledger also holds reservations: owned shares set aside against a short
+sale by ``Ledger.reserve``, which the proposed regime's constructive-sale
+rule calls.  Nothing else creates them, so under the current regime there
+are none and every event takes the same path.  Each event decides which
+owned shares it takes in the walk that applies it: an outright sale takes
+the oldest unreserved shares; a cover first settles the reservations made
+against the positions it covers, oldest reservation first (a cover with
+owned shares delivers them, a cover by purchase frees them), and delivers
+any further owned shares from the oldest unreserved ones.
 
 Two inventories are kept deliberately separate.  Owned lots carry purchase or
 inheritance basis.  Borrowed shares, although title passes to the borrower the
@@ -47,7 +56,6 @@ from .errors import (
     InvariantViolation,
     NoOpenBorrow,
     OverCover,
-    UnknownLotId,
 )
 from .market import _ZERO, Money, PricePath, SecurityId, Tick, record
 
@@ -148,32 +156,6 @@ class Death:
 TransactionEvent = Union[Buy, Borrow, ShortSell, SellOwned, CoverByPurchase, CoverByOwnedLot, Death]
 
 
-@dataclass(frozen=True)
-class Fifo:
-    """Match lots first-in first-out, optionally capping the take per lot."""
-
-    caps: tuple[tuple[int, int], ...] | None = None  # (lot id, max take)
-
-
-@dataclass(frozen=True)
-class SpecificId:
-    """Match the named lots, in the given order, filling each before the next."""
-
-    ids: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class Plan:
-    """Match an explicit (lot id, qty) schedule.  Internal plumbing for the runner."""
-
-    slices: tuple[tuple[int, int], ...]
-
-
-LotPolicy = Union[Fifo, SpecificId, Plan]
-
-_FIFO = Fifo()  # frozen, so one instance serves every plain first-in first-out match
-
-
 @record
 class LotSlice:
     """A quantity taken from one lot, with the basis it carried."""
@@ -183,7 +165,6 @@ class LotSlice:
     basis_per_share: Money
     acquired_at: Tick
     method: AcquisitionMethod
-    qty_before: int
 
 
 @record
@@ -211,7 +192,7 @@ class LedgerEffects:
     lots_consumed: tuple[LotSlice, ...] = ()
     shorts_sold: tuple[ShortSlice, ...] = ()
     shorts_covered: tuple[ShortSlice, ...] = ()
-    owned_lots: tuple[Lot, ...] = ()  # snapshot at a short sale, for the trigger check
+    reserved_slices: int = 0  # leading lots_consumed slices that a short sale had reserved
 
 
 class _Holdings:
@@ -232,7 +213,10 @@ class _Holdings:
 
 @dataclass(frozen=True)
 class PortfolioState(_Holdings):
-    """Frozen portfolio snapshot: lots in lot-id order, borrows grouped by security."""
+    """Frozen portfolio snapshot: lots in lot-id order, borrows grouped by security.
+
+    It carries no reservations: a ledger seeded from it has none.
+    """
 
     lots: tuple[Lot, ...] = ()
     borrows: tuple[BorrowPosition, ...] = ()
@@ -248,8 +232,8 @@ class PortfolioState(_Holdings):
         return tuple(p for p in self.borrows if p.sec == sec)
 
 
-def _slice(lot: Lot, qty: int, qty_before: int) -> LotSlice:
-    return LotSlice(lot.id, qty, lot.basis_per_share, lot.acquired_at, lot.method, qty_before)
+def _slice(lot: Lot, qty: int) -> LotSlice:
+    return LotSlice(lot.id, qty, lot.basis_per_share, lot.acquired_at, lot.method)
 
 
 def _fill(
@@ -268,14 +252,22 @@ def _fill(
     return plan, qty - remaining
 
 
+def _shortage(sec: SecurityId, need: int, available: int) -> InsufficientOwnedShares:
+    return InsufficientOwnedShares(f"need {need} shares of {sec}, only {available} available")
+
+
 class Ledger(_Holdings):
     """The mutable portfolio of one run, kept per security.
 
-    Each security has a first-in first-out queue of lots and a list of borrow
-    positions in cover order, so an event touches only its own security.  An
-    index of every open lot by id, in lot-id order, serves ``lots`` and
-    lot-id matching.  ``lots_of`` and ``borrows_of`` return the live
-    containers: read them, never change them.
+    Each security has a first-in first-out queue of lots, a list of borrow
+    positions in cover order and a queue of reserved (lot id, qty) slices,
+    oldest first, with the reserved count per lot; an event touches only its
+    own security.  Each borrow position sold short by a reserving sale
+    counts how many of its uncovered shares were sold against reserved ones,
+    and those count as covered before its others.  An index of every open
+    lot by id, in lot-id order, serves ``lots``.  ``lots_of``, ``borrows_of``
+    and ``reserved_by_lot`` return the live containers: read them, never
+    change them.
     """
 
     def __init__(self, state: PortfolioState | None = None) -> None:
@@ -283,6 +275,9 @@ class Ledger(_Holdings):
         self._by_id: dict[int, Lot] = {}
         self._lots: dict[SecurityId, deque[Lot]] = {}
         self._borrows: dict[SecurityId, list[BorrowPosition]] = {}
+        self._reservations: dict[SecurityId, deque[tuple[int, int]]] = {}
+        self._reserved: dict[SecurityId, dict[int, int]] = {}
+        self._constructive: dict[int, int] = {}  # borrow position id -> shares not yet covered
         for lot in state.lots:
             self._add_lot(lot)
         for pos in state.borrows:
@@ -307,6 +302,10 @@ class Ledger(_Holdings):
     def borrows_of(self, sec: SecurityId) -> list[BorrowPosition] | tuple[()]:
         return self._borrows.get(sec, ())
 
+    def reserved_by_lot(self, sec: SecurityId) -> dict[int, int]:
+        """Reserved share count per lot id of ``sec``."""
+        return self._reserved.get(sec, {})
+
     def securities(self) -> set[SecurityId]:
         return self._lots.keys() | self._borrows.keys()
 
@@ -320,62 +319,84 @@ class Ledger(_Holdings):
         self._by_id[lot.id] = lot
         self._lots.setdefault(lot.sec, deque()).append(lot)
 
-    def _owned(self, lot_id: int, sec: SecurityId) -> Lot:
-        lot = self._by_id.get(lot_id)
-        if lot is None or lot.sec != sec:
-            raise UnknownLotId(f"no owned lot {lot_id} of {sec}")
-        return lot
+    def _unreserved(self, sec: SecurityId, qty: int) -> list[LotSlice]:
+        """Slices of the oldest unreserved shares of ``sec``, at most ``qty`` of them.
 
-    def match(self, sec: SecurityId, qty: int, policy: LotPolicy = _FIFO) -> list[LotSlice]:
-        """Owned-lot slices totalling ``qty``; walks no further than it takes."""
-        if qty <= 0:
-            raise InvalidQuantity(f"quantity must be positive, got {qty}")
+        Only reserved lots are ever skipped or cut short, so the walk ends at
+        the last lot it needs.
+        """
+        reserved = self._reserved.get(sec)
         slices: list[LotSlice] = []
         remaining = qty
-        if isinstance(policy, Fifo):
-            caps = policy.caps and dict(policy.caps)
-            for lot in self.lots_of(sec):
-                amount = lot.qty if lot.qty < remaining else remaining
-                if caps:
-                    amount = min(amount, caps.get(lot.id, amount))
-                if amount > 0:
-                    slices.append(_slice(lot, amount, lot.qty))
-                    remaining -= amount
-                    if remaining == 0:
-                        break
-        elif isinstance(policy, SpecificId):
-            for lot_id in policy.ids:
-                lot = self._owned(lot_id, sec)
-                amount = min(remaining, lot.qty)
-                if amount > 0:
-                    slices.append(_slice(lot, amount, lot.qty))
-                    remaining -= amount
-        elif isinstance(policy, Plan):
-            taken: dict[int, int] = {}
-            for lot_id, amount in policy.slices:
-                if amount <= 0:
-                    raise InvalidQuantity(f"plan slice quantity must be positive, got {amount}")
-                lot = self._owned(lot_id, sec)
-                already = taken.get(lot_id, 0)
-                if already + amount > lot.qty:
-                    raise InsufficientOwnedShares(
-                        f"plan takes {already + amount} shares from lot {lot_id} holding {lot.qty}"
-                    )
-                slices.append(_slice(lot, amount, lot.qty - already))
-                taken[lot_id] = already + amount
+        for lot in self.lots_of(sec):
+            free = lot.qty - reserved.get(lot.id, 0) if reserved else lot.qty
+            amount = free if free < remaining else remaining
+            if amount > 0:
+                slices.append(_slice(lot, amount))
                 remaining -= amount
-            if remaining != 0:
-                raise InvalidQuantity(
-                    f"plan covers {qty - remaining} shares but {qty} were requested"
-                )
-        else:  # pragma: no cover - exhaustive over LotPolicy
-            raise TypeError(f"unknown lot policy {policy!r}")
-
-        if remaining > 0:
-            raise InsufficientOwnedShares(
-                f"need {qty} shares of {sec}, only {qty - remaining} available"
-            )
+                if remaining == 0:
+                    break
         return slices
+
+    def _oldest_reserved(self, sec: SecurityId, qty: int) -> list[tuple[int, int]]:
+        """(lot id, qty) takes of the oldest ``qty`` reserved shares of ``sec``."""
+        takes = []
+        for lot_id, reserved in self._reservations.get(sec, ()):
+            if qty == 0:
+                break
+            take = reserved if reserved < qty else qty
+            takes.append((lot_id, take))
+            qty -= take
+        return takes
+
+    def reserve(self, effects: LedgerEffects) -> list[LotSlice]:
+        """Reserve owned shares against the short sale whose ``effects`` were just applied.
+
+        Takes the oldest unreserved shares of the security, up to the
+        quantity sold short, and marks as many of the first shares sold as
+        sold against them.  Returns the reserved slices.
+        """
+        sec = effects.sec
+        slices = self._unreserved(sec, effects.qty)
+        if not slices:
+            return slices
+        queue = self._reservations.setdefault(sec, deque())
+        reserved = self._reserved.setdefault(sec, {})
+        total = 0
+        for s in slices:
+            queue.append((s.lot_id, s.qty))
+            reserved[s.lot_id] = reserved.get(s.lot_id, 0) + s.qty
+            total += s.qty
+        for s in effects.shorts_sold:
+            mark = total if total < s.qty else s.qty
+            self._constructive[s.position_id] = mark
+            total -= mark
+            if total == 0:
+                break
+        return slices
+
+    def _release(
+        self, sec: SecurityId, settled: list[tuple[int, int]], takes: list[tuple[int, int]]
+    ) -> None:
+        """Cover the (position id, qty) constructive shares and free the reserved ``takes``."""
+        constructive = self._constructive
+        for pos_id, qty in settled:
+            left = constructive[pos_id] - qty
+            if left:
+                constructive[pos_id] = left
+            else:
+                del constructive[pos_id]
+        queue, reserved = self._reservations[sec], self._reserved[sec]
+        for lot_id, take in takes:
+            if take == queue[0][1]:
+                queue.popleft()
+            else:
+                queue[0] = (lot_id, queue[0][1] - take)
+            left = reserved[lot_id] - take
+            if left:
+                reserved[lot_id] = left
+            else:
+                del reserved[lot_id]
 
     def _consume(self, sec: SecurityId, slices: list[LotSlice]) -> None:
         """Take matched shares, popping lots only up to the last one touched."""
@@ -398,6 +419,14 @@ class Ledger(_Holdings):
         queue.extendleft(reversed(kept))
 
     def step_up(self, at: Tick, path: PricePath) -> None:
+        """Transmit the portfolio to the heir with basis stepped up to the death-date price.
+
+        Every owned lot is re-based to fair market value at the death tick
+        and is thereafter an inherited holding; lot ids, and so the
+        reservations on them, are kept.  Open borrow positions transmit
+        unchanged, since the heir inherits the obligation to return the
+        shares.
+        """
         lots = [
             Lot(lot.id, lot.sec, lot.qty, path.price_at(lot.sec, at), at, AcquisitionMethod.INHERITANCE)
             for lot in self._by_id.values()
@@ -407,9 +436,7 @@ class Ledger(_Holdings):
             self._add_lot(lot)
         self.owner_generation += 1
 
-    def apply(
-        self, ev: TransactionEvent, path: PricePath, lot_policy: LotPolicy | None = None
-    ) -> LedgerEffects:
+    def apply(self, ev: TransactionEvent, path: PricePath) -> LedgerEffects:
         """Apply one event in place.  Every check runs before anything changes."""
         if isinstance(ev, Buy):
             price = path.price_at(ev.sec, ev.at)
@@ -460,18 +487,20 @@ class Ledger(_Holdings):
             return LedgerEffects(
                 event=ev, at=ev.at, sec=ev.sec, qty=ev.qty, price=price,
                 cash_delta=cash_delta, shorts_sold=tuple(slices),
-                owned_lots=tuple(self.lots_of(ev.sec)),
             )
 
         if isinstance(ev, SellOwned):
             price = path.price_at(ev.sec, ev.at)
-            slices = self.match(ev.sec, ev.qty, lot_policy or _FIFO)
-            self._consume(ev.sec, slices)
+            lot_slices = self._unreserved(ev.sec, ev.qty)
+            available = sum(s.qty for s in lot_slices)
+            if available < ev.qty:
+                raise _shortage(ev.sec, ev.qty, available)
+            self._consume(ev.sec, lot_slices)
             cash_delta = price * ev.qty
             self.cash += cash_delta
             return LedgerEffects(
                 event=ev, at=ev.at, sec=ev.sec, qty=ev.qty, price=price,
-                cash_delta=cash_delta, lots_consumed=tuple(slices),
+                cash_delta=cash_delta, lots_consumed=tuple(lot_slices),
             )
 
         if isinstance(ev, (CoverByPurchase, CoverByOwnedLot)):
@@ -483,13 +512,28 @@ class Ledger(_Holdings):
                     f"cover of {ev.qty} {ev.sec} exceeds open sold-short quantity {coverable}"
                 )
             covered: list[ShortSlice] = []
+            settled: list[tuple[int, int]] = []  # (position id, constructive shares covered)
+            reserved_qty = 0
             for i, amount in plan:
                 pos = positions[i]
                 if pos.short_proceeds_per_share is None or pos.sold_at is None:
                     raise InvariantViolation(f"borrow position {pos.id} is sold short without a price")
                 covered.append(ShortSlice(pos.id, amount, pos.short_proceeds_per_share, pos.sold_at))
+                constructive = self._constructive.get(pos.id)
+                if constructive:
+                    constructive = min(constructive, amount)
+                    settled.append((pos.id, constructive))
+                    reserved_qty += constructive
+            # Each constructive share covered frees, or delivers, the oldest reserved share.
+            takes = self._oldest_reserved(ev.sec, reserved_qty)
             by_purchase = isinstance(ev, CoverByPurchase)
-            slices = [] if by_purchase else self.match(ev.sec, ev.qty, lot_policy or _FIFO)
+            lot_slices = []
+            if not by_purchase:
+                lot_slices = [_slice(self._by_id[lot_id], take) for lot_id, take in takes]
+                lot_slices += self._unreserved(ev.sec, ev.qty - reserved_qty)
+                available = sum(s.qty for s in lot_slices)
+                if available < ev.qty:
+                    raise _shortage(ev.sec, ev.qty, available)
             for i, amount in reversed(plan):  # back to front keeps the earlier indices valid
                 pos = positions[i]
                 if amount < pos.qty_outstanding:
@@ -499,6 +543,8 @@ class Ledger(_Holdings):
                     )
                 else:
                     del positions[i]
+            if settled:
+                self._release(ev.sec, settled, takes)
             if by_purchase:
                 cash_delta = -(price * ev.qty)
                 self.cash += cash_delta
@@ -506,11 +552,11 @@ class Ledger(_Holdings):
                     event=ev, at=ev.at, sec=ev.sec, qty=ev.qty, price=price,
                     cash_delta=cash_delta, shorts_covered=tuple(covered),
                 )
-            self._consume(ev.sec, slices)
+            self._consume(ev.sec, lot_slices)
             return LedgerEffects(
                 event=ev, at=ev.at, sec=ev.sec, qty=ev.qty, price=price,
-                cash_delta=_ZERO,
-                lots_consumed=tuple(slices), shorts_covered=tuple(covered),
+                cash_delta=_ZERO, lots_consumed=tuple(lot_slices),
+                shorts_covered=tuple(covered), reserved_slices=len(takes),
             )
 
         if isinstance(ev, Death):
@@ -522,51 +568,12 @@ class Ledger(_Holdings):
         raise TypeError(f"unknown transaction event {ev!r}")  # pragma: no cover
 
 
-Portfolio = Union[PortfolioState, Ledger]
-
-
-def _private(state: Portfolio) -> Ledger:
-    return state if isinstance(state, Ledger) else Ledger(state)
-
-
-def match_lots(
-    state: Portfolio,
-    sec: SecurityId,
-    qty: int,
-    policy: LotPolicy = _FIFO,
-) -> list[LotSlice]:
-    """Select owned-lot slices totalling ``qty`` under the matching policy.
-
-    Pure query: the returned slices describe what a disposal would consume;
-    ``apply_event`` performs the actual consumption.
-    """
-    return _private(state).match(sec, qty, policy)
-
-
-def step_up(state: Portfolio, at: Tick, path: PricePath) -> Portfolio:
-    """Transmit the portfolio to the heir with basis stepped up to the death-date price.
-
-    Every owned lot is re-based to fair market value at the death tick and is
-    thereafter an inherited holding; open borrow positions transmit unchanged,
-    since the heir inherits the contractual obligation to return the shares.
-    """
-    ledger = _private(state)
-    ledger.step_up(at, path)
-    return ledger if ledger is state else ledger.snapshot()
-
-
 def apply_event(
-    state: Portfolio,
-    ev: TransactionEvent,
-    path: PricePath,
-    lot_policy: LotPolicy | None = None,
-) -> tuple[Portfolio, LedgerEffects]:
-    """Apply one transaction event, returning the portfolio after it and its effects.
+    ledger: Ledger, ev: TransactionEvent, path: PricePath
+) -> tuple[Ledger, LedgerEffects]:
+    """Apply one transaction event to a run's ledger, in place.
 
-    A run's own ``Ledger`` changes in place and comes back; a
-    ``PortfolioState`` is never changed, even when the event raises, and a new
-    snapshot comes back.
+    Returns the ledger with the event's effects.  An event that raises
+    leaves the ledger as it was.
     """
-    ledger = _private(state)
-    effects = ledger.apply(ev, path, lot_policy)
-    return (ledger if ledger is state else ledger.snapshot()), effects
+    return ledger, ledger.apply(ev, path)

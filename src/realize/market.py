@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import inspect
 import re
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import MISSING, FrozenInstanceError, dataclass, fields
 from typing import Mapping, TypeVar
 
 from .errors import MissingPrice, NegativeBase
@@ -26,6 +26,17 @@ SecurityId = str
 CENTAVOS_PER_PESO = 100
 
 _MONEY_RE = re.compile(r"(-?)(\d+)(?:\.(\d{1,2}))?", re.ASCII)
+
+
+# A slotted frozen dataclass's own __setattr__ and __delattr__ name the class
+# through a stale super() cell for any non-field name and raise TypeError;
+# these refuse every name the way they refuse a field.
+def _refuse_set(self, name: str, value: object) -> None:
+    raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+
+def _refuse_delete(self, name: str) -> None:
+    raise FrozenInstanceError(f"cannot delete field {name!r}")
 
 
 @dataclass(frozen=True, order=True, slots=True)
@@ -97,6 +108,8 @@ class Money:
         return f"{sign}{a // 100:,}.{a % 100:02d}"
 
 
+Money.__setattr__, Money.__delattr__ = _refuse_set, _refuse_delete
+
 # Trusted construction: a slot's member descriptor sets the slot itself,
 # past the frozen __setattr__.  ``_money`` uses it for Money results, and
 # ``record`` for the ``__init__`` of every engine record.
@@ -149,6 +162,7 @@ def record(cls: type[_R]) -> type[_R]:
     init.__qualname__ = f"{cls.__qualname__}.__init__"
     init.__annotations__ = {f.name: f.type for f in fields(cls)} | {"return": None}
     cls.__init__ = init
+    cls.__setattr__, cls.__delattr__ = _refuse_set, _refuse_delete
     if not doc:  # as dataclass writes it, from the signature
         cls.__doc__ = cls.__name__ + str(inspect.signature(cls)).replace(" -> None", "")
     return cls
@@ -222,7 +236,3 @@ class PricePath:
 
     def ticks(self, sec: SecurityId) -> tuple[Tick, ...]:
         return tuple(sorted(t for s, t in self.quotes if s == sec))
-
-
-def price_at(path: PricePath, sec: SecurityId, t: Tick) -> Money:
-    return path.price_at(sec, t)

@@ -43,14 +43,7 @@ from .ledger import (
     apply_event,
 )
 from .market import Money, PricePath, SecurityId, Tick, _money, record
-from .realization import (
-    RealizationEvent,
-    Regime,
-    ReservationBook,
-    cover_policy,
-    realize,
-    sell_policy,
-)
+from .realization import RealizationEvent, Regime, realize
 from .taxation import (
     NettingWindow,
     RateSchedule,
@@ -60,6 +53,9 @@ from .taxation import (
 )
 
 BLOCK_QTY = 100_000
+
+# bench/spans.py looks these two names up: the ledger's two owned-share walks.
+sell_policy, cover_policy = Ledger._unreserved, Ledger._oldest_reserved
 
 
 @dataclass(frozen=True)
@@ -475,20 +471,13 @@ def run(
     index (``event_index`` attribute).
     """
     ledger = Ledger()
-    book = ReservationBook()
     realized: list[RealizationEvent] = []
     cash_deltas: dict[Tick, int] = {}
 
     for index, ev in enumerate(scenario.events):
         try:
-            policy = None
-            if regime is Regime.PROPOSED:
-                if isinstance(ev, SellOwned):
-                    policy = sell_policy(ledger, book, ev.sec)
-                elif isinstance(ev, CoverByOwnedLot):
-                    policy = cover_policy(ledger, book, ev.sec, ev.qty)
-            ledger, effects = apply_event(ledger, ev, scenario.prices, policy)
-            events, book = realize(effects, regime, book)
+            ledger, effects = apply_event(ledger, ev, scenario.prices)
+            events, ledger = realize(effects, regime, ledger)
         except EngineError as err:
             raise _annotate(err, index)
         realized.extend(events)

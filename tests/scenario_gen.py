@@ -19,20 +19,17 @@ from realize import (
     CoverByOwnedLot,
     CoverByPurchase,
     Death,
+    Ledger,
     Money,
-    PortfolioState,
     PricePath,
     Regime,
-    ReservationBook,
     Scenario,
     SellOwned,
     ShortSell,
     apply_event,
     realize,
-    trigger_check,
 )
 from realize.errors import EngineError
-from realize.realization import cover_policy, sell_policy
 
 _KINDS = (
     "buy", "buy", "borrow", "borrow", "short", "short", "sell",
@@ -58,8 +55,7 @@ def random_scenario(rng: random.Random, name: str = "generated") -> GeneratedSce
     }
     path = PricePath(quotes)
 
-    state = PortfolioState()
-    book = ReservationBook()
+    state = Ledger()
     events = []
     short_ticks: set[int] = set()
     realizing_ticks: set[int] = set()
@@ -81,7 +77,7 @@ def random_scenario(rng: random.Random, name: str = "generated") -> GeneratedSce
                 if avail:
                     ev = ShortSell(t, sec, rng.randint(1, avail))
             elif kind == "sell" and t not in short_ticks:
-                avail = trigger_check(state, book, sec)
+                avail = state.owned_qty(sec) - sum(state.reserved_by_lot(sec).values())
                 if avail:
                     ev = SellOwned(t, sec, rng.randint(1, avail))
             elif kind == "cover_p" and t not in short_ticks:
@@ -99,16 +95,10 @@ def random_scenario(rng: random.Random, name: str = "generated") -> GeneratedSce
             if ev is None:
                 continue
             try:
-                policy = None
-                if isinstance(ev, SellOwned):
-                    policy = sell_policy(state, book, ev.sec)
-                elif isinstance(ev, CoverByOwnedLot):
-                    policy = cover_policy(state, book, ev.sec, ev.qty)
-                new_state, effects = apply_event(state, ev, path, policy)
-                _, new_book = realize(effects, Regime.PROPOSED, book)
-            except EngineError:
+                _, effects = apply_event(state, ev, path)
+            except EngineError:  # leaves the ledger as it was
                 continue
-            state, book = new_state, new_book
+            realize(effects, Regime.PROPOSED, state)
             events.append(ev)
             if isinstance(ev, ShortSell):
                 short_ticks.add(t)

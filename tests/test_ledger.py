@@ -11,19 +11,16 @@ from realize import (
     CoverByOwnedLot,
     CoverByPurchase,
     Death,
-    Fifo,
+    Ledger,
     Lot,
     Money,
     PortfolioState,
     PricePath,
     SellOwned,
     ShortSell,
-    SpecificId,
     apply_event,
-    match_lots,
-    step_up,
 )
-from realize.ledger import BorrowPosition, Ledger
+from realize.ledger import BorrowPosition
 from realize.errors import (
     EngineError,
     InsufficientOwnedShares,
@@ -32,7 +29,6 @@ from realize.errors import (
     MissingPrice,
     NoOpenBorrow,
     OverCover,
-    UnknownLotId,
 )
 
 ABC_PRICES = PricePath.from_table(
@@ -41,12 +37,10 @@ ABC_PRICES = PricePath.from_table(
 
 
 def apply_all(events, path=ABC_PRICES, state=None):
-    state = state or PortfolioState()
-    effects = []
-    for ev in events:
-        state, eff = apply_event(state, ev, path)
-        effects.append(eff)
-    return state, effects
+    """Apply events to a ledger seeded from ``state``: its snapshot after them, and their effects."""
+    ledger = Ledger(state)
+    effects = [apply_event(ledger, ev, path)[1] for ev in events]
+    return ledger.snapshot(), effects
 
 
 TRADES = (Buy, Borrow, ShortSell, SellOwned, CoverByPurchase, CoverByOwnedLot)
@@ -241,34 +235,20 @@ class TestMatchLots:
             next_lot_id=2,
         )
 
+    def sold(self, state, qty):
+        _, (effects,) = apply_all([SellOwned(2, "ABC", qty)], state=state)
+        return effects.lots_consumed
+
     def test_single_lot_full_take(self):
         state = PortfolioState(lots=(Lot(0, "ABC", 100_000, Money.from_pesos(50), 1),))
-        (s,) = match_lots(state, "ABC", 100_000)
+        (s,) = self.sold(state, 100_000)
         assert (s.lot_id, s.qty, s.basis_per_share) == (0, 100_000, Money.from_pesos(50))
 
     def test_fifo_spills_into_second_lot(self):
         # Forced by the FIFO definition: the older lot empties first.
-        a, b = match_lots(self.two_lot_state(), "ABC", 100_000)
+        a, b = self.sold(self.two_lot_state(), 100_000)
         assert (a.lot_id, a.qty, a.basis_per_share) == (0, 60_000, Money.from_pesos(50))
         assert (b.lot_id, b.qty, b.basis_per_share) == (1, 40_000, Money.from_pesos(80))
-
-    def test_zero_request_rejected(self):
-        with pytest.raises(InvalidQuantity):
-            match_lots(self.two_lot_state(), "ABC", 0)
-
-    def test_specific_id_order(self):
-        b, a = match_lots(self.two_lot_state(), "ABC", 100_000, SpecificId((1, 0)))
-        assert (b.lot_id, b.qty) == (1, 60_000)
-        assert (a.lot_id, a.qty) == (0, 40_000)
-
-    def test_specific_id_unknown_lot(self):
-        with pytest.raises(UnknownLotId):
-            match_lots(self.two_lot_state(), "ABC", 10, SpecificId((7,)))
-
-    def test_fifo_caps_limit_each_lot(self):
-        a, b = match_lots(self.two_lot_state(), "ABC", 70_000, Fifo(caps=((0, 20_000),)))
-        assert (a.lot_id, a.qty) == (0, 20_000)
-        assert (b.lot_id, b.qty) == (1, 50_000)
 
 
 class TestStepUp:
@@ -276,9 +256,14 @@ class TestStepUp:
         {"ABC": {1: Money.from_pesos(50), 3: Money.from_pesos(130)}}
     )
 
+    def step_up(self, state, at=3, path=DEATH_PRICES):
+        ledger = Ledger(state)
+        ledger.step_up(at, path)
+        return ledger.snapshot()
+
     def test_basis_steps_up_to_death_price(self):
         state, _ = apply_all([Buy(1, "ABC", 100_000)], path=self.DEATH_PRICES)
-        after = step_up(state, 3, self.DEATH_PRICES)
+        after = self.step_up(state)
         (lot,) = after.lots
         assert lot.basis_per_share == Money.from_pesos(130)
         assert lot.method is AcquisitionMethod.INHERITANCE
@@ -287,7 +272,7 @@ class TestStepUp:
 
     def test_step_up_to_same_price_keeps_value(self):
         state = PortfolioState(lots=(Lot(0, "ABC", 100, Money.from_pesos(130), 1),))
-        after = step_up(state, 3, self.DEATH_PRICES)
+        after = self.step_up(state)
         assert after.lots[0].basis_per_share == Money.from_pesos(130)
 
     def test_open_borrow_transmits_unchanged(self):
@@ -295,23 +280,23 @@ class TestStepUp:
             {"ABC": {2: Money.from_pesos(100), 3: Money.from_pesos(130)}}
         )
         state, _ = apply_all([Borrow(2, "ABC", 100), ShortSell(2, "ABC", 100)], path=path)
-        after = step_up(state, 3, path)
+        after = self.step_up(state, path=path)
         assert after.borrows == state.borrows
 
     def test_step_up_idempotent_on_price(self):
         state, _ = apply_all([Buy(1, "ABC", 100)], path=self.DEATH_PRICES)
-        once = step_up(state, 3, self.DEATH_PRICES)
-        twice = step_up(once, 3, self.DEATH_PRICES)
+        once = self.step_up(state)
+        twice = self.step_up(once)
         assert [l.basis_per_share for l in once.lots] == [l.basis_per_share for l in twice.lots]
 
     def test_missing_price_at_death_tick(self):
         state, _ = apply_all([Buy(1, "ABC", 100)], path=self.DEATH_PRICES)
         with pytest.raises(MissingPrice):
-            step_up(state, 2, self.DEATH_PRICES)
+            self.step_up(state, at=2)
 
     def test_death_event_applies_step_up(self):
         state, _ = apply_all([Buy(1, "ABC", 100)], path=self.DEATH_PRICES)
-        after, eff = apply_event(state, Death(3, heir="Y"), self.DEATH_PRICES)
+        after, (eff,) = apply_all([Death(3, heir="Y")], self.DEATH_PRICES, state)
         assert after.owner_generation == 1
         assert eff.cash_delta == Money.zero()
 
@@ -330,20 +315,22 @@ class TestPerSecurityLedger:
         )
         for ev in (Buy(2, "ABC", 5), SellOwned(2, "ABC", 10), CoverByPurchase(2, "ABC", 60),
                    CoverByOwnedLot(2, "ABC", 10), Death(2)):
-            after, _ = apply_event(state, ev, ABC_PRICES)
-            assert isinstance(after, PortfolioState) and after != state
+            seeded = Ledger(state)
+            apply_event(seeded, ev, ABC_PRICES)
+            assert seeded.snapshot() != state
             assert state == before
         for bad in (SellOwned(2, "ABC", 11), ShortSell(2, "ABC", 1), Buy(9, "ABC", 1),
                     CoverByPurchase(2, "ABC", 101), CoverByOwnedLot(2, "ABC", 50)):
+            seeded = Ledger(state)
             with pytest.raises(EngineError):
-                apply_event(state, bad, ABC_PRICES)
-            assert state == before
+                apply_event(seeded, bad, ABC_PRICES)
+            assert seeded.snapshot() == state == before
 
     def test_ledger_is_unchanged_by_an_event_that_raises(self):
         # The cover finds its short positions, then runs out of owned lots.
-        ledger, _ = apply_all(
-            [Buy(1, "ABC", 10), Borrow(1, "ABC", 100), ShortSell(1, "ABC", 100)], state=Ledger()
-        )
+        ledger = Ledger()
+        for ev in (Buy(1, "ABC", 10), Borrow(1, "ABC", 100), ShortSell(1, "ABC", 100)):
+            apply_event(ledger, ev, ABC_PRICES)
         before = ledger.snapshot()
         with pytest.raises(InsufficientOwnedShares):
             apply_event(ledger, CoverByOwnedLot(2, "ABC", 50), ABC_PRICES)
@@ -382,17 +369,16 @@ class TestPerSecurityLedger:
             SellOwned(3, "AAA", 150),
             CoverByOwnedLot(3, "BBB", 100),
         ]
-        for start in (PortfolioState(), Ledger()):
-            state, effects = apply_all(events, path=THREE_PRICES, state=start)
-            sale, cover = effects[-2:]
-            assert [(s.lot_id, s.qty) for s in sale.lots_consumed] == [(0, 100), (3, 50)]
-            assert [(s.lot_id, s.qty) for s in cover.lots_consumed] == [(1, 100)]
-            assert [(lot.id, lot.qty) for lot in state.lots_of("AAA")] == [(3, 50), (6, 100)]
-            assert [(lot.id, lot.qty) for lot in state.lots_of("BBB")] == [(4, 100), (7, 100)]
-            assert [(lot.id, lot.qty) for lot in state.lots_of("CCC")] == [(2, 100), (5, 100), (8, 100)]
-            assert not state.borrows_of("BBB")
+        state, effects = apply_all(events, path=THREE_PRICES)
+        sale, cover = effects[-2:]
+        assert [(s.lot_id, s.qty) for s in sale.lots_consumed] == [(0, 100), (3, 50)]
+        assert [(s.lot_id, s.qty) for s in cover.lots_consumed] == [(1, 100)]
+        assert [(lot.id, lot.qty) for lot in state.lots_of("AAA")] == [(3, 50), (6, 100)]
+        assert [(lot.id, lot.qty) for lot in state.lots_of("BBB")] == [(4, 100), (7, 100)]
+        assert [(lot.id, lot.qty) for lot in state.lots_of("CCC")] == [(2, 100), (5, 100), (8, 100)]
+        assert not state.borrows_of("BBB")
 
     def test_sold_position_without_price_is_an_engine_error(self):
         state = PortfolioState(borrows=(BorrowPosition(0, "ABC", 100, 1, qty_sold_short=100),))
         with pytest.raises(InvariantViolation):
-            apply_event(state, CoverByPurchase(2, "ABC", 100), ABC_PRICES)
+            apply_event(Ledger(state), CoverByPurchase(2, "ABC", 100), ABC_PRICES)

@@ -14,13 +14,12 @@ from realize import (
     Buy,
     CoverByOwnedLot,
     CoverByPurchase,
+    Ledger,
     Money,
-    PortfolioState,
     PricePath,
     RateSchedule,
     RealizationKind,
     Regime,
-    ReservationBook,
     Scenario,
     SellOwned,
     ShortSell,
@@ -32,7 +31,6 @@ from realize import (
     realize,
     run,
 )
-from realize.realization import cover_policy, sell_policy
 from scenario_gen import random_scenario
 
 peso_price = st.integers(min_value=1, max_value=1000)
@@ -208,21 +206,14 @@ class TestBuiltinInvariants:
 
 
 def fold(scenario, regime):
-    """Thread the events through the public snapshot API, one event at a time."""
-    state = PortfolioState()
-    book = ReservationBook()
+    """Thread the events through the public API, one event at a time."""
+    ledger = Ledger()
     events = []
     for ev in scenario.events:
-        policy = None
-        if regime is Regime.PROPOSED:
-            if isinstance(ev, SellOwned):
-                policy = sell_policy(state, book, ev.sec)
-            elif isinstance(ev, CoverByOwnedLot):
-                policy = cover_policy(state, book, ev.sec, ev.qty)
-        state, effects = apply_event(state, ev, scenario.prices, policy)
-        out, book = realize(effects, regime, book)
+        ledger, effects = apply_event(ledger, ev, scenario.prices)
+        out, ledger = realize(effects, regime, ledger)
         events.extend(out)
-    return events, state
+    return events, ledger.snapshot()
 
 
 class TestRunEqualsPublicFold:

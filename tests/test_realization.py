@@ -8,46 +8,41 @@ from realize import (
     CoverByOwnedLot,
     CoverByPurchase,
     Death,
-    Fifo,
+    Ledger,
     LedgerEffects,
     Money,
-    PortfolioState,
     PricePath,
     RealizationEvent,
     RealizationKind,
     Regime,
-    ReservationBook,
     SellOwned,
+    Scenario,
     ShortSell,
-    SpecificId,
     apply_event,
     realize,
-    trigger_check,
+    run,
 )
-from realize.errors import EngineError, InsufficientOwnedShares, ReservationMismatch
-from realize.realization import cover_policy, sell_policy
+from realize.errors import EngineError, InsufficientOwnedShares, OverCover
 
 ABC_PRICES = PricePath.from_table(
     {"ABC": {1: Money.from_pesos(50), 2: Money.from_pesos(100), 3: Money.from_pesos(30)}}
 )
 
 
-def run_events(events, regime, path=ABC_PRICES, state=None, book=None):
+def run_events(events, regime, path=ABC_PRICES, ledger=None):
     """Thread events through ledger and realization, like the runner does."""
-    state = PortfolioState() if state is None else state
-    book = ReservationBook() if book is None else book
+    ledger = Ledger() if ledger is None else ledger
     out = []
     for ev in events:
-        policy = None
-        if regime is Regime.PROPOSED:
-            if isinstance(ev, SellOwned):
-                policy = sell_policy(state, book, ev.sec)
-            elif isinstance(ev, CoverByOwnedLot):
-                policy = cover_policy(state, book, ev.sec, ev.qty)
-        state, effects = apply_event(state, ev, path, policy)
-        events_out, book = realize(effects, regime, book)
+        ledger, effects = apply_event(ledger, ev, path)
+        events_out, ledger = realize(effects, regime, ledger)
         out.extend(events_out)
-    return out, state, book
+    return out, ledger
+
+
+def unreserved(ledger, sec="ABC"):
+    """Owned shares of ``sec`` that no short sale has reserved."""
+    return ledger.owned_qty(sec) - sum(ledger.reserved_by_lot(sec).values())
 
 
 STRATEGY3 = (
@@ -60,7 +55,7 @@ STRATEGY3 = (
 
 class TestCurrentRegime:
     def test_ordinary_sale_realizes_at_sale(self):
-        events, _, _ = run_events([Buy(1, "ABC", 100_000), SellOwned(2, "ABC", 100_000)], Regime.CURRENT)
+        events, _ = run_events([Buy(1, "ABC", 100_000), SellOwned(2, "ABC", 100_000)], Regime.CURRENT)
         (sale,) = events
         assert sale.kind is RealizationKind.ORDINARY_SALE
         assert sale.at == 2
@@ -69,13 +64,13 @@ class TestCurrentRegime:
         assert sale.gain_total == Money.from_pesos(5_000_000)
 
     def test_short_sell_realizes_nothing(self):
-        events, _, _ = run_events(
+        events, _ = run_events(
             [Borrow(2, "ABC", 100_000), ShortSell(2, "ABC", 100_000)], Regime.CURRENT
         )
         assert events == []
 
     def test_cover_by_purchase_realizes_whole_cycle_at_cover(self):
-        events, _, _ = run_events(
+        events, _ = run_events(
             [
                 Borrow(2, "ABC", 100_000),
                 ShortSell(2, "ABC", 100_000),
@@ -91,7 +86,7 @@ class TestCurrentRegime:
         assert cover.gain_total == Money.from_pesos(7_000_000)
 
     def test_cover_by_owned_lot_emits_exactly_two_events(self):
-        events, _, _ = run_events(STRATEGY3, Regime.CURRENT)
+        events, _ = run_events(STRATEGY3, Regime.CURRENT)
         assert len(events) == 2
         disposal, cover = events
         assert disposal.kind is RealizationKind.OWNED_DISPOSAL_AT_COVER
@@ -103,7 +98,7 @@ class TestCurrentRegime:
         assert cover.gain_per_share == Money.from_pesos(70)
 
     def test_same_tick_buy_sell_zero_gain(self):
-        events, _, _ = run_events([Buy(1, "ABC", 100), SellOwned(1, "ABC", 100)], Regime.CURRENT)
+        events, _ = run_events([Buy(1, "ABC", 100), SellOwned(1, "ABC", 100)], Regime.CURRENT)
         (sale,) = events
         assert sale.gain_per_share == Money.zero()
         assert sale.gain_total == Money.zero()
@@ -119,7 +114,7 @@ class TestCurrentRegime:
                 }
             }
         )
-        events, _, _ = run_events(
+        events, _ = run_events(
             [
                 Buy(1, "ABC", 100_000),
                 Borrow(2, "ABC", 100_000),
@@ -136,7 +131,7 @@ class TestCurrentRegime:
         assert cover.gain_total == Money.from_pesos(-3_000_000)
 
     def test_cover_price_cancels_in_owned_cover_net(self):
-        events, _, _ = run_events(STRATEGY3, Regime.CURRENT)
+        events, _ = run_events(STRATEGY3, Regime.CURRENT)
         disposal, cover = events
         net = disposal.gain_total + cover.gain_total
         # short proceeds 100 less original basis 50, independent of the 30 cover price
@@ -145,17 +140,17 @@ class TestCurrentRegime:
 
 class TestProposedRegime:
     def test_short_against_owned_realizes_constructively(self):
-        events, _, book = run_events(STRATEGY3[:3], Regime.PROPOSED)
+        events, ledger = run_events(STRATEGY3[:3], Regime.PROPOSED)
         (constructive,) = events
         assert constructive.kind is RealizationKind.CONSTRUCTIVE_SALE
         assert constructive.at == 2
         assert constructive.amount_realized_per_share == Money.from_pesos(100)
         assert constructive.basis_per_share == Money.from_pesos(50)
         assert constructive.gain_total == Money.from_pesos(5_000_000)
-        assert sum(e.qty for e in book.entries) == 100_000
+        assert sum(ledger.reserved_by_lot("ABC").values()) == 100_000
 
     def test_cover_emits_only_the_short_cover(self):
-        events, state, book = run_events(STRATEGY3, Regime.PROPOSED)
+        events, ledger = run_events(STRATEGY3, Regime.PROPOSED)
         assert [e.kind for e in events] == [
             RealizationKind.CONSTRUCTIVE_SALE,
             RealizationKind.SHORT_COVER,
@@ -165,19 +160,19 @@ class TestProposedRegime:
         assert cover.amount_realized_per_share == Money.from_pesos(100)
         assert cover.basis_per_share == Money.from_pesos(30)
         assert cover.gain_total == Money.from_pesos(7_000_000)
-        assert book.entries == ()
-        assert state.lots == ()
+        assert ledger.reserved_by_lot("ABC") == {}
+        assert not ledger.lots
 
     def test_short_without_owned_shares_follows_current_rule(self):
-        events, _, book = run_events(
+        events, ledger = run_events(
             [Borrow(2, "ABC", 100), ShortSell(2, "ABC", 100)], Regime.PROPOSED
         )
         assert events == []
-        assert book.entries == ()
+        assert ledger.reserved_by_lot("ABC") == {}
 
     def test_constructive_sale_matches_ordinary_sale_of_same_lot(self):
-        proposed, _, _ = run_events(STRATEGY3[:3], Regime.PROPOSED)
-        current, _, _ = run_events(
+        proposed, _ = run_events(STRATEGY3[:3], Regime.PROPOSED)
+        current, _ = run_events(
             [Buy(1, "ABC", 100_000), SellOwned(2, "ABC", 100_000)], Regime.CURRENT
         )
         (constructive,) = proposed
@@ -192,7 +187,7 @@ class TestProposedRegime:
         # remaining 40,000 follow the current rule and realize at cover.
         # Hand-computed slices: constructive (100-50)*60k = 3,000,000 at t2;
         # cover (100-30)*100k = 7,000,000 at t3.
-        events, _, book = run_events(
+        events, ledger = run_events(
             [
                 Buy(1, "ABC", 60_000),
                 Borrow(2, "ABC", 100_000),
@@ -203,9 +198,9 @@ class TestProposedRegime:
         (constructive,) = events
         assert constructive.qty == 60_000
         assert constructive.gain_total == Money.from_pesos(3_000_000)
-        assert sum(e.qty for e in book.entries) == 60_000
+        assert sum(ledger.reserved_by_lot("ABC").values()) == 60_000
 
-        events, _, _ = run_events(
+        events, _ = run_events(
             [
                 Buy(1, "ABC", 60_000),
                 Borrow(2, "ABC", 100_000),
@@ -223,7 +218,7 @@ class TestProposedRegime:
         # Own 60,000 at the short, buy 40,000 more later, cover all 100,000
         # with owned shares: the reserved 60,000 emit no owned-side event,
         # the late 40,000 follow the current two-event rule.
-        events, state, book = run_events(
+        events, ledger = run_events(
             [
                 Buy(1, "ABC", 60_000),
                 Borrow(2, "ABC", 100_000),
@@ -234,13 +229,16 @@ class TestProposedRegime:
             Regime.PROPOSED,
         )
         kinds = [e.kind for e in events]
-        assert kinds.count(RealizationKind.CONSTRUCTIVE_SALE) == 1
-        assert kinds.count(RealizationKind.OWNED_DISPOSAL_AT_COVER) == 1
+        assert kinds == [  # owned disposals first, then the short cover
+            RealizationKind.CONSTRUCTIVE_SALE,
+            RealizationKind.OWNED_DISPOSAL_AT_COVER,
+            RealizationKind.SHORT_COVER,
+        ]
         disposal = next(e for e in events if e.kind is RealizationKind.OWNED_DISPOSAL_AT_COVER)
         assert disposal.qty == 40_000
         assert disposal.basis_per_share == Money.from_pesos(30)
-        assert book.entries == ()
-        assert state.lots == ()
+        assert ledger.reserved_by_lot("ABC") == {}
+        assert not ledger.lots
 
     def test_reserved_shares_cannot_be_sold(self):
         with pytest.raises(InsufficientOwnedShares):
@@ -255,7 +253,7 @@ class TestProposedRegime:
             )
 
     def test_unreserved_remainder_can_be_sold(self):
-        events, _, _ = run_events(
+        events, _ = run_events(
             [
                 Buy(1, "ABC", 100_000),
                 Borrow(2, "ABC", 60_000),
@@ -268,7 +266,7 @@ class TestProposedRegime:
         assert sale.qty == 40_000
 
     def test_cover_by_purchase_releases_reservation(self):
-        events, _, book = run_events(
+        events, ledger = run_events(
             [
                 Buy(1, "ABC", 100_000),
                 Borrow(2, "ABC", 100_000),
@@ -278,7 +276,7 @@ class TestProposedRegime:
             ],
             Regime.PROPOSED,
         )
-        assert book.entries == ()
+        assert ledger.reserved_by_lot("ABC") == {}
         sale = next(e for e in events if e.kind is RealizationKind.ORDINARY_SALE)
         assert sale.qty == 100_000
 
@@ -286,7 +284,7 @@ class TestProposedRegime:
         # Cover 40,000 by purchase (releases that much reservation), then the
         # remaining 60,000 with owned shares; 40,000 shares stay owned and
         # sellable afterwards.
-        events, state, book = run_events(
+        events, ledger = run_events(
             [
                 Buy(1, "ABC", 100_000),
                 Borrow(2, "ABC", 100_000),
@@ -304,9 +302,9 @@ class TestProposedRegime:
             RealizationKind.SHORT_COVER,
             RealizationKind.ORDINARY_SALE,
         ]
-        assert book.entries == ()
-        assert state.lots == ()
-        assert state.borrows == ()
+        assert ledger.reserved_by_lot("ABC") == {}
+        assert not ledger.lots
+        assert ledger.borrows == ()
 
     def test_all_other_kinds_match_current(self):
         for seq in (
@@ -314,28 +312,9 @@ class TestProposedRegime:
             [Buy(1, "ABC", 100), SellOwned(2, "ABC", 100)],
             [Borrow(2, "ABC", 100)],
         ):
-            current, _, _ = run_events(seq, Regime.CURRENT)
-            proposed, _, _ = run_events(seq, Regime.PROPOSED)
+            current, _ = run_events(seq, Regime.CURRENT)
+            proposed, _ = run_events(seq, Regime.PROPOSED)
             assert current == proposed
-
-    def test_reservation_mismatch_on_wrong_delivery(self):
-        # Deliver a different lot than the one deemed disposed: the internal
-        # consistency guard refuses to double-treat the owned disposal.
-        state = PortfolioState()
-        book = ReservationBook()
-        for ev in (
-            Buy(1, "ABC", 100),
-            Borrow(2, "ABC", 100),
-            ShortSell(2, "ABC", 100),
-            Buy(3, "ABC", 100),
-        ):
-            state, effects = apply_event(state, ev, ABC_PRICES)
-            _, book = realize(effects, Regime.PROPOSED, book)
-        state, effects = apply_event(
-            state, CoverByOwnedLot(3, "ABC", 100), ABC_PRICES, SpecificId((1,))
-        )
-        with pytest.raises(ReservationMismatch):
-            realize(effects, Regime.PROPOSED, book)
 
 
 class TestReservationOrder:
@@ -347,7 +326,7 @@ class TestReservationOrder:
         path = PricePath.from_table(
             {"ABC": {t: Money.from_pesos(p) for t, p in enumerate(prices, start=1)}}
         )
-        events, state, book = run_events(
+        events, ledger = run_events(
             [
                 Buy(1, "ABC", 100),
                 Buy(2, "ABC", 100),
@@ -378,36 +357,38 @@ class TestReservationOrder:
                 (9, K.ORDINARY_SALE, 60, 10),
             )
         ]
-        assert book.entries == ()
-        assert state.lots == () and state.borrows == ()
+        assert ledger.reserved_by_lot("ABC") == {}
+        assert not ledger.lots and ledger.borrows == ()
 
 
 class TestRaisingRealizeLeavesBookUnchanged:
+    """An event that raises leaves the ledger, reservations included, as it was."""
+
     OPENING = [Buy(1, "ABC", 100), Borrow(2, "ABC", 100), ShortSell(2, "ABC", 100)]
 
-    def assert_unchanged_by(self, opening, event, policy, error, rest):
-        _, state, book = run_events(opening, Regime.PROPOSED)
-        _, effects = apply_event(state, event, ABC_PRICES, policy)
-        entries, unreserved = book.entries, trigger_check(state, book, "ABC")
+    def assert_unchanged_by(self, opening, event, error, rest):
+        _, ledger = run_events(opening, Regime.PROPOSED)
+        before = ledger.snapshot(), dict(ledger.reserved_by_lot("ABC"))
         with pytest.raises(error):
-            realize(effects, Regime.PROPOSED, book)
-        assert book.entries == entries
-        assert trigger_check(state, book, "ABC") == unreserved
-        # The book goes on exactly like one that never saw the failed call.
-        resumed, _, _ = run_events(rest, Regime.PROPOSED, state=state, book=book)
-        opened, _, _ = run_events(opening, Regime.PROPOSED)
+            apply_event(ledger, event, ABC_PRICES)
+        assert (ledger.snapshot(), ledger.reserved_by_lot("ABC")) == before
+        # The ledger goes on exactly like one that never saw the failed event.
+        resumed, _ = run_events(rest, Regime.PROPOSED, ledger=ledger)
+        opened, _ = run_events(opening, Regime.PROPOSED)
         assert run_events(opening + rest, Regime.PROPOSED)[0] == opened + resumed
-
-    def test_wrong_lot_delivered_under_specific_id(self):
-        self.assert_unchanged_by(
-            self.OPENING + [Buy(3, "ABC", 100)], CoverByOwnedLot(3, "ABC", 100),
-            SpecificId((1,)), ReservationMismatch, [CoverByOwnedLot(3, "ABC", 100)],
-        )
 
     def test_reserved_shares_sold_through_plain_fifo(self):
         self.assert_unchanged_by(
-            self.OPENING, SellOwned(3, "ABC", 1), Fifo(), InsufficientOwnedShares,
+            self.OPENING, SellOwned(3, "ABC", 1), InsufficientOwnedShares,
             [CoverByPurchase(3, "ABC", 60), SellOwned(3, "ABC", 60)],
+        )
+
+    def test_cover_that_runs_out_after_delivering_reserved_shares(self):
+        # The cover settles its 100 reserved shares, then finds no others.
+        self.assert_unchanged_by(
+            self.OPENING + [Borrow(3, "ABC", 100), ShortSell(3, "ABC", 100)],
+            CoverByOwnedLot(3, "ABC", 200), InsufficientOwnedShares,
+            [CoverByOwnedLot(3, "ABC", 100)],
         )
 
 
@@ -419,24 +400,26 @@ class TestHandBuiltEffects:
         )
         for regime in Regime:
             with pytest.raises(EngineError):
-                realize(effects, regime, ReservationBook())
+                realize(effects, regime, Ledger())
 
 
 class TestTriggerCheck:
+    """Owned shares a short sale can still reserve: those not reserved already."""
+
     def test_fully_unreserved(self):
-        state, _ = apply_event(PortfolioState(), Buy(1, "ABC", 100_000), ABC_PRICES)
-        assert trigger_check(state, ReservationBook(), "ABC") == 100_000
+        _, ledger = run_events([Buy(1, "ABC", 100_000)], Regime.PROPOSED)
+        assert unreserved(ledger) == 100_000
 
     def test_fully_reserved(self):
-        _, state, book = run_events(STRATEGY3[:3], Regime.PROPOSED)
-        assert trigger_check(state, book, "ABC") == 0
+        _, ledger = run_events(STRATEGY3[:3], Regime.PROPOSED)
+        assert unreserved(ledger) == 0
 
     def test_partial_reservation(self):
-        _, state, book = run_events(
+        _, ledger = run_events(
             [Buy(1, "ABC", 100_000), Borrow(2, "ABC", 60_000), ShortSell(2, "ABC", 60_000)],
             Regime.PROPOSED,
         )
-        assert trigger_check(state, book, "ABC") == 40_000
+        assert unreserved(ledger) == 40_000
 
     def test_other_security_untouched(self):
         path = PricePath.from_table(
@@ -445,7 +428,7 @@ class TestTriggerCheck:
                 "XYZ": {1: Money.from_pesos(10), 2: Money.from_pesos(20)},
             }
         )
-        _, state, book = run_events(
+        _, ledger = run_events(
             [
                 Buy(1, "ABC", 100),
                 Buy(1, "XYZ", 100),
@@ -455,17 +438,64 @@ class TestTriggerCheck:
             Regime.PROPOSED,
             path=path,
         )
-        assert trigger_check(state, book, "ABC") == 0
-        assert trigger_check(state, book, "XYZ") == 100
+        assert unreserved(ledger, "ABC") == 0
+        assert unreserved(ledger, "XYZ") == 100
+
+
+class TestReservationsSurviveDeath:
+    def test_heir_delivers_the_reserved_shares(self):
+        # The step-up keeps lot ids, so the reservation made before the death
+        # is what the cover after it delivers; it realizes nothing more.
+        path = PricePath.from_table(
+            {"ABC": {t: Money.from_pesos(p) for t, p in ((1, 50), (2, 100), (3, 130), (4, 120))}}
+        )
+        opening = [Buy(1, "ABC", 100), Borrow(2, "ABC", 100), ShortSell(2, "ABC", 100), Death(3)]
+        _, ledger = run_events(opening, Regime.PROPOSED, path=path)
+        (lot,) = ledger.lots
+        assert lot.basis_per_share == Money.from_pesos(130)
+        assert ledger.reserved_by_lot("ABC") == {lot.id: 100}
+        events, ledger = run_events([CoverByOwnedLot(4, "ABC", 100)], Regime.PROPOSED, path, ledger)
+        assert [(e.kind, e.qty) for e in events] == [(RealizationKind.SHORT_COVER, 100)]
+        assert ledger.reserved_by_lot("ABC") == {} and not ledger.lots
+
+
+A_PRICES = PricePath.from_table({"A": {1: Money.from_pesos(10), 2: Money.from_pesos(20)}})
+
+
+class TestInfeasibleEventsFailAlike:
+    """The same infeasible event fails with the same error under both regimes."""
+
+    @pytest.mark.parametrize("events, error, message, index", [
+        (
+            (Borrow(1, "A", 100), ShortSell(1, "A", 100), CoverByOwnedLot(2, "A", 200)),
+            OverCover, "cover of 200 A exceeds open sold-short quantity 100", 2,
+        ),
+        (
+            (Borrow(1, "A", 100), ShortSell(1, "A", 100), CoverByOwnedLot(2, "A", 100)),
+            InsufficientOwnedShares, "need 100 shares of A, only 0 available", 2,
+        ),
+        (
+            (Buy(1, "A", 50), Borrow(1, "A", 100), ShortSell(1, "A", 100),
+             CoverByOwnedLot(2, "A", 100)),
+            InsufficientOwnedShares, "need 100 shares of A, only 50 available", 3,
+        ),
+    ], ids=["over_cover", "no_owned_shares", "short_of_owned_shares"])
+    @pytest.mark.parametrize("regime", list(Regime), ids=lambda r: r.value)
+    def test_same_class_message_and_event_index(self, regime, events, error, message, index):
+        with pytest.raises(error) as info:
+            run(Scenario("infeasible", A_PRICES, events), regime)
+        assert type(info.value) is error
+        assert str(info.value) == message
+        assert info.value.event_index == index
 
 
 class TestEventInvariants:
     def test_gain_fields_are_consistent(self):
-        events, _, _ = run_events(STRATEGY3, Regime.CURRENT)
+        events, _ = run_events(STRATEGY3, Regime.CURRENT)
         for e in events:
             assert e.gain_per_share == e.amount_realized_per_share - e.basis_per_share
             assert e.gain_total == e.gain_per_share * e.qty
 
     def test_current_never_dates_an_event_at_a_short_tick(self):
-        events, _, _ = run_events(STRATEGY3, Regime.CURRENT)
+        events, _ = run_events(STRATEGY3, Regime.CURRENT)
         assert all(e.at != 2 for e in events)

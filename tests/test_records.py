@@ -36,7 +36,7 @@ from realize.ledger import (
     _Trade,
 )
 from realize.market import Money, record
-from realize.realization import ConstructiveReservation, RealizationEvent, RealizationKind
+from realize.realization import RealizationEvent, RealizationKind
 from realize.scenario import CashPoint
 from realize.taxation import TaxLine
 
@@ -45,7 +45,7 @@ TRADE_KINDS = [Buy, Borrow, ShortSell, SellOwned, CoverByPurchase, CoverByOwnedL
 P = Money(5000)
 LOT = Lot(0, "ABC", 100, P, 1)
 POSITION = BorrowPosition(0, "ABC", 100, 1, 100, P, 2, 40)
-LOT_SLICE = LotSlice(0, 50, P, 1, AcquisitionMethod.PURCHASE, 100)
+LOT_SLICE = LotSlice(0, 50, P, 1, AcquisitionMethod.PURCHASE)
 SHORT_SLICE = ShortSlice(0, 50, P, 2)
 
 # A value for every field, in field order; the defaulted fields get non-default values.
@@ -53,14 +53,13 @@ SAMPLES = {
     Lot: (0, "ABC", 100, P, 1, AcquisitionMethod.INHERITANCE),
     BorrowPosition: (0, "ABC", 100, 1, 100, P, 2, 40),
     _Trade: (1, "ABC", 100),
-    LotSlice: (0, 50, P, 1, AcquisitionMethod.PURCHASE, 100),
+    LotSlice: (0, 50, P, 1, AcquisitionMethod.PURCHASE),
     ShortSlice: (0, 50, P, 2),
     LedgerEffects: (
         CoverByOwnedLot(3, "ABC", 50), 3, "ABC", 50, P, Money(-1), LOT, POSITION,
-        (LOT_SLICE,), (SHORT_SLICE,), (SHORT_SLICE, SHORT_SLICE), (LOT,),
+        (LOT_SLICE,), (SHORT_SLICE,), (SHORT_SLICE, SHORT_SLICE), 1,
     ),
     RealizationEvent: (3, RealizationKind.SHORT_COVER, "ABC", 100, P, Money(3000)),
-    ConstructiveReservation: (0, 50, 2, "ABC"),
     CashPoint: (1, Money(-500000), Money(-500000)),
     TaxLine: (3, Money(200000), Money(10000)),
 }
@@ -164,6 +163,19 @@ class TestRecord:
                 assert [first, second] == list(SAMPLES[cls][:2])
             case _:
                 pytest.fail("positional class pattern did not match")
+
+
+FROZEN_VALUES = [Money(5), *(kind(1, "ABC", 5) for kind in TRADE_KINDS)]
+FROZEN_VALUES += [cls(*SAMPLES[cls]) for cls in RECORDS]
+
+
+@pytest.mark.parametrize("obj", FROZEN_VALUES, ids=lambda o: type(o).__name__)
+def test_no_attribute_can_be_set_or_deleted(obj):
+    for name in (names(type(obj))[0], "extra"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(obj, name, 1)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(obj, name)
 
 
 @pytest.mark.parametrize("kind", TRADE_KINDS, ids=lambda k: k.__name__)

@@ -12,8 +12,8 @@ from realize import (
     Buy,
     CoverByOwnedLot,
     Death,
+    Ledger,
     Money,
-    PortfolioState,
     RateSchedule,
     Regime,
     SellOwned,
@@ -262,10 +262,10 @@ class TestValueRoundTrip:
     @staticmethod
     def open_state():
         s = builtin("strategy3")
-        state = PortfolioState()
+        ledger = Ledger()
         for ev in (Buy(1, "ABC", 100), Borrow(2, "ABC", 60), ShortSell(2, "ABC", 40), Death(3, "Y")):
-            state, effects = apply_event(state, ev, s.prices)
-        return state, effects
+            _, effects = apply_event(ledger, ev, s.prices)
+        return ledger.snapshot(), effects
 
     def values(self):
         state, effects = self.open_state()
@@ -285,8 +285,8 @@ class TestValueRoundTrip:
         report = run(builtin("strategy3"))
         state, _ = self.open_state()
         prices = builtin("strategy3").prices
-        _, short = apply_event(state, ShortSell(3, "ABC", 20), prices)
-        _, sale = apply_event(state, SellOwned(3, "ABC", 10), prices)
+        _, short = apply_event(Ledger(state), ShortSell(3, "ABC", 20), prices)
+        _, sale = apply_event(Ledger(state), SellOwned(3, "ABC", 10), prices)
         records = [
             report.events[0], report.tax_lines[0], report.cash_timeline[0], report.total_tax,
             state.lots[0], state.borrows[0], short, short.shorts_sold[0], sale.lots_consumed[0],
