@@ -277,7 +277,8 @@ class Ledger(_Holdings):
         self._borrows: dict[SecurityId, list[BorrowPosition]] = {}
         self._reservations: dict[SecurityId, deque[tuple[int, int]]] = {}
         self._reserved: dict[SecurityId, dict[int, int]] = {}
-        self._constructive: dict[int, int] = {}  # borrow position id -> shares not yet covered
+        # Borrow position id -> its shares sold against reserved ones, not yet covered.
+        self._constructive: dict[int, int] = {}
         for lot in state.lots:
             self._add_lot(lot)
         for pos in state.borrows:
@@ -319,12 +320,14 @@ class Ledger(_Holdings):
         self._by_id[lot.id] = lot
         self._lots.setdefault(lot.sec, deque()).append(lot)
 
-    def _unreserved(self, sec: SecurityId, qty: int) -> list[LotSlice]:
-        """Slices of the oldest unreserved shares of ``sec``, at most ``qty`` of them.
+    def _unreserved(self, sec: SecurityId, qty: int) -> tuple[list[LotSlice], int]:
+        """Slices of the oldest unreserved shares of ``sec``, at most ``qty``; and their total.
 
-        Only reserved lots are ever skipped or cut short, so the walk ends at
-        the last lot it needs.
+        The walk passes over fully reserved lots and stops at the last lot it
+        takes from.
         """
+        if qty == 0:
+            return [], 0
         reserved = self._reserved.get(sec)
         slices: list[LotSlice] = []
         remaining = qty
@@ -336,7 +339,7 @@ class Ledger(_Holdings):
                 remaining -= amount
                 if remaining == 0:
                     break
-        return slices
+        return slices, qty - remaining
 
     def _oldest_reserved(self, sec: SecurityId, qty: int) -> list[tuple[int, int]]:
         """(lot id, qty) takes of the oldest ``qty`` reserved shares of ``sec``."""
@@ -357,16 +360,14 @@ class Ledger(_Holdings):
         sold against them.  Returns the reserved slices.
         """
         sec = effects.sec
-        slices = self._unreserved(sec, effects.qty)
+        slices, total = self._unreserved(sec, effects.qty)
         if not slices:
             return slices
         queue = self._reservations.setdefault(sec, deque())
         reserved = self._reserved.setdefault(sec, {})
-        total = 0
         for s in slices:
             queue.append((s.lot_id, s.qty))
             reserved[s.lot_id] = reserved.get(s.lot_id, 0) + s.qty
-            total += s.qty
         for s in effects.shorts_sold:
             mark = total if total < s.qty else s.qty
             self._constructive[s.position_id] = mark
@@ -491,8 +492,7 @@ class Ledger(_Holdings):
 
         if isinstance(ev, SellOwned):
             price = path.price_at(ev.sec, ev.at)
-            lot_slices = self._unreserved(ev.sec, ev.qty)
-            available = sum(s.qty for s in lot_slices)
+            lot_slices, available = self._unreserved(ev.sec, ev.qty)
             if available < ev.qty:
                 raise _shortage(ev.sec, ev.qty, available)
             self._consume(ev.sec, lot_slices)
@@ -529,11 +529,10 @@ class Ledger(_Holdings):
             by_purchase = isinstance(ev, CoverByPurchase)
             lot_slices = []
             if not by_purchase:
-                lot_slices = [_slice(self._by_id[lot_id], take) for lot_id, take in takes]
-                lot_slices += self._unreserved(ev.sec, ev.qty - reserved_qty)
-                available = sum(s.qty for s in lot_slices)
-                if available < ev.qty:
-                    raise _shortage(ev.sec, ev.qty, available)
+                free, available = self._unreserved(ev.sec, ev.qty - reserved_qty)
+                if available < ev.qty - reserved_qty:
+                    raise _shortage(ev.sec, ev.qty, reserved_qty + available)
+                lot_slices = [_slice(self._by_id[lot_id], take) for lot_id, take in takes] + free
             for i, amount in reversed(plan):  # back to front keeps the earlier indices valid
                 pos = positions[i]
                 if amount < pos.qty_outstanding:

@@ -19,23 +19,28 @@ object carrying its short-sale proceeds.  The rules, share by share:
 * a death re-bases every owned share at that tick's price.
 
 Events are grouped as the engine reports them: one per lot, or per borrow
-position (the shares of one borrow sold by one short sale).
+position (the shares of one borrow sold by one short sale).  Lots are
+numbered by purchase, as the engine numbers them, so the shares left in
+each lot, and reserved in each, are compared too.
 """
 
 import random
+from collections import Counter
 
 from realize import (
     Borrow,
     Buy,
     CoverByOwnedLot,
-    CoverByPurchase,
     Death,
+    Ledger,
     RealizationEvent,
     RealizationKind,
     Regime,
     Scenario,
     SellOwned,
     ShortSell,
+    apply_event,
+    realize,
     run,
 )
 from scenario_gen import random_scenario
@@ -69,9 +74,11 @@ def runs(shares, key):
 
 
 def model(scenario, regime):
-    """(realization events, owned quantities, outstanding quantities) of the model."""
+    """The model's realization events, then its owned shares of each security and
+    of each lot, its reserved shares of each lot, and its outstanding borrows."""
     owned, unsold, sold = {}, {}, {}  # per security, oldest first
     events = []
+    lots = 0
 
     def emit(at, kind, sec, shares, amount, basis, key):
         for s, n in runs(shares, key):
@@ -87,9 +94,10 @@ def model(scenario, regime):
         price = scenario.prices.price_at(sec, at)
         mine = owned.setdefault(sec, [])
         free = [s for s in mine if s.covers is None]
-        by_lot = (lambda s: price, lambda s: s.basis, lambda s: s.lot)
+        per_lot = (lambda s: price, lambda s: s.basis, lambda s: s.lot)
         if isinstance(ev, Buy):
-            mine += [Owned(n, price) for _ in range(qty)]
+            mine += [Owned(lots, price) for _ in range(qty)]
+            lots += 1
         elif isinstance(ev, Borrow):
             unsold.setdefault(sec, []).extend(Borrowed(n) for _ in range(qty))
         elif isinstance(ev, ShortSell):
@@ -101,30 +109,42 @@ def model(scenario, regime):
                 reserved = free[:qty]
                 for s, b in zip(reserved, batch):
                     s.covers = b
-                emit(at, K.CONSTRUCTIVE_SALE, sec, reserved, *by_lot)
+                emit(at, K.CONSTRUCTIVE_SALE, sec, reserved, *per_lot)
         elif isinstance(ev, SellOwned):
             gone = free[:qty]
-            emit(at, K.ORDINARY_SALE, sec, gone, *by_lot)
+            emit(at, K.ORDINARY_SALE, sec, gone, *per_lot)
             gone = set(gone)
             owned[sec] = [s for s in mine if s not in gone]
         else:
             covered, sold[sec] = sold[sec][:qty], sold[sec][qty:]
-            ids = set(map(id, covered))
-            delivered = [s for s in mine if id(s.covers) in ids]
+            discharged = set(covered)
+            delivered = [s for s in mine if s.covers in discharged]
             if isinstance(ev, CoverByOwnedLot):
                 disposed = free[: qty - len(delivered)]
                 assert len(delivered) + len(disposed) == qty
-                emit(at, K.OWNED_DISPOSAL_AT_COVER, sec, disposed, *by_lot)
+                emit(at, K.OWNED_DISPOSAL_AT_COVER, sec, disposed, *per_lot)
                 gone = set(delivered + disposed)
                 owned[sec] = [s for s in mine if s not in gone]
-            else:
+            else:  # by purchase
                 for s in delivered:
                     s.covers = None
             emit(at, K.SHORT_COVER, sec, covered,
                  lambda b: b.proceeds, lambda b: price, lambda b: b.position)
+    shares = [s for held in owned.values() for s in held]
     holding = {sec: len(s) for sec, s in owned.items() if s}
+    by_lot = Counter(s.lot for s in shares)
+    reserved = Counter(s.lot for s in shares if s.covers is not None)
     owing = {sec: len(unsold.get(sec, ())) + len(sold.get(sec, ())) for sec in unsold}
-    return events, holding, {sec: q for sec, q in owing.items() if q}
+    return events, holding, by_lot, reserved, {sec: q for sec, q in owing.items() if q}
+
+
+def ledger_after(scenario, regime):
+    """The engine's ledger after the scenario, folded through the public API."""
+    ledger = Ledger()
+    for ev in scenario.events:
+        _, effects = apply_event(ledger, ev, scenario.prices)
+        realize(effects, regime, ledger)
+    return ledger
 
 
 def with_death(rng, scenario):
@@ -143,9 +163,15 @@ class TestReferenceModel:
             scenario = with_death(rng, random_scenario(rng).scenario)
             for regime in Regime:
                 report = run(scenario, regime)
-                events, holding, owing = model(scenario, regime)
+                events, holding, by_lot, reserved, owing = model(scenario, regime)
                 for i, (got, want) in enumerate(zip(report.events, events)):
                     assert got == want, (regime, i, scenario)
                 assert len(report.events) == len(events), (regime, scenario)
                 assert dict(report.inventory.owned) == holding
                 assert dict(report.inventory.borrowed_outstanding) == owing
+                ledger = ledger_after(scenario, regime)
+                assert {lot.id: lot.qty for lot in ledger.lots} == by_lot, scenario
+                assert reserved == {
+                    lot: n for sec in scenario.prices.securities()
+                    for lot, n in ledger.reserved_by_lot(sec).items()
+                }, scenario
