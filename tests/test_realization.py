@@ -15,8 +15,8 @@ from realize import (
     RealizationEvent,
     RealizationKind,
     Regime,
-    SellOwned,
     Scenario,
+    SellOwned,
     ShortSell,
     apply_event,
     realize,
