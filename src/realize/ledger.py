@@ -44,11 +44,9 @@ from __future__ import annotations
 
 from collections import deque
 from collections.abc import Callable, ValuesView
-from dataclasses import dataclass, field
 from enum import Enum
 from itertools import chain
 from operator import attrgetter
-from typing import Union
 
 from .errors import (
     InsufficientOwnedShares,
@@ -145,7 +143,7 @@ class CoverByOwnedLot(_Trade):
     __slots__ = ()
 
 
-@dataclass(frozen=True)
+@record
 class Death:
     """Transmission of the whole portfolio to a single heir, with basis step-up."""
 
@@ -153,7 +151,7 @@ class Death:
     heir: str | None = None
 
 
-TransactionEvent = Union[Buy, Borrow, ShortSell, SellOwned, CoverByPurchase, CoverByOwnedLot, Death]
+TransactionEvent = Buy | Borrow | ShortSell | SellOwned | CoverByPurchase | CoverByOwnedLot | Death
 
 
 @record
@@ -198,6 +196,8 @@ class LedgerEffects:
 class _Holdings:
     """Per-security share counts, read through ``lots_of`` and ``borrows_of``."""
 
+    __slots__ = ()
+
     def owned_qty(self, sec: SecurityId) -> int:
         return sum(lot.qty for lot in self.lots_of(sec))
 
@@ -211,7 +211,7 @@ class _Holdings:
         return sum(p.qty_outstanding for p in self.borrows_of(sec))
 
 
-@dataclass(frozen=True)
+@record
 class PortfolioState(_Holdings):
     """Frozen portfolio snapshot: lots in lot-id order, borrows grouped by security.
 
@@ -220,7 +220,7 @@ class PortfolioState(_Holdings):
 
     lots: tuple[Lot, ...] = ()
     borrows: tuple[BorrowPosition, ...] = ()
-    cash: Money = field(default_factory=Money.zero)
+    cash: Money = _ZERO
     owner_generation: int = 0
     next_lot_id: int = 0
     next_borrow_id: int = 0

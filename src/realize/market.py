@@ -4,19 +4,19 @@ Every amount in the engine is an integer count of centavos.  Floating point
 never enters any computation; the single place rounding can occur is
 ``apply_rate``, which rounds half-to-even at the centavo.
 
-Values the engine builds by the thousand are constructed the trusted way:
-their slots are written through the class's own slot descriptors, past the
-frozen ``__setattr__``.  ``_money`` does this for arithmetic results, and the
-``record`` decorator gives every engine record (lots, slices, effects,
-realization events, tax lines, cash points) an ``__init__`` that does it.
+Every value class of the package is made by ``record``: frozen and slotted,
+with methods generated once per class.  Values the engine builds by the
+thousand are constructed the trusted way: their slots are written through
+the class's own slot descriptors, past the frozen ``__setattr__``.
+``_money`` does this for arithmetic results, and every record's generated
+``__init__`` does it before its ``__post_init__`` check.
 """
 
 from __future__ import annotations
 
-import inspect
 import re
-from dataclasses import MISSING, FrozenInstanceError, dataclass, fields
-from typing import Mapping, TypeVar
+import sys
+from collections.abc import Mapping
 
 from .errors import MissingPrice, NegativeBase
 
@@ -28,18 +28,154 @@ CENTAVOS_PER_PESO = 100
 _MONEY_RE = re.compile(r"(-?)(\d+)(?:\.(\d{1,2}))?", re.ASCII)
 
 
-# A slotted frozen dataclass's own __setattr__ and __delattr__ name the class
-# through a stale super() cell for any non-field name and raise TypeError;
-# these refuse every name the way they refuse a field.
+# ``dataclasses`` (and the ``inspect`` it imports) loads only when a refusal
+# or a ``dataclasses`` call needs it, never on the engine's own paths.
 def _refuse_set(self, name: str, value: object) -> None:
+    from dataclasses import FrozenInstanceError
+
     raise FrozenInstanceError(f"cannot assign to field {name!r}")
 
 
 def _refuse_delete(self, name: str) -> None:
+    from dataclasses import FrozenInstanceError
+
     raise FrozenInstanceError(f"cannot delete field {name!r}")
 
 
-@dataclass(frozen=True, order=True, slots=True)
+class _DataclassAttr:
+    """``__dataclass_fields__`` or ``__dataclass_params__`` of a record, made on first access.
+
+    ``dataclasses.dataclass`` runs once over a stand-in class with the same
+    fields and defaults; its two attributes then replace both lazy ones on
+    the class that asked, so ``fields``, ``replace`` and ``is_dataclass``
+    see an ordinary frozen dataclass.
+    """
+
+    def __init__(self, annotations: dict, defaults: dict, order: bool) -> None:
+        self.spec = annotations, defaults, order
+
+    def __set_name__(self, owner: type, name: str) -> None:
+        self.name = name
+
+    def __get__(self, obj: object, owner: type) -> object:
+        from dataclasses import dataclass
+
+        annotations, defaults, order = self.spec
+        stand_in = type(owner.__name__, (), {
+            **defaults, "__annotations__": annotations,
+            "__module__": owner.__module__, "__qualname__": owner.__qualname__,
+        })
+        stand_in = dataclass(frozen=True, order=order)(stand_in)
+        owner.__dataclass_fields__ = stand_in.__dataclass_fields__
+        owner.__dataclass_params__ = stand_in.__dataclass_params__
+        return getattr(owner, self.name)
+
+
+def _annotation_text(annotation: object) -> str:
+    """An annotation as ``inspect.signature`` prints it."""
+    if not isinstance(annotation, type):
+        return repr(annotation)
+    if annotation.__module__ == "builtins":
+        return annotation.__qualname__
+    return f"{annotation.__module__}.{annotation.__qualname__}"
+
+
+def record(cls: type | None = None, /, *, order: bool = False):
+    """Make ``cls`` a frozen, slotted value class, like ``@dataclass(frozen=True, slots=True)``.
+
+    The fields are the class's own annotations, in order, with plain
+    defaults; a default factory is refused.  One ``exec`` per class writes
+    ``__init__``, ``__repr__``, ``__eq__``, ``__hash__``, the pickle state
+    and, with ``order=True``, the four comparisons; methods the class
+    defines itself are kept.  ``__init__`` sets each slot through its member
+    descriptor, then calls ``__post_init__`` when the class has one.  Any
+    attribute write or delete raises ``FrozenInstanceError``.
+    ``__dataclass_fields__`` and ``__dataclass_params__`` are built on first
+    access, so ``dataclasses`` loads only when something asks for them.
+    """
+    if cls is None:
+        return lambda cls: _build(cls, order)
+    return _build(cls, order)
+
+
+def _build(cls: type, order: bool) -> type:
+    ns = dict(cls.__dict__)
+    ns.pop("__dict__", None)
+    ns.pop("__weakref__", None)
+    annotations = ns.get("__annotations__", {})
+    names = tuple(annotations)
+    env: dict[str, object] = {"__name__": cls.__module__}
+    defaults: dict[str, object] = {}
+    params = ["self"]
+    for name in names:
+        if name not in ns:
+            if defaults:
+                raise TypeError(f"non-default argument {name!r} follows default argument")
+            params.append(name)
+            continue
+        default = defaults[name] = ns.pop(name)
+        dataclasses = sys.modules.get("dataclasses")  # a field() default means it is loaded
+        if dataclasses is not None and isinstance(default, dataclasses.Field):
+            raise TypeError(
+                f"record field {cls.__name__}.{name} takes a plain default, not a default factory"
+            )
+        if type(default).__hash__ is None:
+            raise ValueError(f"mutable default {type(default)} for field {name} is not allowed")
+        env[f"_dflt_{name}"] = default
+        params.append(f"{name}=_dflt_{name}")
+
+    own = "".join(f"self.{name}," for name in names)
+    other = "".join(f"other.{name}," for name in names)
+    shown = ", ".join(f"{name}={{self.{name}!r}}" for name in names)
+    sets = [f"_set_{name}(self, {name})" for name in names]
+    if hasattr(cls, "__post_init__"):
+        sets.append("self.__post_init__()")
+    restores = [f"_set_{name}(self, state[{i}])" for i, name in enumerate(names)]
+    compare = [("eq", "==")] + ([("lt", "<"), ("le", "<="), ("gt", ">"), ("ge", ">=")] if order else [])
+    source = [
+        f"def __init__({', '.join(params)}):",
+        *(f"    {line}" for line in sets or ["pass"]),
+        "def __repr__(self):",
+        f'    return self.__class__.__qualname__ + f"({shown})"',
+        "def __hash__(self):",
+        f"    return hash(({own}))",
+        "def __getstate__(self):",
+        f"    return ({own})",
+        "def __setstate__(self, state):",
+        *(f"    {line}" for line in restores or ["pass"]),
+    ]
+    for op, symbol in compare:
+        source += [
+            f"def __{op}__(self, other):",
+            "    if other.__class__ is self.__class__:",
+            f"        return ({own}) {symbol} ({other})",
+            "    return NotImplemented",
+        ]
+    exec("\n".join(source), env)
+    env["__init__"].__annotations__ = {name: annotations[name] for name in names} | {"return": None}
+    methods = ["__init__", "__repr__", "__hash__", "__getstate__", "__setstate__"]
+    for name in methods + [f"__{op}__" for op, _ in compare]:
+        env[name].__qualname__ = f"{cls.__qualname__}.{name}"
+        ns.setdefault(name, env[name])
+    ns.setdefault("__setattr__", _refuse_set)
+    ns.setdefault("__delattr__", _refuse_delete)
+    ns["__slots__"] = ns["__match_args__"] = names
+    ns["__qualname__"] = cls.__qualname__
+    ns["__dataclass_fields__"] = _DataclassAttr(annotations, defaults, order)
+    ns["__dataclass_params__"] = _DataclassAttr(annotations, defaults, order)
+    if not ns.get("__doc__"):  # as dataclass writes it, from the signature
+        ns["__doc__"] = cls.__name__ + "(" + ", ".join(
+            f"{name}: {_annotation_text(annotations[name])}"
+            + (f" = {defaults[name]!r}" if name in defaults else "")
+            for name in names
+        ) + ")"
+    built = type(cls)(cls.__name__, cls.__bases__, ns)
+    for name in names:
+        env[f"_set_{name}"] = built.__dict__[name].__set__
+    return built
+
+
+@record(order=True)
 class Money:
     """A signed peso amount stored as exact integer centavos.
 
@@ -108,8 +244,6 @@ class Money:
         return f"{sign}{a // 100:,}.{a % 100:02d}"
 
 
-Money.__setattr__, Money.__delattr__ = _refuse_set, _refuse_delete
-
 # Trusted construction: a slot's member descriptor sets the slot itself,
 # past the frozen __setattr__.  ``_money`` uses it for Money results, and
 # ``record`` for the ``__init__`` of every engine record.
@@ -126,49 +260,7 @@ def _money(centavos: int) -> Money:
 
 _ZERO = _money(0)  # frozen, so one instance serves every zero amount
 
-_R = TypeVar("_R")
-
-
-def record(cls: type[_R]) -> type[_R]:
-    """``@dataclass(frozen=True, slots=True)`` with an ``__init__`` that writes the slots.
-
-    The class is the same frozen, slotted dataclass: fields, ``replace``,
-    eq/hash/repr, ``__match_args__``, pickling and ``inspect.signature`` are
-    unchanged.  Only ``__init__`` differs: generated once per class, it sets
-    each slot through its member descriptor instead of ``object.__setattr__``,
-    then calls ``__post_init__`` when the class has one.  Fields may have
-    plain defaults, not default factories.
-    """
-    doc = cls.__doc__
-    cls.__doc__ = doc or cls.__name__  # else dataclass signs it, slowly, from object.__init__
-    cls = dataclass(frozen=True, slots=True, init=False)(cls)
-    cls.__dataclass_params__.init = True  # it has a field-by-field __init__, below
-    env = {"__name__": cls.__module__}
-    params, body = ["self"], []
-    for f in fields(cls):
-        if f.default_factory is not MISSING:
-            raise TypeError(f"record field {cls.__name__}.{f.name} has a default factory")
-        env[f"_set_{f.name}"] = getattr(cls, f.name).__set__
-        if f.default is MISSING:
-            params.append(f.name)
-        else:
-            env[f"_dflt_{f.name}"] = f.default
-            params.append(f"{f.name}=_dflt_{f.name}")
-        body.append(f"    _set_{f.name}(self, {f.name})")
-    if hasattr(cls, "__post_init__"):
-        body.append("    self.__post_init__()")
-    exec(f"def __init__({', '.join(params)}):\n" + "\n".join(body), env)
-    init = env["__init__"]
-    init.__qualname__ = f"{cls.__qualname__}.__init__"
-    init.__annotations__ = {f.name: f.type for f in fields(cls)} | {"return": None}
-    cls.__init__ = init
-    cls.__setattr__, cls.__delattr__ = _refuse_set, _refuse_delete
-    if not doc:  # as dataclass writes it, from the signature
-        cls.__doc__ = cls.__name__ + str(inspect.signature(cls)).replace(" -> None", "")
-    return cls
-
-
-@dataclass(frozen=True)
+@record
 class Rate:
     """A tax rate as an exact fraction, never exceeding 100%."""
 
@@ -207,7 +299,7 @@ def apply_rate(amount: Money, rate: Rate) -> Money:
     return _money(q)
 
 
-@dataclass(frozen=True)
+@record
 class PricePath:
     """Per-share price quotes keyed by (security, tick)."""
 

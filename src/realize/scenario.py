@@ -19,7 +19,6 @@ directive.  Parse failures raise errors with line and column.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 from .errors import (
     EngineError,
@@ -58,7 +57,7 @@ BLOCK_QTY = 100_000
 sell_policy, cover_policy = Ledger._unreserved, Ledger._oldest_reserved
 
 
-@dataclass(frozen=True)
+@record
 class Scenario:
     """A price path plus a tick-ordered list of transaction events."""
 
@@ -385,14 +384,14 @@ class CashPoint:
     cumulative: Money
 
 
-@dataclass(frozen=True)
+@record
 class InventorySummary:
     owned: tuple[tuple[SecurityId, int], ...]
     borrowed_outstanding: tuple[tuple[SecurityId, int], ...]
     owner_generation: int
 
 
-@dataclass(frozen=True)
+@record
 class RunReport:
     """Everything one regime run produced; formatters only render these values."""
 
@@ -513,7 +512,7 @@ def run(
     )
 
 
-@dataclass(frozen=True)
+@record
 class TaxDelta:
     at: Tick
     current_tax: Money
@@ -524,7 +523,7 @@ class TaxDelta:
         return self.proposed_tax - self.current_tax
 
 
-@dataclass(frozen=True)
+@record
 class ComparisonReport:
     """Side-by-side regime comparison of one scenario."""
 
@@ -588,7 +587,7 @@ def compare(
     )
 
 
-@dataclass(frozen=True)
+@record
 class GridRow:
     """One future price of the offsetting grid, run as both transaction shapes."""
 

@@ -12,8 +12,8 @@ P100,000 of net gain and 10% on the excess.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Sequence
 from enum import Enum
-from typing import Iterable, Sequence
 
 from .market import Money, Rate, Tick, _money, apply_rate, record
 from .realization import RealizationEvent

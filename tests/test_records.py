@@ -1,10 +1,12 @@
-"""The engine records built by ``market.record``: frozen, slotted dataclasses
-whose generated ``__init__`` writes the slots directly.
+"""The value classes built by ``market.record``: frozen and slotted, with
+methods generated once per class and no ``dataclasses`` call.
 
 Each record is checked against a reference made by the plain
 ``@dataclass(frozen=True, slots=True)`` machinery from the same fields, so
-the generated ``__init__`` must accept, default and reject exactly what the
-dataclass one would.
+the generated ``__init__``, ``__eq__``, ``__hash__``, ``__repr__`` and pickle
+state must accept, default, reject and show exactly what the dataclass ones
+would, and ``dataclasses.fields``, ``replace`` and ``is_dataclass`` must see
+an ordinary frozen dataclass.
 """
 
 import copy
@@ -19,6 +21,7 @@ from pathlib import Path
 import pytest
 
 import realize
+from realize import ledger, market, realization, scenario, taxation
 from realize.errors import InvalidQuantity
 from realize.ledger import (
     AcquisitionMethod,
@@ -27,17 +30,29 @@ from realize.ledger import (
     Buy,
     CoverByOwnedLot,
     CoverByPurchase,
+    Death,
     LedgerEffects,
     Lot,
     LotSlice,
+    PortfolioState,
     SellOwned,
     ShortSell,
     ShortSlice,
     _Trade,
 )
-from realize.market import Money, record
+from realize.market import Money, PricePath, Rate, record
 from realize.realization import RealizationEvent, RealizationKind
-from realize.scenario import CashPoint
+from realize.scenario import (
+    CashPoint,
+    ComparisonReport,
+    GridRow,
+    InventorySummary,
+    RunReport,
+    Scenario,
+    TaxDelta,
+    compare,
+    run,
+)
 from realize.taxation import TaxLine
 
 TRADE_KINDS = [Buy, Borrow, ShortSell, SellOwned, CoverByPurchase, CoverByOwnedLot]
@@ -47,6 +62,16 @@ LOT = Lot(0, "ABC", 100, P, 1)
 POSITION = BorrowPosition(0, "ABC", 100, 1, 100, P, 2, 40)
 LOT_SLICE = LotSlice(0, 50, P, 1, AcquisitionMethod.PURCHASE)
 SHORT_SLICE = ShortSlice(0, 50, P, 2)
+PATH = PricePath({("ABC", 1): P, ("ABC", 2): Money(8000)})
+# An empty name: ``test_fields_and_replace`` puts it in as the events, which must validate.
+SCENARIO = Scenario("", PATH, (Buy(1, "ABC", 100), SellOwned(2, "ABC", 100)))
+REPORT = run(SCENARIO)
+COMPARISON = compare(SCENARIO)
+
+
+def own_values(obj):
+    return tuple(getattr(obj, name) for name in type(obj).__match_args__)
+
 
 # A value for every field, in field order; the defaulted fields get non-default values.
 SAMPLES = {
@@ -62,8 +87,21 @@ SAMPLES = {
     RealizationEvent: (3, RealizationKind.SHORT_COVER, "ABC", 100, P, Money(3000)),
     CashPoint: (1, Money(-500000), Money(-500000)),
     TaxLine: (3, Money(200000), Money(10000)),
+    Money: (5000,),
+    Rate: (1, 3),
+    PricePath: (dict(PATH.quotes),),
+    Death: (3, "Y"),
+    PortfolioState: ((LOT,), (POSITION,), Money(-7), 1, 2, 3),
+    Scenario: own_values(SCENARIO),
+    InventorySummary: ((("ABC", 5),), (("XYZ", 2),), 1),
+    RunReport: own_values(REPORT),
+    TaxDelta: (3, P, Money(0)),
+    ComparisonReport: own_values(COMPARISON),
+    GridRow: (P, Money(10000), Money(-5000), Money(2500)),
 }
 RECORDS = list(SAMPLES)
+# Classes with no docstring of their own get the signature, as dataclass writes it.
+UNDOCUMENTED = [CashPoint, TaxLine, InventorySummary, TaxDelta]
 
 
 def reference(cls):
@@ -96,6 +134,13 @@ def type_error(make):
     return str(info.value)
 
 
+def hash_of(obj):
+    try:
+        return hash(obj)
+    except TypeError as err:  # a field holds a dict (PricePath's quotes, so Scenario's prices)
+        return str(err)
+
+
 @pytest.mark.parametrize("cls", RECORDS, ids=lambda c: c.__name__)
 class TestRecord:
     def test_signature_is_the_dataclass_one(self, cls):
@@ -125,9 +170,9 @@ class TestRecord:
     def test_bad_arguments_raise_the_dataclass_type_errors(self, cls):
         args, ref = SAMPLES[cls], reference(cls)
         first = names(cls)[0]
+        missing = [lambda c: c(), lambda c: c(*args[: required(cls) - 1])] if required(cls) else []
         cases = [
-            lambda c: c(),
-            lambda c: c(*args[: required(cls) - 1]),
+            *missing,
             lambda c: c(*args, args[0]),
             lambda c: c(*args, nope=1),
             lambda c: c(*args, **{first: args[0]}),
@@ -145,6 +190,15 @@ class TestRecord:
         assert type(changed) is cls
         assert values(changed) == [*SAMPLES[cls][:-1], SAMPLES[cls][0]]
         assert dataclasses.replace(obj) == obj
+        assert dataclasses.is_dataclass(cls) and dataclasses.is_dataclass(obj)
+        params = cls.__dataclass_params__
+        assert (params.init, params.repr, params.eq, params.frozen, params.unsafe_hash) == (
+            True, True, True, True, False,
+        )
+        assert params.order is (cls is Money)
+        assert [(f.name, f.type, f.default) for f in dataclasses.fields(obj)] == [
+            (f.name, f.type, f.default) for f in dataclasses.fields(reference(cls))
+        ]
 
     def test_frozen_slotted_value(self, cls):
         obj = cls(*SAMPLES[cls])
@@ -153,16 +207,41 @@ class TestRecord:
         assert not hasattr(obj, "__dict__")
         assert pickle.loads(pickle.dumps(obj)) == obj
         assert copy.deepcopy(obj) == obj
-        assert hash(obj) == hash(cls(*SAMPLES[cls]))
-        assert repr(obj) == repr(reference(cls)(*SAMPLES[cls]))
+        assert copy.copy(obj) == obj
+        ref = reference(cls)(*SAMPLES[cls])
+        assert hash_of(obj) == hash_of(cls(*SAMPLES[cls])) == hash_of(ref)
+        assert repr(obj) == repr(ref)
+        if cls in UNDOCUMENTED:
+            assert cls.__doc__ == reference(cls).__doc__
+
+    def test_equality_is_by_class_and_fields(self, cls):
+        obj, twin = cls(*SAMPLES[cls]), cls(*SAMPLES[cls])
+        assert obj == twin and not obj != twin
+        assert obj != reference(cls)(*SAMPLES[cls])  # same fields, another class
+        assert obj != SAMPLES[cls]
+        if len(names(cls)) > 1:
+            assert obj != dataclasses.replace(obj, **{names(cls)[-1]: SAMPLES[cls][0]})
 
     def test_match_args(self, cls):
         assert cls.__match_args__ == tuple(names(cls)) == reference(cls).__match_args__
         match cls(*SAMPLES[cls]):
+            case cls(first) if len(names(cls)) == 1:
+                assert first == SAMPLES[cls][0]
             case cls(first, second):  # positional patterns read the first two fields
                 assert [first, second] == list(SAMPLES[cls][:2])
             case _:
                 pytest.fail("positional class pattern did not match")
+
+
+def test_every_value_class_is_a_sampled_record():
+    made = {
+        obj
+        for module in (market, ledger, realization, scenario, taxation)
+        for obj in vars(module).values()
+        if isinstance(obj, type) and "__match_args__" in vars(obj)
+    }
+    assert made == set(RECORDS)
+    assert all(cls.__setattr__ is market._refuse_set for cls in made)
 
 
 FROZEN_VALUES = [Money(5), *(kind(1, "ABC", 5) for kind in TRADE_KINDS)]
@@ -218,6 +297,65 @@ class TestRecordDecorator:
             class Bag:
                 items: list = dataclasses.field(default_factory=list)
 
+    def test_bad_field_orders_and_mutable_defaults_are_refused(self):
+        with pytest.raises(TypeError, match="non-default argument 'b' follows default argument"):
+            @record
+            class Late:
+                a: int = 1
+                b: int
+        with pytest.raises(ValueError, match="mutable default"):
+            @record
+            class Shared:
+                items: list = []
+
+    def test_methods_the_class_defines_are_kept(self):
+        @record
+        class Shown:
+            a: int
+
+            def __repr__(self):
+                return "shown"
+
+        assert repr(Shown(1)) == "shown" and Shown(1) == Shown(1)
+
+
+class TestMoneyRecord:
+    def test_orders_by_centavos(self):
+        assert Money(-1) <= Money(-1) < Money(0) <= Money(1) and Money(2) >= Money(2) > Money(1)
+        assert sorted([Money(3), Money(-2), Money(0)]) == [Money(-2), Money(0), Money(3)]
+        assert max(Money(3), Money(7)) == Money(7)
+
+    @pytest.mark.parametrize("other", [5, 5.0, None, "5", (5,)])
+    def test_comparing_with_anything_else_is_a_type_error(self, other):
+        for compare_to in (
+            lambda: Money(5) < other, lambda: Money(5) <= other,
+            lambda: Money(5) > other, lambda: Money(5) >= other,
+            lambda: other < Money(5),
+        ):
+            with pytest.raises(TypeError):
+                compare_to()
+        assert Money(5) != other and not Money(5) == other
+
+
+def test_a_price_path_stays_unhashable():
+    with pytest.raises(TypeError, match="unhashable type: 'dict'"):
+        hash(PATH)
+    with pytest.raises(TypeError, match="unhashable type: 'dict'"):
+        hash(SCENARIO)
+
+
+def test_the_dataclass_view_is_built_on_first_access():
+    @record
+    class Pair:
+        a: int
+        b: int = 2
+
+    assert not isinstance(vars(Pair)["__dataclass_fields__"], dict)
+    fields = dataclasses.fields(Pair)
+    assert [(f.name, f.default) for f in fields] == [("a", dataclasses.MISSING), ("b", 2)]
+    assert isinstance(vars(Pair)["__dataclass_fields__"], dict)
+    assert dataclasses.fields(Pair) == fields and Pair.__dataclass_params__.frozen
+
 
 OPTIMIZED_TRADE_CHECK = """
 import sys
@@ -232,12 +370,42 @@ except InvalidQuantity:
 sys.exit(4)
 """
 
+# Exit 10 + i names the check that did not raise.
+OPTIMIZED_VALUE_CHECKS = """
+import sys
+from realize import Buy, Money, PricePath, Rate, Scenario
+from realize.errors import NonMonotonicTick, UndefinedPrice
+if sys.flags.optimize != 1:
+    sys.exit(3)
+path = PricePath({("A", 1): Money(100), ("A", 2): Money(100)})
+checks = [
+    (NonMonotonicTick, lambda: Scenario("s", path, (Buy(2, "A", 1), Buy(1, "A", 1)))),
+    (UndefinedPrice, lambda: Scenario("s", path, (Buy(3, "A", 1),))),
+    (ValueError, lambda: Rate(101, 100)),
+    (TypeError, lambda: Money(1.5)),
+]
+for code, (error, make) in enumerate(checks, start=10):
+    try:
+        make()
+    except error:
+        continue
+    sys.exit(code)
+"""
 
-def test_trade_check_survives_python_o():
+
+def run_optimized(script):
     src = str(Path(realize.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    done = subprocess.run(
-        [sys.executable, "-O", "-c", OPTIMIZED_TRADE_CHECK],
-        env=env, capture_output=True, text=True, timeout=120,
+    return subprocess.run(
+        [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, timeout=120,
     )
+
+
+def test_scenario_rate_and_money_checks_survive_python_o():
+    done = run_optimized(OPTIMIZED_VALUE_CHECKS)
+    assert done.returncode == 0, (done.returncode, done.stderr)
+
+
+def test_trade_check_survives_python_o():
+    done = run_optimized(OPTIMIZED_TRADE_CHECK)
     assert done.returncode == 0, done.stderr
