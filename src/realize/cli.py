@@ -2,8 +2,12 @@
 
 Subcommands: ``run``, ``compare``, ``paper-tables``, ``grid``, ``check``.
 Exit codes are a stable scripting contract: 0 success, 1 golden-suite
-mismatch from ``check``, 2 scenario or parse errors, 64 usage errors.
+mismatch from ``check``, 2 scenario or parse errors and output that cannot
+be written (a closed pipe, a full disk), 64 usage errors.
 The REALIZE_FORMAT environment variable overrides the default output format.
+
+Each call is a fresh interpreter, so what only one command needs (the
+golden tables, ``json``, ``csv``, the fixture reader) is imported inside it.
 """
 
 from __future__ import annotations
@@ -12,8 +16,6 @@ import argparse
 import io
 import os
 import sys
-from importlib import resources
-from pathlib import Path
 
 from .errors import EngineError, UnreadableScenario
 from .realization import Regime
@@ -28,7 +30,6 @@ from .scenario import (
     parse_scenario,
     run,
 )
-from .tables import paper_tables
 from .taxation import NettingWindow, RateSchedule
 
 EXIT_OK = 0
@@ -65,16 +66,18 @@ def _layout(rows: list[tuple[str, ...]]) -> list[str]:
 def _load_scenario(target: str) -> Scenario:
     if target in BUILTIN_NAMES:
         return builtin(target)
-    path = Path(target)
-    if not path.exists():
+    if not os.path.exists(target):
         raise EngineError(f"no such file or built-in scenario: {target}")
     try:
-        text = path.read_text(encoding="utf-8")
+        with open(target, encoding="utf-8") as f:
+            text = f.read()
     except UnicodeDecodeError as err:
         raise UnreadableScenario(f"{target}: not UTF-8 text (bad byte at offset {err.start})") from None
     except OSError as err:
         raise UnreadableScenario(f"{target}: {err.strerror or err}") from None
-    return parse_scenario(text, name=path.stem)
+    name = os.path.basename(target)
+    dot = name.rfind(".")
+    return parse_scenario(text, name=name[:dot] if 0 < dot < len(name) - 1 else name)  # Path.stem
 
 
 def _render_run_table(report: RunReport) -> str:
@@ -260,9 +263,18 @@ def _check_format(fmt: str) -> str:
 
 
 def _fixture_text() -> str:
+    from importlib import resources
+
     return resources.files("realize").joinpath("fixtures/paper_tables.txt").read_text(
         encoding="utf-8"
     )
+
+
+def paper_tables() -> str:
+    """Every golden table, rendered by ``realize.tables``, which loads on this first call."""
+    from .tables import paper_tables as render
+
+    return render()
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -383,11 +395,25 @@ def build_parser() -> _Parser:
     return parser
 
 
+def _unwritable(err: OSError) -> int:
+    """Report a failed write to stdout once; what stdout still holds goes to the null device."""
+    try:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())  # so the interpreter's exit flush cannot fail again
+        os.close(devnull)
+    except (OSError, ValueError):  # stdout has no file descriptor: nothing is left to flush
+        pass
+    if not isinstance(err, BrokenPipeError):  # a closed pipe is the reader's choice, not an error
+        print(f"realize: error: cannot write output: {err.strerror or err}", file=sys.stderr)
+    return EXIT_SCENARIO_ERROR
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 0
     except EngineError as err:
@@ -395,6 +421,9 @@ def main(argv: list[str] | None = None) -> int:
         where = f" (event {index})" if index is not None else ""
         print(f"realize: error{where}: {err}", file=sys.stderr)
         return EXIT_SCENARIO_ERROR
+    except OSError as err:
+        return _unwritable(err)
+    return code
 
 
 if __name__ == "__main__":  # pragma: no cover

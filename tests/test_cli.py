@@ -8,6 +8,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import realize
 from realize import cli
 
@@ -60,6 +62,13 @@ class TestRun:
         report = json.loads(out)
         assert report["scenario"] == "own"
         assert report["totals"]["total_tax"] == 15000  # 10% of 1,500 pesos, in centavos
+
+    @pytest.mark.parametrize("filename", ["own.scn", "own", ".scn", "own.", "own.v2.scn"])
+    def test_file_scenario_is_named_by_the_file_stem(self, capsys, tmp_path, filename):
+        path = tmp_path / filename
+        path.write_text("price ZZZ 1 10\n")
+        code, out, _ = invoke(capsys, "run", str(path), "--format", "json")
+        assert (code, json.loads(out)["scenario"]) == (0, path.stem)
 
     def test_parse_error_exits_2_with_position(self, capsys, tmp_path):
         path = tmp_path / "bad.scn"
@@ -279,11 +288,81 @@ print(" ".join(loaded))
 
 class TestColdStart:
     def test_table_commands_import_neither_csv_nor_json(self):
-        # -I -S: no site hooks, so only realize's own imports count.
+        # -I -S: no site hooks, so only realize's own imports count; -B: no bytecode left in src.
         src = str(Path(realize.__file__).resolve().parents[1])
         done = subprocess.run(
-            [sys.executable, "-I", "-S", "-c", TABLE_COMMANDS_LOAD, src],
+            [sys.executable, "-B", "-I", "-S", "-c", TABLE_COMMANDS_LOAD, src],
             capture_output=True, text=True, timeout=120,
         )
         assert done.returncode == 0, done.stderr
         assert done.stdout.strip() == ""
+
+    def test_compare_and_run_load_neither_dataclasses_nor_the_tables(self, tmp_path):
+        book = tmp_path / "two.scn"
+        book.write_text(TWO_SECURITY_BOOK, encoding="utf-8")
+        src = str(Path(realize.__file__).resolve().parents[1])
+        done = subprocess.run(
+            [sys.executable, "-B", "-I", "-S", "-c", HEAVY_MODULES_LOAD, src, str(book)],
+            capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        compare, run_json, check = done.stdout.splitlines()
+        assert compare == "compare" and run_json == "run"
+        assert "realize.tables" in check.split()
+
+
+TWO_SECURITY_BOOK = """\
+price A 1 10
+price B 1 20
+price A 2 12.50
+price B 2 18
+at 1 buy A 100
+at 1 buy B 50
+at 2 borrow A 40
+at 2 short-sell A 40
+at 2 sell B 20
+"""
+
+# After each command, in this order, the heavy modules it has loaded so far.
+HEAVY_MODULES_LOAD = """
+import contextlib, io, sys
+sys.path.insert(0, sys.argv[1])
+import realize.cli
+heavy = ("dataclasses", "inspect", "typing", "importlib.resources", "realize.tables")
+for argv in (["compare", "strategy3"], ["run", sys.argv[2], "--format", "json"], ["check"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert realize.cli.main(argv) == 0, argv
+    print(argv[0], *[m for m in heavy if m in sys.modules])
+"""
+
+
+def realize_process(*argv, stdout):
+    src = str(Path(realize.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    env.pop("REALIZE_FORMAT", None)
+    return subprocess.run(
+        [sys.executable, "-m", "realize", *argv],
+        stdout=stdout, stderr=subprocess.PIPE, env=env, text=True, timeout=120,
+    )
+
+
+class TestOutputErrors:
+    """Output that cannot be written exits 2, never with a traceback or the mismatch code 1."""
+
+    def test_closed_pipe_exits_2_and_prints_nothing(self):
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # the reader is gone before the first byte, as after `| head -0`
+        try:
+            done = realize_process("run", "strategy3", "--format", "json", stdout=write_end)
+        finally:
+            os.close(write_end)
+        assert "Traceback" not in done.stderr
+        assert (done.returncode, done.stderr) == (2, "")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs the /dev/full device")
+    def test_full_device_exits_2_with_one_line(self):
+        with open("/dev/full", "w") as full:
+            done = realize_process("run", "strategy3", stdout=full)
+        assert "Traceback" not in done.stderr
+        assert done.returncode == 2
+        assert done.stderr == "realize: error: cannot write output: No space left on device\n"
