@@ -5,7 +5,7 @@ never enters any computation; the single place rounding can occur is
 ``apply_rate``, which rounds half-to-even at the centavo.
 
 Every value class of the package is made by ``record``: frozen and slotted,
-with methods generated once per class.  Values the engine builds by the
+with an ``__init__`` generated once per class.  Values the engine builds by the
 thousand are constructed the trusted way: their slots are written through
 the class's own slot descriptors, past the frozen ``__setattr__``.
 ``_money`` does this for arithmetic results, and every record's generated
@@ -17,6 +17,7 @@ from __future__ import annotations
 import re
 import sys
 from collections.abc import Mapping
+from operator import attrgetter, eq, ge, gt, le, lt
 
 from .errors import MissingPrice, NegativeBase
 
@@ -80,18 +81,46 @@ def _annotation_text(annotation: object) -> str:
     return f"{annotation.__module__}.{annotation.__qualname__}"
 
 
+def _repr(self) -> str:
+    shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
+    return f"{self.__class__.__qualname__}({shown})"
+
+
+def _getstate(self) -> tuple:
+    return tuple(getattr(self, name) for name in self.__match_args__)
+
+
+def _setstate(self, state: tuple) -> None:
+    for name, value in zip(self.__match_args__, state):
+        object.__setattr__(self, name, value)  # the slot's own descriptor, past _refuse_set
+
+
+def _comparison(name: str, op, values):
+    """``__eq__``-style method comparing field tuples, for instances of exactly one class."""
+
+    def compare(self, other):
+        if other.__class__ is self.__class__:
+            return op(values(self), values(other))
+        return NotImplemented
+
+    compare.__name__ = name
+    return compare
+
+
 def record(cls: type | None = None, /, *, order: bool = False):
     """Make ``cls`` a frozen, slotted value class, like ``@dataclass(frozen=True, slots=True)``.
 
     The fields are the class's own annotations, in order, with plain
     defaults; a default factory is refused.  One ``exec`` per class writes
-    ``__init__``, ``__repr__``, ``__eq__``, ``__hash__``, the pickle state
-    and, with ``order=True``, the four comparisons; methods the class
-    defines itself are kept.  ``__init__`` sets each slot through its member
-    descriptor, then calls ``__post_init__`` when the class has one.  Any
-    attribute write or delete raises ``FrozenInstanceError``.
-    ``__dataclass_fields__`` and ``__dataclass_params__`` are built on first
-    access, so ``dataclasses`` loads only when something asks for them.
+    ``__init__``, which sets each slot through its member descriptor, then
+    calls ``__post_init__`` when the class has one.  Equality, hashing and,
+    with ``order=True``, the four comparisons use the field values, read by
+    one ``operator.attrgetter``; ``__repr__`` and the pickle state read the
+    fields by name.
+    Methods the class defines itself are kept.  Any attribute write or
+    delete raises ``FrozenInstanceError``.  ``__dataclass_fields__`` and
+    ``__dataclass_params__`` are built on first access, so ``dataclasses``
+    loads only when something asks for them.
     """
     if cls is None:
         return lambda cls: _build(cls, order)
@@ -124,41 +153,32 @@ def _build(cls: type, order: bool) -> type:
         env[f"_dflt_{name}"] = default
         params.append(f"{name}=_dflt_{name}")
 
-    own = "".join(f"self.{name}," for name in names)
-    other = "".join(f"other.{name}," for name in names)
-    shown = ", ".join(f"{name}={{self.{name}!r}}" for name in names)
-    sets = [f"_set_{name}(self, {name})" for name in names]
+    # Only __init__ is generated: compiling source is most of what building a class costs.
+    body = [f"_set_{name}(self, {name})" for name in names]
     if hasattr(cls, "__post_init__"):
-        sets.append("self.__post_init__()")
-    restores = [f"_set_{name}(self, state[{i}])" for i, name in enumerate(names)]
-    compare = [("eq", "==")] + ([("lt", "<"), ("le", "<="), ("gt", ">"), ("ge", ">=")] if order else [])
-    source = [
-        f"def __init__({', '.join(params)}):",
-        *(f"    {line}" for line in sets or ["pass"]),
-        "def __repr__(self):",
-        f'    return self.__class__.__qualname__ + f"({shown})"',
-        "def __hash__(self):",
-        f"    return hash(({own}))",
-        "def __getstate__(self):",
-        f"    return ({own})",
-        "def __setstate__(self, state):",
-        *(f"    {line}" for line in restores or ["pass"]),
-    ]
-    for op, symbol in compare:
-        source += [
-            f"def __{op}__(self, other):",
-            "    if other.__class__ is self.__class__:",
-            f"        return ({own}) {symbol} ({other})",
-            "    return NotImplemented",
-        ]
-    exec("\n".join(source), env)
-    env["__init__"].__annotations__ = {name: annotations[name] for name in names} | {"return": None}
-    methods = ["__init__", "__repr__", "__hash__", "__getstate__", "__setstate__"]
-    for name in methods + [f"__{op}__" for op, _ in compare]:
-        env[name].__qualname__ = f"{cls.__qualname__}.{name}"
-        ns.setdefault(name, env[name])
-    ns.setdefault("__setattr__", _refuse_set)
-    ns.setdefault("__delattr__", _refuse_delete)
+        body.append("self.__post_init__()")
+    exec(f"def __init__({', '.join(params)}):\n    " + "\n    ".join(body), env)
+    init = env["__init__"]
+    init.__annotations__ = {name: annotations[name] for name in names} | {"return": None}
+    init.__qualname__ = f"{cls.__qualname__}.__init__"
+    values = attrgetter(*names)  # the one field's value itself when there is only one
+
+    def __hash__(self) -> int:
+        return hash(values(self))
+
+    methods = {
+        "__init__": init,
+        "__repr__": _repr,
+        "__eq__": _comparison("__eq__", eq, values),
+        "__hash__": __hash__,
+        "__getstate__": _getstate,
+        "__setstate__": _setstate,
+        "__setattr__": _refuse_set,
+        "__delattr__": _refuse_delete,
+    }
+    for op in (lt, le, gt, ge) if order else ():
+        methods[f"__{op.__name__}__"] = _comparison(f"__{op.__name__}__", op, values)
+    ns = methods | ns  # what the class defines itself wins
     ns["__slots__"] = ns["__match_args__"] = names
     ns["__qualname__"] = cls.__qualname__
     ns["__dataclass_fields__"] = _DataclassAttr(annotations, defaults, order)
