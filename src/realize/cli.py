@@ -397,12 +397,9 @@ def build_parser() -> _Parser:
 
 def _unwritable(err: OSError) -> int:
     """Report a failed write to stdout once; what stdout still holds goes to the null device."""
-    try:
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())  # so the interpreter's exit flush cannot fail again
-        os.close(devnull)
-    except (OSError, ValueError):  # stdout has no file descriptor: nothing is left to flush
-        pass
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, sys.stdout.fileno())  # so the interpreter's exit flush cannot fail again
+    os.close(devnull)
     if not isinstance(err, BrokenPipeError):  # a closed pipe is the reader's choice, not an error
         print(f"realize: error: cannot write output: {err.strerror or err}", file=sys.stderr)
     return EXIT_SCENARIO_ERROR
