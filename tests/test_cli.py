@@ -336,33 +336,39 @@ for argv in (["compare", "strategy3"], ["run", sys.argv[2], "--format", "json"],
 """
 
 
-def realize_process(*argv, stdout):
+def realize_process(*argv, stdout, buffered):
     src = str(Path(realize.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     env.pop("REALIZE_FORMAT", None)
+    env.pop("PYTHONUNBUFFERED", None)
+    if not buffered:  # each print then fails inside the command, not at the final flush
+        env["PYTHONUNBUFFERED"] = "1"
     return subprocess.run(
         [sys.executable, "-m", "realize", *argv],
         stdout=stdout, stderr=subprocess.PIPE, env=env, text=True, timeout=120,
     )
 
 
+@pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
 class TestOutputErrors:
     """Output that cannot be written exits 2, never with a traceback or the mismatch code 1."""
 
-    def test_closed_pipe_exits_2_and_prints_nothing(self):
+    def test_closed_pipe_exits_2_and_prints_nothing(self, buffered):
         read_end, write_end = os.pipe()
         os.close(read_end)  # the reader is gone before the first byte, as after `| head -0`
         try:
-            done = realize_process("run", "strategy3", "--format", "json", stdout=write_end)
+            done = realize_process(
+                "run", "strategy3", "--format", "json", stdout=write_end, buffered=buffered
+            )
         finally:
             os.close(write_end)
         assert "Traceback" not in done.stderr
         assert (done.returncode, done.stderr) == (2, "")
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs the /dev/full device")
-    def test_full_device_exits_2_with_one_line(self):
+    def test_full_device_exits_2_with_one_line(self, buffered):
         with open("/dev/full", "w") as full:
-            done = realize_process("run", "strategy3", stdout=full)
+            done = realize_process("run", "strategy3", stdout=full, buffered=buffered)
         assert "Traceback" not in done.stderr
         assert done.returncode == 2
         assert done.stderr == "realize: error: cannot write output: No space left on device\n"
