@@ -265,9 +265,11 @@ def _check_format(fmt: str) -> str:
 def _fixture_text() -> str:
     from importlib import resources
 
-    return resources.files("realize").joinpath("fixtures/paper_tables.txt").read_text(
-        encoding="utf-8"
-    )
+    fixture = resources.files("realize").joinpath("fixtures/paper_tables.txt")
+    try:
+        return fixture.read_text(encoding="utf-8")
+    except OSError as err:  # here, not in main, where an OSError means stdout failed
+        raise EngineError(f"cannot read the golden fixture: {err.strerror or err}") from None
 
 
 def paper_tables() -> str:

@@ -286,6 +286,15 @@ print(" ".join(loaded))
 """
 
 
+def test_missing_fixture_is_named_not_taken_for_an_output_error(capsys, monkeypatch, tmp_path):
+    from importlib import resources
+
+    monkeypatch.setattr(resources, "files", lambda package: tmp_path)
+    code, out, err = invoke(capsys, "check")
+    assert (code, out) == (2, "")
+    assert err == "realize: error: cannot read the golden fixture: No such file or directory\n"
+
+
 class TestColdStart:
     def test_table_commands_import_neither_csv_nor_json(self):
         # -I -S: no site hooks, so only realize's own imports count; -B: no bytecode left in src.
