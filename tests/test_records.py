@@ -242,7 +242,7 @@ def test_every_value_class_is_a_sampled_record():
     assert all(cls.__setattr__ is market._refuse_set for cls in made)
 
 
-FROZEN_VALUES = [Money(5), *(kind(1, "ABC", 5) for kind in TRADE_KINDS)]
+FROZEN_VALUES = [kind(1, "ABC", 5) for kind in TRADE_KINDS]  # Money is one of the RECORDS
 FROZEN_VALUES += [cls(*SAMPLES[cls]) for cls in RECORDS]
 
 
