@@ -96,7 +96,7 @@ def _setstate(self, state: tuple) -> None:
 
 
 def _comparison(name: str, op, values):
-    """``__eq__``-style method comparing field tuples, for instances of exactly one class."""
+    """An ``__eq__``-style method comparing field values, for instances of exactly one class."""
 
     def compare(self, other):
         if other.__class__ is self.__class__:
@@ -116,11 +116,10 @@ def record(cls: type | None = None, /, *, order: bool = False):
     calls ``__post_init__`` when the class has one.  Equality, hashing and,
     with ``order=True``, the four comparisons use the field values, read by
     one ``operator.attrgetter``; ``__repr__`` and the pickle state read the
-    fields by name.
-    Methods the class defines itself are kept.  Any attribute write or
-    delete raises ``FrozenInstanceError``.  ``__dataclass_fields__`` and
-    ``__dataclass_params__`` are built on first access, so ``dataclasses``
-    loads only when something asks for them.
+    fields by name.  Methods the class defines itself are kept.  Any
+    attribute write or delete raises ``FrozenInstanceError``.
+    ``__dataclass_fields__`` and ``__dataclass_params__`` are built on first
+    access, so ``dataclasses`` loads only when something asks for them.
     """
     if cls is None:
         return lambda cls: _build(cls, order)
