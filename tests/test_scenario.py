@@ -147,41 +147,225 @@ class TestParser:
 
 
 def with_comments(text):
-    """Every line with a trailing comment, which sends it down the column-tracking parser."""
+    """Every line with a trailing comment."""
     return "".join(f"{line} # x\n" for line in text.splitlines())
 
 
+# Each case is (text, (class, message, line, col)).  The expected values are
+# literals, so a parser change cannot move an error without a test noticing.
 PARSE_ERROR_CASES = {
-    "zero-qty": "price ABC 2 100\nat 2 buy ABC 0\n",
-    "negative-qty": "price ABC 2 100\nat 2 buy ABC -5\n",
-    "full-width-qty": "price ABC 1 50\nat 1 buy ABC \uff11\uff10\n",
-    "zero-cover": "price ABC 1 50\nat 1 cover ABC 0 by-purchase\n",
-    "bad-cover-mode": "price ABC 1 50\nat 1 cover ABC 5 somehow\n",
-    "missing-cover-mode": "price ABC 1 50\nat 1 cover ABC 5\n",
-    "trade-trailing": "price ABC 1 50\nat 1 buy ABC 5 extra\n",
-    "cover-trailing": "price ABC 1 50\nat 1 cover ABC 5 with-owned extra\n",
-    "unknown-verb": "price ABC 1 50\nat 1 shortsell ABC 5\n",
-    "negative-event-tick": "price ABC 1 50\nat -1 buy ABC 5\n",
-    "full-width-event-tick": "price ABC 1 50\nat \uff11 buy ABC 5\n",
-    "negative-price": "price ABC 1 -5\n",
-    "plus-price": "price ABC 1 +5\n",
-    "underscore-price": "price ABC 1 1_000\n",
-    "three-decimals": "price ABC 1 1.234\n",
-    "bare-point": "price ABC 1 5.\n",
-    "leading-point": "price ABC 1 .5\n",
-    "arabic-indic-price": "price ABC 1 5\u0660\n",
-    "superscript-price": "price ABC 1 \u00b2\n",
-    "full-width-tick": "price ABC \uff11 50\n",
-    "duplicate-price": "price ABC 1 50\nprice ABC 1 60\n",
-    "price-trailing": "price ABC 1 50 extra\n",
-    "price-missing": "price ABC 1\n",
-    "unknown-directive": "quote ABC 1 50\n",
-    "non-monotonic": "price ABC 1 50\nprice ABC 2 100\nat 2 buy ABC 5\n  at 1 buy ABC 5\n",
-    "undefined-price": "price ABC 1 50\n\tat 1 buy XYZ 5\n",
-    "plus-qty": "price ABC 2 100\nat 2 buy ABC +5\n",
-    "underscore-qty": "price ABC 2 100\nat 2 buy ABC 1_000\n",
-    "plus-event-tick": "price ABC 1 50\nat +1 buy ABC 5\n",
-    "plus-tick": "price ABC +1 50\nat 1 sell ABC 5\n",
+    "zero-qty": (
+        "price ABC 2 100\nat 2 buy ABC 0\n",
+        (InvalidQuantity, "line 2, col 14: quantity must be positive, got 0", 2, 14),
+    ),
+    "negative-qty": (
+        "price ABC 2 100\nat 2 buy ABC -5\n",
+        (InvalidQuantity, "line 2, col 14: quantity must be positive, got -5", 2, 14),
+    ),
+    "full-width-qty": (
+        "price ABC 1 50\nat 1 buy ABC \uff11\uff10\n",
+        (ParseError, "line 2, col 14: expected share quantity, got '\uff11\uff10'", 2, 14),
+    ),
+    "zero-cover": (
+        "price ABC 1 50\nat 1 cover ABC 0 by-purchase\n",
+        (InvalidQuantity, "line 2, col 16: quantity must be positive, got 0", 2, 16),
+    ),
+    "bad-cover-mode": (
+        "price ABC 1 50\nat 1 cover ABC 5 somehow\n",
+        (ParseError, "line 2, col 18: expected 'by-purchase' or 'with-owned', got 'somehow'", 2, 18),
+    ),
+    "missing-cover-mode": (
+        "price ABC 1 50\nat 1 cover ABC 5\n",
+        (ParseError, "line 2, col 17: expected 'by-purchase' or 'with-owned'", 2, 17),
+    ),
+    "trade-trailing": (
+        "price ABC 1 50\nat 1 buy ABC 5 extra\n",
+        (ParseError, "line 2, col 16: unexpected trailing tokens", 2, 16),
+    ),
+    "cover-trailing": (
+        "price ABC 1 50\nat 1 cover ABC 5 with-owned extra\n",
+        (ParseError, "line 2, col 29: unexpected trailing tokens", 2, 29),
+    ),
+    "unknown-verb": (
+        "price ABC 1 50\nat 1 shortsell ABC 5\n",
+        (UnknownDirective, "line 2, col 6: unknown event verb 'shortsell'", 2, 6),
+    ),
+    "negative-event-tick": (
+        "price ABC 1 50\nat -1 buy ABC 5\n",
+        (ParseError, "line 2, col 4: tick must be non-negative, got -1", 2, 4),
+    ),
+    "full-width-event-tick": (
+        "price ABC 1 50\nat \uff11 buy ABC 5\n",
+        (ParseError, "line 2, col 4: expected tick, got '\uff11'", 2, 4),
+    ),
+    "negative-price": (
+        "price ABC 1 -5\n",
+        (ParseError, "line 1, col 13: price must not be negative", 1, 13),
+    ),
+    "plus-price": (
+        "price ABC 1 +5\n",
+        (ParseError, "line 1, col 13: expected peso price with at most two decimals, got '+5'", 1, 13),
+    ),
+    "underscore-price": (
+        "price ABC 1 1_000\n",
+        (ParseError, "line 1, col 13: expected peso price with at most two decimals, got '1_000'", 1, 13),
+    ),
+    "three-decimals": (
+        "price ABC 1 1.234\n",
+        (ParseError, "line 1, col 13: expected peso price with at most two decimals, got '1.234'", 1, 13),
+    ),
+    "bare-point": (
+        "price ABC 1 5.\n",
+        (ParseError, "line 1, col 13: expected peso price with at most two decimals, got '5.'", 1, 13),
+    ),
+    "leading-point": (
+        "price ABC 1 .5\n",
+        (ParseError, "line 1, col 13: expected peso price with at most two decimals, got '.5'", 1, 13),
+    ),
+    "arabic-indic-price": (
+        "price ABC 1 5\u0660\n",
+        (ParseError, "line 1, col 13: expected peso price with at most two decimals, got '5\u0660'", 1, 13),
+    ),
+    "superscript-price": (
+        "price ABC 1 \u00b2\n",
+        (ParseError, "line 1, col 13: expected peso price with at most two decimals, got '\u00b2'", 1, 13),
+    ),
+    "full-width-tick": (
+        "price ABC \uff11 50\n",
+        (ParseError, "line 1, col 11: expected tick, got '\uff11'", 1, 11),
+    ),
+    "duplicate-price": (
+        "price ABC 1 50\nprice ABC 1 60\n",
+        (ParseError, "line 2, col 1: duplicate price for ABC at tick 1", 2, 1),
+    ),
+    "price-trailing": (
+        "price ABC 1 50 extra\n",
+        (ParseError, "line 1, col 16: unexpected trailing tokens", 1, 16),
+    ),
+    "price-missing": (
+        "price ABC 1\n",
+        (ParseError, "line 1, col 12: expected price", 1, 12),
+    ),
+    "unknown-directive": (
+        "quote ABC 1 50\n",
+        (UnknownDirective, "line 1, col 1: unknown directive 'quote'", 1, 1),
+    ),
+    "non-monotonic": (
+        "price ABC 1 50\nprice ABC 2 100\nat 2 buy ABC 5\n  at 1 buy ABC 5\n",
+        (NonMonotonicTick, "line 4, col 3: event tick 1 precedes earlier tick 2", 4, 3),
+    ),
+    "undefined-price": (
+        "price ABC 1 50\n\tat 1 buy XYZ 5\n",
+        (UndefinedPrice, "line 2, col 2: no price for XYZ at tick 1", 2, 2),
+    ),
+    "plus-qty": (
+        "price ABC 2 100\nat 2 buy ABC +5\n",
+        (ParseError, "line 2, col 14: expected share quantity, got '+5'", 2, 14),
+    ),
+    "underscore-qty": (
+        "price ABC 2 100\nat 2 buy ABC 1_000\n",
+        (ParseError, "line 2, col 14: expected share quantity, got '1_000'", 2, 14),
+    ),
+    "plus-event-tick": (
+        "price ABC 1 50\nat +1 buy ABC 5\n",
+        (ParseError, "line 2, col 4: expected tick, got '+1'", 2, 4),
+    ),
+    "plus-tick": (
+        "price ABC +1 50\nat 1 sell ABC 5\n",
+        (ParseError, "line 1, col 11: expected tick, got '+1'", 1, 11),
+    ),
+    "price-missing-symbol": (
+        "price\n",
+        (ParseError, "line 1, col 6: expected security symbol", 1, 6),
+    ),
+    "price-missing-tick": (
+        "price ABC  \n",
+        (ParseError, "line 1, col 10: expected tick", 1, 10),
+    ),
+    "event-missing-tick": (
+        "at\n",
+        (ParseError, "line 1, col 3: expected tick", 1, 3),
+    ),
+    "event-missing-verb": (
+        "price ABC 1 50\nat 1\n",
+        (ParseError, "line 2, col 5: expected event verb", 2, 5),
+    ),
+    "trade-missing-symbol": (
+        "price ABC 1 50\nat 1 buy\n",
+        (ParseError, "line 2, col 9: expected security symbol", 2, 9),
+    ),
+    "trade-missing-qty": (
+        "price ABC 1 50\nat 1 sell ABC\n",
+        (ParseError, "line 2, col 14: expected share quantity", 2, 14),
+    ),
+    "cover-missing-symbol": (
+        "price ABC 1 50\nat 1 cover\n",
+        (ParseError, "line 2, col 11: expected security symbol", 2, 11),
+    ),
+    "cover-missing-qty": (
+        "price ABC 1 50\nat 1 cover ABC\n",
+        (ParseError, "line 2, col 15: expected share quantity", 2, 15),
+    ),
+    "death-missing-heir": (
+        "price ABC 1 50\nat 1 death heir\n",
+        (ParseError, "line 2, col 16: expected heir label", 2, 16),
+    ),
+    "death-heir-trailing": (
+        "price ABC 1 50\nat 1 death heir Y extra\n",
+        (ParseError, "line 2, col 19: unexpected trailing tokens", 2, 19),
+    ),
+    "glued-comment": (
+        "price A 1 50#x\nprice A 1 60\n",
+        (ParseError, "line 2, col 1: duplicate price for A at tick 1", 2, 1),
+    ),
+    "glued-comment-bad-price": (
+        "price A 1 5.#x\n",
+        (ParseError, "line 1, col 11: expected peso price with at most two decimals, got '5.'", 1, 11),
+    ),
+    "nbsp-separator": (
+        "price ABC 1 50\nat\u00a01 buy\u00a0ABC\u00a00\n",
+        (InvalidQuantity, "line 2, col 14: quantity must be positive, got 0", 2, 14),
+    ),
+    "ideographic-separator": (
+        "price\u3000ABC\u30001\u3000-5\n",
+        (ParseError, "line 1, col 13: price must not be negative", 1, 13),
+    ),
+    "tab-separator": (
+        "price ABC 1 50\nat\t1\tcover\tABC\t5\tsomehow\n",
+        (ParseError, "line 2, col 18: expected 'by-purchase' or 'with-owned', got 'somehow'", 2, 18),
+    ),
+    "mixed-indent-non-monotonic": (
+        "price ABC 1 50\nprice ABC 2 100\nat 2 buy ABC 5\n\u3000\u00a0\tat 1 buy ABC 5\n",
+        (NonMonotonicTick, "line 4, col 4: event tick 1 precedes earlier tick 2", 4, 4),
+    ),
+    "death-bad-keyword": (
+        "price ABC 1 50\nat 1 death inherit Y\n",
+        (ParseError, "line 2, col 12: expected 'heir', got 'inherit'", 2, 12),
+    ),
+    "bad-tick-before-missing-verb": (
+        "at x\n",
+        (ParseError, "line 1, col 4: expected tick, got 'x'", 1, 4),
+    ),
+    "missing-price-before-bad-tick": (
+        "price ABC x\n",
+        (ParseError, "line 1, col 12: expected price", 1, 12),
+    ),
+    "trailing-before-bad-qty": (
+        "price ABC 1 50\nat 1 buy ABC x extra\n",
+        (ParseError, "line 2, col 16: unexpected trailing tokens", 2, 16),
+    ),
+    "bad-qty-before-bad-mode": (
+        "price ABC 1 50\nat 1 cover ABC 0 somehow\n",
+        (InvalidQuantity, "line 2, col 16: quantity must be positive, got 0", 2, 16),
+    ),
+    "bad-tick-before-unknown-verb": (
+        "at x frob\n",
+        (ParseError, "line 1, col 4: expected tick, got 'x'", 1, 4),
+    ),
+    "mixed-separator-missing": (
+        "price ABC 1 50\n\u00a0at\u30001\tbuy\u00a0ABC\u3000\n",
+        (ParseError, "line 2, col 14: expected share quantity", 2, 14),
+    ),
 }
 
 
@@ -200,7 +384,7 @@ def parse_failure(text):
 
 
 class TestPlainLineParser:
-    """Well-formed lines take a ``str.split()`` path; a comment forces the full parser."""
+    """A trailing comment changes nothing: each line gives the same value or the same error."""
 
     def test_generated_scenarios_parse_equal_on_both_paths(self):
         rng = random.Random(0x5EED)
@@ -225,33 +409,36 @@ class TestPlainLineParser:
     def test_int_spellings_parse_equal_on_both_paths(self, text):
         assert parse_scenario(text) == parse_scenario(with_comments(text))
 
-    @pytest.mark.parametrize("text", PARSE_ERROR_CASES.values(), ids=PARSE_ERROR_CASES.keys())
-    def test_errors_match_on_both_paths(self, text):
-        assert parse_failure(text) == parse_failure(with_comments(text))
+    @pytest.mark.parametrize(
+        "text, expected", PARSE_ERROR_CASES.values(), ids=PARSE_ERROR_CASES.keys()
+    )
+    def test_errors_match_on_both_paths(self, text, expected):
+        assert parse_failure(text) == expected
+        assert parse_failure(with_comments(text)) == expected
 
     def test_error_positions_are_those_of_the_full_parser(self):
-        assert parse_failure(PARSE_ERROR_CASES["zero-qty"])[1:] == (
+        assert parse_failure(PARSE_ERROR_CASES["zero-qty"][0])[1:] == (
             "line 2, col 14: quantity must be positive, got 0", 2, 14,
         )
-        assert parse_failure(PARSE_ERROR_CASES["non-monotonic"])[2:] == (4, 3)
-        assert parse_failure(PARSE_ERROR_CASES["undefined-price"])[2:] == (2, 2)
-        assert parse_failure(PARSE_ERROR_CASES["duplicate-price"])[2:] == (2, 1)
+        assert parse_failure(PARSE_ERROR_CASES["non-monotonic"][0])[2:] == (4, 3)
+        assert parse_failure(PARSE_ERROR_CASES["undefined-price"][0])[2:] == (2, 2)
+        assert parse_failure(PARSE_ERROR_CASES["duplicate-price"][0])[2:] == (2, 1)
 
     def test_signs_and_underscores_are_rejected_as_in_prices(self):
-        assert parse_failure(PARSE_ERROR_CASES["plus-qty"])[:2] == (
+        assert parse_failure(PARSE_ERROR_CASES["plus-qty"][0])[:2] == (
             ParseError, "line 2, col 14: expected share quantity, got '+5'",
         )
-        assert parse_failure(PARSE_ERROR_CASES["underscore-qty"])[1] == (
+        assert parse_failure(PARSE_ERROR_CASES["underscore-qty"][0])[1] == (
             "line 2, col 14: expected share quantity, got '1_000'"
         )
-        assert parse_failure(PARSE_ERROR_CASES["plus-tick"])[1] == (
+        assert parse_failure(PARSE_ERROR_CASES["plus-tick"][0])[1] == (
             "line 1, col 11: expected tick, got '+1'"
         )
         # A minus sign still reaches the range checks and their messages.
-        assert parse_failure(PARSE_ERROR_CASES["negative-qty"])[1] == (
+        assert parse_failure(PARSE_ERROR_CASES["negative-qty"][0])[1] == (
             "line 2, col 14: quantity must be positive, got -5"
         )
-        assert parse_failure(PARSE_ERROR_CASES["negative-event-tick"])[1] == (
+        assert parse_failure(PARSE_ERROR_CASES["negative-event-tick"][0])[1] == (
             "line 2, col 4: tick must be non-negative, got -1"
         )
 
