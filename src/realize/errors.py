@@ -4,7 +4,18 @@ from __future__ import annotations
 
 
 class EngineError(Exception):
-    """Base class for all errors raised by this package."""
+    """Base class for all errors raised by this package.
+
+    An error raised for a place in scenario text carries its 1-based ``line``
+    and ``col`` and starts its message with ``line L, col C: ``.
+    """
+
+    def __init__(self, message: str, line: int | None = None, col: int | None = None) -> None:
+        self.line = line
+        self.col = col
+        if line is not None:
+            message = f"line {line}, col {col}: {message}"
+        super().__init__(message)
 
 
 class MissingPrice(EngineError):
@@ -33,17 +44,7 @@ class OverCover(EngineError):
 
 
 class InvalidQuantity(EngineError):
-    """A share quantity was zero or negative.
-
-    Carries an optional source position when raised by the scenario parser.
-    """
-
-    def __init__(self, message: str, line: int | None = None, col: int | None = None) -> None:
-        self.line = line
-        self.col = col
-        if line is not None:
-            message = f"line {line}, col {col}: {message}"
-        super().__init__(message)
+    """A share quantity was zero or negative."""
 
 
 class InvariantViolation(EngineError):
@@ -69,14 +70,6 @@ class UnreadableScenario(EngineError):
 
 class ParseError(EngineError):
     """Scenario DSL error with a line/column diagnostic."""
-
-    def __init__(self, message: str, line: int | None = None, col: int | None = None) -> None:
-        self.line = line
-        self.col = col
-        self.bare_message = message
-        if line is not None:
-            message = f"line {line}, col {col}: {message}"
-        super().__init__(message)
 
 
 class UnknownDirective(ParseError):

@@ -11,9 +11,11 @@ whitespace-separated tokens):
     at <tick> cover <SYM> <qty> (by-purchase | with-owned)
     at <tick> death [heir <LABEL>]
 
-Ticks, quantities and prices are written in ASCII digits.  Event ticks must
-be non-decreasing and every event's (security, tick) must carry a price
-directive.  Parse failures raise errors with line and column.
+Ticks, quantities and prices are written in ASCII digits.  One parser reads
+every line; its errors carry the line and column of the offending token.
+``Scenario`` alone checks that event ticks are non-decreasing and that every
+event's (security, tick) carries a price directive; the parser re-raises
+those errors at the event's line.
 """
 
 from __future__ import annotations
@@ -57,9 +59,18 @@ BLOCK_QTY = 100_000
 sell_policy, cover_policy = Ledger._unreserved, Ledger._oldest_reserved
 
 
+def _annotate(err: EngineError, index: int) -> EngineError:
+    err.event_index = index
+    return err
+
+
 @record
 class Scenario:
-    """A price path plus a tick-ordered list of transaction events."""
+    """A price path plus a tick-ordered list of transaction events.
+
+    Building one raises ``NonMonotonicTick`` or ``UndefinedPrice``, with the
+    offending ``event_index``, when ticks decrease or an event has no price.
+    """
 
     name: str
     prices: PricePath
@@ -67,203 +78,145 @@ class Scenario:
 
     def __post_init__(self) -> None:
         last = None
-        for ev in self.events:
+        for index, ev in enumerate(self.events):
             if last is not None and ev.at < last:
-                raise NonMonotonicTick(
-                    f"event at tick {ev.at} after tick {last} in scenario {self.name!r}"
+                raise _annotate(
+                    NonMonotonicTick(f"event tick {ev.at} precedes earlier tick {last}"), index
                 )
             last = ev.at
             if not isinstance(ev, Death) and not self.prices.has(ev.sec, ev.at):
-                raise UndefinedPrice(f"no price for {ev.sec} at tick {ev.at}")
-
-    @property
-    def heir_label(self) -> str | None:
-        for ev in self.events:
-            if isinstance(ev, Death) and ev.heir is not None:
-                return ev.heir
-        return None
-
-
-_TOKEN_RE = re.compile(r"\S+")
-
-
-def _tokenize(line: str) -> list[tuple[str, int]]:
-    """Split a line into (token, 1-based column) pairs, dropping comments."""
-    comment = line.find("#")
-    if comment != -1:
-        line = line[:comment]
-    return [(m.group(), m.start() + 1) for m in _TOKEN_RE.finditer(line)]
-
-
-_INT_RE = re.compile(r"-?[0-9]+")
-
-
-def _parse_int(token: str, what: str, line_no: int, col: int) -> int:
-    # Exactly this spelling: int() would also take '+', '_' and other scripts' digits.
-    if _INT_RE.fullmatch(token):
-        return int(token)
-    raise ParseError(f"expected {what}, got {token!r}", line_no, col)
-
-
-def _parse_qty(token: str, line_no: int, col: int) -> int:
-    qty = _parse_int(token, "share quantity", line_no, col)
-    if qty <= 0:
-        raise InvalidQuantity(f"quantity must be positive, got {qty}", line_no, col)
-    return qty
-
-
-def _parse_tick(token: str, line_no: int, col: int) -> int:
-    t = _parse_int(token, "tick", line_no, col)
-    if t < 0:
-        raise ParseError(f"tick must be non-negative, got {t}", line_no, col)
-    return t
-
-
-def _expect(tokens: list[tuple[str, int]], index: int, what: str, line_no: int) -> tuple[str, int]:
-    if index >= len(tokens):
-        last_col = tokens[-1][1] + len(tokens[-1][0]) if tokens else 1
-        raise ParseError(f"expected {what}", line_no, last_col)
-    return tokens[index]
+                raise _annotate(UndefinedPrice(f"no price for {ev.sec} at tick {ev.at}"), index)
 
 
 _TRADES = {"buy": Buy, "borrow": Borrow, "short-sell": ShortSell, "sell": SellOwned}
 _COVERS = {"by-purchase": CoverByPurchase, "with-owned": CoverByOwnedLot}
 
+# What each token of a directive is, for "expected ..." messages.
+_PRICE = ("price", "security symbol", "tick", "price")
+_TRADE = ("at", "tick", "event verb", "security symbol", "share quantity")
+_COVER = (*_TRADE, "'by-purchase' or 'with-owned'")
+_DEATH = ("at", "tick", "death", "'heir'", "heir label")
 
-def _ascii_digits(token: str) -> bool:
-    return token.isdigit() and token.isascii()
+_TOKEN_RE = re.compile(r"\S+")
 
 
-def _parse_plain(
-    line: str,
-    quotes: dict[tuple[SecurityId, Tick], Money],
-    raw_events: list[tuple[TransactionEvent, int, int]],
-    line_no: int,
-) -> bool:
-    """Take a well-formed ``price`` or trade line by ``str.split()``.
+def _col(code: str, index: int) -> int:
+    """1-based column where token ``index`` of ``code`` starts, or past the last token, where it ends.
 
-    Returns False, having changed nothing, for any line it cannot prove
-    well-formed (comments, deaths, errors of every kind); the column-tracking
-    parser then reads that line and reports any error.
+    ``\\S`` and ``str.split()`` agree on every code point, so token ``index``
+    here is ``code.split()[index]``.  Only errors ask for a column.
     """
-    if "#" in line:
-        return False
-    tokens = line.split()
+    spans = [m.span() for m in _TOKEN_RE.finditer(code)]
+    return spans[index][0] + 1 if index < len(spans) else spans[-1][1] + 1
+
+
+def _count_error(tokens: list[str], names: tuple[str, ...], code: str, line_no: int) -> ParseError:
+    """The error for a line of the wrong length: its first missing token, or its first extra one."""
     n = len(tokens)
-    if n == 4 and tokens[0] == "price":
-        _, sym, tick, price = tokens
-        whole, dot, frac = price.partition(".")
-        if not (_ascii_digits(tick) and _ascii_digits(whole)):
-            return False
-        if dot and not (len(frac) <= 2 and _ascii_digits(frac)):
-            return False
-        key = (sym, int(tick))
-        if key in quotes:
-            return False
-        quotes[key] = _money(int(whole) * 100 + (int(frac.ljust(2, "0")) if dot else 0))
-        return True
-    if n < 5 or n > 6 or tokens[0] != "at":
-        return False
-    tick, verb, sym, qty = tokens[1:5]
-    trade = _TRADES.get(verb) if n == 5 else _COVERS.get(tokens[5]) if verb == "cover" else None
-    if trade is None or not (_ascii_digits(tick) and _ascii_digits(qty)) or int(qty) == 0:
-        return False
-    col = len(line) - len(line.lstrip()) + 1
-    raw_events.append((trade(int(tick), sym, int(qty)), line_no, col))
-    return True
+    if n < len(names):
+        return ParseError(f"expected {names[n]}", line_no, _col(code, n))
+    return ParseError("unexpected trailing tokens", line_no, _col(code, len(names)))
+
+
+def _int(tokens: list[str], index: int, what: str, code: str, line_no: int) -> int:
+    """Token ``index`` read as an integer spelled ``-?[0-9]+`` in ASCII.
+
+    Exactly this spelling: int() would also take '+', '_' and other scripts' digits.
+    """
+    token = tokens[index]
+    digits = token[1:] if token[:1] == "-" else token
+    if digits.isdigit() and digits.isascii():
+        return int(token)
+    raise ParseError(f"expected {what}, got {token!r}", line_no, _col(code, index))
 
 
 def parse_scenario(text: str, name: str = "scenario") -> Scenario:
     """Parse DSL text into a validated scenario."""
     quotes: dict[tuple[SecurityId, Tick], Money] = {}
-    raw_events: list[tuple[TransactionEvent, int, int]] = []
+    events: list[TransactionEvent] = []
+    event_lines: list[int] = []
+    lines = text.splitlines()
 
-    for line_no, line in enumerate(text.splitlines(), start=1):
-        if _parse_plain(line, quotes, raw_events, line_no):
+    for line_no, line in enumerate(lines, start=1):
+        code = line.partition("#")[0]
+        tokens = code.split()
+        n = len(tokens)
+        if not n:
             continue
-        tokens = _tokenize(line)
-        if not tokens:
-            continue
-        head, head_col = tokens[0]
+        head = tokens[0]
 
         if head == "price":
-            sym, _ = _expect(tokens, 1, "security symbol", line_no)
-            tick_tok, tick_col = _expect(tokens, 2, "tick", line_no)
-            price_tok, price_col = _expect(tokens, 3, "price", line_no)
-            if len(tokens) > 4:
-                raise ParseError("unexpected trailing tokens", line_no, tokens[4][1])
-            t = _parse_tick(tick_tok, line_no, tick_col)
+            if n != 4:
+                raise _count_error(tokens, _PRICE, code, line_no)
+            _, sym, _, price_tok = tokens
+            t = _int(tokens, 2, "tick", code, line_no)
+            if t < 0:
+                raise ParseError(f"tick must be non-negative, got {t}", line_no, _col(code, 2))
             try:
                 price = Money.parse(price_tok)
             except ValueError:
                 raise ParseError(
                     f"expected peso price with at most two decimals, got {price_tok!r}",
                     line_no,
-                    price_col,
+                    _col(code, 3),
                 ) from None
             if price.is_negative:
-                raise ParseError("price must not be negative", line_no, price_col)
+                raise ParseError("price must not be negative", line_no, _col(code, 3))
             if (sym, t) in quotes:
-                raise ParseError(f"duplicate price for {sym} at tick {t}", line_no, head_col)
-            quotes[(sym, t)] = price
+                raise ParseError(f"duplicate price for {sym} at tick {t}", line_no, _col(code, 0))
+            quotes[sym, t] = price
             continue
 
         if head != "at":
-            raise UnknownDirective(f"unknown directive {head!r}", line_no, head_col)
-
-        tick_tok, tick_col = _expect(tokens, 1, "tick", line_no)
-        t = _parse_tick(tick_tok, line_no, tick_col)
-        verb, verb_col = _expect(tokens, 2, "event verb", line_no)
+            raise UnknownDirective(f"unknown directive {head!r}", line_no, _col(code, 0))
+        if n < 2:
+            raise _count_error(tokens, _TRADE, code, line_no)
+        t = _int(tokens, 1, "tick", code, line_no)
+        if t < 0:
+            raise ParseError(f"tick must be non-negative, got {t}", line_no, _col(code, 1))
+        if n < 3:
+            raise _count_error(tokens, _TRADE, code, line_no)
+        verb = tokens[2]
 
         if verb == "death":
-            heir = None
-            if len(tokens) > 3:
-                kw, kw_col = tokens[3]
-                if kw != "heir":
-                    raise ParseError(f"expected 'heir', got {kw!r}", line_no, kw_col)
-                heir, _ = _expect(tokens, 4, "heir label", line_no)
-                if len(tokens) > 5:
-                    raise ParseError("unexpected trailing tokens", line_no, tokens[5][1])
-            raw_events.append((Death(at=t, heir=heir), line_no, head_col))
-            continue
-
-        if verb in _TRADES:
-            sym, _ = _expect(tokens, 3, "security symbol", line_no)
-            qty_tok, qty_col = _expect(tokens, 4, "share quantity", line_no)
-            if len(tokens) > 5:
-                raise ParseError("unexpected trailing tokens", line_no, tokens[5][1])
-            qty = _parse_qty(qty_tok, line_no, qty_col)
-            raw_events.append((_TRADES[verb](at=t, sec=sym, qty=qty), line_no, head_col))
+            if n > 3 and tokens[3] != "heir":
+                raise ParseError(f"expected 'heir', got {tokens[3]!r}", line_no, _col(code, 3))
+            if n != 3 and n != 5:
+                raise _count_error(tokens, _DEATH, code, line_no)
+            events.append(Death(t, tokens[4] if n == 5 else None))
+            event_lines.append(line_no)
             continue
 
         if verb == "cover":
-            sym, _ = _expect(tokens, 3, "security symbol", line_no)
-            qty_tok, qty_col = _expect(tokens, 4, "share quantity", line_no)
-            mode, mode_col = _expect(tokens, 5, "'by-purchase' or 'with-owned'", line_no)
-            if len(tokens) > 6:
-                raise ParseError("unexpected trailing tokens", line_no, tokens[6][1])
-            qty = _parse_qty(qty_tok, line_no, qty_col)
-            if mode not in _COVERS:
-                raise ParseError(
-                    f"expected 'by-purchase' or 'with-owned', got {mode!r}", line_no, mode_col
-                )
-            raw_events.append((_COVERS[mode](at=t, sec=sym, qty=qty), line_no, head_col))
-            continue
+            names = _COVER
+        elif verb in _TRADES:
+            names = _TRADE
+        else:
+            raise UnknownDirective(f"unknown event verb {verb!r}", line_no, _col(code, 2))
+        if n != len(names):
+            raise _count_error(tokens, names, code, line_no)
+        qty = _int(tokens, 4, "share quantity", code, line_no)
+        if qty <= 0:
+            raise InvalidQuantity(f"quantity must be positive, got {qty}", line_no, _col(code, 4))
+        if verb != "cover":
+            kind = _TRADES[verb]
+        elif tokens[5] in _COVERS:
+            kind = _COVERS[tokens[5]]
+        else:
+            raise ParseError(f"expected {names[5]}, got {tokens[5]!r}", line_no, _col(code, 5))
+        events.append(kind(t, tokens[3], qty))
+        event_lines.append(line_no)
 
-        raise UnknownDirective(f"unknown event verb {verb!r}", line_no, verb_col)
+    try:
+        return Scenario(name, PricePath(quotes), tuple(events))
+    except (NonMonotonicTick, UndefinedPrice) as err:
+        line_no = event_lines[err.event_index]
+        raise type(err)(str(err), line_no, _col(lines[line_no - 1], 0)) from None
 
-    path = PricePath(quotes)
-    last_tick: int | None = None
-    for ev, line_no, col in raw_events:
-        if last_tick is not None and ev.at < last_tick:
-            raise NonMonotonicTick(
-                f"event tick {ev.at} precedes earlier tick {last_tick}", line_no, col
-            )
-        last_tick = ev.at
-        if not isinstance(ev, Death) and not path.has(ev.sec, ev.at):
-            raise UndefinedPrice(f"no price for {ev.sec} at tick {ev.at}", line_no, col)
 
-    return Scenario(name=name, prices=path, events=tuple(ev for ev, _, _ in raw_events))
+# The printer's inverse of the two tables: event class -> (verb, text after the quantity).
+_SPELLINGS = {kind: (verb, "") for verb, kind in _TRADES.items()}
+_SPELLINGS.update({kind: ("cover", f" {mode}") for mode, kind in _COVERS.items()})
 
 
 def _money_token(m: Money) -> str:
@@ -282,20 +235,11 @@ def format_scenario(s: Scenario) -> str:
         for (sec, t), price in sorted(s.prices.quotes.items())
     ]
     for ev in s.events:
-        if isinstance(ev, Buy):
-            lines.append(f"at {ev.at} buy {ev.sec} {ev.qty}")
-        elif isinstance(ev, Borrow):
-            lines.append(f"at {ev.at} borrow {ev.sec} {ev.qty}")
-        elif isinstance(ev, ShortSell):
-            lines.append(f"at {ev.at} short-sell {ev.sec} {ev.qty}")
-        elif isinstance(ev, SellOwned):
-            lines.append(f"at {ev.at} sell {ev.sec} {ev.qty}")
-        elif isinstance(ev, CoverByPurchase):
-            lines.append(f"at {ev.at} cover {ev.sec} {ev.qty} by-purchase")
-        elif isinstance(ev, CoverByOwnedLot):
-            lines.append(f"at {ev.at} cover {ev.sec} {ev.qty} with-owned")
-        elif isinstance(ev, Death):
+        if isinstance(ev, Death):
             lines.append(f"at {ev.at} death" + (f" heir {ev.heir}" if ev.heir else ""))
+        else:
+            verb, mode = _SPELLINGS[type(ev)]
+            lines.append(f"at {ev.at} {verb} {ev.sec} {ev.qty}{mode}")
     return "\n".join(lines) + "\n"
 
 
@@ -450,11 +394,6 @@ class RunReport:
                 },
             },
         }
-
-
-def _annotate(err: EngineError, index: int) -> EngineError:
-    err.event_index = index
-    return err
 
 
 def run(

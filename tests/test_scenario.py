@@ -16,6 +16,7 @@ from realize import (
     Money,
     RateSchedule,
     Regime,
+    Scenario,
     SellOwned,
     ShortSell,
     apply_event,
@@ -139,11 +140,44 @@ class TestParser:
     def test_death_with_heir(self):
         s = parse_scenario("price ABC 1 50\nat 1 buy ABC 5\nat 2 death heir Y\n")
         assert s.events[-1] == Death(at=2, heir="Y")
-        assert s.heir_label == "Y"
 
     def test_death_bad_keyword(self):
         with pytest.raises(ParseError):
             parse_scenario("price ABC 1 50\nat 2 death inherit Y\n")
+
+
+class TestValidation:
+    """``Scenario`` alone checks tick order and quotes; the DSL re-raises at the event's line."""
+
+    PRICES = "price ABC 1 50\nprice ABC 2 100\n"
+
+    @pytest.mark.parametrize(
+        "dsl, events, error, message",
+        [
+            (
+                "at 2 buy ABC 5\nat 1 sell ABC 5\n",
+                (Buy(2, "ABC", 5), SellOwned(1, "ABC", 5)),
+                NonMonotonicTick,
+                "event tick 1 precedes earlier tick 2",
+            ),
+            (
+                "at 1 buy ABC 5\nat 1 buy XYZ 5\n",
+                (Buy(1, "ABC", 5), Buy(1, "XYZ", 5)),
+                UndefinedPrice,
+                "no price for XYZ at tick 1",
+            ),
+        ],
+        ids=["non-monotonic", "undefined-price"],
+    )
+    def test_built_scenario_names_the_event_with_the_dsl_message(self, dsl, events, error, message):
+        prices = parse_scenario(self.PRICES).prices
+        with pytest.raises(error) as built:
+            Scenario("s", prices, events)
+        assert (str(built.value), built.value.event_index) == (message, 1)
+        with pytest.raises(error) as parsed:
+            parse_scenario(self.PRICES + dsl)
+        assert str(parsed.value) == f"line 4, col 1: {message}"
+        assert not hasattr(parsed.value, "event_index")
 
 
 def with_comments(text):
