@@ -164,7 +164,7 @@ def parse_scenario(text: str, name: str = "scenario") -> Scenario:
                 raise ParseError("price must not be negative", line_no, _col(code, 3))
             if (sym, t) in quotes:
                 raise ParseError(f"duplicate price for {sym} at tick {t}", line_no, _col(code, 0))
-            quotes[sym, t] = price
+            quotes[(sym, t)] = price
             continue
 
         if head != "at":
