@@ -18,6 +18,7 @@ import os
 import sys
 
 from .errors import EngineError, UnreadableScenario
+from .market import pesos
 from .realization import Regime
 from .scenario import (
     BUILTIN_NAMES,
@@ -38,6 +39,7 @@ EXIT_SCENARIO_ERROR = 2
 EXIT_USAGE = 64
 
 FORMATS = ("table", "csv", "json")
+PESO = "₱"
 
 
 class _Parser(argparse.ArgumentParser):
@@ -47,20 +49,10 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _default_format() -> str:
-    return os.environ.get("REALIZE_FORMAT", "table")
-
-
-def _peso(centavos: int) -> str:
-    sign = "-" if centavos < 0 else ""
-    a = abs(centavos)
-    return f"{sign}₱{a // 100:,}.{a % 100:02d}"
-
-
 def _layout(rows: list[tuple[str, ...]]) -> list[str]:
     """Right-align every column to its widest cell, two spaces apart."""
-    widths = [max(map(len, column)) for column in zip(*rows)]
-    return ["  ".join(c.rjust(w) for c, w in zip(r, widths)).rstrip() for r in rows]
+    line = "  ".join(f"{{:>{max(map(len, column))}}}" for column in zip(*rows)).format
+    return [line(*r).rstrip() for r in rows]
 
 
 def _load_scenario(target: str) -> Scenario:
@@ -80,59 +72,56 @@ def _load_scenario(target: str) -> Scenario:
     return parse_scenario(text, name=name[:dot] if 0 < dot < len(name) - 1 else name)  # Path.stem
 
 
+def _section(title: str, header: tuple[str, ...], rows: list[tuple[str, ...]], empty: str) -> list[str]:
+    """A blank line, the title, then the rows laid out under the header, or ``empty`` if there are none."""
+    return ["", title, *(_layout([header, *rows]) if rows else [f"  {empty}"])]
+
+
+def _csv(rows) -> str:
+    import csv
+
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    return buf.getvalue()
+
+
 def _render_run_table(report: RunReport) -> str:
-    lines = [
-        f"scenario: {report.scenario}   regime: {report.regime.value}   "
-        f"rates: {report.schedule.value}   window: {report.window.value}",
-        "",
-        "REALIZATION EVENTS",
+    events = []
+    for e in report.events:
+        gain_per_share, gain_total = e.gain_centavos
+        events.append((
+            str(e.at), e.kind.value, e.sec, f"{e.qty:,}",
+            pesos(e.amount_realized_per_share.centavos, symbol=PESO),
+            pesos(e.basis_per_share.centavos, symbol=PESO),
+            pesos(gain_per_share, symbol=PESO),
+            pesos(gain_total, symbol=PESO),
+        ))
+    taxes = [
+        (str(t.period), pesos(t.net_capital_gain.centavos, symbol=PESO), pesos(t.tax_due.centavos, symbol=PESO))
+        for t in report.tax_lines
     ]
-    if report.events:
-        rows = [("tick", "kind", "security", "qty", "amount/sh", "basis/sh", "gain/sh", "gain total")]
-        for e in report.events:
-            gain_per_share, gain_total = e.gain_centavos
-            rows.append(
-                (
-                    str(e.at),
-                    e.kind.value,
-                    e.sec,
-                    f"{e.qty:,}",
-                    _peso(e.amount_realized_per_share.centavos),
-                    _peso(e.basis_per_share.centavos),
-                    _peso(gain_per_share),
-                    _peso(gain_total),
-                )
-            )
-        lines += _layout(rows)
-    else:
-        lines.append("  (none)")
-
-    lines += ["", "TAX TIMELINE"]
-    if report.tax_lines:
-        rows = [("tick", "net capital gain", "tax due")]
-        for t in report.tax_lines:
-            rows.append((str(t.period), _peso(t.net_capital_gain.centavos), _peso(t.tax_due.centavos)))
-        lines += _layout(rows)
-    else:
-        lines.append("  (no realization, no tax)")
-
-    lines += ["", "CASH TIMELINE (PRE-TAX)"]
-    if report.cash_timeline:
-        rows = [("tick", "delta", "cumulative")]
-        for p in report.cash_timeline:
-            rows.append((str(p.at), _peso(p.delta.centavos), _peso(p.cumulative.centavos)))
-        lines += _layout(rows)
-    else:
-        lines.append("  (no cash movement)")
-
+    cash = [
+        (str(p.at), pesos(p.delta.centavos, symbol=PESO), pesos(p.cumulative.centavos, symbol=PESO))
+        for p in report.cash_timeline
+    ]
     inv = report.inventory
     owned = ", ".join(f"{sec}:{qty:,}" for sec, qty in inv.owned) or "none"
     borrowed = ", ".join(f"{sec}:{qty:,}" for sec, qty in inv.borrowed_outstanding) or "none"
-    lines += [
+    lines = [
+        f"scenario: {report.scenario}   regime: {report.regime.value}   "
+        f"rates: {report.schedule.value}   window: {report.window.value}",
+        *_section(
+            "REALIZATION EVENTS",
+            ("tick", "kind", "security", "qty", "amount/sh", "basis/sh", "gain/sh", "gain total"),
+            events,
+            "(none)",
+        ),
+        *_section("TAX TIMELINE", ("tick", "net capital gain", "tax due"), taxes, "(no realization, no tax)"),
+        *_section("CASH TIMELINE (PRE-TAX)", ("tick", "delta", "cumulative"), cash, "(no cash movement)"),
         "",
         "TOTALS",
-        f"  total tax:      {_peso(report.total_tax.centavos)}",
-        f"  final cash:     {_peso(report.final_cash.centavos)}",
+        f"  total tax:      {pesos(report.total_tax.centavos, symbol=PESO)}",
+        f"  final cash:     {pesos(report.final_cash.centavos, symbol=PESO)}",
         f"  owned shares:   {owned}",
         f"  open borrows:   {borrowed}",
         f"  owner generation: {inv.owner_generation}",
@@ -141,105 +130,66 @@ def _render_run_table(report: RunReport) -> str:
 
 
 def _render_run_csv(report: RunReport) -> str:
-    import csv
+    rows = [[
+        "record", "tick", "kind", "security", "qty",
+        "amount_per_share", "basis_per_share", "gain_per_share", "gain_total",
+        "net_capital_gain", "tax_due", "cash_delta", "cash_cumulative",
+    ]]
+    rows += [
+        ["event", e.at, e.kind.value, e.sec, e.qty,
+         e.amount_realized_per_share.centavos, e.basis_per_share.centavos,
+         *e.gain_centavos, "", "", "", ""]
+        for e in report.events
+    ]
+    rows += [
+        ["tax", t.period, "", "", "", "", "", "", "",
+         t.net_capital_gain.centavos, t.tax_due.centavos, "", ""]
+        for t in report.tax_lines
+    ]
+    rows += [
+        ["cash", p.at, "", "", "", "", "", "", "", "", "", p.delta.centavos, p.cumulative.centavos]
+        for p in report.cash_timeline
+    ]
+    rows.append(
+        ["total", "", "", "", "", "", "", "", "", "", report.total_tax.centavos, "", report.final_cash.centavos]
+    )
+    return _csv(rows)
 
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(
-        [
-            "record", "tick", "kind", "security", "qty",
-            "amount_per_share", "basis_per_share", "gain_per_share", "gain_total",
-            "net_capital_gain", "tax_due", "cash_delta", "cash_cumulative",
-        ]
-    )
-    for e in report.events:
-        writer.writerow(
-            [
-                "event", e.at, e.kind.value, e.sec, e.qty,
-                e.amount_realized_per_share.centavos, e.basis_per_share.centavos,
-                *e.gain_centavos, "", "", "", "",
-            ]
-        )
-    for t in report.tax_lines:
-        writer.writerow(
-            ["tax", t.period, "", "", "", "", "", "", "",
-             t.net_capital_gain.centavos, t.tax_due.centavos, "", ""]
-        )
-    for p in report.cash_timeline:
-        writer.writerow(
-            ["cash", p.at, "", "", "", "", "", "", "", "", "",
-             p.delta.centavos, p.cumulative.centavos]
-        )
-    writer.writerow(
-        ["total", "", "", "", "", "", "", "", "", "",
-         report.total_tax.centavos, "", report.final_cash.centavos]
-    )
-    return buf.getvalue()
+
+def _compare_rows(report: ComparisonReport) -> list[tuple]:
+    """(tick, current tax, proposed tax, delta) in centavos, per tick and then the totals."""
+    totals = report.current.total_tax, report.proposed.total_tax, report.total_delta
+    rows = [(d.at, d.current_tax.centavos, d.proposed_tax.centavos, d.delta.centavos) for d in report.tax_deltas]
+    return [*rows, ("total", *(m.centavos for m in totals))]
 
 
 def _render_compare_table(report: ComparisonReport) -> str:
+    rows = [("tick", "current tax", "proposed tax", "delta")]
+    rows += [(str(tick), *(pesos(c, symbol=PESO) for c in taxes)) for tick, *taxes in _compare_rows(report)]
     lines = [
         f"scenario: {report.scenario}   rates: {report.schedule.value}   "
         f"window: {report.window.value}",
         "",
         "TAX BY TICK (CURRENT VS PROPOSED)",
-    ]
-    rows = [("tick", "current tax", "proposed tax", "delta")]
-    for d in report.tax_deltas:
-        rows.append(
-            (str(d.at), _peso(d.current_tax.centavos), _peso(d.proposed_tax.centavos), _peso(d.delta.centavos))
-        )
-    current, proposed = report.current, report.proposed
-    rows.append(
-        ("total", _peso(current.total_tax.centavos), _peso(proposed.total_tax.centavos),
-         _peso(report.total_delta.centavos))
-    )
-    lines += _layout(rows)
-    lines += [
+        *_layout(rows),
         "",
-        f"current regime:  total tax {_peso(current.total_tax.centavos)}, "
-        f"final cash {_peso(current.final_cash.centavos)}",
-        f"proposed regime: total tax {_peso(proposed.total_tax.centavos)}, "
-        f"final cash {_peso(proposed.final_cash.centavos)}",
     ]
+    for label, run_report in (("current regime: ", report.current), ("proposed regime:", report.proposed)):
+        lines.append(
+            f"{label} total tax {pesos(run_report.total_tax.centavos, symbol=PESO)}, "
+            f"final cash {pesos(run_report.final_cash.centavos, symbol=PESO)}"
+        )
     return "\n".join(lines) + "\n"
 
 
 def _render_compare_csv(report: ComparisonReport) -> str:
-    import csv
-
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["tick", "current_tax", "proposed_tax", "delta"])
-    for d in report.tax_deltas:
-        writer.writerow([d.at, d.current_tax.centavos, d.proposed_tax.centavos, d.delta.centavos])
-    writer.writerow(
-        ["total", report.current.total_tax.centavos, report.proposed.total_tax.centavos,
-         report.total_delta.centavos]
-    )
-    return buf.getvalue()
+    return _csv([("tick", "current_tax", "proposed_tax", "delta"), *_compare_rows(report)])
 
 
 def _render_grid_table() -> str:
     from .tables import offset_grid_table
 
     return "\n".join(offset_grid_table()) + "\n"
-
-
-def _render_grid_csv() -> str:
-    import csv
-
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(
-        ["future_price", "present_price", "ordinary_gain_per_share", "short_gain_per_share"]
-    )
-    for row in offset_grid_rows():
-        writer.writerow(
-            [row.future_price.centavos, row.present_price.centavos,
-             row.ordinary_gain_per_share.centavos, row.short_gain_per_share.centavos]
-        )
-    return buf.getvalue()
 
 
 def _grid_dict() -> list[dict]:
@@ -254,12 +204,9 @@ def _grid_dict() -> list[dict]:
     ]
 
 
-def _check_format(fmt: str) -> str:
-    if fmt not in FORMATS:
-        print(f"realize: error: unknown format {fmt!r} (choose from {', '.join(FORMATS)})",
-              file=sys.stderr)
-        raise SystemExit(EXIT_USAGE)
-    return fmt
+def _render_grid_csv() -> str:
+    rows = _grid_dict()
+    return _csv([list(rows[0]), *(row.values() for row in rows)])
 
 
 def _fixture_text() -> str:
@@ -279,41 +226,38 @@ def paper_tables() -> str:
     return render()
 
 
+def _emit(fmt: str, data, render_csv, render_table) -> int:
+    """Print ``data()`` as indented JSON, ``render_csv()`` or ``render_table()``, as ``fmt`` asks."""
+    if fmt == "json":
+        import json
+
+        print(json.dumps(data(), indent=2))
+    elif fmt == "csv":
+        sys.stdout.write(render_csv())
+    else:
+        sys.stdout.write(render_table())
+    return EXIT_OK
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
-    scenario = _load_scenario(args.scenario)
     report = run(
-        scenario,
+        _load_scenario(args.scenario),
         regime=Regime(args.regime),
         schedule=RateSchedule(args.rates),
         window=NettingWindow(args.window),
     )
-    fmt = _check_format(args.format)
-    if fmt == "json":
-        import json
-
-        print(json.dumps(report.to_dict(), indent=2))
-    elif fmt == "csv":
-        sys.stdout.write(_render_run_csv(report))
-    else:
-        sys.stdout.write(_render_run_table(report))
-    return EXIT_OK
+    return _emit(
+        args.format, report.to_dict, lambda: _render_run_csv(report), lambda: _render_run_table(report)
+    )
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
-    scenario = _load_scenario(args.scenario)
     report = compare(
-        scenario, schedule=RateSchedule(args.rates), window=NettingWindow(args.window)
+        _load_scenario(args.scenario), schedule=RateSchedule(args.rates), window=NettingWindow(args.window)
     )
-    fmt = _check_format(args.format)
-    if fmt == "json":
-        import json
-
-        print(json.dumps(report.to_dict(), indent=2))
-    elif fmt == "csv":
-        sys.stdout.write(_render_compare_csv(report))
-    else:
-        sys.stdout.write(_render_compare_table(report))
-    return EXIT_OK
+    return _emit(
+        args.format, report.to_dict, lambda: _render_compare_csv(report), lambda: _render_compare_table(report)
+    )
 
 
 def _cmd_paper_tables(_args: argparse.Namespace) -> int:
@@ -322,16 +266,7 @@ def _cmd_paper_tables(_args: argparse.Namespace) -> int:
 
 
 def _cmd_grid(args: argparse.Namespace) -> int:
-    fmt = _check_format(args.format)
-    if fmt == "json":
-        import json
-
-        print(json.dumps(_grid_dict(), indent=2))
-    elif fmt == "csv":
-        sys.stdout.write(_render_grid_csv())
-    else:
-        sys.stdout.write(_render_grid_table())
-    return EXIT_OK
+    return _emit(args.format, _grid_dict, _render_grid_csv, _render_grid_table)
 
 
 def _cmd_check(_args: argparse.Namespace) -> int:
@@ -365,13 +300,16 @@ def build_parser() -> _Parser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def add_format(p: _Parser) -> None:
+        p.add_argument("--format", default=os.environ.get("REALIZE_FORMAT", "table"),
+                       help="table, csv, or json (default from REALIZE_FORMAT)")
+
     def add_common(p: _Parser, with_regime: bool) -> None:
         if with_regime:
             p.add_argument("--regime", choices=[r.value for r in Regime], default="current")
         p.add_argument("--rates", choices=[s.value for s in RateSchedule], default="paper")
         p.add_argument("--window", choices=[w.value for w in NettingWindow], default="per-tick")
-        p.add_argument("--format", default=_default_format(),
-                       help="table, csv, or json (default from REALIZE_FORMAT)")
+        add_format(p)
 
     p_run = sub.add_parser("run", help="run one scenario under one regime")
     p_run.add_argument("scenario", help="built-in name or scenario file path")
@@ -387,8 +325,7 @@ def build_parser() -> _Parser:
     p_tables.set_defaults(func=_cmd_paper_tables)
 
     p_grid = sub.add_parser("grid", help="print the offsetting-effect grid")
-    p_grid.add_argument("--format", default=_default_format(),
-                        help="table, csv, or json (default from REALIZE_FORMAT)")
+    add_format(p_grid)
     p_grid.set_defaults(func=_cmd_grid)
 
     p_check = sub.add_parser("check", help="diff golden tables against the fixture")
@@ -411,6 +348,10 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if "format" in args and args.format not in FORMATS:  # reported before any scenario is read
+            print(f"realize: error: unknown format {args.format!r} (choose from {', '.join(FORMATS)})",
+                  file=sys.stderr)
+            return EXIT_USAGE
         code = args.func(args)
         sys.stdout.flush()
     except SystemExit as exc:

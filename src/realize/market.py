@@ -2,7 +2,9 @@
 
 Every amount in the engine is an integer count of centavos.  Floating point
 never enters any computation; the single place rounding can occur is
-``apply_rate``, which rounds half-to-even at the centavo.
+``apply_rate``, which rounds half-to-even at the centavo.  ``pesos`` is the
+one place an amount becomes text: ``str(Money)``, the CLI reports, the golden
+tables and the DSL printer all call it, each with its own flags.
 
 Every value class of the package is made by ``record``: frozen and slotted,
 with an ``__init__`` generated once per class.  Values the engine builds by the
@@ -258,9 +260,25 @@ class Money:
         return self.centavos < 0
 
     def __str__(self) -> str:
-        sign = "-" if self.centavos < 0 else ""
-        a = abs(self.centavos)
-        return f"{sign}{a // 100:,}.{a % 100:02d}"
+        return pesos(self.centavos)
+
+
+def pesos(centavos: int, *, symbol: str = "", cents: bool = True, parens: bool = False) -> str:
+    """``centavos`` as peso text with thousands separators: ``-1,234.50``.
+
+    ``symbol`` goes before the digits (``-₱5.00``).  ``cents=False`` drops a
+    ``.00`` but keeps any other centavos (``1,234``, ``0.05``).  ``parens``
+    writes the size of the amount in parentheses, whatever its sign
+    (``(1,234.50)``).
+    """
+    a = -centavos if centavos < 0 else centavos
+    if cents or a % 100:
+        body = f"{symbol}{a // 100:,}.{a % 100:02d}"
+    else:
+        body = f"{symbol}{a // 100:,}"
+    if parens:
+        return f"({body})"
+    return "-" + body if centavos < 0 else body
 
 
 # Trusted construction: a slot's member descriptor sets the slot itself,

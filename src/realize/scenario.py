@@ -43,7 +43,7 @@ from .ledger import (
     TransactionEvent,
     apply_event,
 )
-from .market import Money, PricePath, SecurityId, Tick, _money, record
+from .market import Money, PricePath, SecurityId, Tick, _money, pesos, record
 from .realization import RealizationEvent, Regime, realize
 from .taxation import (
     NettingWindow,
@@ -219,28 +219,35 @@ _SPELLINGS = {kind: (verb, "") for verb, kind in _TRADES.items()}
 _SPELLINGS.update({kind: ("cover", f" {mode}") for mode, kind in _COVERS.items()})
 
 
-def _money_token(m: Money) -> str:
-    pesos, cents = divmod(abs(m.centavos), 100)
-    sign = "-" if m.centavos < 0 else ""
-    if cents == 0:
-        return f"{sign}{pesos}"
-    frac = f"{cents:02d}".rstrip("0")
-    return f"{sign}{pesos}.{frac}"
+def _token(text: str) -> str:
+    """``text`` as one DSL token; EngineError if it is empty or would not read back as itself."""
+    if "#" in text or text.split() != [text]:
+        raise EngineError(f"{text!r} cannot be written as one scenario token")
+    return text
 
 
 def format_scenario(s: Scenario) -> str:
-    """Print a scenario back into the DSL; parsing the result reproduces it."""
-    lines = [
-        f"price {sec} {t} {_money_token(price)}"
+    """Print a scenario back into the DSL; parsing the result reproduces it.
+
+    A security symbol or heir label that is empty, or holds whitespace or
+    ``#``, raises ``EngineError``; the events are checked first, so one an
+    event uses carries that event's ``event_index``.
+    """
+    events = []
+    for index, ev in enumerate(s.events):
+        try:
+            if isinstance(ev, Death):
+                events.append(f"at {ev.at} death" + ("" if ev.heir is None else f" heir {_token(ev.heir)}"))
+            else:
+                verb, mode = _SPELLINGS[type(ev)]
+                events.append(f"at {ev.at} {verb} {_token(ev.sec)} {ev.qty}{mode}")
+        except EngineError as err:
+            raise _annotate(err, index) from None
+    prices = [
+        f"price {_token(sec)} {t} {pesos(price.centavos, cents=False).replace(',', '')}"
         for (sec, t), price in sorted(s.prices.quotes.items())
     ]
-    for ev in s.events:
-        if isinstance(ev, Death):
-            lines.append(f"at {ev.at} death" + (f" heir {ev.heir}" if ev.heir else ""))
-        else:
-            verb, mode = _SPELLINGS[type(ev)]
-            lines.append(f"at {ev.at} {verb} {ev.sec} {ev.qty}{mode}")
-    return "\n".join(lines) + "\n"
+    return "\n".join(prices + events) + "\n"
 
 
 def _abc_prices() -> PricePath:

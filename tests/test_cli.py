@@ -153,6 +153,18 @@ class TestUsageErrors:
         code, _, _ = invoke(capsys, "run", "strategy3")
         assert code == 64
 
+    @pytest.mark.parametrize("command", ["run", "compare"])
+    def test_bad_format_is_reported_before_the_scenario_is_read(self, capsys, command):
+        code, out, err = invoke(capsys, command, "missing.scn", "--format", "xml")
+        assert (code, out) == (64, "")
+        assert "unknown format 'xml'" in err and "no such file" not in err
+
+    def test_bad_format_env_var_is_reported_before_the_scenario_is_read(self, capsys, monkeypatch):
+        monkeypatch.setenv("REALIZE_FORMAT", "xml")
+        code, out, err = invoke(capsys, "run", "missing.scn")
+        assert (code, out) == (64, "")
+        assert "unknown format 'xml'" in err and "no such file" not in err
+
 
 class TestFormatEnvVar:
     def test_env_var_sets_default_format(self, capsys, monkeypatch):

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from realize import Money, PricePath, Rate, apply_rate
 from realize.errors import MissingPrice, NegativeBase
+from realize.market import pesos
 
 ABC_PRICES = PricePath.from_table(
     {"ABC": {1: Money.from_pesos(50), 2: Money.from_pesos(100), 3: Money.from_pesos(30)}}
@@ -84,6 +85,32 @@ class TestMoney:
     def test_str_uses_thousands_separators(self):
         assert str(Money.from_pesos(5_000_000)) == "5,000,000.00"
         assert str(Money(-12345)) == "-123.45"
+
+
+# The size of each amount, written with its centavos and with cents=False.
+PESO_TEXT = {
+    0: ("0.00", "0"),
+    5: ("0.05", "0.05"),
+    100: ("1.00", "1"),
+    1_234_550: ("12,345.50", "12,345.50"),
+    10**9: ("10,000,000.00", "10,000,000"),
+}
+
+
+@pytest.mark.parametrize("symbol", ["", "₱"])
+@pytest.mark.parametrize("parens", [False, True])
+@pytest.mark.parametrize("cents", [True, False])
+@pytest.mark.parametrize("centavos", [0, 5, -5, 100, -100, 1_234_550, -1_234_550, 10**9])
+def test_pesos(centavos, cents, parens, symbol):
+    with_cents, without = PESO_TEXT[abs(centavos)]
+    body = symbol + (with_cents if cents else without)
+    if parens:
+        expected = f"({body})"
+    else:
+        expected = f"-{body}" if centavos < 0 else body
+    assert pesos(centavos, symbol=symbol, cents=cents, parens=parens) == expected
+    if not (parens or symbol or not cents):
+        assert str(Money(centavos)) == expected
 
 
 class TestRate:

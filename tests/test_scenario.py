@@ -14,6 +14,7 @@ from realize import (
     Death,
     Ledger,
     Money,
+    PricePath,
     RateSchedule,
     Regime,
     Scenario,
@@ -526,6 +527,33 @@ class TestRoundTrip:
     def test_fractional_prices_round_trip(self):
         s = parse_scenario("price ABC 1 50.25\nprice ABC 2 50.2\nat 1 buy ABC 5\n", name="x")
         assert parse_scenario(format_scenario(s), name="x") == s
+
+    def test_prices_keep_their_centavos_and_drop_a_bare_00(self):
+        s = parse_scenario("price ABC 1 50.25\nprice ABC 2 50.2\nprice ABC 3 1234567\n", name="x")
+        assert format_scenario(s) == "price ABC 1 50.25\nprice ABC 2 50.20\nprice ABC 3 1234567\n"
+
+    def test_death_without_heir_and_with_an_empty_heir(self):
+        prices = builtin("strategy3").prices
+        assert format_scenario(Scenario("x", prices, (Death(1, None),))).endswith("at 1 death\n")
+        with pytest.raises(EngineError) as exc:
+            format_scenario(Scenario("x", prices, (Buy(1, "ABC", 5), Death(1, ""))))
+        assert exc.value.event_index == 1
+
+    @pytest.mark.parametrize(
+        "event", [Death(1, "a b"), Buy(1, "A#b", 5), Buy(1, "A B", 5)], ids=["heir", "hash", "space"]
+    )
+    def test_a_name_that_would_not_read_back_names_its_event(self, event):
+        quotes = {("ABC", 1): Money(100), ("A#b", 1): Money(100), ("A B", 1): Money(100)}
+        s = Scenario("x", PricePath(quotes), (Buy(1, "ABC", 5), event))
+        run(s)  # the engine itself takes any name
+        with pytest.raises(EngineError) as exc:
+            format_scenario(s)
+        assert exc.value.event_index == 1
+
+    def test_a_price_symbol_with_a_space_is_refused(self):
+        s = Scenario("x", PricePath({("A B", 1): Money(100)}))
+        with pytest.raises(EngineError, match="'A B' cannot be written as one scenario token"):
+            format_scenario(s)
 
 
 class TestBuiltins:
