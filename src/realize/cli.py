@@ -77,11 +77,14 @@ def _section(title: str, header: tuple[str, ...], rows: list[tuple[str, ...]], e
     return ["", title, *(_layout([header, *rows]) if rows else [f"  {empty}"])]
 
 
-def _csv(rows) -> str:
+def _csv(*groups) -> str:
+    """Each group of rows in turn as CSV; a generator group is written row by row, never held."""
     import csv
 
     buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerows(rows)
+    writer = csv.writer(buf, lineterminator="\n")
+    for rows in groups:
+        writer.writerows(rows)
     return buf.getvalue()
 
 
@@ -130,30 +133,28 @@ def _render_run_table(report: RunReport) -> str:
 
 
 def _render_run_csv(report: RunReport) -> str:
-    rows = [[
+    header = [
         "record", "tick", "kind", "security", "qty",
         "amount_per_share", "basis_per_share", "gain_per_share", "gain_total",
         "net_capital_gain", "tax_due", "cash_delta", "cash_cumulative",
-    ]]
-    rows += [
+    ]
+    events = (
         ["event", e.at, e.kind.value, e.sec, e.qty,
          e.amount_realized_per_share.centavos, e.basis_per_share.centavos,
          *e.gain_centavos, "", "", "", ""]
         for e in report.events
-    ]
-    rows += [
+    )
+    taxes = (
         ["tax", t.period, "", "", "", "", "", "", "",
          t.net_capital_gain.centavos, t.tax_due.centavos, "", ""]
         for t in report.tax_lines
-    ]
-    rows += [
+    )
+    cash = (
         ["cash", p.at, "", "", "", "", "", "", "", "", "", p.delta.centavos, p.cumulative.centavos]
         for p in report.cash_timeline
-    ]
-    rows.append(
-        ["total", "", "", "", "", "", "", "", "", "", report.total_tax.centavos, "", report.final_cash.centavos]
     )
-    return _csv(rows)
+    total = ["total", "", "", "", "", "", "", "", "", "", report.total_tax.centavos, "", report.final_cash.centavos]
+    return _csv([header], events, taxes, cash, [total])
 
 
 def _compare_rows(report: ComparisonReport) -> list[tuple]:
@@ -183,7 +184,7 @@ def _render_compare_table(report: ComparisonReport) -> str:
 
 
 def _render_compare_csv(report: ComparisonReport) -> str:
-    return _csv([("tick", "current_tax", "proposed_tax", "delta"), *_compare_rows(report)])
+    return _csv([("tick", "current_tax", "proposed_tax", "delta")], _compare_rows(report))
 
 
 def _render_grid_table() -> str:
@@ -206,7 +207,7 @@ def _grid_dict() -> list[dict]:
 
 def _render_grid_csv() -> str:
     rows = _grid_dict()
-    return _csv([list(rows[0]), *(row.values() for row in rows)])
+    return _csv([list(rows[0])], (row.values() for row in rows))
 
 
 def _fixture_text() -> str:
