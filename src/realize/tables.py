@@ -72,7 +72,7 @@ def _trade(open_at: int, close_at: int, short: bool = False) -> RunReport:
 def _event_table(
     title: str, event: RealizationEvent, labels: tuple[str, ...], rate_row: Row = RATE_ROW
 ) -> list[str]:
-    """One realization event: price, basis and the size of its gain or loss, in whole pesos.
+    """One realization event: price, basis and the size of its gain or loss, with a bare .00 dropped.
 
     Three labels make a loss table.  A fourth, for the tax, makes a gain
     table: the rate row and the tax follow the gain.
