@@ -12,7 +12,11 @@ organised per security as a first-in first-out queue of lots and a list of
 borrow positions.  An event reads and changes only its own security, and lot
 matching stops at the last lot it needs, so the cost of an event does not
 grow with the rest of the portfolio.  ``PortfolioState`` is the frozen
-snapshot of a ledger, and can seed a new one.
+snapshot of a ledger, and can seed a new one; a ledger seeded from nothing
+starts empty without building one.  Each event class has one step method,
+found in one table keyed by class: a subclass of an event class resolves
+through its MRO, as ``isinstance`` would, and anything else is refused with
+``TypeError``.
 
 The ledger also holds reservations: owned shares set aside against a short
 sale by ``Ledger.reserve``, which the proposed regime's constructive-sale
@@ -236,6 +240,10 @@ def _slice(lot: Lot, qty: int) -> LotSlice:
     return LotSlice(lot.id, qty, lot.basis_per_share, lot.acquired_at, lot.method)
 
 
+_UNSOLD = attrgetter("qty_unsold")
+_SOLD_UNCOVERED = attrgetter("qty_sold_uncovered")
+
+
 def _fill(
     positions: list[BorrowPosition], qty: int, available: Callable[[BorrowPosition], int]
 ) -> tuple[list[tuple[int, int]], int]:
@@ -271,7 +279,6 @@ class Ledger(_Holdings):
     """
 
     def __init__(self, state: PortfolioState | None = None) -> None:
-        state = state or PortfolioState()
         self._by_id: dict[int, Lot] = {}
         self._lots: dict[SecurityId, deque[Lot]] = {}
         self._borrows: dict[SecurityId, list[BorrowPosition]] = {}
@@ -279,6 +286,9 @@ class Ledger(_Holdings):
         self._reserved: dict[SecurityId, dict[int, int]] = {}
         # Borrow position id -> its shares sold against reserved ones, not yet covered.
         self._constructive: dict[int, int] = {}
+        if state is None:  # an empty portfolio, without building one to copy
+            self.cash, self.owner_generation, self.next_lot_id, self.next_borrow_id = _ZERO, 0, 0, 0
+            return
         for lot in state.lots:
             self._add_lot(lot)
         for pos in state.borrows:
@@ -439,132 +449,137 @@ class Ledger(_Holdings):
 
     def apply(self, ev: TransactionEvent, path: PricePath) -> LedgerEffects:
         """Apply one event in place.  Every check runs before anything changes."""
-        if isinstance(ev, Buy):
-            price = path.price_at(ev.sec, ev.at)
-            lot = Lot(self.next_lot_id, ev.sec, ev.qty, price, ev.at)
-            self.next_lot_id += 1
-            self._add_lot(lot)
+        return (_STEPS.get(type(ev)) or _lookup(_STEPS, ev))(self, ev, path)
+
+    # One step per event shape, looked up in ``_STEPS`` by event class.
+
+    def _buy(self, ev: Buy, path: PricePath) -> LedgerEffects:
+        price = path.price_at(ev.sec, ev.at)
+        lot = Lot(self.next_lot_id, ev.sec, ev.qty, price, ev.at)
+        self.next_lot_id += 1
+        self._add_lot(lot)
+        cash_delta = -(price * ev.qty)
+        self.cash += cash_delta
+        return LedgerEffects(ev, ev.at, ev.sec, ev.qty, price, cash_delta, lot)
+
+    def _borrow(self, ev: Borrow, path: PricePath) -> LedgerEffects:
+        pos = BorrowPosition(self.next_borrow_id, ev.sec, ev.qty, ev.at)
+        self.next_borrow_id += 1
+        self._borrows.setdefault(ev.sec, []).append(pos)
+        return LedgerEffects(ev, ev.at, ev.sec, ev.qty, None, _ZERO, None, pos)
+
+    def _short_sell(self, ev: ShortSell, path: PricePath) -> LedgerEffects:
+        price = path.price_at(ev.sec, ev.at)
+        positions = self._borrows.get(ev.sec, [])
+        plan, unsold = _fill(positions, ev.qty, _UNSOLD)
+        if unsold < ev.qty:
+            raise NoOpenBorrow(f"short sale of {ev.qty} {ev.sec} exceeds borrowed-unsold {unsold}")
+        slices: list[ShortSlice] = []
+        shift = 0
+        for i, amount in plan:
+            pos = positions[i + shift]
+            positions[i + shift] = BorrowPosition(
+                pos.id, pos.sec, amount, pos.borrowed_at, amount, price, ev.at, pos.qty_covered
+            )
+            if amount < pos.qty_borrowed:
+                # Split so every sold position carries exactly one proceeds price.
+                shift += 1
+                positions.insert(i + shift, BorrowPosition(
+                    self.next_borrow_id, pos.sec, pos.qty_borrowed - amount, pos.borrowed_at
+                ))
+                self.next_borrow_id += 1
+            slices.append(ShortSlice(pos.id, amount, price, ev.at))
+        cash_delta = price * ev.qty
+        self.cash += cash_delta
+        return LedgerEffects(ev, ev.at, ev.sec, ev.qty, price, cash_delta, None, None, (), tuple(slices))
+
+    def _sell(self, ev: SellOwned, path: PricePath) -> LedgerEffects:
+        price = path.price_at(ev.sec, ev.at)
+        lot_slices, available = self._unreserved(ev.sec, ev.qty)
+        if available < ev.qty:
+            raise _shortage(ev.sec, ev.qty, available)
+        self._consume(ev.sec, lot_slices)
+        cash_delta = price * ev.qty
+        self.cash += cash_delta
+        return LedgerEffects(ev, ev.at, ev.sec, ev.qty, price, cash_delta, None, None, tuple(lot_slices))
+
+    def _cover(self, ev: CoverByPurchase | CoverByOwnedLot, path: PricePath) -> LedgerEffects:
+        price = path.price_at(ev.sec, ev.at)
+        positions = self._borrows.get(ev.sec, [])
+        plan, coverable = _fill(positions, ev.qty, _SOLD_UNCOVERED)
+        if coverable < ev.qty:
+            raise OverCover(f"cover of {ev.qty} {ev.sec} exceeds open sold-short quantity {coverable}")
+        covered: list[ShortSlice] = []
+        settled: list[tuple[int, int]] = []  # (position id, constructive shares covered)
+        reserved_qty = 0
+        for i, amount in plan:
+            pos = positions[i]
+            if pos.short_proceeds_per_share is None or pos.sold_at is None:
+                raise InvariantViolation(f"borrow position {pos.id} is sold short without a price")
+            covered.append(ShortSlice(pos.id, amount, pos.short_proceeds_per_share, pos.sold_at))
+            constructive = self._constructive.get(pos.id)
+            if constructive:
+                constructive = min(constructive, amount)
+                settled.append((pos.id, constructive))
+                reserved_qty += constructive
+        # Each constructive share covered frees, or delivers, the oldest reserved share.
+        takes = self._oldest_reserved(ev.sec, reserved_qty)
+        by_purchase = isinstance(ev, CoverByPurchase)  # a subclass covers as its base does
+        lot_slices = []
+        if not by_purchase:
+            free, available = self._unreserved(ev.sec, ev.qty - reserved_qty)
+            if available < ev.qty - reserved_qty:
+                raise _shortage(ev.sec, ev.qty, reserved_qty + available)
+            lot_slices = [_slice(self._by_id[lot_id], take) for lot_id, take in takes] + free
+        for i, amount in reversed(plan):  # back to front keeps the earlier indices valid
+            pos = positions[i]
+            if amount < pos.qty_outstanding:
+                positions[i] = BorrowPosition(
+                    pos.id, pos.sec, pos.qty_borrowed, pos.borrowed_at, pos.qty_sold_short,
+                    pos.short_proceeds_per_share, pos.sold_at, pos.qty_covered + amount,
+                )
+            else:
+                del positions[i]
+        if settled:
+            self._release(ev.sec, settled, takes)
+        if by_purchase:
             cash_delta = -(price * ev.qty)
             self.cash += cash_delta
             return LedgerEffects(
-                event=ev, at=ev.at, sec=ev.sec, qty=ev.qty, price=price,
-                cash_delta=cash_delta, lot_created=lot,
+                ev, ev.at, ev.sec, ev.qty, price, cash_delta, None, None, (), (), tuple(covered)
             )
+        self._consume(ev.sec, lot_slices)
+        return LedgerEffects(
+            ev, ev.at, ev.sec, ev.qty, price, _ZERO, None, None,
+            tuple(lot_slices), (), tuple(covered), len(takes),
+        )
 
-        if isinstance(ev, Borrow):
-            pos = BorrowPosition(self.next_borrow_id, ev.sec, ev.qty, ev.at)
-            self.next_borrow_id += 1
-            self._borrows.setdefault(ev.sec, []).append(pos)
-            return LedgerEffects(
-                event=ev, at=ev.at, sec=ev.sec, qty=ev.qty, price=None,
-                cash_delta=_ZERO, borrow_opened=pos,
-            )
+    def _death(self, ev: Death, path: PricePath) -> LedgerEffects:
+        self.step_up(ev.at, path)
+        return LedgerEffects(ev, ev.at, None, 0, None, _ZERO)
 
-        if isinstance(ev, ShortSell):
-            price = path.price_at(ev.sec, ev.at)
-            positions = self._borrows.get(ev.sec, [])
-            plan, unsold = _fill(positions, ev.qty, attrgetter("qty_unsold"))
-            if unsold < ev.qty:
-                raise NoOpenBorrow(
-                    f"short sale of {ev.qty} {ev.sec} exceeds borrowed-unsold {unsold}"
-                )
-            slices: list[ShortSlice] = []
-            shift = 0
-            for i, amount in plan:
-                pos = positions[i + shift]
-                positions[i + shift] = BorrowPosition(
-                    pos.id, pos.sec, amount, pos.borrowed_at, amount, price, ev.at, pos.qty_covered
-                )
-                if amount < pos.qty_borrowed:
-                    # Split so every sold position carries exactly one proceeds price.
-                    shift += 1
-                    positions.insert(i + shift, BorrowPosition(
-                        self.next_borrow_id, pos.sec, pos.qty_borrowed - amount, pos.borrowed_at
-                    ))
-                    self.next_borrow_id += 1
-                slices.append(ShortSlice(pos.id, amount, price, ev.at))
-            cash_delta = price * ev.qty
-            self.cash += cash_delta
-            return LedgerEffects(
-                event=ev, at=ev.at, sec=ev.sec, qty=ev.qty, price=price,
-                cash_delta=cash_delta, shorts_sold=tuple(slices),
-            )
 
-        if isinstance(ev, SellOwned):
-            price = path.price_at(ev.sec, ev.at)
-            lot_slices, available = self._unreserved(ev.sec, ev.qty)
-            if available < ev.qty:
-                raise _shortage(ev.sec, ev.qty, available)
-            self._consume(ev.sec, lot_slices)
-            cash_delta = price * ev.qty
-            self.cash += cash_delta
-            return LedgerEffects(
-                event=ev, at=ev.at, sec=ev.sec, qty=ev.qty, price=price,
-                cash_delta=cash_delta, lots_consumed=tuple(lot_slices),
-            )
+_STEPS: dict[type, Callable[[Ledger, TransactionEvent, PricePath], LedgerEffects]] = {
+    Buy: Ledger._buy,
+    Borrow: Ledger._borrow,
+    ShortSell: Ledger._short_sell,
+    SellOwned: Ledger._sell,
+    CoverByPurchase: Ledger._cover,
+    CoverByOwnedLot: Ledger._cover,
+    Death: Ledger._death,
+}
 
-        if isinstance(ev, (CoverByPurchase, CoverByOwnedLot)):
-            price = path.price_at(ev.sec, ev.at)
-            positions = self._borrows.get(ev.sec, [])
-            plan, coverable = _fill(positions, ev.qty, attrgetter("qty_sold_uncovered"))
-            if coverable < ev.qty:
-                raise OverCover(
-                    f"cover of {ev.qty} {ev.sec} exceeds open sold-short quantity {coverable}"
-                )
-            covered: list[ShortSlice] = []
-            settled: list[tuple[int, int]] = []  # (position id, constructive shares covered)
-            reserved_qty = 0
-            for i, amount in plan:
-                pos = positions[i]
-                if pos.short_proceeds_per_share is None or pos.sold_at is None:
-                    raise InvariantViolation(f"borrow position {pos.id} is sold short without a price")
-                covered.append(ShortSlice(pos.id, amount, pos.short_proceeds_per_share, pos.sold_at))
-                constructive = self._constructive.get(pos.id)
-                if constructive:
-                    constructive = min(constructive, amount)
-                    settled.append((pos.id, constructive))
-                    reserved_qty += constructive
-            # Each constructive share covered frees, or delivers, the oldest reserved share.
-            takes = self._oldest_reserved(ev.sec, reserved_qty)
-            by_purchase = isinstance(ev, CoverByPurchase)
-            lot_slices = []
-            if not by_purchase:
-                free, available = self._unreserved(ev.sec, ev.qty - reserved_qty)
-                if available < ev.qty - reserved_qty:
-                    raise _shortage(ev.sec, ev.qty, reserved_qty + available)
-                lot_slices = [_slice(self._by_id[lot_id], take) for lot_id, take in takes] + free
-            for i, amount in reversed(plan):  # back to front keeps the earlier indices valid
-                pos = positions[i]
-                if amount < pos.qty_outstanding:
-                    positions[i] = BorrowPosition(
-                        pos.id, pos.sec, pos.qty_borrowed, pos.borrowed_at, pos.qty_sold_short,
-                        pos.short_proceeds_per_share, pos.sold_at, pos.qty_covered + amount,
-                    )
-                else:
-                    del positions[i]
-            if settled:
-                self._release(ev.sec, settled, takes)
-            if by_purchase:
-                cash_delta = -(price * ev.qty)
-                self.cash += cash_delta
-                return LedgerEffects(
-                    event=ev, at=ev.at, sec=ev.sec, qty=ev.qty, price=price,
-                    cash_delta=cash_delta, shorts_covered=tuple(covered),
-                )
-            self._consume(ev.sec, lot_slices)
-            return LedgerEffects(
-                event=ev, at=ev.at, sec=ev.sec, qty=ev.qty, price=price,
-                cash_delta=_ZERO, lots_consumed=tuple(lot_slices),
-                shorts_covered=tuple(covered), reserved_slices=len(takes),
-            )
 
-        if isinstance(ev, Death):
-            self.step_up(ev.at, path)
-            return LedgerEffects(
-                event=ev, at=ev.at, sec=None, qty=0, price=None, cash_delta=_ZERO,
-            )
+def _lookup(table: dict[type, Callable], ev: object) -> Callable:
+    """The entry of ``table`` for the nearest class of ``ev`` in its MRO, as ``isinstance`` would pick.
 
-        raise TypeError(f"unknown transaction event {ev!r}")  # pragma: no cover
+    Callers try ``table.get(type(ev))`` first; only a subclass of an event
+    class, or a non-event, gets here.
+    """
+    for cls in type(ev).__mro__:
+        if cls in table:
+            return table[cls]
+    raise TypeError(f"unknown transaction event {ev!r}")
 
 
 def apply_event(
@@ -575,4 +590,4 @@ def apply_event(
     Returns the ledger with the event's effects.  An event that raises
     leaves the ledger as it was.
     """
-    return ledger, ledger.apply(ev, path)
+    return ledger, (_STEPS.get(type(ev)) or _lookup(_STEPS, ev))(ledger, ev, path)

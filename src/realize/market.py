@@ -350,9 +350,6 @@ class PricePath:
                 quotes[(sec, t)] = price
         return cls(quotes)
 
-    def has(self, sec: SecurityId, t: Tick) -> bool:
-        return (sec, t) in self.quotes
-
     def price_at(self, sec: SecurityId, t: Tick) -> Money:
         """Pure, repeatable lookup of the per-share price for (sec, t)."""
         try:

@@ -30,7 +30,8 @@ application.
 The reservations live in the run's ``Ledger``, which decides which owned
 shares each sale and cover takes.  The only thing the proposed regime adds
 is one call, ``Ledger.reserve``, at a short sale; every other event maps its
-effects to events without state, the same way under both regimes.
+effects to events without state, the same way under both regimes.  Each
+event class has one rule, found the way the ledger finds its step.
 """
 
 from __future__ import annotations
@@ -48,6 +49,7 @@ from .ledger import (
     LedgerEffects,
     SellOwned,
     ShortSell,
+    _lookup,
 )
 from .market import Money, SecurityId, Tick, _money, record
 
@@ -90,6 +92,69 @@ class RealizationEvent:
         return _money(self.gain_centavos[1])
 
 
+def _priced(effects: LedgerEffects) -> tuple[Money, SecurityId]:
+    price, sec = effects.price, effects.sec
+    if price is None or sec is None:  # hand-built effects may lack them
+        raise InvariantViolation(f"{type(effects.event).__name__} effects carry no price or security")
+    return price, sec
+
+
+# One rule per event shape, looked up in ``_RULES`` by event class.
+
+
+def _nothing(effects: LedgerEffects, regime: Regime, ledger: Ledger) -> list[RealizationEvent]:
+    return []
+
+
+def _sale(effects: LedgerEffects, regime: Regime, ledger: Ledger) -> list[RealizationEvent]:
+    price, sec = _priced(effects)
+    at = effects.at
+    return [
+        RealizationEvent(at, RealizationKind.ORDINARY_SALE, sec, s.qty, price, s.basis_per_share)
+        for s in effects.lots_consumed
+    ]
+
+
+def _short_sale(effects: LedgerEffects, regime: Regime, ledger: Ledger) -> list[RealizationEvent]:
+    if regime is Regime.CURRENT:
+        # Receipt of the proceeds without realization.
+        return []
+    price, sec = _priced(effects)
+    at = effects.at
+    return [
+        RealizationEvent(at, RealizationKind.CONSTRUCTIVE_SALE, sec, s.qty, price, s.basis_per_share)
+        for s in ledger.reserve(effects)
+    ]
+
+
+def _cover(effects: LedgerEffects, regime: Regime, ledger: Ledger) -> list[RealizationEvent]:
+    # Delivered shares that were reserved were disposed of at the short
+    # sale; every other delivered share is deemed sold at the price of
+    # replacing the borrowed shares.  A cover by purchase delivers none.
+    price, sec = _priced(effects)
+    at = effects.at
+    events = [
+        RealizationEvent(at, RealizationKind.OWNED_DISPOSAL_AT_COVER, sec, s.qty, price, s.basis_per_share)
+        for s in effects.lots_consumed[effects.reserved_slices:]
+    ]
+    events += [
+        RealizationEvent(at, RealizationKind.SHORT_COVER, sec, s.qty, s.proceeds_per_share, price)
+        for s in effects.shorts_covered
+    ]
+    return events
+
+
+_RULES = {
+    Buy: _nothing,
+    Borrow: _nothing,
+    ShortSell: _short_sale,
+    SellOwned: _sale,
+    CoverByPurchase: _cover,
+    CoverByOwnedLot: _cover,
+    Death: _nothing,
+}
+
+
 def realize(
     effects: LedgerEffects,
     regime: Regime,
@@ -102,46 +167,4 @@ def realize(
     the owned shares deemed disposed.
     """
     ev = effects.event
-    if isinstance(ev, (Buy, Borrow, Death)):
-        return [], ledger
-    if isinstance(ev, ShortSell) and regime is Regime.CURRENT:
-        # Receipt of the proceeds without realization.
-        return [], ledger
-    price, sec = effects.price, effects.sec
-    if price is None or sec is None:  # hand-built effects may lack them
-        raise InvariantViolation(
-            f"{type(ev).__name__} effects carry no price or security"
-        )
-    at = effects.at
-
-    if isinstance(ev, SellOwned):
-        return [
-            RealizationEvent(at, RealizationKind.ORDINARY_SALE, sec, s.qty, price, s.basis_per_share)
-            for s in effects.lots_consumed
-        ], ledger
-
-    if isinstance(ev, ShortSell):
-        return [
-            RealizationEvent(
-                at, RealizationKind.CONSTRUCTIVE_SALE, sec, s.qty, price, s.basis_per_share
-            )
-            for s in ledger.reserve(effects)
-        ], ledger
-
-    if isinstance(ev, (CoverByPurchase, CoverByOwnedLot)):
-        # Delivered shares that were reserved were disposed of at the short
-        # sale; every other delivered share is deemed sold at the price of
-        # replacing the borrowed shares.  A cover by purchase delivers none.
-        events = [
-            RealizationEvent(
-                at, RealizationKind.OWNED_DISPOSAL_AT_COVER, sec, s.qty, price, s.basis_per_share
-            )
-            for s in effects.lots_consumed[effects.reserved_slices:]
-        ]
-        events += [
-            RealizationEvent(at, RealizationKind.SHORT_COVER, sec, s.qty, s.proceeds_per_share, price)
-            for s in effects.shorts_covered
-        ]
-        return events, ledger
-
-    raise TypeError(f"unknown transaction event {ev!r}")  # pragma: no cover
+    return (_RULES.get(type(ev)) or _lookup(_RULES, ev))(effects, regime, ledger), ledger

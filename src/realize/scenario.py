@@ -43,7 +43,7 @@ from .ledger import (
     TransactionEvent,
     apply_event,
 )
-from .market import Money, PricePath, SecurityId, Tick, _money, pesos, record
+from .market import _ZERO, Money, PricePath, SecurityId, Tick, _money, pesos, record
 from .realization import RealizationEvent, Regime, realize
 from .taxation import (
     NettingWindow,
@@ -78,13 +78,14 @@ class Scenario:
 
     def __post_init__(self) -> None:
         last = None
+        quotes = self.prices.quotes
         for index, ev in enumerate(self.events):
             if last is not None and ev.at < last:
                 raise _annotate(
                     NonMonotonicTick(f"event tick {ev.at} precedes earlier tick {last}"), index
                 )
             last = ev.at
-            if not isinstance(ev, Death) and not self.prices.has(ev.sec, ev.at):
+            if not isinstance(ev, Death) and (ev.sec, ev.at) not in quotes:
                 raise _annotate(UndefinedPrice(f"no price for {ev.sec} at tick {ev.at}"), index)
 
 
@@ -418,10 +419,11 @@ def run(
     ledger = Ledger()
     realized: list[RealizationEvent] = []
     cash_deltas: dict[Tick, int] = {}
+    prices = scenario.prices
 
     for index, ev in enumerate(scenario.events):
         try:
-            ledger, effects = apply_event(ledger, ev, scenario.prices)
+            ledger, effects = apply_event(ledger, ev, prices)
             events, ledger = realize(effects, regime, ledger)
         except EngineError as err:
             raise _annotate(err, index)
@@ -438,23 +440,14 @@ def run(
 
     lines = tax_timeline(realized, window, schedule)
     securities = sorted(ledger.securities())
+    inventory = InventorySummary(
+        tuple((s, ledger.owned_qty(s)) for s in securities if ledger.lots_of(s)),
+        tuple((s, ledger.outstanding_qty(s)) for s in securities if ledger.borrows_of(s)),
+        ledger.owner_generation,
+    )
     return RunReport(
-        scenario=scenario.name,
-        regime=regime,
-        schedule=schedule,
-        window=window,
-        events=tuple(realized),
-        tax_lines=tuple(lines),
-        cash_timeline=tuple(timeline),
-        total_tax=total_tax(lines),
-        final_cash=ledger.cash,
-        inventory=InventorySummary(
-            owned=tuple((s, ledger.owned_qty(s)) for s in securities if ledger.lots_of(s)),
-            borrowed_outstanding=tuple(
-                (s, ledger.outstanding_qty(s)) for s in securities if ledger.borrows_of(s)
-            ),
-            owner_generation=ledger.owner_generation,
-        ),
+        scenario.name, regime, schedule, window, tuple(realized), tuple(lines),
+        tuple(timeline), total_tax(lines), ledger.cash, inventory,
     )
 
 
@@ -514,23 +507,11 @@ def compare(
     proposed = run(scenario, Regime.PROPOSED, schedule, window)
     by_tick_current = {line.period: line.tax_due for line in current.tax_lines}
     by_tick_proposed = {line.period: line.tax_due for line in proposed.tax_lines}
-    ticks = sorted(set(by_tick_current) | set(by_tick_proposed))
     deltas = tuple(
-        TaxDelta(
-            at=t,
-            current_tax=by_tick_current.get(t, Money.zero()),
-            proposed_tax=by_tick_proposed.get(t, Money.zero()),
-        )
-        for t in ticks
+        TaxDelta(t, by_tick_current.get(t, _ZERO), by_tick_proposed.get(t, _ZERO))
+        for t in sorted(by_tick_current.keys() | by_tick_proposed.keys())
     )
-    return ComparisonReport(
-        scenario=scenario.name,
-        schedule=schedule,
-        window=window,
-        current=current,
-        proposed=proposed,
-        tax_deltas=deltas,
-    )
+    return ComparisonReport(scenario.name, schedule, window, current, proposed, deltas)
 
 
 @record
@@ -543,40 +524,33 @@ class GridRow:
     short_gain_per_share: Money
 
 
+def _two_tick(
+    prices: PricePath, sec: SecurityId, open_at: Tick, close_at: Tick, short: bool = False,
+    qty: int = BLOCK_QTY,
+) -> Scenario:
+    """``qty`` shares of ``sec`` bought at ``open_at`` and sold at ``close_at``.
+
+    With ``short``, they are borrowed and sold short at ``open_at`` and
+    covered by purchase at ``close_at`` instead.
+    """
+    if short:
+        events = (Borrow(open_at, sec, qty), ShortSell(open_at, sec, qty), CoverByPurchase(close_at, sec, qty))
+    else:
+        events = (Buy(open_at, sec, qty), SellOwned(close_at, sec, qty))
+    return Scenario(f"{'short' if short else 'ordinary'}_{sec}", prices, events)
+
+
 def offset_grid_rows(qty: int = BLOCK_QTY) -> list[GridRow]:
     """Run the grid's ordinary-sale and short-cycle legs for each future price.
 
     Each future price becomes two independent two-tick runs: buy now and sell
     later, and short now and cover by purchase later.
     """
-    grid = builtin("offset_grid")
+    prices = builtin("offset_grid").prices
     rows = []
     for future in OFFSET_GRID_FUTURES:
         sec = _grid_sec(future)
-        ordinary = Scenario(
-            f"grid_ordinary_{sec}",
-            grid.prices,
-            (Buy(at=1, sec=sec, qty=qty), SellOwned(at=2, sec=sec, qty=qty)),
-        )
-        short = Scenario(
-            f"grid_short_{sec}",
-            grid.prices,
-            (
-                Borrow(at=1, sec=sec, qty=qty),
-                ShortSell(at=1, sec=sec, qty=qty),
-                CoverByPurchase(at=2, sec=sec, qty=qty),
-            ),
-        )
-        ordinary_report = run(ordinary)
-        short_report = run(short)
-        (ordinary_event,) = ordinary_report.events
-        (short_event,) = short_report.events
-        rows.append(
-            GridRow(
-                future_price=future,
-                present_price=OFFSET_GRID_PRESENT,
-                ordinary_gain_per_share=ordinary_event.gain_per_share,
-                short_gain_per_share=short_event.gain_per_share,
-            )
-        )
+        (ordinary,) = run(_two_tick(prices, sec, 1, 2, qty=qty)).events
+        (short,) = run(_two_tick(prices, sec, 1, 2, short=True, qty=qty)).events
+        rows.append(GridRow(future, OFFSET_GRID_PRESENT, ordinary.gain_per_share, short.gain_per_share))
     return rows

@@ -13,15 +13,11 @@ intentionally differ table to table.
 from __future__ import annotations
 
 from .errors import InvariantViolation
-from .ledger import Borrow, Buy, CoverByPurchase, SellOwned, ShortSell
 from .market import Money, PricePath, Rate, apply_rate, pesos
 from .realization import RealizationEvent, RealizationKind, Regime
 from .scenario import (
-    BLOCK_QTY,
-    OFFSET_GRID_FUTURES,
-    OFFSET_GRID_PRESENT,
     RunReport,
-    Scenario,
+    _two_tick,
     builtin,
     offset_grid_rows,
     run,
@@ -58,15 +54,7 @@ def _row(label: str, per_share: Money, qty: int, decimals: bool = True, parens: 
 
 def _trade(open_at: int, close_at: int, short: bool = False) -> RunReport:
     """One ABC block bought and sold, or borrowed, sold short and covered by purchase."""
-    if short:
-        events = (
-            Borrow(open_at, "ABC", BLOCK_QTY),
-            ShortSell(open_at, "ABC", BLOCK_QTY),
-            CoverByPurchase(close_at, "ABC", BLOCK_QTY),
-        )
-    else:
-        events = (Buy(open_at, "ABC", BLOCK_QTY), SellOwned(close_at, "ABC", BLOCK_QTY))
-    return run(Scenario("abc", builtin("strategy3").prices, events))
+    return run(_two_tick(builtin("strategy3").prices, "ABC", open_at, close_at, short))
 
 
 def _event_table(
@@ -89,8 +77,8 @@ def _event_table(
     return _layout([title], rows)
 
 
-def ordinary_sale_gain_table() -> list[str]:
-    report = _trade(1, 2)
+def ordinary_sale_gain_table(report: RunReport) -> list[str]:
+    """``report`` is ``_trade(1, 2)``."""
     (sale,) = report.events
     (_line,) = report.tax_lines
     labels = ("Selling Price", "Less: Basis", "Capital Gain", "Capital Gains Tax")
@@ -103,8 +91,9 @@ def ordinary_sale_loss_table() -> list[str]:
     return _event_table("ORDINARY SALE OF STOCK (BUY AT TIME 2, SELL AT TIME 3)", sale, labels)
 
 
-def short_sale_loss_table() -> list[str]:
-    (cover,) = _trade(1, 2, short=True).events
+def short_sale_loss_table(report: RunReport) -> list[str]:
+    """``report`` is ``_trade(1, 2, short=True)``."""
+    (cover,) = report.events
     labels = ("Selling Price from Short Sale", "Less: Cost of Replacing Borrowed Shares", "Capital Loss")
     return _event_table("SHORT SALE OF STOCK (SELL AT TIME 1, REPLACE AT TIME 2)", cover, labels)
 
@@ -140,8 +129,8 @@ def offset_grid_table() -> list[str]:
     return out
 
 
-def timing_table() -> list[str]:
-    ordinary, short = _trade(1, 2), _trade(1, 2, short=True)
+def timing_table(ordinary: RunReport, short: RunReport) -> list[str]:
+    """``ordinary`` is ``_trade(1, 2)`` and ``short`` is ``_trade(1, 2, short=True)``."""
 
     def realization_tick(report: RunReport) -> int:
         (event,) = report.events
@@ -257,8 +246,8 @@ def strategy3_table() -> list[str]:
     return out
 
 
-def proposed_time2_table() -> list[str]:
-    report = run(builtin("proposed_demo"), regime=Regime.PROPOSED)
+def proposed_time2_table(report: RunReport) -> list[str]:
+    """``report`` is ``proposed_demo`` run under the proposed regime."""
     constructive = next(e for e in report.events if e.kind is RealizationKind.CONSTRUCTIVE_SALE)
     line = next(l for l in report.tax_lines if l.period == constructive.at)
     _agrees("proposed time 2", apply_rate(constructive.gain_per_share, RATE) * constructive.qty, line.tax_due)
@@ -271,8 +260,8 @@ def proposed_time2_table() -> list[str]:
     return _event_table("PROPOSED RULE, FIRST REALIZATION EVENT (TIME 2)", constructive, labels, CGT_RATE_ROW)
 
 
-def proposed_time3_table() -> list[str]:
-    report = run(builtin("proposed_demo"), regime=Regime.PROPOSED)
+def proposed_time3_table(report: RunReport) -> list[str]:
+    """``report`` is ``proposed_demo`` run under the proposed regime."""
     cover = next(e for e in report.events if e.kind is RealizationKind.SHORT_COVER)
     line = next(l for l in report.tax_lines if l.period == cover.at)
     _agrees("proposed time 3", apply_rate(cover.gain_per_share, RATE) * cover.qty, line.tax_due)
@@ -330,19 +319,24 @@ def death_table() -> list[str]:
 
 
 def paper_tables() -> str:
-    """The full golden-table report, byte-stable across runs."""
+    """The full golden-table report, byte-stable across runs.
+
+    The runs that several tables read are made once per call.
+    """
+    ordinary, short = _trade(1, 2), _trade(1, 2, short=True)
+    proposed = run(builtin("proposed_demo"), regime=Regime.PROPOSED)
     sections = [
-        ordinary_sale_gain_table(),
+        ordinary_sale_gain_table(ordinary),
         ordinary_sale_loss_table(),
-        short_sale_loss_table(),
+        short_sale_loss_table(short),
         short_sale_gain_table(),
         offset_grid_table(),
-        timing_table(),
+        timing_table(ordinary, short),
         strategy1_table(),
         strategy2_table(),
         strategy3_table(),
-        proposed_time2_table(),
-        proposed_time3_table(),
+        proposed_time2_table(proposed),
+        proposed_time3_table(proposed),
         death_table(),
     ]
     blocks = ["\n".join(section) for section in sections]

@@ -80,7 +80,7 @@ def tax_timeline(
     schedule: RateSchedule = RateSchedule.PAPER_FLAT,
 ) -> list[TaxLine]:
     return [
-        TaxLine(period=t, net_capital_gain=net, tax_due=tax_due(net, schedule))
+        TaxLine(t, net, tax_due(net, schedule))
         for t, net in net_by_period(events, window)
     ]
 

@@ -216,6 +216,25 @@ class TestPaperTables:
         _, second, _ = invoke(capsys, "paper-tables")
         assert first == second
 
+    def test_each_call_runs_23_scenarios(self, monkeypatch):
+        # Reports several tables read are shared within one call, never across calls.
+        import realize.scenario
+        import realize.tables
+
+        names = []
+        original = realize.scenario.run
+
+        def counted(scenario, *args, **kwargs):
+            names.append(scenario.name)
+            return original(scenario, *args, **kwargs)
+
+        monkeypatch.setattr(realize.scenario, "run", counted)
+        monkeypatch.setattr(realize.tables, "run", counted)
+        for _ in range(2):
+            names.clear()
+            realize.tables.paper_tables()
+            assert len(names) == 23
+
 
 class TestGrid:
     def test_table_has_seven_rows(self, capsys):

@@ -6,6 +6,7 @@ not an event is refused with ``TypeError`` before it changes the ledger.
 
 import pytest
 
+from realize import ledger, realization
 from realize import (
     Borrow,
     Buy,
@@ -36,6 +37,14 @@ SCENARIOS = (
     builtin("death_avoidance"),
     Scenario("by_purchase", ABC, BY_PURCHASE),
 )
+
+
+def test_the_step_and_rule_tables_hold_exactly_the_event_classes():
+    # A new event class with no ledger step or realization rule fails here, not in a run.
+    classes = set(ledger.TransactionEvent.__args__)
+    assert classes == set(EVENT_CLASSES)
+    assert set(ledger._STEPS) == classes
+    assert set(realization._RULES) == classes
 
 
 def subclass(kind):
