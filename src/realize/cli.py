@@ -8,6 +8,7 @@ The REALIZE_FORMAT environment variable overrides the default output format.
 
 Each call is a fresh interpreter, so what only one command needs (the
 golden tables, ``json``, ``csv``, the fixture reader) is imported inside it.
+Reports are written from their columns; JSON is ``json.dumps(to_dict(), indent=2)`` to the byte.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import argparse
 import io
 import os
 import sys
+from functools import partial
 
 from .errors import EngineError, UnreadableScenario
 from .market import pesos
@@ -49,12 +51,6 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _layout(rows: list[tuple[str, ...]]) -> list[str]:
-    """Right-align every column to its widest cell, two spaces apart."""
-    line = "  ".join(f"{{:>{max(map(len, column))}}}" for column in zip(*rows)).format
-    return [line(*r).rstrip() for r in rows]
-
-
 def _load_scenario(target: str) -> Scenario:
     if target in BUILTIN_NAMES:
         return builtin(target)
@@ -72,59 +68,66 @@ def _load_scenario(target: str) -> Scenario:
     return parse_scenario(text, name=name[:dot] if 0 < dot < len(name) - 1 else name)  # Path.stem
 
 
-def _section(title: str, header: tuple[str, ...], rows: list[tuple[str, ...]], empty: str) -> list[str]:
-    """A blank line, the title, then the rows laid out under the header, or ``empty`` if there are none."""
-    return ["", title, *(_layout([header, *rows]) if rows else [f"  {empty}"])]
+_peso = partial(pesos, symbol=PESO)
 
 
-def _csv(*groups) -> str:
-    """Each group of rows in turn as CSV; a generator group is written row by row, never held."""
-    import csv
+def _columns(report: RunReport) -> tuple[list[list], list[list], list[list]]:
+    """Every run writer's input: events (tick, kind, security, qty, amount/sh, basis/sh, gain/sh, gain
+    total), tax lines (tick, net capital gain, tax due) and cash points (tick, delta, cumulative), by column."""
+    events, taxes, cash = report.events, report.tax_lines, report.cash_timeline
+    gains = [e.gain_centavos for e in events]
+    return (
+        [[e.at for e in events], [e.kind.value for e in events], [e.sec for e in events], [e.qty for e in events],
+         [e.amount_realized_per_share.centavos for e in events], [e.basis_per_share.centavos for e in events],
+         [g for g, _ in gains], [g for _, g in gains]],
+        [[t.period for t in taxes], [t.net_capital_gain.centavos for t in taxes], [t.tax_due.centavos for t in taxes]],
+        [[p.at for p in cash], [p.delta.centavos for p in cash], [p.cumulative.centavos for p in cash]],
+    )
 
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    for rows in groups:
-        writer.writerows(rows)
-    return buf.getvalue()
+
+def _cells(column: list, text) -> list[str]:
+    """``column`` with every value replaced by ``text(value)``, each distinct value converted once per call."""
+    memo = {value: text(value) for value in set(column)}
+    return list(map(memo.__getitem__, column))
+
+
+def _priced(ticks: list, *amounts: list) -> list[list[str]]:
+    """A tick column and columns of centavos as table cells."""
+    return [_cells(ticks, str), *(_cells(column, _peso) for column in amounts)]
+
+
+def _layout(header: tuple[str, ...], columns: list[list[str]], empty: str = "") -> list[str]:
+    """The header over the rows of ``columns``, each right-aligned to its widest cell, two spaces apart, or
+    ``empty`` if there are no rows.  Only the header is stripped: a data row ends in a peso, never blank."""
+    if not columns[0]:
+        return [f"  {empty}"]
+    line = "  ".join(f"%{max(len(h), *map(len, c))}s" for h, c in zip(header, columns))
+    return [(line % header).rstrip(), *map(line.__mod__, zip(*columns))]
 
 
 def _render_run_table(report: RunReport) -> str:
-    events = []
-    for e in report.events:
-        gain_per_share, gain_total = e.gain_centavos
-        events.append((
-            str(e.at), e.kind.value, e.sec, f"{e.qty:,}",
-            pesos(e.amount_realized_per_share.centavos, symbol=PESO),
-            pesos(e.basis_per_share.centavos, symbol=PESO),
-            pesos(gain_per_share, symbol=PESO),
-            pesos(gain_total, symbol=PESO),
-        ))
-    taxes = [
-        (str(t.period), pesos(t.net_capital_gain.centavos, symbol=PESO), pesos(t.tax_due.centavos, symbol=PESO))
-        for t in report.tax_lines
-    ]
-    cash = [
-        (str(p.at), pesos(p.delta.centavos, symbol=PESO), pesos(p.cumulative.centavos, symbol=PESO))
-        for p in report.cash_timeline
-    ]
+    (ticks, kinds, secs, qtys, *amounts), taxes, cash = _columns(report)
+    events = [_cells(ticks, str), kinds, secs, _cells(qtys, "{:,}".format), *(_cells(c, _peso) for c in amounts)]
     inv = report.inventory
     owned = ", ".join(f"{sec}:{qty:,}" for sec, qty in inv.owned) or "none"
     borrowed = ", ".join(f"{sec}:{qty:,}" for sec, qty in inv.borrowed_outstanding) or "none"
     lines = [
         f"scenario: {report.scenario}   regime: {report.regime.value}   "
         f"rates: {report.schedule.value}   window: {report.window.value}",
-        *_section(
-            "REALIZATION EVENTS",
-            ("tick", "kind", "security", "qty", "amount/sh", "basis/sh", "gain/sh", "gain total"),
-            events,
-            "(none)",
-        ),
-        *_section("TAX TIMELINE", ("tick", "net capital gain", "tax due"), taxes, "(no realization, no tax)"),
-        *_section("CASH TIMELINE (PRE-TAX)", ("tick", "delta", "cumulative"), cash, "(no cash movement)"),
+        "",
+        "REALIZATION EVENTS",
+        *_layout(("tick", "kind", "security", "qty", "amount/sh", "basis/sh", "gain/sh", "gain total"),
+                 events, "(none)"),
+        "",
+        "TAX TIMELINE",
+        *_layout(("tick", "net capital gain", "tax due"), _priced(*taxes), "(no realization, no tax)"),
+        "",
+        "CASH TIMELINE (PRE-TAX)",
+        *_layout(("tick", "delta", "cumulative"), _priced(*cash), "(no cash movement)"),
         "",
         "TOTALS",
-        f"  total tax:      {pesos(report.total_tax.centavos, symbol=PESO)}",
-        f"  final cash:     {pesos(report.final_cash.centavos, symbol=PESO)}",
+        f"  total tax:      {_peso(report.total_tax.centavos)}",
+        f"  final cash:     {_peso(report.final_cash.centavos)}",
         f"  owned shares:   {owned}",
         f"  open borrows:   {borrowed}",
         f"  owner generation: {inv.owner_generation}",
@@ -132,29 +135,66 @@ def _render_run_table(report: RunReport) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _csv_cell(symbol: str) -> str:
+    """A symbol, any ``\\S+`` token, as ``csv.writer`` writes it; ``csv`` loads only for one it must quote."""
+    if "," not in symbol and '"' not in symbol and "\n" not in symbol and "\r" not in symbol:
+        return symbol
+    import csv
+
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow([symbol])
+    return buf.getvalue()[:-1]
+
+
 def _render_run_csv(report: RunReport) -> str:
-    header = [
-        "record", "tick", "kind", "security", "qty",
-        "amount_per_share", "basis_per_share", "gain_per_share", "gain_total",
-        "net_capital_gain", "tax_due", "cash_delta", "cash_cumulative",
-    ]
-    events = (
-        ["event", e.at, e.kind.value, e.sec, e.qty,
-         e.amount_realized_per_share.centavos, e.basis_per_share.centavos,
-         *e.gain_centavos, "", "", "", ""]
-        for e in report.events
-    )
-    taxes = (
-        ["tax", t.period, "", "", "", "", "", "", "",
-         t.net_capital_gain.centavos, t.tax_due.centavos, "", ""]
-        for t in report.tax_lines
-    )
-    cash = (
-        ["cash", p.at, "", "", "", "", "", "", "", "", "", p.delta.centavos, p.cumulative.centavos]
-        for p in report.cash_timeline
-    )
-    total = ["total", "", "", "", "", "", "", "", "", "", report.total_tax.centavos, "", report.final_cash.centavos]
-    return _csv([header], events, taxes, cash, [total])
+    (ticks, kinds, secs, *rest), taxes, cash = _columns(report)
+    return "".join((
+        "record,tick,kind,security,qty,amount_per_share,basis_per_share,gain_per_share,gain_total,"
+        "net_capital_gain,tax_due,cash_delta,cash_cumulative\n",
+        *map("event,%s,%s,%s,%s,%s,%s,%s,%s,,,,\n".__mod__, zip(ticks, kinds, _cells(secs, _csv_cell), *rest)),
+        *map("tax,%s,,,,,,,,%s,%s,,\n".__mod__, zip(*taxes)),
+        *map("cash,%s,,,,,,,,,,%s,%s\n".__mod__, zip(*cash)),
+        f"total,,,,,,,,,,{report.total_tax.centavos},,{report.final_cash.centavos}\n",
+    ))
+
+
+def _json_list(pad: str, keys: tuple[str, ...], rows) -> str:
+    """Rows of ints and escaped strings as ``json.dumps(indent=2)`` writes a list of objects nested at ``pad``."""
+    fields = ",\n".join(f'{pad}    "{key}": %s' for key in keys)
+    body = ",\n".join(map(f"{pad}  {{\n{fields}\n{pad}  }}".__mod__, rows))
+    return f"[\n{body}\n{pad}]" if body else "[]"
+
+
+def _json_object(pad: str, fields: dict, esc) -> str:
+    """``fields`` as ``json.dumps(indent=2)`` writes a dict nested at ``pad``; values are ints or written text."""
+    body = ",\n".join(f"{pad}  {esc(key)}: {value}" for key, value in fields.items())
+    return f"{{\n{body}\n{pad}}}" if body else "{}"
+
+
+def _render_run_json(report: RunReport, pad: str = "") -> str:
+    """``json.dumps(report.to_dict(), indent=2)``, written from the report's columns, nested at ``pad``."""
+    from json.encoder import encode_basestring_ascii as esc
+
+    (ticks, kinds, secs, *rest), taxes, cash = _columns(report)
+    events = zip(ticks, _cells(kinds, esc), _cells(secs, esc), *rest)
+    p, pp, ppp = pad + "  ", pad + "    ", pad + "      "
+    inv = report.inventory
+    inventory = {
+        "owned": _json_object(ppp, dict(inv.owned), esc),
+        "borrowed_outstanding": _json_object(ppp, dict(inv.borrowed_outstanding), esc),
+        "owner_generation": inv.owner_generation,
+    }
+    totals = {"total_tax": report.total_tax.centavos, "final_cash": report.final_cash.centavos,
+              "inventory": _json_object(pp, inventory, esc)}
+    return _json_object(pad, {
+        "scenario": esc(report.scenario), "regime": esc(report.regime.value),
+        "schedule": esc(report.schedule.value), "window": esc(report.window.value),
+        "events": _json_list(p, ("tick", "kind", "security", "qty", "amount_realized_per_share", "basis_per_share",
+                                 "gain_per_share", "gain_total"), events),
+        "tax": _json_list(p, ("tick", "net_capital_gain", "tax_due"), zip(*taxes)),
+        "cash": _json_list(p, ("tick", "delta", "cumulative"), zip(*cash)),
+        "totals": _json_object(p, totals, esc),
+    }, esc)
 
 
 def _compare_rows(report: ComparisonReport) -> list[tuple]:
@@ -165,26 +205,39 @@ def _compare_rows(report: ComparisonReport) -> list[tuple]:
 
 
 def _render_compare_table(report: ComparisonReport) -> str:
-    rows = [("tick", "current tax", "proposed tax", "delta")]
-    rows += [(str(tick), *(pesos(c, symbol=PESO) for c in taxes)) for tick, *taxes in _compare_rows(report)]
     lines = [
-        f"scenario: {report.scenario}   rates: {report.schedule.value}   "
-        f"window: {report.window.value}",
+        f"scenario: {report.scenario}   rates: {report.schedule.value}   window: {report.window.value}",
         "",
         "TAX BY TICK (CURRENT VS PROPOSED)",
-        *_layout(rows),
+        *_layout(("tick", "current tax", "proposed tax", "delta"), _priced(*zip(*_compare_rows(report)))),
         "",
+        *(f"{label} total tax {_peso(r.total_tax.centavos)}, final cash {_peso(r.final_cash.centavos)}"
+          for label, r in (("current regime: ", report.current), ("proposed regime:", report.proposed))),
     ]
-    for label, run_report in (("current regime: ", report.current), ("proposed regime:", report.proposed)):
-        lines.append(
-            f"{label} total tax {pesos(run_report.total_tax.centavos, symbol=PESO)}, "
-            f"final cash {pesos(run_report.final_cash.centavos, symbol=PESO)}"
-        )
     return "\n".join(lines) + "\n"
 
 
 def _render_compare_csv(report: ComparisonReport) -> str:
-    return _csv([("tick", "current_tax", "proposed_tax", "delta")], _compare_rows(report))
+    return "tick,current_tax,proposed_tax,delta\n" + "".join(map("%s,%s,%s,%s\n".__mod__, _compare_rows(report)))
+
+
+def _render_compare_json(report: ComparisonReport) -> str:
+    """``json.dumps(report.to_dict(), indent=2)``, written from the report."""
+    from json.encoder import encode_basestring_ascii as esc
+
+    return _json_object("", {
+        "scenario": esc(report.scenario), "schedule": esc(report.schedule.value), "window": esc(report.window.value),
+        "current": _render_run_json(report.current, "  "), "proposed": _render_run_json(report.proposed, "  "),
+        "deltas": _json_list("  ", ("tick", "current_tax", "proposed_tax", "delta"), _compare_rows(report)[:-1]),
+        "total_delta": report.total_delta.centavos,
+    }, esc)
+
+
+_GRID_KEYS = ("future_price", "present_price", "ordinary_gain_per_share", "short_gain_per_share")
+
+
+def _grid_rows() -> list[tuple[int, ...]]:
+    return [tuple(getattr(row, key).centavos for key in _GRID_KEYS) for row in offset_grid_rows()]
 
 
 def _render_grid_table() -> str:
@@ -193,21 +246,12 @@ def _render_grid_table() -> str:
     return "\n".join(offset_grid_table()) + "\n"
 
 
-def _grid_dict() -> list[dict]:
-    return [
-        {
-            "future_price": row.future_price.centavos,
-            "present_price": row.present_price.centavos,
-            "ordinary_gain_per_share": row.ordinary_gain_per_share.centavos,
-            "short_gain_per_share": row.short_gain_per_share.centavos,
-        }
-        for row in offset_grid_rows()
-    ]
-
-
 def _render_grid_csv() -> str:
-    rows = _grid_dict()
-    return _csv([list(rows[0])], (row.values() for row in rows))
+    return ",".join(_GRID_KEYS) + "\n" + "".join(map("%s,%s,%s,%s\n".__mod__, _grid_rows()))
+
+
+def _render_grid_json() -> str:
+    return _json_list("", _GRID_KEYS, _grid_rows())
 
 
 def _fixture_text() -> str:
@@ -227,38 +271,26 @@ def paper_tables() -> str:
     return render()
 
 
-def _emit(fmt: str, data, render_csv, render_table) -> int:
-    """Print ``data()`` as indented JSON, ``render_csv()`` or ``render_table()``, as ``fmt`` asks."""
+def _emit(fmt: str, render_json, render_csv, render_table, *args) -> int:
+    """Print ``render_json(*args)``, ``render_csv(*args)`` or ``render_table(*args)``, as ``fmt`` asks."""
     if fmt == "json":
-        import json
-
-        print(json.dumps(data(), indent=2))
+        print(render_json(*args))
     elif fmt == "csv":
-        sys.stdout.write(render_csv())
+        sys.stdout.write(render_csv(*args))
     else:
-        sys.stdout.write(render_table())
+        sys.stdout.write(render_table(*args))
     return EXIT_OK
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    report = run(
-        _load_scenario(args.scenario),
-        regime=Regime(args.regime),
-        schedule=RateSchedule(args.rates),
-        window=NettingWindow(args.window),
-    )
-    return _emit(
-        args.format, report.to_dict, lambda: _render_run_csv(report), lambda: _render_run_table(report)
-    )
+    scenario = _load_scenario(args.scenario)
+    report = run(scenario, Regime(args.regime), RateSchedule(args.rates), NettingWindow(args.window))
+    return _emit(args.format, _render_run_json, _render_run_csv, _render_run_table, report)
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
-    report = compare(
-        _load_scenario(args.scenario), schedule=RateSchedule(args.rates), window=NettingWindow(args.window)
-    )
-    return _emit(
-        args.format, report.to_dict, lambda: _render_compare_csv(report), lambda: _render_compare_table(report)
-    )
+    report = compare(_load_scenario(args.scenario), RateSchedule(args.rates), NettingWindow(args.window))
+    return _emit(args.format, _render_compare_json, _render_compare_csv, _render_compare_table, report)
 
 
 def _cmd_paper_tables(_args: argparse.Namespace) -> int:
@@ -267,7 +299,7 @@ def _cmd_paper_tables(_args: argparse.Namespace) -> int:
 
 
 def _cmd_grid(args: argparse.Namespace) -> int:
-    return _emit(args.format, _grid_dict, _render_grid_csv, _render_grid_table)
+    return _emit(args.format, _render_grid_json, _render_grid_csv, _render_grid_table)
 
 
 def _cmd_check(_args: argparse.Namespace) -> int:

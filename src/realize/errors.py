@@ -44,7 +44,7 @@ class OverCover(EngineError):
 
 
 class InvalidQuantity(EngineError):
-    """A share quantity was zero or negative."""
+    """A share quantity was zero or negative, or not an int."""
 
 
 class InvariantViolation(EngineError):

@@ -112,13 +112,15 @@ class BorrowPosition:
 
 @record
 class _Trade:
-    """A dated trade of ``qty`` shares of one security; the quantity must be positive."""
+    """A dated trade of ``qty`` shares of one security; the quantity must be a positive ``int``, not a ``bool``."""
 
     at: Tick
     sec: SecurityId
     qty: int
 
     def __post_init__(self) -> None:
+        if not isinstance(self.qty, int) or isinstance(self.qty, bool):
+            raise InvalidQuantity(f"quantity must be an int, got {type(self.qty).__name__}")
         if self.qty <= 0:
             raise InvalidQuantity(f"quantity must be positive, got {self.qty}")
 

@@ -27,6 +27,7 @@ Tick = int
 SecurityId = str
 
 CENTAVOS_PER_PESO = 100
+_CENTS = tuple(f".{c:02d}" for c in range(CENTAVOS_PER_PESO))  # the text after the whole pesos, by centavos
 
 _MONEY_RE = re.compile(r"(-?)(\d+)(?:\.(\d{1,2}))?", re.ASCII)
 
@@ -271,11 +272,11 @@ def pesos(centavos: int, *, symbol: str = "", cents: bool = True, parens: bool =
     writes the size of the amount in parentheses, whatever its sign
     (``(1,234.50)``).
     """
-    a = -centavos if centavos < 0 else centavos
-    if cents or a % 100:
-        body = f"{symbol}{a // 100:,}.{a % 100:02d}"
-    else:
-        body = f"{symbol}{a // 100:,}"
+    whole, part = divmod(-centavos if centavos < 0 else centavos, 100)
+    # Grouping costs several plain conversions, and most per-share amounts are under 1,000.
+    body = f"{symbol}{whole:,}" if whole > 999 else f"{symbol}{whole}"
+    if cents or part:
+        body += _CENTS[part]
     if parens:
         return f"({body})"
     return "-" + body if centavos < 0 else body

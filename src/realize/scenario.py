@@ -41,6 +41,7 @@ from .ledger import (
     SellOwned,
     ShortSell,
     TransactionEvent,
+    _lookup,
     apply_event,
 )
 from .market import _ZERO, Money, PricePath, SecurityId, Tick, _money, pesos, record
@@ -132,14 +133,18 @@ def _int(tokens: list[str], index: int, what: str, code: str, line_no: int) -> i
 
 
 def parse_scenario(text: str, name: str = "scenario") -> Scenario:
-    """Parse DSL text into a validated scenario."""
+    """Parse DSL text into a validated scenario.
+
+    Numbers in plain ASCII digits are read in place; every other spelling, and
+    every error, goes through ``_int`` or ``Money.parse``.
+    """
     quotes: dict[tuple[SecurityId, Tick], Money] = {}
     events: list[TransactionEvent] = []
     event_lines: list[int] = []
     lines = text.splitlines()
 
     for line_no, line in enumerate(lines, start=1):
-        code = line.partition("#")[0]
+        code = line.partition("#")[0] if "#" in line else line
         tokens = code.split()
         n = len(tokens)
         if not n:
@@ -149,20 +154,24 @@ def parse_scenario(text: str, name: str = "scenario") -> Scenario:
         if head == "price":
             if n != 4:
                 raise _count_error(tokens, _PRICE, code, line_no)
-            _, sym, _, price_tok = tokens
-            t = _int(tokens, 2, "tick", code, line_no)
+            _, sym, tick, price = tokens
+            t = int(tick) if tick.isdigit() and tick.isascii() else _int(tokens, 2, "tick", code, line_no)
             if t < 0:
                 raise ParseError(f"tick must be non-negative, got {t}", line_no, _col(code, 2))
-            try:
-                price = Money.parse(price_tok)
-            except ValueError:
-                raise ParseError(
-                    f"expected peso price with at most two decimals, got {price_tok!r}",
-                    line_no,
-                    _col(code, 3),
-                ) from None
-            if price.is_negative:
-                raise ParseError("price must not be negative", line_no, _col(code, 3))
+            whole, dot, cents = price.partition(".")
+            if whole.isdigit() and whole.isascii() and (
+                not dot or cents.isdigit() and cents.isascii() and len(cents) < 3
+            ):
+                price = _money(int(whole + (cents + "00")[:2]))
+            else:
+                try:
+                    price = Money.parse(price)
+                except ValueError:
+                    raise ParseError(
+                        f"expected peso price with at most two decimals, got {price!r}", line_no, _col(code, 3)
+                    ) from None
+                if price.is_negative:
+                    raise ParseError("price must not be negative", line_no, _col(code, 3))
             if (sym, t) in quotes:
                 raise ParseError(f"duplicate price for {sym} at tick {t}", line_no, _col(code, 0))
             quotes[(sym, t)] = price
@@ -172,7 +181,8 @@ def parse_scenario(text: str, name: str = "scenario") -> Scenario:
             raise UnknownDirective(f"unknown directive {head!r}", line_no, _col(code, 0))
         if n < 2:
             raise _count_error(tokens, _TRADE, code, line_no)
-        t = _int(tokens, 1, "tick", code, line_no)
+        tick = tokens[1]
+        t = int(tick) if tick.isdigit() and tick.isascii() else _int(tokens, 1, "tick", code, line_no)
         if t < 0:
             raise ParseError(f"tick must be non-negative, got {t}", line_no, _col(code, 1))
         if n < 3:
@@ -196,7 +206,8 @@ def parse_scenario(text: str, name: str = "scenario") -> Scenario:
             raise UnknownDirective(f"unknown event verb {verb!r}", line_no, _col(code, 2))
         if n != len(names):
             raise _count_error(tokens, names, code, line_no)
-        qty = _int(tokens, 4, "share quantity", code, line_no)
+        qty = tokens[4]
+        qty = int(qty) if qty.isdigit() and qty.isascii() else _int(tokens, 4, "share quantity", code, line_no)
         if qty <= 0:
             raise InvalidQuantity(f"quantity must be positive, got {qty}", line_no, _col(code, 4))
         if verb != "cover":
@@ -230,9 +241,10 @@ def _token(text: str) -> str:
 def format_scenario(s: Scenario) -> str:
     """Print a scenario back into the DSL; parsing the result reproduces it.
 
-    A security symbol or heir label that is empty, or holds whitespace or
-    ``#``, raises ``EngineError``; the events are checked first, so one an
-    event uses carries that event's ``event_index``.
+    A subclass of an event class prints as that class.  A security symbol or
+    heir label that is empty, or holds whitespace or ``#``, and an event that
+    is not a transaction event, raise ``EngineError``; the events are checked
+    first, so one an event uses carries that event's ``event_index``.
     """
     events = []
     for index, ev in enumerate(s.events):
@@ -240,7 +252,10 @@ def format_scenario(s: Scenario) -> str:
             if isinstance(ev, Death):
                 events.append(f"at {ev.at} death" + ("" if ev.heir is None else f" heir {_token(ev.heir)}"))
             else:
-                verb, mode = _SPELLINGS[type(ev)]
+                try:
+                    verb, mode = _SPELLINGS.get(type(ev)) or _lookup(_SPELLINGS, ev)
+                except TypeError as err:  # not a transaction event
+                    raise EngineError(str(err)) from None
                 events.append(f"at {ev.at} {verb} {_token(ev.sec)} {ev.qty}{mode}")
         except EngineError as err:
             raise _annotate(err, index) from None
@@ -379,12 +394,8 @@ class RunReport:
             "window": self.window.value,
             "events": events,
             "tax": [
-                {
-                    "tick": line.period,
-                    "net_capital_gain": line.net_capital_gain.centavos,
-                    "tax_due": line.tax_due.centavos,
-                }
-                for line in self.tax_lines
+                {"tick": t.period, "net_capital_gain": t.net_capital_gain.centavos, "tax_due": t.tax_due.centavos}
+                for t in self.tax_lines
             ],
             "cash": [
                 {"tick": p.at, "delta": p.delta.centavos, "cumulative": p.cumulative.centavos}
@@ -394,10 +405,8 @@ class RunReport:
                 "total_tax": self.total_tax.centavos,
                 "final_cash": self.final_cash.centavos,
                 "inventory": {
-                    "owned": {sec: qty for sec, qty in self.inventory.owned},
-                    "borrowed_outstanding": {
-                        sec: qty for sec, qty in self.inventory.borrowed_outstanding
-                    },
+                    "owned": dict(self.inventory.owned),
+                    "borrowed_outstanding": dict(self.inventory.borrowed_outstanding),
                     "owner_generation": self.inventory.owner_generation,
                 },
             },
@@ -485,12 +494,8 @@ class ComparisonReport:
             "current": self.current.to_dict(),
             "proposed": self.proposed.to_dict(),
             "deltas": [
-                {
-                    "tick": d.at,
-                    "current_tax": d.current_tax.centavos,
-                    "proposed_tax": d.proposed_tax.centavos,
-                    "delta": d.delta.centavos,
-                }
+                {"tick": d.at, "current_tax": d.current_tax.centavos, "proposed_tax": d.proposed_tax.centavos,
+                 "delta": d.delta.centavos}
                 for d in self.tax_deltas
             ],
             "total_delta": self.total_delta.centavos,

@@ -1,0 +1,84 @@
+"""``tools/bench_pairs.py``: its summary arithmetic and its pairing, with no benchmark run."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+TOOL = Path(__file__).resolve().parents[1] / "tools" / "bench_pairs.py"
+
+
+@pytest.fixture(scope="module")
+def tool():
+    spec = importlib.util.spec_from_file_location("bench_pairs", TOOL)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def pairs_of(parent, change, metric):
+    return [{"parent": {metric: p}, "change": {metric: c}} for p, c in zip(parent, change)]
+
+
+def test_quartiles_are_the_inclusive_ones(tool):
+    assert tool.quartiles([1, 2, 3, 4, 5]) == {"q1": 2, "median": 3, "q3": 4}
+    assert tool.quartiles([10, 20]) == {"q1": 12.5, "median": 15, "q3": 17.5}
+
+
+def test_a_higher_is_better_gain(tool):
+    parent = [100, 102, 98, 101, 99, 100, 103, 97, 100, 100]
+    change = [110, 111, 109, 112, 108, 110, 99, 110, 110, 111]
+    s = tool.summarize(pairs_of(parent, change, "items_per_s"), {"items_per_s": "higher"})["items_per_s"]
+    assert s["parent"] == {"q1": 99.25, "median": 100, "q3": 100.75}
+    assert s["change"]["median"] == 110
+    assert s["wins"] == 9 and s["parent_iqr"] == 1.5
+    assert s["median_ratio"] == pytest.approx(1.1)
+    assert s["ratios"][0] == pytest.approx(1.1) and s["ratios"][6] == pytest.approx(99 / 103)
+    assert s["gain_holds"]
+
+
+def test_a_lower_is_better_metric_counts_falls_as_wins(tool):
+    parent = [50.0, 52.0, 48.0, 51.0]
+    change = [40.0, 53.0, 41.0, 42.0]
+    s = tool.summarize(pairs_of(parent, change, "latency_p50_ms"), {"latency_p50_ms": "lower"})["latency_p50_ms"]
+    assert s["wins"] == 3
+    assert not s["gain_holds"]  # 3 of 4 is under nine in ten
+
+
+def test_a_median_gain_inside_the_parent_spread_does_not_hold(tool):
+    parent = [90, 110, 95, 105, 100]
+    change = [101, 111, 96, 106, 102]
+    s = tool.summarize(pairs_of(parent, change, "items_per_s"), {"items_per_s": "higher"})["items_per_s"]
+    assert s["wins"] == 5 and s["parent_iqr"] == 10
+    assert not s["gain_holds"]
+
+
+def test_pairs_alternate_and_one_label_collects_several_calls(tool, tmp_path, monkeypatch):
+    spec = {"end_to_end": [{"name": "items_per_s", "better": "higher"}, {"name": "setup_s", "better": "lower"}]}
+    (tmp_path / "change").mkdir()
+    (tmp_path / "change" / "BENCHMARK.json").write_text(json.dumps(spec), encoding="utf-8")
+    order = []
+
+    def fake_run(checkout, workload, seed, seconds):
+        side = checkout.name
+        order.append(side)
+        value = {"parent": 100.0, "change": 120.0}[side] + len(order)
+        metrics = {"items_per_s": {"value": value}, "setup_s": {"value": 0.5}}
+        record = {"python": "3.x", "nproc": 2, "commit": f"{side}-commit", "src_sha256": f"{side}-hash"}
+        return {"correct": True, "metrics": metrics}, record
+
+    monkeypatch.setattr(tool, "run_once", fake_run)
+    monkeypatch.chdir(tmp_path)
+    common = ["--parent", str(tmp_path / "parent"), "--change", str(tmp_path / "change"),
+              "--pairs", "3", "--seconds", "1", "--label", "t"]
+    assert tool.main([*common, "--workload", "deep_book", "--seed", "1"]) == 0
+    assert order == ["parent", "change", "change", "parent", "parent", "change"]
+    assert tool.main([*common, "--workload", "cli_cold", "--seed", "1"]) == 0
+    data = json.loads((tmp_path / "BENCH_t.json").read_text(encoding="utf-8"))
+    assert set(data["runs"]) == {"deep_book", "cli_cold"}
+    assert data["parent"] == {"commit": "parent-commit", "src_sha256": "parent-hash"}
+    run = data["runs"]["deep_book"]["1"]
+    assert [p["first"] for p in run["pairs"]] == ["parent", "change", "parent"]
+    assert run["summary"]["items_per_s"]["wins"] == 3
+    assert run["summary"]["setup_s"]["wins"] == 0

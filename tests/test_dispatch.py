@@ -1,8 +1,11 @@
-"""How an event finds its ledger step and its realization rule.
+"""How an event finds its ledger step, its realization rule and its DSL verb.
 
 A subclass of an event class is treated as that class, and anything that is
-not an event is refused with ``TypeError`` before it changes the ledger.
+not an event is refused with ``TypeError`` before it changes the ledger; the
+DSL printer refuses it with ``EngineError`` naming the event.
 """
+
+from types import SimpleNamespace
 
 import pytest
 
@@ -22,9 +25,12 @@ from realize import (
     ShortSell,
     apply_event,
     builtin,
+    format_scenario,
+    parse_scenario,
     realize,
     run,
 )
+from realize.errors import EngineError
 
 EVENT_CLASSES = (Buy, Borrow, ShortSell, SellOwned, CoverByPurchase, CoverByOwnedLot, Death)
 
@@ -100,3 +106,22 @@ def test_realize_refuses_effects_of_a_non_event(regime):
     effects = LedgerEffects(object(), 1, "ABC", 10, Money.from_pesos(50), Money.zero())
     with pytest.raises(TypeError, match="unknown transaction event"):
         realize(effects, regime, Ledger())
+
+
+@pytest.mark.parametrize("kind", EVENT_CLASSES, ids=lambda k: k.__name__)
+def test_a_subclass_prints_as_its_event_class(kind):
+    sub = subclass(kind)
+    for scenario in SCENARIOS:
+        events = tuple(recast(ev, kind, sub) for ev in scenario.events)
+        text = format_scenario(Scenario(scenario.name, scenario.prices, events))
+        assert text == format_scenario(scenario)
+        assert parse_scenario(text, name=scenario.name) == scenario
+
+
+def test_printing_a_non_event_names_it():
+    # It passes the scenario's tick and price checks, which read only ``at`` and ``sec``.
+    stranger = SimpleNamespace(at=2, sec="ABC", qty=10)
+    scenario = Scenario("odd", ABC, (*BY_PURCHASE[:2], stranger))
+    with pytest.raises(EngineError, match="unknown transaction event") as err:
+        format_scenario(scenario)
+    assert type(err.value) is EngineError and err.value.event_index == 2

@@ -77,6 +77,13 @@ class TestTradeEvents:
             kind(1, "A", qty)
 
     @pytest.mark.parametrize("kind", TRADES, ids=lambda k: k.__name__)
+    @pytest.mark.parametrize("qty", [1.5, 2.0, True, "3", None], ids=repr)
+    def test_a_quantity_that_is_not_an_int_is_rejected(self, kind, qty):
+        # As Money refuses non-int centavos: a float ended in TypeError at run(), True bought one share.
+        with pytest.raises(InvalidQuantity, match="quantity must be an int"):
+            kind(1, "A", qty)
+
+    @pytest.mark.parametrize("kind", TRADES, ids=lambda k: k.__name__)
     def test_frozen_and_slotted(self, kind):
         ev = kind(1, "A", 1)
         assert not hasattr(ev, "__dict__")

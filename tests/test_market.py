@@ -92,6 +92,8 @@ PESO_TEXT = {
     0: ("0.00", "0"),
     5: ("0.05", "0.05"),
     100: ("1.00", "1"),
+    99_999: ("999.99", "999.99"),
+    100_000: ("1,000.00", "1,000"),
     1_234_550: ("12,345.50", "12,345.50"),
     10**9: ("10,000,000.00", "10,000,000"),
 }
@@ -100,7 +102,9 @@ PESO_TEXT = {
 @pytest.mark.parametrize("symbol", ["", "₱"])
 @pytest.mark.parametrize("parens", [False, True])
 @pytest.mark.parametrize("cents", [True, False])
-@pytest.mark.parametrize("centavos", [0, 5, -5, 100, -100, 1_234_550, -1_234_550, 10**9])
+@pytest.mark.parametrize(
+    "centavos", [0, 5, -5, 100, -100, 99_999, -99_999, 100_000, -100_000, 1_234_550, -1_234_550, 10**9]
+)
 def test_pesos(centavos, cents, parens, symbol):
     with_cents, without = PESO_TEXT[abs(centavos)]
     body = symbol + (with_cents if cents else without)
@@ -111,6 +115,14 @@ def test_pesos(centavos, cents, parens, symbol):
     assert pesos(centavos, symbol=symbol, cents=cents, parens=parens) == expected
     if not (parens or symbol or not cents):
         assert str(Money(centavos)) == expected
+
+
+@given(st.integers(-(10**15), 10**15), st.booleans(), st.booleans(), st.sampled_from(["", "₱"]))
+def test_pesos_matches_one_grouped_format(centavos, cents, parens, symbol):
+    a = abs(centavos)
+    body = f"{symbol}{a // 100:,}" + (f".{a % 100:02d}" if cents or a % 100 else "")
+    expected = f"({body})" if parens else ("-" + body if centavos < 0 else body)
+    assert pesos(centavos, symbol=symbol, cents=cents, parens=parens) == expected
 
 
 class TestRate:

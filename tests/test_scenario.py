@@ -6,6 +6,8 @@ import pickle
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from realize import (
     Borrow,
@@ -37,7 +39,7 @@ from realize.errors import (
     UnknownDirective,
     UnknownScenario,
 )
-from realize.scenario import BUILTIN_NAMES
+from realize.scenario import BUILTIN_NAMES, _int
 from scenario_gen import random_scenario
 
 STRATEGY3_SCRIPT = """\
@@ -476,6 +478,75 @@ class TestPlainLineParser:
         assert parse_failure(PARSE_ERROR_CASES["negative-event-tick"][0])[1] == (
             "line 2, col 4: tick must be non-negative, got -1"
         )
+
+
+# Number tokens drawn from ASCII digits, digits of other scripts (Arabic-Indic,
+# full-width, superscript) and the signs, points, underscores and exponents
+# that int() or float() would take.
+NUMBER_TOKENS = st.text(alphabet="0123456789\u0660\u0665\uff11\u00b2.-+_e", min_size=1, max_size=8)
+
+
+def outcome(call):
+    """``call()`` with its type, or the error it raises as (class, message, line, col)."""
+    try:
+        value = call()
+    except EngineError as err:
+        return type(err), str(err), err.line, err.col
+    return type(value), value
+
+
+class TestNumberTokens:
+    """A token reads as ``Money.parse`` or ``_int`` alone reads it, whichever path the parser takes."""
+
+    @given(NUMBER_TOKENS)
+    def test_price(self, token):
+        def alone():
+            try:
+                price = Money.parse(token)
+            except ValueError:
+                raise ParseError(f"expected peso price with at most two decimals, got {token!r}", 1, 13) from None
+            if price.is_negative:
+                raise ParseError("price must not be negative", 1, 13)
+            return price
+
+        code = f"price ABC 1 {token}"
+        assert outcome(lambda: parse_scenario(code).prices.price_at("ABC", 1)) == outcome(alone)
+
+    @given(NUMBER_TOKENS)
+    def test_price_tick(self, token):
+        code = f"price ABC {token} 5"
+
+        def alone():
+            t = _int(code.split(), 2, "tick", code, 1)
+            if t < 0:
+                raise ParseError(f"tick must be non-negative, got {t}", 1, 11)
+            return t
+
+        assert outcome(lambda: next(iter(parse_scenario(code).prices.quotes))[1]) == outcome(alone)
+
+    @given(NUMBER_TOKENS)
+    def test_event_tick(self, token):
+        code = f"at {token} death"
+
+        def alone():
+            t = _int(code.split(), 1, "tick", code, 1)
+            if t < 0:
+                raise ParseError(f"tick must be non-negative, got {t}", 1, 4)
+            return t
+
+        assert outcome(lambda: parse_scenario(code).events[0].at) == outcome(alone)
+
+    @given(NUMBER_TOKENS)
+    def test_quantity(self, token):
+        code = f"at 1 buy ABC {token}"
+
+        def alone():
+            qty = _int(code.split(), 4, "share quantity", code, 2)
+            if qty <= 0:
+                raise InvalidQuantity(f"quantity must be positive, got {qty}", 2, 14)
+            return qty
+
+        assert outcome(lambda: parse_scenario(f"price ABC 1 5\n{code}").events[0].qty) == outcome(alone)
 
 
 class TestValueRoundTrip:
