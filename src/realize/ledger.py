@@ -5,7 +5,9 @@ what moved through a ``LedgerEffects`` record: lots consumed with their bases,
 borrow positions opened or covered, market prices used, and the cash delta.
 Tax treatment lives entirely downstream; the ledger knows nothing about
 realization regimes, which is what makes cash flow regime-invariant by
-construction.
+construction wherever both regimes accept a scenario.  An outright sale that
+needs shares reserved against a short fails only under the proposed regime,
+and one input can fail with different messages under the two.
 
 A run keeps its portfolio in a ``Ledger``: mutable, private to that run, and
 organised per security as a first-in first-out queue of lots and a list of

@@ -154,21 +154,19 @@ def parse_scenario(text: str, name: str = "scenario") -> Scenario:
         if head == "price":
             if n != 4:
                 raise _count_error(tokens, _PRICE, code, line_no)
-            _, sym, tick, price = tokens
+            _, sym, tick, price_tok = tokens
             t = int(tick) if tick.isdigit() and tick.isascii() else _int(tokens, 2, "tick", code, line_no)
             if t < 0:
                 raise ParseError(f"tick must be non-negative, got {t}", line_no, _col(code, 2))
-            whole, dot, cents = price.partition(".")
-            if whole.isdigit() and whole.isascii() and (
-                not dot or cents.isdigit() and cents.isascii() and len(cents) < 3
-            ):
+            whole, dot, cents = price_tok.partition(".")
+            if price_tok.isascii() and whole.isdigit() and (not dot or cents.isdigit() and len(cents) < 3):
                 price = _money(int(whole + (cents + "00")[:2]))
             else:
                 try:
-                    price = Money.parse(price)
+                    price = Money.parse(price_tok)
                 except ValueError:
                     raise ParseError(
-                        f"expected peso price with at most two decimals, got {price!r}", line_no, _col(code, 3)
+                        f"expected peso price with at most two decimals, got {price_tok!r}", line_no, _col(code, 3)
                     ) from None
                 if price.is_negative:
                     raise ParseError("price must not be negative", line_no, _col(code, 3))
@@ -206,8 +204,8 @@ def parse_scenario(text: str, name: str = "scenario") -> Scenario:
             raise UnknownDirective(f"unknown event verb {verb!r}", line_no, _col(code, 2))
         if n != len(names):
             raise _count_error(tokens, names, code, line_no)
-        qty = tokens[4]
-        qty = int(qty) if qty.isdigit() and qty.isascii() else _int(tokens, 4, "share quantity", code, line_no)
+        count = tokens[4]
+        qty = int(count) if count.isdigit() and count.isascii() else _int(tokens, 4, "share quantity", code, line_no)
         if qty <= 0:
             raise InvalidQuantity(f"quantity must be positive, got {qty}", line_no, _col(code, 4))
         if verb != "cover":
