@@ -121,7 +121,7 @@ class _Trade:
     qty: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.qty, int) or isinstance(self.qty, bool):
+        if type(self.qty) is not int and (not isinstance(self.qty, int) or isinstance(self.qty, bool)):
             raise InvalidQuantity(f"quantity must be an int, got {type(self.qty).__name__}")
         if self.qty <= 0:
             raise InvalidQuantity(f"quantity must be positive, got {self.qty}")
