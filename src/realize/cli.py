@@ -73,13 +73,17 @@ _peso = partial(pesos, symbol=PESO)
 
 def _columns(report: RunReport) -> tuple[list[list], list[list], list[list]]:
     """Every run writer's input: events (tick, kind, security, qty, amount/sh, basis/sh, gain/sh, gain
-    total), tax lines (tick, net capital gain, tax due) and cash points (tick, delta, cumulative), by column."""
+    total), tax lines (tick, net capital gain, tax due) and cash points (tick, delta, cumulative), by column.
+    Kinds are read through ``_value_``, not the enum's slow ``value`` property, and the two gains are
+    ``RealizationEvent.gain_centavos`` worked column by column, not as one tuple per event."""
     events, taxes, cash = report.events, report.tax_lines, report.cash_timeline
-    gains = [e.gain_centavos for e in events]
+    amounts = [e.amount_realized_per_share.centavos for e in events]
+    bases = [e.basis_per_share.centavos for e in events]
+    qtys = [e.qty for e in events]
+    per_share = [a - b for a, b in zip(amounts, bases)]
     return (
-        [[e.at for e in events], [e.kind.value for e in events], [e.sec for e in events], [e.qty for e in events],
-         [e.amount_realized_per_share.centavos for e in events], [e.basis_per_share.centavos for e in events],
-         [g for g, _ in gains], [g for _, g in gains]],
+        [[e.at for e in events], [e.kind._value_ for e in events], [e.sec for e in events], qtys, amounts, bases,
+         per_share, [g * q for g, q in zip(per_share, qtys)]],
         [[t.period for t in taxes], [t.net_capital_gain.centavos for t in taxes], [t.tax_due.centavos for t in taxes]],
         [[p.at for p in cash], [p.delta.centavos for p in cash], [p.cumulative.centavos for p in cash]],
     )

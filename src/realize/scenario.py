@@ -133,11 +133,8 @@ def _int(tokens: list[str], index: int, what: str, code: str, line_no: int) -> i
 
 
 def parse_scenario(text: str, name: str = "scenario") -> Scenario:
-    """Parse DSL text into a validated scenario.
-
-    Numbers in plain ASCII digits are read in place; every other spelling, and
-    every error, goes through ``_int`` or ``Money.parse``.
-    """
+    """Parse DSL text into a validated scenario.  Numbers in plain ASCII digits are read in place; every
+    other spelling, and every error, goes through ``_int`` or ``Money.parse``."""
     quotes: dict[tuple[SecurityId, Tick], Money] = {}
     events: list[TransactionEvent] = []
     event_lines: list[int] = []
@@ -239,9 +236,8 @@ def _token(text: str) -> str:
 def format_scenario(s: Scenario) -> str:
     """Print a scenario back into the DSL; parsing the result reproduces it.
 
-    A subclass of an event class prints as that class.  A security symbol or
-    heir label that is empty, or holds whitespace or ``#``, and an event that
-    is not a transaction event, raise ``EngineError``; the events are checked
+    A subclass of an event class prints as that class.  A non-event, and a security symbol or heir
+    label that is empty or holds whitespace or ``#``, raise ``EngineError``; the events are checked
     first, so one an event uses carries that event's ``event_index``.
     """
     events = []
