@@ -47,6 +47,10 @@ class InvalidQuantity(EngineError):
     """A share quantity was zero or negative, or not an int."""
 
 
+class InvalidSymbol(EngineError):
+    """A security symbol or heir label was not a ``str``."""
+
+
 class InvariantViolation(EngineError):
     """An internal consistency check failed.
 

@@ -22,8 +22,10 @@ through its MRO, as ``isinstance`` would, and anything else is refused with
 
 The ledger also holds reservations: owned shares set aside against a short
 sale by ``Ledger.reserve``, which the proposed regime's constructive-sale
-rule calls.  Nothing else creates them, so under the current regime there
-are none and every event takes the same path.  Each event decides which
+rule calls.  Nothing else creates them, and only a short sale after a buy
+of its security finds shares to reserve.  Without them every event takes
+the same path under both regimes, so ``compare`` runs the proposed regime
+only where such a sale occurs.  Each event decides which
 owned shares it takes in the walk that applies it: an outright sale takes
 the oldest unreserved shares; a cover first settles the reservations made
 against the positions it covers, oldest reservation first (a cover with
@@ -61,7 +63,7 @@ from .errors import (
     NoOpenBorrow,
     OverCover,
 )
-from .market import _ZERO, Money, PricePath, SecurityId, Tick, record
+from .market import _ZERO, Money, PricePath, SecurityId, Tick, _money, record
 
 
 class AcquisitionMethod(Enum):
@@ -291,16 +293,21 @@ class Ledger(_Holdings):
         # Borrow position id -> its shares sold against reserved ones, not yet covered.
         self._constructive: dict[int, int] = {}
         if state is None:  # an empty portfolio, without building one to copy
-            self.cash, self.owner_generation, self.next_lot_id, self.next_borrow_id = _ZERO, 0, 0, 0
+            self._cash, self.owner_generation, self.next_lot_id, self.next_borrow_id = 0, 0, 0, 0
             return
         for lot in state.lots:
             self._add_lot(lot)
         for pos in state.borrows:
             self._borrows.setdefault(pos.sec, []).append(pos)
-        self.cash = state.cash
+        self._cash = state.cash.centavos
         self.owner_generation = state.owner_generation
         self.next_lot_id = state.next_lot_id
         self.next_borrow_id = state.next_borrow_id
+
+    @property
+    def cash(self) -> Money:
+        """Net cash moved so far: the sum of the applied events' ``cash_delta``."""
+        return _money(self._cash)
 
     @property
     def lots(self) -> ValuesView[Lot]:
@@ -462,9 +469,9 @@ class Ledger(_Holdings):
         lot = Lot(self.next_lot_id, ev.sec, ev.qty, price, ev.at)
         self.next_lot_id += 1
         self._add_lot(lot)
-        cash_delta = -(price * ev.qty)
-        self.cash += cash_delta
-        return LedgerEffects(ev, ev.at, ev.sec, ev.qty, price, cash_delta, lot)
+        cash = price.centavos * ev.qty
+        self._cash -= cash
+        return LedgerEffects(ev, ev.at, ev.sec, ev.qty, price, _money(-cash), lot)
 
     def _borrow(self, ev: Borrow, path: PricePath) -> LedgerEffects:
         pos = BorrowPosition(self.next_borrow_id, ev.sec, ev.qty, ev.at)
@@ -493,9 +500,9 @@ class Ledger(_Holdings):
                 ))
                 self.next_borrow_id += 1
             slices.append(ShortSlice(pos.id, amount, price, ev.at))
-        cash_delta = price * ev.qty
-        self.cash += cash_delta
-        return LedgerEffects(ev, ev.at, ev.sec, ev.qty, price, cash_delta, None, None, (), tuple(slices))
+        cash = price.centavos * ev.qty
+        self._cash += cash
+        return LedgerEffects(ev, ev.at, ev.sec, ev.qty, price, _money(cash), None, None, (), tuple(slices))
 
     def _sell(self, ev: SellOwned, path: PricePath) -> LedgerEffects:
         price = path.price_at(ev.sec, ev.at)
@@ -503,9 +510,9 @@ class Ledger(_Holdings):
         if available < ev.qty:
             raise _shortage(ev.sec, ev.qty, available)
         self._consume(ev.sec, lot_slices)
-        cash_delta = price * ev.qty
-        self.cash += cash_delta
-        return LedgerEffects(ev, ev.at, ev.sec, ev.qty, price, cash_delta, None, None, tuple(lot_slices))
+        cash = price.centavos * ev.qty
+        self._cash += cash
+        return LedgerEffects(ev, ev.at, ev.sec, ev.qty, price, _money(cash), None, None, tuple(lot_slices))
 
     def _cover(self, ev: CoverByPurchase | CoverByOwnedLot, path: PricePath) -> LedgerEffects:
         price = path.price_at(ev.sec, ev.at)
@@ -547,10 +554,10 @@ class Ledger(_Holdings):
         if settled:
             self._release(ev.sec, settled, takes)
         if by_purchase:
-            cash_delta = -(price * ev.qty)
-            self.cash += cash_delta
+            cash = price.centavos * ev.qty
+            self._cash -= cash
             return LedgerEffects(
-                ev, ev.at, ev.sec, ev.qty, price, cash_delta, None, None, (), (), tuple(covered)
+                ev, ev.at, ev.sec, ev.qty, price, _money(-cash), None, None, (), (), tuple(covered)
             )
         self._consume(ev.sec, lot_slices)
         return LedgerEffects(

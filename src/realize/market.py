@@ -329,12 +329,16 @@ def apply_rate(amount: Money, rate: Rate) -> Money:
     """
     if amount.centavos < 0:
         raise NegativeBase(f"cannot apply {rate} to negative amount {amount}")
-    scaled = amount.centavos * rate.numerator
-    q, r = divmod(scaled, rate.denominator)
+    return _money(_rated(amount.centavos, rate))
+
+
+def _rated(centavos: int, rate: Rate) -> int:
+    """``apply_rate`` on int centavos, which the caller has checked are not negative."""
+    q, r = divmod(centavos * rate.numerator, rate.denominator)
     twice = 2 * r
     if twice > rate.denominator or (twice == rate.denominator and q % 2 == 1):
         q += 1
-    return _money(q)
+    return q
 
 
 @record

@@ -127,6 +127,19 @@ def _short_sale(effects: LedgerEffects, regime: Regime, ledger: Ledger) -> list[
     ]
 
 
+def _may_reserve(events: tuple) -> bool:
+    """Whether a short sale in ``events`` comes after a buy of its security, so that ``_short_sale`` can
+    reserve under the proposed regime.  Price-free; a subclass counts as its base, as dispatch does.
+    Where this is false nothing is ever reserved, and the two regimes take the same path."""
+    bought = set()
+    for ev in events:
+        if isinstance(ev, ShortSell) and ev.sec in bought:
+            return True
+        if isinstance(ev, Buy):  # only a buy opens a lot
+            bought.add(ev.sec)
+    return False
+
+
 def _cover(effects: LedgerEffects, regime: Regime, ledger: Ledger) -> list[RealizationEvent]:
     # Delivered shares that were reserved were disposed of at the short
     # sale; every other delivered share is deemed sold at the price of

@@ -21,10 +21,12 @@ those errors at the event's line.
 from __future__ import annotations
 
 import re
+from itertools import accumulate
 
 from .errors import (
     EngineError,
     InvalidQuantity,
+    InvalidSymbol,
     NonMonotonicTick,
     ParseError,
     UndefinedPrice,
@@ -45,7 +47,7 @@ from .ledger import (
     apply_event,
 )
 from .market import _ZERO, Money, PricePath, SecurityId, Tick, _money, pesos, record
-from .realization import RealizationEvent, Regime, realize
+from .realization import RealizationEvent, Regime, _may_reserve, realize
 from .taxation import (
     NettingWindow,
     RateSchedule,
@@ -70,7 +72,8 @@ class Scenario:
     """A price path plus a tick-ordered list of transaction events.
 
     Building one raises ``NonMonotonicTick`` or ``UndefinedPrice``, with the
-    offending ``event_index``, when ticks decrease or an event has no price.
+    offending ``event_index``, when ticks decrease or an event has no price,
+    and ``InvalidSymbol`` when a security symbol or heir label is not a ``str``.
     """
 
     name: str
@@ -86,8 +89,20 @@ class Scenario:
                     NonMonotonicTick(f"event tick {ev.at} precedes earlier tick {last}"), index
                 )
             last = ev.at
-            if not isinstance(ev, Death) and (ev.sec, ev.at) not in quotes:
+            if isinstance(ev, Death):
+                if ev.heir is not None and not isinstance(ev.heir, str):
+                    raise _annotate(_not_str("heir label", ev.heir), index)
+            elif not isinstance(ev.sec, str):
+                raise _annotate(_not_str("security symbol", ev.sec), index)
+            elif (ev.sec, ev.at) not in quotes:
                 raise _annotate(UndefinedPrice(f"no price for {ev.sec} at tick {ev.at}"), index)
+        for sec, _ in quotes:
+            if not isinstance(sec, str):
+                raise _not_str("quoted security symbol", sec)
+
+
+def _not_str(what: str, value: object) -> InvalidSymbol:
+    return InvalidSymbol(f"{what} must be a str, got {type(value).__name__} {value!r}")
 
 
 _TRADES = {"buy": Buy, "borrow": Borrow, "short-sell": ShortSell, "sell": SellOwned}
@@ -368,33 +383,19 @@ class RunReport:
     inventory: InventorySummary
 
     def to_dict(self) -> dict:
-        events = []
-        for e in self.events:
-            gain_per_share, gain_total = e.gain_centavos
-            events.append({
-                "tick": e.at,
-                "kind": e.kind.value,
-                "security": e.sec,
-                "qty": e.qty,
-                "amount_realized_per_share": e.amount_realized_per_share.centavos,
-                "basis_per_share": e.basis_per_share.centavos,
-                "gain_per_share": gain_per_share,
-                "gain_total": gain_total,
-            })
+        (ticks, kinds, secs, *rest), taxes, cash = _columns(self)
         return {
             "scenario": self.scenario,
-            "regime": self.regime.value,
-            "schedule": self.schedule.value,
-            "window": self.window.value,
-            "events": events,
-            "tax": [
-                {"tick": t.period, "net_capital_gain": t.net_capital_gain.centavos, "tax_due": t.tax_due.centavos}
-                for t in self.tax_lines
+            "regime": self.regime._value_,
+            "schedule": self.schedule._value_,
+            "window": self.window._value_,
+            "events": [
+                {"tick": t, "kind": k, "security": s, "qty": q, "amount_realized_per_share": a,
+                 "basis_per_share": b, "gain_per_share": g, "gain_total": gt}
+                for t, k, s, q, a, b, g, gt in zip(ticks, kinds, secs, *rest)
             ],
-            "cash": [
-                {"tick": p.at, "delta": p.delta.centavos, "cumulative": p.cumulative.centavos}
-                for p in self.cash_timeline
-            ],
+            "tax": [{"tick": t, "net_capital_gain": n, "tax_due": d} for t, n, d in zip(*taxes)],
+            "cash": [{"tick": t, "delta": d, "cumulative": c} for t, d, c in zip(*cash)],
             "totals": {
                 "total_tax": self.total_tax.centavos,
                 "final_cash": self.final_cash.centavos,
@@ -405,6 +406,24 @@ class RunReport:
                 },
             },
         }
+
+
+def _columns(report: RunReport) -> tuple[list[list], list[list], list[list]]:
+    """What ``to_dict`` and every CLI writer read, by column: events (tick, kind, security, qty,
+    amount/sh, basis/sh, gain/sh, gain total), tax lines (tick, net capital gain, tax due) and cash
+    points (tick, delta, cumulative).  Kinds are read through ``_value_``, not the enum's slow ``value``
+    property, and the two gains are ``RealizationEvent.gain_centavos`` worked column by column."""
+    events, taxes, cash = report.events, report.tax_lines, report.cash_timeline
+    amounts = [e.amount_realized_per_share.centavos for e in events]
+    bases = [e.basis_per_share.centavos for e in events]
+    qtys = [e.qty for e in events]
+    per_share = [a - b for a, b in zip(amounts, bases)]
+    return (
+        [[e.at for e in events], [e.kind._value_ for e in events], [e.sec for e in events], qtys, amounts, bases,
+         per_share, [g * q for g, q in zip(per_share, qtys)]],
+        [[t.period for t in taxes], [t.net_capital_gain.centavos for t in taxes], [t.tax_due.centavos for t in taxes]],
+        [[p.at for p in cash], [p.delta.centavos for p in cash], [p.cumulative.centavos for p in cash]],
+    )
 
 
 def run(
@@ -421,7 +440,9 @@ def run(
     """
     ledger = Ledger()
     realized: list[RealizationEvent] = []
-    cash_deltas: dict[Tick, int] = {}
+    # Ticks never decrease, so each tick's events are adjacent: a point per tick where some event moved cash.
+    cash_ticks: list[Tick] = []
+    cash_deltas: list[int] = []
     prices = scenario.prices
 
     for index, ev in enumerate(scenario.events):
@@ -430,17 +451,16 @@ def run(
             events, ledger = realize(effects, regime, ledger)
         except EngineError as err:
             raise _annotate(err, index)
-        realized.extend(events)
+        realized += events
         delta = effects.cash_delta.centavos
         if delta:
-            cash_deltas[ev.at] = cash_deltas.get(ev.at, 0) + delta
+            if cash_ticks and cash_ticks[-1] == ev.at:
+                cash_deltas[-1] += delta
+            else:
+                cash_ticks.append(ev.at)
+                cash_deltas.append(delta)
 
-    timeline: list[CashPoint] = []
-    cumulative = 0
-    for t in sorted(cash_deltas):
-        cumulative += cash_deltas[t]
-        timeline.append(CashPoint(t, _money(cash_deltas[t]), _money(cumulative)))
-
+    timeline = tuple(map(CashPoint, cash_ticks, map(_money, cash_deltas), map(_money, accumulate(cash_deltas))))
     lines = tax_timeline(realized, window, schedule)
     securities = sorted(ledger.securities())
     inventory = InventorySummary(
@@ -450,7 +470,7 @@ def run(
     )
     return RunReport(
         scenario.name, regime, schedule, window, tuple(realized), tuple(lines),
-        tuple(timeline), total_tax(lines), ledger.cash, inventory,
+        timeline, total_tax(lines), ledger.cash, inventory,
     )
 
 
@@ -501,9 +521,18 @@ def compare(
     schedule: RateSchedule = RateSchedule.PAPER_FLAT,
     window: NettingWindow = NettingWindow.PER_TICK,
 ) -> ComparisonReport:
-    """Run both regimes and line their tax timelines up tick by tick."""
+    """Run both regimes and line their tax timelines up tick by tick; an error of the current run wins.
+
+    Where no short sale can reserve owned shares (``realization._may_reserve``), the proposed regime
+    takes the current path, and its report is the current one's fields under its own regime."""
     current = run(scenario, Regime.CURRENT, schedule, window)
-    proposed = run(scenario, Regime.PROPOSED, schedule, window)
+    if _may_reserve(scenario.events):
+        proposed = run(scenario, Regime.PROPOSED, schedule, window)
+    else:
+        proposed = RunReport(
+            current.scenario, Regime.PROPOSED, schedule, window, current.events, current.tax_lines,
+            current.cash_timeline, current.total_tax, current.final_cash, current.inventory,
+        )
     by_tick_current = {line.period: line.tax_due for line in current.tax_lines}
     by_tick_proposed = {line.period: line.tax_due for line in proposed.tax_lines}
     deltas = tuple(

@@ -15,7 +15,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Sequence
 from enum import Enum
 
-from .market import Money, Rate, Tick, _money, apply_rate, record
+from .market import _ZERO, Money, Rate, Tick, _money, _rated, record
 from .realization import RealizationEvent
 
 STATUTORY_TIER_LIMIT = Money.from_pesos(100_000)
@@ -65,13 +65,13 @@ def tax_due(net_gain: Money, schedule: RateSchedule = RateSchedule.PAPER_FLAT) -
     Sub-centavo rounding means a strictly positive net of a few centavos can
     still owe zero; at whole-peso gains the tax is strictly positive.
     """
-    if net_gain.centavos <= 0:
-        return Money.zero()
+    centavos = net_gain.centavos
+    if centavos <= 0:
+        return _ZERO
     if schedule is RateSchedule.PAPER_FLAT:
-        return apply_rate(net_gain, FLAT_RATE)
-    lower = min(net_gain, STATUTORY_TIER_LIMIT)
-    excess = max(net_gain - STATUTORY_TIER_LIMIT, Money.zero())
-    return apply_rate(lower, LOWER_TIER_RATE) + apply_rate(excess, UPPER_TIER_RATE)
+        return _money(_rated(centavos, FLAT_RATE))
+    lower = min(centavos, STATUTORY_TIER_LIMIT.centavos)
+    return _money(_rated(lower, LOWER_TIER_RATE) + _rated(centavos - lower, UPPER_TIER_RATE))
 
 
 def tax_timeline(

@@ -159,6 +159,23 @@ class TestBorrowAndShort:
         assert state.borrowed_unsold_qty("ABC") == 100
 
 
+class TestCash:
+    def test_cash_is_read_only_and_sums_the_cash_deltas(self):
+        ledger = Ledger()
+        events = (Buy(1, "ABC", 10), Borrow(2, "ABC", 10), ShortSell(2, "ABC", 10), SellOwned(2, "ABC", 4),
+                  CoverByPurchase(3, "ABC", 5), CoverByOwnedLot(3, "ABC", 5), Death(3))
+        deltas = [apply_event(ledger, ev, ABC_PRICES)[1].cash_delta for ev in events]
+        assert ledger.cash == sum(deltas, Money.zero()) == Money.from_pesos(-500 + 1_000 + 400 - 150)
+        with pytest.raises(AttributeError):
+            ledger.cash = Money.zero()
+
+    def test_seeding_keeps_the_state_cash(self):
+        ledger = Ledger(PortfolioState(cash=Money(-12_345)))
+        assert ledger.cash == Money(-12_345)
+        apply_event(ledger, Buy(1, "ABC", 1), ABC_PRICES)
+        assert ledger.cash == ledger.snapshot().cash == Money(-12_345 - 5_000)
+
+
 class TestCover:
     def test_cover_by_purchase_closes_position_and_spends_cash(self):
         state, effects = apply_all(

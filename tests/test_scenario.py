@@ -33,6 +33,7 @@ from realize.errors import (
     EngineError,
     InsufficientOwnedShares,
     InvalidQuantity,
+    InvalidSymbol,
     NonMonotonicTick,
     ParseError,
     UndefinedPrice,
@@ -181,6 +182,34 @@ class TestValidation:
             parse_scenario(self.PRICES + dsl)
         assert str(parsed.value) == f"line 4, col 1: {message}"
         assert not hasattr(parsed.value, "event_index")
+
+    # A symbol or label that is not a str used to pass, then broke format_scenario and the JSON writer.
+    @pytest.mark.parametrize(
+        "quotes, event, message",
+        [
+            ({(5, 1): Money(100)}, Buy(1, 5, 10), "security symbol must be a str, got int 5"),
+            ({("ABC", 1): Money(100)}, SellOwned(1, b"ABC", 10), "security symbol must be a str, got bytes b'ABC'"),
+            ({("ABC", 1): Money(100)}, Death(1, 7), "heir label must be a str, got int 7"),
+        ],
+        ids=["int-security", "bytes-security", "int-heir"],
+    )
+    def test_an_event_symbol_or_label_that_is_not_a_str_is_refused_at_its_index(self, quotes, event, message):
+        events = (Buy(1, "ABC", 10), event)
+        with pytest.raises(InvalidSymbol) as exc:
+            Scenario("s", PricePath({("ABC", 1): Money(100), **quotes}), events)
+        assert (str(exc.value), exc.value.event_index) == (message, 1)
+
+    def test_a_quoted_security_that_is_not_a_str_is_refused(self):
+        with pytest.raises(InvalidSymbol, match="quoted security symbol must be a str, got int 5") as exc:
+            Scenario("s", PricePath({("ABC", 1): Money(100), (5, 1): Money(100)}), (Buy(1, "ABC", 10),))
+        assert not hasattr(exc.value, "event_index")
+
+    def test_a_str_subclass_and_a_missing_heir_pass(self):
+        class Symbol(str):
+            pass
+
+        s = Scenario("s", PricePath({(Symbol("ABC"), 1): Money(100)}), (Buy(1, Symbol("ABC"), 10), Death(1)))
+        assert format_scenario(s) == "price ABC 1 1\nat 1 buy ABC 10\nat 1 death\n"
 
 
 def with_comments(text):
@@ -692,6 +721,26 @@ class TestRun:
         with pytest.raises(InsufficientOwnedShares) as exc:
             run(s)
         assert exc.value.event_index == 0
+
+
+class TestCashTimeline:
+    """One point per tick at which some event moved cash, in tick order, folded in event order."""
+
+    PRICES = PricePath({("A", t): Money.from_pesos(10) for t in (1, 2, 3)})
+
+    def timeline(self, events, regime=Regime.CURRENT):
+        return [(p.at, p.delta.centavos, p.cumulative.centavos)
+                for p in run(Scenario("cash", self.PRICES, events), regime).cash_timeline]
+
+    def test_a_tick_whose_deltas_sum_to_zero_keeps_its_point(self):
+        events = (Buy(1, "A", 5), SellOwned(1, "A", 5), Buy(2, "A", 1))
+        assert self.timeline(events) == [(1, 0, 0), (2, -1_000, -1_000)]
+
+    @pytest.mark.parametrize("regime", Regime)
+    def test_a_tick_with_only_zero_cash_events_gets_none(self, regime):
+        events = (Buy(1, "A", 2), Borrow(1, "A", 1), ShortSell(1, "A", 1),
+                  CoverByOwnedLot(2, "A", 1), Borrow(2, "A", 1), Death(2), SellOwned(3, "A", 1))
+        assert self.timeline(events, regime) == [(1, -1_000, -1_000), (3, 1_000, 0)]
 
 
 class TestCompare:
