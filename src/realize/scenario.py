@@ -96,9 +96,9 @@ class Scenario:
                 raise _annotate(_not_str("security symbol", ev.sec), index)
             elif (ev.sec, ev.at) not in quotes:
                 raise _annotate(UndefinedPrice(f"no price for {ev.sec} at tick {ev.at}"), index)
-        for sec, _ in quotes:
-            if not isinstance(sec, str):
-                raise _not_str("quoted security symbol", sec)
+        for key in quotes:
+            if type(key) is not tuple or len(key) != 2 or not isinstance(key[0], str):
+                raise InvalidSymbol(f"a quote key must be a (str security symbol, tick) pair, got {key!r}")
 
 
 def _not_str(what: str, value: object) -> InvalidSymbol:

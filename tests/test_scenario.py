@@ -199,9 +199,11 @@ class TestValidation:
             Scenario("s", PricePath({("ABC", 1): Money(100), **quotes}), events)
         assert (str(exc.value), exc.value.event_index) == (message, 1)
 
-    def test_a_quoted_security_that_is_not_a_str_is_refused(self):
-        with pytest.raises(InvalidSymbol, match="quoted security symbol must be a str, got int 5") as exc:
-            Scenario("s", PricePath({("ABC", 1): Money(100), (5, 1): Money(100)}), (Buy(1, "ABC", 10),))
+    @pytest.mark.parametrize("key", [(5, 1), "AB", 5, ("ABC", 1, 2)], ids=repr)
+    def test_a_quote_key_that_is_not_a_str_security_and_a_tick_is_refused(self, key):
+        with pytest.raises(InvalidSymbol) as exc:
+            Scenario("s", PricePath({("ABC", 1): Money(100), key: Money(100)}), (Buy(1, "ABC", 10),))
+        assert str(exc.value) == f"a quote key must be a (str security symbol, tick) pair, got {key!r}"
         assert not hasattr(exc.value, "event_index")
 
     def test_a_str_subclass_and_a_missing_heir_pass(self):
