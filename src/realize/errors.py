@@ -48,7 +48,7 @@ class InvalidQuantity(EngineError):
 
 
 class InvalidSymbol(EngineError):
-    """A security symbol or heir label was not a ``str``."""
+    """A security symbol or heir label was not a ``str``, or a quote key not a (symbol, tick) pair."""
 
 
 class InvariantViolation(EngineError):

@@ -383,7 +383,7 @@ class RunReport:
     inventory: InventorySummary
 
     def to_dict(self) -> dict:
-        (ticks, kinds, secs, *rest), taxes, cash = _columns(self)
+        events, taxes, cash = _columns(self)
         return {
             "scenario": self.scenario,
             "regime": self.regime._value_,
@@ -392,7 +392,7 @@ class RunReport:
             "events": [
                 {"tick": t, "kind": k, "security": s, "qty": q, "amount_realized_per_share": a,
                  "basis_per_share": b, "gain_per_share": g, "gain_total": gt}
-                for t, k, s, q, a, b, g, gt in zip(ticks, kinds, secs, *rest)
+                for t, k, s, q, a, b, g, gt in zip(*events)
             ],
             "tax": [{"tick": t, "net_capital_gain": n, "tax_due": d} for t, n, d in zip(*taxes)],
             "cash": [{"tick": t, "delta": d, "cumulative": c} for t, d, c in zip(*cash)],

@@ -71,13 +71,14 @@ def outcome(regime_or_none, scenario, schedule, window):
 
 def check(scenario, schedule=RateSchedule.PAPER_FLAT, window=NettingWindow.PER_TICK):
     current = outcome(Regime.CURRENT, scenario, schedule, window)
-    proposed = outcome(Regime.PROPOSED, scenario, schedule, window)
-    if not _may_reserve(scenario.events):
-        if isinstance(current, RunReport):
-            assert isinstance(proposed, RunReport), scenario
-            assert SAME_PATH(current) == SAME_PATH(proposed), scenario
-        else:
-            assert current == proposed, scenario
+    skips = not _may_reserve(scenario.events)
+    if skips or isinstance(current, RunReport):  # otherwise the current run's error is the answer
+        proposed = outcome(Regime.PROPOSED, scenario, schedule, window)
+    if skips and isinstance(current, RunReport):
+        assert isinstance(proposed, RunReport), scenario
+        assert SAME_PATH(current) == SAME_PATH(proposed), scenario
+    elif skips:
+        assert current == proposed, scenario
     if not isinstance(current, RunReport):
         want = current
     elif not isinstance(proposed, RunReport):
@@ -85,9 +86,8 @@ def check(scenario, schedule=RateSchedule.PAPER_FLAT, window=NettingWindow.PER_T
     else:
         cur = {line.period: line.tax_due for line in current.tax_lines}
         prop = {line.period: line.tax_due for line in proposed.tax_lines}
-        deltas = tuple(
-            TaxDelta(t, cur.get(t, Money.zero()), prop.get(t, Money.zero())) for t in sorted(cur.keys() | prop.keys())
-        )
+        ticks = sorted(cur.keys() | prop.keys())
+        deltas = tuple(TaxDelta(t, cur.get(t, Money.zero()), prop.get(t, Money.zero())) for t in ticks)
         want = ComparisonReport(scenario.name, schedule, window, current, proposed, deltas)
     assert outcome(None, scenario, schedule, window) == want, scenario
 
@@ -102,7 +102,8 @@ def steps(secs, qtys):
 def sweep(k, secs, qtys):
     """Check every sequence of ``k`` steps, one per tick, cycling through the four settings."""
     # Prices that rise and fall, so that the regimes tax constructive sales differently.
-    prices = PricePath({(sec, t): Money.from_pesos(p) for sec in secs for t, p in zip(range(1, k + 1), (10, 17, 6, 13, 9))})
+    pesos = (10, 17, 6, 13, 9)[:k]
+    prices = PricePath({(sec, t): Money.from_pesos(p) for sec in secs for t, p in enumerate(pesos, start=1)})
     table = [[make(t) for make in steps(secs, qtys)] for t in range(1, k + 1)]
     count = 0
     for count, events in enumerate(product(*table), start=1):
