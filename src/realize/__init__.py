@@ -17,7 +17,6 @@ from .ledger import (
     Ledger,
     LedgerEffects,
     Lot,
-    PortfolioState,
     SellOwned,
     ShortSell,
     apply_event,
@@ -57,7 +56,6 @@ __all__ = [
     "Lot",
     "Money",
     "NettingWindow",
-    "PortfolioState",
     "PricePath",
     "Rate",
     "RateSchedule",

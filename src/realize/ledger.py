@@ -13,12 +13,10 @@ A run keeps its portfolio in a ``Ledger``: mutable, private to that run, and
 organised per security as a first-in first-out queue of lots and a list of
 borrow positions.  An event reads and changes only its own security, and lot
 matching stops at the last lot it needs, so the cost of an event does not
-grow with the rest of the portfolio.  ``PortfolioState`` is the frozen
-snapshot of a ledger, and can seed a new one; a ledger seeded from nothing
-starts empty without building one.  Each event class has one step method,
-found in one table keyed by class: a subclass of an event class resolves
-through its MRO, as ``isinstance`` would, and anything else is refused with
-``TypeError``.
+grow with the rest of the portfolio.  A ledger starts empty and changes only
+through ``apply_event``.  Each event class has one step method, found in one
+table keyed by class: a subclass of an event class resolves through its MRO,
+as ``isinstance`` would, and anything else is refused with ``TypeError``.
 
 The ledger also holds reservations: owned shares set aside against a short
 sale by ``Ledger.reserve``, which the proposed regime's constructive-sale
@@ -53,7 +51,6 @@ from __future__ import annotations
 from collections import deque
 from collections.abc import Callable, ValuesView
 from enum import Enum
-from itertools import chain
 from operator import attrgetter
 
 from .errors import (
@@ -203,45 +200,6 @@ class LedgerEffects:
     reserved_slices: int = 0  # leading lots_consumed slices that a short sale had reserved
 
 
-class _Holdings:
-    """Per-security share counts, read through ``lots_of`` and ``borrows_of``."""
-
-    __slots__ = ()
-
-    def owned_qty(self, sec: SecurityId) -> int:
-        return sum(lot.qty for lot in self.lots_of(sec))
-
-    def borrowed_unsold_qty(self, sec: SecurityId) -> int:
-        return sum(p.qty_unsold for p in self.borrows_of(sec))
-
-    def sold_uncovered_qty(self, sec: SecurityId) -> int:
-        return sum(p.qty_sold_uncovered for p in self.borrows_of(sec))
-
-    def outstanding_qty(self, sec: SecurityId) -> int:
-        return sum(p.qty_outstanding for p in self.borrows_of(sec))
-
-
-@record
-class PortfolioState(_Holdings):
-    """Frozen portfolio snapshot: lots in lot-id order, borrows grouped by security.
-
-    It carries no reservations: a ledger seeded from it has none.
-    """
-
-    lots: tuple[Lot, ...] = ()
-    borrows: tuple[BorrowPosition, ...] = ()
-    cash: Money = _ZERO
-    owner_generation: int = 0
-    next_lot_id: int = 0
-    next_borrow_id: int = 0
-
-    def lots_of(self, sec: SecurityId) -> tuple[Lot, ...]:
-        return tuple(lot for lot in self.lots if lot.sec == sec)
-
-    def borrows_of(self, sec: SecurityId) -> tuple[BorrowPosition, ...]:
-        return tuple(p for p in self.borrows if p.sec == sec)
-
-
 def _slice(lot: Lot, qty: int) -> LotSlice:
     return LotSlice(lot.id, qty, lot.basis_per_share, lot.acquired_at, lot.method)
 
@@ -270,7 +228,7 @@ def _shortage(sec: SecurityId, need: int, available: int) -> InsufficientOwnedSh
     return InsufficientOwnedShares(f"need {need} shares of {sec}, only {available} available")
 
 
-class Ledger(_Holdings):
+class Ledger:
     """The mutable portfolio of one run, kept per security.
 
     Each security has a first-in first-out queue of lots, a list of borrow
@@ -284,7 +242,7 @@ class Ledger(_Holdings):
     change them.
     """
 
-    def __init__(self, state: PortfolioState | None = None) -> None:
+    def __init__(self) -> None:
         self._by_id: dict[int, Lot] = {}
         self._lots: dict[SecurityId, deque[Lot]] = {}
         self._borrows: dict[SecurityId, list[BorrowPosition]] = {}
@@ -292,17 +250,7 @@ class Ledger(_Holdings):
         self._reserved: dict[SecurityId, dict[int, int]] = {}
         # Borrow position id -> its shares sold against reserved ones, not yet covered.
         self._constructive: dict[int, int] = {}
-        if state is None:  # an empty portfolio, without building one to copy
-            self._cash, self.owner_generation, self.next_lot_id, self.next_borrow_id = 0, 0, 0, 0
-            return
-        for lot in state.lots:
-            self._add_lot(lot)
-        for pos in state.borrows:
-            self._borrows.setdefault(pos.sec, []).append(pos)
-        self._cash = state.cash.centavos
-        self.owner_generation = state.owner_generation
-        self.next_lot_id = state.next_lot_id
-        self.next_borrow_id = state.next_borrow_id
+        self._cash, self.owner_generation, self.next_lot_id, self.next_borrow_id = 0, 0, 0, 0
 
     @property
     def cash(self) -> Money:
@@ -313,10 +261,6 @@ class Ledger(_Holdings):
     def lots(self) -> ValuesView[Lot]:
         """Every open lot in lot-id order; its length costs nothing."""
         return self._by_id.values()
-
-    @property
-    def borrows(self) -> tuple[BorrowPosition, ...]:
-        return tuple(chain.from_iterable(self._borrows.values()))
 
     def lots_of(self, sec: SecurityId) -> deque[Lot] | tuple[()]:
         return self._lots.get(sec, ())
@@ -331,11 +275,11 @@ class Ledger(_Holdings):
     def securities(self) -> set[SecurityId]:
         return self._lots.keys() | self._borrows.keys()
 
-    def snapshot(self) -> PortfolioState:
-        return PortfolioState(
-            tuple(self._by_id.values()), self.borrows, self.cash,
-            self.owner_generation, self.next_lot_id, self.next_borrow_id,
-        )
+    def owned_qty(self, sec: SecurityId) -> int:
+        return sum(lot.qty for lot in self.lots_of(sec))
+
+    def outstanding_qty(self, sec: SecurityId) -> int:
+        return sum(p.qty_outstanding for p in self.borrows_of(sec))
 
     def _add_lot(self, lot: Lot) -> None:
         self._by_id[lot.id] = lot
@@ -440,29 +384,8 @@ class Ledger(_Holdings):
                 del self._by_id[lot.id]
         queue.extendleft(reversed(kept))
 
-    def step_up(self, at: Tick, path: PricePath) -> None:
-        """Transmit the portfolio to the heir with basis stepped up to the death-date price.
-
-        Every owned lot is re-based to fair market value at the death tick
-        and is thereafter an inherited holding; lot ids, and so the
-        reservations on them, are kept.  Open borrow positions transmit
-        unchanged, since the heir inherits the obligation to return the
-        shares.
-        """
-        lots = [
-            Lot(lot.id, lot.sec, lot.qty, path.price_at(lot.sec, at), at, AcquisitionMethod.INHERITANCE)
-            for lot in self._by_id.values()
-        ]
-        self._by_id, self._lots = {}, {}
-        for lot in lots:
-            self._add_lot(lot)
-        self.owner_generation += 1
-
-    def apply(self, ev: TransactionEvent, path: PricePath) -> LedgerEffects:
-        """Apply one event in place.  Every check runs before anything changes."""
-        return (_STEPS.get(type(ev)) or _lookup(_STEPS, ev))(self, ev, path)
-
-    # One step per event shape, looked up in ``_STEPS`` by event class.
+    # One step per event shape, looked up in ``_STEPS`` by event class.  Every
+    # check runs before anything changes.
 
     def _buy(self, ev: Buy, path: PricePath) -> LedgerEffects:
         price = path.price_at(ev.sec, ev.at)
@@ -566,8 +489,24 @@ class Ledger(_Holdings):
         )
 
     def _death(self, ev: Death, path: PricePath) -> LedgerEffects:
-        self.step_up(ev.at, path)
-        return LedgerEffects(ev, ev.at, None, 0, None, _ZERO)
+        """Transmit the portfolio to the heir with basis stepped up to the death-date price.
+
+        Every owned lot is re-based to fair market value at the death tick
+        and is thereafter an inherited holding; lot ids, and so the
+        reservations on them, are kept.  Open borrow positions transmit
+        unchanged, since the heir inherits the obligation to return the
+        shares.
+        """
+        at = ev.at
+        lots = [
+            Lot(lot.id, lot.sec, lot.qty, path.price_at(lot.sec, at), at, AcquisitionMethod.INHERITANCE)
+            for lot in self._by_id.values()
+        ]
+        self._by_id, self._lots = {}, {}
+        for lot in lots:
+            self._add_lot(lot)
+        self.owner_generation += 1
+        return LedgerEffects(ev, at, None, 0, None, _ZERO)
 
 
 _STEPS: dict[type, Callable[[Ledger, TransactionEvent, PricePath], LedgerEffects]] = {

@@ -43,6 +43,7 @@ from .ledger import (
     SellOwned,
     ShortSell,
     TransactionEvent,
+    _Trade,
     _lookup,
     apply_event,
 )
@@ -71,9 +72,11 @@ def _annotate(err: EngineError, index: int) -> EngineError:
 class Scenario:
     """A price path plus a tick-ordered list of transaction events.
 
-    Building one raises ``NonMonotonicTick`` or ``UndefinedPrice``, with the
-    offending ``event_index``, when ticks decrease or an event has no price,
-    and ``InvalidSymbol`` when a security symbol or heir label is not a ``str``.
+    Building one raises, with the offending ``event_index``, ``EngineError``
+    for an event that is not an instance of an event class or of a subclass,
+    ``NonMonotonicTick`` or ``UndefinedPrice`` when ticks decrease or an event
+    has no price, and ``InvalidSymbol`` when a security symbol or heir label is
+    not a ``str``.
     """
 
     name: str
@@ -84,12 +87,15 @@ class Scenario:
         last = None
         quotes = self.prices.quotes
         for index, ev in enumerate(self.events):
+            trade = isinstance(ev, _Trade)  # a trade costs one isinstance
+            if not trade and not isinstance(ev, Death):
+                raise _annotate(EngineError(f"unknown transaction event {ev!r}"), index)
             if last is not None and ev.at < last:
                 raise _annotate(
                     NonMonotonicTick(f"event tick {ev.at} precedes earlier tick {last}"), index
                 )
             last = ev.at
-            if isinstance(ev, Death):
+            if not trade:
                 if ev.heir is not None and not isinstance(ev.heir, str):
                     raise _annotate(_not_str("heir label", ev.heir), index)
             elif not isinstance(ev.sec, str):
@@ -251,9 +257,9 @@ def _token(text: str) -> str:
 def format_scenario(s: Scenario) -> str:
     """Print a scenario back into the DSL; parsing the result reproduces it.
 
-    A subclass of an event class prints as that class.  A non-event, and a security symbol or heir
-    label that is empty or holds whitespace or ``#``, raise ``EngineError``; the events are checked
-    first, so one an event uses carries that event's ``event_index``.
+    A subclass of an event class prints as that class.  A security symbol or heir label that is empty
+    or holds whitespace or ``#`` raises ``EngineError``; the events are checked first, so one an
+    event uses carries that event's ``event_index``.
     """
     events = []
     for index, ev in enumerate(s.events):
@@ -261,10 +267,7 @@ def format_scenario(s: Scenario) -> str:
             if isinstance(ev, Death):
                 events.append(f"at {ev.at} death" + ("" if ev.heir is None else f" heir {_token(ev.heir)}"))
             else:
-                try:
-                    verb, mode = _SPELLINGS.get(type(ev)) or _lookup(_SPELLINGS, ev)
-                except TypeError as err:  # not a transaction event
-                    raise EngineError(str(err)) from None
+                verb, mode = _SPELLINGS.get(type(ev)) or _lookup(_SPELLINGS, ev)
                 events.append(f"at {ev.at} {verb} {_token(ev.sec)} {ev.qty}{mode}")
         except EngineError as err:
             raise _annotate(err, index) from None

@@ -30,6 +30,7 @@ from realize import (
     realize,
 )
 from realize.errors import EngineError
+from ledger_views import borrowed_unsold_qty, borrows, sold_uncovered_qty
 
 _KINDS = (
     "buy", "buy", "borrow", "borrow", "short", "short", "sell",
@@ -73,7 +74,7 @@ def random_scenario(rng: random.Random, name: str = "generated") -> GeneratedSce
             elif kind == "borrow":
                 ev = Borrow(t, sec, rng.randint(1, 5) * 100)
             elif kind == "short" and t not in realizing_ticks:
-                avail = state.borrowed_unsold_qty(sec)
+                avail = borrowed_unsold_qty(state, sec)
                 if avail:
                     ev = ShortSell(t, sec, rng.randint(1, avail))
             elif kind == "sell" and t not in short_ticks:
@@ -81,15 +82,15 @@ def random_scenario(rng: random.Random, name: str = "generated") -> GeneratedSce
                 if avail:
                     ev = SellOwned(t, sec, rng.randint(1, avail))
             elif kind == "cover_p" and t not in short_ticks:
-                avail = state.sold_uncovered_qty(sec)
+                avail = sold_uncovered_qty(state, sec)
                 if avail:
                     ev = CoverByPurchase(t, sec, rng.randint(1, avail))
             elif kind == "cover_o" and t not in short_ticks:
-                avail = min(state.sold_uncovered_qty(sec), state.owned_qty(sec))
+                avail = min(sold_uncovered_qty(state, sec), state.owned_qty(sec))
                 if avail:
                     ev = CoverByOwnedLot(t, sec, rng.randint(1, avail))
             elif kind == "death" and not died and rng.random() < 0.25 and (
-                state.lots or state.borrows
+                state.lots or borrows(state)
             ):
                 ev = Death(t)
             if ev is None:
@@ -113,8 +114,8 @@ def random_scenario(rng: random.Random, name: str = "generated") -> GeneratedSce
             # Inventory conservation, checked as the walk goes.
             for s in secs:
                 assert state.owned_qty(s) >= 0
-                assert state.borrowed_unsold_qty(s) >= 0
-                assert state.sold_uncovered_qty(s) >= 0
+                assert borrowed_unsold_qty(state, s) >= 0
+                assert sold_uncovered_qty(state, s) >= 0
                 assert total_shorted[s] <= total_borrowed[s]
 
     return GeneratedScenario(

@@ -1,7 +1,8 @@
 """The engine names the traced benchmark wraps must stay where it looks them up.
 
 ``bench/spans.py`` swaps timing wrappers in for module attributes of
-``realize`` by name.  A rename on the engine side would otherwise surface only
+``realize`` by name, and its tags read the values those names return.  A
+rename or a new return shape on the engine side would otherwise surface only
 as a failed traced run.  The module is loaded by path and left unedited.
 """
 
@@ -10,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from realize import Regime, builtin, run
+from realize import Regime, builtin, compare, run
 
 SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
 
@@ -35,3 +36,13 @@ def test_traced_runs_tag_realize_with_each_regime(spans):
             run(builtin("strategy3"), regime)
     tags = {tag[0] for name, *_, tag in tracer.spans if name == "realization.realize"}
     assert tags == {regime.value for regime in Regime}
+
+
+def test_a_traced_compare_tags_every_ledger_and_realize_span(spans):
+    # The tags read ``apply_event``'s ledger and ``realize``'s event list from their return values.
+    tracer = spans.Tracer()
+    with tracer.installed():
+        compare(builtin("strategy3"))
+    for stage in ("ledger.apply_event", "realization.realize"):
+        tags = [tag for name, *_, tag in tracer.spans if name == stage]
+        assert tags and None not in tags, stage

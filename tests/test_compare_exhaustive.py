@@ -8,6 +8,17 @@ input here ``compare(s)`` must equal the ``ComparisonReport`` built from
 message, ``event_index``) of the first of those runs that fails.  Where the
 predicate is false, both runs must also agree field for field, or fail alike.
 
+Everywhere, the two regimes may differ only as the constructive-sale rule
+allows.  Where both accept, cash and inventory agree (total gain need not:
+the rule realizes at the short sale what the current rule realizes at the
+cover).  The current run never fails where the proposed run accepts.  And
+wherever the outcomes differ (one run accepts, or the error class or
+``event_index`` differs), the proposed run fails first, with
+``InsufficientOwnedShares``, at a sale that needs reserved shares or at a
+cover with owned shares.  The cover is finding (b) of ROADMAP item 10: under
+the proposed regime a first-in first-out cover of a naked short position
+cannot deliver owned shares reserved against a later one.
+
 The check is bounded-exhaustive, on the small-scope hypothesis that most
 faults show on small inputs (D. Jackson, *Software Abstractions*, 2006):
 
@@ -16,6 +27,9 @@ faults show on small inputs (D. Jackson, *Software Abstractions*, 2006):
   owned shares, each of 1 or 2 shares, and a death (28,561 sequences);
 * every two-security sequence of three events of 1 share (2,197), which
   checks that the predicate is per security;
+* every one-security sequence of four events whose third tick has no quote
+  and holds only a death (2,197), where a death with shares still held ends
+  in ``MissingPrice``;
 * the random scenarios of ``scenario_gen``.
 
 ``python -m pytest -m slow`` also runs the five-event sweep (371,293
@@ -23,6 +37,7 @@ sequences).
 """
 
 import random
+from collections import Counter
 from itertools import product
 from operator import attrgetter
 
@@ -48,7 +63,7 @@ from realize import (
     compare,
     run,
 )
-from realize.errors import EngineError
+from realize.errors import EngineError, InsufficientOwnedShares, MissingPrice
 from realize.realization import _may_reserve
 from realize.scenario import TaxDelta
 from scenario_gen import random_scenario
@@ -57,6 +72,8 @@ TRADES = (Buy, Borrow, ShortSell, SellOwned, CoverByPurchase, CoverByOwnedLot)
 SETTINGS = [(s, w) for s in RateSchedule for w in NettingWindow]
 # Every field but the regime, which is all the two runs may differ in where nothing is reserved.
 SAME_PATH = attrgetter(*(name for name in RunReport.__match_args__ if name != "regime"))
+# What the two regimes share wherever both accept.
+SAME_CASH = attrgetter("final_cash", "cash_timeline", "inventory")
 
 
 def outcome(regime_or_none, scenario, schedule, window):
@@ -69,11 +86,24 @@ def outcome(regime_or_none, scenario, schedule, window):
         return type(err), str(err), getattr(err, "event_index", None)
 
 
+def regimes_differ_only_at_reserved_shares(scenario, current, proposed):
+    """Assert that ``current`` and ``proposed``, the outcomes of the two runs, differ only as the rule allows."""
+    if isinstance(proposed, RunReport):
+        assert isinstance(current, RunReport), scenario  # the current run never fails alone
+        assert SAME_CASH(current) == SAME_CASH(proposed), scenario
+    elif isinstance(current, RunReport) or current[::2] != proposed[::2]:
+        kind, _, index = proposed
+        assert kind is InsufficientOwnedShares, scenario
+        assert isinstance(current, RunReport) or index < current[2], scenario
+        assert isinstance(scenario.events[index], (SellOwned, CoverByOwnedLot)), scenario
+
+
 def check(scenario, schedule=RateSchedule.PAPER_FLAT, window=NettingWindow.PER_TICK):
+    """Check ``compare`` on ``scenario`` against its two runs; return the (current, proposed) outcomes."""
     current = outcome(Regime.CURRENT, scenario, schedule, window)
+    proposed = outcome(Regime.PROPOSED, scenario, schedule, window)
+    regimes_differ_only_at_reserved_shares(scenario, current, proposed)
     skips = not _may_reserve(scenario.events)
-    if skips or isinstance(current, RunReport):  # otherwise the current run's error is the answer
-        proposed = outcome(Regime.PROPOSED, scenario, schedule, window)
     if skips and isinstance(current, RunReport):
         assert isinstance(proposed, RunReport), scenario
         assert SAME_PATH(current) == SAME_PATH(proposed), scenario
@@ -90,6 +120,7 @@ def check(scenario, schedule=RateSchedule.PAPER_FLAT, window=NettingWindow.PER_T
         deltas = tuple(TaxDelta(t, cur.get(t, Money.zero()), prop.get(t, Money.zero())) for t in ticks)
         want = ComparisonReport(scenario.name, schedule, window, current, proposed, deltas)
     assert outcome(None, scenario, schedule, window) == want, scenario
+    return current, proposed
 
 
 def steps(secs, qtys):
@@ -99,31 +130,54 @@ def steps(secs, qtys):
     return makers + [Death]
 
 
-def sweep(k, secs, qtys):
-    """Check every sequence of ``k`` steps, one per tick, cycling through the four settings."""
+def sweep(k, secs, qtys, unquoted=()):
+    """Check every sequence of ``k`` steps, one per tick, cycling through the four settings.
+
+    A tick in ``unquoted`` has no quote, and its only step is a death.  Returns how many
+    sequences ended in each (current, proposed) pair of outcome classes.
+    """
     # Prices that rise and fall, so that the regimes tax constructive sales differently.
     pesos = (10, 17, 6, 13, 9)[:k]
-    prices = PricePath({(sec, t): Money.from_pesos(p) for sec in secs for t, p in enumerate(pesos, start=1)})
-    table = [[make(t) for make in steps(secs, qtys)] for t in range(1, k + 1)]
-    count = 0
+    prices = PricePath({
+        (sec, t): Money.from_pesos(p) for sec in secs for t, p in enumerate(pesos, start=1) if t not in unquoted
+    })
+    table = [[Death(t)] if t in unquoted else [make(t) for make in steps(secs, qtys)] for t in range(1, k + 1)]
+    tally = Counter()
     for count, events in enumerate(product(*table), start=1):
         schedule, window = SETTINGS[count % len(SETTINGS)]
-        check(Scenario("seq", prices, events), schedule, window)
-    return count
+        outcomes = check(Scenario("seq", prices, events), schedule, window)
+        tally[tuple(type(o) if isinstance(o, RunReport) else o[0] for o in outcomes)] += 1
+    return tally
 
 
 def test_every_one_security_sequence_of_four_events():
-    assert sweep(4, ("A",), (1, 2)) == 13**4
+    tally = sweep(4, ("A",), (1, 2))
+    assert sum(tally.values()) == 13**4
+    # Finding (a): a sale that needs reserved shares fails only under the proposed regime.
+    assert tally[RunReport, InsufficientOwnedShares] == 14
 
 
 def test_every_two_security_sequence_of_three_events():
     # A short sale of B after a buy of A reserves nothing, so compare skips the proposed run.
-    assert sweep(3, ("A", "B"), (1,)) == 13**3
+    tally = sweep(3, ("A", "B"), (1,))
+    assert sum(tally.values()) == 13**3
+    assert all(current is proposed for current, proposed in tally)
+
+
+def test_a_death_at_a_tick_with_no_quote():
+    tally = sweep(4, ("A",), (1, 2), unquoted=(3,))
+    assert sum(tally.values()) == 13**3
+    # Under both regimes, wherever a share is still held at the death.
+    assert tally[MissingPrice, MissingPrice] == 221
 
 
 @pytest.mark.slow
 def test_every_one_security_sequence_of_five_events():
-    assert sweep(5, ("A",), (1, 2)) == 13**5
+    tally = sweep(5, ("A",), (1, 2))
+    assert sum(tally.values()) == 13**5
+    assert tally[RunReport, RunReport] == 12_533
+    # 293 sales of reserved shares (finding (a)) and one with-owned cover (finding (b)).
+    assert tally[RunReport, InsufficientOwnedShares] == 294
 
 
 def test_generated_scenarios():

@@ -1,8 +1,9 @@
 """How an event finds its ledger step, its realization rule and its DSL verb.
 
 A subclass of an event class is treated as that class, and anything that is
-not an event is refused with ``TypeError`` before it changes the ledger; the
-DSL printer refuses it with ``EngineError`` naming the event.
+not an event is refused with ``TypeError`` before it changes the ledger; a
+``Scenario`` refuses it with ``EngineError`` at its ``event_index``, so
+neither ``run`` nor the DSL printer ever meets one.
 """
 
 from types import SimpleNamespace
@@ -31,6 +32,7 @@ from realize import (
     run,
 )
 from realize.errors import EngineError
+from ledger_views import snapshot
 
 EVENT_CLASSES = (Buy, Borrow, ShortSell, SellOwned, CoverByPurchase, CoverByOwnedLot, Death)
 
@@ -86,19 +88,22 @@ def test_a_purchase_cover_subclass_stays_a_purchase(regime):
     assert report.final_cash == Money.parse("-500.00")
 
 
-@pytest.mark.parametrize("bad", [object(), "buy"], ids=["object", "str"])
-@pytest.mark.parametrize("apply", ["apply_event", "Ledger.apply"])
-def test_a_non_event_is_refused_and_changes_nothing(bad, apply):
+# The strangers have the ``at`` and ``sec`` that a scenario's tick and price checks read.
+NON_EVENTS = [
+    object(), "buy", None, SimpleNamespace(at=2, sec="ABC", qty=10), SimpleNamespace(at=0, sec="XYZ", qty=10),
+]
+NON_EVENT_IDS = ["object", "str", "None", "stranger", "stranger_out_of_order"]
+
+
+@pytest.mark.parametrize("bad", NON_EVENTS[:3], ids=NON_EVENT_IDS[:3])
+def test_a_non_event_is_refused_and_changes_nothing(bad):
     ledger = Ledger()
     for ev in BY_PURCHASE[:2]:
         apply_event(ledger, ev, ABC)
-    before = ledger.snapshot()
+    before = snapshot(ledger)
     with pytest.raises(TypeError, match="unknown transaction event"):
-        if apply == "apply_event":
-            apply_event(ledger, bad, ABC)
-        else:
-            ledger.apply(bad, ABC)
-    assert ledger.snapshot() == before
+        apply_event(ledger, bad, ABC)
+    assert snapshot(ledger) == before
 
 
 @pytest.mark.parametrize("regime", list(Regime), ids=lambda r: r.value)
@@ -118,10 +123,9 @@ def test_a_subclass_prints_as_its_event_class(kind):
         assert parse_scenario(text, name=scenario.name) == scenario
 
 
-def test_printing_a_non_event_names_it():
-    # It passes the scenario's tick and price checks, which read only ``at`` and ``sec``.
-    stranger = SimpleNamespace(at=2, sec="ABC", qty=10)
-    scenario = Scenario("odd", ABC, (*BY_PURCHASE[:2], stranger))
+@pytest.mark.parametrize("bad", NON_EVENTS, ids=NON_EVENT_IDS)
+def test_a_scenario_refuses_a_non_event(bad):
+    # The refusal comes before the tick check: the out-of-order stranger is not a NonMonotonicTick.
     with pytest.raises(EngineError, match="unknown transaction event") as err:
-        format_scenario(scenario)
+        Scenario("odd", ABC, (*BY_PURCHASE[:2], bad))
     assert type(err.value) is EngineError and err.value.event_index == 2

@@ -1,5 +1,6 @@
 """Portfolio state machine: applying events, lot matching, step-up."""
 
+import copy
 import dataclasses
 
 import pytest
@@ -12,9 +13,7 @@ from realize import (
     CoverByPurchase,
     Death,
     Ledger,
-    Lot,
     Money,
-    PortfolioState,
     PricePath,
     SellOwned,
     ShortSell,
@@ -30,17 +29,18 @@ from realize.errors import (
     NoOpenBorrow,
     OverCover,
 )
+from ledger_views import borrowed_unsold_qty, borrows, snapshot, sold_uncovered_qty
 
 ABC_PRICES = PricePath.from_table(
     {"ABC": {1: Money.from_pesos(50), 2: Money.from_pesos(100), 3: Money.from_pesos(30)}}
 )
 
 
-def apply_all(events, path=ABC_PRICES, state=None):
-    """Apply events to a ledger seeded from ``state``: its snapshot after them, and their effects."""
-    ledger = Ledger(state)
+def apply_all(events, path=ABC_PRICES, ledger=None):
+    """Apply events to ``ledger``, or to a new one: the ledger after them, and their effects."""
+    ledger = Ledger() if ledger is None else ledger
     effects = [apply_event(ledger, ev, path)[1] for ev in events]
-    return ledger.snapshot(), effects
+    return ledger, effects
 
 
 TRADES = (Buy, Borrow, ShortSell, SellOwned, CoverByPurchase, CoverByOwnedLot)
@@ -93,18 +93,18 @@ class TestTradeEvents:
 
 class TestBuyAndSell:
     def test_buy_opens_lot_and_spends_cash(self):
-        state, (eff,) = apply_all([Buy(1, "ABC", 100_000)])
-        (lot,) = state.lots
+        ledger, (eff,) = apply_all([Buy(1, "ABC", 100_000)])
+        (lot,) = ledger.lots
         assert lot.qty == 100_000
         assert lot.basis_per_share == Money.from_pesos(50)
         assert lot.method is AcquisitionMethod.PURCHASE
-        assert state.cash == Money.from_pesos(-5_000_000)
+        assert ledger.cash == Money.from_pesos(-5_000_000)
         assert eff.lot_created == lot
 
     def test_one_buy_one_sell_cash(self):
-        state, _ = apply_all([Buy(1, "ABC", 100_000), SellOwned(2, "ABC", 100_000)])
-        assert state.lots == ()
-        assert state.cash == (Money.from_pesos(100) - Money.from_pesos(50)) * 100_000
+        ledger, _ = apply_all([Buy(1, "ABC", 100_000), SellOwned(2, "ABC", 100_000)])
+        assert not ledger.lots
+        assert ledger.cash == (Money.from_pesos(100) - Money.from_pesos(50)) * 100_000
 
     def test_sell_more_than_owned(self):
         with pytest.raises(InsufficientOwnedShares):
@@ -123,15 +123,15 @@ class TestBuyAndSell:
 
 class TestBorrowAndShort:
     def test_borrow_then_short_sell(self):
-        state, effects = apply_all(
+        ledger, effects = apply_all(
             [Borrow(2, "ABC", 100_000), ShortSell(2, "ABC", 100_000)]
         )
-        (pos,) = state.borrows
+        (pos,) = borrows(ledger)
         assert pos.qty_outstanding == 100_000
         assert pos.qty_sold_short == 100_000
         assert pos.short_proceeds_per_share == Money.from_pesos(100)
         assert pos.sold_at == 2
-        assert state.cash == Money.from_pesos(10_000_000)
+        assert ledger.cash == Money.from_pesos(10_000_000)
         assert effects[1].shorts_sold[0].proceeds_per_share == Money.from_pesos(100)
 
     def test_short_sell_without_borrow(self):
@@ -143,20 +143,20 @@ class TestBorrowAndShort:
             apply_all([Borrow(2, "ABC", 100), ShortSell(2, "ABC", 101)])
 
     def test_partial_short_splits_position(self):
-        state, _ = apply_all([Borrow(1, "ABC", 1000), ShortSell(1, "ABC", 400)])
-        sold, unsold = state.borrows
+        ledger, _ = apply_all([Borrow(1, "ABC", 1000), ShortSell(1, "ABC", 400)])
+        sold, unsold = borrows(ledger)
         assert sold.qty_borrowed == sold.qty_sold_short == 400
         assert unsold.qty_borrowed == 1000 - 400
         assert unsold.qty_sold_short == 0
         # A later sale at a different price lands on its own position.
-        state, _ = apply_all([ShortSell(2, "ABC", 600)], state=state)
-        prices = {p.short_proceeds_per_share for p in state.borrows}
+        ledger, _ = apply_all([ShortSell(2, "ABC", 600)], ledger=ledger)
+        prices = {p.short_proceeds_per_share for p in borrows(ledger)}
         assert prices == {Money.from_pesos(50), Money.from_pesos(100)}
 
     def test_borrowed_shares_never_count_as_owned(self):
-        state, _ = apply_all([Borrow(1, "ABC", 100)])
-        assert state.owned_qty("ABC") == 0
-        assert state.borrowed_unsold_qty("ABC") == 100
+        ledger, _ = apply_all([Borrow(1, "ABC", 100)])
+        assert ledger.owned_qty("ABC") == 0
+        assert borrowed_unsold_qty(ledger, "ABC") == 100
 
 
 class TestCash:
@@ -169,29 +169,23 @@ class TestCash:
         with pytest.raises(AttributeError):
             ledger.cash = Money.zero()
 
-    def test_seeding_keeps_the_state_cash(self):
-        ledger = Ledger(PortfolioState(cash=Money(-12_345)))
-        assert ledger.cash == Money(-12_345)
-        apply_event(ledger, Buy(1, "ABC", 1), ABC_PRICES)
-        assert ledger.cash == ledger.snapshot().cash == Money(-12_345 - 5_000)
-
 
 class TestCover:
     def test_cover_by_purchase_closes_position_and_spends_cash(self):
-        state, effects = apply_all(
+        ledger, effects = apply_all(
             [
                 Borrow(2, "ABC", 100_000),
                 ShortSell(2, "ABC", 100_000),
                 CoverByPurchase(3, "ABC", 100_000),
             ]
         )
-        assert state.borrows == ()
-        assert state.cash == Money.from_pesos(10_000_000 - 3_000_000)
+        assert borrows(ledger) == ()
+        assert ledger.cash == Money.from_pesos(10_000_000 - 3_000_000)
         (slice_,) = effects[2].shorts_covered
         assert slice_.proceeds_per_share == Money.from_pesos(100)
 
     def test_cover_with_owned_lot_moves_no_cash(self):
-        state, effects = apply_all(
+        ledger, effects = apply_all(
             [
                 Buy(1, "ABC", 100_000),
                 Borrow(2, "ABC", 100_000),
@@ -199,9 +193,9 @@ class TestCover:
                 CoverByOwnedLot(3, "ABC", 100_000),
             ]
         )
-        assert state.lots == ()
-        assert state.borrows == ()
-        assert state.cash == Money.from_pesos(-5_000_000 + 10_000_000)
+        assert not ledger.lots
+        assert borrows(ledger) == ()
+        assert ledger.cash == Money.from_pesos(-5_000_000 + 10_000_000)
         eff = effects[3]
         assert eff.cash_delta == Money.zero()
         assert eff.lots_consumed[0].basis_per_share == Money.from_pesos(50)
@@ -233,7 +227,7 @@ class TestCover:
             apply_all([Borrow(2, "ABC", 100), CoverByPurchase(3, "ABC", 100)])
 
     def test_covers_consume_positions_fifo(self):
-        state, effects = apply_all(
+        ledger, effects = apply_all(
             [
                 Borrow(1, "ABC", 100),
                 ShortSell(1, "ABC", 100),
@@ -246,31 +240,26 @@ class TestCover:
         assert [s.qty for s in covered] == [100, 50]
         assert covered[0].proceeds_per_share == Money.from_pesos(50)
         assert covered[1].proceeds_per_share == Money.from_pesos(100)
-        assert state.sold_uncovered_qty("ABC") == 50
+        assert sold_uncovered_qty(ledger, "ABC") == 50
 
 
 class TestMatchLots:
-    def two_lot_state(self):
-        return PortfolioState(
-            lots=(
-                Lot(0, "ABC", 60_000, Money.from_pesos(50), 1),
-                Lot(1, "ABC", 60_000, Money.from_pesos(80), 2),
-            ),
-            next_lot_id=2,
-        )
+    PRICES = PricePath.from_table(
+        {"ABC": {1: Money.from_pesos(50), 2: Money.from_pesos(80), 3: Money.from_pesos(100)}}
+    )
+    TWO_LOTS = (Buy(1, "ABC", 60_000), Buy(2, "ABC", 60_000))
 
-    def sold(self, state, qty):
-        _, (effects,) = apply_all([SellOwned(2, "ABC", qty)], state=state)
-        return effects.lots_consumed
+    def sold(self, buys, qty):
+        _, effects = apply_all([*buys, SellOwned(3, "ABC", qty)], path=self.PRICES)
+        return effects[-1].lots_consumed
 
     def test_single_lot_full_take(self):
-        state = PortfolioState(lots=(Lot(0, "ABC", 100_000, Money.from_pesos(50), 1),))
-        (s,) = self.sold(state, 100_000)
+        (s,) = self.sold([Buy(1, "ABC", 100_000)], 100_000)
         assert (s.lot_id, s.qty, s.basis_per_share) == (0, 100_000, Money.from_pesos(50))
 
     def test_fifo_spills_into_second_lot(self):
         # Forced by the FIFO definition: the older lot empties first.
-        a, b = self.sold(self.two_lot_state(), 100_000)
+        a, b = self.sold(self.TWO_LOTS, 100_000)
         assert (a.lot_id, a.qty, a.basis_per_share) == (0, 60_000, Money.from_pesos(50))
         assert (b.lot_id, b.qty, b.basis_per_share) == (1, 40_000, Money.from_pesos(80))
 
@@ -280,14 +269,14 @@ class TestStepUp:
         {"ABC": {1: Money.from_pesos(50), 3: Money.from_pesos(130)}}
     )
 
-    def step_up(self, state, at=3, path=DEATH_PRICES):
-        ledger = Ledger(state)
-        ledger.step_up(at, path)
-        return ledger.snapshot()
+    def step_up(self, ledger, at=3, path=DEATH_PRICES):
+        """``ledger`` after a death at ``at``."""
+        apply_event(ledger, Death(at), path)
+        return ledger
 
     def test_basis_steps_up_to_death_price(self):
-        state, _ = apply_all([Buy(1, "ABC", 100_000)], path=self.DEATH_PRICES)
-        after = self.step_up(state)
+        ledger, _ = apply_all([Buy(1, "ABC", 100_000)], path=self.DEATH_PRICES)
+        after = self.step_up(ledger)
         (lot,) = after.lots
         assert lot.basis_per_share == Money.from_pesos(130)
         assert lot.method is AcquisitionMethod.INHERITANCE
@@ -295,32 +284,34 @@ class TestStepUp:
         assert after.owner_generation == 1
 
     def test_step_up_to_same_price_keeps_value(self):
-        state = PortfolioState(lots=(Lot(0, "ABC", 100, Money.from_pesos(130), 1),))
-        after = self.step_up(state)
-        assert after.lots[0].basis_per_share == Money.from_pesos(130)
+        path = PricePath.from_table({"ABC": {1: Money.from_pesos(130), 3: Money.from_pesos(130)}})
+        ledger, _ = apply_all([Buy(1, "ABC", 100)], path=path)
+        (lot,) = self.step_up(ledger, path=path).lots
+        assert lot.basis_per_share == Money.from_pesos(130)
 
     def test_open_borrow_transmits_unchanged(self):
         path = PricePath.from_table(
             {"ABC": {2: Money.from_pesos(100), 3: Money.from_pesos(130)}}
         )
-        state, _ = apply_all([Borrow(2, "ABC", 100), ShortSell(2, "ABC", 100)], path=path)
-        after = self.step_up(state, path=path)
-        assert after.borrows == state.borrows
+        ledger, _ = apply_all([Borrow(2, "ABC", 100), ShortSell(2, "ABC", 100)], path=path)
+        before = borrows(ledger)
+        after = self.step_up(ledger, path=path)
+        assert borrows(after) == before
 
     def test_step_up_idempotent_on_price(self):
-        state, _ = apply_all([Buy(1, "ABC", 100)], path=self.DEATH_PRICES)
-        once = self.step_up(state)
-        twice = self.step_up(once)
-        assert [l.basis_per_share for l in once.lots] == [l.basis_per_share for l in twice.lots]
+        ledger, _ = apply_all([Buy(1, "ABC", 100)], path=self.DEATH_PRICES)
+        once = [l.basis_per_share for l in self.step_up(ledger).lots]
+        twice = [l.basis_per_share for l in self.step_up(ledger).lots]
+        assert once == twice
 
     def test_missing_price_at_death_tick(self):
-        state, _ = apply_all([Buy(1, "ABC", 100)], path=self.DEATH_PRICES)
+        ledger, _ = apply_all([Buy(1, "ABC", 100)], path=self.DEATH_PRICES)
         with pytest.raises(MissingPrice):
-            self.step_up(state, at=2)
+            self.step_up(ledger, at=2)
 
     def test_death_event_applies_step_up(self):
-        state, _ = apply_all([Buy(1, "ABC", 100)], path=self.DEATH_PRICES)
-        after, (eff,) = apply_all([Death(3, heir="Y")], self.DEATH_PRICES, state)
+        ledger, _ = apply_all([Buy(1, "ABC", 100)], path=self.DEATH_PRICES)
+        after, (eff,) = apply_all([Death(3, heir="Y")], self.DEATH_PRICES, ledger=ledger)
         assert after.owner_generation == 1
         assert eff.cash_delta == Money.zero()
 
@@ -331,34 +322,33 @@ THREE_PRICES = PricePath.from_table(
 
 
 class TestPerSecurityLedger:
+    OPENING = (Buy(1, "ABC", 10), Borrow(1, "ABC", 100), ShortSell(1, "ABC", 100))
+
     def test_snapshot_is_never_changed(self):
-        state, _ = apply_all([Buy(1, "ABC", 10), Borrow(1, "ABC", 100), ShortSell(1, "ABC", 100)])
-        before = PortfolioState(
-            state.lots, state.borrows, state.cash, state.owner_generation,
-            state.next_lot_id, state.next_borrow_id,
-        )
+        # A snapshot shares nothing with its ledger, so an unchanged-ledger check cannot pass vacuously.
         for ev in (Buy(2, "ABC", 5), SellOwned(2, "ABC", 10), CoverByPurchase(2, "ABC", 60),
                    CoverByOwnedLot(2, "ABC", 10), Death(2)):
-            seeded = Ledger(state)
-            apply_event(seeded, ev, ABC_PRICES)
-            assert seeded.snapshot() != state
+            ledger, _ = apply_all(self.OPENING)
+            state = snapshot(ledger)
+            before = copy.deepcopy(state)
+            apply_event(ledger, ev, ABC_PRICES)
+            assert snapshot(ledger) != state
             assert state == before
         for bad in (SellOwned(2, "ABC", 11), ShortSell(2, "ABC", 1), Buy(9, "ABC", 1),
                     CoverByPurchase(2, "ABC", 101), CoverByOwnedLot(2, "ABC", 50)):
-            seeded = Ledger(state)
+            ledger, _ = apply_all(self.OPENING)
+            state = snapshot(ledger)
             with pytest.raises(EngineError):
-                apply_event(seeded, bad, ABC_PRICES)
-            assert seeded.snapshot() == state == before
+                apply_event(ledger, bad, ABC_PRICES)
+            assert snapshot(ledger) == state
 
     def test_ledger_is_unchanged_by_an_event_that_raises(self):
         # The cover finds its short positions, then runs out of owned lots.
-        ledger = Ledger()
-        for ev in (Buy(1, "ABC", 10), Borrow(1, "ABC", 100), ShortSell(1, "ABC", 100)):
-            apply_event(ledger, ev, ABC_PRICES)
-        before = ledger.snapshot()
+        ledger, _ = apply_all(self.OPENING)
+        before = snapshot(ledger)
         with pytest.raises(InsufficientOwnedShares):
             apply_event(ledger, CoverByOwnedLot(2, "ABC", 50), ABC_PRICES)
-        assert ledger.snapshot() == before
+        assert snapshot(ledger) == before
 
     def test_ledger_changes_in_place(self):
         ledger = Ledger()
@@ -367,7 +357,7 @@ class TestPerSecurityLedger:
         assert len(ledger.lots) == 1
 
     def test_snapshot_orders_lots_by_id_and_borrows_per_security(self):
-        state, _ = apply_all(
+        ledger, _ = apply_all(
             [
                 Buy(1, "AAA", 100),  # lot 0
                 Buy(1, "BBB", 100),  # lot 1
@@ -380,10 +370,10 @@ class TestPerSecurityLedger:
             ],
             path=THREE_PRICES,
         )
-        assert [(lot.id, lot.qty) for lot in state.lots] == [(1, 100), (2, 50)]
-        assert [p.id for p in state.borrows_of("BBB")] == [0, 3, 2]
-        assert [p.id for p in state.borrows_of("AAA")] == [1]
-        assert sorted(p.id for p in state.borrows) == [0, 1, 2, 3]
+        assert [(lot.id, lot.qty) for lot in ledger.lots] == [(1, 100), (2, 50)]
+        assert [p.id for p in ledger.borrows_of("BBB")] == [0, 3, 2]
+        assert [p.id for p in ledger.borrows_of("AAA")] == [1]
+        assert sorted(p.id for p in borrows(ledger)) == [0, 1, 2, 3]
 
     def test_sales_and_covers_touch_only_their_own_security(self):
         events = [Buy(t, sec, 100) for t in (1, 2, 3) for sec in ("AAA", "BBB", "CCC")]
@@ -393,16 +383,18 @@ class TestPerSecurityLedger:
             SellOwned(3, "AAA", 150),
             CoverByOwnedLot(3, "BBB", 100),
         ]
-        state, effects = apply_all(events, path=THREE_PRICES)
+        ledger, effects = apply_all(events, path=THREE_PRICES)
         sale, cover = effects[-2:]
         assert [(s.lot_id, s.qty) for s in sale.lots_consumed] == [(0, 100), (3, 50)]
         assert [(s.lot_id, s.qty) for s in cover.lots_consumed] == [(1, 100)]
-        assert [(lot.id, lot.qty) for lot in state.lots_of("AAA")] == [(3, 50), (6, 100)]
-        assert [(lot.id, lot.qty) for lot in state.lots_of("BBB")] == [(4, 100), (7, 100)]
-        assert [(lot.id, lot.qty) for lot in state.lots_of("CCC")] == [(2, 100), (5, 100), (8, 100)]
-        assert not state.borrows_of("BBB")
+        assert [(lot.id, lot.qty) for lot in ledger.lots_of("AAA")] == [(3, 50), (6, 100)]
+        assert [(lot.id, lot.qty) for lot in ledger.lots_of("BBB")] == [(4, 100), (7, 100)]
+        assert [(lot.id, lot.qty) for lot in ledger.lots_of("CCC")] == [(2, 100), (5, 100), (8, 100)]
+        assert not ledger.borrows_of("BBB")
 
     def test_sold_position_without_price_is_an_engine_error(self):
-        state = PortfolioState(borrows=(BorrowPosition(0, "ABC", 100, 1, qty_sold_short=100),))
+        # No event makes such a position, so it is planted in the ledger's private ledger.
+        ledger = Ledger()
+        ledger._borrows["ABC"] = [BorrowPosition(0, "ABC", 100, 1, qty_sold_short=100)]
         with pytest.raises(InvariantViolation):
-            apply_event(Ledger(state), CoverByPurchase(2, "ABC", 100), ABC_PRICES)
+            apply_event(ledger, CoverByPurchase(2, "ABC", 100), ABC_PRICES)

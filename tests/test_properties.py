@@ -31,6 +31,7 @@ from realize import (
     realize,
     run,
 )
+from ledger_views import borrows
 from scenario_gen import random_scenario
 
 peso_price = st.integers(min_value=1, max_value=1000)
@@ -213,7 +214,7 @@ def fold(scenario, regime):
         ledger, effects = apply_event(ledger, ev, scenario.prices)
         out, ledger = realize(effects, regime, ledger)
         events.extend(out)
-    return events, ledger.snapshot()
+    return events, ledger
 
 
 class TestRunEqualsPublicFold:
@@ -223,16 +224,16 @@ class TestRunEqualsPublicFold:
             scenario = random_scenario(rng).scenario
             for regime in Regime:
                 report = run(scenario, regime=regime)
-                events, state = fold(scenario, regime)
+                events, ledger = fold(scenario, regime)
                 assert report.events == tuple(events)
-                assert report.final_cash == state.cash
-                assert [lot.id for lot in state.lots] == sorted(lot.id for lot in state.lots)
+                assert report.final_cash == ledger.cash
+                assert [lot.id for lot in ledger.lots] == sorted(lot.id for lot in ledger.lots)
                 owned, outstanding = {}, {}
-                for lot in state.lots:
+                for lot in ledger.lots:
                     owned[lot.sec] = owned.get(lot.sec, 0) + lot.qty
-                for pos in state.borrows:
+                for pos in borrows(ledger):
                     outstanding[pos.sec] = outstanding.get(pos.sec, 0) + pos.qty_outstanding
                 inventory = report.inventory
                 assert inventory.owned == tuple(sorted(owned.items()))
                 assert inventory.borrowed_outstanding == tuple(sorted(outstanding.items()))
-                assert inventory.owner_generation == state.owner_generation
+                assert inventory.owner_generation == ledger.owner_generation

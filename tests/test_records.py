@@ -34,7 +34,6 @@ from realize.ledger import (
     LedgerEffects,
     Lot,
     LotSlice,
-    PortfolioState,
     SellOwned,
     ShortSell,
     ShortSlice,
@@ -91,7 +90,6 @@ SAMPLES = {
     Rate: (1, 3),
     PricePath: (dict(PATH.quotes),),
     Death: (3, "Y"),
-    PortfolioState: ((LOT,), (POSITION,), Money(-7), 1, 2, 3),
     Scenario: own_values(SCENARIO),
     InventorySummary: ((("ABC", 5),), (("XYZ", 2),), 1),
     RunReport: own_values(REPORT),

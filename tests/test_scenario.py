@@ -41,6 +41,7 @@ from realize.errors import (
     UnknownScenario,
 )
 from realize.scenario import BUILTIN_NAMES, _int
+from ledger_views import borrows
 from scenario_gen import random_scenario
 
 STRATEGY3_SCRIPT = """\
@@ -589,14 +590,15 @@ class TestValueRoundTrip:
         ledger = Ledger()
         for ev in (Buy(1, "ABC", 100), Borrow(2, "ABC", 60), ShortSell(2, "ABC", 40), Death(3, "Y")):
             _, effects = apply_event(ledger, ev, s.prices)
-        return ledger.snapshot(), effects
+        return ledger, effects
 
     def values(self):
-        state, effects = self.open_state()
+        ledger, effects = self.open_state()
         return [
             run(builtin("strategy3"), Regime.PROPOSED),
             compare(builtin("death_avoidance"), RateSchedule.STATUTORY),
-            state,
+            tuple(ledger.lots),
+            borrows(ledger),
             effects,
         ]
 
@@ -607,13 +609,14 @@ class TestValueRoundTrip:
 
     def test_per_event_records_have_no_dict(self):
         report = run(builtin("strategy3"))
-        state, _ = self.open_state()
+        ledger, _ = self.open_state()
         prices = builtin("strategy3").prices
-        _, short = apply_event(Ledger(state), ShortSell(3, "ABC", 20), prices)
-        _, sale = apply_event(Ledger(state), SellOwned(3, "ABC", 10), prices)
+        lot, position = ledger.lots_of("ABC")[0], ledger.borrows_of("ABC")[0]
+        _, short = apply_event(ledger, ShortSell(3, "ABC", 20), prices)
+        _, sale = apply_event(ledger, SellOwned(3, "ABC", 10), prices)
         records = [
             report.events[0], report.tax_lines[0], report.cash_timeline[0], report.total_tax,
-            state.lots[0], state.borrows[0], short, short.shorts_sold[0], sale.lots_consumed[0],
+            lot, position, short, short.shorts_sold[0], sale.lots_consumed[0],
             builtin("strategy3").events[0],
         ]
         for record in records:
