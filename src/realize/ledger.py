@@ -51,7 +51,6 @@ from __future__ import annotations
 from collections import deque
 from collections.abc import Callable, ValuesView
 from enum import Enum
-from operator import attrgetter
 
 from .errors import (
     InsufficientOwnedShares,
@@ -204,26 +203,6 @@ def _slice(lot: Lot, qty: int) -> LotSlice:
     return LotSlice(lot.id, qty, lot.basis_per_share, lot.acquired_at, lot.method)
 
 
-_UNSOLD = attrgetter("qty_unsold")
-_SOLD_UNCOVERED = attrgetter("qty_sold_uncovered")
-
-
-def _fill(
-    positions: list[BorrowPosition], qty: int, available: Callable[[BorrowPosition], int]
-) -> tuple[list[tuple[int, int]], int]:
-    """(index, amount) pairs taking up to ``qty`` from the first positions, and the total."""
-    plan = []
-    remaining = qty
-    for i, pos in enumerate(positions):
-        amount = min(remaining, available(pos))
-        if amount > 0:
-            plan.append((i, amount))
-            remaining -= amount
-            if remaining == 0:
-                break
-    return plan, qty - remaining
-
-
 def _shortage(sec: SecurityId, need: int, available: int) -> InsufficientOwnedShares:
     return InsufficientOwnedShares(f"need {need} shares of {sec}, only {available} available")
 
@@ -272,9 +251,6 @@ class Ledger:
         """Reserved share count per lot id of ``sec``."""
         return self._reserved.get(sec, {})
 
-    def securities(self) -> set[SecurityId]:
-        return self._lots.keys() | self._borrows.keys()
-
     def owned_qty(self, sec: SecurityId) -> int:
         return sum(lot.qty for lot in self.lots_of(sec))
 
@@ -283,7 +259,11 @@ class Ledger:
 
     def _add_lot(self, lot: Lot) -> None:
         self._by_id[lot.id] = lot
-        self._lots.setdefault(lot.sec, deque()).append(lot)
+        queue = self._lots.get(lot.sec)
+        if queue is None:
+            self._lots[lot.sec] = deque((lot,))
+        else:
+            queue.append(lot)
 
     def _unreserved(self, sec: SecurityId, qty: int) -> tuple[list[LotSlice], int]:
         """Slices of the oldest unreserved shares of ``sec``, at most ``qty``; and their total.
@@ -328,8 +308,12 @@ class Ledger:
         slices, total = self._unreserved(sec, effects.qty)
         if not slices:
             return slices
-        queue = self._reservations.setdefault(sec, deque())
-        reserved = self._reserved.setdefault(sec, {})
+        queue = self._reservations.get(sec)
+        if queue is None:
+            queue = self._reservations[sec] = deque()
+        reserved = self._reserved.get(sec)
+        if reserved is None:
+            reserved = self._reserved[sec] = {}
         for s in slices:
             queue.append((s.lot_id, s.qty))
             reserved[s.lot_id] = reserved.get(s.lot_id, 0) + s.qty
@@ -365,24 +349,26 @@ class Ledger:
                 del reserved[lot_id]
 
     def _consume(self, sec: SecurityId, slices: list[LotSlice]) -> None:
-        """Take matched shares, popping lots only up to the last one touched."""
-        taken: dict[int, int] = {}
+        """Take matched shares in place, walking the queue of ``sec`` only up to the last lot touched.
+
+        Queue order is lot-id order; a slice before the walk's place, as a cover's reserved takes can
+        be, restarts the walk at the front.
+        """
+        queue, by_id = self._lots[sec], self._by_id
+        i = 0
         for s in slices:
-            taken[s.lot_id] = taken.get(s.lot_id, 0) + s.qty
-        queue = self._lots[sec]
-        kept: list[Lot] = []
-        while taken:
-            lot = queue.popleft()
-            left = lot.qty - taken.pop(lot.id, 0)
-            if left == lot.qty:
-                kept.append(lot)
-            elif left > 0:
-                lot = Lot(lot.id, lot.sec, left, lot.basis_per_share, lot.acquired_at, lot.method)
-                kept.append(lot)
-                self._by_id[lot.id] = lot
+            if i and queue[i - 1].id >= s.lot_id:
+                i = 0
+            lot = queue[i]
+            while lot.id != s.lot_id:  # a lot the walk passed over stays where it is
+                i += 1
+                lot = queue[i]
+            left = lot.qty - s.qty
+            if left:
+                queue[i] = by_id[lot.id] = Lot(lot.id, lot.sec, left, lot.basis_per_share, lot.acquired_at, lot.method)
+                i += 1
             else:
-                del self._by_id[lot.id]
-        queue.extendleft(reversed(kept))
+                del queue[i], by_id[lot.id]
 
     # One step per event shape, looked up in ``_STEPS`` by event class.  Every
     # check runs before anything changes.
@@ -399,15 +385,28 @@ class Ledger:
     def _borrow(self, ev: Borrow, path: PricePath) -> LedgerEffects:
         pos = BorrowPosition(self.next_borrow_id, ev.sec, ev.qty, ev.at)
         self.next_borrow_id += 1
-        self._borrows.setdefault(ev.sec, []).append(pos)
+        positions = self._borrows.get(ev.sec)
+        if positions is None:
+            self._borrows[ev.sec] = [pos]
+        else:
+            positions.append(pos)
         return LedgerEffects(ev, ev.at, ev.sec, ev.qty, None, _ZERO, None, pos)
 
     def _short_sell(self, ev: ShortSell, path: PricePath) -> LedgerEffects:
         price = path.price_at(ev.sec, ev.at)
-        positions = self._borrows.get(ev.sec, [])
-        plan, unsold = _fill(positions, ev.qty, _UNSOLD)
-        if unsold < ev.qty:
-            raise NoOpenBorrow(f"short sale of {ev.qty} {ev.sec} exceeds borrowed-unsold {unsold}")
+        positions = self._borrows.get(ev.sec, ())
+        plan = []  # (index, amount) of the first unsold positions
+        remaining = ev.qty
+        for i, pos in enumerate(positions):
+            unsold = pos.qty_borrowed - pos.qty_sold_short
+            if unsold:
+                amount = unsold if unsold < remaining else remaining
+                plan.append((i, amount))
+                remaining -= amount
+                if not remaining:
+                    break
+        if remaining:
+            raise NoOpenBorrow(f"short sale of {ev.qty} {ev.sec} exceeds borrowed-unsold {ev.qty - remaining}")
         slices: list[ShortSlice] = []
         shift = 0
         for i, amount in plan:
@@ -439,25 +438,33 @@ class Ledger:
 
     def _cover(self, ev: CoverByPurchase | CoverByOwnedLot, path: PricePath) -> LedgerEffects:
         price = path.price_at(ev.sec, ev.at)
-        positions = self._borrows.get(ev.sec, [])
-        plan, coverable = _fill(positions, ev.qty, _SOLD_UNCOVERED)
-        if coverable < ev.qty:
-            raise OverCover(f"cover of {ev.qty} {ev.sec} exceeds open sold-short quantity {coverable}")
+        positions = self._borrows.get(ev.sec, ())
+        plan = []  # (index, amount) of the first sold, uncovered positions
         covered: list[ShortSlice] = []
         settled: list[tuple[int, int]] = []  # (position id, constructive shares covered)
         reserved_qty = 0
-        for i, amount in plan:
-            pos = positions[i]
+        remaining = ev.qty
+        for i, pos in enumerate(positions):
+            uncovered = pos.qty_sold_short - pos.qty_covered
+            if not uncovered:
+                continue
             if pos.short_proceeds_per_share is None or pos.sold_at is None:
                 raise InvariantViolation(f"borrow position {pos.id} is sold short without a price")
+            amount = uncovered if uncovered < remaining else remaining
+            plan.append((i, amount))
             covered.append(ShortSlice(pos.id, amount, pos.short_proceeds_per_share, pos.sold_at))
             constructive = self._constructive.get(pos.id)
             if constructive:
                 constructive = min(constructive, amount)
                 settled.append((pos.id, constructive))
                 reserved_qty += constructive
+            remaining -= amount
+            if not remaining:
+                break
+        if remaining:
+            raise OverCover(f"cover of {ev.qty} {ev.sec} exceeds open sold-short quantity {ev.qty - remaining}")
         # Each constructive share covered frees, or delivers, the oldest reserved share.
-        takes = self._oldest_reserved(ev.sec, reserved_qty)
+        takes = self._oldest_reserved(ev.sec, reserved_qty) if reserved_qty else []
         by_purchase = isinstance(ev, CoverByPurchase)  # a subclass covers as its base does
         lot_slices = []
         if not by_purchase:

@@ -49,13 +49,7 @@ from .ledger import (
 )
 from .market import _ZERO, Money, PricePath, SecurityId, Tick, _money, pesos, record
 from .realization import RealizationEvent, Regime, _may_reserve, realize
-from .taxation import (
-    NettingWindow,
-    RateSchedule,
-    TaxLine,
-    tax_timeline,
-    total_tax,
-)
+from .taxation import NettingWindow, RateSchedule, TaxLine, tax_timeline
 
 BLOCK_QTY = 100_000
 
@@ -257,13 +251,16 @@ def _token(text: str) -> str:
 def format_scenario(s: Scenario) -> str:
     """Print a scenario back into the DSL; parsing the result reproduces it.
 
-    A subclass of an event class prints as that class.  A security symbol or heir label that is empty
-    or holds whitespace or ``#`` raises ``EngineError``; the events are checked first, so one an
-    event uses carries that event's ``event_index``.
+    A subclass of an event class prints as that class.  What the parser would refuse raises
+    ``EngineError``: a security symbol or heir label that is empty or holds whitespace or ``#``, a
+    tick that is not a non-negative ``int`` and a negative price.  The events are checked first, so an
+    error in one carries its ``event_index``; a quote's error names the quote.
     """
     events = []
     for index, ev in enumerate(s.events):
         try:
+            if type(ev.at) is not int or ev.at < 0:
+                raise EngineError(f"tick must be a non-negative int to be written, got {ev.at!r}")
             if isinstance(ev, Death):
                 events.append(f"at {ev.at} death" + ("" if ev.heir is None else f" heir {_token(ev.heir)}"))
             else:
@@ -271,10 +268,11 @@ def format_scenario(s: Scenario) -> str:
                 events.append(f"at {ev.at} {verb} {_token(ev.sec)} {ev.qty}{mode}")
         except EngineError as err:
             raise _annotate(err, index) from None
-    prices = [
-        f"price {_token(sec)} {t} {pesos(price.centavos, cents=False).replace(',', '')}"
-        for (sec, t), price in sorted(s.prices.quotes.items())
-    ]
+    prices = []
+    for (sec, t), price in sorted(s.prices.quotes.items()):
+        if type(t) is not int or t < 0 or price.centavos < 0:
+            raise EngineError(f"quote {(sec, t)!r} of {price} cannot be written: tick and price must be non-negative")
+        prices.append(f"price {_token(sec)} {t} {pesos(price.centavos, cents=False).replace(',', '')}")
     return "\n".join(prices + events) + "\n"
 
 
@@ -465,15 +463,18 @@ def run(
 
     timeline = tuple(map(CashPoint, cash_ticks, map(_money, cash_deltas), map(_money, accumulate(cash_deltas))))
     lines = tax_timeline(realized, window, schedule)
-    securities = sorted(ledger.securities())
-    inventory = InventorySummary(
-        tuple((s, ledger.owned_qty(s)) for s in securities if ledger.lots_of(s)),
-        tuple((s, ledger.outstanding_qty(s)) for s in securities if ledger.borrows_of(s)),
-        ledger.owner_generation,
-    )
+    tax = 0
+    for line in lines:
+        tax += line.tax_due.centavos
+    # The inventory in one pass over the ledger's live per-security queues; an emptied one reports nothing.
+    owned = [(s, sum([lot.qty for lot in lots])) for s, lots in ledger._lots.items() if lots]
+    owing = [(s, sum([p.qty_borrowed - p.qty_covered for p in ps])) for s, ps in ledger._borrows.items() if ps]
+    owned.sort()
+    owing.sort()
+    inventory = InventorySummary(tuple(owned), tuple(owing), ledger.owner_generation)
     return RunReport(
         scenario.name, regime, schedule, window, tuple(realized), tuple(lines),
-        timeline, total_tax(lines), ledger.cash, inventory,
+        timeline, _money(tax), _money(ledger._cash), inventory,
     )
 
 
@@ -529,13 +530,15 @@ def compare(
     Where no short sale can reserve owned shares (``realization._may_reserve``), the proposed regime
     takes the current path, and its report is the current one's fields under its own regime."""
     current = run(scenario, Regime.CURRENT, schedule, window)
-    if _may_reserve(scenario.events):
-        proposed = run(scenario, Regime.PROPOSED, schedule, window)
-    else:
+    if not _may_reserve(scenario.events):
         proposed = RunReport(
             current.scenario, Regime.PROPOSED, schedule, window, current.events, current.tax_lines,
             current.cash_timeline, current.total_tax, current.final_cash, current.inventory,
         )
+        # The shared tax lines come one per tick, in tick order: each line is its own delta.
+        deltas = tuple([TaxDelta(line.period, line.tax_due, line.tax_due) for line in current.tax_lines])
+        return ComparisonReport(scenario.name, schedule, window, current, proposed, deltas)
+    proposed = run(scenario, Regime.PROPOSED, schedule, window)
     by_tick_current = {line.period: line.tax_due for line in current.tax_lines}
     by_tick_proposed = {line.period: line.tax_due for line in proposed.tax_lines}
     deltas = tuple(

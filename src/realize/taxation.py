@@ -12,10 +12,10 @@ P100,000 of net gain and 10% on the excess.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 from enum import Enum
 
-from .market import _ZERO, Money, Rate, Tick, _money, _rated, record
+from .market import Money, Rate, Tick, _money, _rated, record
 from .realization import RealizationEvent
 
 STATUTORY_TIER_LIMIT = Money.from_pesos(100_000)
@@ -41,6 +41,31 @@ class TaxLine:
     tax_due: Money
 
 
+_FLAT, _WHOLE_RUN = RateSchedule.PAPER_FLAT, NettingWindow.WHOLE_RUN
+_TIER_LIMIT = STATUTORY_TIER_LIMIT.centavos
+
+
+def _nets(events: Sequence[RealizationEvent], window: NettingWindow) -> list[tuple[Tick, int]]:
+    """(tick, signed net centavos) per netting window, in tick order, from the events' int fields."""
+    totals: dict[Tick, int] = {}
+    for e in events:
+        at = e.at
+        totals[at] = totals.get(at, 0) + (e.amount_realized_per_share.centavos - e.basis_per_share.centavos) * e.qty
+    if window is _WHOLE_RUN and totals:
+        return [(max(totals), sum(totals.values()))]
+    return sorted(totals.items())
+
+
+def _tax(centavos: int, schedule: RateSchedule) -> int:
+    """``tax_due`` on int centavos."""
+    if centavos <= 0:
+        return 0
+    if schedule is _FLAT:
+        return _rated(centavos, FLAT_RATE)
+    lower = min(centavos, _TIER_LIMIT)
+    return _rated(lower, LOWER_TIER_RATE) + _rated(centavos - lower, UPPER_TIER_RATE)
+
+
 def net_by_period(
     events: Sequence[RealizationEvent], window: NettingWindow = NettingWindow.PER_TICK
 ) -> list[tuple[Tick, Money]]:
@@ -49,14 +74,7 @@ def net_by_period(
     Under ``WHOLE_RUN`` everything nets into a single line dated at the last
     realization tick.
     """
-    totals: dict[Tick, int] = {}
-    for e in events:
-        totals[e.at] = totals.get(e.at, 0) + e.gain_centavos[1]
-    if not totals:
-        return []
-    if window is NettingWindow.WHOLE_RUN:
-        return [(max(totals), _money(sum(totals.values())))]
-    return [(t, _money(totals[t])) for t in sorted(totals)]
+    return [(t, _money(net)) for t, net in _nets(events, window)]
 
 
 def tax_due(net_gain: Money, schedule: RateSchedule = RateSchedule.PAPER_FLAT) -> Money:
@@ -65,13 +83,7 @@ def tax_due(net_gain: Money, schedule: RateSchedule = RateSchedule.PAPER_FLAT) -
     Sub-centavo rounding means a strictly positive net of a few centavos can
     still owe zero; at whole-peso gains the tax is strictly positive.
     """
-    centavos = net_gain.centavos
-    if centavos <= 0:
-        return _ZERO
-    if schedule is RateSchedule.PAPER_FLAT:
-        return _money(_rated(centavos, FLAT_RATE))
-    lower = min(centavos, STATUTORY_TIER_LIMIT.centavos)
-    return _money(_rated(lower, LOWER_TIER_RATE) + _rated(centavos - lower, UPPER_TIER_RATE))
+    return _money(_tax(net_gain.centavos, schedule))
 
 
 def tax_timeline(
@@ -79,11 +91,4 @@ def tax_timeline(
     window: NettingWindow = NettingWindow.PER_TICK,
     schedule: RateSchedule = RateSchedule.PAPER_FLAT,
 ) -> list[TaxLine]:
-    return [
-        TaxLine(t, net, tax_due(net, schedule))
-        for t, net in net_by_period(events, window)
-    ]
-
-
-def total_tax(lines: Iterable[TaxLine]) -> Money:
-    return _money(sum(line.tax_due.centavos for line in lines))
+    return [TaxLine(t, _money(net), _money(_tax(net, schedule))) for t, net in _nets(events, window)]

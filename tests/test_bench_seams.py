@@ -46,3 +46,20 @@ def test_a_traced_compare_tags_every_ledger_and_realize_span(spans):
     for stage in ("ledger.apply_event", "realization.realize"):
         tags = [tag for name, *_, tag in tracer.spans if name == stage]
         assert tags and None not in tags, stage
+
+
+def test_traced_tax_timelines_tag_each_report_with_its_tax_line_count(spans):
+    # ``taxation.tax_timeline.busy_s`` and ``taxation.lines`` read these spans and tags.
+    def tax_tags(tracer):
+        return [tag for name, *_, tag in tracer.spans if name == "taxation.tax_timeline"]
+
+    for regime in Regime:
+        tracer = spans.Tracer()
+        with tracer.installed():
+            report = run(builtin("strategy3"), regime)
+        assert tax_tags(tracer) == [len(report.tax_lines)], regime
+    tracer = spans.Tracer()
+    with tracer.installed():
+        report = compare(builtin("strategy3"))
+    assert tax_tags(tracer) == [len(report.current.tax_lines), len(report.proposed.tax_lines)]
+    assert tax_tags(tracer) == [1, 2]

@@ -25,6 +25,10 @@ faults show on small inputs (D. Jackson, *Software Abstractions*, 2006):
 * every one-security sequence of four events, one per tick, drawn from 13
   steps: buy, borrow, short-sell, sell, cover by purchase and cover with
   owned shares, each of 1 or 2 shares, and a death (28,561 sequences);
+* every one-security sequence of three such events in each of the four tick
+  patterns where each event keeps its predecessor's tick or takes the next
+  one (8,788), since ``run`` folds a tick's cash and gains over adjacent
+  events;
 * every two-security sequence of three events of 1 share (2,197), which
   checks that the predicate is per security;
 * every one-security sequence of four events whose third tick has no quote
@@ -33,12 +37,12 @@ faults show on small inputs (D. Jackson, *Software Abstractions*, 2006):
 * the random scenarios of ``scenario_gen``.
 
 ``python -m pytest -m slow`` also runs the five-event sweep (371,293
-sequences).
+sequences) and the four-event sweep over its eight tick patterns (228,488).
 """
 
 import random
 from collections import Counter
-from itertools import product
+from itertools import accumulate, product
 from operator import attrgetter
 
 import pytest
@@ -130,8 +134,9 @@ def steps(secs, qtys):
     return makers + [Death]
 
 
-def sweep(k, secs, qtys, unquoted=()):
-    """Check every sequence of ``k`` steps, one per tick, cycling through the four settings.
+def sweep(k, secs, qtys, unquoted=(), ticks=None):
+    """Check every sequence of ``k`` steps, one per tick unless ``ticks`` gives each step's tick, cycling
+    through the four settings.
 
     A tick in ``unquoted`` has no quote, and its only step is a death.  Returns how many
     sequences ended in each (current, proposed) pair of outcome classes.
@@ -141,7 +146,7 @@ def sweep(k, secs, qtys, unquoted=()):
     prices = PricePath({
         (sec, t): Money.from_pesos(p) for sec in secs for t, p in enumerate(pesos, start=1) if t not in unquoted
     })
-    table = [[Death(t)] if t in unquoted else [make(t) for make in steps(secs, qtys)] for t in range(1, k + 1)]
+    table = [[Death(t)] if t in unquoted else [make(t) for make in steps(secs, qtys)] for t in ticks or range(1, k + 1)]
     tally = Counter()
     for count, events in enumerate(product(*table), start=1):
         schedule, window = SETTINGS[count % len(SETTINGS)]
@@ -155,6 +160,37 @@ def test_every_one_security_sequence_of_four_events():
     assert sum(tally.values()) == 13**4
     # Finding (a): a sale that needs reserved shares fails only under the proposed regime.
     assert tally[RunReport, InsufficientOwnedShares] == 14
+
+
+def tick_patterns(k):
+    """Every tick sequence of ``k`` events from tick 1 on, each event at its predecessor's tick or the next."""
+    return [tuple(accumulate((1, *rises))) for rises in product((0, 1), repeat=k - 1)]
+
+
+def same_tick_sweep(k):
+    """``sweep`` of one security over every tick pattern of ``k`` events, tallied together."""
+    tally = Counter()
+    for ticks in tick_patterns(k):
+        tally += sweep(k, ("A",), (1, 2), ticks=ticks)
+    return tally
+
+
+def test_every_one_security_sequence_of_three_events_in_every_tick_pattern():
+    # Consecutive events may share a tick, which run()'s cash and tax folds rely on being adjacent.
+    tally = same_tick_sweep(3)
+    assert sum(tally.values()) == 4 * 13**3
+    assert tally[RunReport, RunReport] == 852
+    # A sale of reserved shares needs a buy, a borrow and a short sale before it.
+    assert tally[RunReport, InsufficientOwnedShares] == 0
+
+
+@pytest.mark.slow
+def test_every_one_security_sequence_of_four_events_in_every_tick_pattern():
+    tally = same_tick_sweep(4)
+    assert sum(tally.values()) == 8 * 13**4
+    assert tally[RunReport, RunReport] == 12_672
+    # Finding (a) in each of the 8 patterns, as in the one-per-tick sweep.
+    assert tally[RunReport, InsufficientOwnedShares] == 8 * 14
 
 
 def test_every_two_security_sequence_of_three_events():

@@ -1,10 +1,11 @@
 """A share-by-share reference model of both regimes, checked against ``run()``.
 
 The model is written from the realization rules alone and shares no code
-with the engine beyond its public event types and ``Money``.  Every owned
-share is one object carrying its lot, its basis and the borrowed share it
-covers once a constructive sale has reserved it; every borrowed share is one
-object carrying its short-sale proceeds.  The rules, share by share:
+with the engine beyond its public event and setting types and ``Money``.
+Every owned share is one object carrying its lot, its basis and the borrowed
+share it covers once a constructive sale has reserved it; every borrowed
+share is one object carrying its short-sale proceeds.  The rules, share by
+share:
 
 * a purchase adds owned shares; a borrow adds borrowed, unsold shares;
 * an outright sale disposes of the oldest unreserved owned shares;
@@ -22,17 +23,30 @@ Events are grouped as the engine reports them: one per lot, or per borrow
 position (the shares of one borrow sold by one short sale).  Lots are
 numbered by purchase, as the engine numbers them, so the shares left in
 each lot, and reserved in each, are compared too.
+
+The report's sums are predicted from the same rules: the tax lines from the
+model's events (signed gains netted per tick, or over the whole run at the
+last realization tick; tax only on a positive net, at 10% flat, or at 5% on
+the first ₱100,000 and 10% above it, each rounded half to even at the
+centavo), the total tax, and the cash moved by each tick's purchases, sales
+and covers by purchase.
 """
 
 import random
 from collections import Counter
+from fractions import Fraction
+from itertools import accumulate
 
 from realize import (
     Borrow,
     Buy,
     CoverByOwnedLot,
+    CoverByPurchase,
     Death,
     Ledger,
+    Money,
+    NettingWindow,
+    RateSchedule,
     RealizationEvent,
     RealizationKind,
     Regime,
@@ -42,10 +56,15 @@ from realize import (
     apply_event,
     realize,
     run,
+    tax_timeline,
 )
 from scenario_gen import random_scenario
 
 K = RealizationKind
+SETTINGS = [(s, w) for s in RateSchedule for w in NettingWindow]
+FLAT_RATE, LOWER_RATE, UPPER_RATE = Fraction(10, 100), Fraction(5, 100), Fraction(10, 100)
+TIER_LIMIT = 100_000 * 100  # centavos
+CASH_SIGN = {Buy: -1, SellOwned: 1, ShortSell: 1, CoverByPurchase: -1}  # the others move no cash
 
 
 class Owned:
@@ -138,6 +157,37 @@ def model(scenario, regime):
     return events, holding, by_lot, reserved, {sec: q for sec, q in owing.items() if q}
 
 
+def tax_on(net, schedule):
+    """Tax in centavos on one window's signed net gain; ``round`` on a ``Fraction`` rounds half to even."""
+    if net <= 0:
+        return 0
+    if schedule is RateSchedule.PAPER_FLAT:
+        return round(net * FLAT_RATE)
+    lower = min(net, TIER_LIMIT)
+    return round(lower * LOWER_RATE) + round((net - lower) * UPPER_RATE)
+
+
+def tax_lines(events, schedule, window):
+    """(tick, net gain, tax) in centavos for each netting window that realized something."""
+    nets = {}
+    for e in events:
+        nets[e.at] = nets.get(e.at, 0) + (e.amount_realized_per_share - e.basis_per_share).centavos * e.qty
+    if window is NettingWindow.WHOLE_RUN and nets:
+        nets = {max(nets): sum(nets.values())}
+    return [(t, net, tax_on(net, schedule)) for t, net in sorted(nets.items())]
+
+
+def cash_points(scenario):
+    """(tick, delta, cumulative) in centavos for each tick where some event moved cash."""
+    deltas = {}
+    for ev in scenario.events:
+        sign = CASH_SIGN.get(type(ev), 0)
+        delta = sign and sign * scenario.prices.price_at(ev.sec, ev.at).centavos * ev.qty
+        if delta:
+            deltas[ev.at] = deltas.get(ev.at, 0) + delta
+    return list(zip(deltas, deltas.values(), accumulate(deltas.values())))
+
+
 def ledger_after(scenario, regime):
     """The engine's ledger after the scenario, folded through the public API."""
     ledger = Ledger()
@@ -169,9 +219,32 @@ class TestReferenceModel:
                 assert len(report.events) == len(events), (regime, scenario)
                 assert dict(report.inventory.owned) == holding
                 assert dict(report.inventory.borrowed_outstanding) == owing
+                cash = cash_points(scenario)
+                assert [(p.at, p.delta.centavos, p.cumulative.centavos) for p in report.cash_timeline] == cash
+                assert report.final_cash.centavos == (cash[-1][2] if cash else 0)
+                for schedule, window in SETTINGS:
+                    taxed = run(scenario, regime, schedule, window)
+                    lines = tax_lines(events, schedule, window)
+                    got = [(t.period, t.net_capital_gain.centavos, t.tax_due.centavos) for t in taxed.tax_lines]
+                    assert got == lines, (regime, schedule, window, scenario)
+                    assert taxed.total_tax.centavos == sum(tax for _, _, tax in lines)
                 ledger = ledger_after(scenario, regime)
                 assert {lot.id: lot.qty for lot in ledger.lots} == by_lot, scenario
                 assert reserved == {
                     lot: n for sec in scenario.prices.securities()
                     for lot, n in ledger.reserved_by_lot(sec).items()
                 }, scenario
+
+    def test_tax_lines_match_on_gains_of_any_centavos(self):
+        # The scenarios above price in whole pesos, so their taxes never round; these gains do, in any tick order.
+        rng = random.Random(0x7A8)
+        for _ in range(500):
+            events = [
+                RealizationEvent(rng.randint(0, 4), K.ORDINARY_SALE, "A", rng.randint(1, 2_000),
+                                 Money(rng.randint(0, 10**6)), Money(rng.randint(0, 10**6)))
+                for _ in range(rng.randint(0, 5))
+            ]
+            for schedule, window in SETTINGS:
+                got = [(t.period, t.net_capital_gain.centavos, t.tax_due.centavos)
+                       for t in tax_timeline(events, window, schedule)]
+                assert got == tax_lines(events, schedule, window), (schedule, window, events)

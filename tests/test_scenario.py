@@ -660,6 +660,24 @@ class TestRoundTrip:
         with pytest.raises(EngineError, match="'A B' cannot be written as one scenario token"):
             format_scenario(s)
 
+    def test_a_negative_price_is_refused_naming_its_quote(self):
+        # It used to print "price A 1 -0.05", which the parser refuses: "price must not be negative".
+        s = Scenario("x", PricePath({("A", 1): Money(-5)}), (Buy(1, "A", 1),))
+        run(s)  # the engine itself takes a negative price
+        with pytest.raises(EngineError, match=r"quote \('A', 1\) of -0\.05 cannot be written") as exc:
+            format_scenario(s)
+        assert not hasattr(exc.value, "event_index")
+
+    def test_a_negative_tick_is_refused_naming_its_event(self):
+        # It used to print "at -1 buy A 1", which the parser refuses: "tick must be non-negative".
+        s = Scenario("x", PricePath({("A", -1): Money(5)}), (Buy(-1, "A", 1),))
+        run(s)
+        with pytest.raises(EngineError, match="tick must be a non-negative int to be written, got -1") as exc:
+            format_scenario(s)
+        assert exc.value.event_index == 0
+        with pytest.raises(EngineError, match=r"quote \('A', -1\) of 0\.05 cannot be written"):
+            format_scenario(Scenario("x", s.prices))
+
 
 class TestBuiltins:
     def test_strategy3_event_shape(self):
