@@ -56,8 +56,9 @@ def test_a_median_gain_inside_the_parent_spread_does_not_hold(tool):
 
 def test_pairs_alternate_and_one_label_collects_several_calls(tool, tmp_path, monkeypatch):
     spec = {"end_to_end": [{"name": "items_per_s", "better": "higher"}, {"name": "setup_s", "better": "lower"}]}
-    (tmp_path / "change").mkdir()
-    (tmp_path / "change" / "BENCHMARK.json").write_text(json.dumps(spec), encoding="utf-8")
+    for side in ("parent", "change"):
+        (tmp_path / side / "bench").mkdir(parents=True)
+        (tmp_path / side / "BENCHMARK.json").write_text(json.dumps(spec), encoding="utf-8")
     order = []
 
     def fake_run(checkout, workload, seed, seconds):
@@ -77,8 +78,49 @@ def test_pairs_alternate_and_one_label_collects_several_calls(tool, tmp_path, mo
     assert tool.main([*common, "--workload", "cli_cold", "--seed", "1"]) == 0
     data = json.loads((tmp_path / "BENCH_t.json").read_text(encoding="utf-8"))
     assert set(data["runs"]) == {"deep_book", "cli_cold"}
-    assert data["parent"] == {"commit": "parent-commit", "src_sha256": "parent-hash"}
+    assert data["parent"] == {
+        "commit": "parent-commit", "src_sha256": "parent-hash", "bench_sha256": tool.bench_digest(tmp_path / "parent")
+    }
     run = data["runs"]["deep_book"]["1"]
     assert [p["first"] for p in run["pairs"]] == ["parent", "change", "parent"]
     assert run["summary"]["items_per_s"]["wins"] == 3
     assert run["summary"]["setup_s"]["wins"] == 0
+
+
+def write(root, files):
+    for name, text in files.items():
+        (root / name).parent.mkdir(parents=True, exist_ok=True)
+        (root / name).write_text(text, encoding="utf-8")
+
+
+def test_the_harness_digest_reads_bench_py_files_and_benchmark_json_only(tool, tmp_path):
+    files = {"BENCHMARK.json": "{}", "bench/run.py": "a", "bench/spans.py": "b"}
+    write(tmp_path / "one", files)
+    write(tmp_path / "two", {**files, "bench/README.md": "notes", "bench/out/x.py": "output", "src/m.py": "code"})
+    digest = tool.bench_digest(tmp_path / "one")
+    assert len(digest) == 64 and digest == tool.bench_digest(tmp_path / "two")
+    for name, text in [("bench/spans.py", "c"), ("bench/new.py", ""), ("BENCHMARK.json", "[]")]:
+        write(tmp_path / name.replace("/", "_"), {**files, name: text})
+        assert tool.bench_digest(tmp_path / name.replace("/", "_")) != digest, name
+    # Names count, not just contents: the same bytes under another file name differ.
+    write(tmp_path / "renamed", {"BENCHMARK.json": "{}", "bench/run.py": "a", "bench/spanz.py": "b"})
+    assert tool.bench_digest(tmp_path / "renamed") != digest
+
+
+def test_a_label_refuses_runs_of_another_harness(tool, tmp_path, monkeypatch):
+    spec = {"end_to_end": [{"name": "items_per_s", "better": "higher"}]}
+    for side in ("parent", "change"):
+        write(tmp_path / side, {"BENCHMARK.json": json.dumps(spec), "bench/run.py": side})
+
+    def fake_run(checkout, workload, seed, seconds):
+        record = {"python": "3.x", "nproc": 2, "commit": "c", "src_sha256": "same"}
+        return {"correct": True, "metrics": {"items_per_s": {"value": 1.0}}}, record
+
+    monkeypatch.setattr(tool, "run_once", fake_run)
+    monkeypatch.chdir(tmp_path)
+    args = ["--parent", str(tmp_path / "parent"), "--change", str(tmp_path / "change"), "--pairs", "2",
+            "--seconds", "1", "--label", "t", "--workload", "path_batch"]
+    assert tool.main([*args, "--seed", "1"]) == 0
+    write(tmp_path / "parent", {"bench/run.py": "edited"})
+    with pytest.raises(SystemExit, match="another parent source or harness"):
+        tool.main([*args, "--seed", "2"])

@@ -9,8 +9,10 @@ process's environment passed through unchanged, so both sides see the same
 bytecode-cache setting.  The results go into ``BENCH_<L>.json`` in the current
 directory: an existing file keeps its other workload and seed entries, so one
 label collects several calls.  The file records the Python version, ``nproc``,
-``PYTHONDONTWRITEBYTECODE``, both commits and both ``src/realize`` hashes (as
-the benchmark itself reports them), every pair's end-to-end values, and per
+``PYTHONDONTWRITEBYTECODE``, both commits, both ``src/realize`` hashes (as
+the benchmark itself reports them), both harness hashes (``bench_sha256``, of
+the checkout's ``bench/*.py`` and ``BENCHMARK.json``, so that a reader can tell
+when a pair ran two harness versions), every pair's end-to-end values, and per
 metric each side's median and quartiles, the change/parent ratio of every
 pair and the gain rule: the change is better on at least nine pairs in ten
 and its median differs from the parent's by more than the parent's
@@ -21,6 +23,7 @@ of the change checkout.  Standard library only.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import statistics
@@ -52,6 +55,14 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> tuple[
         raise SystemExit(f"bench_pairs: no result from {checkout}: {done.stderr[-500:]}")
     record = checkout / "bench" / "out" / f"{workload}-seed{seed}-trace0.json"
     return json.loads(lines[-1]), json.loads(record.read_text(encoding="utf-8"))
+
+
+def bench_digest(checkout: Path) -> str:
+    """SHA-256 of the harness in ``checkout``: each ``bench/*.py`` and ``BENCHMARK.json``, by name."""
+    h = hashlib.sha256()
+    for path in [*sorted((checkout / "bench").glob("*.py")), checkout / "BENCHMARK.json"]:
+        h.update(path.relative_to(checkout).as_posix().encode() + b"\0" + path.read_bytes())
+    return h.hexdigest()
 
 
 def quartiles(values: list[float]) -> dict[str, float]:
@@ -106,14 +117,20 @@ def main(argv: list[str] | None = None) -> int:
 
     out = Path(f"BENCH_{args.label}.json")
     data = json.loads(out.read_text(encoding="utf-8")) if out.exists() else {"label": args.label, "runs": {}}
+    sides = {
+        side: {"commit": records[side]["commit"], "src_sha256": records[side]["src_sha256"],
+               "bench_sha256": bench_digest(checkouts[side])}
+        for side in SIDES
+    }
     for side in SIDES:
-        if side in data and data[side]["src_sha256"] != records[side]["src_sha256"]:
-            raise SystemExit(f"bench_pairs: {out} holds runs of another {side} source; use another label")
+        kept = data.get(side, {})
+        if any(key in kept and kept[key] != sides[side][key] for key in ("src_sha256", "bench_sha256")):
+            raise SystemExit(f"bench_pairs: {out} holds runs of another {side} source or harness; use another label")
     data.update({
         "python": records["change"]["python"],
         "nproc": records["change"]["nproc"],
         "PYTHONDONTWRITEBYTECODE": os.environ.get("PYTHONDONTWRITEBYTECODE"),
-        **{side: {"commit": records[side]["commit"], "src_sha256": records[side]["src_sha256"]} for side in SIDES},
+        **sides,
     })
     data["runs"].setdefault(args.workload, {})[str(args.seed)] = {
         "seconds": args.seconds,
