@@ -474,7 +474,7 @@ class Ledger:
             lot_slices = [_slice(self._by_id[lot_id], take) for lot_id, take in takes] + free
         for i, amount in reversed(plan):  # back to front keeps the earlier indices valid
             pos = positions[i]
-            if amount < pos.qty_outstanding:
+            if amount < pos.qty_borrowed - pos.qty_covered:
                 positions[i] = BorrowPosition(
                     pos.id, pos.sec, pos.qty_borrowed, pos.borrowed_at, pos.qty_sold_short,
                     pos.short_proceeds_per_share, pos.sold_at, pos.qty_covered + amount,
