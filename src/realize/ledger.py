@@ -1,10 +1,12 @@
 """Event-sourced portfolio: owned lots, borrow positions, reservations, cash.
 
 The ledger applies transaction events in scenario order and reports exactly
-what moved through a ``LedgerEffects`` record: lots consumed with their bases,
-borrow positions opened or covered, market prices used, and the cash delta.
-Tax treatment lives entirely downstream; the ledger knows nothing about
-realization regimes, which is what makes cash flow regime-invariant by
+what moved through a ``LedgerEffects`` record: the event, the market price
+used, the cash moved in int centavos, the lots consumed as (lot, qty) pairs
+and the borrow positions sold short or covered as (position, qty) pairs.
+The pairs hold the ledger's own frozen records, so reporting a move copies
+nothing.  Tax treatment lives entirely downstream; the ledger knows nothing
+about realization regimes, which is what makes cash flow regime-invariant by
 construction wherever both regimes accept a scenario.  An outright sale that
 needs shares reserved against a short fails only under the proposed regime,
 and one input can fail with different messages under the two.
@@ -59,7 +61,7 @@ from .errors import (
     NoOpenBorrow,
     OverCover,
 )
-from .market import _ZERO, Money, PricePath, SecurityId, Tick, _money, record
+from .market import Money, PricePath, SecurityId, Tick, _money, record
 
 
 class AcquisitionMethod(Enum):
@@ -100,14 +102,6 @@ class BorrowPosition:
     @property
     def qty_outstanding(self) -> int:
         return self.qty_borrowed - self.qty_covered
-
-    @property
-    def qty_unsold(self) -> int:
-        return self.qty_borrowed - self.qty_sold_short
-
-    @property
-    def qty_sold_uncovered(self) -> int:
-        return self.qty_sold_short - self.qty_covered
 
 
 @record
@@ -161,46 +155,23 @@ TransactionEvent = Buy | Borrow | ShortSell | SellOwned | CoverByPurchase | Cove
 
 
 @record
-class LotSlice:
-    """A quantity taken from one lot, with the basis it carried."""
-
-    lot_id: int
-    qty: int
-    basis_per_share: Money
-    acquired_at: Tick
-    method: AcquisitionMethod
-
-
-@record
-class ShortSlice:
-    """A quantity of one borrow position sold short or covered."""
-
-    position_id: int
-    qty: int
-    proceeds_per_share: Money
-    sold_at: Tick
-
-
-@record
 class LedgerEffects:
-    """What one applied event moved.  The realization module consumes this."""
+    """What one applied event moved.  The realization module consumes this.
+
+    The event's own fields say when, which security and how many shares.
+    ``price`` is the market price the event used, ``cash_centavos`` the
+    cash it moved.  ``lots_consumed`` holds (lot, qty) pairs, each lot as it
+    stood before the event, in the order taken; ``shorts`` holds (position,
+    qty) pairs: the positions a short sale sold, as sold, or those a cover
+    covered, as they stood before it, first in first out.
+    """
 
     event: TransactionEvent
-    at: Tick
-    sec: SecurityId | None
-    qty: int
     price: Money | None
-    cash_delta: Money
-    lot_created: Lot | None = None
-    borrow_opened: BorrowPosition | None = None
-    lots_consumed: tuple[LotSlice, ...] = ()
-    shorts_sold: tuple[ShortSlice, ...] = ()
-    shorts_covered: tuple[ShortSlice, ...] = ()
-    reserved_slices: int = 0  # leading lots_consumed slices that a short sale had reserved
-
-
-def _slice(lot: Lot, qty: int) -> LotSlice:
-    return LotSlice(lot.id, qty, lot.basis_per_share, lot.acquired_at, lot.method)
+    cash_centavos: int
+    lots_consumed: tuple[tuple[Lot, int], ...] = ()
+    shorts: tuple[tuple[BorrowPosition, int], ...] = ()
+    reserved_slices: int = 0  # leading lots_consumed pairs that a short sale had reserved
 
 
 def _shortage(sec: SecurityId, need: int, available: int) -> InsufficientOwnedShares:
@@ -251,12 +222,6 @@ class Ledger:
         """Reserved share count per lot id of ``sec``."""
         return self._reserved.get(sec, {})
 
-    def owned_qty(self, sec: SecurityId) -> int:
-        return sum(lot.qty for lot in self.lots_of(sec))
-
-    def outstanding_qty(self, sec: SecurityId) -> int:
-        return sum(p.qty_outstanding for p in self.borrows_of(sec))
-
     def _add_lot(self, lot: Lot) -> None:
         self._by_id[lot.id] = lot
         queue = self._lots.get(lot.sec)
@@ -265,8 +230,8 @@ class Ledger:
         else:
             queue.append(lot)
 
-    def _unreserved(self, sec: SecurityId, qty: int) -> tuple[list[LotSlice], int]:
-        """Slices of the oldest unreserved shares of ``sec``, at most ``qty``; and their total.
+    def _unreserved(self, sec: SecurityId, qty: int) -> tuple[list[tuple[Lot, int]], int]:
+        """(lot, qty) pairs of the oldest unreserved shares of ``sec``, at most ``qty``; and their total.
 
         The walk passes over fully reserved lots and stops at the last lot it
         takes from.
@@ -274,13 +239,13 @@ class Ledger:
         if qty == 0:
             return [], 0
         reserved = self._reserved.get(sec)
-        slices: list[LotSlice] = []
+        slices: list[tuple[Lot, int]] = []
         remaining = qty
         for lot in self.lots_of(sec):
             free = lot.qty - reserved.get(lot.id, 0) if reserved else lot.qty
             amount = free if free < remaining else remaining
             if amount > 0:
-                slices.append(_slice(lot, amount))
+                slices.append((lot, amount))
                 remaining -= amount
                 if remaining == 0:
                     break
@@ -297,15 +262,16 @@ class Ledger:
             qty -= take
         return takes
 
-    def reserve(self, effects: LedgerEffects) -> list[LotSlice]:
+    def reserve(self, effects: LedgerEffects) -> list[tuple[Lot, int]]:
         """Reserve owned shares against the short sale whose ``effects`` were just applied.
 
         Takes the oldest unreserved shares of the security, up to the
         quantity sold short, and marks as many of the first shares sold as
-        sold against them.  Returns the reserved slices.
+        sold against them.  Returns the reserved (lot, qty) pairs.
         """
-        sec = effects.sec
-        slices, total = self._unreserved(sec, effects.qty)
+        ev = effects.event
+        sec = ev.sec
+        slices, total = self._unreserved(sec, ev.qty)
         if not slices:
             return slices
         queue = self._reservations.get(sec)
@@ -314,12 +280,12 @@ class Ledger:
         reserved = self._reserved.get(sec)
         if reserved is None:
             reserved = self._reserved[sec] = {}
-        for s in slices:
-            queue.append((s.lot_id, s.qty))
-            reserved[s.lot_id] = reserved.get(s.lot_id, 0) + s.qty
-        for s in effects.shorts_sold:
-            mark = total if total < s.qty else s.qty
-            self._constructive[s.position_id] = mark
+        for lot, qty in slices:
+            queue.append((lot.id, qty))
+            reserved[lot.id] = reserved.get(lot.id, 0) + qty
+        for pos, qty in effects.shorts:
+            mark = total if total < qty else qty
+            self._constructive[pos.id] = mark
             total -= mark
             if total == 0:
                 break
@@ -348,22 +314,23 @@ class Ledger:
             else:
                 del reserved[lot_id]
 
-    def _consume(self, sec: SecurityId, slices: list[LotSlice]) -> None:
+    def _consume(self, sec: SecurityId, slices: list[tuple[Lot, int]]) -> None:
         """Take matched shares in place, walking the queue of ``sec`` only up to the last lot touched.
 
-        Queue order is lot-id order; a slice before the walk's place, as a cover's reserved takes can
-        be, restarts the walk at the front.
+        Queue order is lot-id order; a pair before the walk's place, as a cover's reserved takes can
+        be, restarts the walk at the front.  A lot taken from twice is found by id the second time.
         """
         queue, by_id = self._lots[sec], self._by_id
         i = 0
-        for s in slices:
-            if i and queue[i - 1].id >= s.lot_id:
+        for taken, qty in slices:
+            lot_id = taken.id
+            if i and queue[i - 1].id >= lot_id:
                 i = 0
             lot = queue[i]
-            while lot.id != s.lot_id:  # a lot the walk passed over stays where it is
+            while lot.id != lot_id:  # a lot the walk passed over stays where it is
                 i += 1
                 lot = queue[i]
-            left = lot.qty - s.qty
+            left = lot.qty - qty
             if left:
                 queue[i] = by_id[lot.id] = Lot(lot.id, lot.sec, left, lot.basis_per_share, lot.acquired_at, lot.method)
                 i += 1
@@ -380,7 +347,7 @@ class Ledger:
         self._add_lot(lot)
         cash = price.centavos * ev.qty
         self._cash -= cash
-        return LedgerEffects(ev, ev.at, ev.sec, ev.qty, price, _money(-cash), lot)
+        return LedgerEffects(ev, price, -cash)
 
     def _borrow(self, ev: Borrow, path: PricePath) -> LedgerEffects:
         pos = BorrowPosition(self.next_borrow_id, ev.sec, ev.qty, ev.at)
@@ -390,7 +357,7 @@ class Ledger:
             self._borrows[ev.sec] = [pos]
         else:
             positions.append(pos)
-        return LedgerEffects(ev, ev.at, ev.sec, ev.qty, None, _ZERO, None, pos)
+        return LedgerEffects(ev, None, 0)
 
     def _short_sell(self, ev: ShortSell, path: PricePath) -> LedgerEffects:
         price = path.price_at(ev.sec, ev.at)
@@ -407,11 +374,11 @@ class Ledger:
                     break
         if remaining:
             raise NoOpenBorrow(f"short sale of {ev.qty} {ev.sec} exceeds borrowed-unsold {ev.qty - remaining}")
-        slices: list[ShortSlice] = []
+        sold: list[tuple[BorrowPosition, int]] = []
         shift = 0
         for i, amount in plan:
             pos = positions[i + shift]
-            positions[i + shift] = BorrowPosition(
+            positions[i + shift] = sold_pos = BorrowPosition(
                 pos.id, pos.sec, amount, pos.borrowed_at, amount, price, ev.at, pos.qty_covered
             )
             if amount < pos.qty_borrowed:
@@ -421,10 +388,10 @@ class Ledger:
                     self.next_borrow_id, pos.sec, pos.qty_borrowed - amount, pos.borrowed_at
                 ))
                 self.next_borrow_id += 1
-            slices.append(ShortSlice(pos.id, amount, price, ev.at))
+            sold.append((sold_pos, amount))
         cash = price.centavos * ev.qty
         self._cash += cash
-        return LedgerEffects(ev, ev.at, ev.sec, ev.qty, price, _money(cash), None, None, (), tuple(slices))
+        return LedgerEffects(ev, price, cash, (), tuple(sold))
 
     def _sell(self, ev: SellOwned, path: PricePath) -> LedgerEffects:
         price = path.price_at(ev.sec, ev.at)
@@ -434,13 +401,13 @@ class Ledger:
         self._consume(ev.sec, lot_slices)
         cash = price.centavos * ev.qty
         self._cash += cash
-        return LedgerEffects(ev, ev.at, ev.sec, ev.qty, price, _money(cash), None, None, tuple(lot_slices))
+        return LedgerEffects(ev, price, cash, tuple(lot_slices))
 
     def _cover(self, ev: CoverByPurchase | CoverByOwnedLot, path: PricePath) -> LedgerEffects:
         price = path.price_at(ev.sec, ev.at)
         positions = self._borrows.get(ev.sec, ())
         plan = []  # (index, amount) of the first sold, uncovered positions
-        covered: list[ShortSlice] = []
+        covered: list[tuple[BorrowPosition, int]] = []
         settled: list[tuple[int, int]] = []  # (position id, constructive shares covered)
         reserved_qty = 0
         remaining = ev.qty
@@ -452,7 +419,7 @@ class Ledger:
                 raise InvariantViolation(f"borrow position {pos.id} is sold short without a price")
             amount = uncovered if uncovered < remaining else remaining
             plan.append((i, amount))
-            covered.append(ShortSlice(pos.id, amount, pos.short_proceeds_per_share, pos.sold_at))
+            covered.append((pos, amount))
             constructive = self._constructive.get(pos.id)
             if constructive:
                 constructive = min(constructive, amount)
@@ -471,7 +438,7 @@ class Ledger:
             free, available = self._unreserved(ev.sec, ev.qty - reserved_qty)
             if available < ev.qty - reserved_qty:
                 raise _shortage(ev.sec, ev.qty, reserved_qty + available)
-            lot_slices = [_slice(self._by_id[lot_id], take) for lot_id, take in takes] + free
+            lot_slices = [(self._by_id[lot_id], take) for lot_id, take in takes] + free
         for i, amount in reversed(plan):  # back to front keeps the earlier indices valid
             pos = positions[i]
             if amount < pos.qty_borrowed - pos.qty_covered:
@@ -486,14 +453,9 @@ class Ledger:
         if by_purchase:
             cash = price.centavos * ev.qty
             self._cash -= cash
-            return LedgerEffects(
-                ev, ev.at, ev.sec, ev.qty, price, _money(-cash), None, None, (), (), tuple(covered)
-            )
+            return LedgerEffects(ev, price, -cash, (), tuple(covered))
         self._consume(ev.sec, lot_slices)
-        return LedgerEffects(
-            ev, ev.at, ev.sec, ev.qty, price, _ZERO, None, None,
-            tuple(lot_slices), (), tuple(covered), len(takes),
-        )
+        return LedgerEffects(ev, price, 0, tuple(lot_slices), tuple(covered), len(takes))
 
     def _death(self, ev: Death, path: PricePath) -> LedgerEffects:
         """Transmit the portfolio to the heir with basis stepped up to the death-date price.
@@ -513,7 +475,7 @@ class Ledger:
         for lot in lots:
             self._add_lot(lot)
         self.owner_generation += 1
-        return LedgerEffects(ev, at, None, 0, None, _ZERO)
+        return LedgerEffects(ev, None, 0)
 
 
 _STEPS: dict[type, Callable[[Ledger, TransactionEvent, PricePath], LedgerEffects]] = {

@@ -21,7 +21,7 @@ import sys
 from collections.abc import Mapping
 from operator import attrgetter, eq, ge, gt, le, lt
 
-from .errors import MissingPrice, NegativeBase
+from .errors import InvalidSymbol, MissingPrice, NegativeBase
 
 Tick = int
 SecurityId = str
@@ -343,9 +343,19 @@ def _rated(centavos: int, rate: Rate) -> int:
 
 @record
 class PricePath:
-    """Per-share price quotes keyed by (security, tick)."""
+    """Per-share price quotes keyed by (security, tick).
+
+    Building one raises ``InvalidSymbol`` for a key that is not a (``str``
+    security symbol, tick) pair, so every scenario built on the path can
+    rely on its keys.
+    """
 
     quotes: Mapping[tuple[SecurityId, Tick], Money]
+
+    def __post_init__(self) -> None:
+        for key in self.quotes:
+            if type(key) is not tuple or len(key) != 2 or not isinstance(key[0], str):
+                raise InvalidSymbol(f"a quote key must be a (str security symbol, tick) pair, got {key!r}")
 
     @classmethod
     def from_table(cls, table: Mapping[SecurityId, Mapping[Tick, Money]]) -> PricePath:

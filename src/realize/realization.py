@@ -31,7 +31,12 @@ The reservations live in the run's ``Ledger``, which decides which owned
 shares each sale and cover takes.  The only thing the proposed regime adds
 is one call, ``Ledger.reserve``, at a short sale; every other event maps its
 effects to events without state, the same way under both regimes.  Each
-event class has one rule, found the way the ledger finds its step.
+event class has one rule, found the way the ledger finds its step.  A rule
+reads the time, security and quantity from the effects' event and builds
+each event straight from the (lot, qty) and (position, qty) pairs the
+ledger reports: a lot's basis, a position's proceeds.  A buy, a borrow and a
+death emit nothing under either regime, so ``run`` skips ``realize`` for
+exactly those classes (``_SILENT``).
 """
 
 from __future__ import annotations
@@ -92,11 +97,11 @@ class RealizationEvent:
         return _money(self.gain_centavos[1])
 
 
-def _priced(effects: LedgerEffects) -> tuple[Money, SecurityId]:
-    price, sec = effects.price, effects.sec
-    if price is None or sec is None:  # hand-built effects may lack them
-        raise InvariantViolation(f"{type(effects.event).__name__} effects carry no price or security")
-    return price, sec
+def _price(effects: LedgerEffects) -> Money:
+    price = effects.price
+    if price is None:  # hand-built effects may lack it
+        raise InvariantViolation(f"{type(effects.event).__name__} effects carry no price")
+    return price
 
 
 # One rule per event shape, looked up in ``_RULES`` by event class.
@@ -107,11 +112,11 @@ def _nothing(effects: LedgerEffects, regime: Regime, ledger: Ledger) -> list[Rea
 
 
 def _sale(effects: LedgerEffects, regime: Regime, ledger: Ledger) -> list[RealizationEvent]:
-    price, sec = _priced(effects)
-    at = effects.at
+    price, ev = _price(effects), effects.event
+    at, sec = ev.at, ev.sec
     return [
-        RealizationEvent(at, RealizationKind.ORDINARY_SALE, sec, s.qty, price, s.basis_per_share)
-        for s in effects.lots_consumed
+        RealizationEvent(at, RealizationKind.ORDINARY_SALE, sec, qty, price, lot.basis_per_share)
+        for lot, qty in effects.lots_consumed
     ]
 
 
@@ -119,11 +124,11 @@ def _short_sale(effects: LedgerEffects, regime: Regime, ledger: Ledger) -> list[
     if regime is Regime.CURRENT:
         # Receipt of the proceeds without realization.
         return []
-    price, sec = _priced(effects)
-    at = effects.at
+    price, ev = _price(effects), effects.event
+    at, sec = ev.at, ev.sec
     return [
-        RealizationEvent(at, RealizationKind.CONSTRUCTIVE_SALE, sec, s.qty, price, s.basis_per_share)
-        for s in ledger.reserve(effects)
+        RealizationEvent(at, RealizationKind.CONSTRUCTIVE_SALE, sec, qty, price, lot.basis_per_share)
+        for lot, qty in ledger.reserve(effects)
     ]
 
 
@@ -144,15 +149,15 @@ def _cover(effects: LedgerEffects, regime: Regime, ledger: Ledger) -> list[Reali
     # Delivered shares that were reserved were disposed of at the short
     # sale; every other delivered share is deemed sold at the price of
     # replacing the borrowed shares.  A cover by purchase delivers none.
-    price, sec = _priced(effects)
-    at = effects.at
+    price, ev = _price(effects), effects.event
+    at, sec = ev.at, ev.sec
     events = [
-        RealizationEvent(at, RealizationKind.OWNED_DISPOSAL_AT_COVER, sec, s.qty, price, s.basis_per_share)
-        for s in effects.lots_consumed[effects.reserved_slices:]
+        RealizationEvent(at, RealizationKind.OWNED_DISPOSAL_AT_COVER, sec, qty, price, lot.basis_per_share)
+        for lot, qty in effects.lots_consumed[effects.reserved_slices:]
     ]
     events += [
-        RealizationEvent(at, RealizationKind.SHORT_COVER, sec, s.qty, s.proceeds_per_share, price)
-        for s in effects.shorts_covered
+        RealizationEvent(at, RealizationKind.SHORT_COVER, sec, qty, pos.short_proceeds_per_share, price)
+        for pos, qty in effects.shorts
     ]
     return events
 
@@ -166,6 +171,9 @@ _RULES = {
     CoverByOwnedLot: _cover,
     Death: _nothing,
 }
+# The exact classes whose rule emits nothing, so that ``run`` can skip ``realize`` for them; a subclass of
+# one still goes through ``realize``, which finds its rule through the MRO.
+_SILENT = frozenset(cls for cls, rule in _RULES.items() if rule is _nothing)
 
 
 def realize(

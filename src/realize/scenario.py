@@ -48,7 +48,7 @@ from .ledger import (
     apply_event,
 )
 from .market import _ZERO, Money, PricePath, SecurityId, Tick, _money, pesos, record
-from .realization import RealizationEvent, Regime, _may_reserve, realize
+from .realization import _SILENT, RealizationEvent, Regime, _may_reserve, realize
 from .taxation import NettingWindow, RateSchedule, TaxLine, tax_timeline
 
 BLOCK_QTY = 100_000
@@ -70,7 +70,8 @@ class Scenario:
     for an event that is not an instance of an event class or of a subclass,
     ``NonMonotonicTick`` or ``UndefinedPrice`` when ticks decrease or an event
     has no price, and ``InvalidSymbol`` when a security symbol or heir label is
-    not a ``str``.
+    not a ``str``.  The ``PricePath`` has checked its quote keys when it was
+    built.
     """
 
     name: str
@@ -96,9 +97,6 @@ class Scenario:
                 raise _annotate(_not_str("security symbol", ev.sec), index)
             elif (ev.sec, ev.at) not in quotes:
                 raise _annotate(UndefinedPrice(f"no price for {ev.sec} at tick {ev.at}"), index)
-        for key in quotes:
-            if type(key) is not tuple or len(key) != 2 or not isinstance(key[0], str):
-                raise InvalidSymbol(f"a quote key must be a (str security symbol, tick) pair, got {key!r}")
 
 
 def _not_str(what: str, value: object) -> InvalidSymbol:
@@ -449,11 +447,12 @@ def run(
     for index, ev in enumerate(scenario.events):
         try:
             ledger, effects = apply_event(ledger, ev, prices)
-            events, ledger = realize(effects, regime, ledger)
+            if type(ev) not in _SILENT:  # a buy, a borrow or a death realizes nothing
+                events, ledger = realize(effects, regime, ledger)
+                realized += events
         except EngineError as err:
             raise _annotate(err, index)
-        realized += events
-        delta = effects.cash_delta.centavos
+        delta = effects.cash_centavos
         if delta:
             if cash_ticks and cash_ticks[-1] == ev.at:
                 cash_deltas[-1] += delta

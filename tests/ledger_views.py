@@ -3,7 +3,8 @@
 ``snapshot`` is a deep copy of every field of a ledger, so two snapshots
 are equal exactly when the two ledgers hold the same lots, borrow positions,
 cash and counters, and also the same reservation queue and constructive
-marks.  The other reads use the ledger's live per-security containers.
+marks.  The other reads use the ledger's live per-security containers and
+the fields of its borrow positions.
 """
 
 import copy
@@ -24,9 +25,23 @@ def borrows(ledger):
     return tuple(p for sec in sorted(securities(ledger)) for p in ledger.borrows_of(sec))
 
 
+def owned_qty(ledger, sec):
+    return sum(lot.qty for lot in ledger.lots_of(sec))
+
+
+def qty_unsold(position):
+    """Shares of a borrow position not yet sold short."""
+    return position.qty_borrowed - position.qty_sold_short
+
+
+def qty_sold_uncovered(position):
+    """Shares of a borrow position sold short and not yet covered."""
+    return position.qty_sold_short - position.qty_covered
+
+
 def borrowed_unsold_qty(ledger, sec):
-    return sum(p.qty_unsold for p in ledger.borrows_of(sec))
+    return sum(qty_unsold(p) for p in ledger.borrows_of(sec))
 
 
 def sold_uncovered_qty(ledger, sec):
-    return sum(p.qty_sold_uncovered for p in ledger.borrows_of(sec))
+    return sum(qty_sold_uncovered(p) for p in ledger.borrows_of(sec))

@@ -30,7 +30,7 @@ from realize import (
     realize,
 )
 from realize.errors import EngineError
-from ledger_views import borrowed_unsold_qty, borrows, sold_uncovered_qty
+from ledger_views import borrowed_unsold_qty, borrows, owned_qty, sold_uncovered_qty
 
 _KINDS = (
     "buy", "buy", "borrow", "borrow", "short", "short", "sell",
@@ -78,7 +78,7 @@ def random_scenario(rng: random.Random, name: str = "generated") -> GeneratedSce
                 if avail:
                     ev = ShortSell(t, sec, rng.randint(1, avail))
             elif kind == "sell" and t not in short_ticks:
-                avail = state.owned_qty(sec) - sum(state.reserved_by_lot(sec).values())
+                avail = owned_qty(state, sec) - sum(state.reserved_by_lot(sec).values())
                 if avail:
                     ev = SellOwned(t, sec, rng.randint(1, avail))
             elif kind == "cover_p" and t not in short_ticks:
@@ -86,7 +86,7 @@ def random_scenario(rng: random.Random, name: str = "generated") -> GeneratedSce
                 if avail:
                     ev = CoverByPurchase(t, sec, rng.randint(1, avail))
             elif kind == "cover_o" and t not in short_ticks:
-                avail = min(sold_uncovered_qty(state, sec), state.owned_qty(sec))
+                avail = min(sold_uncovered_qty(state, sec), owned_qty(state, sec))
                 if avail:
                     ev = CoverByOwnedLot(t, sec, rng.randint(1, avail))
             elif kind == "death" and not died and rng.random() < 0.25 and (
@@ -113,7 +113,7 @@ def random_scenario(rng: random.Random, name: str = "generated") -> GeneratedSce
 
             # Inventory conservation, checked as the walk goes.
             for s in secs:
-                assert state.owned_qty(s) >= 0
+                assert owned_qty(state, s) >= 0
                 assert borrowed_unsold_qty(state, s) >= 0
                 assert sold_uncovered_qty(state, s) >= 0
                 assert total_shorted[s] <= total_borrowed[s]

@@ -271,12 +271,10 @@ class TestCheck:
 
 HAND_BUILT_EFFECTS = """
 import sys
-from realize import Ledger, LedgerEffects, Money, Regime, SellOwned, realize
+from realize import Ledger, LedgerEffects, Regime, SellOwned, realize
 if sys.flags.optimize != 1:
     sys.exit(3)
-effects = LedgerEffects(
-    event=SellOwned(2, "ABC", 100), at=2, sec="ABC", qty=100, price=None, cash_delta=Money.zero()
-)
+effects = LedgerEffects(event=SellOwned(2, "ABC", 100), price=None, cash_centavos=0)
 realize(effects, Regime.CURRENT, Ledger())
 """
 

@@ -10,6 +10,7 @@ from types import SimpleNamespace
 
 import pytest
 
+import realize.scenario as runner
 from realize import ledger, realization
 from realize import (
     Borrow,
@@ -88,6 +89,63 @@ def test_a_purchase_cover_subclass_stays_a_purchase(regime):
     assert report.final_cash == Money.parse("-500.00")
 
 
+SILENT = (Buy, Borrow, Death)
+
+
+@pytest.fixture
+def realized_for(monkeypatch):
+    """The classes of the events whose effects ``run`` hands to ``realize``, in order."""
+    seen = []
+    real = runner.realize
+
+    def counting(effects, regime, ledger):
+        seen.append(type(effects.event))
+        return real(effects, regime, ledger)
+
+    monkeypatch.setattr(runner, "realize", counting)
+    return seen
+
+
+@pytest.mark.parametrize("regime", list(Regime), ids=lambda r: r.value)
+def test_run_realizes_every_event_but_a_buy_a_borrow_and_a_death(realized_for, regime):
+    assert realization._SILENT == frozenset(SILENT)
+    expected = {
+        "strategy1": [SellOwned],
+        "strategy3": [ShortSell, CoverByOwnedLot],
+        "death_avoidance": [ShortSell, CoverByOwnedLot],
+        "by_purchase": [ShortSell, CoverByPurchase],
+    }
+    for scenario in SCENARIOS:
+        realized_for.clear()
+        run(scenario, regime)
+        assert realized_for == expected[scenario.name], scenario.name
+
+
+@pytest.mark.parametrize("regime", list(Regime), ids=lambda r: r.value)
+def test_realize_still_answers_a_buy_a_borrow_and_a_death_with_nothing(regime):
+    scenario = builtin("death_avoidance")
+    ledger, silent = Ledger(), 0
+    for ev in scenario.events:
+        _, effects = apply_event(ledger, ev, scenario.prices)
+        before = snapshot(ledger)
+        events, after = realize(effects, regime, ledger)
+        if type(ev) in SILENT:
+            silent += 1
+            assert (events, after) == ([], ledger) and snapshot(ledger) == before
+    assert silent == 3
+
+
+@pytest.mark.parametrize("regime", list(Regime), ids=lambda r: r.value)
+def test_a_subclass_of_a_silent_class_still_goes_through_realize(realized_for, regime):
+    sub = subclass(Buy)
+    events = tuple(recast(ev, Buy, sub) for ev in builtin("strategy3").events)
+    run(Scenario("sub", ABC, events), regime)
+    assert realized_for == [sub, ShortSell, CoverByOwnedLot]
+    ledger = Ledger()
+    _, effects = apply_event(ledger, sub(1, "ABC", 10), ABC)
+    assert realize(effects, regime, ledger) == ([], ledger)
+
+
 # The strangers have the ``at`` and ``sec`` that a scenario's tick and price checks read.
 NON_EVENTS = [
     object(), "buy", None, SimpleNamespace(at=2, sec="ABC", qty=10), SimpleNamespace(at=0, sec="XYZ", qty=10),
@@ -108,7 +166,7 @@ def test_a_non_event_is_refused_and_changes_nothing(bad):
 
 @pytest.mark.parametrize("regime", list(Regime), ids=lambda r: r.value)
 def test_realize_refuses_effects_of_a_non_event(regime):
-    effects = LedgerEffects(object(), 1, "ABC", 10, Money.from_pesos(50), Money.zero())
+    effects = LedgerEffects(object(), Money.from_pesos(50), 0)
     with pytest.raises(TypeError, match="unknown transaction event"):
         realize(effects, regime, Ledger())
 

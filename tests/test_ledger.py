@@ -13,6 +13,7 @@ from realize import (
     CoverByPurchase,
     Death,
     Ledger,
+    LedgerEffects,
     Money,
     PricePath,
     SellOwned,
@@ -29,7 +30,7 @@ from realize.errors import (
     NoOpenBorrow,
     OverCover,
 )
-from ledger_views import borrowed_unsold_qty, borrows, snapshot, sold_uncovered_qty
+from ledger_views import borrowed_unsold_qty, borrows, owned_qty, snapshot, sold_uncovered_qty
 
 ABC_PRICES = PricePath.from_table(
     {"ABC": {1: Money.from_pesos(50), 2: Money.from_pesos(100), 3: Money.from_pesos(30)}}
@@ -99,7 +100,7 @@ class TestBuyAndSell:
         assert lot.basis_per_share == Money.from_pesos(50)
         assert lot.method is AcquisitionMethod.PURCHASE
         assert ledger.cash == Money.from_pesos(-5_000_000)
-        assert eff.lot_created == lot
+        assert eff == LedgerEffects(Buy(1, "ABC", 100_000), lot.basis_per_share, -500_000_000)
 
     def test_one_buy_one_sell_cash(self):
         ledger, _ = apply_all([Buy(1, "ABC", 100_000), SellOwned(2, "ABC", 100_000)])
@@ -132,7 +133,9 @@ class TestBorrowAndShort:
         assert pos.short_proceeds_per_share == Money.from_pesos(100)
         assert pos.sold_at == 2
         assert ledger.cash == Money.from_pesos(10_000_000)
-        assert effects[1].shorts_sold[0].proceeds_per_share == Money.from_pesos(100)
+        ((sold, qty),) = effects[1].shorts
+        assert sold == pos and qty == 100_000
+        assert sold.short_proceeds_per_share == Money.from_pesos(100)
 
     def test_short_sell_without_borrow(self):
         with pytest.raises(NoOpenBorrow):
@@ -155,7 +158,7 @@ class TestBorrowAndShort:
 
     def test_borrowed_shares_never_count_as_owned(self):
         ledger, _ = apply_all([Borrow(1, "ABC", 100)])
-        assert ledger.owned_qty("ABC") == 0
+        assert owned_qty(ledger, "ABC") == 0
         assert borrowed_unsold_qty(ledger, "ABC") == 100
 
 
@@ -164,8 +167,9 @@ class TestCash:
         ledger = Ledger()
         events = (Buy(1, "ABC", 10), Borrow(2, "ABC", 10), ShortSell(2, "ABC", 10), SellOwned(2, "ABC", 4),
                   CoverByPurchase(3, "ABC", 5), CoverByOwnedLot(3, "ABC", 5), Death(3))
-        deltas = [apply_event(ledger, ev, ABC_PRICES)[1].cash_delta for ev in events]
-        assert ledger.cash == sum(deltas, Money.zero()) == Money.from_pesos(-500 + 1_000 + 400 - 150)
+        deltas = [apply_event(ledger, ev, ABC_PRICES)[1].cash_centavos for ev in events]
+        assert all(type(delta) is int for delta in deltas)
+        assert ledger.cash == Money(sum(deltas)) == Money.from_pesos(-500 + 1_000 + 400 - 150)
         with pytest.raises(AttributeError):
             ledger.cash = Money.zero()
 
@@ -181,8 +185,9 @@ class TestCover:
         )
         assert borrows(ledger) == ()
         assert ledger.cash == Money.from_pesos(10_000_000 - 3_000_000)
-        (slice_,) = effects[2].shorts_covered
-        assert slice_.proceeds_per_share == Money.from_pesos(100)
+        ((pos, qty),) = effects[2].shorts
+        assert qty == 100_000
+        assert pos.short_proceeds_per_share == Money.from_pesos(100)
 
     def test_cover_with_owned_lot_moves_no_cash(self):
         ledger, effects = apply_all(
@@ -197,9 +202,9 @@ class TestCover:
         assert borrows(ledger) == ()
         assert ledger.cash == Money.from_pesos(-5_000_000 + 10_000_000)
         eff = effects[3]
-        assert eff.cash_delta == Money.zero()
-        assert eff.lots_consumed[0].basis_per_share == Money.from_pesos(50)
-        assert eff.shorts_covered[0].proceeds_per_share == Money.from_pesos(100)
+        assert eff.cash_centavos == 0
+        assert eff.lots_consumed[0][0].basis_per_share == Money.from_pesos(50)
+        assert eff.shorts[0][0].short_proceeds_per_share == Money.from_pesos(100)
 
     def test_cover_with_owned_lot_without_inventory(self):
         with pytest.raises(InsufficientOwnedShares):
@@ -236,10 +241,10 @@ class TestCover:
                 CoverByPurchase(3, "ABC", 150),
             ]
         )
-        covered = effects[-1].shorts_covered
-        assert [s.qty for s in covered] == [100, 50]
-        assert covered[0].proceeds_per_share == Money.from_pesos(50)
-        assert covered[1].proceeds_per_share == Money.from_pesos(100)
+        covered = effects[-1].shorts
+        assert [qty for _, qty in covered] == [100, 50]
+        assert covered[0][0].short_proceeds_per_share == Money.from_pesos(50)
+        assert covered[1][0].short_proceeds_per_share == Money.from_pesos(100)
         assert sold_uncovered_qty(ledger, "ABC") == 50
 
 
@@ -254,14 +259,46 @@ class TestMatchLots:
         return effects[-1].lots_consumed
 
     def test_single_lot_full_take(self):
-        (s,) = self.sold([Buy(1, "ABC", 100_000)], 100_000)
-        assert (s.lot_id, s.qty, s.basis_per_share) == (0, 100_000, Money.from_pesos(50))
+        ((lot, qty),) = self.sold([Buy(1, "ABC", 100_000)], 100_000)
+        assert (lot.id, qty, lot.basis_per_share) == (0, 100_000, Money.from_pesos(50))
 
     def test_fifo_spills_into_second_lot(self):
         # Forced by the FIFO definition: the older lot empties first.
-        a, b = self.sold(self.TWO_LOTS, 100_000)
-        assert (a.lot_id, a.qty, a.basis_per_share) == (0, 60_000, Money.from_pesos(50))
-        assert (b.lot_id, b.qty, b.basis_per_share) == (1, 40_000, Money.from_pesos(80))
+        (a, a_qty), (b, b_qty) = self.sold(self.TWO_LOTS, 100_000)
+        assert (a.id, a_qty, a.basis_per_share) == (0, 60_000, Money.from_pesos(50))
+        assert (b.id, b_qty, b.basis_per_share) == (1, 40_000, Money.from_pesos(80))
+
+
+class TestEffectPairs:
+    """Effects name the ledger's own lots and positions taken, first in first out, as they stood before."""
+
+    def test_a_sale_names_its_lots_as_they_stood_before_it(self):
+        ledger, _ = apply_all([Buy(1, "ABC", 30), Buy(2, "ABC", 40), Buy(3, "ABC", 50)])
+        first, second, _ = ledger.lots_of("ABC")
+        _, (eff,) = apply_all([SellOwned(3, "ABC", 60)], ledger=ledger)
+        assert eff.lots_consumed == ((first, 30), (second, 30))
+        assert [(lot.id, lot.qty) for lot, _ in eff.lots_consumed] == [(0, 30), (1, 40)]
+        assert [(lot.id, lot.qty) for lot in ledger.lots_of("ABC")] == [(1, 10), (2, 50)]
+
+    def test_a_short_sale_names_the_positions_sold_and_a_cover_those_covered(self):
+        _, effects = apply_all(
+            [Borrow(1, "ABC", 30), Borrow(1, "ABC", 40), ShortSell(2, "ABC", 50), CoverByPurchase(3, "ABC", 40)]
+        )
+        sale, cover = effects[2:]
+        assert [(p.id, p.qty_sold_short, p.short_proceeds_per_share, p.sold_at, qty) for p, qty in sale.shorts] == [
+            (0, 30, Money.from_pesos(100), 2, 30), (1, 20, Money.from_pesos(100), 2, 20),
+        ]
+        # Each covered position as it stood before the cover: as sold, nothing covered yet.
+        assert cover.shorts == ((sale.shorts[0][0], 30), (sale.shorts[1][0], 10))
+
+    def test_a_cover_names_a_lot_taken_twice_reserved_pair_first(self):
+        ledger, effects = apply_all([Buy(1, "ABC", 100), Borrow(2, "ABC", 100), ShortSell(2, "ABC", 50)])
+        (lot,) = ledger.lots_of("ABC")
+        assert ledger.reserve(effects[-1]) == [(lot, 50)]
+        # The second short sale reserves nothing: only the first position's shares were sold against lot 0.
+        _, (_, cover) = apply_all([ShortSell(2, "ABC", 50), CoverByOwnedLot(3, "ABC", 100)], ledger=ledger)
+        assert cover.lots_consumed == ((lot, 50), (lot, 50)) and cover.reserved_slices == 1
+        assert not ledger.lots and not ledger.reserved_by_lot("ABC")
 
 
 class TestStepUp:
@@ -313,7 +350,7 @@ class TestStepUp:
         ledger, _ = apply_all([Buy(1, "ABC", 100)], path=self.DEATH_PRICES)
         after, (eff,) = apply_all([Death(3, heir="Y")], self.DEATH_PRICES, ledger=ledger)
         assert after.owner_generation == 1
-        assert eff.cash_delta == Money.zero()
+        assert eff.cash_centavos == 0
 
 
 THREE_PRICES = PricePath.from_table(
@@ -385,8 +422,8 @@ class TestPerSecurityLedger:
         ]
         ledger, effects = apply_all(events, path=THREE_PRICES)
         sale, cover = effects[-2:]
-        assert [(s.lot_id, s.qty) for s in sale.lots_consumed] == [(0, 100), (3, 50)]
-        assert [(s.lot_id, s.qty) for s in cover.lots_consumed] == [(1, 100)]
+        assert [(lot.id, qty) for lot, qty in sale.lots_consumed] == [(0, 100), (3, 50)]
+        assert [(lot.id, qty) for lot, qty in cover.lots_consumed] == [(1, 100)]
         assert [(lot.id, lot.qty) for lot in ledger.lots_of("AAA")] == [(3, 50), (6, 100)]
         assert [(lot.id, lot.qty) for lot in ledger.lots_of("BBB")] == [(4, 100), (7, 100)]
         assert [(lot.id, lot.qty) for lot in ledger.lots_of("CCC")] == [(2, 100), (5, 100), (8, 100)]

@@ -23,7 +23,7 @@ from realize import (
     run,
 )
 from realize.errors import EngineError, InsufficientOwnedShares, OverCover
-from ledger_views import borrows, snapshot
+from ledger_views import borrows, owned_qty, snapshot
 
 ABC_PRICES = PricePath.from_table(
     {"ABC": {1: Money.from_pesos(50), 2: Money.from_pesos(100), 3: Money.from_pesos(30)}}
@@ -43,7 +43,7 @@ def run_events(events, regime, path=ABC_PRICES, ledger=None):
 
 def unreserved(ledger, sec="ABC"):
     """Owned shares of ``sec`` that no short sale has reserved."""
-    return ledger.owned_qty(sec) - sum(ledger.reserved_by_lot(sec).values())
+    return owned_qty(ledger, sec) - sum(ledger.reserved_by_lot(sec).values())
 
 
 STRATEGY3 = (
@@ -395,10 +395,7 @@ class TestRaisingRealizeLeavesBookUnchanged:
 
 class TestHandBuiltEffects:
     def test_sale_effects_without_price_raise_an_engine_error(self):
-        effects = LedgerEffects(
-            event=SellOwned(2, "ABC", 100), at=2, sec="ABC", qty=100, price=None,
-            cash_delta=Money.zero(),
-        )
+        effects = LedgerEffects(event=SellOwned(2, "ABC", 100), price=None, cash_centavos=0)
         for regime in Regime:
             with pytest.raises(EngineError):
                 realize(effects, regime, Ledger())

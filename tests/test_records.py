@@ -33,10 +33,8 @@ from realize.ledger import (
     Death,
     LedgerEffects,
     Lot,
-    LotSlice,
     SellOwned,
     ShortSell,
-    ShortSlice,
     _Trade,
 )
 from realize.market import Money, PricePath, Rate, record
@@ -59,8 +57,6 @@ TRADE_KINDS = [Buy, Borrow, ShortSell, SellOwned, CoverByPurchase, CoverByOwnedL
 P = Money(5000)
 LOT = Lot(0, "ABC", 100, P, 1)
 POSITION = BorrowPosition(0, "ABC", 100, 1, 100, P, 2, 40)
-LOT_SLICE = LotSlice(0, 50, P, 1, AcquisitionMethod.PURCHASE)
-SHORT_SLICE = ShortSlice(0, 50, P, 2)
 PATH = PricePath({("ABC", 1): P, ("ABC", 2): Money(8000)})
 # An empty name: ``test_fields_and_replace`` puts it in as the events, which must validate.
 SCENARIO = Scenario("", PATH, (Buy(1, "ABC", 100), SellOwned(2, "ABC", 100)))
@@ -77,12 +73,7 @@ SAMPLES = {
     Lot: (0, "ABC", 100, P, 1, AcquisitionMethod.INHERITANCE),
     BorrowPosition: (0, "ABC", 100, 1, 100, P, 2, 40),
     _Trade: (1, "ABC", 100),
-    LotSlice: (0, 50, P, 1, AcquisitionMethod.PURCHASE),
-    ShortSlice: (0, 50, P, 2),
-    LedgerEffects: (
-        CoverByOwnedLot(3, "ABC", 50), 3, "ABC", 50, P, Money(-1), LOT, POSITION,
-        (LOT_SLICE,), (SHORT_SLICE,), (SHORT_SLICE, SHORT_SLICE), 1,
-    ),
+    LedgerEffects: (CoverByOwnedLot(3, "ABC", 50), P, -1, ((LOT, 50),), ((POSITION, 50), (POSITION, 10)), 1),
     RealizationEvent: (3, RealizationKind.SHORT_COVER, "ABC", 100, P, Money(3000)),
     CashPoint: (1, Money(-500000), Money(-500000)),
     TaxLine: (3, Money(200000), Money(10000)),

@@ -188,7 +188,7 @@ class TestValidation:
     @pytest.mark.parametrize(
         "quotes, event, message",
         [
-            ({(5, 1): Money(100)}, Buy(1, 5, 10), "security symbol must be a str, got int 5"),
+            ({}, Buy(1, 5, 10), "security symbol must be a str, got int 5"),
             ({("ABC", 1): Money(100)}, SellOwned(1, b"ABC", 10), "security symbol must be a str, got bytes b'ABC'"),
             ({("ABC", 1): Money(100)}, Death(1, 7), "heir label must be a str, got int 7"),
         ],
@@ -206,6 +206,15 @@ class TestValidation:
             Scenario("s", PricePath({("ABC", 1): Money(100), key: Money(100)}), (Buy(1, "ABC", 10),))
         assert str(exc.value) == f"a quote key must be a (str security symbol, tick) pair, got {key!r}"
         assert not hasattr(exc.value, "event_index")
+
+    @pytest.mark.parametrize("key", [(5, 1), "AB", 5, ("ABC", 1, 2)], ids=repr)
+    def test_a_bare_price_path_with_a_bad_quote_key_is_refused(self, key):
+        with pytest.raises(InvalidSymbol) as exc:
+            PricePath({("ABC", 1): Money(100), key: Money(100)})
+        assert str(exc.value) == f"a quote key must be a (str security symbol, tick) pair, got {key!r}"
+        assert not hasattr(exc.value, "event_index")
+        with pytest.raises(InvalidSymbol, match=r"got \(5, 1\)"):
+            PricePath.from_table({5: {1: Money(100)}})
 
     def test_a_str_subclass_and_a_missing_heir_pass(self):
         class Symbol(str):
@@ -616,7 +625,7 @@ class TestValueRoundTrip:
         _, sale = apply_event(ledger, SellOwned(3, "ABC", 10), prices)
         records = [
             report.events[0], report.tax_lines[0], report.cash_timeline[0], report.total_tax,
-            lot, position, short, short.shorts_sold[0], sale.lots_consumed[0],
+            lot, position, short, short.shorts[0][0], sale.lots_consumed[0][0],
             builtin("strategy3").events[0],
         ]
         for record in records:
