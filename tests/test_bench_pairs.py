@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -79,7 +80,8 @@ def test_pairs_alternate_and_one_label_collects_several_calls(tool, tmp_path, mo
     data = json.loads((tmp_path / "BENCH_t.json").read_text(encoding="utf-8"))
     assert set(data["runs"]) == {"deep_book", "cli_cold"}
     assert data["parent"] == {
-        "commit": "parent-commit", "src_sha256": "parent-hash", "bench_sha256": tool.bench_digest(tmp_path / "parent")
+        "commit": "parent-commit", "src_sha256": "parent-hash", "bench_sha256": tool.bench_digest(tmp_path / "parent"),
+        "bytecode_cache": False,
     }
     run = data["runs"]["deep_book"]["1"]
     assert [p["first"] for p in run["pairs"]] == ["parent", "change", "parent"]
@@ -122,5 +124,43 @@ def test_a_label_refuses_runs_of_another_harness(tool, tmp_path, monkeypatch):
             "--seconds", "1", "--label", "t", "--workload", "path_batch"]
     assert tool.main([*args, "--seed", "1"]) == 0
     write(tmp_path / "parent", {"bench/run.py": "edited"})
-    with pytest.raises(SystemExit, match="another parent source or harness"):
+    with pytest.raises(SystemExit, match="another parent source, harness or bytecode-cache state"):
         tool.main([*args, "--seed", "2"])
+
+
+def test_only_checkouts_in_the_same_bytecode_cache_state_are_paired(tool, tmp_path, monkeypatch):
+    spec = {"end_to_end": [{"name": "items_per_s", "better": "higher"}]}
+    for side in ("parent", "change"):
+        write(tmp_path / side, {"BENCHMARK.json": json.dumps(spec), "bench/run.py": "", "src/realize/m.py": ""})
+    ran = []
+
+    def fake_run(checkout, workload, seed, seconds):
+        ran.append(checkout.name)
+        record = {"python": "3.x", "nproc": 2, "commit": "c", "src_sha256": checkout.name}
+        return {"correct": True, "metrics": {"items_per_s": {"value": 1.0}}}, record
+
+    monkeypatch.setattr(tool, "run_once", fake_run)
+    monkeypatch.chdir(tmp_path)
+    args = ["--parent", str(tmp_path / "parent"), "--change", str(tmp_path / "change"), "--pairs", "2",
+            "--seconds", "1", "--workload", "path_batch", "--seed", "1"]
+    cache = "src/realize/__pycache__/m.{}.pyc"
+    # Bytecode of another interpreter does not count.
+    write(tmp_path / "parent", {cache.format("other-99"): ""})
+    assert not tool.bytecode_cached(tmp_path / "parent")
+    assert tool.main([*args, "--label", "clean"]) == 0
+    data = json.loads((tmp_path / "BENCH_clean.json").read_text(encoding="utf-8"))
+    assert (data["parent"]["bytecode_cache"], data["change"]["bytecode_cache"]) == (False, False)
+
+    write(tmp_path / "parent", {cache.format(sys.implementation.cache_tag): ""})
+    assert tool.bytecode_cached(tmp_path / "parent")
+    ran.clear()
+    with pytest.raises(SystemExit, match="only the parent checkout has bytecode"):
+        tool.main([*args, "--label", "mixed"])
+    assert not ran and not (tmp_path / "BENCH_mixed.json").exists()
+    # The clean label refuses the cached parent's runs too.
+    write(tmp_path / "change", {cache.format(sys.implementation.cache_tag): ""})
+    with pytest.raises(SystemExit, match="bytecode-cache state"):
+        tool.main([*args, "--label", "clean"])
+    assert tool.main([*args, "--label", "cached"]) == 0
+    data = json.loads((tmp_path / "BENCH_cached.json").read_text(encoding="utf-8"))
+    assert (data["parent"]["bytecode_cache"], data["change"]["bytecode_cache"]) == (True, True)

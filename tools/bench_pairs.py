@@ -6,11 +6,15 @@
 Pair i runs ``bench/run.py --workload W --seed N --seconds S`` once in each
 checkout, the parent first on even i and the change first on odd i, with this
 process's environment passed through unchanged, so both sides see the same
-bytecode-cache setting.  The results go into ``BENCH_<L>.json`` in the current
+bytecode-cache setting.  Both checkouts must also start in the same
+bytecode-cache state: either both or neither has ``.pyc`` files for this
+interpreter in ``src/realize/__pycache__``, since a cached side starts its
+processes faster and would read better on ``setup_s`` and cli_cold.  The results go into ``BENCH_<L>.json`` in the current
 directory: an existing file keeps its other workload and seed entries, so one
 label collects several calls.  The file records the Python version, ``nproc``,
 ``PYTHONDONTWRITEBYTECODE``, both commits, both ``src/realize`` hashes (as
-the benchmark itself reports them), both harness hashes (``bench_sha256``, of
+the benchmark itself reports them), both bytecode-cache states
+(``bytecode_cache``), both harness hashes (``bench_sha256``, of
 the checkout's ``bench/*.py`` and ``BENCHMARK.json``, so that a reader can tell
 when a pair ran two harness versions), every pair's end-to-end values, and per
 metric each side's median and quartiles, the change/parent ratio of every
@@ -65,6 +69,12 @@ def bench_digest(checkout: Path) -> str:
     return h.hexdigest()
 
 
+def bytecode_cached(checkout: Path) -> bool:
+    """Whether ``src/realize/__pycache__`` of ``checkout`` holds ``.pyc`` files for this interpreter."""
+    pattern = f"*.{sys.implementation.cache_tag}.pyc"
+    return any((checkout / "src" / "realize" / "__pycache__").glob(pattern))
+
+
 def quartiles(values: list[float]) -> dict[str, float]:
     q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return {"q1": q1, "median": median, "q3": q3}
@@ -103,6 +113,13 @@ def main(argv: list[str] | None = None) -> int:
     spec = json.loads((args.change / "BENCHMARK.json").read_text(encoding="utf-8"))
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
     checkouts = {"parent": args.parent, "change": args.change}
+    cached = {side: bytecode_cached(checkouts[side]) for side in SIDES}
+    if cached["parent"] != cached["change"]:
+        only = "parent" if cached["parent"] else "change"
+        raise SystemExit(
+            f"bench_pairs: only the {only} checkout has bytecode in src/realize/__pycache__; "
+            "pair two checkouts in the same bytecode-cache state"
+        )
     pairs, records = [], {}
     for i in range(args.pairs):
         pair: dict = {"first": SIDES[i % 2]}
@@ -119,13 +136,16 @@ def main(argv: list[str] | None = None) -> int:
     data = json.loads(out.read_text(encoding="utf-8")) if out.exists() else {"label": args.label, "runs": {}}
     sides = {
         side: {"commit": records[side]["commit"], "src_sha256": records[side]["src_sha256"],
-               "bench_sha256": bench_digest(checkouts[side])}
+               "bench_sha256": bench_digest(checkouts[side]), "bytecode_cache": cached[side]}
         for side in SIDES
     }
     for side in SIDES:
         kept = data.get(side, {})
-        if any(key in kept and kept[key] != sides[side][key] for key in ("src_sha256", "bench_sha256")):
-            raise SystemExit(f"bench_pairs: {out} holds runs of another {side} source or harness; use another label")
+        if any(kept.get(key, value) != value for key, value in sides[side].items() if key != "commit"):
+            raise SystemExit(
+                f"bench_pairs: {out} holds runs of another {side} source, harness or bytecode-cache state; "
+                "use another label"
+            )
     data.update({
         "python": records["change"]["python"],
         "nproc": records["change"]["nproc"],
