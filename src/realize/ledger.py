@@ -85,9 +85,9 @@ class Lot:
 class BorrowPosition:
     """An open securities-borrowing obligation.
 
-    ``qty_outstanding`` is what is still owed to the lender.  Once sold short
-    the position records the proceeds price; realization of the short-sale
-    gain or loss is deferred to the cover under the existing rule.
+    ``qty_borrowed - qty_covered`` is what is still owed to the lender.  Once
+    sold short the position records the proceeds price; realization of the
+    short-sale gain or loss is deferred to the cover under the existing rule.
     """
 
     id: int
@@ -98,10 +98,6 @@ class BorrowPosition:
     short_proceeds_per_share: Money | None = None
     sold_at: Tick | None = None
     qty_covered: int = 0
-
-    @property
-    def qty_outstanding(self) -> int:
-        return self.qty_borrowed - self.qty_covered
 
 
 @record

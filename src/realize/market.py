@@ -7,11 +7,11 @@ one place an amount becomes text: ``str(Money)``, the CLI reports, the golden
 tables and the DSL printer all call it, each with its own flags.
 
 Every value class of the package is made by ``record``: frozen and slotted,
-with an ``__init__`` generated once per class.  Values the engine builds by the
-thousand are constructed the trusted way: their slots are written through
-the class's own slot descriptors, past the frozen ``__setattr__``.
-``_money`` does this for arithmetic results, and every record's generated
-``__init__`` does it before its ``__post_init__`` check.
+with a ``__new__`` generated once per class.  It fills a private twin class
+that holds the slots, with plain attribute stores, and hands the instance
+back as the frozen class before its ``__post_init__`` check, so no record is
+seen half built.  ``_money`` builds ``Money`` results the same way, trusted
+to be given ints, without the check.
 """
 
 from __future__ import annotations
@@ -19,7 +19,9 @@ from __future__ import annotations
 import re
 import sys
 from collections.abc import Mapping
+from functools import partial
 from operator import attrgetter, eq, ge, gt, le, lt
+from types import FunctionType
 
 from .errors import InvalidSymbol, MissingPrice, NegativeBase
 
@@ -89,13 +91,26 @@ def _repr(self) -> str:
     return f"{self.__class__.__qualname__}({shown})"
 
 
-def _getstate(self) -> tuple:
-    return tuple(getattr(self, name) for name in self.__match_args__)
+def _reduce(self) -> tuple:
+    """Pickle and ``copy`` rebuild a record by calling its class, so its checks run again."""
+    return self.__class__, tuple(getattr(self, name) for name in self.__match_args__)
 
 
-def _setstate(self, state: tuple) -> None:
-    for name, value in zip(self.__match_args__, state):
-        object.__setattr__(self, name, value)  # the slot's own descriptor, past _refuse_set
+def _init_subclass(cls, **kwargs) -> None:
+    """A subclass that adds a ``__dict__`` or slots gets a twin of its own beside it (same base, same
+    ``__slots__``); a twin itself, which keeps ``object.__setattr__``, needs none."""
+    if cls.__basicsize__ != cls.__base__.__basicsize__ and cls.__setattr__ is not object.__setattr__:
+        twin = type(f"_{cls.__name__}Slots", (cls.__base__,), {
+            "__setattr__": object.__setattr__, "__delattr__": object.__delattr__,
+            **{key: value for key, value in vars(cls).items() if key == "__slots__"},
+        })
+        new, blank = cls.__new__, partial(object.__new__, twin)
+        own = FunctionType(new.__code__, new.__globals__ | {"_blank": blank}, new.__name__, new.__defaults__)
+        own.__annotations__, own.__qualname__ = new.__annotations__, new.__qualname__
+        cls.__new__ = staticmethod(own)
+    # Pass the call on from the record class whose hook this is, so a mixin's hook after it still runs.
+    owner = next(c for c in cls.__mro__ if getattr(vars(c).get("__init_subclass__"), "__func__", 0) is _init_subclass)
+    super(owner, cls).__init_subclass__(**kwargs)
 
 
 def _comparison(name: str, op, values):
@@ -114,13 +129,15 @@ def record(cls: type | None = None, /, *, order: bool = False):
     """Make ``cls`` a frozen, slotted value class, like ``@dataclass(frozen=True, slots=True)``.
 
     The fields are the class's own annotations, in order, with plain
-    defaults; a default factory is refused.  One ``exec`` per class writes
-    ``__init__``, which sets each slot through its member descriptor, then
-    calls ``__post_init__`` when the class has one.  Equality, hashing and,
-    with ``order=True``, the four comparisons use the field values, read by
-    one ``operator.attrgetter``; ``__repr__`` and the pickle state read the
-    fields by name.  Methods the class defines itself are kept.  Any
-    attribute write or delete raises ``FrozenInstanceError``.
+    defaults; a default factory is refused, as is a base class or an own
+    ``__init__`` or ``__new__``.  The slots live on a plain private twin
+    class, which the record subclasses with ``__slots__ = ()``.  One ``exec``
+    per class writes ``__new__``, which makes a blank twin, fills it with
+    plain attribute stores, makes it the class, then calls ``__post_init__``
+    when the class has one.  Equality, hashing and, with ``order=True``, the
+    four comparisons use the field values, read by one ``operator.attrgetter``;
+    ``__repr__`` and pickling read the fields by name.  The class's own methods
+    are kept; any attribute write or delete raises ``FrozenInstanceError``.
     ``__dataclass_fields__`` and ``__dataclass_params__`` are built on first
     access, so ``dataclasses`` loads only when something asks for them.
     """
@@ -131,13 +148,16 @@ def record(cls: type | None = None, /, *, order: bool = False):
 
 def _build(cls: type, order: bool) -> type:
     ns = dict(cls.__dict__)
+    if cls.__bases__ != (object,) or "__init__" in ns or "__new__" in ns:
+        raise TypeError(f"record class {cls.__name__} takes no base class and no __init__ or __new__ of its own")
     ns.pop("__dict__", None)
     ns.pop("__weakref__", None)
     annotations = ns.get("__annotations__", {})
     names = tuple(annotations)
-    env: dict[str, object] = {"__name__": cls.__module__}
+    twin = type(f"_{cls.__name__}Slots", (), {"__slots__": names, "__qualname__": f"_{cls.__qualname__}Slots"})
+    env: dict[str, object] = {"__name__": cls.__module__, "_blank": twin}
     defaults: dict[str, object] = {}
-    params = ["self"]
+    params = ["cls"]
     for name in names:
         if name not in ns:
             if defaults:
@@ -155,33 +175,33 @@ def _build(cls: type, order: bool) -> type:
         env[f"_dflt_{name}"] = default
         params.append(f"{name}=_dflt_{name}")
 
-    # Only __init__ is generated: compiling source is most of what building a class costs.
-    body = [f"_set_{name}(self, {name})" for name in names]
+    # Only __new__ is generated: compiling source is most of what building a class costs.
+    body = ["self = _blank()", *(f"self.{name} = {name}" for name in names), "self.__class__ = cls"]
     if hasattr(cls, "__post_init__"):
         body.append("self.__post_init__()")
-    exec(f"def __init__({', '.join(params)}):\n    " + "\n    ".join(body), env)
-    init = env["__init__"]
-    init.__annotations__ = {name: annotations[name] for name in names} | {"return": None}
-    init.__qualname__ = f"{cls.__qualname__}.__init__"
+    exec(f"def __new__({', '.join(params)}):\n    " + "\n    ".join(body) + "\n    return self", env)
+    new = env["__new__"]
+    new.__annotations__ = {name: annotations[name] for name in names} | {"return": None}
+    new.__qualname__ = f"{cls.__qualname__}.__init__"  # what the argument TypeErrors name
     values = attrgetter(*names)  # the one field's value itself when there is only one
 
     def __hash__(self) -> int:
         return hash(values(self))
 
     methods = {
-        "__init__": init,
+        "__new__": new,
+        "__init_subclass__": _init_subclass,
         "__repr__": _repr,
         "__eq__": _comparison("__eq__", eq, values),
         "__hash__": __hash__,
-        "__getstate__": _getstate,
-        "__setstate__": _setstate,
+        "__reduce__": _reduce,
         "__setattr__": _refuse_set,
         "__delattr__": _refuse_delete,
     }
     for op in (lt, le, gt, ge) if order else ():
         methods[f"__{op.__name__}__"] = _comparison(f"__{op.__name__}__", op, values)
     ns = methods | ns  # what the class defines itself wins
-    ns["__slots__"] = ns["__match_args__"] = names
+    ns["__slots__"], ns["__match_args__"] = (), names
     ns["__qualname__"] = cls.__qualname__
     ns["__dataclass_fields__"] = _DataclassAttr(annotations, defaults, order)
     ns["__dataclass_params__"] = _DataclassAttr(annotations, defaults, order)
@@ -191,10 +211,7 @@ def _build(cls: type, order: bool) -> type:
             + (f" = {defaults[name]!r}" if name in defaults else "")
             for name in names
         ) + ")"
-    built = type(cls)(cls.__name__, cls.__bases__, ns)
-    for name in names:
-        env[f"_set_{name}"] = built.__dict__[name].__set__
-    return built
+    return type(cls)(cls.__name__, (twin,), ns)
 
 
 @record(order=True)
@@ -282,17 +299,15 @@ def pesos(centavos: int, *, symbol: str = "", cents: bool = True, parens: bool =
     return "-" + body if centavos < 0 else body
 
 
-# Trusted construction: a slot's member descriptor sets the slot itself,
-# past the frozen __setattr__.  ``_money`` uses it for Money results, and
-# ``record`` for the ``__init__`` of every engine record.
-_new = object.__new__
-_set_centavos = Money.centavos.__set__
+# Trusted construction, as Money's __new__ fills its twin but without the check: faster than a descriptor call.
+_MoneySlots = Money.__base__
 
 
 def _money(centavos: int) -> Money:
     """Trusted constructor: only for ints, such as int +, - and * results."""
-    m = _new(Money)
-    _set_centavos(m, centavos)
+    m = _MoneySlots()
+    m.centavos = centavos
+    m.__class__ = Money
     return m
 
 
@@ -371,9 +386,3 @@ class PricePath:
             return self.quotes[(sec, t)]
         except KeyError:
             raise MissingPrice(sec, t) from None
-
-    def securities(self) -> tuple[SecurityId, ...]:
-        return tuple(sorted({sec for sec, _ in self.quotes}))
-
-    def ticks(self, sec: SecurityId) -> tuple[Tick, ...]:
-        return tuple(sorted(t for s, t in self.quotes if s == sec))

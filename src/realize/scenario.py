@@ -70,8 +70,8 @@ class Scenario:
     for an event that is not an instance of an event class or of a subclass,
     ``NonMonotonicTick`` or ``UndefinedPrice`` when ticks decrease or an event
     has no price, and ``InvalidSymbol`` when a security symbol or heir label is
-    not a ``str``.  The ``PricePath`` has checked its quote keys when it was
-    built.
+    not a ``str`` or holds a character neither printable nor whitespace (an
+    escape, a NUL, a bidi override).  Its ``PricePath`` checked its quote keys.
     """
 
     name: str
@@ -91,16 +91,21 @@ class Scenario:
                 )
             last = ev.at
             if not trade:
-                if ev.heir is not None and not isinstance(ev.heir, str):
-                    raise _annotate(_not_str("heir label", ev.heir), index)
-            elif not isinstance(ev.sec, str):
-                raise _annotate(_not_str("security symbol", ev.sec), index)
+                if ev.heir is not None and (err := _refused("heir label", ev.heir)):
+                    raise _annotate(err, index)
+            elif not (type(ev.sec) is str and ev.sec.isprintable()) and (err := _refused("security symbol", ev.sec)):
+                raise _annotate(err, index)
             elif (ev.sec, ev.at) not in quotes:
                 raise _annotate(UndefinedPrice(f"no price for {ev.sec} at tick {ev.at}"), index)
 
 
-def _not_str(what: str, value: object) -> InvalidSymbol:
-    return InvalidSymbol(f"{what} must be a str, got {type(value).__name__} {value!r}")
+def _refused(what: str, value: object) -> InvalidSymbol | None:
+    """The error for a symbol or label that is not a ``str`` of printable characters and whitespace, or None."""
+    if not isinstance(value, str):
+        return InvalidSymbol(f"{what} must be a str, got {type(value).__name__} {value!r}")
+    if not "".join(value.split()).isprintable():  # the writers quote whitespace; the DSL cannot spell it
+        return InvalidSymbol(f"{what} must be printable, got {value!r}")
+    return None
 
 
 _TRADES = {"buy": Buy, "borrow": Borrow, "short-sell": ShortSell, "sell": SellOwned}
@@ -113,6 +118,9 @@ _COVER = (*_TRADE, "'by-purchase' or 'with-owned'")
 _DEATH = ("at", "tick", "death", "'heir'", "heir label")
 
 _TOKEN_RE = re.compile(r"\S+")
+
+# int() refuses more than 4,300 digits by default (CVE-2020-10735), and a price gains two for its centavos.
+_MAX_DIGITS = 4_000
 
 
 def _col(code: str, index: int) -> int:
@@ -134,15 +142,17 @@ def _count_error(tokens: list[str], names: tuple[str, ...], code: str, line_no: 
 
 
 def _int(tokens: list[str], index: int, what: str, code: str, line_no: int) -> int:
-    """Token ``index`` read as an integer spelled ``-?[0-9]+`` in ASCII.
+    """Token ``index`` read as an integer spelled ``-?[0-9]+`` in ASCII, of at most ``_MAX_DIGITS`` characters.
 
     Exactly this spelling: int() would also take '+', '_' and other scripts' digits.
     """
     token = tokens[index]
     digits = token[1:] if token[:1] == "-" else token
-    if digits.isdigit() and digits.isascii():
-        return int(token)
-    raise ParseError(f"expected {what}, got {token!r}", line_no, _col(code, index))
+    if not (digits.isdigit() and digits.isascii()):
+        raise ParseError(f"expected {what}, got {token!r}", line_no, _col(code, index))
+    if len(token) > _MAX_DIGITS:
+        raise ParseError(f"{what} is longer than {_MAX_DIGITS:,} characters", line_no, _col(code, index))
+    return int(token)
 
 
 def parse_scenario(text: str, name: str = "scenario") -> Scenario:
@@ -165,10 +175,16 @@ def parse_scenario(text: str, name: str = "scenario") -> Scenario:
             if n != 4:
                 raise _count_error(tokens, _PRICE, code, line_no)
             _, sym, tick, price_tok = tokens
-            t = int(tick) if tick.isdigit() and tick.isascii() else _int(tokens, 2, "tick", code, line_no)
+            if not sym.isprintable():
+                raise ParseError(f"security symbol must be printable, got {sym!r}", line_no, _col(code, 1))
+            t = int(tick) if tick.isdigit() and tick.isascii() and len(tick) <= _MAX_DIGITS else _int(
+                tokens, 2, "tick", code, line_no
+            )
             if t < 0:
                 raise ParseError(f"tick must be non-negative, got {t}", line_no, _col(code, 2))
             whole, dot, cents = price_tok.partition(".")
+            if len(price_tok) > _MAX_DIGITS:
+                raise ParseError(f"price is longer than {_MAX_DIGITS:,} characters", line_no, _col(code, 3))
             if price_tok.isascii() and whole.isdigit() and (not dot or cents.isdigit() and len(cents) < 3):
                 price = _money(int(whole + (cents + "00")[:2]))
             else:
@@ -190,7 +206,9 @@ def parse_scenario(text: str, name: str = "scenario") -> Scenario:
         if n < 2:
             raise _count_error(tokens, _TRADE, code, line_no)
         tick = tokens[1]
-        t = int(tick) if tick.isdigit() and tick.isascii() else _int(tokens, 1, "tick", code, line_no)
+        t = int(tick) if tick.isdigit() and tick.isascii() and len(tick) <= _MAX_DIGITS else _int(
+            tokens, 1, "tick", code, line_no
+        )
         if t < 0:
             raise ParseError(f"tick must be non-negative, got {t}", line_no, _col(code, 1))
         if n < 3:
@@ -202,6 +220,8 @@ def parse_scenario(text: str, name: str = "scenario") -> Scenario:
                 raise ParseError(f"expected 'heir', got {tokens[3]!r}", line_no, _col(code, 3))
             if n != 3 and n != 5:
                 raise _count_error(tokens, _DEATH, code, line_no)
+            if n == 5 and not tokens[4].isprintable():
+                raise ParseError(f"heir label must be printable, got {tokens[4]!r}", line_no, _col(code, 4))
             events.append(Death(t, tokens[4] if n == 5 else None))
             event_lines.append(line_no)
             continue
@@ -215,7 +235,9 @@ def parse_scenario(text: str, name: str = "scenario") -> Scenario:
         if n != len(names):
             raise _count_error(tokens, names, code, line_no)
         count = tokens[4]
-        qty = int(count) if count.isdigit() and count.isascii() else _int(tokens, 4, "share quantity", code, line_no)
+        qty = int(count) if count.isdigit() and count.isascii() and len(count) <= _MAX_DIGITS else _int(
+            tokens, 4, "share quantity", code, line_no
+        )
         if qty <= 0:
             raise InvalidQuantity(f"quantity must be positive, got {qty}", line_no, _col(code, 4))
         if verb != "cover":
@@ -224,6 +246,8 @@ def parse_scenario(text: str, name: str = "scenario") -> Scenario:
             kind = _COVERS[tokens[5]]
         else:
             raise ParseError(f"expected {names[5]}, got {tokens[5]!r}", line_no, _col(code, 5))
+        if not tokens[3].isprintable():
+            raise ParseError(f"security symbol must be printable, got {tokens[3]!r}", line_no, _col(code, 3))
         events.append(kind(t, tokens[3], qty))
         event_lines.append(line_no)
 
@@ -241,7 +265,7 @@ _SPELLINGS.update({kind: ("cover", f" {mode}") for mode, kind in _COVERS.items()
 
 def _token(text: str) -> str:
     """``text`` as one DSL token; EngineError if it is empty or would not read back as itself."""
-    if "#" in text or text.split() != [text]:
+    if "#" in text or text.split() != [text] or not text.isprintable():
         raise EngineError(f"{text!r} cannot be written as one scenario token")
     return text
 
@@ -250,7 +274,8 @@ def format_scenario(s: Scenario) -> str:
     """Print a scenario back into the DSL; parsing the result reproduces it.
 
     A subclass of an event class prints as that class.  What the parser would refuse raises
-    ``EngineError``: a security symbol or heir label that is empty or holds whitespace or ``#``, a
+    ``EngineError``: a security symbol or heir label that is empty or holds whitespace, ``#`` or a
+    control character, a
     tick that is not a non-negative ``int`` and a negative price.  The events are checked first, so an
     error in one carries its ``event_index``; a quote's error names the quote.
     """
@@ -288,6 +313,22 @@ def _grid_sec(future: Money) -> str:
     return f"F{future.centavos // 100}"
 
 
+def _two_tick(
+    prices: PricePath, sec: SecurityId, open_at: Tick, close_at: Tick, short: bool = False,
+    qty: int = BLOCK_QTY,
+) -> Scenario:
+    """``qty`` shares of ``sec`` bought at ``open_at`` and sold at ``close_at``.
+
+    With ``short``, they are borrowed and sold short at ``open_at`` and
+    covered by purchase at ``close_at`` instead.
+    """
+    if short:
+        events = (Borrow(open_at, sec, qty), ShortSell(open_at, sec, qty), CoverByPurchase(close_at, sec, qty))
+    else:
+        events = (Buy(open_at, sec, qty), SellOwned(close_at, sec, qty))
+    return Scenario(f"{'short' if short else 'ordinary'}_{sec}", prices, events)
+
+
 def _builtin_scenarios() -> dict[str, Scenario]:
     abc = _abc_prices()
     deferral_events = (
@@ -313,28 +354,14 @@ def _builtin_scenarios() -> dict[str, Scenario]:
         }
     )
     return {
-        "strategy1": Scenario(
-            "strategy1",
-            abc,
-            (Buy(at=1, sec="ABC", qty=BLOCK_QTY), SellOwned(at=2, sec="ABC", qty=BLOCK_QTY)),
-        ),
-        "strategy2": Scenario(
-            "strategy2",
-            abc,
-            (Buy(at=1, sec="ABC", qty=BLOCK_QTY), SellOwned(at=3, sec="ABC", qty=BLOCK_QTY)),
-        ),
+        "strategy1": Scenario("strategy1", abc, _two_tick(abc, "ABC", 1, 2).events),
+        "strategy2": Scenario("strategy2", abc, _two_tick(abc, "ABC", 1, 3).events),
         "strategy3": Scenario("strategy3", abc, deferral_events),
         "proposed_demo": Scenario("proposed_demo", abc, deferral_events),
         "death_avoidance": Scenario(
             "death_avoidance",
             death_prices,
-            (
-                Buy(at=1, sec="ABC", qty=BLOCK_QTY),
-                Borrow(at=2, sec="ABC", qty=BLOCK_QTY),
-                ShortSell(at=2, sec="ABC", qty=BLOCK_QTY),
-                Death(at=3, heir="Y"),
-                CoverByOwnedLot(at=4, sec="ABC", qty=BLOCK_QTY),
-            ),
+            (*deferral_events[:3], Death(at=3, heir="Y"), CoverByOwnedLot(at=4, sec="ABC", qty=BLOCK_QTY)),
         ),
         "offset_grid": Scenario("offset_grid", grid_prices, ()),
     }
@@ -555,22 +582,6 @@ class GridRow:
     present_price: Money
     ordinary_gain_per_share: Money
     short_gain_per_share: Money
-
-
-def _two_tick(
-    prices: PricePath, sec: SecurityId, open_at: Tick, close_at: Tick, short: bool = False,
-    qty: int = BLOCK_QTY,
-) -> Scenario:
-    """``qty`` shares of ``sec`` bought at ``open_at`` and sold at ``close_at``.
-
-    With ``short``, they are borrowed and sold short at ``open_at`` and
-    covered by purchase at ``close_at`` instead.
-    """
-    if short:
-        events = (Borrow(open_at, sec, qty), ShortSell(open_at, sec, qty), CoverByPurchase(close_at, sec, qty))
-    else:
-        events = (Buy(open_at, sec, qty), SellOwned(close_at, sec, qty))
-    return Scenario(f"{'short' if short else 'ordinary'}_{sec}", prices, events)
 
 
 def offset_grid_rows(qty: int = BLOCK_QTY) -> list[GridRow]:

@@ -1,4 +1,4 @@
-"""Reads of a run's ``Ledger`` that only the tests need.
+"""Reads of a run's ``Ledger``, its borrow positions and a ``PricePath`` that only the tests need.
 
 ``snapshot`` is a deep copy of every field of a ledger, so two snapshots
 are equal exactly when the two ledgers hold the same lots, borrow positions,
@@ -34,6 +34,11 @@ def qty_unsold(position):
     return position.qty_borrowed - position.qty_sold_short
 
 
+def qty_outstanding(position):
+    """Shares of a borrow position still owed to the lender."""
+    return position.qty_borrowed - position.qty_covered
+
+
 def qty_sold_uncovered(position):
     """Shares of a borrow position sold short and not yet covered."""
     return position.qty_sold_short - position.qty_covered
@@ -45,3 +50,13 @@ def borrowed_unsold_qty(ledger, sec):
 
 def sold_uncovered_qty(ledger, sec):
     return sum(qty_sold_uncovered(p) for p in ledger.borrows_of(sec))
+
+
+def quoted_securities(path):
+    """Every security ``path`` quotes, sorted."""
+    return tuple(sorted({sec for sec, _ in path.quotes}))
+
+
+def quoted_ticks(path, sec):
+    """The ticks at which ``path`` quotes ``sec``, in order."""
+    return tuple(sorted(t for s, t in path.quotes if s == sec))

@@ -77,6 +77,28 @@ class TestRun:
         assert code == 2
         assert "line 2" in err and "col" in err
 
+    @pytest.mark.parametrize("command", ["run", "compare"])
+    @pytest.mark.parametrize(
+        "text, err",
+        [
+            (
+                "price A 1 10\nat 1 buy A " + "9" * 5000 + "\n",
+                "realize: error: line 2, col 12: share quantity is longer than 4,000 characters\n",
+            ),
+            (
+                "price A\x1b[2J 1 10\nat 1 buy A\x1b[2J 5\n",
+                "realize: error: line 1, col 7: security symbol must be printable, got 'A\\x1b[2J'\n",
+            ),
+        ],
+        ids=["long-number", "control-character"],
+    )
+    def test_a_long_number_or_a_control_character_exits_2_with_one_line(self, capsys, tmp_path, command, text, err):
+        # A 5,000-digit token used to end in int()'s ValueError traceback and exit 1, and an
+        # escape sequence in a symbol used to reach the terminal raw with exit 0.
+        path = tmp_path / "hostile.scn"
+        path.write_text(text)
+        assert invoke(capsys, command, str(path)) == (2, "", err)
+
     def test_runtime_error_reports_event_index(self, capsys, tmp_path):
         path = tmp_path / "oversell.scn"
         path.write_text("price ABC 1 50\nat 1 sell ABC 5\n")

@@ -30,7 +30,7 @@ from realize.errors import (
     NoOpenBorrow,
     OverCover,
 )
-from ledger_views import borrowed_unsold_qty, borrows, owned_qty, snapshot, sold_uncovered_qty
+from ledger_views import borrowed_unsold_qty, borrows, owned_qty, qty_outstanding, snapshot, sold_uncovered_qty
 
 ABC_PRICES = PricePath.from_table(
     {"ABC": {1: Money.from_pesos(50), 2: Money.from_pesos(100), 3: Money.from_pesos(30)}}
@@ -128,7 +128,7 @@ class TestBorrowAndShort:
             [Borrow(2, "ABC", 100_000), ShortSell(2, "ABC", 100_000)]
         )
         (pos,) = borrows(ledger)
-        assert pos.qty_outstanding == 100_000
+        assert qty_outstanding(pos) == 100_000
         assert pos.qty_sold_short == 100_000
         assert pos.short_proceeds_per_share == Money.from_pesos(100)
         assert pos.sold_at == 2

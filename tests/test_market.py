@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from realize import Money, PricePath, Rate, apply_rate
 from realize.errors import MissingPrice, NegativeBase
 from realize.market import pesos
+from ledger_views import quoted_securities, quoted_ticks
 
 ABC_PRICES = PricePath.from_table(
     {"ABC": {1: Money.from_pesos(50), 2: Money.from_pesos(100), 3: Money.from_pesos(30)}}
@@ -207,5 +208,5 @@ class TestPricePath:
             assert ABC_PRICES.price_at("ABC", 2) == first
 
     def test_securities_and_ticks(self):
-        assert ABC_PRICES.securities() == ("ABC",)
-        assert ABC_PRICES.ticks("ABC") == (1, 2, 3)
+        assert quoted_securities(ABC_PRICES) == ("ABC",)
+        assert quoted_ticks(ABC_PRICES, "ABC") == (1, 2, 3)

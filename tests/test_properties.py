@@ -31,7 +31,7 @@ from realize import (
     realize,
     run,
 )
-from ledger_views import borrows
+from ledger_views import borrows, qty_outstanding
 from scenario_gen import random_scenario
 
 peso_price = st.integers(min_value=1, max_value=1000)
@@ -232,7 +232,7 @@ class TestRunEqualsPublicFold:
                 for lot in ledger.lots:
                     owned[lot.sec] = owned.get(lot.sec, 0) + lot.qty
                 for pos in borrows(ledger):
-                    outstanding[pos.sec] = outstanding.get(pos.sec, 0) + pos.qty_outstanding
+                    outstanding[pos.sec] = outstanding.get(pos.sec, 0) + qty_outstanding(pos)
                 inventory = report.inventory
                 assert inventory.owned == tuple(sorted(owned.items()))
                 assert inventory.borrowed_outstanding == tuple(sorted(outstanding.items()))

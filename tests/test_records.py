@@ -3,8 +3,8 @@ methods generated once per class and no ``dataclasses`` call.
 
 Each record is checked against a reference made by the plain
 ``@dataclass(frozen=True, slots=True)`` machinery from the same fields, so
-the generated ``__init__``, ``__eq__``, ``__hash__``, ``__repr__`` and pickle
-state must accept, default, reject and show exactly what the dataclass ones
+the generated constructor (a ``__new__``), ``__eq__``, ``__hash__``, ``__repr__`` and pickling
+must accept, default, reject and show exactly what the dataclass ones
 would, and ``dataclasses.fields``, ``replace`` and ``is_dataclass`` must see
 an ordinary frozen dataclass.
 """
@@ -135,10 +135,12 @@ class TestRecord:
     def test_signature_is_the_dataclass_one(self, cls):
         ref = reference(cls)
         assert inspect.signature(cls) == inspect.signature(ref)
-        assert cls.__init__.__annotations__ == ref.__init__.__annotations__
-        assert cls.__init__.__defaults__ == ref.__init__.__defaults__
-        assert cls.__init__.__qualname__ == f"{cls.__qualname__}.__init__"
-        assert cls.__init__.__module__ == cls.__module__
+        # The generated constructor is __new__, named as dataclass names its __init__.
+        assert cls.__new__.__annotations__ == ref.__init__.__annotations__
+        assert cls.__new__.__defaults__ == ref.__init__.__defaults__
+        assert cls.__new__.__qualname__ == f"{cls.__qualname__}.__init__"
+        assert cls.__new__.__module__ == cls.__module__
+        assert cls.__init__ is object.__init__
         assert cls.__dataclass_params__.init
 
     def test_positional_keyword_and_defaulted_construction_agree(self, cls):
@@ -258,7 +260,7 @@ class TestTradeQuantityCheck:
                 dataclasses.replace(ev, qty=qty)
 
     def test_inherits_the_trade_init(self, kind):
-        assert kind.__init__ is _Trade.__init__
+        assert kind.__new__ is _Trade.__new__ and "__new__" in vars(_Trade)
         assert inspect.signature(kind) == inspect.signature(_Trade)
 
 

@@ -58,6 +58,7 @@ from realize import (
     run,
     tax_timeline,
 )
+from ledger_views import quoted_securities
 from scenario_gen import random_scenario
 
 K = RealizationKind
@@ -231,7 +232,7 @@ class TestReferenceModel:
                 ledger = ledger_after(scenario, regime)
                 assert {lot.id: lot.qty for lot in ledger.lots} == by_lot, scenario
                 assert reserved == {
-                    lot: n for sec in scenario.prices.securities()
+                    lot: n for sec in quoted_securities(scenario.prices)
                     for lot, n in ledger.reserved_by_lot(sec).items()
                 }, scenario
 

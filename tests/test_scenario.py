@@ -41,7 +41,7 @@ from realize.errors import (
     UnknownScenario,
 )
 from realize.scenario import BUILTIN_NAMES, _int
-from ledger_views import borrows
+from ledger_views import borrows, quoted_securities
 from scenario_gen import random_scenario
 
 STRATEGY3_SCRIPT = """\
@@ -216,6 +216,33 @@ class TestValidation:
         with pytest.raises(InvalidSymbol, match=r"got \(5, 1\)"):
             PricePath.from_table({5: {1: Money(100)}})
 
+    @pytest.mark.parametrize(
+        "event, message",
+        [
+            (Buy(1, "ABC\x1b[2J", 10), "security symbol must be printable, got 'ABC\\x1b[2J'"),
+            (SellOwned(1, "AB\u202eC", 10), "security symbol must be printable, got 'AB\\u202eC'"),
+            (Death(1, "heir\x00"), "heir label must be printable, got 'heir\\x00'"),
+            (Death(1, "bell\x07 heir"), "heir label must be printable, got 'bell\\x07 heir'"),
+        ],
+        ids=["escape-security", "bidi-security", "nul-heir", "bell-heir"],
+    )
+    def test_an_event_symbol_or_label_that_is_not_printable_is_refused_at_its_index(self, event, message):
+        quotes = {("ABC", 1): Money(100), (getattr(event, "sec", "ABC"), 1): Money(100)}
+        with pytest.raises(InvalidSymbol) as exc:
+            Scenario("s", PricePath(quotes), (Buy(1, "ABC", 10), event))
+        assert (str(exc.value), exc.value.event_index) == (message, 1)
+
+    def test_whitespace_in_a_built_symbol_or_label_is_kept(self):
+        # The writers quote it (tests/test_writers.py); only the DSL cannot spell it.
+        events = (Buy(1, "a\nb", 10), Death(1, "c\rd e"))
+        s = Scenario("s", PricePath({("a\nb", 1): Money(100)}), events)
+        assert s.events == events
+
+    def test_a_quote_symbol_that_is_not_printable_is_not_written(self):
+        s = Scenario("s", PricePath({("ABC", 1): Money(100), ("A\x1b", 1): Money(100)}), (Buy(1, "ABC", 10),))
+        with pytest.raises(EngineError, match=r"'A\\x1b' cannot be written as one scenario token"):
+            format_scenario(s)
+
     def test_a_str_subclass_and_a_missing_heir_pass(self):
         class Symbol(str):
             pass
@@ -323,6 +350,43 @@ PARSE_ERROR_CASES = {
     "price-missing": (
         "price ABC 1\n",
         (ParseError, "line 1, col 12: expected price", 1, 12),
+    ),
+    # int() refuses more than 4,300 digits, so a number token is read only up to 4,000 characters.
+    "long-qty": (
+        "price ABC 1 50\nat 1 buy ABC " + "9" * 5000 + "\n",
+        (ParseError, "line 2, col 14: share quantity is longer than 4,000 characters", 2, 14),
+    ),
+    "long-negative-qty": (
+        "price ABC 1 50\nat 1 buy ABC -" + "9" * 4000 + "\n",
+        (ParseError, "line 2, col 14: share quantity is longer than 4,000 characters", 2, 14),
+    ),
+    "long-event-tick": (
+        "price ABC 1 50\nat " + "1" * 4001 + " buy ABC 5\n",
+        (ParseError, "line 2, col 4: tick is longer than 4,000 characters", 2, 4),
+    ),
+    "long-price-tick": (
+        "price ABC " + "1" * 5000 + " 50\n",
+        (ParseError, "line 1, col 11: tick is longer than 4,000 characters", 1, 11),
+    ),
+    "long-price": (
+        "price ABC 1 " + "9" * 5000 + "\n",
+        (ParseError, "line 1, col 13: price is longer than 4,000 characters", 1, 13),
+    ),
+    "long-fractional-price": (
+        "price ABC 1 " + "9" * 3998 + ".50\n",
+        (ParseError, "line 1, col 13: price is longer than 4,000 characters", 1, 13),
+    ),
+    "control-price-symbol": (
+        "price ABC\x1b[2J 1 50\n",
+        (ParseError, "line 1, col 7: security symbol must be printable, got 'ABC\\x1b[2J'", 1, 7),
+    ),
+    "control-event-symbol": (
+        "price ABC 1 50\nat 1 sell AB\u202eC 5\n",
+        (ParseError, "line 2, col 11: security symbol must be printable, got 'AB\\u202eC'", 2, 11),
+    ),
+    "control-heir": (
+        "price ABC 1 50\nat 1 death heir B\x00\n",
+        (ParseError, "line 2, col 17: heir label must be printable, got 'B\\x00'", 2, 17),
     ),
     "unknown-directive": (
         "quote ABC 1 50\n",
@@ -501,6 +565,12 @@ class TestPlainLineParser:
         assert parse_failure(PARSE_ERROR_CASES["non-monotonic"][0])[2:] == (4, 3)
         assert parse_failure(PARSE_ERROR_CASES["undefined-price"][0])[2:] == (2, 2)
         assert parse_failure(PARSE_ERROR_CASES["duplicate-price"][0])[2:] == (2, 1)
+
+    def test_numbers_of_up_to_4000_characters_are_read(self):
+        longest = "9" * 4000
+        s = parse_scenario(f"price ABC {longest} {longest}\nat {longest} buy ABC {longest}\n")
+        assert s.events == (Buy(int(longest), "ABC", int(longest)),)
+        assert s.prices.price_at("ABC", int(longest)) == Money(int(longest) * 100)
 
     def test_signs_and_underscores_are_rejected_as_in_prices(self):
         assert parse_failure(PARSE_ERROR_CASES["plus-qty"][0])[:2] == (
@@ -717,7 +787,7 @@ class TestBuiltins:
     def test_offset_grid_prices_only(self):
         s = builtin("offset_grid")
         assert s.events == ()
-        assert len(s.prices.securities()) == 7
+        assert len(quoted_securities(s.prices)) == 7
 
 
 class TestRun:
