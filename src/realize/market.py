@@ -19,9 +19,7 @@ from __future__ import annotations
 import re
 import sys
 from collections.abc import Mapping
-from functools import partial
 from operator import attrgetter, eq, ge, gt, le, lt
-from types import FunctionType
 
 from .errors import InvalidSymbol, MissingPrice, NegativeBase
 
@@ -97,16 +95,21 @@ def _reduce(self) -> tuple:
 
 
 def _init_subclass(cls, **kwargs) -> None:
-    """A subclass that adds a ``__dict__`` or slots gets a twin of its own beside it (same base, same
-    ``__slots__``); a twin itself, which keeps ``object.__setattr__``, needs none."""
-    if cls.__basicsize__ != cls.__base__.__basicsize__ and cls.__setattr__ is not object.__setattr__:
-        twin = type(f"_{cls.__name__}Slots", (cls.__base__,), {
-            "__setattr__": object.__setattr__, "__delattr__": object.__delattr__,
-            **{key: value for key, value in vars(cls).items() if key == "__slots__"},
-        })
-        new, blank = cls.__new__, partial(object.__new__, twin)
-        own = FunctionType(new.__code__, new.__globals__ | {"_blank": blank}, new.__name__, new.__defaults__)
-        own.__annotations__, own.__qualname__ = new.__annotations__, new.__qualname__
+    """A subclass that adds a ``__dict__`` or slots cannot take over an instance of its record's twin,
+    whose layout differs.  It gets its own copy of the record's ``__new__``, compiled once, that makes
+    an instance of the class itself and fills it through ``object.__setattr__``: no new twin, so no
+    other ``__init_subclass__`` hook ever sees one."""
+    if cls.__basicsize__ != cls.__base__.__basicsize__:
+        new = cls.__new__
+        names = new.__code__.co_varnames[1:new.__code__.co_argcount]
+        body = ["self = _object_new(cls)", *(f"_set(self, {name!r}, {name})" for name in names)]
+        if "__post_init__" in new.__code__.co_names:
+            body.append("self.__post_init__()")
+        env = {"__name__": cls.__module__, "_object_new": object.__new__, "_set": object.__setattr__}
+        exec(f"def __new__(cls, {', '.join(names)}):\n    " + "\n    ".join(body) + "\n    return self", env)
+        own = env["__new__"]
+        own.__defaults__, own.__annotations__ = new.__defaults__, new.__annotations__
+        own.__qualname__ = new.__qualname__  # what the argument TypeErrors name
         cls.__new__ = staticmethod(own)
     # Pass the call on from the record class whose hook this is, so a mixin's hook after it still runs.
     owner = next(c for c in cls.__mro__ if getattr(vars(c).get("__init_subclass__"), "__func__", 0) is _init_subclass)

@@ -21,6 +21,7 @@ those errors at the event's line.
 from __future__ import annotations
 
 import re
+import sys
 from itertools import accumulate
 
 from .errors import (
@@ -119,8 +120,11 @@ _DEATH = ("at", "tick", "death", "'heir'", "heir label")
 
 _TOKEN_RE = re.compile(r"\S+")
 
-# int() refuses more than 4,300 digits by default (CVE-2020-10735), and a price gains two for its centavos.
-_MAX_DIGITS = 4_000
+
+def _max_digits() -> int:
+    """The most digits ``int()`` reads from text or writes to it (4,300 unless ``PYTHONINTMAXSTRDIGITS``
+    sets it), or 0 where there is no limit (Python before 3.10.7)."""
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)()
 
 
 def _col(code: str, index: int) -> int:
@@ -142,7 +146,7 @@ def _count_error(tokens: list[str], names: tuple[str, ...], code: str, line_no: 
 
 
 def _int(tokens: list[str], index: int, what: str, code: str, line_no: int) -> int:
-    """Token ``index`` read as an integer spelled ``-?[0-9]+`` in ASCII, of at most ``_MAX_DIGITS`` characters.
+    """Token ``index`` read as an integer spelled ``-?[0-9]+`` in ASCII, of no more digits than ``int()`` reads.
 
     Exactly this spelling: int() would also take '+', '_' and other scripts' digits.
     """
@@ -150,8 +154,9 @@ def _int(tokens: list[str], index: int, what: str, code: str, line_no: int) -> i
     digits = token[1:] if token[:1] == "-" else token
     if not (digits.isdigit() and digits.isascii()):
         raise ParseError(f"expected {what}, got {token!r}", line_no, _col(code, index))
-    if len(token) > _MAX_DIGITS:
-        raise ParseError(f"{what} is longer than {_MAX_DIGITS:,} characters", line_no, _col(code, index))
+    limit = _max_digits()
+    if limit and len(digits) > limit:
+        raise ParseError(f"{what} has more than {limit:,} digits", line_no, _col(code, index))
     return int(token)
 
 
@@ -162,6 +167,7 @@ def parse_scenario(text: str, name: str = "scenario") -> Scenario:
     events: list[TransactionEvent] = []
     event_lines: list[int] = []
     lines = text.splitlines()
+    limit = _max_digits() or sys.maxsize
 
     for line_no, line in enumerate(lines, start=1):
         code = line.partition("#")[0] if "#" in line else line
@@ -177,15 +183,17 @@ def parse_scenario(text: str, name: str = "scenario") -> Scenario:
             _, sym, tick, price_tok = tokens
             if not sym.isprintable():
                 raise ParseError(f"security symbol must be printable, got {sym!r}", line_no, _col(code, 1))
-            t = int(tick) if tick.isdigit() and tick.isascii() and len(tick) <= _MAX_DIGITS else _int(
+            t = int(tick) if tick.isdigit() and tick.isascii() and len(tick) <= limit else _int(
                 tokens, 2, "tick", code, line_no
             )
             if t < 0:
                 raise ParseError(f"tick must be non-negative, got {t}", line_no, _col(code, 2))
             whole, dot, cents = price_tok.partition(".")
-            if len(price_tok) > _MAX_DIGITS:
-                raise ParseError(f"price is longer than {_MAX_DIGITS:,} characters", line_no, _col(code, 3))
             if price_tok.isascii() and whole.isdigit() and (not dot or cents.isdigit() and len(cents) < 3):
+                if len(whole) + 2 > limit:  # it is read in centavos
+                    raise ParseError(
+                        f"price has more than {limit - 2:,} digits before the point", line_no, _col(code, 3)
+                    )
                 price = _money(int(whole + (cents + "00")[:2]))
             else:
                 try:
@@ -206,7 +214,7 @@ def parse_scenario(text: str, name: str = "scenario") -> Scenario:
         if n < 2:
             raise _count_error(tokens, _TRADE, code, line_no)
         tick = tokens[1]
-        t = int(tick) if tick.isdigit() and tick.isascii() and len(tick) <= _MAX_DIGITS else _int(
+        t = int(tick) if tick.isdigit() and tick.isascii() and len(tick) <= limit else _int(
             tokens, 1, "tick", code, line_no
         )
         if t < 0:
@@ -235,7 +243,7 @@ def parse_scenario(text: str, name: str = "scenario") -> Scenario:
         if n != len(names):
             raise _count_error(tokens, names, code, line_no)
         count = tokens[4]
-        qty = int(count) if count.isdigit() and count.isascii() and len(count) <= _MAX_DIGITS else _int(
+        qty = int(count) if count.isdigit() and count.isascii() and len(count) <= limit else _int(
             tokens, 4, "share quantity", code, line_no
         )
         if qty <= 0:
@@ -275,15 +283,18 @@ def format_scenario(s: Scenario) -> str:
 
     A subclass of an event class prints as that class.  What the parser would refuse raises
     ``EngineError``: a security symbol or heir label that is empty or holds whitespace, ``#`` or a
-    control character, a
-    tick that is not a non-negative ``int`` and a negative price.  The events are checked first, so an
-    error in one carries its ``event_index``; a quote's error names the quote.
+    control character, a tick that is not a non-negative ``int``, a negative price, and a tick,
+    quantity or centavo amount of more digits than ``int()`` reads.  The events are checked first,
+    so an error in one carries its ``event_index``; a quote's error names the quote.
     """
+    bound = 10 ** limit if (limit := _max_digits()) else float("inf")  # the least number too long to read
     events = []
     for index, ev in enumerate(s.events):
         try:
             if type(ev.at) is not int or ev.at < 0:
                 raise EngineError(f"tick must be a non-negative int to be written, got {ev.at!r}")
+            if ev.at >= bound or not isinstance(ev, Death) and ev.qty >= bound:
+                raise EngineError(f"a tick or quantity of more than {limit:,} digits cannot be written")
             if isinstance(ev, Death):
                 events.append(f"at {ev.at} death" + ("" if ev.heir is None else f" heir {_token(ev.heir)}"))
             else:
@@ -295,6 +306,8 @@ def format_scenario(s: Scenario) -> str:
     for (sec, t), price in sorted(s.prices.quotes.items()):
         if type(t) is not int or t < 0 or price.centavos < 0:
             raise EngineError(f"quote {(sec, t)!r} of {price} cannot be written: tick and price must be non-negative")
+        if t >= bound or price.centavos >= bound:
+            raise EngineError(f"a quote of {sec!r} cannot be written: it has more than {limit:,} digits")
         prices.append(f"price {_token(sec)} {t} {pesos(price.centavos, cents=False).replace(',', '')}")
     return "\n".join(prices + events) + "\n"
 
@@ -311,22 +324,6 @@ OFFSET_GRID_FUTURES = tuple(Money.from_pesos(p) for p in (25, 50, 75, 100, 125, 
 
 def _grid_sec(future: Money) -> str:
     return f"F{future.centavos // 100}"
-
-
-def _two_tick(
-    prices: PricePath, sec: SecurityId, open_at: Tick, close_at: Tick, short: bool = False,
-    qty: int = BLOCK_QTY,
-) -> Scenario:
-    """``qty`` shares of ``sec`` bought at ``open_at`` and sold at ``close_at``.
-
-    With ``short``, they are borrowed and sold short at ``open_at`` and
-    covered by purchase at ``close_at`` instead.
-    """
-    if short:
-        events = (Borrow(open_at, sec, qty), ShortSell(open_at, sec, qty), CoverByPurchase(close_at, sec, qty))
-    else:
-        events = (Buy(open_at, sec, qty), SellOwned(close_at, sec, qty))
-    return Scenario(f"{'short' if short else 'ordinary'}_{sec}", prices, events)
 
 
 def _builtin_scenarios() -> dict[str, Scenario]:
@@ -354,14 +351,28 @@ def _builtin_scenarios() -> dict[str, Scenario]:
         }
     )
     return {
-        "strategy1": Scenario("strategy1", abc, _two_tick(abc, "ABC", 1, 2).events),
-        "strategy2": Scenario("strategy2", abc, _two_tick(abc, "ABC", 1, 3).events),
+        "strategy1": Scenario(
+            "strategy1",
+            abc,
+            (Buy(at=1, sec="ABC", qty=BLOCK_QTY), SellOwned(at=2, sec="ABC", qty=BLOCK_QTY)),
+        ),
+        "strategy2": Scenario(
+            "strategy2",
+            abc,
+            (Buy(at=1, sec="ABC", qty=BLOCK_QTY), SellOwned(at=3, sec="ABC", qty=BLOCK_QTY)),
+        ),
         "strategy3": Scenario("strategy3", abc, deferral_events),
         "proposed_demo": Scenario("proposed_demo", abc, deferral_events),
         "death_avoidance": Scenario(
             "death_avoidance",
             death_prices,
-            (*deferral_events[:3], Death(at=3, heir="Y"), CoverByOwnedLot(at=4, sec="ABC", qty=BLOCK_QTY)),
+            (
+                Buy(at=1, sec="ABC", qty=BLOCK_QTY),
+                Borrow(at=2, sec="ABC", qty=BLOCK_QTY),
+                ShortSell(at=2, sec="ABC", qty=BLOCK_QTY),
+                Death(at=3, heir="Y"),
+                CoverByOwnedLot(at=4, sec="ABC", qty=BLOCK_QTY),
+            ),
         ),
         "offset_grid": Scenario("offset_grid", grid_prices, ()),
     }
@@ -582,6 +593,22 @@ class GridRow:
     present_price: Money
     ordinary_gain_per_share: Money
     short_gain_per_share: Money
+
+
+def _two_tick(
+    prices: PricePath, sec: SecurityId, open_at: Tick, close_at: Tick, short: bool = False,
+    qty: int = BLOCK_QTY,
+) -> Scenario:
+    """``qty`` shares of ``sec`` bought at ``open_at`` and sold at ``close_at``.
+
+    With ``short``, they are borrowed and sold short at ``open_at`` and
+    covered by purchase at ``close_at`` instead.
+    """
+    if short:
+        events = (Borrow(open_at, sec, qty), ShortSell(open_at, sec, qty), CoverByPurchase(close_at, sec, qty))
+    else:
+        events = (Buy(open_at, sec, qty), SellOwned(close_at, sec, qty))
+    return Scenario(f"{'short' if short else 'ordinary'}_{sec}", prices, events)
 
 
 def offset_grid_rows(qty: int = BLOCK_QTY) -> list[GridRow]:

@@ -78,26 +78,29 @@ class TestRun:
         assert "line 2" in err and "col" in err
 
     @pytest.mark.parametrize("command", ["run", "compare"])
-    @pytest.mark.parametrize(
-        "text, err",
-        [
-            (
-                "price A 1 10\nat 1 buy A " + "9" * 5000 + "\n",
-                "realize: error: line 2, col 12: share quantity is longer than 4,000 characters\n",
-            ),
-            (
-                "price A\x1b[2J 1 10\nat 1 buy A\x1b[2J 5\n",
-                "realize: error: line 1, col 7: security symbol must be printable, got 'A\\x1b[2J'\n",
-            ),
-        ],
-        ids=["long-number", "control-character"],
-    )
-    def test_a_long_number_or_a_control_character_exits_2_with_one_line(self, capsys, tmp_path, command, text, err):
-        # A 5,000-digit token used to end in int()'s ValueError traceback and exit 1, and an
-        # escape sequence in a symbol used to reach the terminal raw with exit 0.
+    def test_a_control_character_exits_2_with_one_line(self, capsys, tmp_path, command):
+        # An escape sequence in a symbol used to reach the terminal raw with exit 0.
         path = tmp_path / "hostile.scn"
-        path.write_text(text)
+        path.write_text("price A\x1b[2J 1 10\nat 1 buy A\x1b[2J 5\n")
+        err = "realize: error: line 1, col 7: security symbol must be printable, got 'A\\x1b[2J'\n"
         assert invoke(capsys, command, str(path)) == (2, "", err)
+
+    @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="int() has no digit limit")
+    @pytest.mark.parametrize("limit", [None, "640"], ids=["default-limit", "limit-640"])
+    def test_a_number_longer_than_int_reads_exits_2_with_one_line(self, tmp_path, limit):
+        # A 5,000-digit token used to end in int()'s ValueError traceback and exit 1.  The parser
+        # follows the interpreter's limit, which PYTHONINTMAXSTRDIGITS can lower to 640.
+        path = tmp_path / "long.scn"
+        path.write_text("price A 1 10\nat 1 buy A " + "9" * 5000 + "\n")
+        env = {**os.environ, "PYTHONPATH": str(Path(realize.__file__).resolve().parents[1])}
+        env.pop("PYTHONINTMAXSTRDIGITS", None)
+        env.update({"PYTHONINTMAXSTRDIGITS": limit} if limit else {})
+        done = subprocess.run(
+            [sys.executable, "-m", "realize", "run", str(path)], env=env, capture_output=True, text=True, timeout=60
+        )
+        digits = f"{int(limit or 4300):,}"
+        assert (done.returncode, done.stdout) == (2, "")
+        assert done.stderr == f"realize: error: line 2, col 12: share quantity has more than {digits} digits\n"
 
     def test_runtime_error_reports_event_index(self, capsys, tmp_path):
         path = tmp_path / "oversell.scn"

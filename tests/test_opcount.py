@@ -14,17 +14,17 @@ def bench_files():
 def test_a_two_operation_count_lists_functions_and_records():
     before = bench_files()
     done = subprocess.run(
-        [sys.executable, str(ROOT / "tools" / "opcount.py"), "--ops", "2", "--top", "3"],
+        [sys.executable, str(ROOT / "tools" / "opcount.py"), "--ops", "2"],
         capture_output=True, text=True, timeout=60,
     )
     assert done.returncode == 0, done.stderr
     lines = done.stdout.splitlines()
     assert lines[0].startswith("engine instructions per operation: ")
     assert lines[0].endswith(" over 2 operations)")
-    top = "\n".join(lines[1:4])
-    assert "<generated record constructors>" in top and "realize.scenario.run" in top
-    assert lines[4].startswith("records built per operation: ")
-    built = {line.split()[1]: float(line.split()[0]) for line in lines[5:]}
+    split = next(i for i, line in enumerate(lines) if line.startswith("records built per operation: "))
+    functions = "\n".join(lines[1:split])
+    assert "<generated record constructors>" in functions and "realize.scenario.run (line " in functions
+    built = {line.split()[1]: float(line.split()[0]) for line in lines[split + 1:]}
     # Each operation builds and compares four scenarios.
     assert built["ComparisonReport"] == 4.0 and built["Scenario"] == 4.0 and built["LedgerEffects"] > 0
     assert bench_files() == before  # no bytecode cache, no bench/out record

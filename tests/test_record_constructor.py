@@ -2,13 +2,15 @@
 twin of the class with plain attribute stores and hands it back as the class.
 
 A subclass of a record keeps working whatever its layout: one with
-``__slots__ = ()`` shares its base's twin, and one that adds a ``__dict__`` or
-slots gets its own.  No instance of a twin is ever seen outside the
-constructor.
+``__slots__ = ()`` shares its base's constructor, and one that adds a
+``__dict__`` or slots gets its own, which builds the subclass itself.  No twin
+instance is ever seen outside the constructor, and no class hook ever sees a
+twin class.
 """
 
 import copy
 import dataclasses
+import inspect
 import pickle
 
 import pytest
@@ -40,7 +42,7 @@ class SlotlessCover(CoverByOwnedLot):
 
 
 SUBCLASSES = [(DictBuy, Buy), (NotedSale, SellOwned), (DictDeath, Death), (SlotlessCover, CoverByOwnedLot)]
-OWN_TWIN = {DictBuy, NotedSale, DictDeath}
+OWN_NEW = {DictBuy, NotedSale, DictDeath}
 
 
 def make(kind):
@@ -69,10 +71,12 @@ class TestSubclassLayouts:
             with pytest.raises(TypeError, match=r"^_Trade\.__init__\(\) missing 1 required"):
                 sub(1, "ABC")
 
-    def test_a_new_layout_gets_its_own_twin_and_an_empty_one_shares_it(self, sub, base):
-        assert ("__new__" in vars(sub)) is (sub in OWN_TWIN)
-        assert sub.__new__.__code__ is base.__new__.__code__
+    def test_a_new_layout_gets_its_own_constructor_and_an_empty_one_shares_it(self, sub, base):
+        assert ("__new__" in vars(sub)) is (sub in OWN_NEW)
+        assert inspect.signature(sub) == inspect.signature(base)
         assert sub.__new__.__qualname__ == base.__new__.__qualname__
+        assert sub.__new__.__defaults__ == base.__new__.__defaults__
+        assert not [c for c in base.__subclasses__() if c.__name__.endswith("Slots")]  # no twin beside it
         grandchild = type("Grandchild", (sub,), {"__slots__": ()})
         assert grandchild.__new__ is sub.__new__
         assert type(make(grandchild)) is grandchild
@@ -118,8 +122,17 @@ def test_a_mixin_hook_runs_for_the_subclass_and_never_sees_a_twin():
     class Before(Hooked, Buy):
         pass
 
-    assert seen == ["After", "Before"]
-    assert type(After(1, "ABC", 5)) is After and type(Before(1, "ABC", 5)) is Before
+    class Slotted(Before):  # a new layout below the mixin
+        __slots__ = ("n",)
+
+    class Dicted(Slotted):
+        pass
+
+    assert seen == ["After", "Before", "Slotted", "Dicted"]
+    for cls in (After, Before, Slotted, Dicted):
+        assert type(cls(1, "ABC", 5)) is cls and cls(1, "ABC", 5) == cls(1, "ABC", 5)
+    with pytest.raises(InvalidQuantity):
+        Dicted(1, "ABC", 0)
 
 
 def reachable(root):

@@ -4,6 +4,7 @@ import copy
 import json
 import pickle
 import random
+import sys
 
 import pytest
 from hypothesis import given
@@ -350,31 +351,6 @@ PARSE_ERROR_CASES = {
     "price-missing": (
         "price ABC 1\n",
         (ParseError, "line 1, col 12: expected price", 1, 12),
-    ),
-    # int() refuses more than 4,300 digits, so a number token is read only up to 4,000 characters.
-    "long-qty": (
-        "price ABC 1 50\nat 1 buy ABC " + "9" * 5000 + "\n",
-        (ParseError, "line 2, col 14: share quantity is longer than 4,000 characters", 2, 14),
-    ),
-    "long-negative-qty": (
-        "price ABC 1 50\nat 1 buy ABC -" + "9" * 4000 + "\n",
-        (ParseError, "line 2, col 14: share quantity is longer than 4,000 characters", 2, 14),
-    ),
-    "long-event-tick": (
-        "price ABC 1 50\nat " + "1" * 4001 + " buy ABC 5\n",
-        (ParseError, "line 2, col 4: tick is longer than 4,000 characters", 2, 4),
-    ),
-    "long-price-tick": (
-        "price ABC " + "1" * 5000 + " 50\n",
-        (ParseError, "line 1, col 11: tick is longer than 4,000 characters", 1, 11),
-    ),
-    "long-price": (
-        "price ABC 1 " + "9" * 5000 + "\n",
-        (ParseError, "line 1, col 13: price is longer than 4,000 characters", 1, 13),
-    ),
-    "long-fractional-price": (
-        "price ABC 1 " + "9" * 3998 + ".50\n",
-        (ParseError, "line 1, col 13: price is longer than 4,000 characters", 1, 13),
     ),
     "control-price-symbol": (
         "price ABC\x1b[2J 1 50\n",
@@ -756,6 +732,50 @@ class TestRoundTrip:
         assert exc.value.event_index == 0
         with pytest.raises(EngineError, match=r"quote \('A', -1\) of 0\.05 cannot be written"):
             format_scenario(Scenario("x", s.prices))
+
+
+LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # int()'s digit limit, 0 for none
+TOO_LONG, PRICE_TOO_LONG = f"has more than {LIMIT:,} digits", f"has more than {LIMIT - 2:,} digits before the point"
+
+
+@pytest.mark.skipif(not LIMIT, reason="int() has no digit limit")
+class TestIntDigitLimit:
+    """A number token of more digits than int() reads is a ParseError at its column, never a ValueError,
+    and the printer refuses exactly the numbers the parser would refuse."""
+
+    @pytest.mark.parametrize(
+        "text, message, col",
+        [
+            ("price ABC 1 50\nat 1 buy ABC " + "9" * (LIMIT + 1), "share quantity " + TOO_LONG, 14),
+            ("price ABC 1 50\nat 1 buy ABC -" + "9" * (LIMIT + 1), "share quantity " + TOO_LONG, 14),
+            ("price ABC 1 50\nat " + "1" * (LIMIT + 1) + " buy ABC 5", "tick " + TOO_LONG, 4),
+            ("price ABC " + "1" * (LIMIT + 1) + " 50", "tick " + TOO_LONG, 11),
+            ("price ABC 1 " + "9" * (LIMIT - 1), "price " + PRICE_TOO_LONG, 13),
+            ("price ABC 1 " + "9" * (LIMIT - 1) + ".50", "price " + PRICE_TOO_LONG, 13),
+        ],
+        ids=["qty", "negative-qty", "event-tick", "price-tick", "price", "fractional-price"],
+    )
+    def test_one_digit_too_many_is_refused_at_its_column(self, text, message, col):
+        line = text.count("\n") + 1
+        with pytest.raises(ParseError) as exc:
+            parse_scenario(text + "\n")
+        assert (str(exc.value), exc.value.line, exc.value.col) == (f"line {line}, col {col}: {message}", line, col)
+
+    def test_the_longest_numbers_round_trip(self):
+        top = 10**LIMIT - 1  # LIMIT nines
+        s = Scenario("x", PricePath({("A", top): Money(top)}), (Buy(top, "A", top),))
+        text = format_scenario(s)
+        assert text == f"price A {top} {top // 100}.99\nat {top} buy A {top}\n"
+        assert parse_scenario(text, name="x") == s
+
+    @pytest.mark.parametrize("field", ["tick", "qty", "price"])
+    def test_one_digit_more_is_refused_by_the_printer(self, field):
+        top, over = 10**LIMIT - 1, 10**LIMIT
+        tick, qty, price = (over if field == name else top for name in ("tick", "qty", "price"))
+        s = Scenario("x", PricePath({("A", tick): Money(price)}), (Buy(tick, "A", qty),))
+        with pytest.raises(EngineError, match=f"more than {LIMIT:,} digits") as exc:
+            format_scenario(s)
+        assert getattr(exc.value, "event_index", None) == (None if field == "price" else 0)
 
 
 class TestBuiltins:

@@ -1,6 +1,6 @@
 """Count the engine bytecode a path_batch operation executes, and the records it builds.
 
-    python3 tools/opcount.py [--root DIR] [--seed N] [--ops K] [--top T]
+    python3 tools/opcount.py [--root DIR] [--seed N] [--ops K]
 
 Runs operations ``0 .. K-1`` of the path_batch workload of ``bench/workloads.py``
 (seed ``N``) in the checkout ``DIR`` (by default the one holding this tool),
@@ -9,9 +9,9 @@ events on.  An engine frame is one whose globals belong to the ``realize``
 package, so the constructors ``record`` generates with ``exec`` count too.
 It prints, per operation:
 
-* the executed engine instructions in total and for the ``T`` functions that
-  execute the most, with every generated record constructor summed on one
-  line;
+* the executed engine instructions in total and for the 15 functions that
+  execute the most, each named by module, name and first line, with every
+  generated record constructor summed on one line;
 * the records built, by class, counted at the calls of those constructors.
 
 Only opcode events are counted, never time, so the figures are exact and the
@@ -28,6 +28,7 @@ from collections import Counter
 from pathlib import Path
 
 GENERATED = "<generated record constructors>"
+TOP = 15  # functions listed
 
 
 def parse_args(argv: list[str] | None) -> argparse.Namespace:
@@ -35,7 +36,6 @@ def parse_args(argv: list[str] | None) -> argparse.Namespace:
     p.add_argument("--root", type=Path, default=Path(__file__).resolve().parents[1], help="checkout to count")
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--ops", type=int, default=64, help="operations to trace")
-    p.add_argument("--top", type=int, default=15, help="functions to list")
     return p.parse_args(argv)
 
 
@@ -75,7 +75,7 @@ def count(workload, ops: int) -> tuple[Counter, Counter]:
             records[built.__qualname__] += 1
             key = GENERATED
         else:
-            key = f"{frame.f_globals['__name__']}.{frame.f_code.co_qualname}"
+            key = f"{frame.f_globals['__name__']}.{frame.f_code.co_name} (line {frame.f_code.co_firstlineno})"
         frame.f_trace_opcodes = True
 
         def local(frame, event, arg):
@@ -94,10 +94,10 @@ def count(workload, ops: int) -> tuple[Counter, Counter]:
     return instructions, records
 
 
-def report(instructions: Counter, records: Counter, ops: int, top: int) -> str:
+def report(instructions: Counter, records: Counter, ops: int) -> str:
     total = sum(instructions.values())
     lines = [f"engine instructions per operation: {total / ops:,.1f} ({total:,} over {ops} operations)"]
-    for key, n in instructions.most_common(top):
+    for key, n in instructions.most_common(TOP):
         lines.append(f"  {n / ops:>10,.1f}  {100 * n / total:5.1f}%  {key}")
     built = sum(records.values())
     lines.append(f"records built per operation: {built / ops:,.1f}")
@@ -111,7 +111,7 @@ def main(argv: list[str] | None = None) -> int:
     workload = load_workload(args.root.resolve(), args.seed)
     workload.op(0)  # one-time work (first-use caches) stays out of the count
     instructions, records = count(workload, args.ops)
-    print(report(instructions, records, args.ops, args.top))
+    print(report(instructions, records, args.ops))
     return 0
 
 
