@@ -542,12 +542,6 @@ class TestPlainLineParser:
         assert parse_failure(PARSE_ERROR_CASES["undefined-price"][0])[2:] == (2, 2)
         assert parse_failure(PARSE_ERROR_CASES["duplicate-price"][0])[2:] == (2, 1)
 
-    def test_numbers_of_up_to_4000_characters_are_read(self):
-        longest = "9" * 4000
-        s = parse_scenario(f"price ABC {longest} {longest}\nat {longest} buy ABC {longest}\n")
-        assert s.events == (Buy(int(longest), "ABC", int(longest)),)
-        assert s.prices.price_at("ABC", int(longest)) == Money(int(longest) * 100)
-
     def test_signs_and_underscores_are_rejected_as_in_prices(self):
         assert parse_failure(PARSE_ERROR_CASES["plus-qty"][0])[:2] == (
             ParseError, "line 2, col 14: expected share quantity, got '+5'",
