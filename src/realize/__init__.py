@@ -7,7 +7,6 @@ constructive-sale rule, with exact integer-centavo arithmetic throughout.
 
 from . import errors
 from .ledger import (
-    AcquisitionMethod,
     Borrow,
     BorrowPosition,
     Buy,
@@ -36,12 +35,11 @@ from .scenario import (
     parse_scenario,
     run,
 )
-from .taxation import NettingWindow, RateSchedule, TaxLine, net_by_period, tax_due, tax_timeline
+from .taxation import NettingWindow, RateSchedule, TaxLine, tax_timeline
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AcquisitionMethod",
     "BUILTIN_NAMES",
     "Borrow",
     "BorrowPosition",
@@ -73,11 +71,9 @@ __all__ = [
     "compare",
     "errors",
     "format_scenario",
-    "net_by_period",
     "offset_grid_rows",
     "parse_scenario",
     "realize",
     "run",
-    "tax_due",
     "tax_timeline",
 ]

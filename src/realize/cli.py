@@ -28,6 +28,7 @@ from .scenario import (
     RunReport,
     Scenario,
     _columns,
+    _max_digits,
     builtin,
     compare,
     offset_grid_rows,
@@ -258,14 +259,26 @@ def paper_tables() -> str:
     return render()
 
 
+def _too_long(*reports) -> None:
+    """Raise ``EngineError`` at the tick of the first event, tax line or cash point of ``reports`` holding an
+    int of more digits than ``int()`` writes; return if there is none."""
+    bound = 10 ** limit if (limit := _max_digits()) else float("inf")
+    for report in reports:
+        for r in (report.current, report.proposed) if isinstance(report, ComparisonReport) else (report,):
+            for group in _columns(r):
+                for tick, *row in zip(*group):
+                    if any(type(v) is int and abs(v) >= bound for v in row):
+                        raise EngineError(f"a figure at tick {tick} has more than {limit:,} digits to print")
+
+
 def _emit(fmt: str, render_json, render_csv, render_table, *args) -> int:
     """Print ``render_json(*args)``, ``render_csv(*args)`` or ``render_table(*args)``, as ``fmt`` asks."""
-    if fmt == "json":
-        print(render_json(*args))
-    elif fmt == "csv":
-        sys.stdout.write(render_csv(*args))
-    else:
-        sys.stdout.write(render_table(*args))
+    try:
+        text = (render_json if fmt == "json" else render_csv if fmt == "csv" else render_table)(*args)
+    except ValueError:
+        _too_long(*args)
+        raise
+    sys.stdout.write(text + "\n" if fmt == "json" else text)
     return EXIT_OK
 
 

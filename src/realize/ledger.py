@@ -52,7 +52,6 @@ from __future__ import annotations
 
 from collections import deque
 from collections.abc import Callable, ValuesView
-from enum import Enum
 
 from .errors import (
     InsufficientOwnedShares,
@@ -61,12 +60,7 @@ from .errors import (
     NoOpenBorrow,
     OverCover,
 )
-from .market import Money, PricePath, SecurityId, Tick, _money, record
-
-
-class AcquisitionMethod(Enum):
-    PURCHASE = "purchase"
-    INHERITANCE = "inheritance"
+from .market import Money, PricePath, SecurityId, Tick, record
 
 
 @record
@@ -77,8 +71,6 @@ class Lot:
     sec: SecurityId
     qty: int
     basis_per_share: Money
-    acquired_at: Tick
-    method: AcquisitionMethod = AcquisitionMethod.PURCHASE
 
 
 @record
@@ -93,7 +85,6 @@ class BorrowPosition:
     id: int
     sec: SecurityId
     qty_borrowed: int
-    borrowed_at: Tick
     qty_sold_short: int = 0
     short_proceeds_per_share: Money | None = None
     sold_at: Tick | None = None
@@ -183,9 +174,9 @@ class Ledger:
     own security.  Each borrow position sold short by a reserving sale
     counts how many of its uncovered shares were sold against reserved ones,
     and those count as covered before its others.  An index of every open
-    lot by id, in lot-id order, serves ``lots``.  ``lots_of``, ``borrows_of``
-    and ``reserved_by_lot`` return the live containers: read them, never
-    change them.
+    lot by id, in lot-id order, serves ``lots``.  ``lots_of`` and
+    ``reserved_by_lot`` return the live containers: read them, never change
+    them.
     """
 
     def __init__(self) -> None:
@@ -199,20 +190,12 @@ class Ledger:
         self._cash, self.owner_generation, self.next_lot_id, self.next_borrow_id = 0, 0, 0, 0
 
     @property
-    def cash(self) -> Money:
-        """Net cash moved so far: the sum of the applied events' ``cash_delta``."""
-        return _money(self._cash)
-
-    @property
     def lots(self) -> ValuesView[Lot]:
         """Every open lot in lot-id order; its length costs nothing."""
         return self._by_id.values()
 
     def lots_of(self, sec: SecurityId) -> deque[Lot] | tuple[()]:
         return self._lots.get(sec, ())
-
-    def borrows_of(self, sec: SecurityId) -> list[BorrowPosition] | tuple[()]:
-        return self._borrows.get(sec, ())
 
     def reserved_by_lot(self, sec: SecurityId) -> dict[int, int]:
         """Reserved share count per lot id of ``sec``."""
@@ -328,7 +311,7 @@ class Ledger:
                 lot = queue[i]
             left = lot.qty - qty
             if left:
-                queue[i] = by_id[lot.id] = Lot(lot.id, lot.sec, left, lot.basis_per_share, lot.acquired_at, lot.method)
+                queue[i] = by_id[lot.id] = Lot(lot.id, lot.sec, left, lot.basis_per_share)
                 i += 1
             else:
                 del queue[i], by_id[lot.id]
@@ -338,7 +321,7 @@ class Ledger:
 
     def _buy(self, ev: Buy, path: PricePath) -> LedgerEffects:
         price = path.price_at(ev.sec, ev.at)
-        lot = Lot(self.next_lot_id, ev.sec, ev.qty, price, ev.at)
+        lot = Lot(self.next_lot_id, ev.sec, ev.qty, price)
         self.next_lot_id += 1
         self._add_lot(lot)
         cash = price.centavos * ev.qty
@@ -346,7 +329,7 @@ class Ledger:
         return LedgerEffects(ev, price, -cash)
 
     def _borrow(self, ev: Borrow, path: PricePath) -> LedgerEffects:
-        pos = BorrowPosition(self.next_borrow_id, ev.sec, ev.qty, ev.at)
+        pos = BorrowPosition(self.next_borrow_id, ev.sec, ev.qty)
         self.next_borrow_id += 1
         positions = self._borrows.get(ev.sec)
         if positions is None:
@@ -374,15 +357,12 @@ class Ledger:
         shift = 0
         for i, amount in plan:
             pos = positions[i + shift]
-            positions[i + shift] = sold_pos = BorrowPosition(
-                pos.id, pos.sec, amount, pos.borrowed_at, amount, price, ev.at, pos.qty_covered
-            )
+            sold_pos = BorrowPosition(pos.id, pos.sec, amount, amount, price, ev.at, pos.qty_covered)
+            positions[i + shift] = sold_pos
             if amount < pos.qty_borrowed:
                 # Split so every sold position carries exactly one proceeds price.
                 shift += 1
-                positions.insert(i + shift, BorrowPosition(
-                    self.next_borrow_id, pos.sec, pos.qty_borrowed - amount, pos.borrowed_at
-                ))
+                positions.insert(i + shift, BorrowPosition(self.next_borrow_id, pos.sec, pos.qty_borrowed - amount))
                 self.next_borrow_id += 1
             sold.append((sold_pos, amount))
         cash = price.centavos * ev.qty
@@ -439,7 +419,7 @@ class Ledger:
             pos = positions[i]
             if amount < pos.qty_borrowed - pos.qty_covered:
                 positions[i] = BorrowPosition(
-                    pos.id, pos.sec, pos.qty_borrowed, pos.borrowed_at, pos.qty_sold_short,
+                    pos.id, pos.sec, pos.qty_borrowed, pos.qty_sold_short,
                     pos.short_proceeds_per_share, pos.sold_at, pos.qty_covered + amount,
                 )
             else:
@@ -456,17 +436,13 @@ class Ledger:
     def _death(self, ev: Death, path: PricePath) -> LedgerEffects:
         """Transmit the portfolio to the heir with basis stepped up to the death-date price.
 
-        Every owned lot is re-based to fair market value at the death tick
-        and is thereafter an inherited holding; lot ids, and so the
-        reservations on them, are kept.  Open borrow positions transmit
-        unchanged, since the heir inherits the obligation to return the
-        shares.
+        Every owned lot is re-based to fair market value at the death tick;
+        lot ids, and so the reservations on them, are kept.  Open borrow
+        positions transmit unchanged, since the heir inherits the obligation
+        to return the shares.
         """
         at = ev.at
-        lots = [
-            Lot(lot.id, lot.sec, lot.qty, path.price_at(lot.sec, at), at, AcquisitionMethod.INHERITANCE)
-            for lot in self._by_id.values()
-        ]
+        lots = [Lot(lot.id, lot.sec, lot.qty, path.price_at(lot.sec, at)) for lot in self._by_id.values()]
         self._by_id, self._lots = {}, {}
         for lot in lots:
             self._add_lot(lot)

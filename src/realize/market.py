@@ -17,7 +17,6 @@ to be given ints, without the check.
 from __future__ import annotations
 
 import re
-import sys
 from collections.abc import Mapping
 from operator import attrgetter, eq, ge, gt, le, lt
 
@@ -32,8 +31,7 @@ _CENTS = tuple(f".{c:02d}" for c in range(CENTAVOS_PER_PESO))  # the text after 
 _MONEY_RE = re.compile(r"(-?)(\d+)(?:\.(\d{1,2}))?", re.ASCII)
 
 
-# ``dataclasses`` (and the ``inspect`` it imports) loads only when a refusal
-# or a ``dataclasses`` call needs it, never on the engine's own paths.
+# The error class is imported only when a refusal raises it, never on the engine's own paths.
 def _refuse_set(self, name: str, value: object) -> None:
     from dataclasses import FrozenInstanceError
 
@@ -44,44 +42,6 @@ def _refuse_delete(self, name: str) -> None:
     from dataclasses import FrozenInstanceError
 
     raise FrozenInstanceError(f"cannot delete field {name!r}")
-
-
-class _DataclassAttr:
-    """``__dataclass_fields__`` or ``__dataclass_params__`` of a record, made on first access.
-
-    ``dataclasses.dataclass`` runs once over a stand-in class with the same
-    fields and defaults; its two attributes then replace both lazy ones on
-    the class that asked, so ``fields``, ``replace`` and ``is_dataclass``
-    see an ordinary frozen dataclass.
-    """
-
-    def __init__(self, annotations: dict, defaults: dict, order: bool) -> None:
-        self.spec = annotations, defaults, order
-
-    def __set_name__(self, owner: type, name: str) -> None:
-        self.name = name
-
-    def __get__(self, obj: object, owner: type) -> object:
-        from dataclasses import dataclass
-
-        annotations, defaults, order = self.spec
-        stand_in = type(owner.__name__, (), {
-            **defaults, "__annotations__": annotations,
-            "__module__": owner.__module__, "__qualname__": owner.__qualname__,
-        })
-        stand_in = dataclass(frozen=True, order=order)(stand_in)
-        owner.__dataclass_fields__ = stand_in.__dataclass_fields__
-        owner.__dataclass_params__ = stand_in.__dataclass_params__
-        return getattr(owner, self.name)
-
-
-def _annotation_text(annotation: object) -> str:
-    """An annotation as ``inspect.signature`` prints it."""
-    if not isinstance(annotation, type):
-        return repr(annotation)
-    if annotation.__module__ == "builtins":
-        return annotation.__qualname__
-    return f"{annotation.__module__}.{annotation.__qualname__}"
 
 
 def _repr(self) -> str:
@@ -129,20 +89,19 @@ def _comparison(name: str, op, values):
 
 
 def record(cls: type | None = None, /, *, order: bool = False):
-    """Make ``cls`` a frozen, slotted value class, like ``@dataclass(frozen=True, slots=True)``.
+    """Make ``cls`` a frozen, slotted value class.
 
-    The fields are the class's own annotations, in order, with plain
-    defaults; a default factory is refused, as is a base class or an own
-    ``__init__`` or ``__new__``.  The slots live on a plain private twin
-    class, which the record subclasses with ``__slots__ = ()``.  One ``exec``
-    per class writes ``__new__``, which makes a blank twin, fills it with
-    plain attribute stores, makes it the class, then calls ``__post_init__``
-    when the class has one.  Equality, hashing and, with ``order=True``, the
-    four comparisons use the field values, read by one ``operator.attrgetter``;
-    ``__repr__`` and pickling read the fields by name.  The class's own methods
-    are kept; any attribute write or delete raises ``FrozenInstanceError``.
-    ``__dataclass_fields__`` and ``__dataclass_params__`` are built on first
-    access, so ``dataclasses`` loads only when something asks for them.
+    The fields are the class's own annotations, in order, with hashable
+    plain defaults; a base class or an own ``__init__`` or ``__new__`` is
+    refused.  ``__match_args__`` names the fields.  The slots live on a plain
+    private twin class, which the record subclasses with ``__slots__ = ()``.
+    One ``exec`` per class writes ``__new__``, which makes a blank twin, fills
+    it with plain attribute stores, makes it the class, then calls
+    ``__post_init__`` when the class has one.  Equality, hashing and, with
+    ``order=True``, the four comparisons use the field values, read by one
+    ``operator.attrgetter``; ``__repr__`` and pickling read the fields by
+    name.  The class's own methods are kept; any attribute write or delete
+    raises ``FrozenInstanceError``.
     """
     if cls is None:
         return lambda cls: _build(cls, order)
@@ -159,20 +118,14 @@ def _build(cls: type, order: bool) -> type:
     names = tuple(annotations)
     twin = type(f"_{cls.__name__}Slots", (), {"__slots__": names, "__qualname__": f"_{cls.__qualname__}Slots"})
     env: dict[str, object] = {"__name__": cls.__module__, "_blank": twin}
-    defaults: dict[str, object] = {}
-    params = ["cls"]
+    params, defaulted = ["cls"], False
     for name in names:
         if name not in ns:
-            if defaults:
+            if defaulted:
                 raise TypeError(f"non-default argument {name!r} follows default argument")
             params.append(name)
             continue
-        default = defaults[name] = ns.pop(name)
-        dataclasses = sys.modules.get("dataclasses")  # a field() default means it is loaded
-        if dataclasses is not None and isinstance(default, dataclasses.Field):
-            raise TypeError(
-                f"record field {cls.__name__}.{name} takes a plain default, not a default factory"
-            )
+        default, defaulted = ns.pop(name), True
         if type(default).__hash__ is None:
             raise ValueError(f"mutable default {type(default)} for field {name} is not allowed")
         env[f"_dflt_{name}"] = default
@@ -184,7 +137,7 @@ def _build(cls: type, order: bool) -> type:
         body.append("self.__post_init__()")
     exec(f"def __new__({', '.join(params)}):\n    " + "\n    ".join(body) + "\n    return self", env)
     new = env["__new__"]
-    new.__annotations__ = {name: annotations[name] for name in names} | {"return": None}
+    new.__annotations__ = {**annotations, "return": None}
     new.__qualname__ = f"{cls.__qualname__}.__init__"  # what the argument TypeErrors name
     values = attrgetter(*names)  # the one field's value itself when there is only one
 
@@ -206,14 +159,6 @@ def _build(cls: type, order: bool) -> type:
     ns = methods | ns  # what the class defines itself wins
     ns["__slots__"], ns["__match_args__"] = (), names
     ns["__qualname__"] = cls.__qualname__
-    ns["__dataclass_fields__"] = _DataclassAttr(annotations, defaults, order)
-    ns["__dataclass_params__"] = _DataclassAttr(annotations, defaults, order)
-    if not ns.get("__doc__"):  # as dataclass writes it, from the signature
-        ns["__doc__"] = cls.__name__ + "(" + ", ".join(
-            f"{name}: {_annotation_text(annotations[name])}"
-            + (f" = {defaults[name]!r}" if name in defaults else "")
-            for name in names
-        ) + ")"
     return type(cls)(cls.__name__, (twin,), ns)
 
 

@@ -392,6 +392,8 @@ def builtin(name: str) -> Scenario:
 
 @record
 class CashPoint:
+    """The pre-tax cash one tick moved, and the running total through that tick."""
+
     at: Tick
     delta: Money
     cumulative: Money
@@ -399,6 +401,8 @@ class CashPoint:
 
 @record
 class InventorySummary:
+    """Shares owned and borrowed shares still owed per security at the end of a run, and the owner generation."""
+
     owned: tuple[tuple[SecurityId, int], ...]
     borrowed_outstanding: tuple[tuple[SecurityId, int], ...]
     owner_generation: int
@@ -517,6 +521,8 @@ def run(
 
 @record
 class TaxDelta:
+    """The tax one tick owes under the current and the proposed regime."""
+
     at: Tick
     current_tax: Money
     proposed_tax: Money

@@ -36,6 +36,8 @@ class NettingWindow(Enum):
 
 @record
 class TaxLine:
+    """One netting window's signed net capital gain and the tax due on it."""
+
     period: Tick
     net_capital_gain: Money  # signed
     tax_due: Money
@@ -57,7 +59,7 @@ def _nets(events: Sequence[RealizationEvent], window: NettingWindow) -> list[tup
 
 
 def _tax(centavos: int, schedule: RateSchedule) -> int:
-    """``tax_due`` on int centavos."""
+    """Tax in int centavos on a window's net: zero unless a gain, and rounding can zero a gain of a few centavos."""
     if centavos <= 0:
         return 0
     if schedule is _FLAT:
@@ -66,29 +68,10 @@ def _tax(centavos: int, schedule: RateSchedule) -> int:
     return _rated(lower, LOWER_TIER_RATE) + _rated(centavos - lower, UPPER_TIER_RATE)
 
 
-def net_by_period(
-    events: Sequence[RealizationEvent], window: NettingWindow = NettingWindow.PER_TICK
-) -> list[tuple[Tick, Money]]:
-    """Sum signed gains per netting window; windows with no events are omitted.
-
-    Under ``WHOLE_RUN`` everything nets into a single line dated at the last
-    realization tick.
-    """
-    return [(t, _money(net)) for t, net in _nets(events, window)]
-
-
-def tax_due(net_gain: Money, schedule: RateSchedule = RateSchedule.PAPER_FLAT) -> Money:
-    """Tax on one period's net capital gain; zero when the net is not a gain.
-
-    Sub-centavo rounding means a strictly positive net of a few centavos can
-    still owe zero; at whole-peso gains the tax is strictly positive.
-    """
-    return _money(_tax(net_gain.centavos, schedule))
-
-
 def tax_timeline(
     events: Sequence[RealizationEvent],
     window: NettingWindow = NettingWindow.PER_TICK,
     schedule: RateSchedule = RateSchedule.PAPER_FLAT,
 ) -> list[TaxLine]:
+    """A line per netting window with events, in tick order; ``WHOLE_RUN`` nets all at the last event's tick."""
     return [TaxLine(t, _money(net), _money(_tax(net, schedule))) for t, net in _nets(events, window)]

@@ -3,11 +3,13 @@
 ``snapshot`` is a deep copy of every field of a ledger, so two snapshots
 are equal exactly when the two ledgers hold the same lots, borrow positions,
 cash and counters, and also the same reservation queue and constructive
-marks.  The other reads use the ledger's live per-security containers and
-the fields of its borrow positions.
+marks.  The other reads use the ledger's private fields, its live
+per-security containers and the fields of its borrow positions.
 """
 
 import copy
+
+from realize import Money
 
 
 def snapshot(ledger):
@@ -20,9 +22,19 @@ def securities(ledger):
     return ledger._lots.keys() | ledger._borrows.keys()
 
 
+def cash(ledger):
+    """Net cash moved so far: the sum of the applied events' ``cash_centavos``."""
+    return Money(ledger._cash)
+
+
+def borrows_of(ledger, sec):
+    """The open borrow positions of ``sec``, in cover order."""
+    return tuple(ledger._borrows.get(sec, ()))
+
+
 def borrows(ledger):
     """Every open borrow position, by security symbol, each security's in cover order."""
-    return tuple(p for sec in sorted(securities(ledger)) for p in ledger.borrows_of(sec))
+    return tuple(p for sec in sorted(securities(ledger)) for p in borrows_of(ledger, sec))
 
 
 def owned_qty(ledger, sec):
@@ -45,11 +57,11 @@ def qty_sold_uncovered(position):
 
 
 def borrowed_unsold_qty(ledger, sec):
-    return sum(qty_unsold(p) for p in ledger.borrows_of(sec))
+    return sum(qty_unsold(p) for p in borrows_of(ledger, sec))
 
 
 def sold_uncovered_qty(ledger, sec):
-    return sum(qty_sold_uncovered(p) for p in ledger.borrows_of(sec))
+    return sum(qty_sold_uncovered(p) for p in borrows_of(ledger, sec))
 
 
 def quoted_securities(path):

@@ -102,6 +102,27 @@ class TestRun:
         assert (done.returncode, done.stdout) == (2, "")
         assert done.stderr == f"realize: error: line 2, col 12: share quantity has more than {digits} digits\n"
 
+    @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="int() has no digit limit")
+    @pytest.mark.parametrize("argv", [("run",), ("run", "--format", "csv"), ("run", "--format", "json"), ("compare",)],
+                             ids=["run-table", "run-csv", "run-json", "compare"])
+    def test_a_figure_longer_than_int_writes_exits_2_with_one_line(self, capsys, tmp_path, argv):
+        # Each number reads, but the gain and the cash are products of two: they used to end the
+        # writers in int()'s ValueError traceback and exit 1.
+        nines = "9" * (sys.get_int_max_str_digits() // 2 + 50)
+        path = tmp_path / "long.scn"
+        path.write_text(f"price A 1 {nines}\nprice A 2 1\nat 1 buy A {nines}\nat 2 sell A {nines}\n")
+        digits = f"{sys.get_int_max_str_digits():,}"
+        err = f"realize: error: a figure at tick 2 has more than {digits} digits to print\n"
+        assert invoke(capsys, argv[0], str(path), *argv[1:]) == (2, "", err)
+
+    def test_any_other_value_error_of_a_writer_is_not_taken_for_a_long_figure(self, monkeypatch):
+        def broken(report):
+            raise ValueError("not a digit limit")
+
+        monkeypatch.setattr(cli, "_render_run_table", broken)
+        with pytest.raises(ValueError, match="not a digit limit"):
+            cli.main(["run", "strategy3"])
+
     def test_runtime_error_reports_event_index(self, capsys, tmp_path):
         path = tmp_path / "oversell.scn"
         path.write_text("price ABC 1 50\nat 1 sell ABC 5\n")

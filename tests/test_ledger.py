@@ -6,7 +6,6 @@ import dataclasses
 import pytest
 
 from realize import (
-    AcquisitionMethod,
     Borrow,
     Buy,
     CoverByOwnedLot,
@@ -30,7 +29,16 @@ from realize.errors import (
     NoOpenBorrow,
     OverCover,
 )
-from ledger_views import borrowed_unsold_qty, borrows, owned_qty, qty_outstanding, snapshot, sold_uncovered_qty
+from ledger_views import (
+    borrowed_unsold_qty,
+    borrows,
+    borrows_of,
+    cash,
+    owned_qty,
+    qty_outstanding,
+    snapshot,
+    sold_uncovered_qty,
+)
 
 ABC_PRICES = PricePath.from_table(
     {"ABC": {1: Money.from_pesos(50), 2: Money.from_pesos(100), 3: Money.from_pesos(30)}}
@@ -63,13 +71,9 @@ class TestTradeEvents:
         assert Buy(1, "A", 1) == Buy(1, "A", 1)
 
     @pytest.mark.parametrize("kind", TRADES, ids=lambda k: k.__name__)
-    def test_dataclass_tools_keep_the_kind(self, kind):
-        ev = kind(1, "A", 5)
-        assert [f.name for f in dataclasses.fields(kind)] == ["at", "sec", "qty"]
-        changed = dataclasses.replace(ev, qty=7)
-        assert type(changed) is kind and changed == kind(1, "A", 7)
-        with pytest.raises(InvalidQuantity):
-            dataclasses.replace(ev, qty=0)
+    def test_fields_are_the_trade_fields(self, kind):
+        assert kind.__match_args__ == ("at", "sec", "qty")
+        assert not dataclasses.is_dataclass(kind)
 
     @pytest.mark.parametrize("kind", TRADES, ids=lambda k: k.__name__)
     @pytest.mark.parametrize("qty", [0, -1])
@@ -98,14 +102,13 @@ class TestBuyAndSell:
         (lot,) = ledger.lots
         assert lot.qty == 100_000
         assert lot.basis_per_share == Money.from_pesos(50)
-        assert lot.method is AcquisitionMethod.PURCHASE
-        assert ledger.cash == Money.from_pesos(-5_000_000)
+        assert cash(ledger) == Money.from_pesos(-5_000_000)
         assert eff == LedgerEffects(Buy(1, "ABC", 100_000), lot.basis_per_share, -500_000_000)
 
     def test_one_buy_one_sell_cash(self):
         ledger, _ = apply_all([Buy(1, "ABC", 100_000), SellOwned(2, "ABC", 100_000)])
         assert not ledger.lots
-        assert ledger.cash == (Money.from_pesos(100) - Money.from_pesos(50)) * 100_000
+        assert cash(ledger) == (Money.from_pesos(100) - Money.from_pesos(50)) * 100_000
 
     def test_sell_more_than_owned(self):
         with pytest.raises(InsufficientOwnedShares):
@@ -132,7 +135,7 @@ class TestBorrowAndShort:
         assert pos.qty_sold_short == 100_000
         assert pos.short_proceeds_per_share == Money.from_pesos(100)
         assert pos.sold_at == 2
-        assert ledger.cash == Money.from_pesos(10_000_000)
+        assert cash(ledger) == Money.from_pesos(10_000_000)
         ((sold, qty),) = effects[1].shorts
         assert sold == pos and qty == 100_000
         assert sold.short_proceeds_per_share == Money.from_pesos(100)
@@ -163,15 +166,13 @@ class TestBorrowAndShort:
 
 
 class TestCash:
-    def test_cash_is_read_only_and_sums_the_cash_deltas(self):
+    def test_cash_sums_the_cash_deltas(self):
         ledger = Ledger()
         events = (Buy(1, "ABC", 10), Borrow(2, "ABC", 10), ShortSell(2, "ABC", 10), SellOwned(2, "ABC", 4),
                   CoverByPurchase(3, "ABC", 5), CoverByOwnedLot(3, "ABC", 5), Death(3))
         deltas = [apply_event(ledger, ev, ABC_PRICES)[1].cash_centavos for ev in events]
         assert all(type(delta) is int for delta in deltas)
-        assert ledger.cash == Money(sum(deltas)) == Money.from_pesos(-500 + 1_000 + 400 - 150)
-        with pytest.raises(AttributeError):
-            ledger.cash = Money.zero()
+        assert cash(ledger) == Money(sum(deltas)) == Money.from_pesos(-500 + 1_000 + 400 - 150)
 
 
 class TestCover:
@@ -184,7 +185,7 @@ class TestCover:
             ]
         )
         assert borrows(ledger) == ()
-        assert ledger.cash == Money.from_pesos(10_000_000 - 3_000_000)
+        assert cash(ledger) == Money.from_pesos(10_000_000 - 3_000_000)
         ((pos, qty),) = effects[2].shorts
         assert qty == 100_000
         assert pos.short_proceeds_per_share == Money.from_pesos(100)
@@ -200,7 +201,7 @@ class TestCover:
         )
         assert not ledger.lots
         assert borrows(ledger) == ()
-        assert ledger.cash == Money.from_pesos(-5_000_000 + 10_000_000)
+        assert cash(ledger) == Money.from_pesos(-5_000_000 + 10_000_000)
         eff = effects[3]
         assert eff.cash_centavos == 0
         assert eff.lots_consumed[0][0].basis_per_share == Money.from_pesos(50)
@@ -316,8 +317,6 @@ class TestStepUp:
         after = self.step_up(ledger)
         (lot,) = after.lots
         assert lot.basis_per_share == Money.from_pesos(130)
-        assert lot.method is AcquisitionMethod.INHERITANCE
-        assert lot.acquired_at == 3
         assert after.owner_generation == 1
 
     def test_step_up_to_same_price_keeps_value(self):
@@ -408,8 +407,8 @@ class TestPerSecurityLedger:
             path=THREE_PRICES,
         )
         assert [(lot.id, lot.qty) for lot in ledger.lots] == [(1, 100), (2, 50)]
-        assert [p.id for p in ledger.borrows_of("BBB")] == [0, 3, 2]
-        assert [p.id for p in ledger.borrows_of("AAA")] == [1]
+        assert [p.id for p in borrows_of(ledger, "BBB")] == [0, 3, 2]
+        assert [p.id for p in borrows_of(ledger, "AAA")] == [1]
         assert sorted(p.id for p in borrows(ledger)) == [0, 1, 2, 3]
 
     def test_sales_and_covers_touch_only_their_own_security(self):
@@ -427,11 +426,11 @@ class TestPerSecurityLedger:
         assert [(lot.id, lot.qty) for lot in ledger.lots_of("AAA")] == [(3, 50), (6, 100)]
         assert [(lot.id, lot.qty) for lot in ledger.lots_of("BBB")] == [(4, 100), (7, 100)]
         assert [(lot.id, lot.qty) for lot in ledger.lots_of("CCC")] == [(2, 100), (5, 100), (8, 100)]
-        assert not ledger.borrows_of("BBB")
+        assert not borrows_of(ledger, "BBB")
 
     def test_sold_position_without_price_is_an_engine_error(self):
         # No event makes such a position, so it is planted in the ledger's private ledger.
         ledger = Ledger()
-        ledger._borrows["ABC"] = [BorrowPosition(0, "ABC", 100, 1, qty_sold_short=100)]
+        ledger._borrows["ABC"] = [BorrowPosition(0, "ABC", 100, qty_sold_short=100)]
         with pytest.raises(InvariantViolation):
             apply_event(ledger, CoverByPurchase(2, "ABC", 100), ABC_PRICES)

@@ -31,7 +31,7 @@ from realize import (
     realize,
     run,
 )
-from ledger_views import borrows, qty_outstanding
+from ledger_views import borrows, cash, qty_outstanding
 from scenario_gen import random_scenario
 
 peso_price = st.integers(min_value=1, max_value=1000)
@@ -226,7 +226,7 @@ class TestRunEqualsPublicFold:
                 report = run(scenario, regime=regime)
                 events, ledger = fold(scenario, regime)
                 assert report.events == tuple(events)
-                assert report.final_cash == ledger.cash
+                assert report.final_cash == cash(ledger)
                 assert [lot.id for lot in ledger.lots] == sorted(lot.id for lot in ledger.lots)
                 owned, outstanding = {}, {}
                 for lot in ledger.lots:

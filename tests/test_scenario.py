@@ -42,7 +42,7 @@ from realize.errors import (
     UnknownScenario,
 )
 from realize.scenario import BUILTIN_NAMES, _int
-from ledger_views import borrows, quoted_securities
+from ledger_views import borrows, borrows_of, quoted_securities
 from scenario_gen import random_scenario
 
 STRATEGY3_SCRIPT = """\
@@ -660,7 +660,7 @@ class TestValueRoundTrip:
         report = run(builtin("strategy3"))
         ledger, _ = self.open_state()
         prices = builtin("strategy3").prices
-        lot, position = ledger.lots_of("ABC")[0], ledger.borrows_of("ABC")[0]
+        lot, position = ledger.lots_of("ABC")[0], borrows_of(ledger, "ABC")[0]
         _, short = apply_event(ledger, ShortSell(3, "ABC", 20), prices)
         _, sale = apply_event(ledger, SellOwned(3, "ABC", 10), prices)
         records = [
