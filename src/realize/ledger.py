@@ -16,9 +16,9 @@ organised per security as a first-in first-out queue of lots and a list of
 borrow positions.  An event reads and changes only its own security, and lot
 matching stops at the last lot it needs, so the cost of an event does not
 grow with the rest of the portfolio.  A ledger starts empty and changes only
-through ``apply_event``.  Each event class has one step method, found in one
-table keyed by class: a subclass of an event class resolves through its MRO,
-as ``isinstance`` would, and anything else is refused with ``TypeError``.
+through ``apply_event``.  Each event class names its step in one attribute,
+``_step``, that every layer reads: a subclass of an event class inherits its
+base's step, and anything else has none and is refused with ``TypeError``.
 
 The ledger also holds reservations: owned shares set aside against a short
 sale by ``Ledger.reserve``, which the proposed regime's constructive-sale
@@ -51,7 +51,7 @@ raises ``OverCover``.
 from __future__ import annotations
 
 from collections import deque
-from collections.abc import Callable, ValuesView
+from collections.abc import ValuesView
 
 from .errors import (
     InsufficientOwnedShares,
@@ -87,7 +87,6 @@ class BorrowPosition:
     qty_borrowed: int
     qty_sold_short: int = 0
     short_proceeds_per_share: Money | None = None
-    sold_at: Tick | None = None
     qty_covered: int = 0
 
 
@@ -316,7 +315,7 @@ class Ledger:
             else:
                 del queue[i], by_id[lot.id]
 
-    # One step per event shape, looked up in ``_STEPS`` by event class.  Every
+    # One step per event shape, named by each event class's ``_step``.  Every
     # check runs before anything changes.
 
     def _buy(self, ev: Buy, path: PricePath) -> LedgerEffects:
@@ -357,7 +356,7 @@ class Ledger:
         shift = 0
         for i, amount in plan:
             pos = positions[i + shift]
-            sold_pos = BorrowPosition(pos.id, pos.sec, amount, amount, price, ev.at, pos.qty_covered)
+            sold_pos = BorrowPosition(pos.id, pos.sec, amount, amount, price, pos.qty_covered)
             positions[i + shift] = sold_pos
             if amount < pos.qty_borrowed:
                 # Split so every sold position carries exactly one proceeds price.
@@ -391,7 +390,7 @@ class Ledger:
             uncovered = pos.qty_sold_short - pos.qty_covered
             if not uncovered:
                 continue
-            if pos.short_proceeds_per_share is None or pos.sold_at is None:
+            if pos.short_proceeds_per_share is None:
                 raise InvariantViolation(f"borrow position {pos.id} is sold short without a price")
             amount = uncovered if uncovered < remaining else remaining
             plan.append((i, amount))
@@ -419,8 +418,8 @@ class Ledger:
             pos = positions[i]
             if amount < pos.qty_borrowed - pos.qty_covered:
                 positions[i] = BorrowPosition(
-                    pos.id, pos.sec, pos.qty_borrowed, pos.qty_sold_short,
-                    pos.short_proceeds_per_share, pos.sold_at, pos.qty_covered + amount,
+                    pos.id, pos.sec, pos.qty_borrowed, pos.qty_sold_short, pos.short_proceeds_per_share,
+                    pos.qty_covered + amount,
                 )
             else:
                 del positions[i]
@@ -450,27 +449,9 @@ class Ledger:
         return LedgerEffects(ev, None, 0)
 
 
-_STEPS: dict[type, Callable[[Ledger, TransactionEvent, PricePath], LedgerEffects]] = {
-    Buy: Ledger._buy,
-    Borrow: Ledger._borrow,
-    ShortSell: Ledger._short_sell,
-    SellOwned: Ledger._sell,
-    CoverByPurchase: Ledger._cover,
-    CoverByOwnedLot: Ledger._cover,
-    Death: Ledger._death,
-}
-
-
-def _lookup(table: dict[type, Callable], ev: object) -> Callable:
-    """The entry of ``table`` for the nearest class of ``ev`` in its MRO, as ``isinstance`` would pick.
-
-    Callers try ``table.get(type(ev))`` first; only a subclass of an event
-    class, or a non-event, gets here.
-    """
-    for cls in type(ev).__mro__:
-        if cls in table:
-            return table[cls]
-    raise TypeError(f"unknown transaction event {ev!r}")
+Buy._step, Borrow._step, ShortSell._step = Ledger._buy, Ledger._borrow, Ledger._short_sell
+SellOwned._step, Death._step = Ledger._sell, Ledger._death
+CoverByPurchase._step = CoverByOwnedLot._step = Ledger._cover
 
 
 def apply_event(
@@ -481,4 +462,8 @@ def apply_event(
     Returns the ledger with the event's effects.  An event that raises
     leaves the ledger as it was.
     """
-    return ledger, (_STEPS.get(type(ev)) or _lookup(_STEPS, ev))(ledger, ev, path)
+    try:
+        step = type(ev)._step
+    except AttributeError:
+        raise TypeError(f"unknown transaction event {ev!r}") from None
+    return ledger, step(ledger, ev, path)

@@ -30,13 +30,12 @@ application.
 The reservations live in the run's ``Ledger``, which decides which owned
 shares each sale and cover takes.  The only thing the proposed regime adds
 is one call, ``Ledger.reserve``, at a short sale; every other event maps its
-effects to events without state, the same way under both regimes.  Each
-event class has one rule, found the way the ledger finds its step.  A rule
-reads the time, security and quantity from the effects' event and builds
-each event straight from the (lot, qty) and (position, qty) pairs the
-ledger reports: a lot's basis, a position's proceeds.  A buy, a borrow and a
-death emit nothing under either regime, so ``run`` skips ``realize`` for
-exactly those classes (``_SILENT``).
+effects to events without state, the same way under both regimes.  A rule
+is keyed by the ledger step its event class names in ``_step``; it reads the
+time, security and quantity from the effects' event and builds each event
+straight from the (lot, qty) and (position, qty) pairs the ledger reports: a
+lot's basis, a position's proceeds.  A buy, a borrow and a death emit nothing
+under either regime: their steps have no rule, and ``run`` skips ``realize``.
 """
 
 from __future__ import annotations
@@ -44,18 +43,7 @@ from __future__ import annotations
 from enum import Enum
 
 from .errors import InvariantViolation
-from .ledger import (
-    Borrow,
-    Buy,
-    CoverByOwnedLot,
-    CoverByPurchase,
-    Death,
-    Ledger,
-    LedgerEffects,
-    SellOwned,
-    ShortSell,
-    _lookup,
-)
+from .ledger import Buy, Ledger, LedgerEffects, ShortSell
 from .market import Money, SecurityId, Tick, _money, record
 
 
@@ -104,11 +92,7 @@ def _price(effects: LedgerEffects) -> Money:
     return price
 
 
-# One rule per event shape, looked up in ``_RULES`` by event class.
-
-
-def _nothing(effects: LedgerEffects, regime: Regime, ledger: Ledger) -> list[RealizationEvent]:
-    return []
+# One rule per ledger step that can realize, looked up in ``_RULES``.
 
 
 def _sale(effects: LedgerEffects, regime: Regime, ledger: Ledger) -> list[RealizationEvent]:
@@ -162,18 +146,7 @@ def _cover(effects: LedgerEffects, regime: Regime, ledger: Ledger) -> list[Reali
     return events
 
 
-_RULES = {
-    Buy: _nothing,
-    Borrow: _nothing,
-    ShortSell: _short_sale,
-    SellOwned: _sale,
-    CoverByPurchase: _cover,
-    CoverByOwnedLot: _cover,
-    Death: _nothing,
-}
-# The exact classes whose rule emits nothing, so that ``run`` can skip ``realize`` for them; a subclass of
-# one still goes through ``realize``, which finds its rule through the MRO.
-_SILENT = frozenset(cls for cls, rule in _RULES.items() if rule is _nothing)
+_RULES = {Ledger._sell: _sale, Ledger._short_sell: _short_sale, Ledger._cover: _cover}
 
 
 def realize(
@@ -188,4 +161,8 @@ def realize(
     the owned shares deemed disposed.
     """
     ev = effects.event
-    return (_RULES.get(type(ev)) or _lookup(_RULES, ev))(effects, regime, ledger), ledger
+    try:
+        rule = _RULES.get(type(ev)._step)
+    except AttributeError:
+        raise TypeError(f"unknown transaction event {ev!r}") from None
+    return (rule(effects, regime, ledger) if rule else []), ledger

@@ -45,11 +45,10 @@ from .ledger import (
     ShortSell,
     TransactionEvent,
     _Trade,
-    _lookup,
     apply_event,
 )
 from .market import _ZERO, Money, PricePath, SecurityId, Tick, _money, pesos, record
-from .realization import _SILENT, RealizationEvent, Regime, _may_reserve, realize
+from .realization import _RULES, RealizationEvent, Regime, _may_reserve, realize
 from .taxation import NettingWindow, RateSchedule, TaxLine, tax_timeline
 
 BLOCK_QTY = 100_000
@@ -68,7 +67,7 @@ class Scenario:
     """A price path plus a tick-ordered list of transaction events.
 
     Building one raises, with the offending ``event_index``, ``EngineError``
-    for an event that is not an instance of an event class or of a subclass,
+    for an object whose class has no ``_step`` (not an event, or a bare trade),
     ``NonMonotonicTick`` or ``UndefinedPrice`` when ticks decrease or an event
     has no price, and ``InvalidSymbol`` when a security symbol or heir label is
     not a ``str`` or holds a character neither printable nor whitespace (an
@@ -83,15 +82,14 @@ class Scenario:
         last = None
         quotes = self.prices.quotes
         for index, ev in enumerate(self.events):
-            trade = isinstance(ev, _Trade)  # a trade costs one isinstance
-            if not trade and not isinstance(ev, Death):
+            if not hasattr(type(ev), "_step"):
                 raise _annotate(EngineError(f"unknown transaction event {ev!r}"), index)
             if last is not None and ev.at < last:
                 raise _annotate(
                     NonMonotonicTick(f"event tick {ev.at} precedes earlier tick {last}"), index
                 )
             last = ev.at
-            if not trade:
+            if not isinstance(ev, _Trade):
                 if ev.heir is not None and (err := _refused("heir label", ev.heir)):
                     raise _annotate(err, index)
             elif not (type(ev.sec) is str and ev.sec.isprintable()) and (err := _refused("security symbol", ev.sec)):
@@ -266,7 +264,7 @@ def parse_scenario(text: str, name: str = "scenario") -> Scenario:
         raise type(err)(str(err), line_no, _col(lines[line_no - 1], 0)) from None
 
 
-# The printer's inverse of the two tables: event class -> (verb, text after the quantity).
+# The printer's inverse of the two tables, over six unrelated classes: event class -> (verb, text after the quantity).
 _SPELLINGS = {kind: (verb, "") for verb, kind in _TRADES.items()}
 _SPELLINGS.update({kind: ("cover", f" {mode}") for mode, kind in _COVERS.items()})
 
@@ -298,7 +296,7 @@ def format_scenario(s: Scenario) -> str:
             if isinstance(ev, Death):
                 events.append(f"at {ev.at} death" + ("" if ev.heir is None else f" heir {_token(ev.heir)}"))
             else:
-                verb, mode = _SPELLINGS.get(type(ev)) or _lookup(_SPELLINGS, ev)
+                verb, mode = next(spelling for kind, spelling in _SPELLINGS.items() if isinstance(ev, kind))
                 events.append(f"at {ev.at} {verb} {_token(ev.sec)} {ev.qty}{mode}")
         except EngineError as err:
             raise _annotate(err, index) from None
@@ -489,7 +487,7 @@ def run(
     for index, ev in enumerate(scenario.events):
         try:
             ledger, effects = apply_event(ledger, ev, prices)
-            if type(ev) not in _SILENT:  # a buy, a borrow or a death realizes nothing
+            if type(ev)._step in _RULES:  # a buy, a borrow or a death realizes nothing
                 events, ledger = realize(effects, regime, ledger)
                 realized += events
         except EngineError as err:

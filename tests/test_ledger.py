@@ -134,7 +134,6 @@ class TestBorrowAndShort:
         assert qty_outstanding(pos) == 100_000
         assert pos.qty_sold_short == 100_000
         assert pos.short_proceeds_per_share == Money.from_pesos(100)
-        assert pos.sold_at == 2
         assert cash(ledger) == Money.from_pesos(10_000_000)
         ((sold, qty),) = effects[1].shorts
         assert sold == pos and qty == 100_000
@@ -286,8 +285,8 @@ class TestEffectPairs:
             [Borrow(1, "ABC", 30), Borrow(1, "ABC", 40), ShortSell(2, "ABC", 50), CoverByPurchase(3, "ABC", 40)]
         )
         sale, cover = effects[2:]
-        assert [(p.id, p.qty_sold_short, p.short_proceeds_per_share, p.sold_at, qty) for p, qty in sale.shorts] == [
-            (0, 30, Money.from_pesos(100), 2, 30), (1, 20, Money.from_pesos(100), 2, 20),
+        assert [(p.id, p.qty_sold_short, p.short_proceeds_per_share, qty) for p, qty in sale.shorts] == [
+            (0, 30, Money.from_pesos(100), 30), (1, 20, Money.from_pesos(100), 20),
         ]
         # Each covered position as it stood before the cover: as sold, nothing covered yet.
         assert cover.shorts == ((sale.shorts[0][0], 30), (sale.shorts[1][0], 10))
