@@ -16,7 +16,6 @@ to be given ints, without the check.
 
 from __future__ import annotations
 
-import re
 from collections.abc import Mapping
 from operator import attrgetter, eq, ge, gt, le, lt
 
@@ -27,8 +26,6 @@ SecurityId = str
 
 CENTAVOS_PER_PESO = 100
 _CENTS = tuple(f".{c:02d}" for c in range(CENTAVOS_PER_PESO))  # the text after the whole pesos, by centavos
-
-_MONEY_RE = re.compile(r"(-?)(\d+)(?:\.(\d{1,2}))?", re.ASCII)
 
 
 # The error class is imported only when a refusal raises it, never on the engine's own paths.
@@ -184,20 +181,6 @@ class Money:
     def from_pesos(cls, pesos: int) -> Money:
         return cls(pesos * CENTAVOS_PER_PESO)
 
-    @classmethod
-    def parse(cls, text: str) -> Money:
-        """Parse a decimal peso string ("50", "-1.25") into exact centavos.
-
-        At most two decimal places are accepted so that every parsed amount
-        is exactly representable.
-        """
-        m = _MONEY_RE.fullmatch(text.strip())
-        if m is None:
-            raise ValueError(f"not a peso amount: {text!r}")
-        sign, whole, frac = m.groups()
-        centavos = int(whole) * 100 + int((frac or "").ljust(2, "0"))
-        return _money(-centavos if sign else centavos)
-
     def __add__(self, other: Money) -> Money:
         if not isinstance(other, Money):
             return NotImplemented
@@ -220,10 +203,6 @@ class Money:
 
     def __bool__(self) -> bool:
         return self.centavos != 0
-
-    @property
-    def is_negative(self) -> bool:
-        return self.centavos < 0
 
     def __str__(self) -> str:
         return pesos(self.centavos)

@@ -11,8 +11,9 @@ whitespace-separated tokens):
     at <tick> cover <SYM> <qty> (by-purchase | with-owned)
     at <tick> death [heir <LABEL>]
 
-Ticks, quantities and prices are written in ASCII digits.  One parser reads
-every line; its errors carry the line and column of the offending token.
+Numbers are written in ASCII digits, each kind read in one place: ``_int``
+reads ticks and quantities, ``_price`` prices.  One parser reads every line;
+its errors carry the line and column of the offending token.
 ``Scenario`` alone checks that event ticks are non-decreasing and that every
 event's (security, tick) carries a price directive; the parser re-raises
 those errors at the event's line.
@@ -143,24 +144,44 @@ def _count_error(tokens: list[str], names: tuple[str, ...], code: str, line_no: 
     return ParseError("unexpected trailing tokens", line_no, _col(code, len(names)))
 
 
-def _int(tokens: list[str], index: int, what: str, code: str, line_no: int) -> int:
-    """Token ``index`` read as an integer spelled ``-?[0-9]+`` in ASCII, of no more digits than ``int()`` reads.
+def _int(tokens: list[str], index: int, what: str, code: str, line_no: int, limit: int) -> int:
+    """Token ``index`` read as an integer spelled ``-?[0-9]+`` in ASCII, of at most ``limit`` digits.
 
     Exactly this spelling: int() would also take '+', '_' and other scripts' digits.
     """
     token = tokens[index]
+    if token.isdigit() and token.isascii() and len(token) <= limit:
+        return int(token)
     digits = token[1:] if token[:1] == "-" else token
     if not (digits.isdigit() and digits.isascii()):
         raise ParseError(f"expected {what}, got {token!r}", line_no, _col(code, index))
-    limit = _max_digits()
-    if limit and len(digits) > limit:
+    if len(digits) > limit:
         raise ParseError(f"{what} has more than {limit:,} digits", line_no, _col(code, index))
     return int(token)
 
 
+def _price(tokens: list[str], code: str, line_no: int, limit: int) -> Money:
+    """Token 3 read as a peso price spelled ``-?[0-9]+(.[0-9]{1,2})?`` in ASCII.
+
+    Its spelling is checked first, then its digits, with or without a sign, against ``limit``
+    (it is read in centavos), then its sign: ``-0`` and ``-0.00`` are a zero price.
+    """
+    token = tokens[3]
+    whole, dot, cents = token.partition(".")
+    digits = whole[1:] if whole[:1] == "-" else whole
+    if not (token.isascii() and digits.isdigit() and (not dot or cents.isdigit() and len(cents) < 3)):
+        raise ParseError(f"expected peso price with at most two decimals, got {token!r}", line_no, _col(code, 3))
+    if len(digits) + 2 > limit:
+        raise ParseError(f"price has more than {limit - 2:,} digits before the point", line_no, _col(code, 3))
+    centavos = int(digits + (cents + "00")[:2])
+    if centavos and whole[0] == "-":
+        raise ParseError("price must not be negative", line_no, _col(code, 3))
+    return _money(centavos)
+
+
 def parse_scenario(text: str, name: str = "scenario") -> Scenario:
-    """Parse DSL text into a validated scenario.  Numbers in plain ASCII digits are read in place; every
-    other spelling, and every error, goes through ``_int`` or ``Money.parse``."""
+    """Parse DSL text into a validated scenario.  ``_int`` reads every tick and quantity, and ``_price``
+    every price."""
     quotes: dict[tuple[SecurityId, Tick], Money] = {}
     events: list[TransactionEvent] = []
     event_lines: list[int] = []
@@ -178,30 +199,13 @@ def parse_scenario(text: str, name: str = "scenario") -> Scenario:
         if head == "price":
             if n != 4:
                 raise _count_error(tokens, _PRICE, code, line_no)
-            _, sym, tick, price_tok = tokens
+            sym = tokens[1]
             if not sym.isprintable():
                 raise ParseError(f"security symbol must be printable, got {sym!r}", line_no, _col(code, 1))
-            t = int(tick) if tick.isdigit() and tick.isascii() and len(tick) <= limit else _int(
-                tokens, 2, "tick", code, line_no
-            )
+            t = _int(tokens, 2, "tick", code, line_no, limit)
             if t < 0:
                 raise ParseError(f"tick must be non-negative, got {t}", line_no, _col(code, 2))
-            whole, dot, cents = price_tok.partition(".")
-            if price_tok.isascii() and whole.isdigit() and (not dot or cents.isdigit() and len(cents) < 3):
-                if len(whole) + 2 > limit:  # it is read in centavos
-                    raise ParseError(
-                        f"price has more than {limit - 2:,} digits before the point", line_no, _col(code, 3)
-                    )
-                price = _money(int(whole + (cents + "00")[:2]))
-            else:
-                try:
-                    price = Money.parse(price_tok)
-                except ValueError:
-                    raise ParseError(
-                        f"expected peso price with at most two decimals, got {price_tok!r}", line_no, _col(code, 3)
-                    ) from None
-                if price.is_negative:
-                    raise ParseError("price must not be negative", line_no, _col(code, 3))
+            price = _price(tokens, code, line_no, limit)
             if (sym, t) in quotes:
                 raise ParseError(f"duplicate price for {sym} at tick {t}", line_no, _col(code, 0))
             quotes[(sym, t)] = price
@@ -211,10 +215,7 @@ def parse_scenario(text: str, name: str = "scenario") -> Scenario:
             raise UnknownDirective(f"unknown directive {head!r}", line_no, _col(code, 0))
         if n < 2:
             raise _count_error(tokens, _TRADE, code, line_no)
-        tick = tokens[1]
-        t = int(tick) if tick.isdigit() and tick.isascii() and len(tick) <= limit else _int(
-            tokens, 1, "tick", code, line_no
-        )
+        t = _int(tokens, 1, "tick", code, line_no, limit)
         if t < 0:
             raise ParseError(f"tick must be non-negative, got {t}", line_no, _col(code, 1))
         if n < 3:
@@ -240,10 +241,7 @@ def parse_scenario(text: str, name: str = "scenario") -> Scenario:
             raise UnknownDirective(f"unknown event verb {verb!r}", line_no, _col(code, 2))
         if n != len(names):
             raise _count_error(tokens, names, code, line_no)
-        count = tokens[4]
-        qty = int(count) if count.isdigit() and count.isascii() and len(count) <= limit else _int(
-            tokens, 4, "share quantity", code, line_no
-        )
+        qty = _int(tokens, 4, "share quantity", code, line_no, limit)
         if qty <= 0:
             raise InvalidQuantity(f"quantity must be positive, got {qty}", line_no, _col(code, 4))
         if verb != "cover":
@@ -599,15 +597,13 @@ class GridRow:
     short_gain_per_share: Money
 
 
-def _two_tick(
-    prices: PricePath, sec: SecurityId, open_at: Tick, close_at: Tick, short: bool = False,
-    qty: int = BLOCK_QTY,
-) -> Scenario:
-    """``qty`` shares of ``sec`` bought at ``open_at`` and sold at ``close_at``.
+def _two_tick(prices: PricePath, sec: SecurityId, open_at: Tick, close_at: Tick, short: bool = False) -> Scenario:
+    """``BLOCK_QTY`` shares of ``sec`` bought at ``open_at`` and sold at ``close_at``.
 
     With ``short``, they are borrowed and sold short at ``open_at`` and
     covered by purchase at ``close_at`` instead.
     """
+    qty = BLOCK_QTY
     if short:
         events = (Borrow(open_at, sec, qty), ShortSell(open_at, sec, qty), CoverByPurchase(close_at, sec, qty))
     else:
@@ -615,7 +611,7 @@ def _two_tick(
     return Scenario(f"{'short' if short else 'ordinary'}_{sec}", prices, events)
 
 
-def offset_grid_rows(qty: int = BLOCK_QTY) -> list[GridRow]:
+def offset_grid_rows() -> list[GridRow]:
     """Run the grid's ordinary-sale and short-cycle legs for each future price.
 
     Each future price becomes two independent two-tick runs: buy now and sell
@@ -625,7 +621,7 @@ def offset_grid_rows(qty: int = BLOCK_QTY) -> list[GridRow]:
     rows = []
     for future in OFFSET_GRID_FUTURES:
         sec = _grid_sec(future)
-        (ordinary,) = run(_two_tick(prices, sec, 1, 2, qty=qty)).events
-        (short,) = run(_two_tick(prices, sec, 1, 2, short=True, qty=qty)).events
+        (ordinary,) = run(_two_tick(prices, sec, 1, 2)).events
+        (short,) = run(_two_tick(prices, sec, 1, 2, short=True)).events
         rows.append(GridRow(future, OFFSET_GRID_PRESENT, ordinary.gain_per_share, short.gain_per_share))
     return rows

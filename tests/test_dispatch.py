@@ -90,7 +90,7 @@ def test_a_purchase_cover_subclass_stays_a_purchase(regime):
     events = (*BY_PURCHASE[:2], subclass(CoverByPurchase)(2, "ABC", 10))
     report = run(Scenario("sub", ABC, events), regime)
     assert [e.kind.value for e in report.events] == ["short_cover"]
-    assert report.final_cash == Money.parse("-500.00")
+    assert report.final_cash == Money(-50000)
 
 
 SILENT = (Buy, Borrow, Death)

@@ -15,23 +15,6 @@ ABC_PRICES = PricePath.from_table(
 
 
 class TestMoney:
-    def test_parse_whole_pesos(self):
-        assert Money.parse("50") == Money(5000)
-
-    def test_parse_two_decimals(self):
-        assert Money.parse("50.25") == Money(5025)
-
-    def test_parse_one_decimal_pads(self):
-        assert Money.parse("50.2") == Money(5020)
-
-    def test_parse_negative(self):
-        assert Money.parse("-1.25") == Money(-125)
-
-    @pytest.mark.parametrize("bad", ["", "1.234", "abc", "1,000", "--5", "1.2.3"])
-    def test_parse_rejects_junk(self, bad):
-        with pytest.raises(ValueError):
-            Money.parse(bad)
-
     def test_arithmetic_is_integer_exact(self):
         a = Money(5025)
         b = Money(4975)
@@ -150,11 +133,11 @@ class TestApplyRate:
     def test_half_to_even_rounds_down_to_even(self):
         # Oracle by hand in exact rationals: 25 centavos * 10/100 = 2.5
         # centavos; ties go to the even centavo, so 2.
-        assert apply_rate(Money.parse("0.25"), Rate.percent(10)) == Money(2)
+        assert apply_rate(Money(25), Rate.percent(10)) == Money(2)
 
     def test_half_to_even_rounds_up_to_even(self):
         # 15 * 10/100 = 1.5 centavos; the even neighbor is 2.
-        assert apply_rate(Money.parse("0.15"), Rate.percent(10)) == Money(2)
+        assert apply_rate(Money(15), Rate.percent(10)) == Money(2)
 
     def test_negative_base_rejected(self):
         with pytest.raises(NegativeBase):

@@ -14,3 +14,6 @@ def test_every_public_name_resolves_and_the_list_is_sorted():
     # Retired: nothing in the engine, its reports or the CLI read them.
     for name in ("AcquisitionMethod", "net_by_period", "tax_due"):
         assert not hasattr(realize, name)
+    # Retired: the DSL reads its prices itself.
+    for name in ("parse", "is_negative"):
+        assert not hasattr(realize.Money, name)

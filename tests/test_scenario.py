@@ -4,6 +4,7 @@ import copy
 import json
 import pickle
 import random
+import re
 import sys
 
 import pytest
@@ -66,6 +67,12 @@ class TestParser:
             parse_scenario("price ABC 2 100\nat 2 buy ABC -5\n")
         assert exc.value.line == 2
         assert exc.value.col == 14
+
+    @pytest.mark.parametrize(
+        "token, centavos", [("50", 5000), ("50.25", 5025), ("50.2", 5020), ("-0", 0), ("-0.00", 0)]
+    )
+    def test_a_price_reads_as_exact_centavos(self, token, centavos):
+        assert parse_scenario(f"price ABC 1 {token}\n").prices.price_at("ABC", 1) == Money(centavos)
 
     def test_prices_without_events_are_valid(self):
         s = parse_scenario("price ABC 1 50\n")
@@ -307,6 +314,26 @@ PARSE_ERROR_CASES = {
     "negative-price": (
         "price ABC 1 -5\n",
         (ParseError, "line 1, col 13: price must not be negative", 1, 13),
+    ),
+    "negative-fractional-price": (
+        "price ABC 1 -1.25\n",
+        (ParseError, "line 1, col 13: price must not be negative", 1, 13),
+    ),
+    "letters-price": (
+        "price ABC 1 abc\n",
+        (ParseError, "line 1, col 13: expected peso price with at most two decimals, got 'abc'", 1, 13),
+    ),
+    "comma-price": (
+        "price ABC 1 1,000\n",
+        (ParseError, "line 1, col 13: expected peso price with at most two decimals, got '1,000'", 1, 13),
+    ),
+    "double-minus-price": (
+        "price ABC 1 --5\n",
+        (ParseError, "line 1, col 13: expected peso price with at most two decimals, got '--5'", 1, 13),
+    ),
+    "two-points-price": (
+        "price ABC 1 1.2.3\n",
+        (ParseError, "line 1, col 13: expected peso price with at most two decimals, got '1.2.3'", 1, 13),
     ),
     "plus-price": (
         "price ABC 1 +5\n",
@@ -561,6 +588,8 @@ class TestPlainLineParser:
         )
 
 
+LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # int()'s digit limit, 0 for none
+
 # Number tokens drawn from ASCII digits, digits of other scripts (Arabic-Indic,
 # full-width, superscript) and the signs, points, underscores and exponents
 # that int() or float() would take.
@@ -576,29 +605,34 @@ def outcome(call):
     return type(value), value
 
 
+# The price grammar, stated apart from the parser: sign, whole pesos, then one or two centavo digits.
+PRICE_RE = re.compile(r"(-?)([0-9]+)(?:\.([0-9]{1,2}))?")
+
+
 class TestNumberTokens:
-    """A token reads as ``Money.parse`` or ``_int`` alone reads it, whichever path the parser takes."""
+    """A price token reads as ``PRICE_RE`` says, and a tick or quantity as ``_int`` alone reads it."""
 
     @given(NUMBER_TOKENS)
     def test_price(self, token):
         def alone():
-            try:
-                price = Money.parse(token)
-            except ValueError:
-                raise ParseError(f"expected peso price with at most two decimals, got {token!r}", 1, 13) from None
-            if price.is_negative:
+            m = PRICE_RE.fullmatch(token)
+            if m is None:
+                raise ParseError(f"expected peso price with at most two decimals, got {token!r}", 1, 13)
+            sign, whole, cents = m.groups()
+            centavos = int(whole) * 100 + int((cents or "0").ljust(2, "0"))
+            if sign and centavos:
                 raise ParseError("price must not be negative", 1, 13)
-            return price
+            return centavos
 
         code = f"price ABC 1 {token}"
-        assert outcome(lambda: parse_scenario(code).prices.price_at("ABC", 1)) == outcome(alone)
+        assert outcome(lambda: parse_scenario(code).prices.price_at("ABC", 1).centavos) == outcome(alone)
 
     @given(NUMBER_TOKENS)
     def test_price_tick(self, token):
         code = f"price ABC {token} 5"
 
         def alone():
-            t = _int(code.split(), 2, "tick", code, 1)
+            t = _int(code.split(), 2, "tick", code, 1, LIMIT or sys.maxsize)
             if t < 0:
                 raise ParseError(f"tick must be non-negative, got {t}", 1, 11)
             return t
@@ -610,7 +644,7 @@ class TestNumberTokens:
         code = f"at {token} death"
 
         def alone():
-            t = _int(code.split(), 1, "tick", code, 1)
+            t = _int(code.split(), 1, "tick", code, 1, LIMIT or sys.maxsize)
             if t < 0:
                 raise ParseError(f"tick must be non-negative, got {t}", 1, 4)
             return t
@@ -622,7 +656,7 @@ class TestNumberTokens:
         code = f"at 1 buy ABC {token}"
 
         def alone():
-            qty = _int(code.split(), 4, "share quantity", code, 2)
+            qty = _int(code.split(), 4, "share quantity", code, 2, LIMIT or sys.maxsize)
             if qty <= 0:
                 raise InvalidQuantity(f"quantity must be positive, got {qty}", 2, 14)
             return qty
@@ -728,7 +762,6 @@ class TestRoundTrip:
             format_scenario(Scenario("x", s.prices))
 
 
-LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # int()'s digit limit, 0 for none
 TOO_LONG, PRICE_TOO_LONG = f"has more than {LIMIT:,} digits", f"has more than {LIMIT - 2:,} digits before the point"
 
 
@@ -746,8 +779,11 @@ class TestIntDigitLimit:
             ("price ABC " + "1" * (LIMIT + 1) + " 50", "tick " + TOO_LONG, 11),
             ("price ABC 1 " + "9" * (LIMIT - 1), "price " + PRICE_TOO_LONG, 13),
             ("price ABC 1 " + "9" * (LIMIT - 1) + ".50", "price " + PRICE_TOO_LONG, 13),
+            ("price ABC 1 -" + "9" * (LIMIT - 1), "price " + PRICE_TOO_LONG, 13),
+            ("price ABC 1 -" + "0" * (LIMIT - 1), "price " + PRICE_TOO_LONG, 13),
         ],
-        ids=["qty", "negative-qty", "event-tick", "price-tick", "price", "fractional-price"],
+        ids=["qty", "negative-qty", "event-tick", "price-tick", "price", "fractional-price", "negative-price",
+             "negative-zero-price"],
     )
     def test_one_digit_too_many_is_refused_at_its_column(self, text, message, col):
         line = text.count("\n") + 1
