@@ -60,7 +60,7 @@ def _load_scenario(target: str) -> Scenario:
         raise EngineError(f"no such file or built-in scenario: {target}")
     try:
         with open(target, encoding="utf-8") as f:
-            text = f.read()
+            text = f.read().removeprefix("\ufeff")  # a byte-order mark is no token; offsets count it
     except UnicodeDecodeError as err:
         raise UnreadableScenario(f"{target}: not UTF-8 text (bad byte at offset {err.start})") from None
     except OSError as err:

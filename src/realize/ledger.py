@@ -12,13 +12,14 @@ needs shares reserved against a short fails only under the proposed regime,
 and one input can fail with different messages under the two.
 
 A run keeps its portfolio in a ``Ledger``: mutable, private to that run, and
-organised per security as a first-in first-out queue of lots and a list of
+organised per security as a first-in first-out queue of lots and two of
 borrow positions.  An event reads and changes only its own security, and lot
-matching stops at the last lot it needs, so the cost of an event does not
-grow with the rest of the portfolio.  A ledger starts empty and changes only
-through ``apply_event``.  Each event class names its step in one attribute,
-``_step``, that every layer reads: a subclass of an event class inherits its
-base's step, and anything else has none and is refused with ``TypeError``.
+and position matching stop at the last one they need, so the cost of an
+event does not grow with the rest of the portfolio.  A ledger starts empty
+and changes only through ``apply_event``.  Each event class names its step
+in one attribute, ``_step``, that every layer reads: a subclass of an event
+class inherits its base's step, and anything else has none and is refused
+with ``TypeError``.
 
 The ledger also holds reservations: owned shares set aside against a short
 sale by ``Ledger.reserve``, which the proposed regime's constructive-sale
@@ -40,12 +41,14 @@ matched as owned shares: the downstream constructive-sale trigger must see
 only shares the taxpayer owned outright, and the two-realization-event
 accounting of a cover-by-owned-lot needs the distinction.
 
-A borrow position is always either fully unsold or fully sold short; a short
-sale that partially fills a position splits it so that every sold position
-has a single proceeds price.  Covers consume sold positions first-in
-first-out and are only permitted against shares actually sold short:
-returning borrowed-but-never-sold shares has no defined tax meaning here and
-raises ``OverCover``.
+Each security keeps its borrow positions in two first-in first-out queues:
+the borrowed shares not yet sold short and the shares sold short and not yet
+covered.  A borrow joins the back of the first; a short sale moves positions
+from its front to the back of the second, splitting the last one it takes so
+that every sold position has a single proceeds price.  Covers take sold
+positions from the front of the second queue and are only permitted against
+shares actually sold short: returning borrowed-but-never-sold shares has no
+defined tax meaning here and raises ``OverCover``.
 """
 
 from __future__ import annotations
@@ -75,19 +78,17 @@ class Lot:
 
 @record
 class BorrowPosition:
-    """An open securities-borrowing obligation.
+    """An open securities-borrowing obligation of ``qty`` shares still owed to the lender.
 
-    ``qty_borrowed - qty_covered`` is what is still owed to the lender.  Once
-    sold short the position records the proceeds price; realization of the
-    short-sale gain or loss is deferred to the cover under the existing rule.
+    Once sold short the position records the proceeds price; realization of
+    the short-sale gain or loss is deferred to the cover under the existing
+    rule.
     """
 
     id: int
     sec: SecurityId
-    qty_borrowed: int
-    qty_sold_short: int = 0
+    qty: int
     short_proceeds_per_share: Money | None = None
-    qty_covered: int = 0
 
 
 @record
@@ -167,21 +168,21 @@ def _shortage(sec: SecurityId, need: int, available: int) -> InsufficientOwnedSh
 class Ledger:
     """The mutable portfolio of one run, kept per security.
 
-    Each security has a first-in first-out queue of lots, a list of borrow
-    positions in cover order and a queue of reserved (lot id, qty) slices,
-    oldest first, with the reserved count per lot; an event touches only its
-    own security.  Each borrow position sold short by a reserving sale
-    counts how many of its uncovered shares were sold against reserved ones,
-    and those count as covered before its others.  An index of every open
-    lot by id, in lot-id order, serves ``lots``.  ``lots_of`` and
-    ``reserved_by_lot`` return the live containers: read them, never change
-    them.
+    Each security has a first-in first-out queue of lots, a pair of borrow
+    position queues (sold short and uncovered, then unsold: cover order) and
+    a queue of reserved (lot id, qty) slices, oldest first, with the reserved
+    count per lot; an event touches only its own security.  Each borrow
+    position sold short by a reserving sale counts how many of its uncovered
+    shares were sold against reserved ones, and those count as covered
+    before its others.  An index of every open lot by id, in lot-id order,
+    serves ``lots``.  ``lots_of`` and ``reserved_by_lot`` return the live
+    containers: read them, never change them.
     """
 
     def __init__(self) -> None:
         self._by_id: dict[int, Lot] = {}
         self._lots: dict[SecurityId, deque[Lot]] = {}
-        self._borrows: dict[SecurityId, list[BorrowPosition]] = {}
+        self._borrows: dict[SecurityId, tuple[deque[BorrowPosition], deque[BorrowPosition]]] = {}
         self._reservations: dict[SecurityId, deque[tuple[int, int]]] = {}
         self._reserved: dict[SecurityId, dict[int, int]] = {}
         # Borrow position id -> its shares sold against reserved ones, not yet covered.
@@ -330,40 +331,33 @@ class Ledger:
     def _borrow(self, ev: Borrow, path: PricePath) -> LedgerEffects:
         pos = BorrowPosition(self.next_borrow_id, ev.sec, ev.qty)
         self.next_borrow_id += 1
-        positions = self._borrows.get(ev.sec)
-        if positions is None:
-            self._borrows[ev.sec] = [pos]
+        queues = self._borrows.get(ev.sec)
+        if queues is None:
+            self._borrows[ev.sec] = deque(), deque((pos,))
         else:
-            positions.append(pos)
+            queues[1].append(pos)
         return LedgerEffects(ev, None, 0)
 
     def _short_sell(self, ev: ShortSell, path: PricePath) -> LedgerEffects:
         price = path.price_at(ev.sec, ev.at)
-        positions = self._borrows.get(ev.sec, ())
-        plan = []  # (index, amount) of the first unsold positions
+        shorts, unsold = self._borrows.get(ev.sec, ((), ()))
+        sold: list[tuple[BorrowPosition, int]] = []
         remaining = ev.qty
-        for i, pos in enumerate(positions):
-            unsold = pos.qty_borrowed - pos.qty_sold_short
-            if unsold:
-                amount = unsold if unsold < remaining else remaining
-                plan.append((i, amount))
-                remaining -= amount
-                if not remaining:
-                    break
+        for pos in unsold:
+            amount = pos.qty if pos.qty < remaining else remaining
+            sold.append((BorrowPosition(pos.id, pos.sec, amount, price), amount))
+            remaining -= amount
+            if not remaining:
+                break
         if remaining:
             raise NoOpenBorrow(f"short sale of {ev.qty} {ev.sec} exceeds borrowed-unsold {ev.qty - remaining}")
-        sold: list[tuple[BorrowPosition, int]] = []
-        shift = 0
-        for i, amount in plan:
-            pos = positions[i + shift]
-            sold_pos = BorrowPosition(pos.id, pos.sec, amount, amount, price, pos.qty_covered)
-            positions[i + shift] = sold_pos
-            if amount < pos.qty_borrowed:
-                # Split so every sold position carries exactly one proceeds price.
-                shift += 1
-                positions.insert(i + shift, BorrowPosition(self.next_borrow_id, pos.sec, pos.qty_borrowed - amount))
-                self.next_borrow_id += 1
-            sold.append((sold_pos, amount))
+        for _ in sold:
+            unsold.popleft()
+        if amount < pos.qty:
+            # Split so every sold position carries exactly one proceeds price.
+            unsold.appendleft(BorrowPosition(self.next_borrow_id, pos.sec, pos.qty - amount))
+            self.next_borrow_id += 1
+        shorts.extend([p for p, _ in sold])
         cash = price.centavos * ev.qty
         self._cash += cash
         return LedgerEffects(ev, price, cash, (), tuple(sold))
@@ -380,20 +374,15 @@ class Ledger:
 
     def _cover(self, ev: CoverByPurchase | CoverByOwnedLot, path: PricePath) -> LedgerEffects:
         price = path.price_at(ev.sec, ev.at)
-        positions = self._borrows.get(ev.sec, ())
-        plan = []  # (index, amount) of the first sold, uncovered positions
+        shorts = self._borrows.get(ev.sec, ((), ()))[0]
         covered: list[tuple[BorrowPosition, int]] = []
         settled: list[tuple[int, int]] = []  # (position id, constructive shares covered)
         reserved_qty = 0
         remaining = ev.qty
-        for i, pos in enumerate(positions):
-            uncovered = pos.qty_sold_short - pos.qty_covered
-            if not uncovered:
-                continue
+        for pos in shorts:
             if pos.short_proceeds_per_share is None:
                 raise InvariantViolation(f"borrow position {pos.id} is sold short without a price")
-            amount = uncovered if uncovered < remaining else remaining
-            plan.append((i, amount))
+            amount = pos.qty if pos.qty < remaining else remaining
             covered.append((pos, amount))
             constructive = self._constructive.get(pos.id)
             if constructive:
@@ -414,15 +403,10 @@ class Ledger:
             if available < ev.qty - reserved_qty:
                 raise _shortage(ev.sec, ev.qty, reserved_qty + available)
             lot_slices = [(self._by_id[lot_id], take) for lot_id, take in takes] + free
-        for i, amount in reversed(plan):  # back to front keeps the earlier indices valid
-            pos = positions[i]
-            if amount < pos.qty_borrowed - pos.qty_covered:
-                positions[i] = BorrowPosition(
-                    pos.id, pos.sec, pos.qty_borrowed, pos.qty_sold_short, pos.short_proceeds_per_share,
-                    pos.qty_covered + amount,
-                )
-            else:
-                del positions[i]
+        for _ in covered:
+            shorts.popleft()
+        if amount < pos.qty:
+            shorts.appendleft(BorrowPosition(pos.id, pos.sec, pos.qty - amount, pos.short_proceeds_per_share))
         if settled:
             self._release(ev.sec, settled, takes)
         if by_purchase:

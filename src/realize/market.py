@@ -288,16 +288,18 @@ class PricePath:
     """Per-share price quotes keyed by (security, tick).
 
     Building one raises ``InvalidSymbol`` for a key that is not a (``str``
-    security symbol, tick) pair, so every scenario built on the path can
-    rely on its keys.
+    security symbol, tick) pair and ``TypeError`` for a quote that is not
+    ``Money``, so every scenario built on the path can rely on its quotes.
     """
 
     quotes: Mapping[tuple[SecurityId, Tick], Money]
 
     def __post_init__(self) -> None:
-        for key in self.quotes:
+        for key, price in self.quotes.items():
             if type(key) is not tuple or len(key) != 2 or not isinstance(key[0], str):
                 raise InvalidSymbol(f"a quote key must be a (str security symbol, tick) pair, got {key!r}")
+            if not isinstance(price, Money):
+                raise TypeError(f"the quote for {key!r} must be Money, got {type(price).__name__} {price!r}")
 
     @classmethod
     def from_table(cls, table: Mapping[SecurityId, Mapping[Tick, Money]]) -> PricePath:

@@ -105,7 +105,7 @@ def _sale(effects: LedgerEffects, regime: Regime, ledger: Ledger) -> list[Realiz
 
 
 def _short_sale(effects: LedgerEffects, regime: Regime, ledger: Ledger) -> list[RealizationEvent]:
-    if regime is Regime.CURRENT:
+    if regime is not Regime.PROPOSED:
         # Receipt of the proceeds without realization.
         return []
     price, ev = _price(effects), effects.event

@@ -50,7 +50,7 @@ from .ledger import (
 )
 from .market import _ZERO, Money, PricePath, SecurityId, Tick, _money, pesos, record
 from .realization import _RULES, RealizationEvent, Regime, _may_reserve, realize
-from .taxation import NettingWindow, RateSchedule, TaxLine, tax_timeline
+from .taxation import NettingWindow, RateSchedule, TaxLine, _misfit, tax_timeline
 
 BLOCK_QTY = 100_000
 
@@ -473,8 +473,11 @@ def run(
 
     Deterministic: identical inputs always serialize to identical reports.
     Ledger and market errors propagate annotated with the offending event
-    index (``event_index`` attribute).
+    index (``event_index`` attribute); a regime, schedule or window that is
+    not a member of its enum raises ``TypeError``, the last two after the events.
     """
+    if type(regime) is not Regime:
+        raise _misfit(("regime", regime, Regime))
     ledger = Ledger()
     realized: list[RealizationEvent] = []
     # Ticks never decrease, so each tick's events are adjacent: a point per tick where some event moved cash.
@@ -505,7 +508,8 @@ def run(
         tax += line.tax_due.centavos
     # The inventory in one pass over the ledger's live per-security queues; an emptied one reports nothing.
     owned = [(s, sum([lot.qty for lot in lots])) for s, lots in ledger._lots.items() if lots]
-    owing = [(s, sum([p.qty_borrowed - p.qty_covered for p in ps])) for s, ps in ledger._borrows.items() if ps]
+    owing = [(s, sum([p.qty for p in shorts]) + sum([p.qty for p in unsold]))
+             for s, (shorts, unsold) in ledger._borrows.items() if shorts or unsold]
     owned.sort()
     owing.sort()
     inventory = InventorySummary(tuple(owned), tuple(owing), ledger.owner_generation)

@@ -68,10 +68,19 @@ def _tax(centavos: int, schedule: RateSchedule) -> int:
     return _rated(lower, LOWER_TIER_RATE) + _rated(centavos - lower, UPPER_TIER_RATE)
 
 
+def _misfit(*arguments: tuple[str, object, type[Enum]]) -> TypeError:
+    """The error naming the first (name, value, enum) argument whose value is not a member of its enum.
+    Each rule tests one member, so any other value would silently select the other rule."""
+    name, value, kind = next(a for a in arguments if type(a[1]) is not a[2])
+    return TypeError(f"{name} must be a {kind.__name__}, got {type(value).__name__} {value!r}")
+
+
 def tax_timeline(
     events: Sequence[RealizationEvent],
     window: NettingWindow = NettingWindow.PER_TICK,
     schedule: RateSchedule = RateSchedule.PAPER_FLAT,
 ) -> list[TaxLine]:
     """A line per netting window with events, in tick order; ``WHOLE_RUN`` nets all at the last event's tick."""
+    if type(window) is not NettingWindow or type(schedule) is not RateSchedule:
+        raise _misfit(("window", window, NettingWindow), ("schedule", schedule, RateSchedule))
     return [TaxLine(t, _money(net), _money(_tax(net, schedule))) for t, net in _nets(events, window)]

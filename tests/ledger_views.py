@@ -27,9 +27,19 @@ def cash(ledger):
     return Money(ledger._cash)
 
 
+def shorts_of(ledger, sec):
+    """The borrow positions of ``sec`` sold short and not yet covered, oldest first."""
+    return tuple(ledger._borrows.get(sec, ((), ()))[0])
+
+
+def unsold_of(ledger, sec):
+    """The borrow positions of ``sec`` not yet sold short, oldest first."""
+    return tuple(ledger._borrows.get(sec, ((), ()))[1])
+
+
 def borrows_of(ledger, sec):
-    """The open borrow positions of ``sec``, in cover order."""
-    return tuple(ledger._borrows.get(sec, ()))
+    """The open borrow positions of ``sec``, in cover order: the sold ones, then the unsold ones."""
+    return shorts_of(ledger, sec) + unsold_of(ledger, sec)
 
 
 def borrows(ledger):
@@ -42,18 +52,18 @@ def owned_qty(ledger, sec):
 
 
 def qty_unsold(position):
-    """Shares of a borrow position not yet sold short."""
-    return position.qty_borrowed - position.qty_sold_short
+    """Shares of a borrow position not yet sold short: all of an unpriced one."""
+    return position.qty if position.short_proceeds_per_share is None else 0
 
 
 def qty_outstanding(position):
     """Shares of a borrow position still owed to the lender."""
-    return position.qty_borrowed - position.qty_covered
+    return position.qty
 
 
 def qty_sold_uncovered(position):
-    """Shares of a borrow position sold short and not yet covered."""
-    return position.qty_sold_short - position.qty_covered
+    """Shares of a borrow position sold short and not yet covered: all of a priced one."""
+    return 0 if position.short_proceeds_per_share is None else position.qty
 
 
 def borrowed_unsold_qty(ledger, sec):

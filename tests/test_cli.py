@@ -54,6 +54,23 @@ class TestRun:
         assert err.count("\n") == 1
         assert "not UTF-8" in err and "offset 20" in err
 
+    def test_a_bad_byte_after_a_byte_order_mark_is_named_by_its_file_offset(self, capsys, tmp_path):
+        path = tmp_path / "latin1.scn"
+        path.write_bytes(b"\xef\xbb\xbf" + "price ABC 1 50\n# caf\u00e9\n".encode("latin-1"))
+        code, _, err = invoke(capsys, "run", str(path))
+        assert code == 2 and "offset 23" in err
+
+    @pytest.mark.parametrize("text", ["price ZZZ 1 10\nat 1 buy ZZZ 5\n", "# own\r\nprice ZZZ 1 10\r\n"])
+    @pytest.mark.parametrize("argv", [("run",), ("run", "--format", "csv"), ("compare", "--format", "json")])
+    def test_a_byte_order_mark_prints_what_its_bom_free_twin_prints(self, capsys, tmp_path, text, argv):
+        # Some editors start UTF-8 files with U+FEFF; it used to be read as part of the first token.
+        (tmp_path / "bom").mkdir()
+        (tmp_path / "plain").mkdir()
+        (tmp_path / "bom" / "own.scn").write_bytes(b"\xef\xbb\xbf" + text.encode())
+        (tmp_path / "plain" / "own.scn").write_bytes(text.encode())
+        outputs = [invoke(capsys, argv[0], str(tmp_path / d / "own.scn"), *argv[1:]) for d in ("bom", "plain")]
+        assert outputs[0] == outputs[1] and outputs[0][0] == 0
+
     def test_scenario_file(self, capsys, tmp_path):
         path = tmp_path / "own.scn"
         path.write_text("price ZZZ 1 10\nprice ZZZ 2 25\nat 1 buy ZZZ 100\nat 2 sell ZZZ 100\n")

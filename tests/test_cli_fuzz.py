@@ -111,7 +111,7 @@ def test_every_input_ends_in_a_report_or_one_located_error(text):
         path = Path(tmp) / "fuzz.scn"
         with open(path, "w", encoding="utf-8", newline="") as f:
             f.write(text)
-        read_back = path.read_text(encoding="utf-8")  # as the CLI reads it, with CRLF made LF
+        read_back = path.read_text(encoding="utf-8").removeprefix("\ufeff")  # as the CLI reads it, CRLF made LF
         results = {fmt: call("run", str(path), "--format", fmt) for fmt in ("table", "csv", "json")}
         results["compare"] = call("compare", str(path), "--format", "json")
 

@@ -2,6 +2,7 @@
 
 import copy
 import dataclasses
+from collections import deque
 
 import pytest
 
@@ -15,9 +16,12 @@ from realize import (
     LedgerEffects,
     Money,
     PricePath,
+    Regime,
+    Scenario,
     SellOwned,
     ShortSell,
     apply_event,
+    run,
 )
 from realize.ledger import BorrowPosition
 from realize.errors import (
@@ -36,13 +40,16 @@ from ledger_views import (
     cash,
     owned_qty,
     qty_outstanding,
+    shorts_of,
     snapshot,
     sold_uncovered_qty,
+    unsold_of,
 )
 
 ABC_PRICES = PricePath.from_table(
     {"ABC": {1: Money.from_pesos(50), 2: Money.from_pesos(100), 3: Money.from_pesos(30)}}
 )
+A_PRICES = PricePath({("A", 1): Money.from_pesos(10)})
 
 
 def apply_all(events, path=ABC_PRICES, ledger=None):
@@ -132,7 +139,7 @@ class TestBorrowAndShort:
         )
         (pos,) = borrows(ledger)
         assert qty_outstanding(pos) == 100_000
-        assert pos.qty_sold_short == 100_000
+        assert pos.qty == 100_000 and shorts_of(ledger, "ABC") == (pos,)
         assert pos.short_proceeds_per_share == Money.from_pesos(100)
         assert cash(ledger) == Money.from_pesos(10_000_000)
         ((sold, qty),) = effects[1].shorts
@@ -150,13 +157,35 @@ class TestBorrowAndShort:
     def test_partial_short_splits_position(self):
         ledger, _ = apply_all([Borrow(1, "ABC", 1000), ShortSell(1, "ABC", 400)])
         sold, unsold = borrows(ledger)
-        assert sold.qty_borrowed == sold.qty_sold_short == 400
-        assert unsold.qty_borrowed == 1000 - 400
-        assert unsold.qty_sold_short == 0
+        assert sold.qty == 400 and shorts_of(ledger, "ABC") == (sold,)
+        assert unsold.qty == 1000 - 400
+        assert unsold_of(ledger, "ABC") == (unsold,)
         # A later sale at a different price lands on its own position.
         ledger, _ = apply_all([ShortSell(2, "ABC", 600)], ledger=ledger)
         prices = {p.short_proceeds_per_share for p in borrows(ledger)}
         assert prices == {Money.from_pesos(50), Money.from_pesos(100)}
+
+    @pytest.mark.parametrize("regime", Regime)
+    def test_a_short_sale_past_the_unsold_positions_names_their_total(self, regime):
+        events = (Borrow(1, "A", 30), Borrow(1, "A", 40), ShortSell(1, "A", 80))
+        with pytest.raises(NoOpenBorrow) as info:
+            run(Scenario("pin", A_PRICES, events), regime)
+        assert str(info.value) == "short sale of 80 A exceeds borrowed-unsold 70"
+        assert info.value.event_index == 2
+
+    @pytest.mark.parametrize("regime", Regime)
+    def test_an_over_cover_after_a_split_and_a_second_borrow_names_the_open_shorts(self, regime):
+        events = (
+            Borrow(1, "A", 100), ShortSell(1, "A", 40), CoverByPurchase(1, "A", 40),
+            Borrow(1, "A", 10), ShortSell(1, "A", 70), CoverByPurchase(1, "A", 80),
+        )
+        with pytest.raises(OverCover) as info:
+            run(Scenario("pin", A_PRICES, events), regime)
+        assert str(info.value) == "cover of 80 A exceeds open sold-short quantity 70"
+        assert info.value.event_index == 5
+        _, effects = apply_all(events[:5], path=A_PRICES)
+        # The first sale's unsold rest became position 1; the second borrow is position 2.
+        assert [(p.id, qty) for p, qty in effects[4].shorts] == [(1, 60), (2, 10)]
 
     def test_borrowed_shares_never_count_as_owned(self):
         ledger, _ = apply_all([Borrow(1, "ABC", 100)])
@@ -285,7 +314,7 @@ class TestEffectPairs:
             [Borrow(1, "ABC", 30), Borrow(1, "ABC", 40), ShortSell(2, "ABC", 50), CoverByPurchase(3, "ABC", 40)]
         )
         sale, cover = effects[2:]
-        assert [(p.id, p.qty_sold_short, p.short_proceeds_per_share, qty) for p, qty in sale.shorts] == [
+        assert [(p.id, p.qty, p.short_proceeds_per_share, qty) for p, qty in sale.shorts] == [
             (0, 30, Money.from_pesos(100), 30), (1, 20, Money.from_pesos(100), 20),
         ]
         # Each covered position as it stood before the cover: as sold, nothing covered yet.
@@ -428,8 +457,8 @@ class TestPerSecurityLedger:
         assert not borrows_of(ledger, "BBB")
 
     def test_sold_position_without_price_is_an_engine_error(self):
-        # No event makes such a position, so it is planted in the ledger's private ledger.
+        # No event makes such a position, so it is planted in the ledger's private shorts queue.
         ledger = Ledger()
-        ledger._borrows["ABC"] = [BorrowPosition(0, "ABC", 100, qty_sold_short=100)]
+        ledger._borrows["ABC"] = deque([BorrowPosition(0, "ABC", 100)]), deque()
         with pytest.raises(InvariantViolation):
             apply_event(ledger, CoverByPurchase(2, "ABC", 100), ABC_PRICES)

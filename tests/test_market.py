@@ -193,3 +193,9 @@ class TestPricePath:
     def test_securities_and_ticks(self):
         assert quoted_securities(ABC_PRICES) == ("ABC",)
         assert quoted_ticks(ABC_PRICES, "ABC") == (1, 2, 3)
+
+    @pytest.mark.parametrize("price", [10, 10.5, "10", None], ids=repr)
+    def test_a_quote_that_is_not_money_is_refused_naming_its_key(self, price):
+        # An int quote used to build and end run() in AttributeError: 'int' object has no attribute 'centavos'.
+        with pytest.raises(TypeError, match=r"^the quote for \('A', 1\) must be Money, got "):
+            PricePath({("A", 2): Money(100), ("A", 1): price})

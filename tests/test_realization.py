@@ -401,6 +401,13 @@ class TestHandBuiltEffects:
                 realize(effects, regime, Ledger())
 
 
+class TestRegimeArgument:
+    def test_only_the_proposed_regime_reserves_at_a_short_sale(self):
+        # Any regime but PROPOSED used to fall through to the constructive-sale rule.
+        events, ledger = run_events(STRATEGY3[:3], "proposed")
+        assert events == [] and unreserved(ledger) == 100_000
+
+
 class TestTriggerCheck:
     """Owned shares a short sale can still reserve: those not reserved already."""
 

@@ -56,7 +56,7 @@ TRADE_KINDS = [Buy, Borrow, ShortSell, SellOwned, CoverByPurchase, CoverByOwnedL
 
 P = Money(5000)
 LOT = Lot(0, "ABC", 100, P)
-POSITION = BorrowPosition(0, "ABC", 100, 100, P, 40)
+POSITION = BorrowPosition(0, "ABC", 60, P)
 PATH = PricePath({("ABC", 1): P, ("ABC", 2): Money(8000)})
 # An empty name: ``test_fields_and_replace`` puts it in as the events, which must validate.
 SCENARIO = Scenario("", PATH, (Buy(1, "ABC", 100), SellOwned(2, "ABC", 100)))
@@ -71,7 +71,7 @@ def own_values(obj):
 # A value for every field, in field order; the defaulted fields get non-default values.
 SAMPLES = {
     Lot: (0, "ABC", 100, P),
-    BorrowPosition: (0, "ABC", 100, 100, P, 40),
+    BorrowPosition: (0, "ABC", 60, P),
     _Trade: (1, "ABC", 100),
     LedgerEffects: (CoverByOwnedLot(3, "ABC", 50), P, -1, ((LOT, 50),), ((POSITION, 50), (POSITION, 10)), 1),
     RealizationEvent: (3, RealizationKind.SHORT_COVER, "ABC", 100, P, Money(3000)),

@@ -874,6 +874,17 @@ class TestRun:
             run(s)
         assert exc.value.event_index == 0
 
+    @pytest.mark.parametrize("argument, kwargs", [
+        ("regime", {"regime": "current"}),
+        ("regime", {"regime": None}),
+        ("schedule", {"schedule": "paper"}),
+        ("window", {"window": "whole-run"}),
+    ])
+    def test_a_setting_that_is_not_its_enum_member_is_refused(self, argument, kwargs):
+        # "current" used to run the proposed rule (1,200,000.00 of tax on strategy3) and its to_dict to fail.
+        with pytest.raises(TypeError, match=f"^{argument} must be a "):
+            run(builtin("strategy3"), **kwargs)
+
 
 class TestCashTimeline:
     """One point per tick at which some event moved cash, in tick order, folded in event order."""
@@ -921,6 +932,15 @@ class TestCompare:
         assert report.proposed.total_tax == Money.from_pesos(500_000)
         t2 = next(d for d in report.tax_deltas if d.at == 2)
         assert t2.proposed_tax == Money.from_pesos(500_000)
+
+    @pytest.mark.parametrize("argument, args", [
+        ("schedule", ("paper",)),
+        ("window", (RateSchedule.STATUTORY, "whole-run")),
+    ])
+    def test_a_setting_that_is_not_its_enum_member_is_refused(self, argument, args):
+        # "paper" used to select the statutory tiers: 495,000.00 of tax on strategy1 instead of 500,000.00.
+        with pytest.raises(TypeError, match=f"^{argument} must be a "):
+            compare(builtin("strategy1"), *args)
 
     def test_cash_identical_across_regimes(self):
         report = compare(builtin("strategy3"))

@@ -1,5 +1,6 @@
 """Netting windows, rate schedules, and tax timelines."""
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -141,3 +142,12 @@ class TestTaxTimeline:
         (line,) = lines
         assert line.tax_due == Money.zero()
         assert line.net_capital_gain == Money.from_pesos(-3_000_000)
+
+    @pytest.mark.parametrize("argument, args", [
+        ("window", ("whole-run",)),
+        ("schedule", (NettingWindow.WHOLE_RUN, "statutory")),
+    ])
+    def test_a_setting_that_is_not_its_enum_member_is_refused(self, argument, args):
+        # Each rule tests one member, so any other value used to select the other rule.
+        with pytest.raises(TypeError, match=f"^{argument} must be a "):
+            tax_timeline([event(1, 200_000)], *args)
