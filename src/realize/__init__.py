@@ -6,22 +6,9 @@ constructive-sale rule, with exact integer-centavo arithmetic throughout.
 """
 
 from . import errors
-from .ledger import (
-    Borrow,
-    BorrowPosition,
-    Buy,
-    CoverByOwnedLot,
-    CoverByPurchase,
-    Death,
-    Ledger,
-    LedgerEffects,
-    Lot,
-    SellOwned,
-    ShortSell,
-    apply_event,
-)
-from .market import Money, PricePath, Rate, apply_rate
-from .realization import RealizationEvent, RealizationKind, Regime, realize
+from .ledger import Borrow, Buy, CoverByOwnedLot, CoverByPurchase, Death, SellOwned, ShortSell
+from .market import Money, PricePath
+from .realization import RealizationEvent, RealizationKind, Regime
 from .scenario import (
     BUILTIN_NAMES,
     ComparisonReport,
@@ -35,27 +22,22 @@ from .scenario import (
     parse_scenario,
     run,
 )
-from .taxation import NettingWindow, RateSchedule, TaxLine, tax_timeline
+from .taxation import NettingWindow, RateSchedule, TaxLine
 
 __version__ = "0.1.0"
 
 __all__ = [
     "BUILTIN_NAMES",
     "Borrow",
-    "BorrowPosition",
     "Buy",
     "ComparisonReport",
     "CoverByOwnedLot",
     "CoverByPurchase",
     "Death",
     "GridRow",
-    "Ledger",
-    "LedgerEffects",
-    "Lot",
     "Money",
     "NettingWindow",
     "PricePath",
-    "Rate",
     "RateSchedule",
     "RealizationEvent",
     "RealizationKind",
@@ -65,15 +47,11 @@ __all__ = [
     "SellOwned",
     "ShortSell",
     "TaxLine",
-    "apply_event",
-    "apply_rate",
     "builtin",
     "compare",
     "errors",
     "format_scenario",
     "offset_grid_rows",
     "parse_scenario",
-    "realize",
     "run",
-    "tax_timeline",
 ]

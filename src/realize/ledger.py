@@ -17,9 +17,9 @@ borrow positions.  An event reads and changes only its own security, and lot
 and position matching stop at the last one they need, so the cost of an
 event does not grow with the rest of the portfolio.  A ledger starts empty
 and changes only through ``apply_event``.  Each event class names its step
-in one attribute, ``_step``, that every layer reads: a subclass of an event
-class inherits its base's step, and anything else has none and is refused
-with ``TypeError``.
+in one attribute, ``_step``, that every layer reads.  The event classes are
+records, so final: anything else has no step and is refused with
+``TypeError``.
 
 The ledger also holds reservations: owned shares set aside against a short
 sale by ``Ledger.reserve``, which the proposed regime's constructive-sale
@@ -31,7 +31,11 @@ owned shares it takes in the walk that applies it: an outright sale takes
 the oldest unreserved shares; a cover first settles the reservations made
 against the positions it covers, oldest reservation first (a cover with
 owned shares delivers them, a cover by purchase frees them), and delivers
-any further owned shares from the oldest unreserved ones.
+any further owned shares from the oldest unreserved ones.  Where those fall
+short, a cover with owned shares delivers the oldest shares reserved against
+the positions it leaves open: they were disposed of at their short sale, so
+they realize nothing more, and those positions lose as many constructive
+marks.
 
 Two inventories are kept deliberately separate.  Owned lots carry purchase or
 inheritance basis.  Borrowed shares, although title passes to the borrower the
@@ -55,6 +59,7 @@ from __future__ import annotations
 
 from collections import deque
 from collections.abc import ValuesView
+from itertools import islice
 
 from .errors import (
     InsufficientOwnedShares,
@@ -270,12 +275,10 @@ class Ledger:
                 break
         return slices
 
-    def _release(
-        self, sec: SecurityId, settled: list[tuple[int, int]], takes: list[tuple[int, int]]
-    ) -> None:
-        """Cover the (position id, qty) constructive shares and free the reserved ``takes``."""
+    def _release(self, sec: SecurityId, settled: dict[int, int], takes: list[tuple[int, int]]) -> None:
+        """Drop the constructive marks ``settled`` counts per position id and free the reserved ``takes``."""
         constructive = self._constructive
-        for pos_id, qty in settled:
+        for pos_id, qty in settled.items():
             left = constructive[pos_id] - qty
             if left:
                 constructive[pos_id] = left
@@ -375,8 +378,9 @@ class Ledger:
     def _cover(self, ev: CoverByPurchase | CoverByOwnedLot, path: PricePath) -> LedgerEffects:
         price = path.price_at(ev.sec, ev.at)
         shorts = self._borrows.get(ev.sec, ((), ()))[0]
+        constructive = self._constructive
         covered: list[tuple[BorrowPosition, int]] = []
-        settled: list[tuple[int, int]] = []  # (position id, constructive shares covered)
+        settled: dict[int, int] = {}  # position id -> constructive shares covered or given up
         reserved_qty = 0
         remaining = ev.qty
         for pos in shorts:
@@ -384,25 +388,37 @@ class Ledger:
                 raise InvariantViolation(f"borrow position {pos.id} is sold short without a price")
             amount = pos.qty if pos.qty < remaining else remaining
             covered.append((pos, amount))
-            constructive = self._constructive.get(pos.id)
-            if constructive:
-                constructive = min(constructive, amount)
-                settled.append((pos.id, constructive))
-                reserved_qty += constructive
+            mark = constructive.get(pos.id)
+            if mark:
+                settled[pos.id] = mark = min(mark, amount)
+                reserved_qty += mark
             remaining -= amount
             if not remaining:
                 break
         if remaining:
             raise OverCover(f"cover of {ev.qty} {ev.sec} exceeds open sold-short quantity {ev.qty - remaining}")
-        # Each constructive share covered frees, or delivers, the oldest reserved share.
-        takes = self._oldest_reserved(ev.sec, reserved_qty) if reserved_qty else []
-        by_purchase = isinstance(ev, CoverByPurchase)  # a subclass covers as its base does
-        lot_slices = []
+        by_purchase = type(ev) is CoverByPurchase
         if not by_purchase:
-            free, available = self._unreserved(ev.sec, ev.qty - reserved_qty)
-            if available < ev.qty - reserved_qty:
-                raise _shortage(ev.sec, ev.qty, reserved_qty + available)
-            lot_slices = [(self._by_id[lot_id], take) for lot_id, take in takes] + free
+            need = ev.qty - reserved_qty
+            free, available = self._unreserved(ev.sec, need)
+            if available < need:
+                # Short of free shares, it delivers the oldest shares reserved against the positions left
+                # open, which were disposed of at their short sale: those positions give up as many marks.
+                wanted = need - available
+                for left_open in islice(shorts, len(covered) - 1, None):
+                    pos_id = left_open.id
+                    mark = constructive.get(pos_id, 0) - settled.get(pos_id, 0)
+                    take = mark if mark < wanted else wanted
+                    if take:
+                        settled[pos_id] = settled.get(pos_id, 0) + take
+                        wanted -= take
+                        if not wanted:
+                            break
+                if wanted:
+                    raise _shortage(ev.sec, ev.qty, ev.qty - wanted)
+                reserved_qty = ev.qty - available
+        # Each constructive share covered or given up frees, or delivers, the oldest reserved share.
+        takes = self._oldest_reserved(ev.sec, reserved_qty) if reserved_qty else []
         for _ in covered:
             shorts.popleft()
         if amount < pos.qty:
@@ -413,6 +429,7 @@ class Ledger:
             cash = price.centavos * ev.qty
             self._cash -= cash
             return LedgerEffects(ev, price, -cash, (), tuple(covered))
+        lot_slices = [(self._by_id[lot_id], take) for lot_id, take in takes] + free
         self._consume(ev.sec, lot_slices)
         return LedgerEffects(ev, price, 0, tuple(lot_slices), tuple(covered), len(takes))
 

@@ -6,12 +6,12 @@ never enters any computation; the single place rounding can occur is
 one place an amount becomes text: ``str(Money)``, the CLI reports, the golden
 tables and the DSL printer all call it, each with its own flags.
 
-Every value class of the package is made by ``record``: frozen and slotted,
-with a ``__new__`` generated once per class.  It fills a private twin class
-that holds the slots, with plain attribute stores, and hands the instance
-back as the frozen class before its ``__post_init__`` check, so no record is
-seen half built.  ``_money`` builds ``Money`` results the same way, trusted
-to be given ints, without the check.
+Every value class of the package is made by ``record``: frozen, slotted and
+final outside its own module, with a ``__new__`` generated once per class.
+It fills a private twin class that holds the slots, with plain attribute
+stores, and hands the instance back as the frozen class before its
+``__post_init__`` check, so no record is seen half built.  ``_money`` builds
+``Money`` results the same way, trusted to be given ints, without the check.
 """
 
 from __future__ import annotations
@@ -51,26 +51,14 @@ def _reduce(self) -> tuple:
     return self.__class__, tuple(getattr(self, name) for name in self.__match_args__)
 
 
-def _init_subclass(cls, **kwargs) -> None:
-    """A subclass that adds a ``__dict__`` or slots cannot take over an instance of its record's twin,
-    whose layout differs.  It gets its own copy of the record's ``__new__``, compiled once, that makes
-    an instance of the class itself and fills it through ``object.__setattr__``: no new twin, so no
-    other ``__init_subclass__`` hook ever sees one."""
-    if cls.__basicsize__ != cls.__base__.__basicsize__:
-        new = cls.__new__
-        names = new.__code__.co_varnames[1:new.__code__.co_argcount]
-        body = ["self = _object_new(cls)", *(f"_set(self, {name!r}, {name})" for name in names)]
-        if "__post_init__" in new.__code__.co_names:
-            body.append("self.__post_init__()")
-        env = {"__name__": cls.__module__, "_object_new": object.__new__, "_set": object.__setattr__}
-        exec(f"def __new__(cls, {', '.join(names)}):\n    " + "\n    ".join(body) + "\n    return self", env)
-        own = env["__new__"]
-        own.__defaults__, own.__annotations__ = new.__defaults__, new.__annotations__
-        own.__qualname__ = new.__qualname__  # what the argument TypeErrors name
-        cls.__new__ = staticmethod(own)
-    # Pass the call on from the record class whose hook this is, so a mixin's hook after it still runs.
-    owner = next(c for c in cls.__mro__ if getattr(vars(c).get("__init_subclass__"), "__func__", 0) is _init_subclass)
-    super(owner, cls).__init_subclass__(**kwargs)
+def _seal(cls) -> None:
+    """A record is final outside the module that defines it.  There a subclass with ``__slots__ = ()``
+    names a kind of its base (the six trades) and shares its constructor; any other subclass, from
+    another module or with a layout of its own, is refused when it is defined."""
+    base = cls.__base__
+    if cls.__module__ != base.__module__ or vars(cls).get("__slots__") != ():
+        raise TypeError(f"{cls.__name__} cannot subclass record class {base.__qualname__}: a record is "
+                        f"final outside {base.__module__}, and a subclass there has __slots__ = ()")
 
 
 def _comparison(name: str, op, values):
@@ -98,7 +86,10 @@ def record(cls: type | None = None, /, *, order: bool = False):
     ``order=True``, the four comparisons use the field values, read by one
     ``operator.attrgetter``; ``__repr__`` and pickling read the fields by
     name.  The class's own methods are kept; any attribute write or delete
-    raises ``FrozenInstanceError``.
+    raises ``FrozenInstanceError``.  The class is final: a subclass from
+    another module, or one that adds a ``__dict__`` or slots, raises
+    ``TypeError`` when it is defined, so this ``__new__`` builds every
+    instance.
     """
     if cls is None:
         return lambda cls: _build(cls, order)
@@ -143,7 +134,7 @@ def _build(cls: type, order: bool) -> type:
 
     methods = {
         "__new__": new,
-        "__init_subclass__": _init_subclass,
+        "__init_subclass__": _seal,
         "__repr__": _repr,
         "__eq__": _comparison("__eq__", eq, values),
         "__hash__": __hash__,

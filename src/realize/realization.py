@@ -118,13 +118,14 @@ def _short_sale(effects: LedgerEffects, regime: Regime, ledger: Ledger) -> list[
 
 def _may_reserve(events: tuple) -> bool:
     """Whether a short sale in ``events`` comes after a buy of its security, so that ``_short_sale`` can
-    reserve under the proposed regime.  Price-free; a subclass counts as its base, as dispatch does.
+    reserve under the proposed regime.  Price-free, and by exact class: the event classes are final.
     Where this is false nothing is ever reserved, and the two regimes take the same path."""
     bought = set()
     for ev in events:
-        if isinstance(ev, ShortSell) and ev.sec in bought:
+        kind = type(ev)
+        if kind is ShortSell and ev.sec in bought:
             return True
-        if isinstance(ev, Buy):  # only a buy opens a lot
+        if kind is Buy:  # only a buy opens a lot
             bought.add(ev.sec)
     return False
 

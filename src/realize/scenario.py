@@ -45,7 +45,6 @@ from .ledger import (
     SellOwned,
     ShortSell,
     TransactionEvent,
-    _Trade,
     apply_event,
 )
 from .market import _ZERO, Money, PricePath, SecurityId, Tick, _money, pesos, record
@@ -90,7 +89,7 @@ class Scenario:
                     NonMonotonicTick(f"event tick {ev.at} precedes earlier tick {last}"), index
                 )
             last = ev.at
-            if not isinstance(ev, _Trade):
+            if type(ev) is Death:
                 if ev.heir is not None and (err := _refused("heir label", ev.heir)):
                     raise _annotate(err, index)
             elif not (type(ev.sec) is str and ev.sec.isprintable()) and (err := _refused("security symbol", ev.sec)):
@@ -262,7 +261,7 @@ def parse_scenario(text: str, name: str = "scenario") -> Scenario:
         raise type(err)(str(err), line_no, _col(lines[line_no - 1], 0)) from None
 
 
-# The printer's inverse of the two tables, over six unrelated classes: event class -> (verb, text after the quantity).
+# The printer's inverse of the two tables: trade class -> (verb, text after the quantity).
 _SPELLINGS = {kind: (verb, "") for verb, kind in _TRADES.items()}
 _SPELLINGS.update({kind: ("cover", f" {mode}") for mode, kind in _COVERS.items()})
 
@@ -277,11 +276,11 @@ def _token(text: str) -> str:
 def format_scenario(s: Scenario) -> str:
     """Print a scenario back into the DSL; parsing the result reproduces it.
 
-    A subclass of an event class prints as that class.  What the parser would refuse raises
-    ``EngineError``: a security symbol or heir label that is empty or holds whitespace, ``#`` or a
-    control character, a tick that is not a non-negative ``int``, a negative price, and a tick,
-    quantity or centavo amount of more digits than ``int()`` reads.  The events are checked first,
-    so an error in one carries its ``event_index``; a quote's error names the quote.
+    What the parser would refuse raises ``EngineError``: a security symbol or heir label that is
+    empty or holds whitespace, ``#`` or a control character, a tick that is not a non-negative
+    ``int``, a negative price, and a tick, quantity or centavo amount of more digits than ``int()``
+    reads.  The events are checked first, so an error in one carries its ``event_index``; a quote's
+    error names the quote.  Each event prints by its exact class: the event classes are final.
     """
     bound = 10 ** limit if (limit := _max_digits()) else float("inf")  # the least number too long to read
     events = []
@@ -289,12 +288,12 @@ def format_scenario(s: Scenario) -> str:
         try:
             if type(ev.at) is not int or ev.at < 0:
                 raise EngineError(f"tick must be a non-negative int to be written, got {ev.at!r}")
-            if ev.at >= bound or not isinstance(ev, Death) and ev.qty >= bound:
+            if ev.at >= bound or type(ev) is not Death and ev.qty >= bound:
                 raise EngineError(f"a tick or quantity of more than {limit:,} digits cannot be written")
-            if isinstance(ev, Death):
+            if type(ev) is Death:
                 events.append(f"at {ev.at} death" + ("" if ev.heir is None else f" heir {_token(ev.heir)}"))
             else:
-                verb, mode = next(spelling for kind, spelling in _SPELLINGS.items() if isinstance(ev, kind))
+                verb, mode = _SPELLINGS[type(ev)]
                 events.append(f"at {ev.at} {verb} {_token(ev.sec)} {ev.qty}{mode}")
         except EngineError as err:
             raise _annotate(err, index) from None

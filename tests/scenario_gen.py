@@ -19,17 +19,16 @@ from realize import (
     CoverByOwnedLot,
     CoverByPurchase,
     Death,
-    Ledger,
     Money,
     PricePath,
     Regime,
     Scenario,
     SellOwned,
     ShortSell,
-    apply_event,
-    realize,
 )
 from realize.errors import EngineError
+from realize.ledger import Ledger, apply_event
+from realize.realization import realize
 from ledger_views import borrowed_unsold_qty, borrows, owned_qty, sold_uncovered_qty
 
 _KINDS = (

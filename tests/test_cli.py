@@ -264,6 +264,20 @@ class TestCompare:
         t2 = next(d for d in report["deltas"] if d["tick"] == 2)
         assert t2["proposed_tax"] == 500_000_00
 
+    def test_a_with_owned_cover_of_a_naked_position_runs_under_both_regimes(self, capsys, tmp_path):
+        # The only owned share is reserved against the second short sale; the cover delivers it.
+        path = tmp_path / "naked_first.scn"
+        path.write_text(
+            "".join(f"price A {t} {p}\n" for t, p in enumerate((10, 17, 6, 13, 9), start=1))
+            + "at 1 borrow A 2\nat 2 short-sell A 1\nat 3 buy A 1\nat 4 short-sell A 1\nat 5 cover A 1 with-owned\n",
+            encoding="utf-8",
+        )
+        code, out, err = invoke(capsys, "compare", str(path), "--format", "json")
+        assert (code, err) == (0, "")
+        report = json.loads(out)
+        assert [report[r]["totals"]["total_tax"] for r in ("current", "proposed")] == [110, 150]
+        assert [e["kind"] for e in report["proposed"]["events"]] == ["constructive_sale", "short_cover"]
+
 
 class TestPaperTables:
     def test_quoted_rows_appear(self, capsys):
@@ -334,7 +348,9 @@ class TestCheck:
 
 HAND_BUILT_EFFECTS = """
 import sys
-from realize import Ledger, LedgerEffects, Regime, SellOwned, realize
+from realize import Regime, SellOwned
+from realize.ledger import Ledger, LedgerEffects
+from realize.realization import realize
 if sys.flags.optimize != 1:
     sys.exit(3)
 effects = LedgerEffects(event=SellOwned(2, "ABC", 100), price=None, cash_centavos=0)

@@ -14,10 +14,9 @@ the rule realizes at the short sale what the current rule realizes at the
 cover).  The current run never fails where the proposed run accepts.  And
 wherever the outcomes differ (one run accepts, or the error class or
 ``event_index`` differs), the proposed run fails first, with
-``InsufficientOwnedShares``, at a sale that needs reserved shares or at a
-cover with owned shares.  The cover is finding (b) of ROADMAP item 10: under
-the proposed regime a first-in first-out cover of a naked short position
-cannot deliver owned shares reserved against a later one.
+``InsufficientOwnedShares``, at an outright sale that needs reserved shares.
+A cover with owned shares fails alike under both: short of unreserved
+shares, it delivers shares reserved against the positions it leaves open.
 
 The check is bounded-exhaustive, on the small-scope hypothesis that most
 faults show on small inputs (D. Jackson, *Software Abstractions*, 2006):
@@ -99,7 +98,7 @@ def regimes_differ_only_at_reserved_shares(scenario, current, proposed):
         kind, _, index = proposed
         assert kind is InsufficientOwnedShares, scenario
         assert isinstance(current, RunReport) or index < current[2], scenario
-        assert isinstance(scenario.events[index], (SellOwned, CoverByOwnedLot)), scenario
+        assert type(scenario.events[index]) is SellOwned, scenario
 
 
 def check(scenario, schedule=RateSchedule.PAPER_FLAT, window=NettingWindow.PER_TICK):
@@ -211,9 +210,9 @@ def test_a_death_at_a_tick_with_no_quote():
 def test_every_one_security_sequence_of_five_events():
     tally = sweep(5, ("A",), (1, 2))
     assert sum(tally.values()) == 13**5
-    assert tally[RunReport, RunReport] == 12_533
-    # 293 sales of reserved shares (finding (a)) and one with-owned cover (finding (b)).
-    assert tally[RunReport, InsufficientOwnedShares] == 294
+    assert tally[RunReport, RunReport] == 12_534
+    # 293 sales of reserved shares (finding (a)); a with-owned cover delivers reserved shares instead of failing.
+    assert tally[RunReport, InsufficientOwnedShares] == 293
 
 
 def test_generated_scenarios():
@@ -245,18 +244,12 @@ class TestSkip:
         assert not _may_reserve((Buy(1, "B", 1),) + sold)
         assert _may_reserve((Buy(1, "A", 1),) + sold)
 
-    def test_subclasses_count_as_their_base(self):
-        class MyBuy(Buy):
-            __slots__ = ()
-
-        class MyShortSell(ShortSell):
-            __slots__ = ()
-
+    def test_the_proposed_run_taken_is_the_proposed_report(self):
         prices = builtin("strategy3").prices
-        events = (MyBuy(1, "ABC", 10), Borrow(2, "ABC", 10), MyShortSell(2, "ABC", 10), CoverByOwnedLot(3, "ABC", 10))
+        events = (Buy(1, "ABC", 10), Borrow(2, "ABC", 10), ShortSell(2, "ABC", 10), CoverByOwnedLot(3, "ABC", 10))
         assert _may_reserve(events)
-        report = compare(Scenario("subclassed", prices, events))
-        assert report.proposed == run(Scenario("subclassed", prices, events), Regime.PROPOSED)
+        report = compare(Scenario("against_the_box", prices, events))
+        assert report.proposed == run(Scenario("against_the_box", prices, events), Regime.PROPOSED)
         assert report.proposed.total_tax != report.current.total_tax
 
     def test_an_error_from_the_current_run_wins(self):

@@ -1,11 +1,11 @@
 """How an event finds its ledger step, its realization rule and its DSL verb.
 
 Each event class names its ledger step in ``_step``, and the realization
-rules are keyed by step.  A subclass of an event class inherits its step and
-is treated as that class.  Anything whose class has no step, a bare trade
-included, is refused with ``TypeError`` before it changes the ledger; a
-``Scenario`` refuses it with ``EngineError`` at its ``event_index``, so
-neither ``run`` nor the DSL printer ever meets one.
+rules are keyed by step.  The event classes are final records, so every
+layer reads the exact class of an event.  Anything whose class has no step,
+a bare trade included, is refused with ``TypeError`` before it changes the
+ledger; a ``Scenario`` refuses it with ``EngineError`` at its
+``event_index``, so neither ``run`` nor the DSL printer ever meets one.
 """
 
 from types import SimpleNamespace
@@ -20,22 +20,19 @@ from realize import (
     CoverByOwnedLot,
     CoverByPurchase,
     Death,
-    Ledger,
-    LedgerEffects,
     Money,
     Regime,
     Scenario,
     SellOwned,
     ShortSell,
-    apply_event,
     builtin,
     format_scenario,
     parse_scenario,
-    realize,
     run,
 )
 from realize.errors import EngineError
-from realize.ledger import _Trade
+from realize.ledger import Ledger, LedgerEffects, _Trade, apply_event
+from realize.realization import realize
 from ledger_views import snapshot
 
 EVENT_CLASSES = (Buy, Borrow, ShortSell, SellOwned, CoverByPurchase, CoverByOwnedLot, Death)
@@ -60,35 +57,9 @@ def test_every_event_class_names_a_step_and_the_realizing_steps_have_rules():
     assert set(realization._RULES) == {kind._step for kind in (SellOwned, ShortSell, CoverByPurchase, CoverByOwnedLot)}
 
 
-def subclass(kind):
-    return type(f"My{kind.__name__}", (kind,), {"__slots__": ()})
-
-
-def recast(ev, kind, sub):
-    """``ev`` rebuilt as an instance of ``sub`` when it is exactly a ``kind``."""
-    if type(ev) is not kind:
-        return ev
-    if kind is Death:
-        return sub(ev.at, ev.heir)
-    return sub(ev.at, ev.sec, ev.qty)
-
-
-@pytest.mark.parametrize("kind", EVENT_CLASSES, ids=lambda k: k.__name__)
 @pytest.mark.parametrize("regime", list(Regime), ids=lambda r: r.value)
-def test_a_subclass_runs_as_its_event_class(kind, regime):
-    sub = subclass(kind)
-    used = 0
-    for scenario in SCENARIOS:
-        events = tuple(recast(ev, kind, sub) for ev in scenario.events)
-        used += sum(type(ev) is sub for ev in events)
-        assert run(Scenario(scenario.name, scenario.prices, events), regime) == run(scenario, regime)
-    assert used
-
-
-@pytest.mark.parametrize("regime", list(Regime), ids=lambda r: r.value)
-def test_a_purchase_cover_subclass_stays_a_purchase(regime):
-    events = (*BY_PURCHASE[:2], subclass(CoverByPurchase)(2, "ABC", 10))
-    report = run(Scenario("sub", ABC, events), regime)
+def test_a_purchase_cover_realizes_only_the_short(regime):
+    report = run(SCENARIOS[3], regime)
     assert [e.kind.value for e in report.events] == ["short_cover"]
     assert report.final_cash == Money(-50000)
 
@@ -138,33 +109,23 @@ def test_realize_still_answers_a_buy_a_borrow_and_a_death_with_nothing(regime):
     assert silent == 3
 
 
-@pytest.mark.parametrize("regime", list(Regime), ids=lambda r: r.value)
-def test_a_subclass_of_a_silent_class_is_skipped_like_its_base(realized_for, regime):
-    sub = subclass(Buy)
-    events = tuple(recast(ev, Buy, sub) for ev in builtin("strategy3").events)
-    report = run(Scenario("strategy3", ABC, events), regime)
-    assert realized_for == [ShortSell, CoverByOwnedLot]
-    assert report == run(builtin("strategy3"), regime)
-    ledger = Ledger()
-    _, effects = apply_event(ledger, sub(1, "ABC", 10), ABC)
-    assert realize(effects, regime, ledger) == ([], ledger)
+def test_a_trade_class_outside_the_ledger_is_refused_when_defined():
+    with pytest.raises(TypeError, match=r"^OddTrade cannot subclass record class _Trade: a record is final"):
+        class OddTrade(_Trade):
+            """A trade that is no event class."""
 
-
-class OddTrade(_Trade):
-    """A trade that is no event class."""
-
-    __slots__ = ()
+            __slots__ = ()
 
 
 # The trades and strangers have the ``at`` and ``sec`` that a scenario's tick and price checks read.
 NON_EVENTS = [
-    object(), "buy", None, _Trade(2, "ABC", 10), OddTrade(2, "ABC", 10),
+    object(), "buy", None, _Trade(2, "ABC", 10),
     SimpleNamespace(at=2, sec="ABC", qty=10), SimpleNamespace(at=0, sec="XYZ", qty=10),
 ]
-NON_EVENT_IDS = ["object", "str", "None", "bare_trade", "trade_subclass", "stranger", "stranger_out_of_order"]
+NON_EVENT_IDS = ["object", "str", "None", "bare_trade", "stranger", "stranger_out_of_order"]
 
 
-@pytest.mark.parametrize("bad", NON_EVENTS[:5], ids=NON_EVENT_IDS[:5])
+@pytest.mark.parametrize("bad", NON_EVENTS[:4], ids=NON_EVENT_IDS[:4])
 def test_a_non_event_is_refused_and_changes_nothing(bad):
     ledger = Ledger()
     for ev in BY_PURCHASE[:2]:
@@ -182,14 +143,9 @@ def test_realize_refuses_effects_of_a_non_event(regime):
         realize(effects, regime, Ledger())
 
 
-@pytest.mark.parametrize("kind", EVENT_CLASSES, ids=lambda k: k.__name__)
-def test_a_subclass_prints_as_its_event_class(kind):
-    sub = subclass(kind)
-    for scenario in SCENARIOS:
-        events = tuple(recast(ev, kind, sub) for ev in scenario.events)
-        text = format_scenario(Scenario(scenario.name, scenario.prices, events))
-        assert text == format_scenario(scenario)
-        assert parse_scenario(text, name=scenario.name) == scenario
+@pytest.mark.parametrize("scenario", SCENARIOS, ids=lambda s: s.name)
+def test_every_event_class_prints_by_its_exact_class_and_reads_back(scenario):
+    assert parse_scenario(format_scenario(scenario), name=scenario.name) == scenario
 
 
 @pytest.mark.parametrize("bad", NON_EVENTS, ids=NON_EVENT_IDS)

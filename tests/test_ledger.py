@@ -12,18 +12,15 @@ from realize import (
     CoverByOwnedLot,
     CoverByPurchase,
     Death,
-    Ledger,
-    LedgerEffects,
     Money,
     PricePath,
     Regime,
     Scenario,
     SellOwned,
     ShortSell,
-    apply_event,
     run,
 )
-from realize.ledger import BorrowPosition
+from realize.ledger import BorrowPosition, Ledger, LedgerEffects, apply_event
 from realize.errors import (
     EngineError,
     InsufficientOwnedShares,

@@ -4,9 +4,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from realize import Money, PricePath, Rate, apply_rate
+from realize import Money, PricePath
 from realize.errors import MissingPrice, NegativeBase
-from realize.market import pesos
+from realize.market import Rate, apply_rate, pesos
 from ledger_views import quoted_securities, quoted_ticks
 
 ABC_PRICES = PricePath.from_table(

@@ -14,7 +14,6 @@ from realize import (
     Buy,
     CoverByOwnedLot,
     CoverByPurchase,
-    Ledger,
     Money,
     PricePath,
     RateSchedule,
@@ -23,14 +22,14 @@ from realize import (
     Scenario,
     SellOwned,
     ShortSell,
-    apply_event,
     builtin,
     compare,
     format_scenario,
     parse_scenario,
-    realize,
     run,
 )
+from realize.ledger import Ledger, apply_event
+from realize.realization import realize
 from ledger_views import borrows, cash, qty_outstanding
 from scenario_gen import random_scenario
 

@@ -8,8 +8,6 @@ from realize import (
     CoverByOwnedLot,
     CoverByPurchase,
     Death,
-    Ledger,
-    LedgerEffects,
     Money,
     PricePath,
     RealizationEvent,
@@ -18,11 +16,12 @@ from realize import (
     Scenario,
     SellOwned,
     ShortSell,
-    apply_event,
-    realize,
+    compare,
     run,
 )
 from realize.errors import EngineError, InsufficientOwnedShares, OverCover
+from realize.ledger import Ledger, LedgerEffects, apply_event
+from realize.realization import realize
 from ledger_views import borrows, owned_qty, snapshot
 
 ABC_PRICES = PricePath.from_table(
@@ -362,6 +361,53 @@ class TestReservationOrder:
         assert not ledger.lots and borrows(ledger) == ()
 
 
+# Six quotes that rise and fall; the only owned share is bought at 6 and sold short against at 13.
+A_SIX = PricePath.from_table({"A": {t: Money.from_pesos(p) for t, p in enumerate((10, 17, 6, 13, 9, 12), start=1)}})
+NAKED_FIRST = (Borrow(1, "A", 2), ShortSell(2, "A", 1), Buy(3, "A", 1), ShortSell(4, "A", 1), CoverByOwnedLot(5, "A", 1))
+
+
+def pesos_event(at, kind, qty, amount, basis):
+    return RealizationEvent(at, kind, "A", qty, Money.from_pesos(amount), Money.from_pesos(basis))
+
+
+class TestWithOwnedCoverOfAnOlderPosition:
+    """Short of unreserved shares, a cover with owned shares delivers the oldest shares reserved against
+    the positions it leaves open.  They were disposed of at their short sale, so they realize nothing
+    more, and those positions lose as many constructive marks."""
+
+    def test_the_naked_position_is_covered_with_the_share_reserved_against_the_later_one(self):
+        events, ledger = run_events(NAKED_FIRST, Regime.PROPOSED, path=A_SIX)
+        K = RealizationKind
+        assert events == [pesos_event(4, K.CONSTRUCTIVE_SALE, 1, 13, 6), pesos_event(5, K.SHORT_COVER, 1, 17, 9)]
+        assert not ledger.lots and ledger.reserved_by_lot("A") == {} and ledger._constructive == {}
+        assert [(p.qty, p.short_proceeds_per_share) for p in borrows(ledger)] == [(1, Money.from_pesos(13))]
+        current = run(Scenario("naked_first", A_SIX, NAKED_FIRST), Regime.CURRENT)
+        proposed = run(Scenario("naked_first", A_SIX, NAKED_FIRST), Regime.PROPOSED)
+        assert (proposed.cash_timeline, proposed.inventory) == (current.cash_timeline, current.inventory)
+        assert compare(Scenario("naked_first", A_SIX, NAKED_FIRST)).proposed == proposed
+
+    def test_the_position_left_open_is_then_covered_as_a_naked_one(self):
+        events, _ = run_events(NAKED_FIRST + (Buy(6, "A", 1), CoverByOwnedLot(6, "A", 1)), Regime.PROPOSED, path=A_SIX)
+        K = RealizationKind
+        assert events[2:] == [pesos_event(6, K.OWNED_DISPOSAL_AT_COVER, 1, 12, 12), pesos_event(6, K.SHORT_COVER, 1, 13, 12)]
+
+    def test_a_partly_covered_position_gives_up_the_marks_it_keeps(self):
+        # The cover takes the naked position's share and one of the next position's two, which settles one
+        # of its marks; with no free share, it delivers that position's other reserved share as well.
+        events, ledger = run_events(
+            (Borrow(1, "A", 3), ShortSell(1, "A", 1), Buy(2, "A", 2), ShortSell(2, "A", 2), CoverByOwnedLot(3, "A", 2)),
+            Regime.PROPOSED, path=A_SIX,
+        )
+        K = RealizationKind
+        assert events == [
+            pesos_event(2, K.CONSTRUCTIVE_SALE, 2, 17, 17),
+            pesos_event(3, K.SHORT_COVER, 1, 10, 6),
+            pesos_event(3, K.SHORT_COVER, 1, 17, 6),
+        ]
+        assert not ledger.lots and ledger.reserved_by_lot("A") == {} and ledger._constructive == {}
+        assert [(p.qty, p.short_proceeds_per_share) for p in borrows(ledger)] == [(1, Money.from_pesos(17))]
+
+
 class TestRaisingRealizeLeavesBookUnchanged:
     """An event that raises leaves the ledger, reservations included, as it was."""
 
@@ -484,7 +530,12 @@ class TestInfeasibleEventsFailAlike:
              CoverByOwnedLot(2, "A", 100)),
             InsufficientOwnedShares, "need 100 shares of A, only 50 available", 3,
         ),
-    ], ids=["over_cover", "no_owned_shares", "short_of_owned_shares"])
+        (
+            (Borrow(1, "A", 3), ShortSell(1, "A", 2), Buy(1, "A", 1), ShortSell(1, "A", 1),
+             CoverByOwnedLot(2, "A", 2)),
+            InsufficientOwnedShares, "need 2 shares of A, only 1 available", 4,
+        ),
+    ], ids=["over_cover", "no_owned_shares", "short_of_owned_shares", "short_of_shares_reserved_elsewhere"])
     @pytest.mark.parametrize("regime", list(Regime), ids=lambda r: r.value)
     def test_same_class_message_and_event_index(self, regime, events, error, message, index):
         with pytest.raises(error) as info:

@@ -1,137 +1,59 @@
 """The constructor ``market.record`` generates: a ``__new__`` that fills a private
 twin of the class with plain attribute stores and hands it back as the class.
 
-A subclass of a record keeps working whatever its layout: one with
-``__slots__ = ()`` shares its base's constructor, and one that adds a
-``__dict__`` or slots gets its own, which builds the subclass itself.  No twin
-instance is ever seen outside the constructor, and no class hook ever sees a
-twin class.
+Every record is final outside the module that defines it, so that one
+constructor builds every instance: a subclass from any other module, or one
+that adds a ``__dict__`` or slots, raises ``TypeError`` when it is defined.
+The six trade classes are the one kind of subclass there is, each a
+``_Trade`` with ``__slots__ = ()`` in the ledger's module, built by
+``_Trade``'s own ``__new__``.  No twin instance is ever seen outside the
+constructor.
 """
 
 import copy
-import dataclasses
-import inspect
 import pickle
 
 import pytest
 
-from realize import market
-from realize.errors import InvalidQuantity
-from realize.ledger import Buy, CoverByOwnedLot, Death, Ledger, SellOwned, _Trade, apply_event
+from realize.ledger import Ledger, _Trade, apply_event
 from realize.market import record
-from realize.realization import Regime
-from realize.scenario import Scenario, builtin, compare, run
+from realize.scenario import builtin, compare
 
-from test_records import SAMPLES, TRADE_KINDS
-
-
-class DictBuy(Buy):
-    """No ``__slots__``: its instances carry a ``__dict__``, which no twin of ``_Trade`` has."""
+from test_records import RECORDS, SAMPLES, TRADE_KINDS
 
 
-class NotedSale(SellOwned):
-    __slots__ = ("note",)
+def refusal(cls, sub):
+    return rf"^{sub} cannot subclass record class {cls.__qualname__}: a record is final outside {cls.__module__}, "
 
 
-class DictDeath(Death):
-    pass
+@pytest.mark.parametrize("cls", RECORDS + TRADE_KINDS, ids=lambda c: c.__name__)
+class TestSeal:
+    def test_a_subclass_from_another_module_is_refused_when_defined(self, cls):
+        with pytest.raises(TypeError, match=refusal(cls, "Sub")):
+            class Sub(cls):
+                __slots__ = ()
+        for namespace in ({}, {"__slots__": ()}, {"__slots__": ("extra",)}):
+            with pytest.raises(TypeError, match=refusal(cls, "Made")):
+                type("Made", (cls,), namespace)
+
+    def test_in_its_own_module_only_a_slotless_subclass_is_made(self, cls):
+        for namespace in ({}, {"__slots__": ("extra",)}):
+            with pytest.raises(TypeError, match=refusal(cls, "Kind")):
+                type("Kind", (cls,), {"__module__": cls.__module__, **namespace})
+        kind = type("Kind", (cls,), {"__module__": cls.__module__, "__slots__": ()})
+        assert kind.__new__ is cls.__new__
+
+    def test_one_generated_constructor_builds_it(self, cls):
+        owner = _Trade if cls in TRADE_KINDS else cls
+        assert "__new__" in vars(owner) and cls.__new__ is owner.__new__
+        assert cls.__new__.__code__.co_filename == "<string>"
 
 
-class SlotlessCover(CoverByOwnedLot):
-    __slots__ = ()
-
-
-SUBCLASSES = [(DictBuy, Buy), (NotedSale, SellOwned), (DictDeath, Death), (SlotlessCover, CoverByOwnedLot)]
-OWN_NEW = {DictBuy, NotedSale, DictDeath}
-
-
-def make(kind):
-    return kind(3, "Y") if issubclass(kind, Death) else kind(1, "ABC", 5)
-
-
-def recast(scenario, base, sub):
-    """``scenario`` with every event of exactly class ``base`` rebuilt as a ``sub``."""
-    events = tuple(
-        sub(*(getattr(ev, name) for name in ev.__match_args__)) if type(ev) is base else ev
-        for ev in scenario.events
-    )
-    assert any(type(ev) is sub for ev in events)
-    return Scenario(scenario.name, scenario.prices, events)
-
-
-@pytest.mark.parametrize("sub, base", SUBCLASSES, ids=lambda c: c.__name__)
-class TestSubclassLayouts:
-    def test_constructs_as_itself_with_the_base_checks(self, sub, base):
-        obj = make(sub)
-        assert type(obj) is sub and obj == sub(*(getattr(obj, n) for n in obj.__match_args__))
-        assert obj != make(base)  # equality stays by exact class
-        if issubclass(sub, _Trade):
-            with pytest.raises(InvalidQuantity):
-                sub(1, "ABC", 0)
-            with pytest.raises(TypeError, match=r"^_Trade\.__init__\(\) missing 1 required"):
-                sub(1, "ABC")
-
-    def test_a_new_layout_gets_its_own_constructor_and_an_empty_one_shares_it(self, sub, base):
-        assert ("__new__" in vars(sub)) is (sub in OWN_NEW)
-        assert inspect.signature(sub) == inspect.signature(base)
-        assert sub.__new__.__qualname__ == base.__new__.__qualname__
-        assert sub.__new__.__defaults__ == base.__new__.__defaults__
-        assert not [c for c in base.__subclasses__() if c.__name__.endswith("Slots")]  # no twin beside it
-        grandchild = type("Grandchild", (sub,), {"__slots__": ()})
-        assert grandchild.__new__ is sub.__new__
-        assert type(make(grandchild)) is grandchild
-
-    def test_refuses_every_set_and_delete(self, sub, base):
-        obj = make(sub)
-        for name in ("at", "extra", "note"):
-            with pytest.raises(dataclasses.FrozenInstanceError):
-                setattr(obj, name, 1)
-            with pytest.raises(dataclasses.FrozenInstanceError):
-                delattr(obj, name)
-        assert getattr(obj, "__dict__", {}) == {}
-
-    def test_pickle_and_copy_round_trip(self, sub, base):
-        obj = make(sub)
-        for again in (pickle.loads(pickle.dumps(obj)), copy.copy(obj), copy.deepcopy(obj)):
-            assert type(again) is sub and again == obj
-
-    @pytest.mark.parametrize("regime", list(Regime), ids=lambda r: r.value)
-    def test_dispatches_as_its_base(self, sub, base, regime):
-        assert sub._step is base._step
-        used = 0
-        for name in ("strategy1", "strategy3", "death_avoidance"):
-            scenario = builtin(name)
-            if any(type(ev) is base for ev in scenario.events):
-                assert run(recast(scenario, base, sub), regime) == run(scenario, regime)
-                used += 1
-        assert used
-
-
-def test_a_mixin_hook_runs_for_the_subclass_and_never_sees_a_twin():
-    seen = []
-
-    class Hooked:
-        def __init_subclass__(cls, **kwargs):
-            seen.append(cls.__name__)
-            super().__init_subclass__(**kwargs)
-
-    class After(Buy, Hooked):  # the record's hook comes first and must pass the call on
-        pass
-
-    class Before(Hooked, Buy):
-        pass
-
-    class Slotted(Before):  # a new layout below the mixin
-        __slots__ = ("n",)
-
-    class Dicted(Slotted):
-        pass
-
-    assert seen == ["After", "Before", "Slotted", "Dicted"]
-    for cls in (After, Before, Slotted, Dicted):
-        assert type(cls(1, "ABC", 5)) is cls and cls(1, "ABC", 5) == cls(1, "ABC", 5)
-    with pytest.raises(InvalidQuantity):
-        Dicted(1, "ABC", 0)
+@pytest.mark.parametrize("kind", TRADE_KINDS, ids=lambda k: k.__name__)
+def test_each_trade_class_is_a_slotless_trade_of_the_ledger_module(kind):
+    assert vars(kind)["__slots__"] == () and kind.__bases__ == (_Trade,)
+    assert kind.__module__ == _Trade.__module__ == "realize.ledger"
+    assert kind.__new__ is _Trade.__new__ and type(kind(1, "ABC", 5)) is kind
 
 
 def reachable(root):
@@ -196,6 +118,10 @@ def test_a_failed_check_leaves_no_instance_half_built():
         Checked(-1)
 
 
+class Plain:
+    """A base class that is no record: a record subclassing a record is refused by the seal first."""
+
+
 def test_a_class_with_its_own_constructor_or_a_base_is_refused():
     message = r"record class \w+ takes no base class and no __init__ or __new__ of its own"
     with pytest.raises(TypeError, match=message):
@@ -214,5 +140,5 @@ def test_a_class_with_its_own_constructor_or_a_base_is_refused():
                 return object.__new__(cls)
     with pytest.raises(TypeError, match=message):
         @record
-        class WithBase(market.Rate):
+        class WithBase(Plain):
             extra: int = 0

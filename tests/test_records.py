@@ -331,7 +331,8 @@ sys.exit(4)
 # Exit 10 + i names the check that did not raise.
 OPTIMIZED_VALUE_CHECKS = """
 import sys
-from realize import Buy, Money, PricePath, Rate, Scenario
+from realize import Buy, Money, PricePath, Scenario
+from realize.market import Rate
 from realize.errors import NonMonotonicTick, UndefinedPrice
 if sys.flags.optimize != 1:
     sys.exit(3)

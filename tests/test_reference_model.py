@@ -15,8 +15,11 @@ share:
 * a cover discharges the oldest sold, uncovered borrowed shares.  With owned
   shares it delivers the shares reserved against them, which realize
   nothing more, and then the oldest unreserved shares, each an owned
-  disposal at the cover price; by purchase it frees the shares reserved
-  against them;
+  disposal at the cover price; where those fall short, it delivers the
+  shares reserved against the oldest borrowed shares still sold short,
+  which also realize nothing more, and those borrowed shares are left with
+  no reserved share.  By purchase it frees the shares reserved against the
+  discharged ones;
 * a death re-bases every owned share at that tick's price.
 
 Events are grouped as the engine reports them: one per lot, or per borrow
@@ -43,7 +46,6 @@ from realize import (
     CoverByOwnedLot,
     CoverByPurchase,
     Death,
-    Ledger,
     Money,
     NettingWindow,
     RateSchedule,
@@ -53,11 +55,11 @@ from realize import (
     Scenario,
     SellOwned,
     ShortSell,
-    apply_event,
-    realize,
     run,
-    tax_timeline,
 )
+from realize.ledger import Ledger, apply_event
+from realize.realization import realize
+from realize.taxation import tax_timeline
 from ledger_views import quoted_securities
 from scenario_gen import random_scenario
 
@@ -141,9 +143,12 @@ def model(scenario, regime):
             delivered = [s for s in mine if s.covers in discharged]
             if isinstance(ev, CoverByOwnedLot):
                 disposed = free[: qty - len(delivered)]
-                assert len(delivered) + len(disposed) == qty
+                reserved_for = {s.covers: s for s in mine if s.covers is not None}
+                given_up = [reserved_for[b] for b in sold[sec] if b in reserved_for]
+                given_up = given_up[: qty - len(delivered) - len(disposed)]
+                assert len(delivered) + len(disposed) + len(given_up) == qty
                 emit(at, K.OWNED_DISPOSAL_AT_COVER, sec, disposed, *per_lot)
-                gone = set(delivered + disposed)
+                gone = set(delivered + disposed + given_up)
                 owned[sec] = [s for s in mine if s not in gone]
             else:  # by purchase
                 for s in delivered:

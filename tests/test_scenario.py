@@ -16,7 +16,6 @@ from realize import (
     Buy,
     CoverByOwnedLot,
     Death,
-    Ledger,
     Money,
     PricePath,
     RateSchedule,
@@ -24,7 +23,6 @@ from realize import (
     Scenario,
     SellOwned,
     ShortSell,
-    apply_event,
     builtin,
     compare,
     format_scenario,
@@ -42,6 +40,7 @@ from realize.errors import (
     UnknownDirective,
     UnknownScenario,
 )
+from realize.ledger import Ledger, apply_event
 from realize.scenario import BUILTIN_NAMES, _int
 from ledger_views import borrows, borrows_of, quoted_securities
 from scenario_gen import random_scenario

@@ -13,8 +13,8 @@ from realize import (
     Regime,
     builtin,
     run,
-    tax_timeline,
 )
+from realize.taxation import tax_timeline
 
 
 def event(at, gain_pesos, qty=100_000):

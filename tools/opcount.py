@@ -4,9 +4,14 @@
 
 Runs operations ``0 .. K-1`` of the path_batch workload of ``bench/workloads.py``
 (seed ``N``) in the checkout ``DIR`` (by default the one holding this tool),
-after one untraced warm-up operation, under ``sys.settrace`` with opcode
-events on.  An engine frame is one whose globals belong to the ``realize``
-package, so the constructors ``record`` generates with ``exec`` count too.
+after one untraced warm-up operation, counting every instruction an engine
+frame executes: with ``sys.monitoring`` INSTRUCTION events where the
+interpreter has them (Python 3.12 on), and otherwise under ``sys.settrace``
+with opcode events on.  Since 3.12 ``sys.settrace`` is built on that
+monitoring and misses the opcodes of a function called from an untraced
+frame, so it would count next to nothing there.  An engine frame is one whose
+globals belong to the ``realize`` package, so the constructors ``record``
+generates with ``exec`` count too.
 It prints, per operation:
 
 * the executed engine instructions in total and for the 15 functions that
@@ -14,8 +19,9 @@ It prints, per operation:
   generated record constructor summed on one line;
 * the records built, by class, counted at the calls of those constructors.
 
-Only opcode events are counted, never time, so the figures are exact and the
-same on every run of one checkout and Python version.  The tool reads the
+Only instructions are counted, never time, so the figures are exact and the
+same on every run of one checkout and Python version; the bytecode differs
+between versions, so compare counts within one interpreter only.  The tool reads the
 checkout and writes nothing to it (no bytecode cache, no ``bench/out``).
 Standard library only.
 """
@@ -62,20 +68,43 @@ def constructed(frame) -> type | None:
     return first if isinstance(first, type) else type(first)
 
 
+def engine_key(frame, records: Counter) -> str | None:
+    """The line an engine frame's instructions count on, or None for a frame outside the engine.
+
+    A generated record constructor counts on one shared line, and the record it builds is counted.
+    """
+    if not frame.f_globals.get("__name__", "").startswith("realize"):
+        return None
+    built = constructed(frame)
+    if built is not None:
+        records[built.__qualname__] += 1
+        return GENERATED
+    return f"{frame.f_globals['__name__']}.{frame.f_code.co_name} (line {frame.f_code.co_firstlineno})"
+
+
 def count(workload, ops: int) -> tuple[Counter, Counter]:
     """(instructions by function, records built by class) over operations ``0 .. ops-1``."""
     instructions: Counter = Counter()
     records: Counter = Counter()
 
+    def run() -> None:
+        for i in range(ops):
+            workload.op(i)
+
+    if hasattr(sys, "monitoring"):
+        monitored(run, instructions, records)
+    else:
+        traced(run, instructions, records)
+    return instructions, records
+
+
+def traced(run, instructions: Counter, records: Counter) -> None:
+    """``run()`` under ``sys.settrace``, with opcode events turned on in every engine frame."""
+
     def trace(frame, event, arg):
-        if not frame.f_globals.get("__name__", "").startswith("realize"):
+        key = engine_key(frame, records)
+        if key is None:
             return None
-        built = constructed(frame)
-        if built is not None:
-            records[built.__qualname__] += 1
-            key = GENERATED
-        else:
-            key = f"{frame.f_globals['__name__']}.{frame.f_code.co_name} (line {frame.f_code.co_firstlineno})"
         frame.f_trace_opcodes = True
 
         def local(frame, event, arg):
@@ -87,11 +116,44 @@ def count(workload, ops: int) -> tuple[Counter, Counter]:
 
     sys.settrace(trace)
     try:
-        for i in range(ops):
-            workload.op(i)
+        run()
     finally:
         sys.settrace(None)
-    return instructions, records
+
+
+def monitored(run, instructions: Counter, records: Counter) -> None:
+    """``run()`` under ``sys.monitoring``: each engine code object gets INSTRUCTION events when it first
+    starts, and every other code object stops reporting its starts."""
+    mon = sys.monitoring
+    tool, events = mon.PROFILER_ID, mon.events
+    keys: dict = {}  # engine code object -> its line
+
+    def start(code, offset):
+        key = engine_key(sys._getframe(1), records)
+        if key is None:
+            return mon.DISABLE
+        if code not in keys:
+            keys[code] = key
+            mon.set_local_events(tool, code, events.INSTRUCTION)
+        return None
+
+    def instruction(code, offset):
+        instructions[keys[code]] += 1
+
+    mon.use_tool_id(tool, "opcount")
+    mon.register_callback(tool, events.PY_START, start)
+    mon.register_callback(tool, events.INSTRUCTION, instruction)
+    mon.set_events(tool, events.PY_START)
+    try:
+        run()
+    finally:
+        mon.set_events(tool, events.NO_EVENTS)
+        for code in keys:
+            mon.set_local_events(tool, code, events.NO_EVENTS)
+        mon.register_callback(tool, events.PY_START, None)
+        mon.register_callback(tool, events.INSTRUCTION, None)
+        mon.free_tool_id(tool)
+        mon.restart_events()
 
 
 def report(instructions: Counter, records: Counter, ops: int) -> str:
