@@ -27,8 +27,10 @@ from .scenario import (
     ComparisonReport,
     RunReport,
     Scenario,
+    _col,
     _columns,
     _max_digits,
+    _parse,
     builtin,
     compare,
     offset_grid_rows,
@@ -53,9 +55,9 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _load_scenario(target: str) -> Scenario:
+def _load_scenario(target: str) -> tuple[Scenario, str | None]:
     if target in BUILTIN_NAMES:
-        return builtin(target)
+        return builtin(target), None
     if not os.path.exists(target):
         raise EngineError(f"no such file or built-in scenario: {target}")
     try:
@@ -67,7 +69,19 @@ def _load_scenario(target: str) -> Scenario:
         raise UnreadableScenario(f"{target}: {err.strerror or err}") from None
     name = os.path.basename(target)
     dot = name.rfind(".")
-    return parse_scenario(text, name=name[:dot] if 0 < dot < len(name) - 1 else name)  # Path.stem
+    return parse_scenario(text, name=name[:dot] if 0 < dot < len(name) - 1 else name), text  # Path.stem
+
+
+def _from_text(text: str | None, call, *args):
+    """``call(*args)``, with an error at an event read from ``text`` placed at that event's first token, as a
+    parse error is (the parser's event lines are read again only then); a built-in's keeps its index."""
+    try:
+        return call(*args)
+    except EngineError as err:
+        if text is None or getattr(err, "event_index", None) is None:
+            raise
+        line = _parse(text, "")[1][err.event_index]
+        raise EngineError(str(err), line, _col(text.splitlines()[line - 1], 0)) from None
 
 
 _peso = partial(pesos, symbol=PESO)
@@ -283,13 +297,14 @@ def _emit(fmt: str, render_json, render_csv, render_table, *args) -> int:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    scenario = _load_scenario(args.scenario)
-    report = run(scenario, Regime(args.regime), RateSchedule(args.rates), NettingWindow(args.window))
+    scenario, text = _load_scenario(args.scenario)
+    report = _from_text(text, run, scenario, Regime(args.regime), RateSchedule(args.rates), NettingWindow(args.window))
     return _emit(args.format, _render_run_json, _render_run_csv, _render_run_table, report)
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
-    report = compare(_load_scenario(args.scenario), RateSchedule(args.rates), NettingWindow(args.window))
+    scenario, text = _load_scenario(args.scenario)
+    report = _from_text(text, compare, scenario, RateSchedule(args.rates), NettingWindow(args.window))
     return _emit(args.format, _render_compare_json, _render_compare_csv, _render_compare_table, report)
 
 

@@ -1,13 +1,14 @@
-"""Event-sourced portfolio: owned lots, borrow positions, reservations, cash.
+"""Event-sourced portfolio: owned lots, borrow positions, reservations.
 
 The ledger applies transaction events in scenario order and reports exactly
 what moved through a ``LedgerEffects`` record: the event, the market price
 used, the cash moved in int centavos, the lots consumed as (lot, qty) pairs
 and the borrow positions sold short or covered as (position, qty) pairs.
 The pairs hold the ledger's own frozen records, so reporting a move copies
-nothing.  Tax treatment lives entirely downstream; the ledger knows nothing
-about realization regimes, which is what makes cash flow regime-invariant by
-construction wherever both regimes accept a scenario.  An outright sale that
+nothing.  The ledger keeps no cash tally: ``run`` folds each step's
+``cash_centavos``.  Tax treatment lives entirely downstream; the ledger
+knows nothing about realization regimes, which is what makes cash flow
+regime-invariant by construction wherever both regimes accept a scenario.  An outright sale that
 needs shares reserved against a short fails only under the proposed regime,
 and one input can fail with different messages under the two.
 
@@ -26,16 +27,15 @@ sale by ``Ledger.reserve``, which the proposed regime's constructive-sale
 rule calls.  Nothing else creates them, and only a short sale after a buy
 of its security finds shares to reserve.  Without them every event takes
 the same path under both regimes, so ``compare`` runs the proposed regime
-only where such a sale occurs.  Each event decides which
-owned shares it takes in the walk that applies it: an outright sale takes
-the oldest unreserved shares; a cover first settles the reservations made
-against the positions it covers, oldest reservation first (a cover with
-owned shares delivers them, a cover by purchase frees them), and delivers
-any further owned shares from the oldest unreserved ones.  Where those fall
-short, a cover with owned shares delivers the oldest shares reserved against
-the positions it leaves open: they were disposed of at their short sale, so
-they realize nothing more, and those positions lose as many constructive
-marks.
+only where such a sale occurs.  An outright sale takes the oldest
+unreserved shares.  A reserving short sale marks one share sold per share
+it reserves, and a cover settles marks first in first out: each position's
+marked shares count as covered first, positions in cover order.  It takes
+one of the oldest reserved shares per mark settled: a cover by purchase
+frees them, one with owned shares delivers them and then the oldest
+unreserved shares; where those fall short, it settles marks of positions it
+leaves open and delivers as many more reserved shares, which realize
+nothing more, having been disposed of at their short sale.
 
 Two inventories are kept deliberately separate.  Owned lots carry purchase or
 inheritance basis.  Borrowed shares, although title passes to the borrower the
@@ -59,7 +59,6 @@ from __future__ import annotations
 
 from collections import deque
 from collections.abc import ValuesView
-from itertools import islice
 
 from .errors import (
     InsufficientOwnedShares,
@@ -177,11 +176,13 @@ class Ledger:
     position queues (sold short and uncovered, then unsold: cover order) and
     a queue of reserved (lot id, qty) slices, oldest first, with the reserved
     count per lot; an event touches only its own security.  Each borrow
-    position sold short by a reserving sale counts how many of its uncovered
-    shares were sold against reserved ones, and those count as covered
-    before its others.  An index of every open lot by id, in lot-id order,
-    serves ``lots``.  ``lots_of`` and ``reserved_by_lot`` return the live
-    containers: read them, never change them.
+    position sold short by a reserving sale counts its uncovered shares sold
+    against reserved ones, its constructive marks; a security's marks sum to
+    its reserved shares, and a cover settles both first in first out.  No
+    cash tally is kept: each step reports its cash.  An index of every open
+    lot by id, in lot-id order, serves ``lots``.  ``lots_of`` and
+    ``reserved_by_lot`` return the live containers: read them, never change
+    them.
     """
 
     def __init__(self) -> None:
@@ -192,7 +193,7 @@ class Ledger:
         self._reserved: dict[SecurityId, dict[int, int]] = {}
         # Borrow position id -> its shares sold against reserved ones, not yet covered.
         self._constructive: dict[int, int] = {}
-        self._cash, self.owner_generation, self.next_lot_id, self.next_borrow_id = 0, 0, 0, 0
+        self.owner_generation, self.next_lot_id, self.next_borrow_id = 0, 0, 0
 
     @property
     def lots(self) -> ValuesView[Lot]:
@@ -235,17 +236,6 @@ class Ledger:
                     break
         return slices, qty - remaining
 
-    def _oldest_reserved(self, sec: SecurityId, qty: int) -> list[tuple[int, int]]:
-        """(lot id, qty) takes of the oldest ``qty`` reserved shares of ``sec``."""
-        takes = []
-        for lot_id, reserved in self._reservations.get(sec, ()):
-            if qty == 0:
-                break
-            take = reserved if reserved < qty else qty
-            takes.append((lot_id, take))
-            qty -= take
-        return takes
-
     def reserve(self, effects: LedgerEffects) -> list[tuple[Lot, int]]:
         """Reserve owned shares against the short sale whose ``effects`` were just applied.
 
@@ -258,12 +248,7 @@ class Ledger:
         slices, total = self._unreserved(sec, ev.qty)
         if not slices:
             return slices
-        queue = self._reservations.get(sec)
-        if queue is None:
-            queue = self._reservations[sec] = deque()
-        reserved = self._reserved.get(sec)
-        if reserved is None:
-            reserved = self._reserved[sec] = {}
+        queue, reserved = self._reservations.setdefault(sec, deque()), self._reserved.setdefault(sec, {})
         for lot, qty in slices:
             queue.append((lot.id, qty))
             reserved[lot.id] = reserved.get(lot.id, 0) + qty
@@ -275,26 +260,35 @@ class Ledger:
                 break
         return slices
 
-    def _release(self, sec: SecurityId, settled: dict[int, int], takes: list[tuple[int, int]]) -> None:
-        """Drop the constructive marks ``settled`` counts per position id and free the reserved ``takes``."""
-        constructive = self._constructive
-        for pos_id, qty in settled.items():
-            left = constructive[pos_id] - qty
-            if left:
-                constructive[pos_id] = left
+    def _settle(self, sec: SecurityId, qty: int) -> list[tuple[Lot, int]]:
+        """Settle the oldest ``qty`` constructive marks of ``sec`` and free its oldest ``qty`` reserved shares,
+        returned as (lot, qty) pairs."""
+        constructive, unsettled = self._constructive, qty
+        for pos in self._borrows[sec][0]:
+            mark = constructive.get(pos.id)
+            if mark:
+                if mark > unsettled:
+                    constructive[pos.id] = mark - unsettled
+                    break
+                del constructive[pos.id]
+                unsettled -= mark
+                if not unsettled:
+                    break
+        queue, reserved, by_id = self._reservations[sec], self._reserved[sec], self._by_id
+        takes = []
+        while qty:
+            lot_id, held = queue[0]
+            if held > qty:
+                queue[0], take = (lot_id, held - qty), qty
             else:
-                del constructive[pos_id]
-        queue, reserved = self._reservations[sec], self._reserved[sec]
-        for lot_id, take in takes:
-            if take == queue[0][1]:
                 queue.popleft()
-            else:
-                queue[0] = (lot_id, queue[0][1] - take)
-            left = reserved[lot_id] - take
-            if left:
-                reserved[lot_id] = left
-            else:
+                take = held
+            reserved[lot_id] -= take
+            if not reserved[lot_id]:
                 del reserved[lot_id]
+            takes.append((by_id[lot_id], take))
+            qty -= take
+        return takes
 
     def _consume(self, sec: SecurityId, slices: list[tuple[Lot, int]]) -> None:
         """Take matched shares in place, walking the queue of ``sec`` only up to the last lot touched.
@@ -327,9 +321,7 @@ class Ledger:
         lot = Lot(self.next_lot_id, ev.sec, ev.qty, price)
         self.next_lot_id += 1
         self._add_lot(lot)
-        cash = price.centavos * ev.qty
-        self._cash -= cash
-        return LedgerEffects(ev, price, -cash)
+        return LedgerEffects(ev, price, -price.centavos * ev.qty)
 
     def _borrow(self, ev: Borrow, path: PricePath) -> LedgerEffects:
         pos = BorrowPosition(self.next_borrow_id, ev.sec, ev.qty)
@@ -361,9 +353,7 @@ class Ledger:
             unsold.appendleft(BorrowPosition(self.next_borrow_id, pos.sec, pos.qty - amount))
             self.next_borrow_id += 1
         shorts.extend([p for p, _ in sold])
-        cash = price.centavos * ev.qty
-        self._cash += cash
-        return LedgerEffects(ev, price, cash, (), tuple(sold))
+        return LedgerEffects(ev, price, price.centavos * ev.qty, (), tuple(sold))
 
     def _sell(self, ev: SellOwned, path: PricePath) -> LedgerEffects:
         price = path.price_at(ev.sec, ev.at)
@@ -371,27 +361,22 @@ class Ledger:
         if available < ev.qty:
             raise _shortage(ev.sec, ev.qty, available)
         self._consume(ev.sec, lot_slices)
-        cash = price.centavos * ev.qty
-        self._cash += cash
-        return LedgerEffects(ev, price, cash, tuple(lot_slices))
+        return LedgerEffects(ev, price, price.centavos * ev.qty, tuple(lot_slices))
 
     def _cover(self, ev: CoverByPurchase | CoverByOwnedLot, path: PricePath) -> LedgerEffects:
         price = path.price_at(ev.sec, ev.at)
         shorts = self._borrows.get(ev.sec, ((), ()))[0]
-        constructive = self._constructive
         covered: list[tuple[BorrowPosition, int]] = []
-        settled: dict[int, int] = {}  # position id -> constructive shares covered or given up
-        reserved_qty = 0
+        marked = 0  # the covered positions' constructive shares, which each counts as covered first
         remaining = ev.qty
         for pos in shorts:
             if pos.short_proceeds_per_share is None:
                 raise InvariantViolation(f"borrow position {pos.id} is sold short without a price")
             amount = pos.qty if pos.qty < remaining else remaining
             covered.append((pos, amount))
-            mark = constructive.get(pos.id)
+            mark = self._constructive.get(pos.id)
             if mark:
-                settled[pos.id] = mark = min(mark, amount)
-                reserved_qty += mark
+                marked += mark if mark < amount else amount
             remaining -= amount
             if not remaining:
                 break
@@ -399,37 +384,22 @@ class Ledger:
             raise OverCover(f"cover of {ev.qty} {ev.sec} exceeds open sold-short quantity {ev.qty - remaining}")
         by_purchase = type(ev) is CoverByPurchase
         if not by_purchase:
-            need = ev.qty - reserved_qty
-            free, available = self._unreserved(ev.sec, need)
-            if available < need:
-                # Short of free shares, it delivers the oldest shares reserved against the positions left
-                # open, which were disposed of at their short sale: those positions give up as many marks.
-                wanted = need - available
-                for left_open in islice(shorts, len(covered) - 1, None):
-                    pos_id = left_open.id
-                    mark = constructive.get(pos_id, 0) - settled.get(pos_id, 0)
-                    take = mark if mark < wanted else wanted
-                    if take:
-                        settled[pos_id] = settled.get(pos_id, 0) + take
-                        wanted -= take
-                        if not wanted:
-                            break
-                if wanted:
-                    raise _shortage(ev.sec, ev.qty, ev.qty - wanted)
-                reserved_qty = ev.qty - available
-        # Each constructive share covered or given up frees, or delivers, the oldest reserved share.
-        takes = self._oldest_reserved(ev.sec, reserved_qty) if reserved_qty else []
+            free, available = self._unreserved(ev.sec, ev.qty - marked)
+            if marked + available < ev.qty:
+                # Short of free shares, it delivers reserved shares, which were disposed of at their short sale:
+                # the marks settled go on past the covered positions into those left open.
+                marked = ev.qty - available
+                held = sum(self.reserved_by_lot(ev.sec).values())  # one mark per reserved share
+                if held < marked:
+                    raise _shortage(ev.sec, ev.qty, available + held)
+        takes = self._settle(ev.sec, marked) if marked else []  # delivered, or freed by a purchase
         for _ in covered:
             shorts.popleft()
         if amount < pos.qty:
             shorts.appendleft(BorrowPosition(pos.id, pos.sec, pos.qty - amount, pos.short_proceeds_per_share))
-        if settled:
-            self._release(ev.sec, settled, takes)
         if by_purchase:
-            cash = price.centavos * ev.qty
-            self._cash -= cash
-            return LedgerEffects(ev, price, -cash, (), tuple(covered))
-        lot_slices = [(self._by_id[lot_id], take) for lot_id, take in takes] + free
+            return LedgerEffects(ev, price, -price.centavos * ev.qty, (), tuple(covered))
+        lot_slices = takes + free
         self._consume(ev.sec, lot_slices)
         return LedgerEffects(ev, price, 0, tuple(lot_slices), tuple(covered), len(takes))
 

@@ -54,7 +54,7 @@ from .taxation import NettingWindow, RateSchedule, TaxLine, _misfit, tax_timelin
 BLOCK_QTY = 100_000
 
 # bench/spans.py looks these two names up: the ledger's two owned-share walks.
-sell_policy, cover_policy = Ledger._unreserved, Ledger._oldest_reserved
+sell_policy, cover_policy = Ledger._unreserved, Ledger._settle
 
 
 def _annotate(err: EngineError, index: int) -> EngineError:
@@ -181,6 +181,11 @@ def _price(tokens: list[str], code: str, line_no: int, limit: int) -> Money:
 def parse_scenario(text: str, name: str = "scenario") -> Scenario:
     """Parse DSL text into a validated scenario.  ``_int`` reads every tick and quantity, and ``_price``
     every price."""
+    return _parse(text, name)[0]
+
+
+def _parse(text: str, name: str) -> tuple[Scenario, list[int]]:
+    """``parse_scenario``'s scenario, and the line number of each of its events."""
     quotes: dict[tuple[SecurityId, Tick], Money] = {}
     events: list[TransactionEvent] = []
     event_lines: list[int] = []
@@ -255,7 +260,7 @@ def parse_scenario(text: str, name: str = "scenario") -> Scenario:
         event_lines.append(line_no)
 
     try:
-        return Scenario(name, PricePath(quotes), tuple(events))
+        return Scenario(name, PricePath(quotes), tuple(events)), event_lines
     except (NonMonotonicTick, UndefinedPrice) as err:
         line_no = event_lines[err.event_index]
         raise type(err)(str(err), line_no, _col(lines[line_no - 1], 0)) from None
@@ -514,7 +519,7 @@ def run(
     inventory = InventorySummary(tuple(owned), tuple(owing), ledger.owner_generation)
     return RunReport(
         scenario.name, regime, schedule, window, tuple(realized), tuple(lines),
-        timeline, _money(tax), _money(ledger._cash), inventory,
+        timeline, _money(tax), timeline[-1].cumulative if timeline else _ZERO, inventory,
     )
 
 

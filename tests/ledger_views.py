@@ -1,9 +1,8 @@
 """Reads of a run's ``Ledger``, its borrow positions and a ``PricePath`` that only the tests need.
 
 ``snapshot`` is a deep copy of every field of a ledger, so two snapshots
-are equal exactly when the two ledgers hold the same lots, borrow positions,
-cash and counters, and also the same reservation queue and constructive
-marks.  The other reads use the ledger's private fields, its live
+are equal exactly when the two ledgers hold the same lots, borrow positions
+and counters, and also the same reservation queue and constructive marks.  The other reads use the ledger's private fields, its live
 per-security containers and the fields of its borrow positions.
 """
 
@@ -22,14 +21,19 @@ def securities(ledger):
     return ledger._lots.keys() | ledger._borrows.keys()
 
 
-def cash(ledger):
-    """Net cash moved so far: the sum of the applied events' ``cash_centavos``."""
-    return Money(ledger._cash)
+def cash(effects):
+    """Net cash the applied events moved: the sum of their effects' ``cash_centavos``."""
+    return Money(sum(eff.cash_centavos for eff in effects))
 
 
 def shorts_of(ledger, sec):
     """The borrow positions of ``sec`` sold short and not yet covered, oldest first."""
     return tuple(ledger._borrows.get(sec, ((), ()))[0])
+
+
+def marks_of(ledger, sec):
+    """Constructive marks on the open short positions of ``sec``: their shares sold against reserved ones."""
+    return sum(ledger._constructive.get(p.id, 0) for p in shorts_of(ledger, sec))
 
 
 def unsold_of(ledger, sec):

@@ -140,12 +140,23 @@ class TestRun:
         with pytest.raises(ValueError, match="not a digit limit"):
             cli.main(["run", "strategy3"])
 
-    def test_runtime_error_reports_event_index(self, capsys, tmp_path):
+    def test_runtime_error_reports_the_event_line(self, capsys, tmp_path):
         path = tmp_path / "oversell.scn"
         path.write_text("price ABC 1 50\nat 1 sell ABC 5\n")
         code, _, err = invoke(capsys, "run", str(path))
         assert code == 2
-        assert "(event 0)" in err
+        assert err.startswith("realize: error: line 2, col 1: ")
+
+    @pytest.mark.parametrize("command", ["run", "compare"])
+    def test_an_event_error_names_the_events_line_and_first_token(self, capsys, tmp_path, command):
+        # Event 1, the death, is on line 3: it re-bases the lot at a tick with no quote for A.
+        path = tmp_path / "death.scn"
+        path.write_text("price A 1 10\nat 1 buy A 5\nat 2 death\n")
+        err = "realize: error: line 3, col 1: no quoted price for A at tick 2\n"
+        assert invoke(capsys, command, str(path)) == (2, "", err)
+        path.write_text("# a comment\nprice A 1 10\n\n   at 1 buy A 5  # an indented event\n\tat 1 sell A 9\n")
+        err = "realize: error: line 5, col 2: need 9 shares of A, only 5 available\n"
+        assert invoke(capsys, command, str(path)) == (2, "", err)
 
     def test_selling_reserved_shares_names_no_internal_class(self, capsys, tmp_path):
         path = tmp_path / "reserved.scn"
@@ -155,7 +166,7 @@ class TestRun:
         )
         code, out, err = invoke(capsys, "run", str(path), "--regime", "proposed")
         assert (code, out) == (2, "")
-        assert err == "realize: error (event 3): need 1 shares of ABC, only 0 available\n"
+        assert err == "realize: error: line 7, col 1: need 1 shares of ABC, only 0 available\n"
         for name in ("Fifo", "SpecificId", "Plan", "LotPolicy", "ReservationBook"):
             assert name not in err
 

@@ -106,13 +106,13 @@ class TestBuyAndSell:
         (lot,) = ledger.lots
         assert lot.qty == 100_000
         assert lot.basis_per_share == Money.from_pesos(50)
-        assert cash(ledger) == Money.from_pesos(-5_000_000)
+        assert eff.cash_centavos == Money.from_pesos(-5_000_000).centavos
         assert eff == LedgerEffects(Buy(1, "ABC", 100_000), lot.basis_per_share, -500_000_000)
 
     def test_one_buy_one_sell_cash(self):
-        ledger, _ = apply_all([Buy(1, "ABC", 100_000), SellOwned(2, "ABC", 100_000)])
+        ledger, effects = apply_all([Buy(1, "ABC", 100_000), SellOwned(2, "ABC", 100_000)])
         assert not ledger.lots
-        assert cash(ledger) == (Money.from_pesos(100) - Money.from_pesos(50)) * 100_000
+        assert cash(effects) == (Money.from_pesos(100) - Money.from_pesos(50)) * 100_000
 
     def test_sell_more_than_owned(self):
         with pytest.raises(InsufficientOwnedShares):
@@ -138,7 +138,7 @@ class TestBorrowAndShort:
         assert qty_outstanding(pos) == 100_000
         assert pos.qty == 100_000 and shorts_of(ledger, "ABC") == (pos,)
         assert pos.short_proceeds_per_share == Money.from_pesos(100)
-        assert cash(ledger) == Money.from_pesos(10_000_000)
+        assert cash(effects) == Money.from_pesos(10_000_000)
         ((sold, qty),) = effects[1].shorts
         assert sold == pos and qty == 100_000
         assert sold.short_proceeds_per_share == Money.from_pesos(100)
@@ -191,13 +191,15 @@ class TestBorrowAndShort:
 
 
 class TestCash:
-    def test_cash_sums_the_cash_deltas(self):
-        ledger = Ledger()
+    def test_each_step_reports_its_cash_as_int_centavos(self):
         events = (Buy(1, "ABC", 10), Borrow(2, "ABC", 10), ShortSell(2, "ABC", 10), SellOwned(2, "ABC", 4),
                   CoverByPurchase(3, "ABC", 5), CoverByOwnedLot(3, "ABC", 5), Death(3))
-        deltas = [apply_event(ledger, ev, ABC_PRICES)[1].cash_centavos for ev in events]
+        _, effects = apply_all(events)
+        deltas = [eff.cash_centavos for eff in effects]
         assert all(type(delta) is int for delta in deltas)
-        assert cash(ledger) == Money(sum(deltas)) == Money.from_pesos(-500 + 1_000 + 400 - 150)
+        assert deltas == [-50_000, 0, 100_000, 40_000, -15_000, 0, 0]
+        assert cash(effects) == Money.from_pesos(-500 + 1_000 + 400 - 150)
+        assert run(Scenario("cash", ABC_PRICES, events)).final_cash == cash(effects)
 
 
 class TestCover:
@@ -210,7 +212,7 @@ class TestCover:
             ]
         )
         assert borrows(ledger) == ()
-        assert cash(ledger) == Money.from_pesos(10_000_000 - 3_000_000)
+        assert cash(effects) == Money.from_pesos(10_000_000 - 3_000_000)
         ((pos, qty),) = effects[2].shorts
         assert qty == 100_000
         assert pos.short_proceeds_per_share == Money.from_pesos(100)
@@ -226,7 +228,7 @@ class TestCover:
         )
         assert not ledger.lots
         assert borrows(ledger) == ()
-        assert cash(ledger) == Money.from_pesos(-5_000_000 + 10_000_000)
+        assert cash(effects) == Money.from_pesos(-5_000_000 + 10_000_000)
         eff = effects[3]
         assert eff.cash_centavos == 0
         assert eff.lots_consumed[0][0].basis_per_share == Money.from_pesos(50)

@@ -1,4 +1,5 @@
-"""``tools/opcount.py``: a short count runs, and it reads the checkout without writing to it."""
+"""``tools/opcount.py``: a short count runs, it reads the checkout without writing to it, and a closed pipe
+ends it quietly."""
 
 import subprocess
 import sys
@@ -28,3 +29,14 @@ def test_a_two_operation_count_lists_functions_and_records():
     # Each operation builds and compares four scenarios.
     assert built["ComparisonReport"] == 4.0 and built["Scenario"] == 4.0 and built["LedgerEffects"] > 0
     assert bench_files() == before  # no bytecode cache, no bench/out record
+
+
+def test_a_reader_that_closes_the_pipe_ends_the_count_quietly():
+    # As ``realize`` treats a closed pipe: the reader's choice, with no traceback.
+    child = subprocess.Popen(
+        [sys.executable, str(ROOT / "tools" / "opcount.py"), "--ops", "1"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    child.stdout.close()  # before the count ends, so its first write finds no reader
+    _, err = child.communicate(timeout=60)
+    assert (child.returncode, err) == (0, b"")

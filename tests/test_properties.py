@@ -206,14 +206,16 @@ class TestBuiltinInvariants:
 
 
 def fold(scenario, regime):
-    """Thread the events through the public API, one event at a time."""
+    """Thread the events through the public API, one event at a time: the realization events, the
+    ledger and each step's effects."""
     ledger = Ledger()
-    events = []
+    events, steps = [], []
     for ev in scenario.events:
         ledger, effects = apply_event(ledger, ev, scenario.prices)
         out, ledger = realize(effects, regime, ledger)
         events.extend(out)
-    return events, ledger
+        steps.append(effects)
+    return events, ledger, steps
 
 
 class TestRunEqualsPublicFold:
@@ -223,9 +225,9 @@ class TestRunEqualsPublicFold:
             scenario = random_scenario(rng).scenario
             for regime in Regime:
                 report = run(scenario, regime=regime)
-                events, ledger = fold(scenario, regime)
+                events, ledger, steps = fold(scenario, regime)
                 assert report.events == tuple(events)
-                assert report.final_cash == cash(ledger)
+                assert report.final_cash == cash(steps)
                 assert [lot.id for lot in ledger.lots] == sorted(lot.id for lot in ledger.lots)
                 owned, outstanding = {}, {}
                 for lot in ledger.lots:

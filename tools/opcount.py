@@ -23,12 +23,14 @@ Only instructions are counted, never time, so the figures are exact and the
 same on every run of one checkout and Python version; the bytecode differs
 between versions, so compare counts within one interpreter only.  The tool reads the
 checkout and writes nothing to it (no bytecode cache, no ``bench/out``).
-Standard library only.
+A reader that closes the pipe early (``| head -1``) ends it quietly, with
+status 0.  Standard library only.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from collections import Counter
 from pathlib import Path
@@ -173,7 +175,13 @@ def main(argv: list[str] | None = None) -> int:
     workload = load_workload(args.root.resolve(), args.seed)
     workload.op(0)  # one-time work (first-use caches) stays out of the count
     instructions, records = count(workload, args.ops)
-    print(report(instructions, records, args.ops))
+    try:
+        print(report(instructions, records, args.ops))
+        sys.stdout.flush()
+    except BrokenPipeError:  # a closed pipe is the reader's choice, not an error
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())  # so the interpreter's exit flush cannot fail again
+        os.close(devnull)
     return 0
 
 
