@@ -29,6 +29,7 @@ from .scenario import (
     Scenario,
     _col,
     _columns,
+    _lines,
     _max_digits,
     _parse,
     builtin,
@@ -81,7 +82,7 @@ def _from_text(text: str | None, call, *args):
         if text is None or getattr(err, "event_index", None) is None:
             raise
         line = _parse(text, "")[1][err.event_index]
-        raise EngineError(str(err), line, _col(text.splitlines()[line - 1], 0)) from None
+        raise EngineError(str(err), line, _col(_lines(text)[line - 1], 0)) from None
 
 
 _peso = partial(pesos, symbol=PESO)

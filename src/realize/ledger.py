@@ -2,15 +2,16 @@
 
 The ledger applies transaction events in scenario order and reports exactly
 what moved through a ``LedgerEffects`` record: the event, the market price
-used, the cash moved in int centavos, the lots consumed as (lot, qty) pairs
-and the borrow positions sold short or covered as (position, qty) pairs.
-The pairs hold the ledger's own frozen records, so reporting a move copies
-nothing.  The ledger keeps no cash tally: ``run`` folds each step's
-``cash_centavos``.  Tax treatment lives entirely downstream; the ledger
-knows nothing about realization regimes, which is what makes cash flow
-regime-invariant by construction wherever both regimes accept a scenario.  An outright sale that
-needs shares reserved against a short fails only under the proposed regime,
-and one input can fail with different messages under the two.
+used, the cash moved in int centavos, the lots consumed and the shares
+reserved or released as (lot, qty) pairs, and the borrow positions sold short
+or covered as (position, qty) pairs.  The pairs hold the ledger's own frozen
+records, so reporting a move copies nothing.  The ledger keeps no cash
+tally: ``run`` folds each step's ``cash_centavos``.  Tax treatment lives
+downstream; a reserving ledger only sets owned shares aside, and no cash
+amount depends on that, so cash flow is regime-invariant by construction
+wherever both regimes accept a scenario.  An outright sale that needs
+reserved shares fails only on a reserving ledger, and one input can fail
+with different messages on the two.
 
 A run keeps its portfolio in a ``Ledger``: mutable, private to that run, and
 organised per security as a first-in first-out queue of lots and two of
@@ -22,20 +23,19 @@ in one attribute, ``_step``, that every layer reads.  The event classes are
 records, so final: anything else has no step and is refused with
 ``TypeError``.
 
-The ledger also holds reservations: owned shares set aside against a short
-sale by ``Ledger.reserve``, which the proposed regime's constructive-sale
-rule calls.  Nothing else creates them, and only a short sale after a buy
-of its security finds shares to reserve.  Without them every event takes
-the same path under both regimes, so ``compare`` runs the proposed regime
-only where such a sale occurs.  An outright sale takes the oldest
-unreserved shares.  A reserving short sale marks one share sold per share
-it reserves, and a cover settles marks first in first out: each position's
-marked shares count as covered first, positions in cover order.  It takes
-one of the oldest reserved shares per mark settled: a cover by purchase
-frees them, one with owned shares delivers them and then the oldest
-unreserved shares; where those fall short, it settles marks of positions it
-leaves open and delivers as many more reserved shares, which realize
-nothing more, having been disposed of at their short sale.
+A reserving ledger, the one a proposed-regime run keeps, also holds
+reservations: owned shares that a short sale sets aside in its own step, the
+proposed regime's constructive-sale trigger.  Only a short sale after a buy
+of its security (``_may_reserve``) finds shares to reserve; elsewhere both
+ledgers take the same path, so ``compare`` runs the proposed regime only
+where such a sale occurs.  An outright sale takes the oldest unreserved
+shares.  A reserving short sale marks one share sold per share it reserves,
+its first shares sold.  A cover settles marks first in first out: those of
+the shares it covers, then, for a with-owned cover short of free shares, the
+oldest marks of positions it leaves open, whose first shares are left
+unmarked.  It takes one of the oldest reserved shares per mark settled: a
+cover by purchase frees them, one with owned shares delivers them, realizing
+nothing more, and then the oldest unreserved shares.
 
 Two inventories are kept deliberately separate.  Owned lots carry purchase or
 inheritance basis.  Borrowed shares, although title passes to the borrower the
@@ -151,10 +151,12 @@ class LedgerEffects:
 
     The event's own fields say when, which security and how many shares.
     ``price`` is the market price the event used, ``cash_centavos`` the
-    cash it moved.  ``lots_consumed`` holds (lot, qty) pairs, each lot as it
-    stood before the event, in the order taken; ``shorts`` holds (position,
-    qty) pairs: the positions a short sale sold, as sold, or those a cover
-    covered, as they stood before it, first in first out.
+    cash it moved.  ``lots_consumed`` holds the (lot, qty) pairs the event
+    disposes of and ``reserved`` those a reserving short sale set aside, a
+    with-owned cover delivered from reservations or a purchase cover freed,
+    each lot as it stood before the event, in the order taken; ``shorts``
+    holds (position, qty) pairs: the positions a short sale sold, as sold, or
+    those a cover covered, as they stood before it, first in first out.
     """
 
     event: TransactionEvent
@@ -162,37 +164,52 @@ class LedgerEffects:
     cash_centavos: int
     lots_consumed: tuple[tuple[Lot, int], ...] = ()
     shorts: tuple[tuple[BorrowPosition, int], ...] = ()
-    reserved_slices: int = 0  # leading lots_consumed pairs that a short sale had reserved
+    reserved: tuple[tuple[Lot, int], ...] = ()
 
 
 def _shortage(sec: SecurityId, need: int, available: int) -> InsufficientOwnedShares:
     return InsufficientOwnedShares(f"need {need} shares of {sec}, only {available} available")
 
 
+def _may_reserve(events: tuple) -> bool:
+    """Whether a short sale in ``events`` comes after a buy of its security, so that a reserving ledger
+    can reserve at it.  Price-free, and by exact class: the event classes are final.  Where this is
+    false nothing is ever reserved, and a reserving ledger takes the same path as any other."""
+    bought = set()
+    for ev in events:
+        kind = type(ev)
+        if kind is ShortSell and ev.sec in bought:
+            return True
+        if kind is Buy:  # only a buy opens a lot
+            bought.add(ev.sec)
+    return False
+
+
 class Ledger:
-    """The mutable portfolio of one run, kept per security.
+    """The mutable portfolio of one run, kept per security, whose short sales reserve if ``reserving``.
 
     Each security has a first-in first-out queue of lots, a pair of borrow
     position queues (sold short and uncovered, then unsold: cover order) and
     a queue of reserved (lot id, qty) slices, oldest first, with the reserved
     count per lot; an event touches only its own security.  Each borrow
     position sold short by a reserving sale counts its uncovered shares sold
-    against reserved ones, its constructive marks; a security's marks sum to
-    its reserved shares, and a cover settles both first in first out.  No
-    cash tally is kept: each step reports its cash.  An index of every open
-    lot by id, in lot-id order, serves ``lots``.  ``lots_of`` and
-    ``reserved_by_lot`` return the live containers: read them, never change
-    them.
+    against reserved ones, its constructive marks, and the shares after them;
+    a security's marks sum to its reserved shares, and a cover settles both
+    first in first out.  No cash tally is kept: each step reports its cash.
+    An index of every open lot by id, in lot-id order, serves ``lots``.
+    ``lots_of`` and ``reserved_by_lot`` return the live containers: read
+    them, never change them.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, reserving: bool = False) -> None:
+        self.reserving = reserving
         self._by_id: dict[int, Lot] = {}
         self._lots: dict[SecurityId, deque[Lot]] = {}
         self._borrows: dict[SecurityId, tuple[deque[BorrowPosition], deque[BorrowPosition]]] = {}
         self._reservations: dict[SecurityId, deque[tuple[int, int]]] = {}
         self._reserved: dict[SecurityId, dict[int, int]] = {}
-        # Borrow position id -> its shares sold against reserved ones, not yet covered.
-        self._constructive: dict[int, int] = {}
+        # Borrow position id -> (its shares sold against reserved ones, not yet covered; its shares after those).
+        self._constructive: dict[int, tuple[int, int]] = {}
         self.owner_generation, self.next_lot_id, self.next_borrow_id = 0, 0, 0
 
     @property
@@ -236,39 +253,35 @@ class Ledger:
                     break
         return slices, qty - remaining
 
-    def reserve(self, effects: LedgerEffects) -> list[tuple[Lot, int]]:
-        """Reserve owned shares against the short sale whose ``effects`` were just applied.
-
-        Takes the oldest unreserved shares of the security, up to the
-        quantity sold short, and marks as many of the first shares sold as
-        sold against them.  Returns the reserved (lot, qty) pairs.
-        """
-        ev = effects.event
-        sec = ev.sec
-        slices, total = self._unreserved(sec, ev.qty)
+    def _reserve(self, sec: SecurityId, qty: int,
+                 sold: list[tuple[BorrowPosition, int]]) -> tuple[tuple[Lot, int], ...]:
+        """Reserve the oldest unreserved shares of ``sec``, up to ``qty``, against a short sale that sold
+        the positions in ``sold``, and mark as many of the first shares sold.  Returns the reserved pairs."""
+        slices, total = self._unreserved(sec, qty)
         if not slices:
-            return slices
+            return ()
         queue, reserved = self._reservations.setdefault(sec, deque()), self._reserved.setdefault(sec, {})
-        for lot, qty in slices:
-            queue.append((lot.id, qty))
-            reserved[lot.id] = reserved.get(lot.id, 0) + qty
-        for pos, qty in effects.shorts:
-            mark = total if total < qty else qty
-            self._constructive[pos.id] = mark
+        for lot, amount in slices:
+            queue.append((lot.id, amount))
+            reserved[lot.id] = reserved.get(lot.id, 0) + amount
+        for pos, amount in sold:
+            mark = total if total < amount else amount
+            self._constructive[pos.id] = mark, amount - mark
             total -= mark
             if total == 0:
                 break
-        return slices
+        return tuple(slices)
 
     def _settle(self, sec: SecurityId, qty: int) -> list[tuple[Lot, int]]:
         """Settle the oldest ``qty`` constructive marks of ``sec`` and free its oldest ``qty`` reserved shares,
         returned as (lot, qty) pairs."""
         constructive, unsettled = self._constructive, qty
         for pos in self._borrows[sec][0]:
-            mark = constructive.get(pos.id)
-            if mark:
+            marks = constructive.get(pos.id)
+            if marks:
+                mark, tail = marks
                 if mark > unsettled:
-                    constructive[pos.id] = mark - unsettled
+                    constructive[pos.id] = mark - unsettled, tail
                     break
                 del constructive[pos.id]
                 unsettled -= mark
@@ -353,6 +366,8 @@ class Ledger:
             unsold.appendleft(BorrowPosition(self.next_borrow_id, pos.sec, pos.qty - amount))
             self.next_borrow_id += 1
         shorts.extend([p for p, _ in sold])
+        if self.reserving:
+            return LedgerEffects(ev, price, price.centavos * ev.qty, (), tuple(sold), self._reserve(ev.sec, ev.qty, sold))
         return LedgerEffects(ev, price, price.centavos * ev.qty, (), tuple(sold))
 
     def _sell(self, ev: SellOwned, path: PricePath) -> LedgerEffects:
@@ -374,9 +389,12 @@ class Ledger:
                 raise InvariantViolation(f"borrow position {pos.id} is sold short without a price")
             amount = pos.qty if pos.qty < remaining else remaining
             covered.append((pos, amount))
-            mark = self._constructive.get(pos.id)
-            if mark:
-                marked += mark if mark < amount else amount
+            marks = self._constructive.get(pos.id)
+            if marks:
+                mark, tail = marks
+                lead = pos.qty - tail - mark  # shares before the marked ones, whose marks a shortfall settled
+                if amount > lead:
+                    marked += mark if mark < amount - lead else amount - lead
             remaining -= amount
             if not remaining:
                 break
@@ -398,10 +416,9 @@ class Ledger:
         if amount < pos.qty:
             shorts.appendleft(BorrowPosition(pos.id, pos.sec, pos.qty - amount, pos.short_proceeds_per_share))
         if by_purchase:
-            return LedgerEffects(ev, price, -price.centavos * ev.qty, (), tuple(covered))
-        lot_slices = takes + free
-        self._consume(ev.sec, lot_slices)
-        return LedgerEffects(ev, price, 0, tuple(lot_slices), tuple(covered), len(takes))
+            return LedgerEffects(ev, price, -price.centavos * ev.qty, (), tuple(covered), tuple(takes))
+        self._consume(ev.sec, takes + free)
+        return LedgerEffects(ev, price, 0, tuple(free), tuple(covered), tuple(takes))
 
     def _death(self, ev: Death, path: PricePath) -> LedgerEffects:
         """Transmit the portfolio to the heir with basis stepped up to the death-date price.

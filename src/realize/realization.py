@@ -28,14 +28,14 @@ one price); single-lot scenarios therefore produce exactly one event per rule
 application.
 
 The reservations live in the run's ``Ledger``, which decides which owned
-shares each sale and cover takes.  The only thing the proposed regime adds
-is one call, ``Ledger.reserve``, at a short sale; every other event maps its
-effects to events without state, the same way under both regimes.  A rule
-is keyed by the ledger step its event class names in ``_step``; it reads the
-time, security and quantity from the effects' event and builds each event
-straight from the (lot, qty) and (position, qty) pairs the ledger reports: a
-lot's basis, a position's proceeds.  A buy, a borrow and a death emit nothing
-under either regime: their steps have no rule, and ``run`` skips ``realize``.
+shares each sale and cover takes; all the proposed regime adds is a
+reserving ledger.  Realization maps effects to events without state, the
+same way under both regimes.  A rule is keyed by the ledger step its event
+class names in ``_step``; it reads the time, security and quantity from the
+effects' event and builds each event straight from the (lot, qty) and
+(position, qty) pairs the ledger reports: a lot's basis, a position's
+proceeds.  A buy, a borrow and a death emit nothing under either regime:
+their steps have no rule, and ``run`` skips ``realize``.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ from __future__ import annotations
 from enum import Enum
 
 from .errors import InvariantViolation
-from .ledger import Buy, Ledger, LedgerEffects, ShortSell
+from .ledger import Ledger, LedgerEffects
 from .market import Money, SecurityId, Tick, _money, record
 
 
@@ -95,7 +95,7 @@ def _price(effects: LedgerEffects) -> Money:
 # One rule per ledger step that can realize, looked up in ``_RULES``.
 
 
-def _sale(effects: LedgerEffects, regime: Regime, ledger: Ledger) -> list[RealizationEvent]:
+def _sale(effects: LedgerEffects) -> list[RealizationEvent]:
     price, ev = _price(effects), effects.event
     at, sec = ev.at, ev.sec
     return [
@@ -104,41 +104,27 @@ def _sale(effects: LedgerEffects, regime: Regime, ledger: Ledger) -> list[Realiz
     ]
 
 
-def _short_sale(effects: LedgerEffects, regime: Regime, ledger: Ledger) -> list[RealizationEvent]:
-    if regime is not Regime.PROPOSED:
-        # Receipt of the proceeds without realization.
+def _short_sale(effects: LedgerEffects) -> list[RealizationEvent]:
+    # The proceeds realize nothing; the shares a reserving ledger set aside are deemed disposed of.
+    if not effects.reserved:
         return []
     price, ev = _price(effects), effects.event
     at, sec = ev.at, ev.sec
     return [
         RealizationEvent(at, RealizationKind.CONSTRUCTIVE_SALE, sec, qty, price, lot.basis_per_share)
-        for lot, qty in ledger.reserve(effects)
+        for lot, qty in effects.reserved
     ]
 
 
-def _may_reserve(events: tuple) -> bool:
-    """Whether a short sale in ``events`` comes after a buy of its security, so that ``_short_sale`` can
-    reserve under the proposed regime.  Price-free, and by exact class: the event classes are final.
-    Where this is false nothing is ever reserved, and the two regimes take the same path."""
-    bought = set()
-    for ev in events:
-        kind = type(ev)
-        if kind is ShortSell and ev.sec in bought:
-            return True
-        if kind is Buy:  # only a buy opens a lot
-            bought.add(ev.sec)
-    return False
-
-
-def _cover(effects: LedgerEffects, regime: Regime, ledger: Ledger) -> list[RealizationEvent]:
-    # Delivered shares that were reserved were disposed of at the short
-    # sale; every other delivered share is deemed sold at the price of
+def _cover(effects: LedgerEffects) -> list[RealizationEvent]:
+    # Delivered reserved shares, reported apart, were disposed of at the
+    # short sale; every other delivered share is deemed sold at the price of
     # replacing the borrowed shares.  A cover by purchase delivers none.
     price, ev = _price(effects), effects.event
     at, sec = ev.at, ev.sec
     events = [
         RealizationEvent(at, RealizationKind.OWNED_DISPOSAL_AT_COVER, sec, qty, price, lot.basis_per_share)
-        for lot, qty in effects.lots_consumed[effects.reserved_slices:]
+        for lot, qty in effects.lots_consumed
     ]
     events += [
         RealizationEvent(at, RealizationKind.SHORT_COVER, sec, qty, pos.short_proceeds_per_share, price)
@@ -158,12 +144,11 @@ def realize(
     """Produce the realization events for one event just applied to ``ledger``.
 
     Returns the events in deterministic order together with ``ledger``,
-    which only a short sale under the proposed regime changes: it reserves
-    the owned shares deemed disposed.
+    unchanged: the events depend on ``effects`` alone.  Only the benchmark's
+    span tags read ``regime`` and ``ledger``, which keep this signature.
     """
-    ev = effects.event
     try:
-        rule = _RULES.get(type(ev)._step)
+        rule = _RULES.get(type(effects.event)._step)
     except AttributeError:
-        raise TypeError(f"unknown transaction event {ev!r}") from None
-    return (rule(effects, regime, ledger) if rule else []), ledger
+        raise TypeError(f"unknown transaction event {effects.event!r}") from None
+    return (rule(effects) if rule else []), ledger

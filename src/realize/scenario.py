@@ -1,6 +1,7 @@
 """Scenario descriptions, the line-oriented DSL, built-ins, and the runner.
 
-DSL grammar (UTF-8, one directive per line, ``#`` starts a comment,
+DSL grammar (UTF-8, one directive per line, a line ending at ``\\n``,
+``\\r\\n`` or ``\\r`` as ``open()`` reads it, ``#`` starts a comment,
 whitespace-separated tokens):
 
     price <SYM> <tick> <price>
@@ -45,13 +46,15 @@ from .ledger import (
     SellOwned,
     ShortSell,
     TransactionEvent,
+    _may_reserve,
     apply_event,
 )
 from .market import _ZERO, Money, PricePath, SecurityId, Tick, _money, pesos, record
-from .realization import _RULES, RealizationEvent, Regime, _may_reserve, realize
+from .realization import _RULES, RealizationEvent, Regime, realize
 from .taxation import NettingWindow, RateSchedule, TaxLine, _misfit, tax_timeline
 
 BLOCK_QTY = 100_000
+_BEFORE_ANY_TICK = float("-inf")  # what a scenario's first tick is compared with
 
 # bench/spans.py looks these two names up: the ledger's two owned-share walks.
 sell_policy, cover_policy = Ledger._unreserved, Ledger._settle
@@ -68,10 +71,11 @@ class Scenario:
 
     Building one raises, with the offending ``event_index``, ``EngineError``
     for an object whose class has no ``_step`` (not an event, or a bare trade),
-    ``NonMonotonicTick`` or ``UndefinedPrice`` when ticks decrease or an event
-    has no price, and ``InvalidSymbol`` when a security symbol or heir label is
-    not a ``str`` or holds a character neither printable nor whitespace (an
-    escape, a NUL, a bidi override).  Its ``PricePath`` checked its quote keys.
+    ``NonMonotonicTick`` when a tick is not an ``int`` (a ``bool`` neither) or
+    ticks decrease, ``UndefinedPrice`` when an event has no price, and
+    ``InvalidSymbol`` when a security symbol or heir label is not a ``str`` or
+    holds a character neither printable nor whitespace (an escape, a NUL, a
+    bidi override).  Its ``PricePath`` checked its quote keys.
     """
 
     name: str
@@ -79,22 +83,23 @@ class Scenario:
     events: tuple[TransactionEvent, ...] = ()
 
     def __post_init__(self) -> None:
-        last = None
+        last = _BEFORE_ANY_TICK
         quotes = self.prices.quotes
         for index, ev in enumerate(self.events):
             if not hasattr(type(ev), "_step"):
                 raise _annotate(EngineError(f"unknown transaction event {ev!r}"), index)
-            if last is not None and ev.at < last:
-                raise _annotate(
-                    NonMonotonicTick(f"event tick {ev.at} precedes earlier tick {last}"), index
-                )
-            last = ev.at
+            at = ev.at
+            if type(at) is not int or at < last:  # a tick of any other type cannot be ordered
+                raise _annotate(NonMonotonicTick(
+                    f"event tick {at} precedes earlier tick {last}" if type(at) is int
+                    else f"event tick must be an int, got {type(at).__name__} {at!r}"), index)
+            last = at
             if type(ev) is Death:
                 if ev.heir is not None and (err := _refused("heir label", ev.heir)):
                     raise _annotate(err, index)
             elif not (type(ev.sec) is str and ev.sec.isprintable()) and (err := _refused("security symbol", ev.sec)):
                 raise _annotate(err, index)
-            elif (ev.sec, ev.at) not in quotes:
+            elif (ev.sec, at) not in quotes:
                 raise _annotate(UndefinedPrice(f"no price for {ev.sec} at tick {ev.at}"), index)
 
 
@@ -123,6 +128,15 @@ def _max_digits() -> int:
     """The most digits ``int()`` reads from text or writes to it (4,300 unless ``PYTHONINTMAXSTRDIGITS``
     sets it), or 0 where there is no limit (Python before 3.10.7)."""
     return getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+def _lines(text: str) -> list[str]:
+    """``text`` split where ``open()`` ends a line: at ``\\n``, ``\\r\\n`` and ``\\r`` only.  Unlike
+    ``str.splitlines``, the other line breaks (``\\v``, ``\\f``, ``\\x1c``-``\\x1e``, ``\\x85``, U+2028,
+    U+2029) stay inside a line, where they are whitespace."""
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text.split("\n")
 
 
 def _col(code: str, index: int) -> int:
@@ -189,7 +203,7 @@ def _parse(text: str, name: str) -> tuple[Scenario, list[int]]:
     quotes: dict[tuple[SecurityId, Tick], Money] = {}
     events: list[TransactionEvent] = []
     event_lines: list[int] = []
-    lines = text.splitlines()
+    lines = _lines(text)
     limit = _max_digits() or sys.maxsize
 
     for line_no, line in enumerate(lines, start=1):
@@ -482,7 +496,7 @@ def run(
     """
     if type(regime) is not Regime:
         raise _misfit(("regime", regime, Regime))
-    ledger = Ledger()
+    ledger = Ledger(regime is Regime.PROPOSED)
     realized: list[RealizationEvent] = []
     # Ticks never decrease, so each tick's events are adjacent: a point per tick where some event moved cash.
     cash_ticks: list[Tick] = []
@@ -574,7 +588,7 @@ def compare(
 ) -> ComparisonReport:
     """Run both regimes and line their tax timelines up tick by tick; an error of the current run wins.
 
-    Where no short sale can reserve owned shares (``realization._may_reserve``), the proposed regime
+    Where no short sale can reserve owned shares (``ledger._may_reserve``), the proposed regime
     takes the current path, and its report is the current one's fields under its own regime."""
     current = run(scenario, Regime.CURRENT, schedule, window)
     if not _may_reserve(scenario.events):

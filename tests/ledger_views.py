@@ -33,7 +33,7 @@ def shorts_of(ledger, sec):
 
 def marks_of(ledger, sec):
     """Constructive marks on the open short positions of ``sec``: their shares sold against reserved ones."""
-    return sum(ledger._constructive.get(p.id, 0) for p in shorts_of(ledger, sec))
+    return sum(ledger._constructive.get(p.id, (0,))[0] for p in shorts_of(ledger, sec))
 
 
 def unsold_of(ledger, sec):

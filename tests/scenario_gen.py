@@ -21,14 +21,12 @@ from realize import (
     Death,
     Money,
     PricePath,
-    Regime,
     Scenario,
     SellOwned,
     ShortSell,
 )
 from realize.errors import EngineError
 from realize.ledger import Ledger, apply_event
-from realize.realization import realize
 from ledger_views import borrowed_unsold_qty, borrows, owned_qty, sold_uncovered_qty
 
 _KINDS = (
@@ -55,7 +53,7 @@ def random_scenario(rng: random.Random, name: str = "generated") -> GeneratedSce
     }
     path = PricePath(quotes)
 
-    state = Ledger()
+    state = Ledger(reserving=True)
     events = []
     short_ticks: set[int] = set()
     realizing_ticks: set[int] = set()
@@ -95,10 +93,9 @@ def random_scenario(rng: random.Random, name: str = "generated") -> GeneratedSce
             if ev is None:
                 continue
             try:
-                _, effects = apply_event(state, ev, path)
+                apply_event(state, ev, path)
             except EngineError:  # leaves the ledger as it was
                 continue
-            realize(effects, Regime.PROPOSED, state)
             events.append(ev)
             if isinstance(ev, ShortSell):
                 short_ticks.add(t)

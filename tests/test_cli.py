@@ -158,6 +158,17 @@ class TestRun:
         err = "realize: error: line 5, col 2: need 9 shares of A, only 5 available\n"
         assert invoke(capsys, command, str(path)) == (2, "", err)
 
+    @pytest.mark.parametrize("command", ["run", "compare"])
+    def test_a_form_feed_inside_a_line_keeps_every_error_on_its_line(self, capsys, tmp_path, command):
+        path = tmp_path / "feed.scn"
+        path.write_text("price A 1 10\f\nat 1 buy A 5\nat 1 bogus A 9\n", encoding="utf-8")
+        err = "realize: error: line 3, col 6: unknown event verb 'bogus'\n"
+        assert invoke(capsys, command, str(path)) == (2, "", err)
+        # An error found by running the scenario is placed by the same line count.
+        path.write_text("price A 1 10\f\nat 1 buy A 5\x85\n\u2028at 1 sell A 9\n", encoding="utf-8")
+        err = "realize: error: line 3, col 2: need 9 shares of A, only 5 available\n"
+        assert invoke(capsys, command, str(path)) == (2, "", err)
+
     def test_selling_reserved_shares_names_no_internal_class(self, capsys, tmp_path):
         path = tmp_path / "reserved.scn"
         path.write_text(

@@ -24,6 +24,8 @@ ERROR_LINE = re.compile(
     r"realize: error(: line \d+, col \d+: | \(event \d+\): |: a figure at tick \d+ has more than )[^\n]*\n"
 )
 
+LOCATED = re.compile(r"realize: error: line (\d+), col (\d+): ")
+
 PRICES = st.sampled_from(["50", "100", "30", "0.5", "12.25", "7.1", "0"])
 QTYS = st.integers(1, 300).map(str)
 SYMBOLS = st.sampled_from(["ABC", "XY"])
@@ -115,11 +117,15 @@ def test_every_input_ends_in_a_report_or_one_located_error(text):
         results = {fmt: call("run", str(path), "--format", fmt) for fmt in ("table", "csv", "json")}
         results["compare"] = call("compare", str(path), "--format", "json")
 
+    lines = read_back.split("\n")  # where open() ended the lines the CLI read
     for argv, (code, out, err) in results.items():
         assert code in (0, 2), (argv, code, err)
         if code == 2:
             assert out == "", argv
             assert ERROR_LINE.fullmatch(err), (argv, err)
+            if located := LOCATED.match(err):
+                line, col = int(located[1]), int(located[2])
+                assert 1 <= line <= len(lines) and 1 <= col <= len(lines[line - 1]) + 1, (argv, err, lines)
         else:
             assert err == "" and out, argv
     assert len({results[fmt][0] for fmt in ("table", "csv", "json")}) == 1, results

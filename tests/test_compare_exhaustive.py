@@ -1,7 +1,7 @@
 """``compare`` against the two runs it stands for, on every short event sequence.
 
 ``compare`` runs the proposed regime only where a short sale comes after a
-buy of its security (``realization._may_reserve``), since only such a sale
+buy of its security (``ledger._may_reserve``), since only such a sale
 can reserve owned shares; elsewhere it reuses the current report.  On every
 input here ``compare(s)`` must equal the ``ComparisonReport`` built from
 ``run(s, CURRENT)`` and ``run(s, PROPOSED)``, or raise the error (class,
@@ -67,7 +67,7 @@ from realize import (
     run,
 )
 from realize.errors import EngineError, InsufficientOwnedShares, MissingPrice
-from realize.realization import _may_reserve
+from realize.ledger import _may_reserve
 from realize.scenario import TaxDelta
 from scenario_gen import random_scenario
 

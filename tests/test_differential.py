@@ -24,11 +24,12 @@ def test_one_checkout_on_both_sides_is_identical():
 
 def test_a_deliberate_change_prints_the_first_differing_scenario(tmp_path):
     shutil.copytree(ROOT / "src", tmp_path / "src", ignore=shutil.ignore_patterns("__pycache__"))
-    realization = tmp_path / "src" / "realize" / "realization.py"
-    text = realization.read_text(encoding="utf-8")
+    ledger = tmp_path / "src" / "realize" / "ledger.py"
+    text = ledger.read_text(encoding="utf-8")
     # A with-owned cover's reserved shares would realize a second time, at the cover.
-    assert text.count("effects.lots_consumed[effects.reserved_slices:]") == 1
-    realization.write_text(text.replace("effects.lots_consumed[effects.reserved_slices:]", "effects.lots_consumed"))
+    delivered = "LedgerEffects(ev, price, 0, tuple(free),"
+    assert text.count(delivered) == 1
+    ledger.write_text(text.replace(delivered, "LedgerEffects(ev, price, 0, tuple(takes + free),"))
     done = differential(ROOT, tmp_path, 100)
     assert (done.returncode, done.stderr) == (1, "")
     head, _, rest = done.stdout.partition("\n")

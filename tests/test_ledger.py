@@ -2,6 +2,7 @@
 
 import copy
 import dataclasses
+import random
 from collections import deque
 
 import pytest
@@ -42,6 +43,7 @@ from ledger_views import (
     sold_uncovered_qty,
     unsold_of,
 )
+from scenario_gen import random_scenario
 
 ABC_PRICES = PricePath.from_table(
     {"ABC": {1: Money.from_pesos(50), 2: Money.from_pesos(100), 3: Money.from_pesos(30)}}
@@ -320,13 +322,72 @@ class TestEffectPairs:
         assert cover.shorts == ((sale.shorts[0][0], 30), (sale.shorts[1][0], 10))
 
     def test_a_cover_names_a_lot_taken_twice_reserved_pair_first(self):
-        ledger, effects = apply_all([Buy(1, "ABC", 100), Borrow(2, "ABC", 100), ShortSell(2, "ABC", 50)])
+        ledger, effects = apply_all(
+            [Borrow(1, "ABC", 100), ShortSell(1, "ABC", 50), Buy(1, "ABC", 100), ShortSell(2, "ABC", 50)],
+            ledger=Ledger(reserving=True),
+        )
         (lot,) = ledger.lots_of("ABC")
-        assert ledger.reserve(effects[-1]) == [(lot, 50)]
-        # The second short sale reserves nothing: only the first position's shares were sold against lot 0.
-        _, (_, cover) = apply_all([ShortSell(2, "ABC", 50), CoverByOwnedLot(3, "ABC", 100)], ledger=ledger)
-        assert cover.lots_consumed == ((lot, 50), (lot, 50)) and cover.reserved_slices == 1
+        # The first short sale came before the buy: only the second one's shares were sold against lot 0.
+        assert effects[1].reserved == () and effects[-1].reserved == ((lot, 50),)
+        _, (cover,) = apply_all([CoverByOwnedLot(3, "ABC", 100)], ledger=ledger)
+        assert cover.reserved == ((lot, 50),) and cover.lots_consumed == ((lot, 50),)
         assert not ledger.lots and not ledger.reserved_by_lot("ABC")
+
+
+    RESERVING = (Buy(1, "ABC", 30), Buy(1, "ABC", 40), Borrow(1, "ABC", 100), ShortSell(2, "ABC", 50))
+
+    def test_a_reserving_short_sale_names_the_shares_it_reserved_and_consumes_none(self):
+        ledger, effects = apply_all(self.RESERVING, ledger=Ledger(reserving=True))
+        first, second = ledger.lots_of("ABC")
+        assert effects[-1].reserved == ((first, 30), (second, 20)) and effects[-1].lots_consumed == ()
+        assert ledger.reserved_by_lot("ABC") == {0: 30, 1: 20}
+        _, plain = apply_all(self.RESERVING)
+        assert plain[-1].reserved == () and plain[-1].shorts == effects[-1].shorts
+
+    def test_a_cover_by_purchase_names_the_shares_it_freed(self):
+        ledger, _ = apply_all(self.RESERVING, ledger=Ledger(reserving=True))
+        first, second = ledger.lots_of("ABC")
+        _, (cover,) = apply_all([CoverByPurchase(3, "ABC", 40)], ledger=ledger)
+        assert cover.reserved == ((first, 30), (second, 10)) and cover.lots_consumed == ()
+        assert ledger.reserved_by_lot("ABC") == {1: 10}
+
+    def test_a_cover_with_owned_shares_names_the_reserved_shares_apart_from_those_it_disposes_of(self):
+        ledger, _ = apply_all(self.RESERVING, ledger=Ledger(reserving=True))
+        first, second = ledger.lots_of("ABC")
+        _, (cover,) = apply_all([CoverByOwnedLot(3, "ABC", 50)], ledger=ledger)
+        # All 50 shares covered were sold against reserved ones: it disposes of nothing more.
+        assert cover.reserved == ((first, 30), (second, 20)) and cover.lots_consumed == ()
+        # Ten shares sold short before the buys reserve nothing: covering them disposes of ten free shares.
+        ledger, _ = apply_all((Borrow(1, "ABC", 10), ShortSell(1, "ABC", 10)) + self.RESERVING,
+                              ledger=Ledger(reserving=True))
+        first, second = ledger.lots_of("ABC")
+        _, (cover,) = apply_all([CoverByOwnedLot(3, "ABC", 60)], ledger=ledger)
+        assert cover.reserved == ((first, 30), (second, 20)) and cover.lots_consumed == ((second, 10),)
+        assert [(lot.id, lot.qty) for lot in ledger.lots] == [(1, 10)] and not ledger.reserved_by_lot("ABC")
+
+    def test_a_shortfall_settles_the_first_marks_of_a_position_it_leaves_open(self):
+        # Two shares sold short before the buy, then two against the box: one free share is left.  The first
+        # with-owned cover takes it; the second, short of free shares, delivers the share reserved against
+        # the second position's first share.  Covering that share frees nothing, and covering the last one
+        # delivers the share reserved against it.
+        path = PricePath({("C", t): Money.from_pesos(10 * t) for t in range(1, 6)})
+        ledger, effects = apply_all(
+            [Borrow(1, "C", 4), ShortSell(1, "C", 2), Buy(1, "C", 3), CoverByOwnedLot(2, "C", 1),
+             ShortSell(2, "C", 2), CoverByOwnedLot(3, "C", 1), CoverByPurchase(4, "C", 1), CoverByOwnedLot(5, "C", 1)],
+            path=path, ledger=Ledger(reserving=True),
+        )
+        shortfall, by_purchase, last = effects[-3:]
+        assert [(lot.id, qty) for lot, qty in shortfall.reserved] == [(0, 1)] and shortfall.lots_consumed == ()
+        assert by_purchase.reserved == ()
+        assert [(lot.id, qty) for lot, qty in last.reserved] == [(0, 1)] and last.lots_consumed == ()
+        assert not ledger.lots and not ledger.reserved_by_lot("C")
+
+    def test_a_plain_ledger_never_reserves(self):
+        rng = random.Random(0xEFFEC7)
+        for _ in range(150):
+            scenario = random_scenario(rng).scenario
+            _, effects = apply_all(scenario.events, path=scenario.prices)
+            assert all(eff.reserved == () for eff in effects), scenario
 
 
 class TestStepUp:

@@ -208,7 +208,7 @@ class TestBuiltinInvariants:
 def fold(scenario, regime):
     """Thread the events through the public API, one event at a time: the realization events, the
     ledger and each step's effects."""
-    ledger = Ledger()
+    ledger = Ledger(regime is Regime.PROPOSED)
     events, steps = [], []
     for ev in scenario.events:
         ledger, effects = apply_event(ledger, ev, scenario.prices)

@@ -31,7 +31,7 @@ ABC_PRICES = PricePath.from_table(
 
 def run_events(events, regime, path=ABC_PRICES, ledger=None):
     """Thread events through ledger and realization, like the runner does."""
-    ledger = Ledger() if ledger is None else ledger
+    ledger = Ledger(regime is Regime.PROPOSED) if ledger is None else ledger
     out = []
     for ev in events:
         ledger, effects = apply_event(ledger, ev, path)
@@ -406,6 +406,28 @@ class TestWithOwnedCoverOfAnOlderPosition:
         ]
         assert not ledger.lots and ledger.reserved_by_lot("A") == {} and ledger._constructive == {}
         assert [(p.qty, p.short_proceeds_per_share) for p in borrows(ledger)] == [(1, Money.from_pesos(17))]
+
+    def test_a_position_that_gave_up_its_first_marks_is_covered_naked_first(self):
+        # The shortfall at 4 delivers the share reserved against the second position's first share.  Covering
+        # that share by purchase frees nothing; the last share's own reserved share then covers it and realizes
+        # nothing more, so each of the three shares bought is disposed of once.  Once the shortfall settled
+        # the position's first mark, its remaining mark used to count as covered first: the purchase freed the
+        # last reserved share and the final cover disposed of it a second time.
+        events, ledger = run_events(
+            (Borrow(1, "A", 4), ShortSell(1, "A", 2), Buy(1, "A", 3), CoverByOwnedLot(2, "A", 1),
+             ShortSell(3, "A", 2), CoverByOwnedLot(4, "A", 1), CoverByPurchase(5, "A", 1), CoverByOwnedLot(6, "A", 1)),
+            Regime.PROPOSED, path=A_SIX,
+        )
+        K = RealizationKind
+        assert events == [
+            pesos_event(2, K.OWNED_DISPOSAL_AT_COVER, 1, 17, 10),
+            pesos_event(2, K.SHORT_COVER, 1, 10, 17),
+            pesos_event(3, K.CONSTRUCTIVE_SALE, 2, 6, 10),
+            pesos_event(4, K.SHORT_COVER, 1, 10, 13),
+            pesos_event(5, K.SHORT_COVER, 1, 6, 9),
+            pesos_event(6, K.SHORT_COVER, 1, 6, 12),
+        ]
+        assert not ledger.lots and ledger.reserved_by_lot("A") == {} and ledger._constructive == {}
 
 
 class TestRaisingRealizeLeavesBookUnchanged:

@@ -25,7 +25,10 @@ share:
 Events are grouped as the engine reports them: one per lot, or per borrow
 position (the shares of one borrow sold by one short sale).  Lots are
 numbered by purchase, as the engine numbers them, so the shares left in
-each lot, and reserved in each, are compared too.
+each lot, and reserved in each, are compared too.  The model counts in
+units of the greatest common divisor of the scenario's quantities: every
+rule takes whole units, so each count scales back exactly, and blocks of a
+million shares cost no more than blocks of ten.
 
 The report's sums are predicted from the same rules: the tax lines from the
 model's events (signed gains netted per tick, or over the whole run at the
@@ -33,12 +36,21 @@ last realization tick; tax only on a positive net, at 10% flat, or at 5% on
 the first ₱100,000 and 10% above it, each rounded half to even at the
 centavo), the total tax, and the cash moved by each tick's purchases, sales
 and covers by purchase.
+
+The scenarios come from ``scenario_gen``, from a generator of short sales
+against the box, and from ``FeasibleRuns``, a ``hypothesis`` state machine
+that keeps its own unit counts to choose only events both regimes accept.
 """
 
 import random
-from collections import Counter
+from collections import Counter, deque
 from fractions import Fraction
 from itertools import accumulate
+from math import gcd
+
+from hypothesis import HealthCheck, settings
+from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, initialize, precondition, rule, run_state_machine_as_test
 
 from realize import (
     Borrow,
@@ -59,7 +71,6 @@ from realize import (
     run,
 )
 from realize.ledger import Ledger, apply_event
-from realize.realization import realize
 from realize.taxation import tax_timeline
 from ledger_views import marks_of, quoted_securities
 from scenario_gen import random_scenario
@@ -69,6 +80,12 @@ SETTINGS = [(s, w) for s in RateSchedule for w in NettingWindow]
 FLAT_RATE, LOWER_RATE, UPPER_RATE = Fraction(10, 100), Fraction(5, 100), Fraction(10, 100)
 TIER_LIMIT = 100_000 * 100  # centavos
 CASH_SIGN = {Buy: -1, SellOwned: 1, ShortSell: 1, CoverByPurchase: -1}  # the others move no cash
+# The cases a cover can reach that the model counts, each once per cover that reaches it.
+PARTIAL_ACROSS_POSITIONS = "a cover of two or more positions that leaves the last one partly open"
+RELEASE_PAST_OLDEST_LOT = "a cover by purchase that frees reserved shares of a lot other than the oldest"
+SHORTFALL = "a with-owned cover short of free shares that delivers shares reserved against open positions"
+BARED_BEFORE_MARKED = "a cover of shares whose reserved shares a shortfall delivered, leaving open others' of its position"
+REACHES = (PARTIAL_ACROSS_POSITIONS, RELEASE_PAST_OLDEST_LOT, SHORTFALL, BARED_BEFORE_MARKED)
 
 
 class Owned:
@@ -79,10 +96,11 @@ class Owned:
 
 
 class Borrowed:
-    __slots__ = ("borrow", "position", "proceeds")
+    __slots__ = ("borrow", "position", "proceeds", "bared")
 
     def __init__(self, borrow):
         self.borrow, self.position, self.proceeds = borrow, None, None
+        self.bared = False  # its reserved share went to a with-owned cover short of free shares
 
 
 def runs(shares, key):
@@ -98,15 +116,17 @@ def runs(shares, key):
 
 def model(scenario, regime):
     """The model's realization events, then its owned shares of each security and
-    of each lot, its reserved shares of each lot, its outstanding borrows, and the
-    shares its with-owned covers delivered from those reserved against open positions."""
+    of each lot, its reserved shares of each lot, its outstanding borrows, and how
+    often it reached each of ``REACHES``."""
     owned, unsold, sold = {}, {}, {}  # per security, oldest first
     events = []
-    lots = given = 0
+    lots = 0
+    reached = Counter()
+    unit = gcd(*[ev.qty for ev in scenario.events if not isinstance(ev, Death)]) or 1
 
     def emit(at, kind, sec, shares, amount, basis, key):
         for s, n in runs(shares, key):
-            events.append(RealizationEvent(at, kind, sec, n, amount(s), basis(s)))
+            events.append(RealizationEvent(at, kind, sec, n * unit, amount(s), basis(s)))
 
     for n, ev in enumerate(scenario.events):
         if isinstance(ev, Death):
@@ -114,7 +134,7 @@ def model(scenario, regime):
                 for s in shares:
                     s.basis = scenario.prices.price_at(sec, ev.at)
             continue
-        at, sec, qty = ev.at, ev.sec, ev.qty
+        at, sec, qty = ev.at, ev.sec, ev.qty // unit
         price = scenario.prices.price_at(sec, at)
         mine = owned.setdefault(sec, [])
         free = [s for s in mine if s.covers is None]
@@ -141,6 +161,11 @@ def model(scenario, regime):
             owned[sec] = [s for s in mine if s not in gone]
         else:
             covered, sold[sec] = sold[sec][:qty], sold[sec][qty:]
+            if sold[sec] and sold[sec][0].position == covered[-1].position != covered[0].position:
+                reached[PARTIAL_ACROSS_POSITIONS] += 1
+            marked = {s.covers for s in mine if s.covers is not None}
+            left = {b.position for b in sold[sec] if b in marked}  # positions left open with reserved shares
+            reached[BARED_BEFORE_MARKED] += any(b.bared and b.position in left for b in covered)
             discharged = set(covered)
             delivered = [s for s in mine if s.covers in discharged]
             if isinstance(ev, CoverByOwnedLot):
@@ -149,21 +174,24 @@ def model(scenario, regime):
                 given_up = [reserved_for[b] for b in sold[sec] if b in reserved_for]
                 given_up = given_up[: qty - len(delivered) - len(disposed)]
                 assert len(delivered) + len(disposed) + len(given_up) == qty
-                given += len(given_up)
+                reached[SHORTFALL] += bool(given_up)
+                for s in given_up:
+                    s.covers.bared = True
                 emit(at, K.OWNED_DISPOSAL_AT_COVER, sec, disposed, *per_lot)
                 gone = set(delivered + disposed + given_up)
                 owned[sec] = [s for s in mine if s not in gone]
             else:  # by purchase
+                reached[RELEASE_PAST_OLDEST_LOT] += any(s.lot != mine[0].lot for s in delivered)
                 for s in delivered:
                     s.covers = None
             emit(at, K.SHORT_COVER, sec, covered,
                  lambda b: b.proceeds, lambda b: price, lambda b: b.position)
     shares = [s for held in owned.values() for s in held]
-    holding = {sec: len(s) for sec, s in owned.items() if s}
-    by_lot = Counter(s.lot for s in shares)
-    reserved = Counter(s.lot for s in shares if s.covers is not None)
-    owing = {sec: len(unsold.get(sec, ())) + len(sold.get(sec, ())) for sec in unsold}
-    return events, holding, by_lot, reserved, {sec: q for sec, q in owing.items() if q}, given
+    holding = {sec: len(s) * unit for sec, s in owned.items() if s}
+    by_lot = {lot: n * unit for lot, n in Counter(s.lot for s in shares).items()}
+    reserved = {lot: n * unit for lot, n in Counter(s.lot for s in shares if s.covers is not None).items()}
+    owing = {sec: (len(unsold.get(sec, ())) + len(sold.get(sec, ()))) * unit for sec in unsold}
+    return events, holding, by_lot, reserved, {sec: q for sec, q in owing.items() if q}, reached
 
 
 def tax_on(net, schedule):
@@ -202,11 +230,10 @@ def ledger_after(scenario, regime):
 
     After every event, each security's constructive marks sum to its reserved shares.
     """
-    ledger = Ledger()
+    ledger = Ledger(regime is Regime.PROPOSED)
     secs = quoted_securities(scenario.prices)
     for ev in scenario.events:
-        _, effects = apply_event(ledger, ev, scenario.prices)
-        realize(effects, regime, ledger)
+        apply_event(ledger, ev, scenario.prices)
         for sec in secs:
             assert marks_of(ledger, sec) == sum(ledger.reserved_by_lot(sec).values()), (ev, scenario)
     return ledger
@@ -263,10 +290,10 @@ def short_against_the_box(rng):
 
 def check_against_model(scenario, regime):
     """Assert that ``run()`` reports what the model predicts, under every rate schedule and
-    window, and that the folded ledger holds the model's lots and reservations; return the
-    shares the model's with-owned covers delivered from those reserved against open positions."""
+    window, and that the folded ledger holds the model's lots and reservations; return how
+    often the model reached each of ``REACHES``."""
     report = run(scenario, regime)
-    events, holding, by_lot, reserved, owing, given = model(scenario, regime)
+    events, holding, by_lot, reserved, owing, reached = model(scenario, regime)
     for i, (got, want) in enumerate(zip(report.events, events)):
         assert got == want, (regime, i, scenario)
     assert len(report.events) == len(events), (regime, scenario)
@@ -287,7 +314,7 @@ def check_against_model(scenario, regime):
         lot: n for sec in quoted_securities(scenario.prices)
         for lot, n in ledger.reserved_by_lot(sec).items()
     }, scenario
-    return given
+    return reached
 
 
 class TestReferenceModel:
@@ -305,8 +332,8 @@ class TestReferenceModel:
         reaching = 0
         for _ in range(150):
             scenario = short_against_the_box(rng)
-            assert check_against_model(scenario, Regime.CURRENT) == 0
-            reaching += check_against_model(scenario, Regime.PROPOSED) > 0
+            assert not check_against_model(scenario, Regime.CURRENT)[SHORTFALL]
+            reaching += check_against_model(scenario, Regime.PROPOSED)[SHORTFALL] > 0
         assert reaching > 75  # most of them: 102 of the 150
 
     def test_tax_lines_match_on_gains_of_any_centavos(self):
@@ -322,3 +349,144 @@ class TestReferenceModel:
                 got = [(t.period, t.net_capital_gain.centavos, t.tax_due.centavos)
                        for t in tax_timeline(events, window, schedule)]
                 assert got == tax_lines(events, schedule, window), (schedule, window, events)
+
+
+class Book:
+    """One security's counts, in units, as a proposed run keeps them: units owned, reserved and borrowed
+    but not sold, and a flag per unit sold short and not covered, set while an owned unit is reserved
+    against it.  A short sale reserves against its first units; a cover settles the flags of the units it
+    covers, and a with-owned cover short of free units goes on settling the oldest flags still set."""
+
+    def __init__(self):
+        self.owned = self.reserved = self.unsold = 0
+        self.sold = deque()
+
+    def free(self):
+        return self.owned - self.reserved
+
+    def short_sell(self, n):
+        marks = min(n, self.free())
+        self.reserved += marks
+        self.unsold -= n
+        self.sold.extend([True] * marks + [False] * (n - marks))
+
+    def cover(self, n, with_owned):
+        settled = sum(self.sold.popleft() for _ in range(n))
+        if with_owned:
+            short = max(n - settled - self.free(), 0)
+            for i, flag in enumerate(self.sold):
+                if flag and short:
+                    self.sold[i], settled, short = False, settled + 1, short - 1
+            self.owned -= n
+        self.reserved -= settled
+
+
+class FeasibleRuns(RuleBasedStateMachine):
+    """Runs of buys, borrows, short sales, sales, covers of both kinds and one death across up to three
+    securities, each event one that both regimes accept, checked against the model at teardown.
+
+    Every quantity is a whole number of units, one unit of up to 100,000 shares per run, and at most a
+    million shares.  An event stays at the last tick or moves one on; each (security, tick) gets a price
+    when first used."""
+
+    SECS = ("A", "B", "C")
+
+    def __init__(self, reached):
+        super().__init__()
+        self.reached = reached  # how often the model reached each of REACHES, over every run
+        self.books = {sec: Book() for sec in self.SECS}
+        self.events, self.quotes, self.tick, self.unit, self.died = [], {}, 0, 1, False
+
+    @initialize(unit=st.sampled_from((1, 7, 1_000, 100_000)), secs=st.sampled_from((1, 1, 2, 3)),
+                naked=st.integers(1, 5), lots=st.tuples(st.integers(1, 3), st.integers(1, 3)),
+                boxed=st.integers(1, 5), price=st.integers(1, 10**5))
+    def open_the_book(self, unit, secs, naked, lots, boxed, price):
+        """Choose the unit and the securities, and open the first one with ``naked`` units sold short before
+        two ``lots`` are bought and ``boxed`` more sold short against them: the shape whose with-owned
+        covers run short of free shares."""
+        self.unit, self.secs = unit, self.SECS[:secs]
+        opening = ((Borrow, naked + boxed), (ShortSell, naked), (Buy, lots[0]), (Buy, lots[1]), (ShortSell, boxed))
+        for kind, units in opening:
+            self.add(kind, self.secs[0], units, False, price)
+
+    def add(self, kind, sec, units, later, price):
+        """Count ``units`` of an event of ``kind`` in the book of ``sec``, and append the event."""
+        book = self.books[sec]
+        if kind is Buy:
+            book.owned += units
+        elif kind is Borrow:
+            book.unsold += units
+        elif kind is ShortSell:
+            book.short_sell(units)
+        elif kind is SellOwned:
+            book.owned -= units
+        else:
+            book.cover(units, with_owned=kind is CoverByOwnedLot)
+        self.tick += later
+        self.quotes.setdefault((sec, self.tick), Money(price))
+        self.events.append(kind(self.tick, sec, units * self.unit))
+
+    def units(self, data, most, all_half_the_time=False):
+        """Up to ``most`` units, and up to a million shares; with ``all_half_the_time``, that many half the time."""
+        most = min(most, 10**6 // self.unit)
+        return data.draw(st.integers(1, most) | (st.just(most) if all_half_the_time else st.nothing()))
+
+    def able(self, test):
+        return [sec for sec in self.secs if test(self.books[sec])]
+
+    @rule(data=st.data(), units=st.integers(1, 3), later=st.booleans(), price=st.integers(1, 10**5))
+    def buy(self, data, units, later, price):
+        self.add(Buy, data.draw(st.sampled_from(self.secs)), units, later, price)
+
+    @precondition(lambda self: self.able(lambda b: b.unsold < 10))  # so borrows do not crowd out the rest
+    @rule(data=st.data(), units=st.integers(1, 10), later=st.booleans(), price=st.integers(1, 10**5))
+    def borrow(self, data, units, later, price):
+        self.add(Borrow, data.draw(st.sampled_from(self.able(lambda b: b.unsold < 10))), units, later, price)
+
+    @precondition(lambda self: self.able(lambda b: b.unsold))
+    @rule(data=st.data(), later=st.booleans(), price=st.integers(1, 10**5))
+    def short_sell(self, data, later, price):
+        sec = data.draw(st.sampled_from(self.able(lambda b: b.unsold)))
+        self.add(ShortSell, sec, self.units(data, self.books[sec].unsold, all_half_the_time=True), later, price)
+
+    @precondition(lambda self: self.able(Book.free))
+    @rule(data=st.data(), later=st.booleans(), price=st.integers(1, 10**5))
+    def sell(self, data, later, price):
+        sec = data.draw(st.sampled_from(self.able(Book.free)))
+        self.add(SellOwned, sec, self.units(data, self.books[sec].free()), later, price)
+
+    @precondition(lambda self: self.able(lambda b: b.sold))
+    @rule(data=st.data(), later=st.booleans(), price=st.integers(1, 10**5))
+    def cover_by_purchase(self, data, later, price):
+        sec = data.draw(st.sampled_from(self.able(lambda b: b.sold)))
+        self.add(CoverByPurchase, sec, self.units(data, len(self.books[sec].sold)), later, price)
+
+    @precondition(lambda self: self.able(lambda b: b.sold and b.owned))
+    @rule(data=st.data(), later=st.booleans(), price=st.integers(1, 10**5))
+    def cover_with_owned(self, data, later, price):
+        sec = data.draw(st.sampled_from(self.able(lambda b: b.sold and b.owned)))
+        book = self.books[sec]
+        self.add(CoverByOwnedLot, sec, self.units(data, min(len(book.sold), book.owned), True), later, price)
+
+    @precondition(lambda self: not self.died)
+    @rule(later=st.booleans(), prices=st.tuples(*[st.integers(1, 10**5)] * len(SECS)))
+    def death(self, later, prices):
+        self.tick += later
+        for sec, price in zip(self.SECS, prices):
+            self.quotes.setdefault((sec, self.tick), Money(price))
+        self.events.append(Death(self.tick))
+        self.died = True
+
+    def teardown(self):
+        scenario = Scenario("machine", PricePath(self.quotes), tuple(self.events))
+        for regime in Regime:
+            self.reached.update(check_against_model(scenario, regime))
+
+
+def test_feasible_runs_of_every_event_kind_match_the_model():
+    reached = Counter()
+    run_state_machine_as_test(lambda: FeasibleRuns(reached), settings=settings(
+        max_examples=25, stateful_step_count=50, derandomize=True, database=None, deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    ))
+    assert all(reached[case] for case in REACHES), reached

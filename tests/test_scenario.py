@@ -207,6 +207,22 @@ class TestValidation:
             Scenario("s", PricePath({("ABC", 1): Money(100), **quotes}), events)
         assert (str(exc.value), exc.value.event_index) == (message, 1)
 
+    # A tick that is not an int used to end in a bare TypeError from ``<``, or to run and then fail to print.
+    @pytest.mark.parametrize("tick", [None, "1", 1.0, True], ids=repr)
+    @pytest.mark.parametrize("index", [0, 1], ids=["first", "later"])
+    def test_an_event_tick_that_is_not_an_int_is_refused_at_its_index(self, tick, index):
+        events = [Buy(1, "A", 5), Buy(1, "A", 5)]
+        events[index] = Buy(tick, "A", 5)
+        with pytest.raises(NonMonotonicTick) as exc:
+            Scenario("x", PricePath({("A", 1): Money(100), ("A", tick): Money(100)}), tuple(events))
+        assert str(exc.value) == f"event tick must be an int, got {type(tick).__name__} {tick!r}"
+        assert exc.value.event_index == index
+
+    def test_a_death_tick_that_is_not_an_int_is_refused_at_its_index(self):
+        with pytest.raises(NonMonotonicTick) as exc:
+            Scenario("x", PricePath({("A", 1): Money(100)}), (Buy(1, "A", 5), Death(None)))
+        assert (str(exc.value), exc.value.event_index) == ("event tick must be an int, got NoneType None", 1)
+
     @pytest.mark.parametrize("key", [(5, 1), "AB", 5, ("ABC", 1, 2)], ids=repr)
     def test_a_quote_key_that_is_not_a_str_security_and_a_tick_is_refused(self, key):
         with pytest.raises(InvalidSymbol) as exc:
@@ -525,6 +541,36 @@ def parse_failure(text):
         parse_scenario(text)
     err = exc.value
     return type(err), str(err), err.line, err.col
+
+
+# Every code point ``str.splitlines`` breaks at but ``open()`` does not.
+INLINE_BREAKS = ["\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+class TestLineEnds:
+    """A line ends where ``open()`` ends it: at ``\\n``, ``\\r\\n`` or ``\\r``; any other break is whitespace."""
+
+    @pytest.mark.parametrize("brk", INLINE_BREAKS, ids=repr)
+    def test_an_inline_break_does_not_shift_the_line_of_an_error(self, brk):
+        with pytest.raises(UnknownDirective) as exc:
+            parse_scenario(f"price A 1 10{brk}\nat 1 buy A 5\nat 1 bogus A 9\n")
+        assert str(exc.value) == "line 3, col 6: unknown event verb 'bogus'"
+
+    @pytest.mark.parametrize("brk", INLINE_BREAKS, ids=repr)
+    def test_an_inline_break_does_not_start_a_second_event(self, brk):
+        with pytest.raises(ParseError) as exc:
+            parse_scenario(f"price A 1 10\nat 1 buy A 5 {brk} at 1 sell A 9\n")
+        assert str(exc.value) == "line 2, col 16: unexpected trailing tokens"
+
+    @pytest.mark.parametrize("brk", INLINE_BREAKS, ids=repr)
+    def test_an_inline_break_is_whitespace_between_tokens(self, brk):
+        assert parse_scenario(f"price A 1 10\nat 1 buy{brk}A 5{brk}\n").events == (Buy(1, "A", 5),)
+
+    @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"], ids=repr)
+    def test_each_line_end_that_open_reads_ends_a_line(self, end):
+        with pytest.raises(UnknownDirective) as exc:
+            parse_scenario(end.join(["price A 1 10", "at 1 buy A 5", "at 1 bogus A 9"]))
+        assert str(exc.value) == "line 3, col 6: unknown event verb 'bogus'"
 
 
 class TestPlainLineParser:
