@@ -167,6 +167,10 @@ class LedgerEffects:
     reserved: tuple[tuple[Lot, int], ...] = ()
 
 
+# Each step builds its records by calling the generated constructor directly, past ``type.__call__``.
+_new_lot, _new_position, _new_effects = Lot.__new__, BorrowPosition.__new__, LedgerEffects.__new__
+
+
 def _shortage(sec: SecurityId, need: int, available: int) -> InsufficientOwnedShares:
     return InsufficientOwnedShares(f"need {need} shares of {sec}, only {available} available")
 
@@ -321,7 +325,7 @@ class Ledger:
                 lot = queue[i]
             left = lot.qty - qty
             if left:
-                queue[i] = by_id[lot.id] = Lot(lot.id, lot.sec, left, lot.basis_per_share)
+                queue[i] = by_id[lot.id] = _new_lot(Lot, lot.id, lot.sec, left, lot.basis_per_share)
                 i += 1
             else:
                 del queue[i], by_id[lot.id]
@@ -331,20 +335,20 @@ class Ledger:
 
     def _buy(self, ev: Buy, path: PricePath) -> LedgerEffects:
         price = path.price_at(ev.sec, ev.at)
-        lot = Lot(self.next_lot_id, ev.sec, ev.qty, price)
+        lot = _new_lot(Lot, self.next_lot_id, ev.sec, ev.qty, price)
         self.next_lot_id += 1
         self._add_lot(lot)
-        return LedgerEffects(ev, price, -price.centavos * ev.qty)
+        return _new_effects(LedgerEffects, ev, price, -price.centavos * ev.qty)
 
     def _borrow(self, ev: Borrow, path: PricePath) -> LedgerEffects:
-        pos = BorrowPosition(self.next_borrow_id, ev.sec, ev.qty)
+        pos = _new_position(BorrowPosition, self.next_borrow_id, ev.sec, ev.qty)
         self.next_borrow_id += 1
         queues = self._borrows.get(ev.sec)
         if queues is None:
             self._borrows[ev.sec] = deque(), deque((pos,))
         else:
             queues[1].append(pos)
-        return LedgerEffects(ev, None, 0)
+        return _new_effects(LedgerEffects, ev, None, 0)
 
     def _short_sell(self, ev: ShortSell, path: PricePath) -> LedgerEffects:
         price = path.price_at(ev.sec, ev.at)
@@ -353,7 +357,7 @@ class Ledger:
         remaining = ev.qty
         for pos in unsold:
             amount = pos.qty if pos.qty < remaining else remaining
-            sold.append((BorrowPosition(pos.id, pos.sec, amount, price), amount))
+            sold.append((_new_position(BorrowPosition, pos.id, pos.sec, amount, price), amount))
             remaining -= amount
             if not remaining:
                 break
@@ -363,12 +367,13 @@ class Ledger:
             unsold.popleft()
         if amount < pos.qty:
             # Split so every sold position carries exactly one proceeds price.
-            unsold.appendleft(BorrowPosition(self.next_borrow_id, pos.sec, pos.qty - amount))
+            unsold.appendleft(_new_position(BorrowPosition, self.next_borrow_id, pos.sec, pos.qty - amount))
             self.next_borrow_id += 1
         shorts.extend([p for p, _ in sold])
         if self.reserving:
-            return LedgerEffects(ev, price, price.centavos * ev.qty, (), tuple(sold), self._reserve(ev.sec, ev.qty, sold))
-        return LedgerEffects(ev, price, price.centavos * ev.qty, (), tuple(sold))
+            return _new_effects(LedgerEffects, ev, price, price.centavos * ev.qty, (), tuple(sold),
+                                self._reserve(ev.sec, ev.qty, sold))
+        return _new_effects(LedgerEffects, ev, price, price.centavos * ev.qty, (), tuple(sold))
 
     def _sell(self, ev: SellOwned, path: PricePath) -> LedgerEffects:
         price = path.price_at(ev.sec, ev.at)
@@ -376,7 +381,7 @@ class Ledger:
         if available < ev.qty:
             raise _shortage(ev.sec, ev.qty, available)
         self._consume(ev.sec, lot_slices)
-        return LedgerEffects(ev, price, price.centavos * ev.qty, tuple(lot_slices))
+        return _new_effects(LedgerEffects, ev, price, price.centavos * ev.qty, tuple(lot_slices))
 
     def _cover(self, ev: CoverByPurchase | CoverByOwnedLot, path: PricePath) -> LedgerEffects:
         price = path.price_at(ev.sec, ev.at)
@@ -414,11 +419,12 @@ class Ledger:
         for _ in covered:
             shorts.popleft()
         if amount < pos.qty:
-            shorts.appendleft(BorrowPosition(pos.id, pos.sec, pos.qty - amount, pos.short_proceeds_per_share))
+            shorts.appendleft(_new_position(BorrowPosition, pos.id, pos.sec, pos.qty - amount,
+                                            pos.short_proceeds_per_share))
         if by_purchase:
-            return LedgerEffects(ev, price, -price.centavos * ev.qty, (), tuple(covered), tuple(takes))
+            return _new_effects(LedgerEffects, ev, price, -price.centavos * ev.qty, (), tuple(covered), tuple(takes))
         self._consume(ev.sec, takes + free)
-        return LedgerEffects(ev, price, 0, tuple(free), tuple(covered), tuple(takes))
+        return _new_effects(LedgerEffects, ev, price, 0, tuple(free), tuple(covered), tuple(takes))
 
     def _death(self, ev: Death, path: PricePath) -> LedgerEffects:
         """Transmit the portfolio to the heir with basis stepped up to the death-date price.
@@ -429,12 +435,12 @@ class Ledger:
         to return the shares.
         """
         at = ev.at
-        lots = [Lot(lot.id, lot.sec, lot.qty, path.price_at(lot.sec, at)) for lot in self._by_id.values()]
+        lots = [_new_lot(Lot, lot.id, lot.sec, lot.qty, path.price_at(lot.sec, at)) for lot in self._by_id.values()]
         self._by_id, self._lots = {}, {}
         for lot in lots:
             self._add_lot(lot)
         self.owner_generation += 1
-        return LedgerEffects(ev, None, 0)
+        return _new_effects(LedgerEffects, ev, None, 0)
 
 
 Buy._step, Borrow._step, ShortSell._step = Ledger._buy, Ledger._borrow, Ledger._short_sell

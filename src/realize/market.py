@@ -10,8 +10,10 @@ Every value class of the package is made by ``record``: frozen, slotted and
 final outside its own module, with a ``__new__`` generated once per class.
 It fills a private twin class that holds the slots, with plain attribute
 stores, and hands the instance back as the frozen class before its
-``__post_init__`` check, so no record is seen half built.  ``_money`` builds
-``Money`` results the same way, trusted to be given ints, without the check.
+``__post_init__`` check, so no record is seen half built.  Engine code calls
+that ``__new__`` directly, past ``type.__call__`` (see ``record``).  ``_money``
+builds ``Money`` results the same way, trusted to be given ints, without the
+check.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from __future__ import annotations
 from collections.abc import Mapping
 from operator import attrgetter, eq, ge, gt, le, lt
 
-from .errors import InvalidSymbol, MissingPrice, NegativeBase
+from .errors import InvalidSymbol, MissingPrice, NegativeBase, NonMonotonicTick
 
 Tick = int
 SecurityId = str
@@ -90,6 +92,14 @@ def record(cls: type | None = None, /, *, order: bool = False):
     another module, or one that adds a ``__dict__`` or slots, raises
     ``TypeError`` when it is defined, so this ``__new__`` builds every
     instance.
+
+    Engine code that builds records per event or per run calls this
+    ``__new__`` directly, bound once per module (``_new_lot = Lot.__new__``,
+    then ``_new_lot(Lot, ...)``): the same function, so the same checks and
+    the same class.  A class call reaches it through ``type.__call__``, which
+    on Python 3.11 builds an argument tuple, looks ``__new__`` up, prepends
+    the class and then runs ``object.__init__``'s argument check: about 40%
+    of what building a small record costs.
     """
     if cls is None:
         return lambda cls: _build(cls, order)
@@ -279,8 +289,10 @@ class PricePath:
     """Per-share price quotes keyed by (security, tick).
 
     Building one raises ``InvalidSymbol`` for a key that is not a (``str``
-    security symbol, tick) pair and ``TypeError`` for a quote that is not
-    ``Money``, so every scenario built on the path can rely on its quotes.
+    security symbol, tick) pair, ``NonMonotonicTick`` for a tick that is not
+    an ``int`` (a ``bool`` neither), as ``Scenario`` does for an event's, and
+    ``TypeError`` for a quote that is not ``Money``, so every scenario built
+    on the path can rely on its quotes.
     """
 
     quotes: Mapping[tuple[SecurityId, Tick], Money]
@@ -289,6 +301,8 @@ class PricePath:
         for key, price in self.quotes.items():
             if type(key) is not tuple or len(key) != 2 or not isinstance(key[0], str):
                 raise InvalidSymbol(f"a quote key must be a (str security symbol, tick) pair, got {key!r}")
+            if type(key[1]) is not int:  # 1.0 and True hash as 1, so one would stand for the other
+                raise NonMonotonicTick(f"quote tick must be an int, got {type(key[1]).__name__} {key[1]!r}")
             if not isinstance(price, Money):
                 raise TypeError(f"the quote for {key!r} must be Money, got {type(price).__name__} {price!r}")
 

@@ -85,6 +85,9 @@ class RealizationEvent:
         return _money(self.gain_centavos[1])
 
 
+_new_event = RealizationEvent.__new__  # each rule calls the generated constructor directly, past type.__call__
+
+
 def _price(effects: LedgerEffects) -> Money:
     price = effects.price
     if price is None:  # hand-built effects may lack it
@@ -99,7 +102,7 @@ def _sale(effects: LedgerEffects) -> list[RealizationEvent]:
     price, ev = _price(effects), effects.event
     at, sec = ev.at, ev.sec
     return [
-        RealizationEvent(at, RealizationKind.ORDINARY_SALE, sec, qty, price, lot.basis_per_share)
+        _new_event(RealizationEvent, at, RealizationKind.ORDINARY_SALE, sec, qty, price, lot.basis_per_share)
         for lot, qty in effects.lots_consumed
     ]
 
@@ -111,7 +114,7 @@ def _short_sale(effects: LedgerEffects) -> list[RealizationEvent]:
     price, ev = _price(effects), effects.event
     at, sec = ev.at, ev.sec
     return [
-        RealizationEvent(at, RealizationKind.CONSTRUCTIVE_SALE, sec, qty, price, lot.basis_per_share)
+        _new_event(RealizationEvent, at, RealizationKind.CONSTRUCTIVE_SALE, sec, qty, price, lot.basis_per_share)
         for lot, qty in effects.reserved
     ]
 
@@ -123,11 +126,11 @@ def _cover(effects: LedgerEffects) -> list[RealizationEvent]:
     price, ev = _price(effects), effects.event
     at, sec = ev.at, ev.sec
     events = [
-        RealizationEvent(at, RealizationKind.OWNED_DISPOSAL_AT_COVER, sec, qty, price, lot.basis_per_share)
+        _new_event(RealizationEvent, at, RealizationKind.OWNED_DISPOSAL_AT_COVER, sec, qty, price, lot.basis_per_share)
         for lot, qty in effects.lots_consumed
     ]
     events += [
-        RealizationEvent(at, RealizationKind.SHORT_COVER, sec, qty, pos.short_proceeds_per_share, price)
+        _new_event(RealizationEvent, at, RealizationKind.SHORT_COVER, sec, qty, pos.short_proceeds_per_share, price)
         for pos, qty in effects.shorts
     ]
     return events

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import re
 import sys
-from itertools import accumulate
+from itertools import accumulate, repeat
 
 from .errors import (
     EngineError,
@@ -122,6 +122,10 @@ _COVER = (*_TRADE, "'by-purchase' or 'with-owned'")
 _DEATH = ("at", "tick", "death", "'heir'", "heir label")
 
 _TOKEN_RE = re.compile(r"\S+")
+
+# The parser builds each event by calling the generated constructor directly, past ``type.__call__``;
+# the six trade classes share ``_Trade``'s.
+_new_trade, _new_death = Buy.__new__, Death.__new__
 
 
 def _max_digits() -> int:
@@ -247,7 +251,7 @@ def _parse(text: str, name: str) -> tuple[Scenario, list[int]]:
                 raise _count_error(tokens, _DEATH, code, line_no)
             if n == 5 and not tokens[4].isprintable():
                 raise ParseError(f"heir label must be printable, got {tokens[4]!r}", line_no, _col(code, 4))
-            events.append(Death(t, tokens[4] if n == 5 else None))
+            events.append(_new_death(Death, t, tokens[4] if n == 5 else None))
             event_lines.append(line_no)
             continue
 
@@ -270,7 +274,7 @@ def _parse(text: str, name: str) -> tuple[Scenario, list[int]]:
             raise ParseError(f"expected {names[5]}, got {tokens[5]!r}", line_no, _col(code, 5))
         if not tokens[3].isprintable():
             raise ParseError(f"security symbol must be printable, got {tokens[3]!r}", line_no, _col(code, 3))
-        events.append(kind(t, tokens[3], qty))
+        events.append(_new_trade(kind, t, tokens[3], qty))
         event_lines.append(line_no)
 
     try:
@@ -481,6 +485,11 @@ def _columns(report: RunReport) -> tuple[list[list], list[list], list[list]]:
     )
 
 
+# ``run`` and ``compare`` build their records by calling the generated constructors directly, past
+# ``type.__call__``.
+_new_point, _new_summary, _new_report = CashPoint.__new__, InventorySummary.__new__, RunReport.__new__
+
+
 def run(
     scenario: Scenario,
     regime: Regime = Regime.CURRENT,
@@ -519,7 +528,8 @@ def run(
                 cash_ticks.append(ev.at)
                 cash_deltas.append(delta)
 
-    timeline = tuple(map(CashPoint, cash_ticks, map(_money, cash_deltas), map(_money, accumulate(cash_deltas))))
+    timeline = tuple(map(_new_point, repeat(CashPoint), cash_ticks, map(_money, cash_deltas),
+                         map(_money, accumulate(cash_deltas))))
     lines = tax_timeline(realized, window, schedule)
     tax = 0
     for line in lines:
@@ -530,9 +540,9 @@ def run(
              for s, (shorts, unsold) in ledger._borrows.items() if shorts or unsold]
     owned.sort()
     owing.sort()
-    inventory = InventorySummary(tuple(owned), tuple(owing), ledger.owner_generation)
-    return RunReport(
-        scenario.name, regime, schedule, window, tuple(realized), tuple(lines),
+    inventory = _new_summary(InventorySummary, tuple(owned), tuple(owing), ledger.owner_generation)
+    return _new_report(
+        RunReport, scenario.name, regime, schedule, window, tuple(realized), tuple(lines),
         timeline, _money(tax), timeline[-1].cumulative if timeline else _ZERO, inventory,
     )
 
@@ -581,6 +591,9 @@ class ComparisonReport:
         }
 
 
+_new_delta, _new_comparison = TaxDelta.__new__, ComparisonReport.__new__  # compare's, built as run's are
+
+
 def compare(
     scenario: Scenario,
     schedule: RateSchedule = RateSchedule.PAPER_FLAT,
@@ -592,21 +605,21 @@ def compare(
     takes the current path, and its report is the current one's fields under its own regime."""
     current = run(scenario, Regime.CURRENT, schedule, window)
     if not _may_reserve(scenario.events):
-        proposed = RunReport(
-            current.scenario, Regime.PROPOSED, schedule, window, current.events, current.tax_lines,
+        proposed = _new_report(
+            RunReport, current.scenario, Regime.PROPOSED, schedule, window, current.events, current.tax_lines,
             current.cash_timeline, current.total_tax, current.final_cash, current.inventory,
         )
         # The shared tax lines come one per tick, in tick order: each line is its own delta.
-        deltas = tuple([TaxDelta(line.period, line.tax_due, line.tax_due) for line in current.tax_lines])
-        return ComparisonReport(scenario.name, schedule, window, current, proposed, deltas)
+        deltas = tuple([_new_delta(TaxDelta, line.period, line.tax_due, line.tax_due) for line in current.tax_lines])
+        return _new_comparison(ComparisonReport, scenario.name, schedule, window, current, proposed, deltas)
     proposed = run(scenario, Regime.PROPOSED, schedule, window)
     by_tick_current = {line.period: line.tax_due for line in current.tax_lines}
     by_tick_proposed = {line.period: line.tax_due for line in proposed.tax_lines}
     deltas = tuple(
-        TaxDelta(t, by_tick_current.get(t, _ZERO), by_tick_proposed.get(t, _ZERO))
+        _new_delta(TaxDelta, t, by_tick_current.get(t, _ZERO), by_tick_proposed.get(t, _ZERO))
         for t in sorted(by_tick_current.keys() | by_tick_proposed.keys())
     )
-    return ComparisonReport(scenario.name, schedule, window, current, proposed, deltas)
+    return _new_comparison(ComparisonReport, scenario.name, schedule, window, current, proposed, deltas)
 
 
 @record

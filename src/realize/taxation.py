@@ -43,6 +43,7 @@ class TaxLine:
     tax_due: Money
 
 
+_new_line = TaxLine.__new__  # the generated constructor, called directly, past type.__call__
 _FLAT, _WHOLE_RUN = RateSchedule.PAPER_FLAT, NettingWindow.WHOLE_RUN
 _TIER_LIMIT = STATUTORY_TIER_LIMIT.centavos
 
@@ -83,4 +84,4 @@ def tax_timeline(
     """A line per netting window with events, in tick order; ``WHOLE_RUN`` nets all at the last event's tick."""
     if type(window) is not NettingWindow or type(schedule) is not RateSchedule:
         raise _misfit(("window", window, NettingWindow), ("schedule", schedule, RateSchedule))
-    return [TaxLine(t, _money(net), _money(_tax(net, schedule))) for t, net in _nets(events, window)]
+    return [_new_line(TaxLine, t, _money(net), _money(_tax(net, schedule))) for t, net in _nets(events, window)]

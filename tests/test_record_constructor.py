@@ -7,7 +7,8 @@ that adds a ``__dict__`` or slots, raises ``TypeError`` when it is defined.
 The six trade classes are the one kind of subclass there is, each a
 ``_Trade`` with ``__slots__ = ()`` in the ledger's module, built by
 ``_Trade``'s own ``__new__``.  No twin instance is ever seen outside the
-constructor.
+constructor.  The engine's own per-event and per-run builds call that
+``__new__`` directly, bound once per module, and get the same records.
 """
 
 import copy
@@ -15,9 +16,12 @@ import pickle
 
 import pytest
 
-from realize.ledger import Ledger, _Trade, apply_event
+from realize import ledger, realization, scenario, taxation
+from realize.errors import InvalidQuantity
+from realize.ledger import Buy, Death, Ledger, LedgerEffects, Lot, _Trade, apply_event
 from realize.market import record
-from realize.scenario import builtin, compare
+from realize.realization import RealizationEvent
+from realize.scenario import RunReport, builtin, compare, parse_scenario
 
 from test_records import RECORDS, SAMPLES, TRADE_KINDS
 
@@ -142,3 +146,45 @@ def test_a_class_with_its_own_constructor_or_a_base_is_refused():
         @record
         class WithBase(Plain):
             extra: int = 0
+
+
+# Each module's constructor bound for direct calls, by (module, name, the class it builds).
+BOUND = [
+    (ledger, "_new_lot", Lot),
+    (ledger, "_new_position", ledger.BorrowPosition),
+    (ledger, "_new_effects", LedgerEffects),
+    (realization, "_new_event", RealizationEvent),
+    (taxation, "_new_line", taxation.TaxLine),
+    (scenario, "_new_trade", _Trade),
+    (scenario, "_new_death", Death),
+    (scenario, "_new_point", scenario.CashPoint),
+    (scenario, "_new_summary", scenario.InventorySummary),
+    (scenario, "_new_report", RunReport),
+    (scenario, "_new_delta", scenario.TaxDelta),
+    (scenario, "_new_comparison", scenario.ComparisonReport),
+]
+
+
+@pytest.mark.parametrize("module, name, cls", BOUND, ids=[name for _, name, _ in BOUND])
+def test_each_bound_constructor_is_its_class_s_generated_new(module, name, cls):
+    assert getattr(module, name) is cls.__new__
+    assert cls.__new__.__code__.co_filename == "<string>"
+
+
+DIRECT = [entry for entry in BOUND if entry[2] in (Lot, LedgerEffects, RealizationEvent, RunReport)]
+
+
+@pytest.mark.parametrize("module, name, cls", DIRECT, ids=[cls.__name__ for *_, cls in DIRECT])
+def test_a_direct_build_is_the_record_a_class_call_builds(module, name, cls):
+    direct, called = getattr(module, name)(cls, *SAMPLES[cls]), cls(*SAMPLES[cls])
+    assert type(direct) is cls and direct.__class__ is cls
+    assert direct == called and hash(direct) == hash(called)
+
+
+def test_a_direct_build_still_runs_the_check():
+    with pytest.raises(InvalidQuantity, match="^quantity must be positive, got 0$"):
+        scenario._new_trade(Buy, 1, "A", 0)
+    with pytest.raises(InvalidQuantity) as exc:
+        parse_scenario("price A 1 10\nat 1 buy A 0\n")
+    assert (exc.value.line, exc.value.col) == (2, 12)
+    assert str(exc.value) == "line 2, col 12: quantity must be positive, got 0"

@@ -214,7 +214,7 @@ class TestValidation:
         events = [Buy(1, "A", 5), Buy(1, "A", 5)]
         events[index] = Buy(tick, "A", 5)
         with pytest.raises(NonMonotonicTick) as exc:
-            Scenario("x", PricePath({("A", 1): Money(100), ("A", tick): Money(100)}), tuple(events))
+            Scenario("x", PricePath({("A", 1): Money(100)}), tuple(events))
         assert str(exc.value) == f"event tick must be an int, got {type(tick).__name__} {tick!r}"
         assert exc.value.event_index == index
 
@@ -238,6 +238,15 @@ class TestValidation:
         assert not hasattr(exc.value, "event_index")
         with pytest.raises(InvalidSymbol, match=r"got \(5, 1\)"):
             PricePath.from_table({5: {1: Money(100)}})
+
+    # 1.0 and True hash as 1: such a key used to stand for tick 1, so a buy at 1 paid the later price.
+    @pytest.mark.parametrize("tick", [1.0, True, None, "1"], ids=repr)
+    def test_a_quote_tick_that_is_not_an_int_is_refused(self, tick):
+        with pytest.raises(NonMonotonicTick) as exc:
+            PricePath({("A", tick): Money(100), ("A", True): Money(5)})
+        assert str(exc.value) == f"quote tick must be an int, got {type(tick).__name__} {tick!r}"
+        with pytest.raises(NonMonotonicTick, match="quote tick must be an int, got float 2.0"):
+            PricePath.from_table({"A": {1: Money(100), 2.0: Money(100)}})
 
     @pytest.mark.parametrize(
         "event, message",

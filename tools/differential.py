@@ -20,7 +20,8 @@ sha256 digest of a scenario's outcomes per line.
 
 It prints ``identical`` with the number of scenarios each regime accepted
 and exits 0, or prints the first scenario whose outcomes differ, as DSL text
-with both checkouts' outcomes, and exits 1.  Standard library only.
+with both checkouts' outcomes, then ``N of K scenarios of seed S differ``,
+and exits 1.  Standard library only.
 """
 
 from __future__ import annotations
@@ -169,12 +170,14 @@ def main(argv: list[str] | None = None) -> int:
     sides = (("parent", args.parent.resolve()), ("change", args.change.resolve()))
     children = [spawn(checkout, args.seed, "--count", str(args.count)) for _, checkout in sides]
     before, after = (finish(c, checkout) for c, (_, checkout) in zip(children, sides))
-    for index, (old, new) in enumerate(zip(before, after)):
-        if old != new:
-            shown = [f"{label} ({checkout}):\n" + "\n".join(finish(spawn(checkout, args.seed, "--show", str(index)),
-                                                                     checkout)) for label, checkout in sides]
-            return say(f"scenario {index} of seed {args.seed} differs:\n{scenario_text(args.seed, index)}"
-                       + "\n".join(shown), 1)
+    differing = [index for index, (old, new) in enumerate(zip(before, after)) if old != new]
+    if differing:
+        index = differing[0]
+        shown = [f"{label} ({checkout}):\n" + "\n".join(finish(spawn(checkout, args.seed, "--show", str(index)),
+                                                                 checkout)) for label, checkout in sides]
+        return say(f"scenario {index} of seed {args.seed} differs:\n{scenario_text(args.seed, index)}"
+                   + "\n".join(shown)
+                   + f"\n{len(differing):,} of {len(before):,} scenarios of seed {args.seed} differ", 1)
     flags = [line.split()[1] for line in before]
     current, proposed = sum(f[0] == "1" for f in flags), sum(f[1] == "1" for f in flags)
     return say(f"identical: {len(before):,} scenarios of seed {args.seed}; "
