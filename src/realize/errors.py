@@ -27,10 +27,6 @@ class MissingPrice(EngineError):
         super().__init__(f"no quoted price for {sec} at tick {tick}")
 
 
-class NegativeBase(EngineError):
-    """A tax rate was applied to a negative amount; rates never apply to losses."""
-
-
 class InsufficientOwnedShares(EngineError):
     """A disposal asked for more owned shares of a security than are available."""
 

@@ -1,10 +1,11 @@
-"""Exact money arithmetic, tax rates, and per-tick price quotes.
+"""Exact money arithmetic and per-tick price quotes.
 
 Every amount in the engine is an integer count of centavos.  Floating point
 never enters any computation; the single place rounding can occur is
-``apply_rate``, which rounds half-to-even at the centavo.  ``pesos`` is the
-one place an amount becomes text: ``str(Money)``, the CLI reports, the golden
-tables and the DSL printer all call it, each with its own flags.
+``taxation._rated``, which takes a whole percent of an amount and rounds
+half-to-even at the centavo.  ``pesos`` is the one place an amount becomes
+text: ``str(Money)``, the CLI reports, the golden tables and the DSL printer
+all call it, each with its own flags.
 
 Every value class of the package is made by ``record``: frozen, slotted and
 final outside its own module, with a ``__new__`` generated once per class.
@@ -21,7 +22,7 @@ from __future__ import annotations
 from collections.abc import Mapping
 from operator import attrgetter, eq, ge, gt, le, lt
 
-from .errors import InvalidSymbol, MissingPrice, NegativeBase, NonMonotonicTick
+from .errors import InvalidSymbol, MissingPrice, NonMonotonicTick
 
 Tick = int
 SecurityId = str
@@ -241,48 +242,6 @@ def _money(centavos: int) -> Money:
 
 _ZERO = _money(0)  # frozen, so one instance serves every zero amount
 
-@record
-class Rate:
-    """A tax rate as an exact fraction, never exceeding 100%."""
-
-    numerator: int
-    denominator: int
-
-    def __post_init__(self) -> None:
-        if self.denominator <= 0:
-            raise ValueError("rate denominator must be positive")
-        if not 0 <= self.numerator <= self.denominator:
-            raise ValueError("rate must lie between 0% and 100%")
-
-    @classmethod
-    def percent(cls, pct: int) -> Rate:
-        return cls(pct, 100)
-
-    def __str__(self) -> str:
-        if self.denominator == 100:
-            return f"{self.numerator}%"
-        return f"{self.numerator}/{self.denominator}"
-
-
-def apply_rate(amount: Money, rate: Rate) -> Money:
-    """Multiply a non-negative amount by a rate, rounding half-to-even.
-
-    Raises NegativeBase for negative amounts: the engine never applies a tax
-    rate to a loss.
-    """
-    if amount.centavos < 0:
-        raise NegativeBase(f"cannot apply {rate} to negative amount {amount}")
-    return _money(_rated(amount.centavos, rate))
-
-
-def _rated(centavos: int, rate: Rate) -> int:
-    """``apply_rate`` on int centavos, which the caller has checked are not negative."""
-    q, r = divmod(centavos * rate.numerator, rate.denominator)
-    twice = 2 * r
-    if twice > rate.denominator or (twice == rate.denominator and q % 2 == 1):
-        q += 1
-    return q
-
 
 @record
 class PricePath:
@@ -291,20 +250,22 @@ class PricePath:
     Building one raises ``InvalidSymbol`` for a key that is not a (``str``
     security symbol, tick) pair, ``NonMonotonicTick`` for a tick that is not
     an ``int`` (a ``bool`` neither), as ``Scenario`` does for an event's, and
-    ``TypeError`` for a quote that is not ``Money``, so every scenario built
-    on the path can rely on its quotes.
+    ``TypeError`` for a quote that is not ``Money``.  The path keeps its own
+    copy of the quotes, so every scenario built on it can rely on them.
     """
 
     quotes: Mapping[tuple[SecurityId, Tick], Money]
 
     def __post_init__(self) -> None:
-        for key, price in self.quotes.items():
+        quotes = {**self.quotes}  # its own copy: a later change to the caller's mapping must not reach a scenario
+        for key, price in quotes.items():
             if type(key) is not tuple or len(key) != 2 or not isinstance(key[0], str):
                 raise InvalidSymbol(f"a quote key must be a (str security symbol, tick) pair, got {key!r}")
             if type(key[1]) is not int:  # 1.0 and True hash as 1, so one would stand for the other
                 raise NonMonotonicTick(f"quote tick must be an int, got {type(key[1]).__name__} {key[1]!r}")
             if not isinstance(price, Money):
                 raise TypeError(f"the quote for {key!r} must be Money, got {type(price).__name__} {price!r}")
+        object.__setattr__(self, "quotes", quotes)
 
     @classmethod
     def from_table(cls, table: Mapping[SecurityId, Mapping[Tick, Money]]) -> PricePath:

@@ -72,7 +72,7 @@ class RealizationEvent:
 
     @property
     def gain_centavos(self) -> tuple[int, int]:
-        """(gain per share, gain total) in centavos, signed: the one gain formula."""
+        """(gain per share, gain total) in centavos, signed."""
         per_share = self.amount_realized_per_share.centavos - self.basis_per_share.centavos
         return per_share, per_share * self.qty
 

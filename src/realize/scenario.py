@@ -73,9 +73,9 @@ class Scenario:
     for an object whose class has no ``_step`` (not an event, or a bare trade),
     ``NonMonotonicTick`` when a tick is not an ``int`` (a ``bool`` neither) or
     ticks decrease, ``UndefinedPrice`` when an event has no price, and
-    ``InvalidSymbol`` when a security symbol or heir label is not a ``str`` or
-    holds a character neither printable nor whitespace (an escape, a NUL, a
-    bidi override).  Its ``PricePath`` checked its quote keys.
+    ``InvalidSymbol`` when a security symbol or heir label, or with no index the
+    name, is not a ``str`` or holds a character neither printable nor whitespace
+    (an escape, a NUL, a bidi override).  Its ``PricePath`` checked its quotes.
     """
 
     name: str
@@ -83,6 +83,8 @@ class Scenario:
     events: tuple[TransactionEvent, ...] = ()
 
     def __post_init__(self) -> None:
+        if not (type(self.name) is str and self.name.isprintable()) and (err := _refused("scenario name", self.name)):
+            raise err
         last = _BEFORE_ANY_TICK
         quotes = self.prices.quotes
         for index, ev in enumerate(self.events):

@@ -2,18 +2,19 @@
 
 Every numeric cell is taken from engine output (realization events, tax
 lines, price lookups); this module only formats, through ``market.pesos``.
-There is one builder per table shape: ``_event_table`` for the six sale
-tables (price, basis, gain or loss, then rate and tax for a gain), ``_row``
-and ``_layout`` for the labelled per-share/total tables of the strategies,
-and one function each for the grid and the timing table.  Styles such as
-decimals and parenthesized losses are pinned per row, which is why they
-intentionally differ table to table.
+A tax cell is ``taxation._tax`` of a per-share gain, its total checked against
+the tax line by ``_tax_row``.  There is one builder per table shape:
+``_event_table`` for the six sale tables (price, basis, gain or loss, then
+rate and tax for a gain), ``_row`` and ``_layout`` for the labelled
+per-share/total tables of the strategies, and one function each for the grid
+and the timing table.  Styles such as decimals and parenthesized losses are
+pinned per row, which is why they intentionally differ table to table.
 """
 
 from __future__ import annotations
 
 from .errors import InvariantViolation
-from .market import Money, PricePath, Rate, apply_rate, pesos
+from .market import Money, PricePath, pesos
 from .realization import RealizationEvent, RealizationKind, Regime
 from .scenario import (
     RunReport,
@@ -22,9 +23,9 @@ from .scenario import (
     offset_grid_rows,
     run,
 )
+from .taxation import FLAT_RATE, RateSchedule, TaxLine, _tax
 
-RATE = Rate.percent(10)
-RATE_CELL = str(RATE)
+RATE_CELL = f"{FLAT_RATE}%"
 RATE_ROW = ("Multiply by: Rate of Capital Gains Tax", RATE_CELL, RATE_CELL)
 CGT_RATE_ROW = ("Multiply by: CGT rate", RATE_CELL, RATE_CELL)
 
@@ -52,18 +53,24 @@ def _row(label: str, per_share: Money, qty: int, decimals: bool = True, parens: 
     return (label, pesos(c, cents=False, parens=parens), pesos(c * qty, cents=decimals, parens=parens))
 
 
+def _tax_row(table: str, label: str, gain_per_share: Money, qty: int, line: TaxLine, decimals: bool = True) -> Row:
+    """The flat tax on a per-share gain, whose total must equal the engine's tax line."""
+    tax = Money(_tax(gain_per_share.centavos, RateSchedule.PAPER_FLAT))
+    _agrees(table, tax * qty, line.tax_due)
+    return _row(label, tax, qty, decimals)
+
+
 def _trade(open_at: int, close_at: int, short: bool = False) -> RunReport:
     """One ABC block bought and sold, or borrowed, sold short and covered by purchase."""
     return run(_two_tick(builtin("strategy3").prices, "ABC", open_at, close_at, short))
 
 
-def _event_table(
-    title: str, event: RealizationEvent, labels: tuple[str, ...], rate_row: Row = RATE_ROW
-) -> list[str]:
+def _event_table(title: str, event: RealizationEvent, labels: tuple[str, ...], line: TaxLine | None = None,
+                 rate_row: Row = RATE_ROW) -> list[str]:
     """One realization event: price, basis and the size of its gain or loss, with a bare .00 dropped.
 
     Three labels make a loss table.  A fourth, for the tax, makes a gain
-    table: the rate row and the tax follow the gain.
+    table: the rate row and the tax follow the gain, checked against ``line``.
     """
     qty, gain = event.qty, event.gain_per_share
     price, basis, result, *tax = labels
@@ -73,16 +80,16 @@ def _event_table(
         _row(result, gain if tax else -gain, qty, decimals=False),
     ]
     if tax:
-        rows += [rate_row, _row(tax[0], apply_rate(gain, RATE), qty, decimals=False)]
+        rows += [rate_row, _tax_row(title, tax[0], gain, qty, line, decimals=False)]
     return _layout([title], rows)
 
 
 def ordinary_sale_gain_table(report: RunReport) -> list[str]:
     """``report`` is ``_trade(1, 2)``."""
     (sale,) = report.events
-    (_line,) = report.tax_lines
+    (line,) = report.tax_lines
     labels = ("Selling Price", "Less: Basis", "Capital Gain", "Capital Gains Tax")
-    return _event_table("ORDINARY SALE OF STOCK (BUY AT TIME 1, SELL AT TIME 2)", sale, labels)
+    return _event_table("ORDINARY SALE OF STOCK (BUY AT TIME 1, SELL AT TIME 2)", sale, labels, line)
 
 
 def ordinary_sale_loss_table() -> list[str]:
@@ -109,7 +116,7 @@ def short_sale_gain_table() -> list[str]:
         "Capital Gain (time 3)",
         "Capital Gains Tax",
     )
-    return _event_table("SHORT SALE OF STOCK (SELL AT TIME 2, REPLACE AT TIME 3)", cover, labels)
+    return _event_table("SHORT SALE OF STOCK (SELL AT TIME 2, REPLACE AT TIME 3)", cover, labels, line)
 
 
 def offset_grid_table() -> list[str]:
@@ -179,9 +186,8 @@ def strategy1_table() -> list[str]:
         _row("Less: Basis (time 1)", sale.basis_per_share, qty),
         _row("Capital Gains (time 2)", sale.gain_per_share, qty),
         RATE_ROW,
-        _row("Capital Gains Tax (time 2)", apply_rate(sale.gain_per_share, RATE), qty),
+        _tax_row("strategy 1", "Capital Gains Tax (time 2)", sale.gain_per_share, qty, line),
     ]
-    _agrees("strategy 1", apply_rate(sale.gain_per_share, RATE) * qty, line.tax_due)
     return _layout(["STRATEGY 1 (SELL AT TIME 2, THE CURRENT DATE)"], rows)
 
 
@@ -238,7 +244,7 @@ def strategy3_table() -> list[str]:
         _row("Less: Capital Loss from Disposition of Owned Shares (time 3)", -disposal.gain_per_share, qty),
         _row("Net Capital Gains (time 3)", net_per_share, qty),
         RATE_ROW,
-        _row("Capital Gains Tax (time 3)", apply_rate(net_per_share, RATE), qty),
+        _tax_row("strategy 3", "Capital Gains Tax (time 3)", net_per_share, qty, line),
     ]
     out = _layout(["STRATEGY 3 (TAX DEFERRAL SCHEME)", "", "CAPITAL LOSS FROM SHARES OWNED"], owned_rows)
     out += [""] + _layout(["CAPITAL GAINS FROM SHORT SALE"], short_rows)
@@ -250,28 +256,26 @@ def proposed_time2_table(report: RunReport) -> list[str]:
     """``report`` is ``proposed_demo`` run under the proposed regime."""
     constructive = next(e for e in report.events if e.kind is RealizationKind.CONSTRUCTIVE_SALE)
     line = next(l for l in report.tax_lines if l.period == constructive.at)
-    _agrees("proposed time 2", apply_rate(constructive.gain_per_share, RATE) * constructive.qty, line.tax_due)
     labels = (
         "Selling Price (time 2)",
         "Less: Acquisition Cost (time 1)",
         "Capital Gain (time 2)",
         "Capital Gains Tax (time 2)",
     )
-    return _event_table("PROPOSED RULE, FIRST REALIZATION EVENT (TIME 2)", constructive, labels, CGT_RATE_ROW)
+    return _event_table("PROPOSED RULE, FIRST REALIZATION EVENT (TIME 2)", constructive, labels, line, CGT_RATE_ROW)
 
 
 def proposed_time3_table(report: RunReport) -> list[str]:
     """``report`` is ``proposed_demo`` run under the proposed regime."""
     cover = next(e for e in report.events if e.kind is RealizationKind.SHORT_COVER)
     line = next(l for l in report.tax_lines if l.period == cover.at)
-    _agrees("proposed time 3", apply_rate(cover.gain_per_share, RATE) * cover.qty, line.tax_due)
     labels = (
         "Proceeds from Short Sale (time 2)",
         "Less: Cost of Replacement of Borrowed Share (time 3)",
         "Capital Gain (time 3)",
         "Capital Gains Tax (time 3)",
     )
-    return _event_table("PROPOSED RULE, SECOND REALIZATION EVENT (TIME 3)", cover, labels, CGT_RATE_ROW)
+    return _event_table("PROPOSED RULE, SECOND REALIZATION EVENT (TIME 3)", cover, labels, line, CGT_RATE_ROW)
 
 
 def death_table() -> list[str]:

@@ -7,7 +7,8 @@ carried over to a later window.
 Two rate schedules exist.  ``PAPER_FLAT`` applies 10% to the whole net gain,
 the convention used throughout the worked examples.  ``STATUTORY`` applies the
 Sec 24(C) NIRC tiers for shares not traded on the exchange: 5% on the first
-P100,000 of net gain and 10% on the excess.
+P100,000 of net gain and 10% on the excess.  ``_rated`` alone applies a rate:
+a whole percent of int centavos, rounded half-to-even at the centavo.
 """
 
 from __future__ import annotations
@@ -15,13 +16,11 @@ from __future__ import annotations
 from collections.abc import Sequence
 from enum import Enum
 
-from .market import Money, Rate, Tick, _money, _rated, record
+from .market import Money, Tick, _money, record
 from .realization import RealizationEvent
 
 STATUTORY_TIER_LIMIT = Money.from_pesos(100_000)
-FLAT_RATE = Rate.percent(10)
-LOWER_TIER_RATE = Rate.percent(5)
-UPPER_TIER_RATE = Rate.percent(10)
+FLAT_RATE, LOWER_TIER_RATE, UPPER_TIER_RATE = 10, 5, 10  # whole percents
 
 
 class RateSchedule(Enum):
@@ -57,6 +56,15 @@ def _nets(events: Sequence[RealizationEvent], window: NettingWindow) -> list[tup
     if window is _WHOLE_RUN and totals:
         return [(max(totals), sum(totals.values()))]
     return sorted(totals.items())
+
+
+def _rated(centavos: int, percent: int) -> int:
+    """``percent``% of non-negative int centavos, rounded half-to-even at the centavo."""
+    q, r = divmod(centavos * percent, 100)
+    twice = 2 * r
+    if twice > 100 or (twice == 100 and q % 2 == 1):
+        q += 1
+    return q
 
 
 def _tax(centavos: int, schedule: RateSchedule) -> int:

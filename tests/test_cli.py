@@ -54,6 +54,17 @@ class TestRun:
         assert err.count("\n") == 1
         assert "not UTF-8" in err and "offset 20" in err
 
+    # The file's name is the scenario's: an escape or a bad byte in it used to reach the table header raw.
+    @pytest.mark.parametrize("name", [b"esc\x1b[1m.scn", b"bad\xff.scn"], ids=["escape", "bad-byte"])
+    @pytest.mark.parametrize("fmt", cli.FORMATS)
+    def test_a_file_name_that_is_not_printable_exits_2_with_one_line(self, capsys, tmp_path, name, fmt):
+        path = os.path.join(os.fsencode(tmp_path), name)
+        with open(path, "wb") as f:
+            f.write(b"price A 1 10\nat 1 buy A 5\n")
+        code, out, err = invoke(capsys, "run", os.fsdecode(path), "--format", fmt)
+        assert (code, out) == (2, "")
+        assert err.startswith("realize: error: scenario name must be printable, got ") and err.count("\n") == 1
+
     def test_a_bad_byte_after_a_byte_order_mark_is_named_by_its_file_offset(self, capsys, tmp_path):
         path = tmp_path / "latin1.scn"
         path.write_bytes(b"\xef\xbb\xbf" + "price ABC 1 50\n# caf\u00e9\n".encode("latin-1"))
@@ -333,6 +344,30 @@ class TestPaperTables:
             names.clear()
             realize.tables.paper_tables()
             assert len(names) == 23
+
+    def test_every_rate_row_prints_taxations_flat_rate(self):
+        import realize.tables as tables
+        from realize.taxation import FLAT_RATE
+
+        rows = [tokens(line) for line in tables.paper_tables().splitlines() if "Multiply by:" in line]
+        assert len(rows) == 6
+        assert all(row[-2:] == [f"{FLAT_RATE}%"] * 2 == ["10%", "10%"] for row in rows)
+
+    @pytest.mark.parametrize("table", ["ordinary_sale_gain", "short_sale_gain", "strategy1", "strategy3",
+                                       "proposed_time2", "proposed_time3"])
+    def test_every_gain_table_checks_its_tax_against_the_engine(self, monkeypatch, table):
+        # A tax one centavo a share off the engine's must not print.
+        import realize.tables as tables
+        from realize.errors import InvariantViolation
+        from realize.realization import Regime
+        from realize.taxation import _tax
+
+        monkeypatch.setattr(tables, "_tax", lambda centavos, schedule: _tax(centavos, schedule) + 1)
+        proposed = tables.run(tables.builtin("proposed_demo"), regime=Regime.PROPOSED)
+        reports = {"ordinary_sale_gain": (tables._trade(1, 2),),
+                   "proposed_time2": (proposed,), "proposed_time3": (proposed,)}
+        with pytest.raises(InvariantViolation, match="table shows"):
+            getattr(tables, f"{table}_table")(*reports.get(table, ()))
 
 
 class TestGrid:

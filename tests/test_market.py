@@ -1,12 +1,15 @@
-"""Money, rates, and price-path behavior."""
+"""Money, the tax rate's rounding, and price-path behavior."""
+
+from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from realize import Money, PricePath
-from realize.errors import MissingPrice, NegativeBase
-from realize.market import Rate, apply_rate, pesos
+from realize.errors import MissingPrice
+from realize.market import pesos
+from realize.taxation import _rated
 from ledger_views import quoted_securities, quoted_ticks
 
 ABC_PRICES = PricePath.from_table(
@@ -109,66 +112,54 @@ def test_pesos_matches_one_grouped_format(centavos, cents, parens, symbol):
     assert pesos(centavos, symbol=symbol, cents=cents, parens=parens) == expected
 
 
-class TestRate:
-    def test_percent_constructor(self):
-        assert Rate.percent(10) == Rate(10, 100)
-        assert str(Rate.percent(10)) == "10%"
-
-    @pytest.mark.parametrize("num,den", [(101, 100), (-1, 100), (1, 0), (1, -5)])
-    def test_invalid_rates_rejected(self, num, den):
-        with pytest.raises(ValueError):
-            Rate(num, den)
-
-
 class TestApplyRate:
+    """``taxation._rated``: a whole percent of int centavos, rounded half-to-even."""
+
     def test_paper_ordinary_sale_tax(self):
         # 10% of the 5,000,000 gain in the worked ordinary-sale table.
-        assert apply_rate(Money.from_pesos(5_000_000), Rate.percent(10)) == Money.from_pesos(
-            500_000
-        )
+        assert _rated(Money.from_pesos(5_000_000).centavos, 10) == Money.from_pesos(500_000).centavos
 
     def test_zero_base(self):
-        assert apply_rate(Money.zero(), Rate.percent(10)) == Money.zero()
+        assert _rated(0, 10) == 0
 
     def test_half_to_even_rounds_down_to_even(self):
         # Oracle by hand in exact rationals: 25 centavos * 10/100 = 2.5
         # centavos; ties go to the even centavo, so 2.
-        assert apply_rate(Money(25), Rate.percent(10)) == Money(2)
+        assert _rated(25, 10) == 2
 
     def test_half_to_even_rounds_up_to_even(self):
         # 15 * 10/100 = 1.5 centavos; the even neighbor is 2.
-        assert apply_rate(Money(15), Rate.percent(10)) == Money(2)
+        assert _rated(15, 10) == 2
 
-    def test_negative_base_rejected(self):
-        with pytest.raises(NegativeBase):
-            apply_rate(Money(-1), Rate.percent(10))
+    def test_half_to_even_at_the_lower_tier_rate(self):
+        # 5% of 10, 30 and 50 centavos is 0.5, 1.5 and 2.5: each tie goes to its even neighbor.
+        assert [_rated(c, 5) for c in (10, 30, 50)] == [0, 2, 2]
+
+    @given(st.integers(min_value=0, max_value=10**12), st.integers(min_value=0, max_value=100))
+    def test_matches_exact_rational_half_to_even(self, centavos, percent):
+        # round() of a Fraction rounds half to even, exactly.
+        assert _rated(centavos, percent) == round(Fraction(centavos * percent, 100))
 
     @given(st.integers(min_value=0, max_value=10**9))
     def test_zero_and_full_rate_identities(self, centavos):
-        m = Money(centavos)
-        assert apply_rate(m, Rate.percent(0)) == Money.zero()
-        assert apply_rate(m, Rate.percent(100)) == m
+        assert _rated(centavos, 0) == 0
+        assert _rated(centavos, 100) == centavos
 
     @given(
         st.integers(min_value=0, max_value=10**6),
         st.integers(min_value=0, max_value=10**6),
         st.integers(min_value=1, max_value=100),
-        st.integers(min_value=1, max_value=400),
     )
-    def test_additive_on_exact_multiples(self, ka, kb, num, den_mult):
-        # Whenever both amounts are exact multiples of the denominator in
-        # centavos, no rounding occurs and the rate distributes over +.
-        den = den_mult
-        num = min(num, den)
-        rate = Rate(num, den)
-        a = Money(ka * den)
-        b = Money(kb * den)
-        assert apply_rate(a + b, rate) == apply_rate(a, rate) + apply_rate(b, rate)
+    def test_additive_on_exact_multiples(self, ka, kb, percent):
+        # Whenever both amounts are exact multiples of 100 centavos, no
+        # rounding occurs and the rate distributes over +.
+        a, b = ka * 100, kb * 100
+        assert _rated(a + b, percent) == _rated(a, percent) + _rated(b, percent)
 
     @given(st.integers(min_value=0, max_value=10**8), st.integers(min_value=0, max_value=10**8))
     def test_monotone_in_amount(self, a, b):
         lo, hi = sorted((a, b))
-        assert apply_rate(Money(lo), Rate.percent(10)) <= apply_rate(Money(hi), Rate.percent(10))
+        assert _rated(lo, 10) <= _rated(hi, 10)
 
 
 class TestPricePath:

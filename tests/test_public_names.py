@@ -1,6 +1,8 @@
 """The package's public name list: every entry resolves, and it stays sorted."""
 
 import realize
+import realize.errors
+import realize.market
 
 
 def test_every_public_name_resolves_and_the_list_is_sorted():
@@ -18,6 +20,9 @@ def test_every_public_name_resolves_and_the_list_is_sorted():
     for name in ("Ledger", "LedgerEffects", "Lot", "BorrowPosition", "apply_event", "realize", "tax_timeline",
                  "apply_rate", "Rate"):
         assert not hasattr(realize, name) and name not in realize.__all__
+    # Retired: ``taxation`` alone applies a rate, to int centavos, and never to a loss.
+    for module, name in ((realize.market, "Rate"), (realize.market, "apply_rate"), (realize.errors, "NegativeBase")):
+        assert not hasattr(module, name)
     # Retired: the DSL reads its prices itself.
     for name in ("parse", "is_negative"):
         assert not hasattr(realize.Money, name)

@@ -37,7 +37,7 @@ from realize.ledger import (
     ShortSell,
     _Trade,
 )
-from realize.market import Money, PricePath, Rate, record
+from realize.market import Money, PricePath, record
 from realize.realization import RealizationEvent, RealizationKind
 from realize.scenario import (
     CashPoint,
@@ -78,7 +78,6 @@ SAMPLES = {
     CashPoint: (1, Money(-500000), Money(-500000)),
     TaxLine: (3, Money(200000), Money(10000)),
     Money: (5000,),
-    Rate: (1, 3),
     PricePath: (dict(PATH.quotes),),
     Death: (3, "Y"),
     Scenario: own_values(SCENARIO),
@@ -332,16 +331,15 @@ sys.exit(4)
 OPTIMIZED_VALUE_CHECKS = """
 import sys
 from realize import Buy, Money, PricePath, Scenario
-from realize.market import Rate
-from realize.errors import NonMonotonicTick, UndefinedPrice
+from realize.errors import InvalidSymbol, NonMonotonicTick, UndefinedPrice
 if sys.flags.optimize != 1:
     sys.exit(3)
 path = PricePath({("A", 1): Money(100), ("A", 2): Money(100)})
 checks = [
     (NonMonotonicTick, lambda: Scenario("s", path, (Buy(2, "A", 1), Buy(1, "A", 1)))),
     (UndefinedPrice, lambda: Scenario("s", path, (Buy(3, "A", 1),))),
-    (ValueError, lambda: Rate(101, 100)),
     (TypeError, lambda: Money(1.5)),
+    (InvalidSymbol, lambda: Scenario(123, path)),
 ]
 for code, (error, make) in enumerate(checks, start=10):
     try:
@@ -360,7 +358,7 @@ def run_optimized(script):
     )
 
 
-def test_scenario_rate_and_money_checks_survive_python_o():
+def test_scenario_and_money_checks_survive_python_o():
     done = run_optimized(OPTIMIZED_VALUE_CHECKS)
     assert done.returncode == 0, (done.returncode, done.stderr)
 

@@ -264,6 +264,39 @@ class TestValidation:
             Scenario("s", PricePath(quotes), (Buy(1, "ABC", 10), event))
         assert (str(exc.value), exc.value.event_index) == (message, 1)
 
+    # A name that is not a printable str used to build and run, then broke the direct JSON writer or
+    # reached the table header raw.
+    @pytest.mark.parametrize(
+        "name, message",
+        [
+            (123, "scenario name must be a str, got int 123"),
+            ("esc\x1b[1m", "scenario name must be printable, got 'esc\\x1b[1m'"),
+            ("bad\udcff", "scenario name must be printable, got 'bad\\udcff'"),
+        ],
+        ids=["int", "escape", "surrogate"],
+    )
+    def test_a_name_that_is_not_a_printable_str_is_refused_with_no_index(self, name, message):
+        with pytest.raises(InvalidSymbol) as exc:
+            Scenario(name, PricePath({("A", 1): Money(100)}), (Buy(1, "A", 5),))
+        assert str(exc.value) == message
+        assert not hasattr(exc.value, "event_index")
+
+    def test_an_empty_name_and_whitespace_in_a_name_are_kept(self):
+        assert [Scenario(name, PricePath({})).name for name in ("", "my\tscenario")] == ["", "my\tscenario"]
+
+    def test_a_price_path_keeps_its_own_copy_of_the_quotes(self):
+        # It kept the caller's dict, so a later change reached every scenario on it past the path's checks.
+        quotes = {("A", 1): Money(100)}
+        path = PricePath(quotes)
+        quotes[("A", 1)], quotes[("A", 2)] = "junk", Money(5)
+        scenario = Scenario("x", path, (Buy(1, "A", 5),))
+        assert path.quotes == {("A", 1): Money(100)}
+        assert run(scenario).cash_timeline[0].delta == Money(-500)
+        assert format_scenario(scenario) == "price A 1 1\nat 1 buy A 5\n"
+        assert path == PricePath({("A", 1): Money(100)}) == copy.copy(path) == pickle.loads(pickle.dumps(path))
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(path)
+
     def test_whitespace_in_a_built_symbol_or_label_is_kept(self):
         # The writers quote it (tests/test_writers.py); only the DSL cannot spell it.
         events = (Buy(1, "a\nb", 10), Death(1, "c\rd e"))

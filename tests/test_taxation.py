@@ -14,7 +14,7 @@ from realize import (
     builtin,
     run,
 )
-from realize.taxation import tax_timeline
+from realize.taxation import FLAT_RATE, LOWER_TIER_RATE, UPPER_TIER_RATE, tax_timeline
 
 
 def event(at, gain_pesos, qty=100_000):
@@ -73,6 +73,11 @@ class TestTimelineNets:
 
 
 class TestTimelineTax:
+    def test_the_rates_are_the_papers_and_the_statutes_whole_percents(self):
+        # 10% flat in the worked examples; Sec 24(C) NIRC: 5% up to the tier limit, 10% above it.
+        assert (FLAT_RATE, LOWER_TIER_RATE, UPPER_TIER_RATE) == (10, 5, 10)
+        assert all(type(rate) is int for rate in (FLAT_RATE, LOWER_TIER_RATE, UPPER_TIER_RATE))
+
     def test_paper_flat_on_strategy_gain(self):
         assert tax_on(Money.from_pesos(5_000_000), RateSchedule.PAPER_FLAT) == Money.from_pesos(
             500_000
