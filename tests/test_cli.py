@@ -262,6 +262,75 @@ class TestUsageErrors:
         assert "unknown format 'xml'" in err and "no such file" not in err
 
 
+USAGE = "usage: realize [-h] {run,compare,paper-tables,grid,check} ...\n"
+RUN_USAGE = """\
+usage: realize run [-h] [--regime {current,proposed}]
+                   [--rates {paper,statutory}] [--window {per-tick,whole-run}]
+                   [--format FORMAT]
+                   scenario
+"""
+COMPARE_USAGE = """\
+usage: realize compare [-h] [--rates {paper,statutory}]
+                       [--window {per-tick,whole-run}] [--format FORMAT]
+                       scenario
+"""
+SCENARIO_ARGUMENT = """
+positional arguments:
+  scenario              built-in name or scenario file path
+
+options:
+  -h, --help            show this help message and exit
+"""
+COMMON_OPTIONS = """\
+  --rates {paper,statutory}
+  --window {per-tick,whole-run}
+  --format FORMAT       table, csv, or json (default from REALIZE_FORMAT)
+"""
+
+# argv -> (exit code, stdout, stderr) at an 80-column terminal.
+HELP_AND_USAGE = {
+    ("--help",): (0, USAGE + """
+Simulate capital-gains-tax realization for ordinary and short sales.
+
+positional arguments:
+  {run,compare,paper-tables,grid,check}
+    run                 run one scenario under one regime
+    compare             run both regimes side by side
+    paper-tables        print every golden table
+    grid                print the offsetting-effect grid
+    check               diff golden tables against the fixture
+
+options:
+  -h, --help            show this help message and exit
+""", ""),
+    ("run", "--help"): (0, RUN_USAGE + SCENARIO_ARGUMENT + "  --regime {current,proposed}\n" + COMMON_OPTIONS, ""),
+    ("compare", "--help"): (0, COMPARE_USAGE + SCENARIO_ARGUMENT + COMMON_OPTIONS, ""),
+    ("grid", "--help"): (0, """\
+usage: realize grid [-h] [--format FORMAT]
+
+options:
+  -h, --help       show this help message and exit
+  --format FORMAT  table, csv, or json (default from REALIZE_FORMAT)
+""", ""),
+    (): (64, "", USAGE + "realize: error: the following arguments are required: command\n"),
+    ("bogus",): (64, "", USAGE + "realize: error: argument command: invalid choice: 'bogus' "
+                 "(choose from 'run', 'compare', 'paper-tables', 'grid', 'check')\n"),
+    ("run",): (64, "", RUN_USAGE + "realize run: error: the following arguments are required: scenario\n"),
+    ("compare", "strategy3", "--rates", "bogus"): (64, "", COMPARE_USAGE + "realize compare: error: argument --rates: "
+                                                   "invalid choice: 'bogus' (choose from 'paper', 'statutory')\n"),
+    ("run", "strategy3", "--format", "xml"): (64, "", "realize: error: unknown format 'xml' (choose from table, csv, json)\n"),
+    # An argument no subcommand takes is the top-level parser's error, under its usage of every subcommand.
+    ("compare", "strategy3", "extra"): (64, "", USAGE + "realize: error: unrecognized arguments: extra\n"),
+}
+
+
+@pytest.mark.parametrize("argv", HELP_AND_USAGE, ids=[" ".join(argv) or "no-arguments" for argv in HELP_AND_USAGE])
+def test_help_and_usage_bytes(capsys, monkeypatch, argv):
+    monkeypatch.setenv("COLUMNS", "80")
+    monkeypatch.delenv("REALIZE_FORMAT", raising=False)
+    assert invoke(capsys, *argv) == HELP_AND_USAGE[argv]
+
+
 class TestFormatEnvVar:
     def test_env_var_sets_default_format(self, capsys, monkeypatch):
         monkeypatch.setenv("REALIZE_FORMAT", "json")
