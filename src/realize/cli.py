@@ -27,11 +27,7 @@ from .scenario import (
     ComparisonReport,
     RunReport,
     Scenario,
-    _col,
     _columns,
-    _lines,
-    _max_digits,
-    _parse,
     builtin,
     compare,
     offset_grid_rows,
@@ -81,6 +77,8 @@ def _from_text(text: str | None, call, *args):
     except EngineError as err:
         if text is None or getattr(err, "event_index", None) is None:
             raise
+        from .dsl import _col, _lines, _parse
+
         line = _parse(text, "")[1][err.event_index]
         raise EngineError(str(err), line, _col(_lines(text)[line - 1], 0)) from None
 
@@ -277,6 +275,8 @@ def paper_tables() -> str:
 def _too_long(*reports) -> None:
     """Raise ``EngineError`` at the tick of the first event, tax line or cash point of ``reports`` holding an
     int of more digits than ``int()`` writes; return if there is none."""
+    from .dsl import _max_digits
+
     bound = 10 ** limit if (limit := _max_digits()) else float("inf")
     for report in reports:
         for r in (report.current, report.proposed) if isinstance(report, ComparisonReport) else (report,):
@@ -342,44 +342,50 @@ def _cmd_check(_args: argparse.Namespace) -> int:
     return EXIT_MISMATCH if failed else EXIT_OK
 
 
-def build_parser() -> _Parser:
+def _add_format(p: _Parser) -> None:
+    p.add_argument("--format", default=os.environ.get("REALIZE_FORMAT", "table"),
+                   help="table, csv, or json (default from REALIZE_FORMAT)")
+
+
+def _add_scenario(p: _Parser, with_regime: bool) -> None:
+    p.add_argument("scenario", help="built-in name or scenario file path")
+    if with_regime:
+        p.add_argument("--regime", choices=[r.value for r in Regime], default="current")
+    p.add_argument("--rates", choices=[s.value for s in RateSchedule], default="paper")
+    p.add_argument("--window", choices=[w.value for w in NettingWindow], default="per-tick")
+    _add_format(p)
+
+
+# Each subcommand, in usage order: its help line, its function, and what adds its arguments.
+_COMMANDS = {
+    "run": ("run one scenario under one regime", _cmd_run, partial(_add_scenario, with_regime=True)),
+    "compare": ("run both regimes side by side", _cmd_compare, partial(_add_scenario, with_regime=False)),
+    "paper-tables": ("print every golden table", _cmd_paper_tables, None),
+    "grid": ("print the offsetting-effect grid", _cmd_grid, _add_format),
+    "check": ("diff golden tables against the fixture", _cmd_check, None),
+}
+
+
+def build_parser(command: str | None = None) -> _Parser:
+    """The parser of every subcommand, or of ``command`` alone where it names one.
+
+    Either way its usage lists every subcommand.  Only the parser of one subcommand spells that list as a
+    metavar: the metavar would also be the argument's name in a "required" or "invalid choice" error, which
+    that parser never reports, since its subcommand was given.
+    """
     parser = _Parser(
         prog="realize",
         description="Simulate capital-gains-tax realization for ordinary and short sales.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_format(p: _Parser) -> None:
-        p.add_argument("--format", default=os.environ.get("REALIZE_FORMAT", "table"),
-                       help="table, csv, or json (default from REALIZE_FORMAT)")
-
-    def add_common(p: _Parser, with_regime: bool) -> None:
-        if with_regime:
-            p.add_argument("--regime", choices=[r.value for r in Regime], default="current")
-        p.add_argument("--rates", choices=[s.value for s in RateSchedule], default="paper")
-        p.add_argument("--window", choices=[w.value for w in NettingWindow], default="per-tick")
-        add_format(p)
-
-    p_run = sub.add_parser("run", help="run one scenario under one regime")
-    p_run.add_argument("scenario", help="built-in name or scenario file path")
-    add_common(p_run, with_regime=True)
-    p_run.set_defaults(func=_cmd_run)
-
-    p_cmp = sub.add_parser("compare", help="run both regimes side by side")
-    p_cmp.add_argument("scenario", help="built-in name or scenario file path")
-    add_common(p_cmp, with_regime=False)
-    p_cmp.set_defaults(func=_cmd_compare)
-
-    p_tables = sub.add_parser("paper-tables", help="print every golden table")
-    p_tables.set_defaults(func=_cmd_paper_tables)
-
-    p_grid = sub.add_parser("grid", help="print the offsetting-effect grid")
-    add_format(p_grid)
-    p_grid.set_defaults(func=_cmd_grid)
-
-    p_check = sub.add_parser("check", help="diff golden tables against the fixture")
-    p_check.set_defaults(func=_cmd_check)
-
+    names = [command] if command in _COMMANDS else list(_COMMANDS)
+    metavar = "{" + ",".join(_COMMANDS) + "}" if len(names) == 1 else None
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in names:
+        summary, func, add_arguments = _COMMANDS[name]
+        p = sub.add_parser(name, help=summary)
+        if add_arguments:
+            add_arguments(p)
+        p.set_defaults(func=func)
     return parser
 
 
@@ -394,7 +400,8 @@ def _unwritable(err: OSError) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    parser = build_parser(argv[0] if argv else None)  # a call builds the parser of the subcommand it names
     try:
         args = parser.parse_args(argv)
         if "format" in args and args.format not in FORMATS:  # reported before any scenario is read

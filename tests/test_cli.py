@@ -541,6 +541,7 @@ class TestColdStart:
         assert done.stdout.strip() == ""
 
     def test_compare_and_run_load_neither_dataclasses_nor_the_tables(self, tmp_path):
+        # compare of a built-in loads no DSL either; run of a file does.
         book = tmp_path / "two.scn"
         book.write_text(TWO_SECURITY_BOOK, encoding="utf-8")
         src = str(Path(realize.__file__).resolve().parents[1])
@@ -550,7 +551,7 @@ class TestColdStart:
         )
         assert done.returncode == 0, done.stderr
         compare, run_json, check = done.stdout.splitlines()
-        assert compare == "compare" and run_json == "run"
+        assert compare == "compare" and run_json == "run realize.dsl"  # the DSL loads to read a file only
         assert "realize.tables" in check.split()
 
 
@@ -571,7 +572,7 @@ HEAVY_MODULES_LOAD = """
 import contextlib, io, sys
 sys.path.insert(0, sys.argv[1])
 import realize.cli
-heavy = ("dataclasses", "inspect", "typing", "importlib.resources", "realize.tables")
+heavy = ("dataclasses", "inspect", "typing", "importlib.resources", "realize.tables", "realize.dsl")
 for argv in (["compare", "strategy3"], ["run", sys.argv[2], "--format", "json"], ["check"]):
     with contextlib.redirect_stdout(io.StringIO()):
         assert realize.cli.main(argv) == 0, argv

@@ -16,7 +16,7 @@ import pickle
 
 import pytest
 
-from realize import ledger, realization, scenario, taxation
+from realize import dsl, ledger, realization, scenario, taxation
 from realize.errors import InvalidQuantity
 from realize.ledger import Buy, Death, Ledger, LedgerEffects, Lot, _Trade, apply_event
 from realize.market import record
@@ -155,8 +155,8 @@ BOUND = [
     (ledger, "_new_effects", LedgerEffects),
     (realization, "_new_event", RealizationEvent),
     (taxation, "_new_line", taxation.TaxLine),
-    (scenario, "_new_trade", _Trade),
-    (scenario, "_new_death", Death),
+    (dsl, "_new_trade", _Trade),
+    (dsl, "_new_death", Death),
     (scenario, "_new_point", scenario.CashPoint),
     (scenario, "_new_summary", scenario.InventorySummary),
     (scenario, "_new_report", RunReport),
@@ -183,7 +183,7 @@ def test_a_direct_build_is_the_record_a_class_call_builds(module, name, cls):
 
 def test_a_direct_build_still_runs_the_check():
     with pytest.raises(InvalidQuantity, match="^quantity must be positive, got 0$"):
-        scenario._new_trade(Buy, 1, "A", 0)
+        dsl._new_trade(Buy, 1, "A", 0)
     with pytest.raises(InvalidQuantity) as exc:
         parse_scenario("price A 1 10\nat 1 buy A 0\n")
     assert (exc.value.line, exc.value.col) == (2, 12)

@@ -41,7 +41,8 @@ from realize.errors import (
     UnknownScenario,
 )
 from realize.ledger import Ledger, apply_event
-from realize.scenario import BUILTIN_NAMES, _int
+from realize.dsl import _int
+from realize.scenario import BUILTIN_NAMES
 from ledger_views import borrows, borrows_of, quoted_securities
 from scenario_gen import random_scenario
 
