@@ -49,7 +49,9 @@ class Scenario:
     ticks decrease, ``UndefinedPrice`` when an event has no price, and
     ``InvalidSymbol`` when a security symbol or heir label, or with no index the
     name, is not a ``str`` or holds a character neither printable nor whitespace
-    (an escape, a NUL, a bidi override).  Its ``PricePath`` checked its quotes.
+    (an escape, a NUL, a bidi override).  ``prices`` that are not a ``PricePath``
+    raise ``TypeError``; the path checked its own quotes.  The scenario keeps
+    its own tuple of the events, taken before they are checked.
     """
 
     name: str
@@ -59,9 +61,15 @@ class Scenario:
     def __post_init__(self) -> None:
         if not (type(self.name) is str and self.name.isprintable()) and (err := _refused("scenario name", self.name)):
             raise err
+        if type(self.prices) is not PricePath:
+            raise TypeError(f"prices must be a PricePath, got {type(self.prices).__name__} {self.prices!r}")
+        events = self.events
+        if type(events) is not tuple:  # its own copy: a generator reads once, and a caller's list may change
+            events = tuple(events)
+            object.__setattr__(self, "events", events)
         last = _BEFORE_ANY_TICK
         quotes = self.prices.quotes
-        for index, ev in enumerate(self.events):
+        for index, ev in enumerate(events):
             if not hasattr(type(ev), "_step"):
                 raise _annotate(EngineError(f"unknown transaction event {ev!r}"), index)
             at = ev.at

@@ -298,6 +298,34 @@ class TestValidation:
         with pytest.raises(TypeError, match="unhashable"):
             hash(path)
 
+    def test_a_generator_of_events_is_kept_as_a_tuple(self):
+        # Validation consumed the generator, so run() reported no event and no cash, with no error.
+        path = PricePath({("A", 1): Money(100), ("A", 2): Money(150)})
+        events = (Buy(1, "A", 5), SellOwned(2, "A", 5))
+        scenario = Scenario("x", path, (ev for ev in events))
+        assert scenario.events == events and type(scenario.events) is tuple
+        assert run(scenario) == run(Scenario("x", path, events))
+        assert run(scenario).final_cash == Money(250)
+
+    def test_a_list_of_events_is_copied_before_it_is_checked(self):
+        # The scenario kept the caller's list, so a tick appended out of order ended in MissingPrice in run().
+        path = PricePath({("A", 1): Money(100)})
+        events = [Buy(1, "A", 5)]
+        scenario = Scenario("x", path, events)
+        events.append(Buy(0, "A", 5))
+        assert scenario == Scenario("x", path, (Buy(1, "A", 5),))
+        assert run(scenario).inventory.owned == (("A", 5),)
+        with pytest.raises(NonMonotonicTick) as exc:
+            Scenario("x", path, events)
+        assert exc.value.event_index == 1
+
+    @pytest.mark.parametrize("prices", [{("A", 1): Money(100)}, None], ids=["dict", "none"])
+    def test_prices_that_are_not_a_price_path_are_refused_by_name(self, prices):
+        # They ended in AttributeError: ... has no attribute 'quotes'.
+        with pytest.raises(TypeError) as exc:
+            Scenario("x", prices, (Buy(1, "A", 5),))
+        assert str(exc.value) == f"prices must be a PricePath, got {type(prices).__name__} {prices!r}"
+
     def test_whitespace_in_a_built_symbol_or_label_is_kept(self):
         # The writers quote it (tests/test_writers.py); only the DSL cannot spell it.
         events = (Buy(1, "a\nb", 10), Death(1, "c\rd e"))
