@@ -55,15 +55,16 @@ class _Parser(argparse.ArgumentParser):
 def _load_scenario(target: str) -> tuple[Scenario, str | None]:
     if target in BUILTIN_NAMES:
         return builtin(target), None
+    shown = target if target.isprintable() else repr(target)  # no escape or bad byte reaches the terminal raw
     if not os.path.exists(target):
-        raise EngineError(f"no such file or built-in scenario: {target}")
+        raise EngineError(f"no such file or built-in scenario: {shown}")
     try:
         with open(target, encoding="utf-8") as f:
             text = f.read().removeprefix("\ufeff")  # a byte-order mark is no token; offsets count it
     except UnicodeDecodeError as err:
-        raise UnreadableScenario(f"{target}: not UTF-8 text (bad byte at offset {err.start})") from None
+        raise UnreadableScenario(f"{shown}: not UTF-8 text (bad byte at offset {err.start})") from None
     except OSError as err:
-        raise UnreadableScenario(f"{target}: {err.strerror or err}") from None
+        raise UnreadableScenario(f"{shown}: {err.strerror or err}") from None
     name = os.path.basename(target)
     dot = name.rfind(".")
     return parse_scenario(text, name=name[:dot] if 0 < dot < len(name) - 1 else name), text  # Path.stem

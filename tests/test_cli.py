@@ -65,6 +65,21 @@ class TestRun:
         assert (code, out) == (2, "")
         assert err.startswith("realize: error: scenario name must be printable, got ") and err.count("\n") == 1
 
+    # A path in an error used to reach the terminal raw; a printable one is written as it is.
+    @pytest.mark.parametrize("name, shown", [
+        ("plain.scn", "{dir}/plain.scn"),
+        ("esc\x1b[1m.scn", "'{dir}/esc\\x1b[1m.scn'"),
+        ("bad\udcff.scn", "'{dir}/bad\\udcff.scn'"),
+    ], ids=["printable", "escape", "bad-byte"])
+    def test_a_path_that_is_not_printable_is_escaped_in_its_errors(self, capsys, tmp_path, name, shown):
+        path, shown = os.path.join(str(tmp_path), name), shown.format(dir=tmp_path)
+        missing = f"realize: error: no such file or built-in scenario: {shown}\n"
+        assert invoke(capsys, "run", path) == (2, "", missing)
+        with open(os.fsencode(path), "wb") as f:
+            f.write(b"price A 1 10\n# caf\xe9\n")
+        not_utf8 = f"realize: error: {shown}: not UTF-8 text (bad byte at offset 18)\n"
+        assert invoke(capsys, "run", path) == (2, "", not_utf8)
+
     def test_a_bad_byte_after_a_byte_order_mark_is_named_by_its_file_offset(self, capsys, tmp_path):
         path = tmp_path / "latin1.scn"
         path.write_bytes(b"\xef\xbb\xbf" + "price ABC 1 50\n# caf\u00e9\n".encode("latin-1"))
@@ -318,7 +333,8 @@ options:
     ("run",): (64, "", RUN_USAGE + "realize run: error: the following arguments are required: scenario\n"),
     ("compare", "strategy3", "--rates", "bogus"): (64, "", COMPARE_USAGE + "realize compare: error: argument --rates: "
                                                    "invalid choice: 'bogus' (choose from 'paper', 'statutory')\n"),
-    ("run", "strategy3", "--format", "xml"): (64, "", "realize: error: unknown format 'xml' (choose from table, csv, json)\n"),
+    ("run", "strategy3", "--format", "xml"): (64, "", "realize: error: unknown format 'xml' "
+                                              "(choose from table, csv, json)\n"),
     # An argument no subcommand takes is the top-level parser's error, under its usage of every subcommand.
     ("compare", "strategy3", "extra"): (64, "", USAGE + "realize: error: unrecognized arguments: extra\n"),
 }
