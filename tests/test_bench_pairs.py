@@ -164,3 +164,30 @@ def test_only_checkouts_in_the_same_bytecode_cache_state_are_paired(tool, tmp_pa
     assert tool.main([*args, "--label", "cached"]) == 0
     data = json.loads((tmp_path / "BENCH_cached.json").read_text(encoding="utf-8"))
     assert (data["parent"]["bytecode_cache"], data["change"]["bytecode_cache"]) == (True, True)
+
+
+def test_an_exported_tree_records_the_commit_it_is_given(tool, tmp_path, monkeypatch):
+    # A side that is no git checkout used to be recorded as "unknown: not a git checkout".
+    spec = {"end_to_end": [{"name": "items_per_s", "better": "higher"}]}
+    for side in ("parent", "change"):
+        write(tmp_path / side, {"BENCHMARK.json": json.dumps(spec), "bench/run.py": ""})
+
+    def fake_run(checkout, workload, seed, seconds):
+        record = {"python": "3.x", "nproc": 2, "commit": "unknown: not a git checkout", "src_sha256": checkout.name}
+        return {"correct": True, "metrics": {"items_per_s": {"value": 1.0}}}, record
+
+    monkeypatch.setattr(tool, "run_once", fake_run)
+    monkeypatch.chdir(tmp_path)
+    args = ["--parent", str(tmp_path / "parent"), "--change", str(tmp_path / "change"), "--pairs", "2",
+            "--seconds", "1", "--workload", "cli_cold", "--seed", "1"]
+    assert tool.main([*args, "--label", "t", "--parent-commit", "abc123", "--change-commit", "def456"]) == 0
+    data = json.loads((tmp_path / "BENCH_t.json").read_text(encoding="utf-8"))
+    assert (data["parent"]["commit"], data["change"]["commit"]) == ("abc123", "def456")
+    assert tool.main([*args, "--label", "u", "--change-commit", "def456"]) == 0
+    data = json.loads((tmp_path / "BENCH_u.json").read_text(encoding="utf-8"))
+    assert (data["parent"]["commit"], data["change"]["commit"]) == ("unknown: not a git checkout", "def456")
+    # A git checkout names its own commit: a given one is refused before any run.
+    (tmp_path / "change" / ".git").mkdir()
+    with pytest.raises(SystemExit, match="the change checkout is a git checkout"):
+        tool.main([*args, "--label", "v", "--change-commit", "def456"])
+    assert not (tmp_path / "BENCH_v.json").exists()

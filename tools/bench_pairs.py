@@ -1,7 +1,7 @@
 """Run the benchmark in two checkouts in alternating pairs and record both sides.
 
     python3 tools/bench_pairs.py --parent DIR --change DIR --workload W --seed N \\
-        --pairs K --seconds S --label L
+        --pairs K --seconds S --label L [--parent-commit SHA] [--change-commit SHA]
 
 Pair i runs ``bench/run.py --workload W --seed N --seconds S`` once in each
 checkout, the parent first on even i and the change first on odd i, with this
@@ -12,7 +12,9 @@ interpreter in ``src/realize/__pycache__``, since a cached side starts its
 processes faster and would read better on ``setup_s`` and cli_cold.  The results go into ``BENCH_<L>.json`` in the current
 directory: an existing file keeps its other workload and seed entries, so one
 label collects several calls.  The file records the Python version, ``nproc``,
-``PYTHONDONTWRITEBYTECODE``, both commits, both ``src/realize`` hashes (as
+``PYTHONDONTWRITEBYTECODE``, both commits (for a side that is no git
+checkout, such as a ``git archive`` export, the one ``--parent-commit`` or
+``--change-commit`` names), both ``src/realize`` hashes (as
 the benchmark itself reports them), both bytecode-cache states
 (``bytecode_cache``), both harness hashes (``bench_sha256``, of
 the checkout's ``bench/*.py`` and ``BENCHMARK.json``, so that a reader can tell
@@ -47,6 +49,8 @@ def parse_args(argv: list[str] | None) -> argparse.Namespace:
     p.add_argument("--pairs", required=True, type=int)
     p.add_argument("--seconds", required=True, type=float)
     p.add_argument("--label", required=True)
+    for side in SIDES:
+        p.add_argument(f"--{side}-commit", help=f"the commit the {side} checkout holds, if it is no git checkout")
     return p.parse_args(argv)
 
 
@@ -113,6 +117,10 @@ def main(argv: list[str] | None = None) -> int:
     spec = json.loads((args.change / "BENCHMARK.json").read_text(encoding="utf-8"))
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
     checkouts = {"parent": args.parent, "change": args.change}
+    given = {"parent": args.parent_commit, "change": args.change_commit}
+    for side in SIDES:
+        if given[side] is not None and (checkouts[side] / ".git").exists():
+            raise SystemExit(f"bench_pairs: the {side} checkout is a git checkout; it names its own commit")
     cached = {side: bytecode_cached(checkouts[side]) for side in SIDES}
     if cached["parent"] != cached["change"]:
         only = "parent" if cached["parent"] else "change"
@@ -135,7 +143,7 @@ def main(argv: list[str] | None = None) -> int:
     out = Path(f"BENCH_{args.label}.json")
     data = json.loads(out.read_text(encoding="utf-8")) if out.exists() else {"label": args.label, "runs": {}}
     sides = {
-        side: {"commit": records[side]["commit"], "src_sha256": records[side]["src_sha256"],
+        side: {"commit": given[side] or records[side]["commit"], "src_sha256": records[side]["src_sha256"],
                "bench_sha256": bench_digest(checkouts[side]), "bytecode_cache": cached[side]}
         for side in SIDES
     }
