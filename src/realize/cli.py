@@ -7,7 +7,8 @@ be written (a closed pipe, a full disk), 64 usage errors.
 The REALIZE_FORMAT environment variable overrides the default output format.
 
 Each call is a fresh interpreter, so what only one command needs (the
-golden tables, ``json``, ``csv``, the fixture reader) is imported inside it.
+golden tables, the DSL, ``json``, ``csv``, the fixture reader) is imported
+inside it, and only the named subcommand's parser is built.
 Reports are written from their columns; JSON is ``json.dumps(to_dict(), indent=2)`` to the byte.
 """
 
