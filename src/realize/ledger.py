@@ -29,13 +29,13 @@ proposed regime's constructive-sale trigger.  Only a short sale after a buy
 of its security (``_may_reserve``) finds shares to reserve; elsewhere both
 ledgers take the same path, so ``compare`` runs the proposed regime only
 where such a sale occurs.  An outright sale takes the oldest unreserved
-shares.  A reserving short sale marks one share sold per share it reserves,
-its first shares sold.  A cover settles marks first in first out: those of
-the shares it covers, then, for a with-owned cover short of free shares, the
-oldest marks of positions it leaves open, whose first shares are left
-unmarked.  It takes one of the oldest reserved shares per mark settled: a
-cover by purchase frees them, one with owned shares delivers them, realizing
-nothing more, and then the oldest unreserved shares.
+shares.  A reserving short sale pairs each share it reserves with one of its
+first shares sold, a constructive mark, in runs queued in mark order.  A
+cover settles marks first in first out: those of the shares it covers, then,
+for a with-owned cover short of free shares, the oldest marks of positions
+it leaves open, whose first shares are left unmarked.  Each mark settled
+takes its paired reserved share: a cover by purchase frees it, one with owned
+shares delivers it, realizing nothing more, and then the oldest unreserved.
 
 Two inventories are kept deliberately separate.  Owned lots carry purchase or
 inheritance basis.  Borrowed shares, although title passes to the borrower the
@@ -193,13 +193,13 @@ class Ledger:
     """The mutable portfolio of one run, kept per security, whose short sales reserve if ``reserving``.
 
     Each security has a first-in first-out queue of lots, a pair of borrow
-    position queues (sold short and uncovered, then unsold: cover order) and
-    a queue of reserved (lot id, qty) slices, oldest first, with the reserved
-    count per lot; an event touches only its own security.  Each borrow
-    position sold short by a reserving sale counts its uncovered shares sold
-    against reserved ones, its constructive marks, and the shares after them;
-    a security's marks sum to its reserved shares, and a cover settles both
-    first in first out.  No cash tally is kept: each step reports its cash.
+    position queues (sold short and uncovered, then unsold: cover order), a
+    queue of constructive runs, and its reserved shares counted in all and
+    per lot; an event touches only its own security.  A run pairs one lot's reserved
+    shares with as many marked shares of one position sold short, and counts
+    the position's shares after them, which covers, taking a position's
+    front, never move.  Runs are in mark order, so a cover settles the runs at
+    the front.  No cash tally is kept: each step reports its cash.
     An index of every open lot by id, in lot-id order, serves ``lots``.
     ``lots_of`` and ``reserved_by_lot`` return the live containers: read
     them, never change them.
@@ -210,10 +210,10 @@ class Ledger:
         self._by_id: dict[int, Lot] = {}
         self._lots: dict[SecurityId, deque[Lot]] = {}
         self._borrows: dict[SecurityId, tuple[deque[BorrowPosition], deque[BorrowPosition]]] = {}
-        self._reservations: dict[SecurityId, deque[tuple[int, int]]] = {}
+        # Constructive runs in mark order: (position id, shares of the position after the run, lot id, qty).
+        self._runs: dict[SecurityId, deque[tuple[int, int, int, int]]] = {}
         self._reserved: dict[SecurityId, dict[int, int]] = {}
-        # Borrow position id -> (its shares sold against reserved ones, not yet covered; its shares after those).
-        self._constructive: dict[int, tuple[int, int]] = {}
+        self._held: dict[SecurityId, int] = {}  # reserved shares per security
         self.owner_generation, self.next_lot_id, self.next_borrow_id = 0, 0, 0
 
     @property
@@ -260,51 +260,45 @@ class Ledger:
     def _reserve(self, sec: SecurityId, qty: int,
                  sold: list[tuple[BorrowPosition, int]]) -> tuple[tuple[Lot, int], ...]:
         """Reserve the oldest unreserved shares of ``sec``, up to ``qty``, against a short sale that sold
-        the positions in ``sold``, and mark as many of the first shares sold.  Returns the reserved pairs."""
+        the positions in ``sold``, pairing them with its first shares sold as runs.  Returns the reserved pairs."""
         slices, total = self._unreserved(sec, qty)
         if not slices:
             return ()
-        queue, reserved = self._reservations.setdefault(sec, deque()), self._reserved.setdefault(sec, {})
+        runs, reserved = self._runs.setdefault(sec, deque()), self._reserved.setdefault(sec, {})
+        self._held[sec] = self._held.get(sec, 0) + total
+        positions, left = iter(sold), 0
         for lot, amount in slices:
-            queue.append((lot.id, amount))
             reserved[lot.id] = reserved.get(lot.id, 0) + amount
-        for pos, amount in sold:
-            mark = total if total < amount else amount
-            self._constructive[pos.id] = mark, amount - mark
-            total -= mark
-            if total == 0:
-                break
+            while amount:
+                if not left:
+                    pos, left = next(positions)
+                take = left if left < amount else amount
+                left -= take
+                amount -= take
+                runs.append((pos.id, left, lot.id, take))
         return tuple(slices)
 
     def _settle(self, sec: SecurityId, qty: int) -> list[tuple[Lot, int]]:
-        """Settle the oldest ``qty`` constructive marks of ``sec`` and free its oldest ``qty`` reserved shares,
-        returned as (lot, qty) pairs."""
-        constructive, unsettled = self._constructive, qty
-        for pos in self._borrows[sec][0]:
-            marks = constructive.get(pos.id)
-            if marks:
-                mark, tail = marks
-                if mark > unsettled:
-                    constructive[pos.id] = mark - unsettled, tail
-                    break
-                del constructive[pos.id]
-                unsettled -= mark
-                if not unsettled:
-                    break
-        queue, reserved, by_id = self._reservations[sec], self._reserved[sec], self._by_id
-        takes = []
+        """Settle the oldest ``qty`` constructive marks of ``sec`` and free their reserved shares, returned as
+        (lot, qty) pairs, adjacent runs on one lot joined."""
+        runs, reserved, by_id = self._runs[sec], self._reserved[sec], self._by_id
+        self._held[sec] -= qty
+        takes: list[tuple[Lot, int]] = []
         while qty:
-            lot_id, held = queue[0]
-            if held > qty:
-                queue[0], take = (lot_id, held - qty), qty
+            pos_id, tail, lot_id, amount = runs[0]
+            if amount > qty:
+                runs[0], take = (pos_id, tail, lot_id, amount - qty), qty
             else:
-                queue.popleft()
-                take = held
+                runs.popleft()
+                take = amount
+            qty -= take
             reserved[lot_id] -= take
             if not reserved[lot_id]:
                 del reserved[lot_id]
-            takes.append((by_id[lot_id], take))
-            qty -= take
+            if takes and takes[-1][0].id == lot_id:
+                takes[-1] = takes[-1][0], takes[-1][1] + take
+            else:
+                takes.append((by_id[lot_id], take))
         return takes
 
     def _consume(self, sec: SecurityId, slices: list[tuple[Lot, int]]) -> None:
@@ -386,20 +380,23 @@ class Ledger:
     def _cover(self, ev: CoverByPurchase | CoverByOwnedLot, path: PricePath) -> LedgerEffects:
         price = path.price_at(ev.sec, ev.at)
         shorts = self._borrows.get(ev.sec, ((), ()))[0]
+        runs = iter(self._runs.get(ev.sec, ()))
+        run = next(runs, None)
         covered: list[tuple[BorrowPosition, int]] = []
-        marked = 0  # the covered positions' constructive shares, which each counts as covered first
+        marked = 0  # covered shares that runs pair with reserved ones: the oldest marks
         remaining = ev.qty
         for pos in shorts:
             if pos.short_proceeds_per_share is None:
                 raise InvariantViolation(f"borrow position {pos.id} is sold short without a price")
             amount = pos.qty if pos.qty < remaining else remaining
             covered.append((pos, amount))
-            marks = self._constructive.get(pos.id)
-            if marks:
-                mark, tail = marks
-                lead = pos.qty - tail - mark  # shares before the marked ones, whose marks a shortfall settled
-                if amount > lead:
-                    marked += mark if mark < amount - lead else amount - lead
+            while run and run[0] == pos.id:
+                _, tail, _, qty = run
+                lead = pos.qty - tail - qty  # shares before the run, whose marks a shortfall settled
+                if amount <= lead:
+                    break
+                marked += qty if qty < amount - lead else amount - lead
+                run = next(runs, None)
             remaining -= amount
             if not remaining:
                 break
@@ -412,7 +409,7 @@ class Ledger:
                 # Short of free shares, it delivers reserved shares, which were disposed of at their short sale:
                 # the marks settled go on past the covered positions into those left open.
                 marked = ev.qty - available
-                held = sum(self.reserved_by_lot(ev.sec).values())  # one mark per reserved share
+                held = self._held.get(ev.sec, 0)  # one mark per reserved share
                 if held < marked:
                     raise _shortage(ev.sec, ev.qty, available + held)
         takes = self._settle(ev.sec, marked) if marked else []  # delivered, or freed by a purchase

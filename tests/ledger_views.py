@@ -2,8 +2,8 @@
 
 ``snapshot`` is a deep copy of every field of a ledger, so two snapshots
 are equal exactly when the two ledgers hold the same lots, borrow positions
-and counters, and also the same reservation queue and constructive marks.  The other reads use the ledger's private fields, its live
-per-security containers and the fields of its borrow positions.
+and counters, and also the same constructive runs and reserved counts.  The other reads use the ledger's private
+fields, its live per-security containers and the fields of its borrow positions.
 """
 
 import copy
@@ -31,9 +31,28 @@ def shorts_of(ledger, sec):
     return tuple(ledger._borrows.get(sec, ((), ()))[0])
 
 
+def runs_of(ledger, sec):
+    """The constructive runs of ``sec`` in mark order: (position id, shares of the position after the run, lot id, qty)."""
+    return tuple(ledger._runs.get(sec, ()))
+
+
+def runs_by_lot(ledger, sec):
+    """Shares the constructive runs of ``sec`` pair with each lot id."""
+    by_lot = {}
+    for _, _, lot_id, qty in runs_of(ledger, sec):
+        by_lot[lot_id] = by_lot.get(lot_id, 0) + qty
+    return by_lot
+
+
+def held_of(ledger, sec):
+    """The ledger's own count of reserved shares of ``sec``."""
+    return ledger._held.get(sec, 0)
+
+
 def marks_of(ledger, sec):
-    """Constructive marks on the open short positions of ``sec``: their shares sold against reserved ones."""
-    return sum(ledger._constructive.get(p.id, (0,))[0] for p in shorts_of(ledger, sec))
+    """Constructive marks on the open short positions of ``sec``: the shares of the runs that lie within them."""
+    open_qty = {p.id: p.qty for p in shorts_of(ledger, sec)}
+    return sum(qty for pos_id, tail, _, qty in runs_of(ledger, sec) if tail + qty <= open_qty.get(pos_id, 0))
 
 
 def unsold_of(ledger, sec):

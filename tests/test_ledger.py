@@ -3,6 +3,7 @@
 import copy
 import dataclasses
 import random
+import sys
 from collections import deque
 
 import pytest
@@ -21,6 +22,7 @@ from realize import (
     ShortSell,
     run,
 )
+from realize import ledger as ledger_module
 from realize.ledger import BorrowPosition, Ledger, LedgerEffects, apply_event
 from realize.errors import (
     EngineError,
@@ -365,6 +367,18 @@ class TestEffectPairs:
         assert cover.reserved == ((first, 30), (second, 20)) and cover.lots_consumed == ((second, 10),)
         assert [(lot.id, lot.qty) for lot in ledger.lots] == [(1, 10)] and not ledger.reserved_by_lot("ABC")
 
+    def test_a_cover_joins_the_runs_of_one_lot_into_one_pair(self):
+        # One short sale sells two positions against one lot: two runs, one reserved pair.
+        ledger, effects = apply_all(
+            [Buy(1, "ABC", 100), Borrow(1, "ABC", 30), Borrow(1, "ABC", 40), ShortSell(2, "ABC", 70)],
+            ledger=Ledger(reserving=True),
+        )
+        (lot,) = ledger.lots_of("ABC")
+        assert len(effects[-1].shorts) == 2 and effects[-1].reserved == ((lot, 70),)
+        _, (cover,) = apply_all([CoverByOwnedLot(3, "ABC", 70)], ledger=ledger)
+        assert cover.reserved == ((lot, 70),) and cover.lots_consumed == ()
+        assert [(lot.id, lot.qty) for lot in ledger.lots] == [(0, 30)] and not ledger.reserved_by_lot("ABC")
+
     def test_a_shortfall_settles_the_first_marks_of_a_position_it_leaves_open(self):
         # Two shares sold short before the buy, then two against the box: one free share is left.  The first
         # with-owned cover takes it; the second, short of free shares, delivers the share reserved against
@@ -515,6 +529,36 @@ class TestPerSecurityLedger:
         assert [(lot.id, lot.qty) for lot in ledger.lots_of("BBB")] == [(4, 100), (7, 100)]
         assert [(lot.id, lot.qty) for lot in ledger.lots_of("CCC")] == [(2, 100), (5, 100), (8, 100)]
         assert not borrows_of(ledger, "BBB")
+
+    @staticmethod
+    def cycle_lines(n):
+        """Lines run in ``ledger.py`` over 20 cycles of a with-owned cover short of free shares, a buy, a
+        borrow and a reserving short sale, behind ``n`` one-share positions sold short before any buy."""
+        ledger, _ = apply_all(
+            [Borrow(1, "A", n)] + [ShortSell(1, "A", 1)] * n + [Buy(1, "A", 100), Borrow(1, "A", 100),
+                                                                ShortSell(1, "A", 100)],
+            path=A_PRICES, ledger=Ledger(reserving=True),
+        )
+        cycles = [CoverByOwnedLot(1, "A", 1), Buy(1, "A", 1), Borrow(1, "A", 1), ShortSell(1, "A", 1)] * 20
+        source, lines = ledger_module.__file__, 0
+
+        def count(frame, event, arg):
+            nonlocal lines
+            lines += event == "line"
+            return count
+
+        previous = sys.gettrace()
+        sys.settrace(lambda frame, event, arg: count if frame.f_code.co_filename == source else None)
+        try:
+            apply_all(cycles, path=A_PRICES, ledger=ledger)
+        finally:
+            sys.settrace(previous)
+        return lines
+
+    def test_a_cover_settles_its_marks_without_walking_the_positions_before_them(self):
+        # Each cover takes a front position that holds no mark and, short of free shares, settles the
+        # oldest mark, behind every one of the ``n`` positions.
+        assert self.cycle_lines(50) == self.cycle_lines(400)
 
     def test_sold_position_without_price_is_an_engine_error(self):
         # No event makes such a position, so it is planted in the ledger's private shorts queue.

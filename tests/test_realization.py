@@ -379,7 +379,7 @@ class TestWithOwnedCoverOfAnOlderPosition:
         events, ledger = run_events(NAKED_FIRST, Regime.PROPOSED, path=A_SIX)
         K = RealizationKind
         assert events == [pesos_event(4, K.CONSTRUCTIVE_SALE, 1, 13, 6), pesos_event(5, K.SHORT_COVER, 1, 17, 9)]
-        assert not ledger.lots and ledger.reserved_by_lot("A") == {} and ledger._constructive == {}
+        assert not ledger.lots and ledger.reserved_by_lot("A") == {} and not any(ledger._runs.values())
         assert [(p.qty, p.short_proceeds_per_share) for p in borrows(ledger)] == [(1, Money.from_pesos(13))]
         current = run(Scenario("naked_first", A_SIX, NAKED_FIRST), Regime.CURRENT)
         proposed = run(Scenario("naked_first", A_SIX, NAKED_FIRST), Regime.PROPOSED)
@@ -404,7 +404,7 @@ class TestWithOwnedCoverOfAnOlderPosition:
             pesos_event(3, K.SHORT_COVER, 1, 10, 6),
             pesos_event(3, K.SHORT_COVER, 1, 17, 6),
         ]
-        assert not ledger.lots and ledger.reserved_by_lot("A") == {} and ledger._constructive == {}
+        assert not ledger.lots and ledger.reserved_by_lot("A") == {} and not any(ledger._runs.values())
         assert [(p.qty, p.short_proceeds_per_share) for p in borrows(ledger)] == [(1, Money.from_pesos(17))]
 
     def test_a_position_that_gave_up_its_first_marks_is_covered_naked_first(self):
@@ -427,7 +427,7 @@ class TestWithOwnedCoverOfAnOlderPosition:
             pesos_event(5, K.SHORT_COVER, 1, 6, 9),
             pesos_event(6, K.SHORT_COVER, 1, 6, 12),
         ]
-        assert not ledger.lots and ledger.reserved_by_lot("A") == {} and ledger._constructive == {}
+        assert not ledger.lots and ledger.reserved_by_lot("A") == {} and not any(ledger._runs.values())
 
 
 class TestRaisingRealizeLeavesBookUnchanged:

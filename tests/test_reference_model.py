@@ -72,7 +72,7 @@ from realize import (
 )
 from realize.ledger import Ledger, apply_event
 from realize.taxation import tax_timeline
-from ledger_views import marks_of, quoted_securities
+from ledger_views import held_of, marks_of, quoted_securities, runs_by_lot
 from scenario_gen import random_scenario
 
 K = RealizationKind
@@ -228,7 +228,8 @@ def cash_points(scenario):
 def ledger_after(scenario, regime):
     """The engine's ledger after the scenario, folded through the public API.
 
-    After every event, each security's constructive marks sum to its reserved shares.
+    After every event, each security's constructive marks sum to its reserved shares, its runs hold each
+    lot's reserved shares, and its count of reserved shares is their total.
     """
     ledger = Ledger(regime is Regime.PROPOSED)
     secs = quoted_securities(scenario.prices)
@@ -236,6 +237,8 @@ def ledger_after(scenario, regime):
         apply_event(ledger, ev, scenario.prices)
         for sec in secs:
             assert marks_of(ledger, sec) == sum(ledger.reserved_by_lot(sec).values()), (ev, scenario)
+            by_lot = runs_by_lot(ledger, sec)
+            assert (by_lot, held_of(ledger, sec)) == (ledger.reserved_by_lot(sec), sum(by_lot.values())), (ev, scenario)
     return ledger
 
 
