@@ -228,6 +228,14 @@ class Ledger:
         """Reserved share count per lot id of ``sec``."""
         return self._reserved.get(sec, {})
 
+    def holdings(self) -> tuple[tuple[tuple[SecurityId, int], ...], tuple[tuple[SecurityId, int], ...]]:
+        """(security, shares owned) and (security, borrowed shares owed), each sorted by security, in one
+        pass over the live per-security queues; an emptied one reports nothing."""
+        owned = [(s, sum([lot.qty for lot in lots])) for s, lots in self._lots.items() if lots]
+        owing = [(s, sum([p.qty for p in shorts]) + sum([p.qty for p in unsold]))
+                 for s, (shorts, unsold) in self._borrows.items() if shorts or unsold]
+        return tuple(sorted(owned)), tuple(sorted(owing))
+
     def _add_lot(self, lot: Lot) -> None:
         self._by_id[lot.id] = lot
         queue = self._lots.get(lot.sec)

@@ -269,8 +269,13 @@ class PricePath:
 
     @classmethod
     def from_table(cls, table: Mapping[SecurityId, Mapping[Tick, Money]]) -> PricePath:
+        """The path of ``table[sec][tick]``; a table, or a value in it, that is not a mapping raises ``TypeError``."""
         quotes: dict[tuple[SecurityId, Tick], Money] = {}
+        if not isinstance(table, Mapping):
+            raise TypeError(f"table must be a Mapping, got {type(table).__name__} {table!r}")
         for sec, by_tick in table.items():
+            if not isinstance(by_tick, Mapping):
+                raise TypeError(f"table[{sec!r}] must be a Mapping, got {type(by_tick).__name__} {by_tick!r}")
             for t, price in by_tick.items():
                 quotes[(sec, t)] = price
         return cls(quotes)

@@ -49,9 +49,10 @@ class Scenario:
     ticks decrease, ``UndefinedPrice`` when an event has no price, and
     ``InvalidSymbol`` when a security symbol or heir label, or with no index the
     name, is not a ``str`` or holds a character neither printable nor whitespace
-    (an escape, a NUL, a bidi override).  ``prices`` that are not a ``PricePath``
-    raise ``TypeError``; the path checked its own quotes.  The scenario keeps
-    its own tuple of the events, taken before they are checked.
+    (an escape, a NUL, a bidi override).  ``prices`` that are not a ``PricePath``,
+    and ``events`` that are not iterable, raise ``TypeError``; the path checked
+    its own quotes.  The scenario keeps its own tuple of the events, taken
+    before they are checked.
     """
 
     name: str
@@ -65,6 +66,10 @@ class Scenario:
             raise TypeError(f"prices must be a PricePath, got {type(self.prices).__name__} {self.prices!r}")
         events = self.events
         if type(events) is not tuple:  # its own copy: a generator reads once, and a caller's list may change
+            try:
+                events = iter(events)
+            except TypeError:
+                raise TypeError(f"events must be iterable, got {type(events).__name__} {events!r}") from None
             events = tuple(events)
             object.__setattr__(self, "events", events)
         last = _BEFORE_ANY_TICK
@@ -97,7 +102,10 @@ def _refused(what: str, value: object) -> InvalidSymbol | None:
 
 
 def parse_scenario(text: str, name: str = "scenario") -> Scenario:
-    """Parse DSL text into a validated scenario; errors carry the line and column of the offending token."""
+    """Parse DSL text into a validated scenario; errors carry the line and column of the offending token.
+    ``text`` that is not a ``str`` raises ``TypeError``."""
+    if type(text) is not str:
+        raise _misfit(("text", text, str))
     from . import dsl
 
     return dsl._parse(text, name)[0]
@@ -105,7 +113,10 @@ def parse_scenario(text: str, name: str = "scenario") -> Scenario:
 
 def format_scenario(s: Scenario) -> str:
     """Print a scenario back into the DSL; parsing the result reproduces it, and what the parser would
-    refuse raises ``EngineError`` (``realize.dsl.format_scenario`` says which)."""
+    refuse raises ``EngineError`` (``realize.dsl.format_scenario`` says which), and what is not a
+    ``Scenario`` raises ``TypeError``."""
+    if type(s) is not Scenario:
+        raise _misfit(("s", s, Scenario))
     from . import dsl
 
     return dsl.format_scenario(s)
@@ -183,6 +194,8 @@ BUILTIN_NAMES = tuple(sorted(_BUILTINS))
 
 def builtin(name: str) -> Scenario:
     """The named built-in scenario: built once, the same frozen object on every call."""
+    if type(name) is not str:
+        raise _misfit(("name", name, str))
     try:
         return _BUILTINS[name]
     except KeyError:
@@ -281,11 +294,12 @@ def run(
 
     Deterministic: identical inputs always serialize to identical reports.
     Ledger and market errors propagate annotated with the offending event
-    index (``event_index`` attribute); a regime, schedule or window that is
-    not a member of its enum raises ``TypeError``, the last two after the events.
+    index (``event_index`` attribute).  A ``scenario`` that is not a
+    ``Scenario``, or a regime, schedule or window that is not a member of its
+    enum, raises ``TypeError``, the last two after the events.
     """
-    if type(regime) is not Regime:
-        raise _misfit(("regime", regime, Regime))
+    if type(scenario) is not Scenario or type(regime) is not Regime:
+        raise _misfit(("scenario", scenario, Scenario), ("regime", regime, Regime))
     ledger = Ledger(regime is Regime.PROPOSED)
     realized: list[RealizationEvent] = []
     # Ticks never decrease, so each tick's events are adjacent: a point per tick where some event moved cash.
@@ -315,13 +329,8 @@ def run(
     tax = 0
     for line in lines:
         tax += line.tax_due.centavos
-    # The inventory in one pass over the ledger's live per-security queues; an emptied one reports nothing.
-    owned = [(s, sum([lot.qty for lot in lots])) for s, lots in ledger._lots.items() if lots]
-    owing = [(s, sum([p.qty for p in shorts]) + sum([p.qty for p in unsold]))
-             for s, (shorts, unsold) in ledger._borrows.items() if shorts or unsold]
-    owned.sort()
-    owing.sort()
-    inventory = _new_summary(InventorySummary, tuple(owned), tuple(owing), ledger.owner_generation)
+    owned, owing = ledger.holdings()
+    inventory = _new_summary(InventorySummary, owned, owing, ledger.owner_generation)
     return _new_report(
         RunReport, scenario.name, regime, schedule, window, tuple(realized), tuple(lines),
         timeline, _money(tax), timeline[-1].cumulative if timeline else _ZERO, inventory,

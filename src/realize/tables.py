@@ -3,12 +3,15 @@
 Every numeric cell is taken from engine output (realization events, tax
 lines, price lookups); this module only formats, through ``market.pesos``.
 A tax cell is ``taxation._tax`` of a per-share gain, its total checked against
-the tax line by ``_tax_row``.  There is one builder per table shape:
-``_event_table`` for the six sale tables (price, basis, gain or loss, then
-rate and tax for a gain), ``_row`` and ``_layout`` for the labelled
-per-share/total tables of the strategies, and one function each for the grid
-and the timing table.  Styles such as decimals and parenthesized losses are
-pinned per row, which is why they intentionally differ table to table.
+the tax line by ``_tax_row``; every gain table also checks its net against
+that line.  There is one builder per table shape: ``_event_table`` for the
+six sale tables (price, basis, gain or loss, then rate and tax for a gain),
+``_price_walk`` for the price rows the four strategy tables open with,
+``_scheme`` for the run the deferral and death schemes each begin with,
+``_row`` and ``_layout`` for the labelled per-share/total rows, and one
+function each for the grid and the timing table.  Styles such as decimals and parenthesized
+losses are pinned per row, which is why they intentionally differ table to
+table.
 """
 
 from __future__ import annotations
@@ -16,13 +19,7 @@ from __future__ import annotations
 from .errors import InvariantViolation
 from .market import Money, PricePath, pesos
 from .realization import RealizationEvent, RealizationKind, Regime
-from .scenario import (
-    RunReport,
-    _two_tick,
-    builtin,
-    offset_grid_rows,
-    run,
-)
+from .scenario import RunReport, _two_tick, builtin, offset_grid_rows, run
 from .taxation import FLAT_RATE, RateSchedule, TaxLine, _tax
 
 RATE_CELL = f"{FLAT_RATE}%"
@@ -65,13 +62,15 @@ def _trade(open_at: int, close_at: int, short: bool = False) -> RunReport:
     return run(_two_tick(builtin("strategy3").prices, "ABC", open_at, close_at, short))
 
 
-def _event_table(title: str, event: RealizationEvent, labels: tuple[str, ...], line: TaxLine | None = None,
+def _event_table(title: str, report: RunReport, kind: RealizationKind, labels: tuple[str, ...],
                  rate_row: Row = RATE_ROW) -> list[str]:
-    """One realization event: price, basis and the size of its gain or loss, with a bare .00 dropped.
+    """The one ``kind`` event of ``report``: price, basis and the size of its gain or loss, with a bare .00 dropped.
 
     Three labels make a loss table.  A fourth, for the tax, makes a gain
-    table: the rate row and the tax follow the gain, checked against ``line``.
+    table: the rate row and the tax follow the gain, and the gain's total and
+    its tax are checked against the one tax line at the event's tick.
     """
+    (event,) = [e for e in report.events if e.kind is kind]
     qty, gain = event.qty, event.gain_per_share
     price, basis, result, *tax = labels
     rows = [
@@ -80,43 +79,34 @@ def _event_table(title: str, event: RealizationEvent, labels: tuple[str, ...], l
         _row(result, gain if tax else -gain, qty, decimals=False),
     ]
     if tax:
+        (line,) = [l for l in report.tax_lines if l.period == event.at]
+        _agrees(title, gain * qty, line.net_capital_gain)
         rows += [rate_row, _tax_row(title, tax[0], gain, qty, line, decimals=False)]
     return _layout([title], rows)
 
 
-def ordinary_sale_gain_table(report: RunReport) -> list[str]:
-    """``report`` is ``_trade(1, 2)``."""
-    (sale,) = report.events
+def _price_walk(prices: PricePath, qty: int, moves: tuple[tuple[int, str], ...]) -> list[Row]:
+    """The ABC share price at time 1, then for each ``(tick, label)`` the size of the move and the price it reaches."""
+    last = prices.price_at("ABC", 1)
+    rows = [_row("Original Purchase Price (time 1)", last, qty)]
+    for tick, label in moves:
+        price = prices.price_at("ABC", tick)
+        rows += [_row(label, max(price - last, last - price), qty), _row(f"Share Price (time {tick})", price, qty)]
+        last = price
+    return rows
+
+
+def _scheme(name: str) -> tuple[PricePath, RealizationEvent, RealizationEvent, TaxLine, Money]:
+    """Built-in ``name`` run: its prices, owned disposal, short cover and one tax line, and the net per share,
+    whose total must equal that line's net."""
+    scenario = builtin(name)
+    report = run(scenario)
+    (disposal,) = [e for e in report.events if e.kind is RealizationKind.OWNED_DISPOSAL_AT_COVER]
+    (cover,) = [e for e in report.events if e.kind is RealizationKind.SHORT_COVER]
     (line,) = report.tax_lines
-    labels = ("Selling Price", "Less: Basis", "Capital Gain", "Capital Gains Tax")
-    return _event_table("ORDINARY SALE OF STOCK (BUY AT TIME 1, SELL AT TIME 2)", sale, labels, line)
-
-
-def ordinary_sale_loss_table() -> list[str]:
-    (sale,) = _trade(2, 3).events
-    labels = ("Selling Price", "Less: Basis", "Capital Loss")
-    return _event_table("ORDINARY SALE OF STOCK (BUY AT TIME 2, SELL AT TIME 3)", sale, labels)
-
-
-def short_sale_loss_table(report: RunReport) -> list[str]:
-    """``report`` is ``_trade(1, 2, short=True)``."""
-    (cover,) = report.events
-    labels = ("Selling Price from Short Sale", "Less: Cost of Replacing Borrowed Shares", "Capital Loss")
-    return _event_table("SHORT SALE OF STOCK (SELL AT TIME 1, REPLACE AT TIME 2)", cover, labels)
-
-
-def short_sale_gain_table() -> list[str]:
-    report = _trade(2, 3, short=True)
-    (cover,) = report.events
-    (line,) = report.tax_lines
-    _agrees("short-sale gain", cover.gain_per_share * cover.qty, line.net_capital_gain)
-    labels = (
-        "Selling Price from Short Sale (time 2)",
-        "Less: Cost of Replacing Borrowed Shares (time 3)",
-        "Capital Gain (time 3)",
-        "Capital Gains Tax",
-    )
-    return _event_table("SHORT SALE OF STOCK (SELL AT TIME 2, REPLACE AT TIME 3)", cover, labels, line)
+    net = cover.gain_per_share + disposal.gain_per_share
+    _agrees(name, net * disposal.qty, line.net_capital_gain)
+    return scenario.prices, disposal, cover, line, net
 
 
 def offset_grid_table() -> list[str]:
@@ -169,19 +159,13 @@ def timing_table(ordinary: RunReport, short: RunReport) -> list[str]:
     return out
 
 
-def strategy1_table() -> list[str]:
-    scenario = builtin("strategy1")
-    report = run(scenario)
+def strategy1_table(report: RunReport) -> list[str]:
+    """``report`` is ``_trade(1, 2)``: built-in ``strategy1``'s two events on its prices."""
     (sale,) = report.events
     (line,) = report.tax_lines
-    prices: PricePath = scenario.prices
-    p1 = prices.price_at("ABC", 1)
-    p2 = prices.price_at("ABC", 2)
     qty = sale.qty
-    rows = [
-        _row("Original Purchase Price (time 1)", p1, qty),
-        _row("Add: Unrealized Capital Gains (time 1-2)", p2 - p1, qty),
-        _row("Share Price (time 2)", p2, qty),
+    _agrees("strategy 1", sale.gain_per_share * qty, line.net_capital_gain)
+    rows = _price_walk(builtin("strategy1").prices, qty, ((2, "Add: Unrealized Capital Gains (time 1-2)"),)) + [
         _row("Selling Price (time 2)", sale.amount_realized_per_share, qty),
         _row("Less: Basis (time 1)", sale.basis_per_share, qty),
         _row("Capital Gains (time 2)", sale.gain_per_share, qty),
@@ -193,16 +177,9 @@ def strategy1_table() -> list[str]:
 
 def strategy2_table() -> list[str]:
     scenario = builtin("strategy2")
-    report = run(scenario)
-    (sale,) = report.events
-    prices = scenario.prices
-    p1 = prices.price_at("ABC", 1)
-    p3 = prices.price_at("ABC", 3)
+    (sale,) = run(scenario).events
     qty = sale.qty
-    rows = [
-        _row("Original Purchase Price (time 1)", p1, qty),
-        _row("Less: Unrealized Capital Loss (time 1-3)", p1 - p3, qty),
-        _row("Share Price (time 3)", p3, qty),
+    rows = _price_walk(scenario.prices, qty, ((3, "Less: Unrealized Capital Loss (time 1-3)"),)) + [
         _row("Selling Price (time 3)", sale.amount_realized_per_share, qty),
         _row("Less: Basis", sale.basis_per_share, qty),
         _row("Capital Loss (time 3)", -sale.gain_per_share, qty, parens=True),
@@ -211,25 +188,10 @@ def strategy2_table() -> list[str]:
 
 
 def strategy3_table() -> list[str]:
-    scenario = builtin("strategy3")
-    report = run(scenario)
-    disposal = next(e for e in report.events if e.kind is RealizationKind.OWNED_DISPOSAL_AT_COVER)
-    cover = next(e for e in report.events if e.kind is RealizationKind.SHORT_COVER)
-    (line,) = report.tax_lines
-    prices = scenario.prices
-    p1 = prices.price_at("ABC", 1)
-    p2 = prices.price_at("ABC", 2)
-    p3 = prices.price_at("ABC", 3)
+    prices, disposal, cover, line, net = _scheme("strategy3")
     qty = disposal.qty
-    net_per_share = cover.gain_per_share + disposal.gain_per_share
-    _agrees("strategy 3", net_per_share * qty, line.net_capital_gain)
-
-    owned_rows = [
-        _row("Original Purchase Price (time 1)", p1, qty),
-        _row("Add: Unrealized Capital Gains (time 2)", p2 - p1, qty),
-        _row("Share Price (time 2)", p2, qty),
-        _row("Less: Unrealized Capital Loss (time 2)", p2 - p3, qty),
-        _row("Share Price (time 3)", p3, qty),
+    moves = ((2, "Add: Unrealized Capital Gains (time 2)"), (3, "Less: Unrealized Capital Loss (time 2)"))
+    owned_rows = _price_walk(prices, qty, moves) + [
         _row("Proceeds from Disposition of Shares (time 3)", disposal.amount_realized_per_share, qty),
         _row("Less: Basis (time 1)", disposal.basis_per_share, qty),
         _row("Capital Loss from Disposition of Owned Shares (time 3)", -disposal.gain_per_share, qty),
@@ -242,9 +204,9 @@ def strategy3_table() -> list[str]:
     net_rows = [
         _row("Capital Gains from Short Sale (time 3)", cover.gain_per_share, qty),
         _row("Less: Capital Loss from Disposition of Owned Shares (time 3)", -disposal.gain_per_share, qty),
-        _row("Net Capital Gains (time 3)", net_per_share, qty),
+        _row("Net Capital Gains (time 3)", net, qty),
         RATE_ROW,
-        _tax_row("strategy 3", "Capital Gains Tax (time 3)", net_per_share, qty, line),
+        _tax_row("strategy 3", "Capital Gains Tax (time 3)", net, qty, line),
     ]
     out = _layout(["STRATEGY 3 (TAX DEFERRAL SCHEME)", "", "CAPITAL LOSS FROM SHARES OWNED"], owned_rows)
     out += [""] + _layout(["CAPITAL GAINS FROM SHORT SALE"], short_rows)
@@ -252,53 +214,12 @@ def strategy3_table() -> list[str]:
     return out
 
 
-def proposed_time2_table(report: RunReport) -> list[str]:
-    """``report`` is ``proposed_demo`` run under the proposed regime."""
-    constructive = next(e for e in report.events if e.kind is RealizationKind.CONSTRUCTIVE_SALE)
-    line = next(l for l in report.tax_lines if l.period == constructive.at)
-    labels = (
-        "Selling Price (time 2)",
-        "Less: Acquisition Cost (time 1)",
-        "Capital Gain (time 2)",
-        "Capital Gains Tax (time 2)",
-    )
-    return _event_table("PROPOSED RULE, FIRST REALIZATION EVENT (TIME 2)", constructive, labels, line, CGT_RATE_ROW)
-
-
-def proposed_time3_table(report: RunReport) -> list[str]:
-    """``report`` is ``proposed_demo`` run under the proposed regime."""
-    cover = next(e for e in report.events if e.kind is RealizationKind.SHORT_COVER)
-    line = next(l for l in report.tax_lines if l.period == cover.at)
-    labels = (
-        "Proceeds from Short Sale (time 2)",
-        "Less: Cost of Replacement of Borrowed Share (time 3)",
-        "Capital Gain (time 3)",
-        "Capital Gains Tax (time 3)",
-    )
-    return _event_table("PROPOSED RULE, SECOND REALIZATION EVENT (TIME 3)", cover, labels, line, CGT_RATE_ROW)
-
-
 def death_table() -> list[str]:
-    scenario = builtin("death_avoidance")
-    report = run(scenario)
-    disposal = next(e for e in report.events if e.kind is RealizationKind.OWNED_DISPOSAL_AT_COVER)
-    cover = next(e for e in report.events if e.kind is RealizationKind.SHORT_COVER)
-    (line,) = report.tax_lines
-    prices = scenario.prices
-    p1 = prices.price_at("ABC", 1)
-    p2 = prices.price_at("ABC", 2)
-    p3 = prices.price_at("ABC", 3)
-    qty = disposal.qty
-    net_per_share = cover.gain_per_share + disposal.gain_per_share
-    _agrees("death", net_per_share * qty, line.net_capital_gain)
+    prices, disposal, cover, line, net = _scheme("death_avoidance")
     _agrees("death", Money.zero(), line.tax_due)
-
-    owned_rows = [
-        _row("Original Purchase Price (time 1)", p1, qty),
-        _row("Add: Unrealized Capital Gains (time 1-2)", p2 - p1, qty),
-        _row("Share Price (time 2)", p2, qty),
-        _row("Add: Unrealized Capital Gains (time 2-3)", p3 - p2, qty),
-        _row("Share Price (time 3)", p3, qty),
+    qty = disposal.qty
+    moves = ((2, "Add: Unrealized Capital Gains (time 1-2)"), (3, "Add: Unrealized Capital Gains (time 2-3)"))
+    owned_rows = _price_walk(prices, qty, moves) + [
         _row("Proceeds from Disposition of Shares (time 3)", disposal.amount_realized_per_share, qty),
         _row("Less: Basis (intervening period between time 2 and time 3)", disposal.basis_per_share, qty),
         _row("Capital Gain from Disposition of Owned Shares (time 3)", disposal.gain_per_share, qty, decimals=False),
@@ -311,7 +232,7 @@ def death_table() -> list[str]:
     net_rows = [
         _row("Capital Gains from Disposition of Owned Shares (time 3)", disposal.gain_per_share, qty),
         _row("Less: Capital Loss from Short Sale (time 3)", -cover.gain_per_share, qty),
-        _row("Net Capital Loss (time 3)", -net_per_share, qty, decimals=False),
+        _row("Net Capital Loss (time 3)", -net, qty, decimals=False),
     ]
     out = _layout(
         ["TAX AVOIDANCE SCHEME (WITH INTERVENTION OF DEATH)", "", "CAPITAL GAINS FROM SHARES OWNED"],
@@ -329,18 +250,28 @@ def paper_tables() -> str:
     """
     ordinary, short = _trade(1, 2), _trade(1, 2, short=True)
     proposed = run(builtin("proposed_demo"), regime=Regime.PROPOSED)
+    sale, cover = RealizationKind.ORDINARY_SALE, RealizationKind.SHORT_COVER
     sections = [
-        ordinary_sale_gain_table(ordinary),
-        ordinary_sale_loss_table(),
-        short_sale_loss_table(short),
-        short_sale_gain_table(),
+        _event_table("ORDINARY SALE OF STOCK (BUY AT TIME 1, SELL AT TIME 2)", ordinary, sale,
+                     ("Selling Price", "Less: Basis", "Capital Gain", "Capital Gains Tax")),
+        _event_table("ORDINARY SALE OF STOCK (BUY AT TIME 2, SELL AT TIME 3)", _trade(2, 3), sale,
+                     ("Selling Price", "Less: Basis", "Capital Loss")),
+        _event_table("SHORT SALE OF STOCK (SELL AT TIME 1, REPLACE AT TIME 2)", short, cover,
+                     ("Selling Price from Short Sale", "Less: Cost of Replacing Borrowed Shares", "Capital Loss")),
+        _event_table("SHORT SALE OF STOCK (SELL AT TIME 2, REPLACE AT TIME 3)", _trade(2, 3, short=True), cover,
+                     ("Selling Price from Short Sale (time 2)", "Less: Cost of Replacing Borrowed Shares (time 3)",
+                      "Capital Gain (time 3)", "Capital Gains Tax")),
         offset_grid_table(),
         timing_table(ordinary, short),
-        strategy1_table(),
+        strategy1_table(ordinary),
         strategy2_table(),
         strategy3_table(),
-        proposed_time2_table(proposed),
-        proposed_time3_table(proposed),
+        _event_table("PROPOSED RULE, FIRST REALIZATION EVENT (TIME 2)", proposed, RealizationKind.CONSTRUCTIVE_SALE,
+                     ("Selling Price (time 2)", "Less: Acquisition Cost (time 1)", "Capital Gain (time 2)",
+                      "Capital Gains Tax (time 2)"), CGT_RATE_ROW),
+        _event_table("PROPOSED RULE, SECOND REALIZATION EVENT (TIME 3)", proposed, cover,
+                     ("Proceeds from Short Sale (time 2)", "Less: Cost of Replacement of Borrowed Share (time 3)",
+                      "Capital Gain (time 3)", "Capital Gains Tax (time 3)"), CGT_RATE_ROW),
         death_table(),
     ]
     blocks = ["\n".join(section) for section in sections]

@@ -77,9 +77,9 @@ def _tax(centavos: int, schedule: RateSchedule) -> int:
     return _rated(lower, LOWER_TIER_RATE) + _rated(centavos - lower, UPPER_TIER_RATE)
 
 
-def _misfit(*arguments: tuple[str, object, type[Enum]]) -> TypeError:
-    """The error naming the first (name, value, enum) argument whose value is not a member of its enum.
-    Each rule tests one member, so any other value would silently select the other rule."""
+def _misfit(*arguments: tuple[str, object, type]) -> TypeError:
+    """The error naming the first (name, value, type) argument whose value's type is not exactly that type.
+    An enum's rules each test one member, so any other value would silently select the other rule."""
     name, value, kind = next(a for a in arguments if type(a[1]) is not a[2])
     return TypeError(f"{name} must be a {kind.__name__}, got {type(value).__name__} {value!r}")
 

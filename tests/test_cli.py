@@ -24,6 +24,9 @@ def tokens(line):
     return line.split()
 
 
+GAIN_LABELS = ("Price", "Basis", "Gain", "Tax")  # a fourth label, for the tax, makes ``_event_table`` a gain table
+
+
 class TestRun:
     def test_strategy3_current_table(self, capsys):
         code, out, _ = invoke(capsys, "run", "strategy3", "--regime", "current", "--rates", "paper")
@@ -411,7 +414,7 @@ class TestPaperTables:
         _, second, _ = invoke(capsys, "paper-tables")
         assert first == second
 
-    def test_each_call_runs_23_scenarios(self, monkeypatch):
+    def test_each_call_runs_22_scenarios(self, monkeypatch):
         # Reports several tables read are shared within one call, never across calls.
         import realize.scenario
         import realize.tables
@@ -428,7 +431,7 @@ class TestPaperTables:
         for _ in range(2):
             names.clear()
             realize.tables.paper_tables()
-            assert len(names) == 23
+            assert len(names) == 22
 
     def test_every_rate_row_prints_taxations_flat_rate(self):
         import realize.tables as tables
@@ -438,21 +441,63 @@ class TestPaperTables:
         assert len(rows) == 6
         assert all(row[-2:] == [f"{FLAT_RATE}%"] * 2 == ["10%", "10%"] for row in rows)
 
-    @pytest.mark.parametrize("table", ["ordinary_sale_gain", "short_sale_gain", "strategy1", "strategy3",
-                                       "proposed_time2", "proposed_time3"])
+    # Each gain table through its builder, on its own report: ``_event_table`` for the four one-event tables,
+    # and the strategy tables' own functions.
+    GAIN_TABLES = {
+        "ordinary_sale_gain": lambda t, reports: t._event_table(
+            "ordinary", reports["ordinary"], t.RealizationKind.ORDINARY_SALE, GAIN_LABELS),
+        "short_sale_gain": lambda t, reports: t._event_table(
+            "short", reports["short"], t.RealizationKind.SHORT_COVER, GAIN_LABELS),
+        "strategy1": lambda t, reports: t.strategy1_table(reports["ordinary"]),
+        "strategy3": lambda t, reports: t.strategy3_table(),
+        "proposed_time2": lambda t, reports: t._event_table(
+            "time 2", reports["proposed"], t.RealizationKind.CONSTRUCTIVE_SALE, GAIN_LABELS,
+            t.CGT_RATE_ROW),
+        "proposed_time3": lambda t, reports: t._event_table(
+            "time 3", reports["proposed"], t.RealizationKind.SHORT_COVER, GAIN_LABELS,
+            t.CGT_RATE_ROW),
+    }
+
+    @staticmethod
+    def gain_reports(tables):
+        from realize.realization import Regime
+
+        return {"ordinary": tables._trade(1, 2), "short": tables._trade(2, 3, short=True),
+                "proposed": tables.run(tables.builtin("proposed_demo"), regime=Regime.PROPOSED)}
+
+    @pytest.mark.parametrize("table", list(GAIN_TABLES))
     def test_every_gain_table_checks_its_tax_against_the_engine(self, monkeypatch, table):
         # A tax one centavo a share off the engine's must not print.
         import realize.tables as tables
         from realize.errors import InvariantViolation
-        from realize.realization import Regime
         from realize.taxation import _tax
 
+        reports = self.gain_reports(tables)
+        self.GAIN_TABLES[table](tables, reports)  # the engine's own tax prints
         monkeypatch.setattr(tables, "_tax", lambda centavos, schedule: _tax(centavos, schedule) + 1)
-        proposed = tables.run(tables.builtin("proposed_demo"), regime=Regime.PROPOSED)
-        reports = {"ordinary_sale_gain": (tables._trade(1, 2),),
-                   "proposed_time2": (proposed,), "proposed_time3": (proposed,)}
         with pytest.raises(InvariantViolation, match="table shows"):
-            getattr(tables, f"{table}_table")(*reports.get(table, ()))
+            self.GAIN_TABLES[table](tables, reports)
+
+    @pytest.mark.parametrize("table, report, at", [("ordinary_sale_gain", "ordinary", 2),
+                                                   ("short_sale_gain", "short", 3),
+                                                   ("strategy1", "ordinary", 2),
+                                                   ("proposed_time2", "proposed", 2),
+                                                   ("proposed_time3", "proposed", 3)])
+    def test_every_gain_table_given_a_report_checks_its_net_against_the_engine(self, table, report, at):
+        # A tax line whose net is one centavo off the event's gain total must not print, though its tax agrees.
+        import realize.tables as tables
+        from realize.errors import InvariantViolation
+        from realize.market import Money
+        from realize.scenario import RunReport
+        from realize.taxation import TaxLine
+
+        reports = self.gain_reports(tables)
+        lines = tuple(TaxLine(at, line.net_capital_gain + Money(1), line.tax_due) if line.period == at else line
+                      for line in reports[report].tax_lines)
+        fields = {name: getattr(reports[report], name) for name in RunReport.__match_args__}
+        reports[report] = RunReport(**(fields | {"tax_lines": lines}))
+        with pytest.raises(InvariantViolation, match="table shows"):
+            self.GAIN_TABLES[table](tables, reports)
 
 
 class TestGrid:

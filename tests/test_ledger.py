@@ -494,6 +494,15 @@ class TestPerSecurityLedger:
         assert after is ledger
         assert len(ledger.lots) == 1
 
+    def test_holdings_sum_each_security_sorted_and_skip_emptied_queues(self):
+        # Owed counts positions sold short and still unsold alike; a security sold out or covered reports nothing.
+        path = PricePath({(sec, 1): Money(100) for sec in ("ZZ", "AA", "MM", "BB", "CC")})
+        ledger, _ = apply_all([Buy(1, "ZZ", 10), Buy(1, "AA", 5), Buy(1, "AA", 3), SellOwned(1, "ZZ", 10),
+                               Borrow(1, "MM", 7), ShortSell(1, "MM", 4), Borrow(1, "BB", 2),
+                               Borrow(1, "CC", 1), ShortSell(1, "CC", 1), CoverByPurchase(1, "CC", 1)], path)
+        assert ledger.holdings() == ((("AA", 8),), (("BB", 2), ("MM", 7)))
+        assert Ledger().holdings() == ((), ())
+
     def test_snapshot_orders_lots_by_id_and_borrows_per_security(self):
         ledger, _ = apply_all(
             [

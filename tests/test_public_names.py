@@ -3,6 +3,7 @@
 import realize
 import realize.errors
 import realize.market
+import realize.tables
 
 
 def test_every_public_name_resolves_and_the_list_is_sorted():
@@ -26,3 +27,7 @@ def test_every_public_name_resolves_and_the_list_is_sorted():
     # Retired: the DSL reads its prices itself.
     for name in ("parse", "is_negative"):
         assert not hasattr(realize.Money, name)
+    # Retired: ``paper_tables`` builds the six one-event sale tables with ``_event_table`` itself.
+    for name in ("ordinary_sale_gain_table", "ordinary_sale_loss_table", "short_sale_loss_table",
+                 "short_sale_gain_table", "proposed_time2_table", "proposed_time3_table"):
+        assert not hasattr(realize.tables, name)

@@ -326,6 +326,24 @@ class TestValidation:
             Scenario("x", prices, (Buy(1, "A", 5),))
         assert str(exc.value) == f"prices must be a PricePath, got {type(prices).__name__} {prices!r}"
 
+    @pytest.mark.parametrize("call, message", [
+        (lambda: run(None), "scenario must be a Scenario, got NoneType None"),
+        (lambda: compare({}), "scenario must be a Scenario, got dict {}"),
+        (lambda: format_scenario(None), "s must be a Scenario, got NoneType None"),
+        (lambda: parse_scenario(None), "text must be a str, got NoneType None"),
+        (lambda: parse_scenario(b""), "text must be a str, got bytes b''"),
+        (lambda: PricePath.from_table(None), "table must be a Mapping, got NoneType None"),
+        (lambda: PricePath.from_table({"A": None}), "table['A'] must be a Mapping, got NoneType None"),
+        (lambda: builtin([]), "name must be a str, got list []"),
+        (lambda: Scenario("x", builtin("strategy3").prices, 5), "events must be iterable, got int 5"),
+    ], ids=["run", "compare", "format_scenario", "parse_scenario-none", "parse_scenario-bytes", "from_table",
+            "from_table-value", "builtin", "scenario-events"])
+    def test_library_arguments_of_the_wrong_type_are_refused_by_name(self, call, message):
+        # Each ended in an AttributeError, or a TypeError from inside the engine that named no argument.
+        with pytest.raises(TypeError) as exc:
+            call()
+        assert str(exc.value) == message
+
     def test_whitespace_in_a_built_symbol_or_label_is_kept(self):
         # The writers quote it (tests/test_writers.py); only the DSL cannot spell it.
         events = (Buy(1, "a\nb", 10), Death(1, "c\rd e"))
