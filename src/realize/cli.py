@@ -6,19 +6,21 @@ mismatch from ``check``, 2 scenario or parse errors and output that cannot
 be written (a closed pipe, a full disk), 64 usage errors.
 The REALIZE_FORMAT environment variable overrides the default output format.
 
-Each call is a fresh interpreter, so what only one command needs (the
-golden tables, the DSL, ``json``, ``csv``, the fixture reader) is imported
-inside it, and only the named subcommand's parser is built.
-Reports are written from their columns; JSON is ``json.dumps(to_dict(), indent=2)`` to the byte.
+Each call is a fresh interpreter, so what only one command needs (the golden tables, the DSL, ``csv``, the
+fixture reader) is imported inside it.  A well-formed argv is read straight from ``_COMMANDS``; ``argparse``
+loads, with the named subcommand's parser built from the same table, only for any other argv: help, usage
+errors, abbreviations.
+Reports are written from their columns; JSON is ``json.dumps(to_dict(), indent=2)`` to the byte, and ``json``
+loads only for a string that must be escaped.
 """
 
 from __future__ import annotations
 
-import argparse
 import io
 import os
 import sys
 from functools import partial
+from types import SimpleNamespace
 
 from .errors import EngineError, UnreadableScenario
 from .market import pesos
@@ -44,13 +46,6 @@ EXIT_USAGE = 64
 
 FORMATS = ("table", "csv", "json")
 PESO = "₱"
-
-
-class _Parser(argparse.ArgumentParser):
-    def error(self, message: str) -> None:  # noqa: D102 - argparse hook
-        self.print_usage(sys.stderr)
-        print(f"{self.prog}: error: {message}", file=sys.stderr)
-        raise SystemExit(EXIT_USAGE)
 
 
 def _load_scenario(target: str) -> tuple[Scenario, str | None]:
@@ -168,36 +163,44 @@ def _json_list(pad: str, keys: tuple[str, ...], rows) -> str:
     return f"[\n{body}\n{pad}]" if body else "[]"
 
 
-def _json_object(pad: str, fields: dict, esc) -> str:
+def _json_str(s: str) -> str:
+    """``s`` as ``json.dumps`` writes it; ``json`` loads only for a string it escapes (not printable ASCII, or
+    holding ``"`` or ``\\``), as ``_csv_cell`` loads ``csv``."""
+    if s.isascii() and s.isprintable() and '"' not in s and "\\" not in s:
+        return f'"{s}"'
+    from json.encoder import encode_basestring_ascii
+
+    return encode_basestring_ascii(s)
+
+
+def _json_object(pad: str, fields: dict) -> str:
     """``fields`` as ``json.dumps(indent=2)`` writes a dict nested at ``pad``; values are ints or written text."""
-    body = ",\n".join(f"{pad}  {esc(key)}: {value}" for key, value in fields.items())
+    body = ",\n".join(f"{pad}  {_json_str(key)}: {value}" for key, value in fields.items())
     return f"{{\n{body}\n{pad}}}" if body else "{}"
 
 
 def _render_run_json(report: RunReport, pad: str = "") -> str:
     """``json.dumps(report.to_dict(), indent=2)``, written from the report's columns, nested at ``pad``."""
-    from json.encoder import encode_basestring_ascii as esc
-
     (ticks, kinds, secs, *rest), taxes, cash = _columns(report)
-    events = zip(ticks, _cells(kinds, esc), _cells(secs, esc), *rest)
+    events = zip(ticks, _cells(kinds, _json_str), _cells(secs, _json_str), *rest)
     p, pp, ppp = pad + "  ", pad + "    ", pad + "      "
     inv = report.inventory
     inventory = {
-        "owned": _json_object(ppp, dict(inv.owned), esc),
-        "borrowed_outstanding": _json_object(ppp, dict(inv.borrowed_outstanding), esc),
+        "owned": _json_object(ppp, dict(inv.owned)),
+        "borrowed_outstanding": _json_object(ppp, dict(inv.borrowed_outstanding)),
         "owner_generation": inv.owner_generation,
     }
     totals = {"total_tax": report.total_tax.centavos, "final_cash": report.final_cash.centavos,
-              "inventory": _json_object(pp, inventory, esc)}
+              "inventory": _json_object(pp, inventory)}
     return _json_object(pad, {
-        "scenario": esc(report.scenario), "regime": esc(report.regime.value),
-        "schedule": esc(report.schedule.value), "window": esc(report.window.value),
+        "scenario": _json_str(report.scenario), "regime": _json_str(report.regime.value),
+        "schedule": _json_str(report.schedule.value), "window": _json_str(report.window.value),
         "events": _json_list(p, ("tick", "kind", "security", "qty", "amount_realized_per_share", "basis_per_share",
                                  "gain_per_share", "gain_total"), events),
         "tax": _json_list(p, ("tick", "net_capital_gain", "tax_due"), zip(*taxes)),
         "cash": _json_list(p, ("tick", "delta", "cumulative"), zip(*cash)),
-        "totals": _json_object(p, totals, esc),
-    }, esc)
+        "totals": _json_object(p, totals),
+    })
 
 
 def _compare_rows(report: ComparisonReport) -> list[tuple]:
@@ -226,14 +229,13 @@ def _render_compare_csv(report: ComparisonReport) -> str:
 
 def _render_compare_json(report: ComparisonReport) -> str:
     """``json.dumps(report.to_dict(), indent=2)``, written from the report."""
-    from json.encoder import encode_basestring_ascii as esc
-
     return _json_object("", {
-        "scenario": esc(report.scenario), "schedule": esc(report.schedule.value), "window": esc(report.window.value),
+        "scenario": _json_str(report.scenario), "schedule": _json_str(report.schedule.value),
+        "window": _json_str(report.window.value),
         "current": _render_run_json(report.current, "  "), "proposed": _render_run_json(report.proposed, "  "),
         "deltas": _json_list("  ", ("tick", "current_tax", "proposed_tax", "delta"), _compare_rows(report)[:-1]),
         "total_delta": report.total_delta.centavos,
-    }, esc)
+    })
 
 
 _GRID_KEYS = ("future_price", "present_price", "ordinary_gain_per_share", "short_gain_per_share")
@@ -299,28 +301,28 @@ def _emit(fmt: str, render_json, render_csv, render_table, *args) -> int:
     return EXIT_OK
 
 
-def _cmd_run(args: argparse.Namespace) -> int:
+def _cmd_run(args: SimpleNamespace) -> int:
     scenario, text = _load_scenario(args.scenario)
     report = _from_text(text, run, scenario, Regime(args.regime), RateSchedule(args.rates), NettingWindow(args.window))
     return _emit(args.format, _render_run_json, _render_run_csv, _render_run_table, report)
 
 
-def _cmd_compare(args: argparse.Namespace) -> int:
+def _cmd_compare(args: SimpleNamespace) -> int:
     scenario, text = _load_scenario(args.scenario)
     report = _from_text(text, compare, scenario, RateSchedule(args.rates), NettingWindow(args.window))
     return _emit(args.format, _render_compare_json, _render_compare_csv, _render_compare_table, report)
 
 
-def _cmd_paper_tables(_args: argparse.Namespace) -> int:
+def _cmd_paper_tables(_args: SimpleNamespace) -> int:
     sys.stdout.write(paper_tables())
     return EXIT_OK
 
 
-def _cmd_grid(args: argparse.Namespace) -> int:
+def _cmd_grid(args: SimpleNamespace) -> int:
     return _emit(args.format, _render_grid_json, _render_grid_csv, _render_grid_table)
 
 
-def _cmd_check(_args: argparse.Namespace) -> int:
+def _cmd_check(_args: SimpleNamespace) -> int:
     expected = _fixture_text()
     first = paper_tables()
     second = paper_tables()
@@ -344,49 +346,82 @@ def _cmd_check(_args: argparse.Namespace) -> int:
     return EXIT_MISMATCH if failed else EXIT_OK
 
 
-def _add_format(p: _Parser) -> None:
-    p.add_argument("--format", default=os.environ.get("REALIZE_FORMAT", "table"),
-                   help="table, csv, or json (default from REALIZE_FORMAT)")
+# Each option: its flag, its choices (None: any value, which ``main`` checks), its default and its help line.
+_REGIME = ("--regime", tuple(r.value for r in Regime), "current", None)
+_RATES = ("--rates", tuple(s.value for s in RateSchedule), "paper", None)
+_WINDOW = ("--window", tuple(w.value for w in NettingWindow), "per-tick", None)
+_FORMAT = ("--format", None, "table", "table, csv, or json (default from REALIZE_FORMAT)")
+_SCENARIO = ("scenario", "built-in name or scenario file path")
 
-
-def _add_scenario(p: _Parser, with_regime: bool) -> None:
-    p.add_argument("scenario", help="built-in name or scenario file path")
-    if with_regime:
-        p.add_argument("--regime", choices=[r.value for r in Regime], default="current")
-    p.add_argument("--rates", choices=[s.value for s in RateSchedule], default="paper")
-    p.add_argument("--window", choices=[w.value for w in NettingWindow], default="per-tick")
-    _add_format(p)
-
-
-# Each subcommand, in usage order: its help line, its function, and what adds its arguments.
+# Each subcommand, in usage order: its help line, its function, its one positional (name, help) or None, and
+# its options.
 _COMMANDS = {
-    "run": ("run one scenario under one regime", _cmd_run, partial(_add_scenario, with_regime=True)),
-    "compare": ("run both regimes side by side", _cmd_compare, partial(_add_scenario, with_regime=False)),
-    "paper-tables": ("print every golden table", _cmd_paper_tables, None),
-    "grid": ("print the offsetting-effect grid", _cmd_grid, _add_format),
-    "check": ("diff golden tables against the fixture", _cmd_check, None),
+    "run": ("run one scenario under one regime", _cmd_run, _SCENARIO, (_REGIME, _RATES, _WINDOW, _FORMAT)),
+    "compare": ("run both regimes side by side", _cmd_compare, _SCENARIO, (_RATES, _WINDOW, _FORMAT)),
+    "paper-tables": ("print every golden table", _cmd_paper_tables, None, ()),
+    "grid": ("print the offsetting-effect grid", _cmd_grid, None, (_FORMAT,)),
+    "check": ("diff golden tables against the fixture", _cmd_check, None, ()),
 }
 
 
-def build_parser(command: str | None = None) -> _Parser:
-    """The parser of every subcommand, or of ``command`` alone where it names one.
+def _defaults(options: tuple) -> dict[str, str]:
+    """Each option's value where argv does not give one; ``--format``'s is REALIZE_FORMAT, where that is set."""
+    return {flag[2:]: os.environ.get("REALIZE_FORMAT", default) if flag == "--format" else default
+            for flag, _, default, _ in options}
+
+
+def _read(argv: list[str]) -> SimpleNamespace | None:
+    """What ``build_parser`` parses ``argv`` to, read from ``_COMMANDS`` where ``argv`` is the subcommand, its one
+    positional if it takes one, and exact options, ``--opt value`` or ``--opt=value``, each value among its choices;
+    else ``None`` (help, ``--``, abbreviations, dash-led or empty tokens ...), for argparse to parse or refuse."""
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    _, func, positional, options = _COMMANDS[argv[0]]
+    choices = {flag: allowed for flag, allowed, _, _ in options}
+    values = {"command": argv[0], **_defaults(options)}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if token.startswith("-"):
+            flag, eq, value = token.partition("=")
+            value = value if eq else next(tokens, "")
+            if flag not in choices or value[:1] in ("", "-") or (choices[flag] and value not in choices[flag]):
+                return None
+            values[flag[2:]] = value  # a repeated option: the last value, as argparse keeps
+        elif token and positional and positional[0] not in values:
+            values[positional[0]] = token
+        else:
+            return None
+    return SimpleNamespace(**values, func=func) if not positional or positional[0] in values else None
+
+
+def build_parser(command: str | None = None):
+    """The parser of every subcommand, or of ``command`` alone where it names one, built from ``_COMMANDS``.
 
     Either way its usage lists every subcommand.  Only the parser of one subcommand spells that list as a
     metavar: the metavar would also be the argument's name in a "required" or "invalid choice" error, which
     that parser never reports, since its subcommand was given.
     """
-    parser = _Parser(
-        prog="realize",
-        description="Simulate capital-gains-tax realization for ordinary and short sales.",
-    )
+    import argparse
+
+    class _Parser(argparse.ArgumentParser):
+        def error(self, message: str) -> None:  # noqa: D102 - argparse hook
+            self.print_usage(sys.stderr)
+            shown = "".join(c if c.isprintable() else repr(c)[1:-1] for c in message)  # argv echoed, escaped
+            print(f"{self.prog}: error: {shown}", file=sys.stderr)
+            raise SystemExit(EXIT_USAGE)
+
+    parser = _Parser(prog="realize", description="Simulate capital-gains-tax realization for ordinary and short sales.")
     names = [command] if command in _COMMANDS else list(_COMMANDS)
     metavar = "{" + ",".join(_COMMANDS) + "}" if len(names) == 1 else None
     sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
     for name in names:
-        summary, func, add_arguments = _COMMANDS[name]
+        summary, func, positional, options = _COMMANDS[name]
         p = sub.add_parser(name, help=summary)
-        if add_arguments:
-            add_arguments(p)
+        if positional:
+            p.add_argument(positional[0], help=positional[1])
+        defaults = _defaults(options)
+        for flag, choices, _, line in options:
+            p.add_argument(flag, choices=choices, default=defaults[flag[2:]], help=line)
         p.set_defaults(func=func)
     return parser
 
@@ -403,10 +438,11 @@ def _unwritable(err: OSError) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    parser = build_parser(argv[0] if argv else None)  # a call builds the parser of the subcommand it names
     try:
-        args = parser.parse_args(argv)
-        if "format" in args and args.format not in FORMATS:  # reported before any scenario is read
+        args = _read(argv)
+        if args is None:  # argparse loads only here, and builds only the parser of the subcommand argv names
+            args = build_parser(argv[0] if argv else None).parse_args(argv, SimpleNamespace())
+        if "format" in vars(args) and args.format not in FORMATS:  # reported before any scenario is read
             print(f"realize: error: unknown format {args.format!r} (choose from {', '.join(FORMATS)})",
                   file=sys.stderr)
             return EXIT_USAGE

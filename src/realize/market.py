@@ -181,6 +181,8 @@ class Money:
 
     @classmethod
     def from_pesos(cls, pesos: int) -> Money:
+        if not isinstance(pesos, int) or isinstance(pesos, bool):
+            raise TypeError(f"pesos must be int, got {type(pesos).__name__} {pesos!r}")
         return cls(pesos * CENTAVOS_PER_PESO)
 
     def __add__(self, other: Money) -> Money:
@@ -250,13 +252,16 @@ class PricePath:
     Building one raises ``InvalidSymbol`` for a key that is not a (``str``
     security symbol, tick) pair, ``NonMonotonicTick`` for a tick that is not
     an ``int`` (a ``bool`` neither), as ``Scenario`` does for an event's, and
-    ``TypeError`` for a quote that is not ``Money``.  The path keeps its own
-    copy of the quotes, so every scenario built on it can rely on them.
+    ``TypeError`` for quotes that are not a ``Mapping`` or a quote that is
+    not ``Money``.  The path keeps its own copy of the quotes, so every
+    scenario built on it can rely on them.
     """
 
     quotes: Mapping[tuple[SecurityId, Tick], Money]
 
     def __post_init__(self) -> None:
+        if not isinstance(self.quotes, Mapping):
+            raise TypeError(f"quotes must be a Mapping, got {type(self.quotes).__name__} {self.quotes!r}")
         quotes = {**self.quotes}  # its own copy: a later change to the caller's mapping must not reach a scenario
         for key, price in quotes.items():
             if type(key) is not tuple or len(key) != 2 or not isinstance(key[0], str):

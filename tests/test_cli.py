@@ -1,5 +1,6 @@
 """Command-line contract: subcommands, formats, and exit codes."""
 
+import ast
 import csv
 import io
 import json
@@ -568,19 +569,6 @@ class TestOptimizedInterpreter:
         assert done.stderr.strip().splitlines()[-1].startswith("realize.errors.InvariantViolation:")
 
 
-TABLE_COMMANDS_LOAD = """
-import contextlib, io, sys
-sys.path.insert(0, sys.argv[1])
-import realize.cli
-loaded = [m for m in ("csv", "json") if m in sys.modules]
-with contextlib.redirect_stdout(io.StringIO()):
-    for argv in (["check"], ["compare", "strategy3"]):
-        assert realize.cli.main(argv) == 0, argv
-loaded += [m for m in ("csv", "json") if m in sys.modules]
-print(" ".join(loaded))
-"""
-
-
 def test_missing_fixture_is_named_not_taken_for_an_output_error(capsys, monkeypatch, tmp_path):
     from importlib import resources
 
@@ -591,16 +579,6 @@ def test_missing_fixture_is_named_not_taken_for_an_output_error(capsys, monkeypa
 
 
 class TestColdStart:
-    def test_table_commands_import_neither_csv_nor_json(self):
-        # -I -S: no site hooks, so only realize's own imports count; -B: no bytecode left in src.
-        src = str(Path(realize.__file__).resolve().parents[1])
-        done = subprocess.run(
-            [sys.executable, "-B", "-I", "-S", "-c", TABLE_COMMANDS_LOAD, src],
-            capture_output=True, text=True, timeout=120,
-        )
-        assert done.returncode == 0, done.stderr
-        assert done.stdout.strip() == ""
-
     def test_compare_and_run_load_neither_dataclasses_nor_the_tables(self, tmp_path):
         # compare of a built-in loads no DSL either; run of a file does.
         book = tmp_path / "two.scn"
@@ -614,6 +592,54 @@ class TestColdStart:
         compare, run_json, check = done.stdout.splitlines()
         assert compare == "compare" and run_json == "run realize.dsl"  # the DSL loads to read a file only
         assert "realize.tables" in check.split()
+
+    @pytest.mark.parametrize("argv", [["check"], ["compare", "strategy3"], ["run", "BOOK", "--format", "json"]],
+                             ids=["check", "compare", "run-json"])
+    def test_a_well_formed_call_loads_neither_argparse_nor_json_nor_csv(self, tmp_path, argv):
+        book = tmp_path / "two.scn"
+        book.write_text(TWO_SECURITY_BOOK, encoding="utf-8")
+        code, out, err, loaded = fresh_call(*[str(book) if a == "BOOK" else a for a in argv])
+        assert (code, err, loaded) == (0, "", []), out
+
+    @pytest.mark.parametrize("symbol", ['A"B', "A\\B", "Ñ株"], ids=["quote", "backslash", "non-ascii"])
+    def test_a_symbol_json_must_escape_is_written_as_json_dumps_writes_it(self, tmp_path, symbol):
+        book = tmp_path / f"{symbol}.scn"
+        book.write_text(f"price {symbol} 1 10\nprice {symbol} 2 12\nat 1 buy {symbol} 5\nat 2 sell {symbol} 5\n",
+                        encoding="utf-8")
+        report = realize.run(realize.parse_scenario(book.read_text(encoding="utf-8"), name=symbol))
+        code, out, err, loaded = fresh_call("run", str(book), "--format", "json")
+        assert (code, err, loaded) == (0, "", ["json"])
+        assert out == json.dumps(report.to_dict(), indent=2) + "\n"
+
+    @pytest.mark.parametrize("argv", [("--help",), ("run", "--help"), ("run",), ("compare", "strategy3", "extra")],
+                             ids=["help", "run-help", "missing-positional", "extra-positional"])
+    def test_help_and_usage_errors_load_argparse_and_print_the_pinned_bytes(self, argv):
+        code, out, err, loaded = fresh_call(*argv)
+        assert "argparse" in loaded and "json" not in loaded
+        assert (code, out, err) == HELP_AND_USAGE[argv]
+
+
+# One call of ``cli.main(argv)`` in a fresh interpreter (-B -I -S: no bytecode left in src, no site hooks, so
+# only realize's own imports count), then its exit code, stdout, stderr and which of five modules it loaded.
+FRESH_CALL = """
+import contextlib, io, sys
+sys.path.insert(0, sys.argv[1])
+import realize.cli
+out, err = io.StringIO(), io.StringIO()
+with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    code = realize.cli.main(sys.argv[2:])
+loaded = [m for m in ("argparse", "gettext", "locale", "json", "csv") if m in sys.modules]
+print(ascii((code, out.getvalue(), err.getvalue(), loaded)))
+"""
+
+
+def fresh_call(*argv):
+    src = str(Path(realize.__file__).resolve().parents[1])
+    env = {key: value for key, value in os.environ.items() if key != "REALIZE_FORMAT"}
+    done = subprocess.run([sys.executable, "-B", "-I", "-S", "-c", FRESH_CALL, src, *argv],
+                          env={**env, "COLUMNS": "80"}, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return ast.literal_eval(done.stdout)
 
 
 TWO_SECURITY_BOOK = """\

@@ -1,17 +1,24 @@
-"""The CLI on mutated scenario text: every input ends in a report (exit 0) or in one located error line (exit 2).
+"""The CLI on mutated scenario text and on hostile argv.
 
 Scenario text is generated from the DSL grammar and mutated (``mutated_text``), and ``cli.main`` runs on
-it in process for ``run`` (table, csv, json) and ``compare``.
+it in process for ``run`` (table, csv, json) and ``compare``: every input ends in a report (exit 0) or in
+one located error line (exit 2).  Argv is drawn from the subcommand table and mangled (``hostile_argv``):
+every call exits 0, 2 or 64 and writes printable lines only, and what the table reader accepts argparse
+parses to the same values.
 """
 
 import contextlib
 import io
 import json
+import os
 import re
 import sys
 import tempfile
 from pathlib import Path
+from types import SimpleNamespace
+from unittest import mock
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -138,3 +145,76 @@ def test_every_input_ends_in_a_report_or_one_located_error(text):
     assert parse_scenario(format_scenario(scenario), name="fuzz") == scenario
     if results["compare"][0] == 0:
         assert results["compare"][1] == json.dumps(compare(scenario).to_dict(), indent=2) + "\n"
+
+
+FORMATS = ["table", "csv", "json"]
+INVALID_VALUES = ["sideways", "Paper", "xml", "", "-json"]
+ODD_TOKENS = ["-h", "--help", "--", "-", "-5", "-x", "", "--format=", "--nope=1", "bogus", "strategy3"]
+PATHS = ["strategy3", "strategy1", "no\x1b[2Jfile.scn", "a\nb", "\x07", "\u202e.scn", "\x85", ""]
+
+
+@st.composite
+def hostile_argv(draw, book):
+    """An argv of one subcommand: its positional, most often, a built-in, ``book`` or a path with control
+    characters, and options ``--opt value`` or ``--opt=value``, perhaps repeated, each value valid or not; then
+    up to two of its tokens abbreviated (``--r`` is ambiguous), dropped, doubled or swapped with the next, or
+    help, ``--``, a dash-led, empty or second positional token inserted; at times no or an unknown subcommand."""
+    name = draw(st.sampled_from([*cli._COMMANDS, "run", "compare"]))
+    _, _, positional, options = cli._COMMANDS[name]
+    tokens = [draw(st.sampled_from([book, *PATHS]))] if positional and draw(st.integers(0, 4)) else []
+    for flag, choices, _, _ in draw(st.lists(st.sampled_from(options), max_size=3)) if options else ():
+        value = draw(st.sampled_from(choices or FORMATS if draw(st.integers(0, 3)) else INVALID_VALUES))
+        at = draw(st.integers(0, len(tokens)))
+        tokens[at:at] = draw(st.sampled_from([[flag, value], [f"{flag}={value}"]]))
+    for _ in range(draw(st.integers(0, 2))):
+        i = draw(st.integers(0, len(tokens)))
+        how = draw(st.sampled_from(["insert", "insert", "abbreviate", "abbreviate", "drop", "double", "swap"]))
+        if how == "insert" or i == len(tokens):
+            tokens.insert(i, draw(st.sampled_from([*ODD_TOKENS, book])))
+        elif how == "abbreviate":
+            flag = tokens[i].partition("=")[0]
+            if flag.startswith("--") and len(flag) > 3:
+                tokens[i] = flag[:draw(st.integers(3, len(flag) - 1))] + tokens[i][len(flag):]
+        elif how == "drop":
+            del tokens[i]
+        elif how == "double":
+            tokens.insert(i, tokens[i])
+        elif i + 1 < len(tokens):
+            tokens[i], tokens[i + 1] = tokens[i + 1], tokens[i]
+    head = draw(st.sampled_from([[name]] * 8 + [[], ["bogus"], ["-h", name]]))
+    return head + tokens
+
+
+def parsed_by_argparse(argv):
+    """What argparse, built from the same table, parses ``argv`` to, or ``None`` where it refuses or helps."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return cli.build_parser(argv[0] if argv else None).parse_args(argv, SimpleNamespace())
+        except SystemExit:
+            return None
+
+
+@pytest.fixture(scope="module")
+def book(tmp_path_factory):
+    path = tmp_path_factory.mktemp("argv") / "book.scn"
+    path.write_text(format_scenario(parse_scenario("price A 1 10\nprice A 2 12\nat 1 buy A 5\nat 2 sell A 5\n")),
+                    encoding="utf-8")
+    return str(path)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), env=st.sampled_from([None, "table", "csv", "json", "xml", ""]))
+def test_every_argv_exits_0_2_or_64_in_printable_lines_and_reads_as_argparse_parses(book, data, env):
+    argv = data.draw(hostile_argv(book))
+    with mock.patch.dict(os.environ):
+        os.environ.pop("REALIZE_FORMAT", None)
+        if env is not None:
+            os.environ["REALIZE_FORMAT"] = env
+        code, out, err = call(*argv)
+        read, parsed = cli._read(argv), parsed_by_argparse(argv)
+    assert code in (0, 2, 64), (argv, code, err)
+    assert all(line.isprintable() for line in (out + err).split("\n")), (argv, out, err)
+    if read is not None:
+        assert read == parsed, argv
+    if parsed is None:
+        assert read is None, argv

@@ -336,10 +336,19 @@ class TestValidation:
         (lambda: PricePath.from_table({"A": None}), "table['A'] must be a Mapping, got NoneType None"),
         (lambda: builtin([]), "name must be a str, got list []"),
         (lambda: Scenario("x", builtin("strategy3").prices, 5), "events must be iterable, got int 5"),
+        (lambda: Money.from_pesos(True), "pesos must be int, got bool True"),
+        (lambda: Money.from_pesos(None), "pesos must be int, got NoneType None"),
+        (lambda: Money.from_pesos(1.5), "pesos must be int, got float 1.5"),
+        (lambda: Money.from_pesos("5"), "pesos must be int, got str '5'"),
+        (lambda: PricePath(None), "quotes must be a Mapping, got NoneType None"),
+        (lambda: PricePath([("A", 1)]), "quotes must be a Mapping, got list [('A', 1)]"),
+        (lambda: PricePath(5), "quotes must be a Mapping, got int 5"),
     ], ids=["run", "compare", "format_scenario", "parse_scenario-none", "parse_scenario-bytes", "from_table",
-            "from_table-value", "builtin", "scenario-events"])
+            "from_table-value", "builtin", "scenario-events", "from_pesos-bool", "from_pesos-none",
+            "from_pesos-float", "from_pesos-str", "price_path-none", "price_path-list", "price_path-int"])
     def test_library_arguments_of_the_wrong_type_are_refused_by_name(self, call, message):
-        # Each ended in an AttributeError, or a TypeError from inside the engine that named no argument.
+        # Each ended in an AttributeError, or a TypeError from inside the engine that named no argument or
+        # another one (``centavos`` for ``pesos``); ``from_pesos(True)`` returned ₱1.00.
         with pytest.raises(TypeError) as exc:
             call()
         assert str(exc.value) == message
