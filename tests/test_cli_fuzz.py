@@ -163,7 +163,7 @@ def hostile_argv(draw, book):
     _, _, positional, options = cli._COMMANDS[name]
     tokens = [draw(st.sampled_from([book, *PATHS]))] if positional and draw(st.integers(0, 4)) else []
     for flag, choices, _, _ in draw(st.lists(st.sampled_from(options), max_size=3)) if options else ():
-        value = draw(st.sampled_from(choices or FORMATS if draw(st.integers(0, 3)) else INVALID_VALUES))
+        value = draw(st.sampled_from((choices or FORMATS) if draw(st.integers(0, 3)) else INVALID_VALUES))
         at = draw(st.integers(0, len(tokens)))
         tokens[at:at] = draw(st.sampled_from([[flag, value], [f"{flag}={value}"]]))
     for _ in range(draw(st.integers(0, 2))):
@@ -197,8 +197,7 @@ def parsed_by_argparse(argv):
 @pytest.fixture(scope="module")
 def book(tmp_path_factory):
     path = tmp_path_factory.mktemp("argv") / "book.scn"
-    path.write_text(format_scenario(parse_scenario("price A 1 10\nprice A 2 12\nat 1 buy A 5\nat 2 sell A 5\n")),
-                    encoding="utf-8")
+    path.write_text("price A 1 10\nprice A 2 12\nat 1 buy A 5\nat 2 sell A 5\n", encoding="utf-8")
     return str(path)
 
 
