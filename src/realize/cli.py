@@ -8,8 +8,8 @@ The REALIZE_FORMAT environment variable overrides the default output format.
 
 Each call is a fresh interpreter, so what only one command needs (the golden tables, the DSL, ``csv``, the
 fixture reader) is imported inside it.  A well-formed argv is read straight from ``_COMMANDS``; ``argparse``
-loads, with the named subcommand's parser built from the same table, only for any other argv: help, usage
-errors, abbreviations.
+loads, with its parser built from the same table, only for any other argv: help, usage errors,
+abbreviations.
 Reports are written from their columns; JSON is ``json.dumps(to_dict(), indent=2)`` to the byte, and ``json``
 loads only for a string that must be escaped.
 """
@@ -51,7 +51,7 @@ PESO = "₱"
 def _load_scenario(target: str) -> tuple[Scenario, str | None]:
     if target in BUILTIN_NAMES:
         return builtin(target), None
-    shown = target if target.isprintable() else repr(target)  # no escape or bad byte reaches the terminal raw
+    shown = target if target.isprintable() and target.strip() else repr(target)  # quote escapes, bad bytes, blanks
     if not os.path.exists(target):
         raise EngineError(f"no such file or built-in scenario: {shown}")
     try:
@@ -394,13 +394,8 @@ def _read(argv: list[str]) -> SimpleNamespace | None:
     return SimpleNamespace(**values, func=func) if not positional or positional[0] in values else None
 
 
-def build_parser(command: str | None = None):
-    """The parser of every subcommand, or of ``command`` alone where it names one, built from ``_COMMANDS``.
-
-    Either way its usage lists every subcommand.  Only the parser of one subcommand spells that list as a
-    metavar: the metavar would also be the argument's name in a "required" or "invalid choice" error, which
-    that parser never reports, since its subcommand was given.
-    """
+def build_parser():
+    """The parser of every subcommand, built from ``_COMMANDS``."""
     import argparse
 
     class _Parser(argparse.ArgumentParser):
@@ -411,11 +406,8 @@ def build_parser(command: str | None = None):
             raise SystemExit(EXIT_USAGE)
 
     parser = _Parser(prog="realize", description="Simulate capital-gains-tax realization for ordinary and short sales.")
-    names = [command] if command in _COMMANDS else list(_COMMANDS)
-    metavar = "{" + ",".join(_COMMANDS) + "}" if len(names) == 1 else None
-    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
-    for name in names:
-        summary, func, positional, options = _COMMANDS[name]
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (summary, func, positional, options) in _COMMANDS.items():
         p = sub.add_parser(name, help=summary)
         if positional:
             p.add_argument(positional[0], help=positional[1])
@@ -440,8 +432,8 @@ def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     try:
         args = _read(argv)
-        if args is None:  # argparse loads only here, and builds only the parser of the subcommand argv names
-            args = build_parser(argv[0] if argv else None).parse_args(argv, SimpleNamespace())
+        if args is None:  # argparse loads only here
+            args = build_parser().parse_args(argv, SimpleNamespace())
         if "format" in vars(args) and args.format not in FORMATS:  # reported before any scenario is read
             print(f"realize: error: unknown format {args.format!r} (choose from {', '.join(FORMATS)})",
                   file=sys.stderr)

@@ -14,14 +14,14 @@ reserved shares fails only on a reserving ledger, and one input can fail
 with different messages on the two.
 
 A run keeps its portfolio in a ``Ledger``: mutable, private to that run, and
-organised per security as a first-in first-out queue of lots and two of
-borrow positions.  An event reads and changes only its own security, and lot
-and position matching stop at the last one they need, so the cost of an
-event does not grow with the rest of the portfolio.  A ledger starts empty
-and changes only through ``apply_event``.  Each event class names its step
-in one attribute, ``_step``, that every layer reads.  The event classes are
-records, so final: anything else has no step and is refused with
-``TypeError``.
+organised per security as a dict of lots keyed by lot id, in lot-id order,
+and two queues of borrow positions.  An event reads and changes only its
+own security, a take finds its lot by id, and position matching stops at
+the last one it needs, so the cost of an event does not grow with the rest
+of the portfolio.  A ledger starts empty and changes only through
+``apply_event``.  Each event class names its step in one attribute,
+``_step``, that every layer reads.  The event classes are records, so
+final: anything else has no step and is refused with ``TypeError``.
 
 A reserving ledger, the one a proposed-regime run keeps, also holds
 reservations: owned shares that a short sale sets aside in its own step, the
@@ -192,23 +192,24 @@ def _may_reserve(events: tuple) -> bool:
 class Ledger:
     """The mutable portfolio of one run, kept per security, whose short sales reserve if ``reserving``.
 
-    Each security has a first-in first-out queue of lots, a pair of borrow
-    position queues (sold short and uncovered, then unsold: cover order), a
-    queue of constructive runs, and its reserved shares counted in all and
-    per lot; an event touches only its own security.  A run pairs one lot's reserved
-    shares with as many marked shares of one position sold short, and counts
-    the position's shares after them, which covers, taking a position's
-    front, never move.  Runs are in mark order, so a cover settles the runs at
-    the front.  No cash tally is kept: each step reports its cash.
-    An index of every open lot by id, in lot-id order, serves ``lots``.
-    ``lots_of`` and ``reserved_by_lot`` return the live containers: read
-    them, never change them.
+    Each security has a dict of its open lots keyed by lot id, in lot-id
+    order (a buy adds the newest, a partial take replaces its lot in place),
+    a pair of borrow position queues (sold short and uncovered, then
+    unsold: cover order), a queue of constructive runs, and its reserved
+    shares counted in all and per lot; an event touches only its own
+    security.  A run pairs one lot's reserved shares with as many marked
+    shares of one position sold short, and counts the position's shares after
+    them, which covers, taking a position's front, never move.  Runs are in
+    mark order, so a cover settles the runs at the front.  No cash tally is
+    kept: each step reports its cash.  An index of every open lot by id, in lot-id order, serves ``lots`` and
+    ``_death``.  ``reserved_by_lot`` returns the live dict: read it, never
+    change it.
     """
 
     def __init__(self, reserving: bool = False) -> None:
         self.reserving = reserving
         self._by_id: dict[int, Lot] = {}
-        self._lots: dict[SecurityId, deque[Lot]] = {}
+        self._lots: dict[SecurityId, dict[int, Lot]] = {}
         self._borrows: dict[SecurityId, tuple[deque[BorrowPosition], deque[BorrowPosition]]] = {}
         # Constructive runs in mark order: (position id, shares of the position after the run, lot id, qty).
         self._runs: dict[SecurityId, deque[tuple[int, int, int, int]]] = {}
@@ -221,8 +222,9 @@ class Ledger:
         """Every open lot in lot-id order; its length costs nothing."""
         return self._by_id.values()
 
-    def lots_of(self, sec: SecurityId) -> deque[Lot] | tuple[()]:
-        return self._lots.get(sec, ())
+    def lots_of(self, sec: SecurityId) -> list[Lot]:
+        """The open lots of ``sec`` in lot-id order."""
+        return list(self._lots.get(sec, {}).values())
 
     def reserved_by_lot(self, sec: SecurityId) -> dict[int, int]:
         """Reserved share count per lot id of ``sec``."""
@@ -230,19 +232,19 @@ class Ledger:
 
     def holdings(self) -> tuple[tuple[tuple[SecurityId, int], ...], tuple[tuple[SecurityId, int], ...]]:
         """(security, shares owned) and (security, borrowed shares owed), each sorted by security, in one
-        pass over the live per-security queues; an emptied one reports nothing."""
-        owned = [(s, sum([lot.qty for lot in lots])) for s, lots in self._lots.items() if lots]
+        pass over the live per-security lots and queues; an emptied one reports nothing."""
+        owned = [(s, sum([lot.qty for lot in lots.values()])) for s, lots in self._lots.items() if lots]
         owing = [(s, sum([p.qty for p in shorts]) + sum([p.qty for p in unsold]))
                  for s, (shorts, unsold) in self._borrows.items() if shorts or unsold]
         return tuple(sorted(owned)), tuple(sorted(owing))
 
     def _add_lot(self, lot: Lot) -> None:
         self._by_id[lot.id] = lot
-        queue = self._lots.get(lot.sec)
-        if queue is None:
-            self._lots[lot.sec] = deque((lot,))
+        lots = self._lots.get(lot.sec)
+        if lots is None:
+            self._lots[lot.sec] = {lot.id: lot}
         else:
-            queue.append(lot)
+            lots[lot.id] = lot
 
     def _unreserved(self, sec: SecurityId, qty: int) -> tuple[list[tuple[Lot, int]], int]:
         """(lot, qty) pairs of the oldest unreserved shares of ``sec``, at most ``qty``; and their total.
@@ -255,7 +257,7 @@ class Ledger:
         reserved = self._reserved.get(sec)
         slices: list[tuple[Lot, int]] = []
         remaining = qty
-        for lot in self.lots_of(sec):
+        for lot in self._lots.get(sec, {}).values():
             free = lot.qty - reserved.get(lot.id, 0) if reserved else lot.qty
             amount = free if free < remaining else remaining
             if amount > 0:
@@ -289,7 +291,7 @@ class Ledger:
     def _settle(self, sec: SecurityId, qty: int) -> list[tuple[Lot, int]]:
         """Settle the oldest ``qty`` constructive marks of ``sec`` and free their reserved shares, returned as
         (lot, qty) pairs, adjacent runs on one lot joined."""
-        runs, reserved, by_id = self._runs[sec], self._reserved[sec], self._by_id
+        runs, reserved, lots = self._runs[sec], self._reserved[sec], self._lots[sec]
         self._held[sec] -= qty
         takes: list[tuple[Lot, int]] = []
         while qty:
@@ -306,31 +308,20 @@ class Ledger:
             if takes and takes[-1][0].id == lot_id:
                 takes[-1] = takes[-1][0], takes[-1][1] + take
             else:
-                takes.append((by_id[lot_id], take))
+                takes.append((lots[lot_id], take))
         return takes
 
     def _consume(self, sec: SecurityId, slices: list[tuple[Lot, int]]) -> None:
-        """Take matched shares in place, walking the queue of ``sec`` only up to the last lot touched.
-
-        Queue order is lot-id order; a pair before the walk's place, as a cover's reserved takes can
-        be, restarts the walk at the front.  A lot taken from twice is found by id the second time.
-        """
-        queue, by_id = self._lots[sec], self._by_id
-        i = 0
+        """Take matched shares in place, each lot found by id among the lots of ``sec``; a lot taken from
+        twice is read as the first take left it."""
+        lots, by_id = self._lots[sec], self._by_id
         for taken, qty in slices:
-            lot_id = taken.id
-            if i and queue[i - 1].id >= lot_id:
-                i = 0
-            lot = queue[i]
-            while lot.id != lot_id:  # a lot the walk passed over stays where it is
-                i += 1
-                lot = queue[i]
+            lot = lots[taken.id]
             left = lot.qty - qty
             if left:
-                queue[i] = by_id[lot.id] = _new_lot(Lot, lot.id, lot.sec, left, lot.basis_per_share)
-                i += 1
+                lots[lot.id] = by_id[lot.id] = _new_lot(Lot, lot.id, lot.sec, left, lot.basis_per_share)
             else:
-                del queue[i], by_id[lot.id]
+                del lots[lot.id], by_id[lot.id]
 
     # One step per event shape, named by each event class's ``_step``.  Every
     # check runs before anything changes.

@@ -84,6 +84,12 @@ class TestRun:
         not_utf8 = f"realize: error: {shown}: not UTF-8 text (bad byte at offset 18)\n"
         assert invoke(capsys, "run", path) == (2, "", not_utf8)
 
+    # An empty or blank path used to leave nothing to read after the colon; "" reaches argparse, " " does not.
+    @pytest.mark.parametrize("path", ["", " "], ids=["empty", "blank"])
+    def test_an_empty_or_blank_path_is_quoted_in_its_error(self, capsys, monkeypatch, tmp_path, path):
+        monkeypatch.chdir(tmp_path)
+        assert invoke(capsys, "run", path) == (2, "", f"realize: error: no such file or built-in scenario: {path!r}\n")
+
     def test_a_bad_byte_after_a_byte_order_mark_is_named_by_its_file_offset(self, capsys, tmp_path):
         path = tmp_path / "latin1.scn"
         path.write_bytes(b"\xef\xbb\xbf" + "price ABC 1 50\n# caf\u00e9\n".encode("latin-1"))

@@ -189,7 +189,7 @@ def parsed_by_argparse(argv):
     """What argparse, built from the same table, parses ``argv`` to, or ``None`` where it refuses or helps."""
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         try:
-            return cli.build_parser(argv[0] if argv else None).parse_args(argv, SimpleNamespace())
+            return cli.build_parser().parse_args(argv, SimpleNamespace())
         except SystemExit:
             return None
 

@@ -60,6 +60,24 @@ def apply_all(events, path=ABC_PRICES, ledger=None):
     return ledger, effects
 
 
+def ledger_lines(events, ledger):
+    """Lines run in ``ledger.py`` applying ``events`` to ``ledger``."""
+    source, lines = ledger_module.__file__, 0
+
+    def count(frame, event, arg):
+        nonlocal lines
+        lines += event == "line"
+        return count
+
+    previous = sys.gettrace()
+    sys.settrace(lambda frame, event, arg: count if frame.f_code.co_filename == source else None)
+    try:
+        apply_all(events, path=A_PRICES, ledger=ledger)
+    finally:
+        sys.settrace(previous)
+    return lines
+
+
 TRADES = (Buy, Borrow, ShortSell, SellOwned, CoverByPurchase, CoverByOwnedLot)
 
 
@@ -549,25 +567,28 @@ class TestPerSecurityLedger:
             path=A_PRICES, ledger=Ledger(reserving=True),
         )
         cycles = [CoverByOwnedLot(1, "A", 1), Buy(1, "A", 1), Borrow(1, "A", 1), ShortSell(1, "A", 1)] * 20
-        source, lines = ledger_module.__file__, 0
-
-        def count(frame, event, arg):
-            nonlocal lines
-            lines += event == "line"
-            return count
-
-        previous = sys.gettrace()
-        sys.settrace(lambda frame, event, arg: count if frame.f_code.co_filename == source else None)
-        try:
-            apply_all(cycles, path=A_PRICES, ledger=ledger)
-        finally:
-            sys.settrace(previous)
-        return lines
+        return ledger_lines(cycles, ledger)
 
     def test_a_cover_settles_its_marks_without_walking_the_positions_before_them(self):
         # Each cover takes a front position that holds no mark and, short of free shares, settles the
         # oldest mark, behind every one of the ``n`` positions.
         assert self.cycle_lines(50) == self.cycle_lines(400)
+
+    @staticmethod
+    def cover_lines(n):
+        """Lines run in ``ledger.py`` by a with-owned cover that delivers the reserved lot behind ``n`` free ones:
+        ``n`` lots reserved by one short, freed by its cover by purchase, then one more lot reserved by a
+        second short, which the cover closes."""
+        ledger, _ = apply_all(
+            [Buy(1, "A", 1)] * n + [Borrow(1, "A", n), ShortSell(1, "A", n), Buy(1, "A", 1), Borrow(1, "A", 1),
+                                    ShortSell(1, "A", 1), CoverByPurchase(1, "A", n)],
+            path=A_PRICES, ledger=Ledger(reserving=True),
+        )
+        return ledger_lines([CoverByOwnedLot(1, "A", 1)], ledger)
+
+    def test_a_cover_delivers_a_reserved_lot_without_walking_the_free_lots_before_it(self):
+        # RR 02-40 §135's short against the box, covered with owned shares: the delivered lot is the newest.
+        assert self.cover_lines(50) == self.cover_lines(400)
 
     def test_sold_position_without_price_is_an_engine_error(self):
         # No event makes such a position, so it is planted in the ledger's private shorts queue.
