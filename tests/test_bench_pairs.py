@@ -67,7 +67,8 @@ def test_pairs_alternate_and_one_label_collects_several_calls(tool, tmp_path, mo
         order.append(side)
         value = {"parent": 100.0, "change": 120.0}[side] + len(order)
         metrics = {"items_per_s": {"value": value}, "setup_s": {"value": 0.5}}
-        record = {"python": "3.x", "nproc": 2, "commit": f"{side}-commit", "src_sha256": f"{side}-hash"}
+        record = {"python": "3.x", "nproc": 2, "commit": f"{side}-commit", "src_sha256": f"{side}-hash",
+                  "raw": {"items_per_s": 2 * value, "setup_s": {"parent": 0.4, "change": 0.3}[side]}}
         return {"correct": True, "metrics": metrics}, record
 
     monkeypatch.setattr(tool, "run_once", fake_run)
@@ -87,6 +88,11 @@ def test_pairs_alternate_and_one_label_collects_several_calls(tool, tmp_path, mo
     assert [p["first"] for p in run["pairs"]] == ["parent", "change", "parent"]
     assert run["summary"]["items_per_s"]["wins"] == 3
     assert run["summary"]["setup_s"]["wins"] == 0
+    # The raw values of each run's record, paired and summarized apart from the rescaled ones.
+    assert run["raw_pairs"][1] == {"change": {"items_per_s": 2 * 123.0, "setup_s": 0.3},
+                                   "parent": {"items_per_s": 2 * 104.0, "setup_s": 0.4}}
+    assert run["raw_summary"]["items_per_s"]["wins"] == 3
+    assert run["raw_summary"]["setup_s"]["wins"] == 3
 
 
 def write(root, files):
@@ -115,7 +121,7 @@ def test_a_label_refuses_runs_of_another_harness(tool, tmp_path, monkeypatch):
         write(tmp_path / side, {"BENCHMARK.json": json.dumps(spec), "bench/run.py": side})
 
     def fake_run(checkout, workload, seed, seconds):
-        record = {"python": "3.x", "nproc": 2, "commit": "c", "src_sha256": "same"}
+        record = {"python": "3.x", "nproc": 2, "commit": "c", "src_sha256": "same", "raw": {"items_per_s": 1.0}}
         return {"correct": True, "metrics": {"items_per_s": {"value": 1.0}}}, record
 
     monkeypatch.setattr(tool, "run_once", fake_run)
@@ -136,7 +142,7 @@ def test_only_checkouts_in_the_same_bytecode_cache_state_are_paired(tool, tmp_pa
 
     def fake_run(checkout, workload, seed, seconds):
         ran.append(checkout.name)
-        record = {"python": "3.x", "nproc": 2, "commit": "c", "src_sha256": checkout.name}
+        record = {"python": "3.x", "nproc": 2, "commit": "c", "src_sha256": checkout.name, "raw": {"items_per_s": 1.0}}
         return {"correct": True, "metrics": {"items_per_s": {"value": 1.0}}}, record
 
     monkeypatch.setattr(tool, "run_once", fake_run)
@@ -173,7 +179,8 @@ def test_an_exported_tree_records_the_commit_it_is_given(tool, tmp_path, monkeyp
         write(tmp_path / side, {"BENCHMARK.json": json.dumps(spec), "bench/run.py": ""})
 
     def fake_run(checkout, workload, seed, seconds):
-        record = {"python": "3.x", "nproc": 2, "commit": "unknown: not a git checkout", "src_sha256": checkout.name}
+        record = {"python": "3.x", "nproc": 2, "commit": "unknown: not a git checkout", "src_sha256": checkout.name,
+                  "raw": {"items_per_s": 1.0}}
         return {"correct": True, "metrics": {"items_per_s": {"value": 1.0}}}, record
 
     monkeypatch.setattr(tool, "run_once", fake_run)

@@ -2,6 +2,7 @@
 
 import ast
 import csv
+import gc
 import io
 import json
 import os
@@ -709,3 +710,73 @@ class TestOutputErrors:
         assert "Traceback" not in done.stderr
         assert done.returncode == 2
         assert done.stderr == "realize: error: cannot write output: No space left on device\n"
+
+
+UNSELLABLE_BOOK = "price A 1 10\nat 1 sell A 5\n"  # a sale of shares never bought: a scenario error, exit 2
+
+# A success of each kind cli_cold runs, a scenario error and a usage error: what ``entry`` must exit with as given.
+PROCESS_CALLS = {
+    "check": (("check",), 0),
+    "compare": (("compare", "strategy3"), 0),
+    "run-json": (("run", "BOOK", "--format", "json"), 0),
+    "scenario-error": (("run", "UNSELLABLE"), 2),
+    "usage-error": (("compare", "strategy3", "extra"), 64),
+}
+
+
+class TestProcessEntry:
+    """``python -m realize`` and the ``realize`` script run ``cli.entry``; ``main`` leaves the collector alone."""
+
+    def test_the_console_script_names_the_function_python_m_realize_calls(self):
+        tree = ast.parse(Path(cli.__file__).with_name("__main__.py").read_text(encoding="utf-8"))
+        imported, called = tree.body
+        assert (imported.module, imported.level, [a.name for a in imported.names]) == ("cli", 1, [called.value.func.id])
+        assert called.value.args == [] and called.value.keywords == []
+        text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text(encoding="utf-8")
+        scripts = text.split("\n[project.scripts]\n", 1)[1].split("\n[", 1)[0]  # read as text: 3.10 has no tomllib
+        assert scripts.strip().splitlines() == [f'realize = "realize.cli:{called.value.func.id}"']
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
+    @pytest.mark.parametrize("argv, expected", [(("compare", "strategy3"), 0), (("run",), 64),
+                                                (("run", "UNSELLABLE"), 2)],
+                             ids=["success", "usage-error", "scenario-error"])
+    def test_main_leaves_the_collector_as_it_found_it(self, capsys, tmp_path, argv, expected, enabled):
+        (tmp_path / "unsellable.scn").write_text(UNSELLABLE_BOOK, encoding="utf-8")
+        argv = [str(tmp_path / "unsellable.scn") if a == "UNSELLABLE" else a for a in argv]
+        was_enabled = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            frozen = gc.get_freeze_count()
+            assert cli.main(argv) == expected
+            assert (gc.isenabled(), gc.get_freeze_count()) == (enabled, frozen)
+        finally:
+            (gc.enable if was_enabled else gc.disable)()
+
+    @pytest.mark.parametrize("argv, expected", list(PROCESS_CALLS.values()), ids=list(PROCESS_CALLS))
+    def test_a_process_exits_and_writes_every_byte_main_returns_and_writes(self, capsys, monkeypatch, tmp_path, argv,
+                                                                          expected):
+        (tmp_path / "two.scn").write_text(TWO_SECURITY_BOOK, encoding="utf-8")
+        (tmp_path / "unsellable.scn").write_text(UNSELLABLE_BOOK, encoding="utf-8")
+        paths = {"BOOK": str(tmp_path / "two.scn"), "UNSELLABLE": str(tmp_path / "unsellable.scn")}
+        argv = [paths.get(a, a) for a in argv]
+        monkeypatch.delenv("REALIZE_FORMAT", raising=False)
+        monkeypatch.setenv("COLUMNS", "80")  # argparse wraps its usage line to the terminal
+        code = cli.main(argv)
+        captured = capsys.readouterr()
+        assert code == expected and (captured.out if code == 0 else captured.err)
+        src = str(Path(realize.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        env.pop("PYTHONUNBUFFERED", None)  # the exit flush, not each write, empties stdout
+        done = subprocess.run([sys.executable, "-m", "realize", *argv], env=env, capture_output=True, timeout=120)
+        assert (done.returncode, done.stdout, done.stderr) == (
+            code, captured.out.encode("utf-8"), captured.err.encode("utf-8"))
+
+    def test_the_process_runs_atexit_handlers_after_main(self):
+        # As coverage's handler does: registered before ``python -m realize`` runs, called after ``main`` returns.
+        script = ("import atexit, runpy, sys; atexit.register(print, 'atexit ran', file=sys.stderr); "
+                  "sys.argv = ['realize', *sys.argv[1:]]; runpy.run_module('realize', run_name='__main__')")
+        src = str(Path(realize.__file__).resolve().parents[1])
+        done = subprocess.run([sys.executable, "-c", script, "run", "strategy3", "--format", "csv"],
+                              env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=120)
+        assert (done.returncode, done.stderr) == (0, "atexit ran\n")
+        assert done.stdout.startswith("record,tick,")

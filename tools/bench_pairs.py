@@ -22,7 +22,10 @@ when a pair ran two harness versions), every pair's end-to-end values, and per
 metric each side's median and quartiles, the change/parent ratio of every
 pair and the gain rule: the change is better on at least nine pairs in ten
 and its median differs from the parent's by more than the parent's
-interquartile range.  Which direction is better comes from ``BENCHMARK.json``
+interquartile range.  ``pairs`` and ``summary`` hold the rescaled values the
+benchmark reports; ``raw_pairs`` and ``raw_summary`` the same for the raw
+ones of its record, which a change to process-wide work (start-up, exit,
+the collector) moves where the rescaled ones partly cancel it.  Which direction is better comes from ``BENCHMARK.json``
 of the change checkout.  Standard library only.
 """
 
@@ -128,15 +131,18 @@ def main(argv: list[str] | None = None) -> int:
             f"bench_pairs: only the {only} checkout has bytecode in src/realize/__pycache__; "
             "pair two checkouts in the same bytecode-cache state"
         )
-    pairs, records = [], {}
+    pairs, raw_pairs, records = [], [], {}
     for i in range(args.pairs):
         pair: dict = {"first": SIDES[i % 2]}
+        raw: dict = {}
         for side in (SIDES if i % 2 == 0 else SIDES[::-1]):
             result, records[side] = run_once(checkouts[side], args.workload, args.seed, args.seconds)
             if not result["correct"]:
                 raise SystemExit(f"bench_pairs: {side} run {i} failed its output checks")
             pair[side] = {metric: result["metrics"][metric]["value"] for metric in better}
+            raw[side] = {metric: records[side]["raw"][metric] for metric in better}
         pairs.append(pair)
+        raw_pairs.append(raw)
         print(f"pair {i}: " + ", ".join(
             f"{m} {pair['parent'][m]:.4g} -> {pair['change'][m]:.4g}" for m in better), flush=True)
 
@@ -164,6 +170,8 @@ def main(argv: list[str] | None = None) -> int:
         "seconds": args.seconds,
         "pairs": pairs,
         "summary": summarize(pairs, better),
+        "raw_pairs": raw_pairs,
+        "raw_summary": summarize(raw_pairs, better),
     }
     out.write_text(json.dumps(data, indent=2) + "\n", encoding="utf-8")
     return 0

@@ -5,10 +5,12 @@
 For each interpreter, in the checkout that holds this tool, it runs:
 
 * ``PYTHON -m realize check``, which must exit 0;
-* every CLI call that ``tests/test_cli_bytes.py`` pins, in one process of
-  that interpreter, each compared with its pinned sha256 of
-  ``b"<exit code>\\n" + stdout``.  The digests and the scenario file they use
-  are read from that module's source, so this needs no pytest;
+* every CLI call that ``tests/test_cli_bytes.py`` pins, each compared with
+  its pinned sha256 of ``b"<exit code>\\n" + stdout``: first all in one
+  process of that interpreter, by ``main``, then each as its own
+  ``PYTHON -m realize ...`` process, through the exit path a user's call
+  takes.  The digests and the scenario file they use are read from that
+  module's source, so this needs no pytest;
 * the tier-1 suite, ``PYTHON -m pytest -q -p no:cacheprovider``, where
   pytest and hypothesis import.
 
@@ -31,6 +33,7 @@ import os
 import subprocess
 import sys
 import tempfile
+from functools import partial
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -58,28 +61,43 @@ def pinned() -> tuple[str, dict[str, str]]:
     return values["CENTAVO_TEXT"], values["DIGESTS"]
 
 
-def digests() -> int:
-    """Run every pinned CLI call in this interpreter; print the count that match and each that does not."""
-    from realize import cli
-
+def missed(call) -> tuple[int, list[str]]:
+    """The count of pinned calls and those whose ``call(argv)``, an (exit code, stdout bytes) pair, differs from
+    its digest; each call runs in a temporary directory that holds the pinned scenario file."""
     text, pins = pinned()
-    misses = []
     here = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
         Path(tmp, "centavos.scn").write_text(text, encoding="utf-8")
         os.chdir(tmp)
         try:
-            for argv, digest in pins.items():
-                out = io.StringIO()
-                with contextlib.redirect_stdout(out):
-                    code = cli.main(argv.split())
-                if hashlib.sha256(f"{code}\n{out.getvalue()}".encode("utf-8")).hexdigest() != digest:
-                    misses.append(argv)
+            return len(pins), [argv for argv, digest in pins.items()
+                               if hashlib.sha256(b"%d\n%s" % call(argv.split())).hexdigest() != digest]
         finally:
             os.chdir(here)
-    print(f"{len(pins) - len(misses)} of {len(pins)} match")
-    for argv in misses:
-        print(f"  differs: {argv}")
+
+
+def tally(count: int, misses: list[str]) -> str:
+    return "\n".join([f"{count - len(misses)} of {count} match", *(f"  differs: {argv}" for argv in misses)])
+
+
+def in_process(argv: list[str]) -> tuple[int, bytes]:
+    from realize import cli
+
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(argv)
+    return code, out.getvalue().encode("utf-8")
+
+
+def as_process(python: str, env: dict[str, str], argv: list[str]) -> tuple[int, bytes]:
+    done = subprocess.run([python, "-m", "realize", *argv], env=env, capture_output=True)
+    return done.returncode, done.stdout
+
+
+def digests() -> int:
+    """Run every pinned CLI call in this interpreter; print the count that match and each that does not."""
+    count, misses = missed(in_process)
+    print(tally(count, misses))
     return 1 if misses else 0
 
 
@@ -106,7 +124,10 @@ def check(python: str, pytest_path: str | None) -> bool:
     print(f"  realize check: exit {done.returncode}")
     done = child(python, [str(Path(__file__).resolve()), "--digests"], env)
     ok &= done.returncode == 0
-    print(f"  CLI digests: {done.stdout.strip() or last_line(done.stderr)}")
+    print(f"  CLI digests, one process: {done.stdout.strip() or last_line(done.stderr)}")
+    count, misses = missed(partial(as_process, python, env))
+    ok &= not misses
+    print(f"  CLI digests, a process each: {tally(count, misses)}")
     if child(python, ["-c", "import pytest, hypothesis"], env).returncode:
         print("  tier-1: not run, pytest or hypothesis does not import")
         return ok
