@@ -714,7 +714,7 @@ class TestOutputErrors:
 
 UNSELLABLE_BOOK = "price A 1 10\nat 1 sell A 5\n"  # a sale of shares never bought: a scenario error, exit 2
 
-# A success of each kind cli_cold runs, a scenario error and a usage error: what ``entry`` must exit with as given.
+# Each command cli_cold runs, a scenario error and a usage error, with the exit code ``main`` returns for each.
 PROCESS_CALLS = {
     "check": (("check",), 0),
     "compare": (("compare", "strategy3"), 0),

@@ -25,8 +25,9 @@ and its median differs from the parent's by more than the parent's
 interquartile range.  ``pairs`` and ``summary`` hold the rescaled values the
 benchmark reports; ``raw_pairs`` and ``raw_summary`` the same for the raw
 ones of its record, which a change to process-wide work (start-up, exit,
-the collector) moves where the rescaled ones partly cancel it.  Which direction is better comes from ``BENCHMARK.json``
-of the change checkout.  Standard library only.
+the collector) moves where the rescaled ones partly cancel it.  Which
+direction is better comes from ``BENCHMARK.json`` of the change checkout.
+Standard library only.
 """
 
 from __future__ import annotations
