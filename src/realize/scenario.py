@@ -284,22 +284,9 @@ def _columns(report: RunReport) -> tuple[list[list], list[list], list[list]]:
 _new_point, _new_summary, _new_report = CashPoint.__new__, InventorySummary.__new__, RunReport.__new__
 
 
-def run(
-    scenario: Scenario,
-    regime: Regime = Regime.CURRENT,
-    schedule: RateSchedule = RateSchedule.PAPER_FLAT,
-    window: NettingWindow = NettingWindow.PER_TICK,
-) -> RunReport:
-    """Apply the scenario under one regime and aggregate the full report.
-
-    Deterministic: identical inputs always serialize to identical reports.
-    Ledger and market errors propagate annotated with the offending event
-    index (``event_index`` attribute).  A ``scenario`` that is not a
-    ``Scenario``, or a regime, schedule or window that is not a member of its
-    enum, raises ``TypeError``, the last two after the events.
-    """
-    if type(scenario) is not Scenario or type(regime) is not Regime:
-        raise _misfit(("scenario", scenario, Scenario), ("regime", regime, Regime))
+def _apply(scenario: Scenario, regime: Regime) -> tuple[Ledger, list[RealizationEvent], list[Tick], list[int]]:
+    """Apply the scenario's events under one regime: the final ledger, the realization events, and each tick
+    where some event moved cash with that tick's int centavos.  An error carries its ``event_index``."""
     ledger = Ledger(regime is Regime.PROPOSED)
     realized: list[RealizationEvent] = []
     # Ticks never decrease, so each tick's events are adjacent: a point per tick where some event moved cash.
@@ -322,7 +309,26 @@ def run(
             else:
                 cash_ticks.append(ev.at)
                 cash_deltas.append(delta)
+    return ledger, realized, cash_ticks, cash_deltas
 
+
+def run(
+    scenario: Scenario,
+    regime: Regime = Regime.CURRENT,
+    schedule: RateSchedule = RateSchedule.PAPER_FLAT,
+    window: NettingWindow = NettingWindow.PER_TICK,
+) -> RunReport:
+    """Apply the scenario under one regime and aggregate the full report.
+
+    Deterministic: identical inputs always serialize to identical reports.
+    Ledger and market errors propagate annotated with the offending event
+    index (``event_index`` attribute).  A ``scenario`` that is not a
+    ``Scenario``, or a regime, schedule or window that is not a member of its
+    enum, raises ``TypeError``, the last two after the events.
+    """
+    if type(scenario) is not Scenario or type(regime) is not Regime:
+        raise _misfit(("scenario", scenario, Scenario), ("regime", regime, Regime))
+    ledger, realized, cash_ticks, cash_deltas = _apply(scenario, regime)
     timeline = tuple(map(_new_point, repeat(CashPoint), cash_ticks, map(_money, cash_deltas),
                          map(_money, accumulate(cash_deltas))))
     lines = tax_timeline(realized, window, schedule)
@@ -392,7 +398,10 @@ def compare(
     """Run both regimes and line their tax timelines up tick by tick; an error of the current run wins.
 
     Where no short sale can reserve owned shares (``ledger._may_reserve``), the proposed regime
-    takes the current path, and its report is the current one's fields under its own regime."""
+    takes the current path, and its report is the current one's fields under its own regime.
+    Elsewhere the proposed pass applies every event, so its errors stand, and its report keeps its own
+    events and tax but holds the current report's cash timeline, final cash and inventory, which the
+    regimes share wherever both accept."""
     current = run(scenario, Regime.CURRENT, schedule, window)
     if not _may_reserve(scenario.events):
         proposed = _new_report(
@@ -402,14 +411,30 @@ def compare(
         # The shared tax lines come one per tick, in tick order: each line is its own delta.
         deltas = tuple([_new_delta(TaxDelta, line.period, line.tax_due, line.tax_due) for line in current.tax_lines])
         return _new_comparison(ComparisonReport, scenario.name, schedule, window, current, proposed, deltas)
-    proposed = run(scenario, Regime.PROPOSED, schedule, window)
-    by_tick_current = {line.period: line.tax_due for line in current.tax_lines}
-    by_tick_proposed = {line.period: line.tax_due for line in proposed.tax_lines}
-    deltas = tuple(
-        _new_delta(TaxDelta, t, by_tick_current.get(t, _ZERO), by_tick_proposed.get(t, _ZERO))
-        for t in sorted(by_tick_current.keys() | by_tick_proposed.keys())
+    realized = _apply(scenario, Regime.PROPOSED)[1]
+    lines = tax_timeline(realized, window, schedule)
+    tax = 0
+    for line in lines:
+        tax += line.tax_due.centavos
+    proposed = _new_report(
+        RunReport, current.scenario, Regime.PROPOSED, schedule, window, tuple(realized), tuple(lines),
+        current.cash_timeline, _money(tax), current.final_cash, current.inventory,
     )
-    return _new_comparison(ComparisonReport, scenario.name, schedule, window, current, proposed, deltas)
+    # Each regime has one tax line per tick, in tick order: one walk merges them, a missing line taxing zero.
+    cur, i, deltas = current.tax_lines, 0, []
+    for line in lines:
+        at = line.period
+        while i < len(cur) and cur[i].period < at:
+            deltas.append(_new_delta(TaxDelta, cur[i].period, cur[i].tax_due, _ZERO))
+            i += 1
+        if i < len(cur) and cur[i].period == at:
+            deltas.append(_new_delta(TaxDelta, at, cur[i].tax_due, line.tax_due))
+            i += 1
+        else:
+            deltas.append(_new_delta(TaxDelta, at, _ZERO, line.tax_due))
+    for line in cur[i:]:
+        deltas.append(_new_delta(TaxDelta, line.period, line.tax_due, _ZERO))
+    return _new_comparison(ComparisonReport, scenario.name, schedule, window, current, proposed, tuple(deltas))
 
 
 @record

@@ -46,6 +46,12 @@ def test_a_traced_compare_tags_every_ledger_and_realize_span(spans):
     for stage in ("ledger.apply_event", "realization.realize"):
         tags = [tag for name, *_, tag in tracer.spans if name == stage]
         assert tags and None not in tags, stage
+    # Both regimes apply all four events, but only the current one is a ``run()``: the proposed pass
+    # shares its cash and inventory, so ``scenario.run.proposed_over_current`` reads 0 on compare.
+    names = [name for name, *_ in tracer.spans]
+    assert names.count("ledger.apply_event") == 8
+    assert {tag[0] for name, *_, tag in tracer.spans if name == "realization.realize"} == {r.value for r in Regime}
+    assert names.count("scenario.run") == 1
 
 
 def test_traced_tax_timelines_tag_each_report_with_its_tax_line_count(spans):

@@ -2,9 +2,14 @@
 
 ``compare`` runs the proposed regime only where a short sale comes after a
 buy of its security (``ledger._may_reserve``), since only such a sale
-can reserve owned shares; elsewhere it reuses the current report.  On every
-input here ``compare(s)`` must equal the ``ComparisonReport`` built from
-``run(s, CURRENT)`` and ``run(s, PROPOSED)``, or raise the error (class,
+can reserve owned shares; elsewhere it reuses the current report.  Where it
+does run it, the proposed pass applies every event but builds no cash
+timeline or inventory of its own: its report holds the current report's
+cash timeline, final cash and inventory, and its tax deltas come from one
+walk over the two tick-ordered tax timelines.  On every input here
+``compare(s)`` must equal the ``ComparisonReport`` built from
+``run(s, CURRENT)`` and ``run(s, PROPOSED)``, two independent runs, with
+deltas built by tick from both timelines, or raise the error (class,
 message, ``event_index``) of the first of those runs that fails.  Where the
 predicate is false, both runs must also agree field for field, or fail alike.
 
@@ -263,3 +268,43 @@ class TestSkip:
         with pytest.raises(EngineError) as exc:
             run(Scenario("x", prices, events), Regime.PROPOSED)
         assert exc.value.event_index == 3
+
+
+class TestSharing:
+    @pytest.mark.parametrize("name", ["strategy3", "death_avoidance", "proposed_demo"])
+    @pytest.mark.parametrize(("schedule", "window"), SETTINGS)
+    def test_the_proposed_report_holds_the_current_cash_and_inventory(self, name, schedule, window):
+        scenario = builtin(name)
+        assert _may_reserve(scenario.events)
+        report = compare(scenario, schedule, window)
+        current, proposed = report.current, report.proposed
+        assert proposed.cash_timeline is current.cash_timeline
+        assert proposed.final_cash is current.final_cash
+        assert proposed.inventory is current.inventory
+        assert proposed == run(scenario, Regime.PROPOSED, schedule, window)
+
+    @pytest.mark.parametrize("window", list(NettingWindow))
+    def test_a_short_against_the_box_never_covered_is_taxed_only_under_proposed(self, window):
+        # B's sale at tick 2 is taxed under both regimes; A's short at tick 3 only under proposed, as a
+        # constructive sale of 10 shares bought at P10 and sold at P13 (P30 gain, P3.00 tax).
+        prices = PricePath({(sec, t): Money.from_pesos(p) for sec in "AB" for t, p in ((1, 10), (2, 17), (3, 13))})
+        events = (Buy(1, "A", 10), Buy(1, "B", 5), SellOwned(2, "B", 5), Borrow(3, "A", 10), ShortSell(3, "A", 10))
+        current, proposed = check(Scenario("against_the_box", prices, events), RateSchedule.PAPER_FLAT, window)
+        assert isinstance(current, RunReport) and isinstance(proposed, RunReport)
+        report = compare(Scenario("against_the_box", prices, events), RateSchedule.PAPER_FLAT, window)
+        if window is NettingWindow.PER_TICK:
+            want = [(2, 350, 350), (3, 0, 300)]
+        else:  # each regime nets at its own last realization
+            want = [(2, 350, 0), (3, 0, 650)]
+        assert [(d.at, d.current_tax.centavos, d.proposed_tax.centavos) for d in report.tax_deltas] == want
+
+    def test_a_sale_of_reserved_shares_raises_the_proposed_runs_error(self):
+        # Finding (a): the current run accepts the sale; the proposed pass fails at it, as run(PROPOSED) does.
+        prices = PricePath({("A", t): Money.from_pesos(10) for t in (1, 2)})
+        events = (Buy(1, "A", 1), Borrow(1, "A", 1), ShortSell(1, "A", 1), SellOwned(2, "A", 1))
+        scenario = Scenario("x", prices, events)
+        assert isinstance(outcome(Regime.CURRENT, scenario, RateSchedule.PAPER_FLAT, NettingWindow.PER_TICK), RunReport)
+        for schedule, window in SETTINGS:
+            error = outcome(Regime.PROPOSED, scenario, schedule, window)
+            assert error[0] is InsufficientOwnedShares and error[2] == 3
+            assert outcome(None, scenario, schedule, window) == error

@@ -28,6 +28,8 @@ def test_a_two_operation_count_lists_functions_and_records():
     built = {line.split()[1]: float(line.split()[0]) for line in lines[split + 1:]}
     # Each operation builds and compares four scenarios.
     assert built["ComparisonReport"] == 4.0 and built["Scenario"] == 4.0 and built["LedgerEffects"] > 0
+    # One inventory per comparison: where the proposed regime runs, its report holds the current one's.
+    assert built["InventorySummary"] == 4.0
     assert bench_files() == before  # no bytecode cache, no bench/out record
 
 
