@@ -421,6 +421,8 @@ def compare(
         current.cash_timeline, _money(tax), current.final_cash, current.inventory,
     )
     # Each regime has one tax line per tick, in tick order: one walk merges them, a missing line taxing zero.
+    # The proposed regime realizes at every tick the current one does (a sale, and a cover's short leg, under
+    # both), so no current line comes after the last proposed one.
     cur, i, deltas = current.tax_lines, 0, []
     for line in lines:
         at = line.period
@@ -432,8 +434,6 @@ def compare(
             i += 1
         else:
             deltas.append(_new_delta(TaxDelta, at, _ZERO, line.tax_due))
-    for line in cur[i:]:
-        deltas.append(_new_delta(TaxDelta, line.period, line.tax_due, _ZERO))
     return _new_comparison(ComparisonReport, scenario.name, schedule, window, current, proposed, tuple(deltas))
 
 

@@ -289,14 +289,14 @@ class TestSharing:
         # constructive sale of 10 shares bought at P10 and sold at P13 (P30 gain, P3.00 tax).
         prices = PricePath({(sec, t): Money.from_pesos(p) for sec in "AB" for t, p in ((1, 10), (2, 17), (3, 13))})
         events = (Buy(1, "A", 10), Buy(1, "B", 5), SellOwned(2, "B", 5), Borrow(3, "A", 10), ShortSell(3, "A", 10))
-        current, proposed = check(Scenario("against_the_box", prices, events), RateSchedule.PAPER_FLAT, window)
-        assert isinstance(current, RunReport) and isinstance(proposed, RunReport)
-        report = compare(Scenario("against_the_box", prices, events), RateSchedule.PAPER_FLAT, window)
+        scenario = Scenario("against_the_box", prices, events)
+        check(scenario, RateSchedule.PAPER_FLAT, window)
         if window is NettingWindow.PER_TICK:
             want = [(2, 350, 350), (3, 0, 300)]
         else:  # each regime nets at its own last realization
             want = [(2, 350, 0), (3, 0, 650)]
-        assert [(d.at, d.current_tax.centavos, d.proposed_tax.centavos) for d in report.tax_deltas] == want
+        deltas = compare(scenario, RateSchedule.PAPER_FLAT, window).tax_deltas
+        assert [(d.at, d.current_tax.centavos, d.proposed_tax.centavos) for d in deltas] == want
 
     def test_a_sale_of_reserved_shares_raises_the_proposed_runs_error(self):
         # Finding (a): the current run accepts the sale; the proposed pass fails at it, as run(PROPOSED) does.
