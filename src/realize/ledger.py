@@ -14,14 +14,14 @@ reserved shares fails only on a reserving ledger, and one input can fail
 with different messages on the two.
 
 A run keeps its portfolio in a ``Ledger``: mutable, private to that run, and
-organised per security as a dict of lots keyed by lot id, in lot-id order,
-and two queues of borrow positions.  An event reads and changes only its
-own security, a take finds its lot by id, and position matching stops at
-the last one it needs, so the cost of an event does not grow with the rest
-of the portfolio.  A ledger starts empty and changes only through
-``apply_event``.  Each event class names its step in one attribute,
-``_step``, that every layer reads.  The event classes are records, so
-final: anything else has no step and is refused with ``TypeError``.
+organised as one book per security, which holds all of that security's
+state.  An event looks up and changes only its own security's book, a take
+finds its lot by id, and position matching stops at the last one it needs,
+so the cost of an event does not grow with the rest of the portfolio.  A
+ledger starts empty and changes only through ``apply_event``.  Each event
+class names its step in one attribute, ``_step``, that every layer reads.
+The event classes are records, so final: anything else has no step and is
+refused with ``TypeError``.
 
 A reserving ledger, the one a proposed-regime run keeps, also holds
 reservations: owned shares that a short sale sets aside in its own step, the
@@ -189,75 +189,29 @@ def _may_reserve(events: tuple) -> bool:
     return False
 
 
-class Ledger:
-    """The mutable portfolio of one run, kept per security, whose short sales reserve if ``reserving``.
+class _Book:
+    """One security's state in a ``Ledger``: what its docstring calls the security's book."""
 
-    Each security has a dict of its open lots keyed by lot id, in lot-id
-    order (a buy adds the newest, a partial take replaces its lot in place),
-    a pair of borrow position queues (sold short and uncovered, then
-    unsold: cover order), a queue of constructive runs, and its reserved
-    shares counted in all and per lot; an event touches only its own
-    security.  A run pairs one lot's reserved shares with as many marked
-    shares of one position sold short, and counts the position's shares after
-    them, which covers, taking a position's front, never move.  Runs are in
-    mark order, so a cover settles the runs at the front.  No cash tally is
-    kept: each step reports its cash.  An index of every open lot by id, in lot-id order, serves ``lots`` and
-    ``_death``.  ``reserved_by_lot`` returns the live dict: read it, never
-    change it.
-    """
+    __slots__ = ("lots", "shorts", "unsold", "runs", "reserved", "held")
 
-    def __init__(self, reserving: bool = False) -> None:
-        self.reserving = reserving
-        self._by_id: dict[int, Lot] = {}
-        self._lots: dict[SecurityId, dict[int, Lot]] = {}
-        self._borrows: dict[SecurityId, tuple[deque[BorrowPosition], deque[BorrowPosition]]] = {}
+    def __init__(self) -> None:
+        self.lots: dict[int, Lot] = {}
+        self.shorts: deque[BorrowPosition] = deque()
+        self.unsold: deque[BorrowPosition] = deque()
         # Constructive runs in mark order: (position id, shares of the position after the run, lot id, qty).
-        self._runs: dict[SecurityId, deque[tuple[int, int, int, int]]] = {}
-        self._reserved: dict[SecurityId, dict[int, int]] = {}
-        self._held: dict[SecurityId, int] = {}  # reserved shares per security
-        self.owner_generation, self.next_lot_id, self.next_borrow_id = 0, 0, 0
+        self.runs: deque[tuple[int, int, int, int]] = deque()
+        self.reserved: dict[int, int] = {}
+        self.held = 0
 
-    @property
-    def lots(self) -> ValuesView[Lot]:
-        """Every open lot in lot-id order; its length costs nothing."""
-        return self._by_id.values()
-
-    def lots_of(self, sec: SecurityId) -> list[Lot]:
-        """The open lots of ``sec`` in lot-id order."""
-        return list(self._lots.get(sec, {}).values())
-
-    def reserved_by_lot(self, sec: SecurityId) -> dict[int, int]:
-        """Reserved share count per lot id of ``sec``."""
-        return self._reserved.get(sec, {})
-
-    def holdings(self) -> tuple[tuple[tuple[SecurityId, int], ...], tuple[tuple[SecurityId, int], ...]]:
-        """(security, shares owned) and (security, borrowed shares owed), each sorted by security, in one
-        pass over the live per-security lots and queues; an emptied one reports nothing."""
-        owned = [(s, sum([lot.qty for lot in lots.values()])) for s, lots in self._lots.items() if lots]
-        owing = [(s, sum([p.qty for p in shorts]) + sum([p.qty for p in unsold]))
-                 for s, (shorts, unsold) in self._borrows.items() if shorts or unsold]
-        return tuple(sorted(owned)), tuple(sorted(owing))
-
-    def _add_lot(self, lot: Lot) -> None:
-        self._by_id[lot.id] = lot
-        lots = self._lots.get(lot.sec)
-        if lots is None:
-            self._lots[lot.sec] = {lot.id: lot}
-        else:
-            lots[lot.id] = lot
-
-    def _unreserved(self, sec: SecurityId, qty: int) -> tuple[list[tuple[Lot, int]], int]:
-        """(lot, qty) pairs of the oldest unreserved shares of ``sec``, at most ``qty``; and their total.
-
-        The walk passes over fully reserved lots and stops at the last lot it
-        takes from.
-        """
+    def _unreserved(self, qty: int) -> tuple[list[tuple[Lot, int]], int]:
+        """(lot, qty) pairs of the oldest unreserved shares, at most ``qty``, and their total: the walk passes
+        over fully reserved lots and stops at the last lot it takes from."""
         if qty == 0:
             return [], 0
-        reserved = self._reserved.get(sec)
+        reserved = self.reserved
         slices: list[tuple[Lot, int]] = []
         remaining = qty
-        for lot in self._lots.get(sec, {}).values():
+        for lot in self.lots.values():
             free = lot.qty - reserved.get(lot.id, 0) if reserved else lot.qty
             amount = free if free < remaining else remaining
             if amount > 0:
@@ -267,15 +221,14 @@ class Ledger:
                     break
         return slices, qty - remaining
 
-    def _reserve(self, sec: SecurityId, qty: int,
-                 sold: list[tuple[BorrowPosition, int]]) -> tuple[tuple[Lot, int], ...]:
-        """Reserve the oldest unreserved shares of ``sec``, up to ``qty``, against a short sale that sold
-        the positions in ``sold``, pairing them with its first shares sold as runs.  Returns the reserved pairs."""
-        slices, total = self._unreserved(sec, qty)
+    def _reserve(self, qty: int, sold: list[tuple[BorrowPosition, int]]) -> tuple[tuple[Lot, int], ...]:
+        """Reserve the oldest unreserved shares, up to ``qty``, against a short sale that sold the positions in
+        ``sold``, pairing them with its first shares sold as runs.  Returns the reserved pairs."""
+        slices, total = self._unreserved(qty)
         if not slices:
             return ()
-        runs, reserved = self._runs.setdefault(sec, deque()), self._reserved.setdefault(sec, {})
-        self._held[sec] = self._held.get(sec, 0) + total
+        runs, reserved = self.runs, self.reserved
+        self.held += total
         positions, left = iter(sold), 0
         for lot, amount in slices:
             reserved[lot.id] = reserved.get(lot.id, 0) + amount
@@ -288,11 +241,11 @@ class Ledger:
                 runs.append((pos.id, left, lot.id, take))
         return tuple(slices)
 
-    def _settle(self, sec: SecurityId, qty: int) -> list[tuple[Lot, int]]:
-        """Settle the oldest ``qty`` constructive marks of ``sec`` and free their reserved shares, returned as
-        (lot, qty) pairs, adjacent runs on one lot joined."""
-        runs, reserved, lots = self._runs[sec], self._reserved[sec], self._lots[sec]
-        self._held[sec] -= qty
+    def _settle(self, qty: int) -> list[tuple[Lot, int]]:
+        """Settle the oldest ``qty`` constructive marks and free their reserved shares, returned as (lot, qty)
+        pairs, adjacent runs on one lot joined."""
+        runs, reserved, lots = self.runs, self.reserved, self.lots
+        self.held -= qty
         takes: list[tuple[Lot, int]] = []
         while qty:
             pos_id, tail, lot_id, amount = runs[0]
@@ -311,10 +264,56 @@ class Ledger:
                 takes.append((lots[lot_id], take))
         return takes
 
-    def _consume(self, sec: SecurityId, slices: list[tuple[Lot, int]]) -> None:
-        """Take matched shares in place, each lot found by id among the lots of ``sec``; a lot taken from
+
+_NO_BOOK = _Book()  # what a sale, short sale or cover of a never-held security reads; each raises before it writes
+
+
+class Ledger:
+    """The mutable portfolio of one run, kept per security, whose short sales reserve if ``reserving``.
+
+    Each security bought or borrowed has one book, a ``_Book`` in ``_books``: its open lots keyed by lot
+    id, in lot-id order (a buy adds the newest, a partial take replaces its lot in place), its borrow
+    position queues (``shorts``, sold short and uncovered, then ``unsold``: cover order), its queue of
+    constructive runs, and its reserved shares counted per lot id and in all.  A run pairs one lot's
+    reserved shares with as many marked shares of one position sold short, and counts the position's
+    shares after them, which covers, taking a position's front, never move.  Runs are in mark order, so a
+    cover settles the runs at the front.  An index of every open lot by id, in lot-id order, serves
+    ``lots`` and ``_death``.  ``reserved_by_lot`` returns the live dict: read it, never change it.
+    """
+
+    def __init__(self, reserving: bool = False) -> None:
+        self.reserving = reserving
+        self._by_id: dict[int, Lot] = {}
+        self._books: dict[SecurityId, _Book] = {}
+        self.owner_generation, self.next_lot_id, self.next_borrow_id = 0, 0, 0
+
+    @property
+    def lots(self) -> ValuesView[Lot]:
+        """Every open lot in lot-id order; its length costs nothing."""
+        return self._by_id.values()
+
+    def lots_of(self, sec: SecurityId) -> list[Lot]:
+        """The open lots of ``sec`` in lot-id order."""
+        return list(self._books.get(sec, _NO_BOOK).lots.values())
+
+    def reserved_by_lot(self, sec: SecurityId) -> dict[int, int]:
+        """Reserved share count per lot id of ``sec``."""
+        book = self._books.get(sec)
+        return {} if book is None else book.reserved
+
+    def holdings(self) -> tuple[tuple[tuple[SecurityId, int], ...], tuple[tuple[SecurityId, int], ...]]:
+        """(security, shares owned) and (security, borrowed shares owed), each sorted by security, read from
+        the live books; a security sold out or covered reports nothing."""
+        books = self._books.items()
+        owned = [(s, sum([lot.qty for lot in b.lots.values()])) for s, b in books if b.lots]
+        owing = [(s, sum([p.qty for p in b.shorts]) + sum([p.qty for p in b.unsold])) for s, b in books
+                 if b.shorts or b.unsold]
+        return tuple(sorted(owned)), tuple(sorted(owing))
+
+    def _consume(self, book: _Book, slices: list[tuple[Lot, int]]) -> None:
+        """Take matched shares in place, each lot found by id among the lots of ``book``; a lot taken from
         twice is read as the first take left it."""
-        lots, by_id = self._lots[sec], self._by_id
+        lots, by_id = book.lots, self._by_id
         for taken, qty in slices:
             lot = lots[taken.id]
             left = lot.qty - qty
@@ -330,22 +329,22 @@ class Ledger:
         price = path.price_at(ev.sec, ev.at)
         lot = _new_lot(Lot, self.next_lot_id, ev.sec, ev.qty, price)
         self.next_lot_id += 1
-        self._add_lot(lot)
+        if (book := self._books.get(ev.sec)) is None:  # its first buy or borrow opens the book
+            book = self._books[ev.sec] = _Book()
+        book.lots[lot.id] = self._by_id[lot.id] = lot
         return _new_effects(LedgerEffects, ev, price, -price.centavos * ev.qty)
 
     def _borrow(self, ev: Borrow, path: PricePath) -> LedgerEffects:
-        pos = _new_position(BorrowPosition, self.next_borrow_id, ev.sec, ev.qty)
+        if (book := self._books.get(ev.sec)) is None:
+            book = self._books[ev.sec] = _Book()
+        book.unsold.append(_new_position(BorrowPosition, self.next_borrow_id, ev.sec, ev.qty))
         self.next_borrow_id += 1
-        queues = self._borrows.get(ev.sec)
-        if queues is None:
-            self._borrows[ev.sec] = deque(), deque((pos,))
-        else:
-            queues[1].append(pos)
         return _new_effects(LedgerEffects, ev, None, 0)
 
     def _short_sell(self, ev: ShortSell, path: PricePath) -> LedgerEffects:
         price = path.price_at(ev.sec, ev.at)
-        shorts, unsold = self._borrows.get(ev.sec, ((), ()))
+        book = self._books.get(ev.sec, _NO_BOOK)
+        unsold = book.unsold
         sold: list[tuple[BorrowPosition, int]] = []
         remaining = ev.qty
         for pos in unsold:
@@ -362,24 +361,26 @@ class Ledger:
             # Split so every sold position carries exactly one proceeds price.
             unsold.appendleft(_new_position(BorrowPosition, self.next_borrow_id, pos.sec, pos.qty - amount))
             self.next_borrow_id += 1
-        shorts.extend([p for p, _ in sold])
+        book.shorts.extend([p for p, _ in sold])
         if self.reserving:
             return _new_effects(LedgerEffects, ev, price, price.centavos * ev.qty, (), tuple(sold),
-                                self._reserve(ev.sec, ev.qty, sold))
+                                book._reserve(ev.qty, sold))
         return _new_effects(LedgerEffects, ev, price, price.centavos * ev.qty, (), tuple(sold))
 
     def _sell(self, ev: SellOwned, path: PricePath) -> LedgerEffects:
         price = path.price_at(ev.sec, ev.at)
-        lot_slices, available = self._unreserved(ev.sec, ev.qty)
+        book = self._books.get(ev.sec, _NO_BOOK)
+        lot_slices, available = book._unreserved(ev.qty)
         if available < ev.qty:
             raise _shortage(ev.sec, ev.qty, available)
-        self._consume(ev.sec, lot_slices)
+        self._consume(book, lot_slices)
         return _new_effects(LedgerEffects, ev, price, price.centavos * ev.qty, tuple(lot_slices))
 
     def _cover(self, ev: CoverByPurchase | CoverByOwnedLot, path: PricePath) -> LedgerEffects:
         price = path.price_at(ev.sec, ev.at)
-        shorts = self._borrows.get(ev.sec, ((), ()))[0]
-        runs = iter(self._runs.get(ev.sec, ()))
+        book = self._books.get(ev.sec, _NO_BOOK)
+        shorts = book.shorts
+        runs = iter(book.runs)
         run = next(runs, None)
         covered: list[tuple[BorrowPosition, int]] = []
         marked = 0  # covered shares that runs pair with reserved ones: the oldest marks
@@ -403,15 +404,14 @@ class Ledger:
             raise OverCover(f"cover of {ev.qty} {ev.sec} exceeds open sold-short quantity {ev.qty - remaining}")
         by_purchase = type(ev) is CoverByPurchase
         if not by_purchase:
-            free, available = self._unreserved(ev.sec, ev.qty - marked)
+            free, available = book._unreserved(ev.qty - marked)
             if marked + available < ev.qty:
                 # Short of free shares, it delivers reserved shares, which were disposed of at their short sale:
                 # the marks settled go on past the covered positions into those left open.
                 marked = ev.qty - available
-                held = self._held.get(ev.sec, 0)  # one mark per reserved share
-                if held < marked:
-                    raise _shortage(ev.sec, ev.qty, available + held)
-        takes = self._settle(ev.sec, marked) if marked else []  # delivered, or freed by a purchase
+                if book.held < marked:  # one mark per reserved share
+                    raise _shortage(ev.sec, ev.qty, available + book.held)
+        takes = book._settle(marked) if marked else []  # delivered, or freed by a purchase
         for _ in covered:
             shorts.popleft()
         if amount < pos.qty:
@@ -419,7 +419,7 @@ class Ledger:
                                             pos.short_proceeds_per_share))
         if by_purchase:
             return _new_effects(LedgerEffects, ev, price, -price.centavos * ev.qty, (), tuple(covered), tuple(takes))
-        self._consume(ev.sec, takes + free)
+        self._consume(book, takes + free)
         return _new_effects(LedgerEffects, ev, price, 0, tuple(free), tuple(covered), tuple(takes))
 
     def _death(self, ev: Death, path: PricePath) -> LedgerEffects:
@@ -430,11 +430,10 @@ class Ledger:
         positions transmit unchanged, since the heir inherits the obligation
         to return the shares.
         """
-        at = ev.at
-        lots = [_new_lot(Lot, lot.id, lot.sec, lot.qty, path.price_at(lot.sec, at)) for lot in self._by_id.values()]
-        self._by_id, self._lots = {}, {}
-        for lot in lots:
-            self._add_lot(lot)
+        at, by_id, books = ev.at, self._by_id, self._books
+        lots = [_new_lot(Lot, lot.id, lot.sec, lot.qty, path.price_at(lot.sec, at)) for lot in by_id.values()]
+        for lot in lots:  # every price read, in lot-id order, before any lot is re-based in place
+            by_id[lot.id] = books[lot.sec].lots[lot.id] = lot
         self.owner_generation += 1
         return _new_effects(LedgerEffects, ev, None, 0)
 

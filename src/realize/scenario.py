@@ -20,6 +20,7 @@ from .ledger import (
     SellOwned,
     ShortSell,
     TransactionEvent,
+    _Book,
     _may_reserve,
     apply_event,
 )
@@ -30,8 +31,8 @@ from .taxation import NettingWindow, RateSchedule, TaxLine, _misfit, tax_timelin
 BLOCK_QTY = 100_000
 _BEFORE_ANY_TICK = float("-inf")  # what a scenario's first tick is compared with
 
-# bench/spans.py looks these two names up: the ledger's two owned-share walks.
-sell_policy, cover_policy = Ledger._unreserved, Ledger._settle
+# bench/spans.py looks these two names up: the ledger's two owned-share walks, on a security's book.
+sell_policy, cover_policy = _Book._unreserved, _Book._settle
 
 
 def _annotate(err: EngineError, index: int) -> EngineError:
@@ -331,15 +332,13 @@ def run(
     ledger, realized, cash_ticks, cash_deltas = _apply(scenario, regime)
     timeline = tuple(map(_new_point, repeat(CashPoint), cash_ticks, map(_money, cash_deltas),
                          map(_money, accumulate(cash_deltas))))
-    lines = tax_timeline(realized, window, schedule)
-    tax = 0
-    for line in lines:
-        tax += line.tax_due.centavos
+    lines = tuple(tax_timeline(realized, window, schedule))
+    tax = _money(sum([line.tax_due.centavos for line in lines]))
     owned, owing = ledger.holdings()
     inventory = _new_summary(InventorySummary, owned, owing, ledger.owner_generation)
     return _new_report(
-        RunReport, scenario.name, regime, schedule, window, tuple(realized), tuple(lines),
-        timeline, _money(tax), timeline[-1].cumulative if timeline else _ZERO, inventory,
+        RunReport, scenario.name, regime, schedule, window, tuple(realized), lines,
+        timeline, tax, timeline[-1].cumulative if timeline else _ZERO, inventory,
     )
 
 
@@ -397,28 +396,21 @@ def compare(
 ) -> ComparisonReport:
     """Run both regimes and line their tax timelines up tick by tick; an error of the current run wins.
 
-    Where no short sale can reserve owned shares (``ledger._may_reserve``), the proposed regime
-    takes the current path, and its report is the current one's fields under its own regime.
-    Elsewhere the proposed pass applies every event, so its errors stand, and its report keeps its own
-    events and tax but holds the current report's cash timeline, final cash and inventory, which the
-    regimes share wherever both accept."""
+    Where some short sale can reserve owned shares (``ledger._may_reserve``), the proposed pass applies
+    every event, so its errors stand, and taxes its own events; elsewhere the proposed regime takes the
+    current path, and its report holds the current one's events, tax lines and total tax.  Either way it
+    holds the current report's cash timeline, final cash and inventory, which the regimes share wherever
+    both accept, and one walk lines the two tax timelines up."""
     current = run(scenario, Regime.CURRENT, schedule, window)
-    if not _may_reserve(scenario.events):
-        proposed = _new_report(
-            RunReport, current.scenario, Regime.PROPOSED, schedule, window, current.events, current.tax_lines,
-            current.cash_timeline, current.total_tax, current.final_cash, current.inventory,
-        )
-        # The shared tax lines come one per tick, in tick order: each line is its own delta.
-        deltas = tuple([_new_delta(TaxDelta, line.period, line.tax_due, line.tax_due) for line in current.tax_lines])
-        return _new_comparison(ComparisonReport, scenario.name, schedule, window, current, proposed, deltas)
-    realized = _apply(scenario, Regime.PROPOSED)[1]
-    lines = tax_timeline(realized, window, schedule)
-    tax = 0
-    for line in lines:
-        tax += line.tax_due.centavos
+    if _may_reserve(scenario.events):
+        realized = tuple(_apply(scenario, Regime.PROPOSED)[1])
+        lines = tuple(tax_timeline(realized, window, schedule))
+        tax = _money(sum([line.tax_due.centavos for line in lines]))
+    else:
+        realized, lines, tax = current.events, current.tax_lines, current.total_tax
     proposed = _new_report(
-        RunReport, current.scenario, Regime.PROPOSED, schedule, window, tuple(realized), tuple(lines),
-        current.cash_timeline, _money(tax), current.final_cash, current.inventory,
+        RunReport, current.scenario, Regime.PROPOSED, schedule, window, realized, lines,
+        current.cash_timeline, tax, current.final_cash, current.inventory,
     )
     # Each regime has one tax line per tick, in tick order: one walk merges them, a missing line taxing zero.
     # The proposed regime realizes at every tick the current one does (a sale, and a cover's short leg, under

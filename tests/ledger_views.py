@@ -1,9 +1,11 @@
 """Reads of a run's ``Ledger``, its borrow positions and a ``PricePath`` that only the tests need.
 
-``snapshot`` is a deep copy of every field of a ledger, so two snapshots
-are equal exactly when the two ledgers hold the same lots, borrow positions
-and counters, and also the same constructive runs and reserved counts.  The other reads use the ledger's private
-fields, its live per-security containers and the fields of its borrow positions.
+``snapshot`` is a deep copy of every field of a ledger, each security's book
+read as its fields, so two snapshots are equal exactly when the two ledgers
+hold the same lots, borrow positions and counters, and also the same
+constructive runs and reserved counts, with a book for the same securities.
+The other reads use the ledger's private books, their live containers and
+the fields of its borrow positions.
 """
 
 import copy
@@ -12,13 +14,22 @@ from realize import Money
 
 
 def snapshot(ledger):
-    """Every field of ``ledger``, deep-copied: later events never change it."""
-    return copy.deepcopy(vars(ledger))
+    """Every field of ``ledger``, each book as a dict of its fields, deep-copied: later events never change it."""
+    state = dict(vars(ledger))
+    state["_books"] = {sec: {name: getattr(book, name) for name in type(book).__slots__}
+                       for sec, book in ledger._books.items()}
+    return copy.deepcopy(state)
 
 
 def securities(ledger):
-    """Every security the ledger has held lots or borrow positions of, open or not."""
-    return ledger._lots.keys() | ledger._borrows.keys()
+    """Every security the ledger has held lots or borrow positions of, open or not: those with a book."""
+    return set(ledger._books)
+
+
+def _book_field(ledger, sec, name, default):
+    """Field ``name`` of the book of ``sec``, or ``default`` for a security the ledger never held."""
+    book = ledger._books.get(sec)
+    return default if book is None else getattr(book, name)
 
 
 def cash(effects):
@@ -28,12 +39,12 @@ def cash(effects):
 
 def shorts_of(ledger, sec):
     """The borrow positions of ``sec`` sold short and not yet covered, oldest first."""
-    return tuple(ledger._borrows.get(sec, ((), ()))[0])
+    return tuple(_book_field(ledger, sec, "shorts", ()))
 
 
 def runs_of(ledger, sec):
     """The constructive runs of ``sec`` in mark order: (position id, shares of the position after the run, lot id, qty)."""
-    return tuple(ledger._runs.get(sec, ()))
+    return tuple(_book_field(ledger, sec, "runs", ()))
 
 
 def runs_by_lot(ledger, sec):
@@ -46,7 +57,7 @@ def runs_by_lot(ledger, sec):
 
 def held_of(ledger, sec):
     """The ledger's own count of reserved shares of ``sec``."""
-    return ledger._held.get(sec, 0)
+    return _book_field(ledger, sec, "held", 0)
 
 
 def marks_of(ledger, sec):
@@ -57,7 +68,7 @@ def marks_of(ledger, sec):
 
 def unsold_of(ledger, sec):
     """The borrow positions of ``sec`` not yet sold short, oldest first."""
-    return tuple(ledger._borrows.get(sec, ((), ()))[1])
+    return tuple(_book_field(ledger, sec, "unsold", ()))
 
 
 def borrows_of(ledger, sec):

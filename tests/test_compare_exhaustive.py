@@ -271,17 +271,22 @@ class TestSkip:
 
 
 class TestSharing:
-    @pytest.mark.parametrize("name", ["strategy3", "death_avoidance", "proposed_demo"])
+    @pytest.mark.parametrize("name", ["strategy1", "strategy2", "strategy3", "death_avoidance", "proposed_demo"])
     @pytest.mark.parametrize(("schedule", "window"), SETTINGS)
     def test_the_proposed_report_holds_the_current_cash_and_inventory(self, name, schedule, window):
+        # The two ordinary sales cannot reserve: their proposed report holds the current one's events and tax too.
         scenario = builtin(name)
-        assert _may_reserve(scenario.events)
+        reserves = name not in ("strategy1", "strategy2")
+        assert _may_reserve(scenario.events) is reserves
         report = compare(scenario, schedule, window)
         current, proposed = report.current, report.proposed
         assert proposed.cash_timeline is current.cash_timeline
         assert proposed.final_cash is current.final_cash
         assert proposed.inventory is current.inventory
         assert proposed == run(scenario, Regime.PROPOSED, schedule, window)
+        if not reserves:
+            assert proposed.events is current.events
+            assert proposed.tax_lines is current.tax_lines
 
     @pytest.mark.parametrize("window", list(NettingWindow))
     def test_a_short_against_the_box_never_covered_is_taxed_only_under_proposed(self, window):

@@ -4,7 +4,7 @@ import copy
 import dataclasses
 import random
 import sys
-from collections import deque
+from itertools import filterfalse, product
 
 import pytest
 
@@ -23,7 +23,7 @@ from realize import (
     run,
 )
 from realize import ledger as ledger_module
-from realize.ledger import BorrowPosition, Ledger, LedgerEffects, apply_event
+from realize.ledger import Ledger, LedgerEffects, apply_event
 from realize.errors import (
     EngineError,
     InsufficientOwnedShares,
@@ -40,6 +40,8 @@ from ledger_views import (
     cash,
     owned_qty,
     qty_outstanding,
+    runs_of,
+    securities,
     shorts_of,
     snapshot,
     sold_uncovered_qty,
@@ -60,8 +62,8 @@ def apply_all(events, path=ABC_PRICES, ledger=None):
     return ledger, effects
 
 
-def ledger_lines(events, ledger):
-    """Lines run in ``ledger.py`` applying ``events`` to ``ledger``."""
+def ledger_lines(events, ledger, path=A_PRICES):
+    """Lines run in ``ledger.py`` applying ``events`` to ``ledger``, and the events' effects."""
     source, lines = ledger_module.__file__, 0
 
     def count(frame, event, arg):
@@ -72,10 +74,10 @@ def ledger_lines(events, ledger):
     previous = sys.gettrace()
     sys.settrace(lambda frame, event, arg: count if frame.f_code.co_filename == source else None)
     try:
-        apply_all(events, path=A_PRICES, ledger=ledger)
+        _, effects = apply_all(events, path=path, ledger=ledger)
     finally:
         sys.settrace(previous)
-    return lines
+    return lines, effects
 
 
 TRADES = (Buy, Borrow, ShortSell, SellOwned, CoverByPurchase, CoverByOwnedLot)
@@ -557,42 +559,117 @@ class TestPerSecurityLedger:
         assert [(lot.id, lot.qty) for lot in ledger.lots_of("CCC")] == [(2, 100), (5, 100), (8, 100)]
         assert not borrows_of(ledger, "BBB")
 
-    @staticmethod
-    def cycle_lines(n):
-        """Lines run in ``ledger.py`` over 20 cycles of a with-owned cover short of free shares, a buy, a
-        borrow and a reserving short sale, behind ``n`` one-share positions sold short before any buy."""
-        ledger, _ = apply_all(
-            [Borrow(1, "A", n)] + [ShortSell(1, "A", 1)] * n + [Buy(1, "A", 100), Borrow(1, "A", 100),
-                                                                ShortSell(1, "A", 100)],
-            path=A_PRICES, ledger=Ledger(reserving=True),
-        )
-        cycles = [CoverByOwnedLot(1, "A", 1), Buy(1, "A", 1), Borrow(1, "A", 1), ShortSell(1, "A", 1)] * 20
-        return ledger_lines(cycles, ledger)
+    NEVER_HELD = PricePath({(sec, 2): Money.from_pesos(10) for sec in ("ABC", "NEW")})
 
-    def test_a_cover_settles_its_marks_without_walking_the_positions_before_them(self):
-        # Each cover takes a front position that holds no mark and, short of free shares, settles the
-        # oldest mark, behind every one of the ``n`` positions.
-        assert self.cycle_lines(50) == self.cycle_lines(400)
+    @pytest.mark.parametrize("reserving", [False, True])
+    @pytest.mark.parametrize(("ev", "error", "message"), [
+        (SellOwned(2, "NEW", 3), InsufficientOwnedShares, "need 3 shares of NEW, only 0 available"),
+        (ShortSell(2, "NEW", 3), NoOpenBorrow, "short sale of 3 NEW exceeds borrowed-unsold 0"),
+        (CoverByPurchase(2, "NEW", 3), OverCover, "cover of 3 NEW exceeds open sold-short quantity 0"),
+        (CoverByOwnedLot(2, "NEW", 3), OverCover, "cover of 3 NEW exceeds open sold-short quantity 0"),
+    ])
+    def test_a_step_on_a_security_never_held_changes_nothing(self, reserving, ev, error, message):
+        ledger, _ = apply_all(self.OPENING, ledger=Ledger(reserving))
+        before, held = snapshot(ledger), securities(ledger)
+        with pytest.raises(error, match=f"^{message}$"):
+            apply_event(ledger, ev, self.NEVER_HELD)
+        assert snapshot(ledger) == before
+        assert securities(ledger) == held == {"ABC"}
 
-    @staticmethod
-    def cover_lines(n):
-        """Lines run in ``ledger.py`` by a with-owned cover that delivers the reserved lot behind ``n`` free ones:
-        ``n`` lots reserved by one short, freed by its cover by purchase, then one more lot reserved by a
-        second short, which the cover closes."""
-        ledger, _ = apply_all(
-            [Buy(1, "A", 1)] * n + [Borrow(1, "A", n), ShortSell(1, "A", n), Buy(1, "A", 1), Borrow(1, "A", 1),
-                                    ShortSell(1, "A", 1), CoverByPurchase(1, "A", n)],
-            path=A_PRICES, ledger=Ledger(reserving=True),
-        )
-        return ledger_lines([CoverByOwnedLot(1, "A", 1)], ledger)
-
-    def test_a_cover_delivers_a_reserved_lot_without_walking_the_free_lots_before_it(self):
-        # RR 02-40 §135's short against the box, covered with owned shares: the delivered lot is the newest.
-        assert self.cover_lines(50) == self.cover_lines(400)
+    @pytest.mark.parametrize("reserving", [False, True])
+    def test_what_a_ledger_returns_for_a_security_never_held_is_its_callers_own(self, reserving):
+        # Changing those containers must reach no ledger, and a later sale of the security still finds nothing.
+        ledger = Ledger(reserving)
+        ledger.reserved_by_lot("NEW")[0] = 5
+        ledger.lots_of("NEW").append(None)
+        for fresh in (ledger, Ledger(reserving)):
+            assert fresh.reserved_by_lot("NEW") == {} and fresh.lots_of("NEW") == []
+            with pytest.raises(InsufficientOwnedShares, match="only 0 available"):
+                apply_event(fresh, SellOwned(2, "NEW", 1), self.NEVER_HELD)
+            assert not securities(fresh)
 
     def test_sold_position_without_price_is_an_engine_error(self):
-        # No event makes such a position, so it is planted in the ledger's private shorts queue.
-        ledger = Ledger()
-        ledger._borrows["ABC"] = deque([BorrowPosition(0, "ABC", 100)]), deque()
+        # No event makes such a position, so one borrowed and never sold is planted in its book's shorts queue.
+        ledger, _ = apply_all([Borrow(1, "ABC", 100)])
+        book = ledger._books["ABC"]
+        book.shorts.append(book.unsold.popleft())
         with pytest.raises(InvariantViolation):
             apply_event(ledger, CoverByPurchase(2, "ABC", 100), ABC_PRICES)
+
+
+class TestLineCounts:
+    """Per-event cost must not grow with the portfolio: each step runs as many lines of ``ledger.py`` on a
+    ledger grown 50 times along one axis as on one grown 400 times.  A step's set-up is its own events with
+    the axis's block between them; a free-lots axis also opens it.  The axis of fully reserved lots, which a
+    sale or a reserving short sale still walks, and a death, which re-bases every lot, are left out."""
+
+    # step: (reserving ledger, set-up before the block, set-up after it, the step itself)
+    STEPS = {
+        "buy": (True, [], [], Buy(1, "A", 1)),
+        "borrow": (True, [], [], Borrow(1, "A", 1)),
+        "plain_short": (False, [], [Borrow(1, "A", 1)], ShortSell(1, "A", 1)),
+        "reserving_short": (True, [], [Buy(1, "A", 1), Borrow(1, "A", 1)], ShortSell(1, "A", 1)),
+        "sale": (True, [], [Buy(1, "A", 1)], SellOwned(1, "A", 1)),
+        # Each cover settles the mark on the position its set-up sold short against the box.
+        "cover_by_purchase": (True, [Buy(1, "A", 1), Borrow(1, "A", 1), ShortSell(1, "A", 1)], [],
+                              CoverByPurchase(1, "A", 1)),
+        "with_owned_cover": (True, [Buy(1, "A", 1), Borrow(1, "A", 1), ShortSell(1, "A", 1)], [],
+                             CoverByOwnedLot(1, "A", 1)),
+        # It covers a position sold before any buy and, with no free share, settles the mark of the last one.
+        "with_owned_cover_short_of_free_shares": (True, [Borrow(1, "A", 1), ShortSell(1, "A", 1)],
+                                                  [Buy(1, "A", 1), Borrow(1, "A", 1), ShortSell(1, "A", 1)],
+                                                  CoverByOwnedLot(1, "A", 1)),
+    }
+    SETTLES = {"reserving_short", "cover_by_purchase", "with_owned_cover", "with_owned_cover_short_of_free_shares"}
+    OTHERS = tuple(f"S{i}" for i in range(400))
+    PRICES = PricePath({(sec, 1): Money.from_pesos(10) for sec in ("A",) + OTHERS})
+
+    @staticmethod
+    def free_lots(n):
+        """``n`` one-share lots of A reserved until the set-up has reserved its own, then freed: older than its lots."""
+        return [Buy(1, "A", 1)] * n + [Borrow(1, "A", n), ShortSell(1, "A", n)], [CoverByPurchase(1, "A", n)]
+
+    @staticmethod
+    def sold_positions(n):
+        """``n`` one-share positions of A sold short, none against owned shares."""
+        return [], [Borrow(1, "A", n)] + [ShortSell(1, "A", 1)] * n
+
+    @staticmethod
+    def unsold_positions(n):
+        return [], [Borrow(1, "A", 1)] * n
+
+    @staticmethod
+    def runs(n):
+        """``n`` one-share runs on one lot of A, which they reserve in full."""
+        return [], [Buy(1, "A", n), Borrow(1, "A", n)] + [ShortSell(1, "A", 1)] * n
+
+    @classmethod
+    def other_securities(cls, n):
+        """``n`` other securities, each with a free and a reserved share and a sold and an unsold position."""
+        return [], [ev for sec in cls.OTHERS[:n] for ev in (Buy(1, sec, 2), Borrow(1, sec, 2), ShortSell(1, sec, 1))]
+
+    # What an axis grows, read on the ledger before the step.
+    GROWN = {
+        "free_lots": lambda ledger: sum(1 for lot in ledger.lots_of("A") if lot.id not in ledger.reserved_by_lot("A")),
+        "sold_positions": lambda ledger: len(shorts_of(ledger, "A")),
+        "unsold_positions": lambda ledger: len(unsold_of(ledger, "A")),
+        "runs": lambda ledger: len(runs_of(ledger, "A")),
+        "other_securities": lambda ledger: len(securities(ledger) - {"A"}),
+    }
+    # A with-owned cover short of free shares takes every free lot there is, and a plain ledger keeps no runs.
+    LEFT_OUT = {("with_owned_cover_short_of_free_shares", "free_lots"), ("plain_short", "runs")}
+
+    def step_lines(self, step, axis, n):
+        """Lines run in ``ledger.py`` by ``step`` on a ledger grown ``n`` times along ``axis``."""
+        reserving, before, after, ev = self.STEPS[step]
+        opening, block = getattr(self, axis)(n)
+        ledger, _ = apply_all(opening + before + block + after, path=self.PRICES, ledger=Ledger(reserving))
+        assert self.GROWN[axis](ledger) >= n
+        lines, (effects,) = ledger_lines([ev], ledger, self.PRICES)
+        assert bool(effects.reserved) is (step in self.SETTLES)
+        return lines
+
+    @pytest.mark.parametrize(("step", "axis"), list(filterfalse(LEFT_OUT.__contains__, product(STEPS, GROWN))))
+    def test_a_step_runs_as_many_lines_however_far_its_ledger_grows(self, step, axis):
+        assert self.step_lines(step, axis, 50) == self.step_lines(step, axis, 400)
+
