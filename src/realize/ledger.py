@@ -190,7 +190,7 @@ def _may_reserve(events: tuple) -> bool:
 
 
 class _Book:
-    """One security's state in a ``Ledger``: what its docstring calls the security's book."""
+    """One security's book: all of its state in a ``Ledger``, whose docstring says what each field holds."""
 
     __slots__ = ("lots", "shorts", "unsold", "runs", "reserved", "held")
 

@@ -62,7 +62,7 @@ def apply_all(events, path=ABC_PRICES, ledger=None):
     return ledger, effects
 
 
-def ledger_lines(events, ledger, path=A_PRICES):
+def ledger_lines(events, ledger, path):
     """Lines run in ``ledger.py`` applying ``events`` to ``ledger``, and the events' effects."""
     source, lines = ledger_module.__file__, 0
 
@@ -466,6 +466,16 @@ class TestStepUp:
         ledger, _ = apply_all([Buy(1, "ABC", 100)], path=self.DEATH_PRICES)
         with pytest.raises(MissingPrice):
             self.step_up(ledger, at=2)
+
+    def test_a_death_short_of_a_price_names_the_oldest_lot_missing_one_and_changes_nothing(self):
+        # Lot 0 (ABC) is quoted at the death, lots 1 (ZZZ) and 2 (MMM) are not: no lot is re-based.
+        path = PricePath({(sec, 1): Money(100) for sec in ("ABC", "ZZZ", "MMM")} | {("ABC", 3): Money(300)})
+        ledger, _ = apply_all([Buy(1, "ABC", 1), Buy(1, "ZZZ", 1), Buy(1, "MMM", 1)], path=path)
+        before = snapshot(ledger)
+        with pytest.raises(MissingPrice) as raised:
+            self.step_up(ledger, path=path)
+        assert raised.value.sec == "ZZZ"
+        assert snapshot(ledger) == before
 
     def test_death_event_applies_step_up(self):
         ledger, _ = apply_all([Buy(1, "ABC", 100)], path=self.DEATH_PRICES)
